@@ -39,7 +39,6 @@ from .matching import (
     matching_size_expectation_exact,
     maximum_matching,
     vertex_load,
-    violates_vertex_caps,
 )
 from .sparsifier import (
     QProfile,
@@ -52,14 +51,12 @@ from .sparsifier import (
 )
 from .lca import (
     CorrelatedBoundReport,
-    CorrelationEstimate,
     LcaOracle,
     NaturalityViolation,
     ProbeTrace,
     QueryLedger,
     Site,
     check_correlated_bound,
-    estimate_delta,
     gather_ledger,
     ledger_to_csv,
     run_lca,
@@ -88,11 +85,8 @@ from .hyperwalk import (
     apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
-    degree_in_profile,
     enumerate_hyperwalks,
-    enumerate_hyperwalks_containing,
     is_augmenting,
-    out_query_ceiling,
     validate_profile,
     walk_vertices,
 )

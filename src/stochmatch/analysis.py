@@ -29,6 +29,7 @@ from .graph import (
     Graph,
     Realization,
     SeedContext,
+    edge_mask,
     enumerate_realizations,
     sample_realization,
     subgraph,
@@ -49,8 +50,9 @@ from .matching import (
     fractional_size,
     matched_vertices,
     matching_number,
+    vertex_loads,
 )
-from .sparsifier import QProfile, SparsifierParams, build_H, derive_R, estimate_q, select_thresholds
+from .sparsifier import QProfile, SparsifierParams, build_H, p_min_of, resolve_R
 
 DELTA_EXPONENT_DEFAULT = 15
 MATCH_PROB_TRIALS_DEFAULT = 1000
@@ -65,13 +67,7 @@ def match_targets_from_q(g: Graph, q: QProfile, within: Iterable[int]) -> tuple:
     ``within``.  Coverage events of distinct incident edges are disjoint
     (at most one incident edge is matched), so the vertex marginal is an
     exact sum of edge marginals."""
-    chosen = set(within)
-    loads = [0.0] * g.n
-    for e in chosen:
-        u, v = g.endpoints(e)
-        loads[u] += q.q[e]
-        loads[v] += q.q[e]
-    return tuple(loads)
+    return tuple(vertex_loads(g, ((e, q.q[e]) for e in set(within))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +102,7 @@ def build_f(
         t = c / R
         if e in noncrucial and t <= cap:
             fprime[e] = t
-    loads = [0.0] * g.n
-    for e, val in fprime.items():
-        u, v = g.endpoints(e)
-        loads[u] += val
-        loads[v] += val
+    loads = vertex_loads(g, fprime.items())
     qn = match_targets_from_q(g, q, noncrucial)
     scale = 1.0 - eps
     values = {}
@@ -165,10 +157,9 @@ def compute_MC(crucial: CrucialSetup, g_real: Realization, alg_ctx: SeedContext)
     """The recursive matching of the realized crucial subgraph, as
     full-graph edge ids.  Depends on the input realization only through
     the bits of crucial edges."""
-    mask = 0
-    for sub_e, full_e in enumerate(crucial.from_sub):
-        if g_real.has(full_e):
-            mask |= 1 << sub_e
+    mask = edge_mask(
+        sub_e for sub_e, full_e in enumerate(crucial.from_sub) if g_real.has(full_e)
+    )
     c_p = Realization(crucial.sub, mask)
     matched = b_generic(
         crucial.sub,
@@ -211,32 +202,25 @@ def build_match_prob_table(
     sub = crucial.sub
     if exact is None:
         exact = sub.m <= cap
-    covered = [0.0] * g.n
     if exact:
         alg_ctx = ctx.child("alg")
-        for real, prob in enumerate_realizations(sub, cap):
-            matched = b_generic(
-                sub, real, crucial.bparams, alg_ctx,
-                table=crucial.table, walks=crucial.walks,
-            )
-            for e in matched:
-                u, v = sub.endpoints(e)
-                covered[u] += prob
-                covered[v] += prob
-        return MatchProbTable(tuple(1.0 - c for c in covered), 0, True)
-    if trials < 1:
+        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub, cap))
+    elif trials < 1:
         raise ValueError("trials must be positive")
-    for t in range(trials):
-        real = sample_realization(sub, ctx.child("real"), t)
-        matched = b_generic(
-            sub, real, crucial.bparams, ctx.child("alg", t),
-            table=crucial.table, walks=crucial.walks,
+    else:
+        worlds = (
+            (sample_realization(sub, ctx.child("real"), t), 1, ctx.child("alg", t))
+            for t in range(trials)
         )
-        for e in matched:
-            u, v = sub.endpoints(e)
-            covered[u] += 1
-            covered[v] += 1
-    return MatchProbTable(tuple(1.0 - c / trials for c in covered), trials, False)
+    covered = [0.0] * g.n
+    for real, weight, alg_ctx in worlds:
+        matched = b_generic(
+            sub, real, crucial.bparams, alg_ctx, table=crucial.table, walks=crucial.walks
+        )
+        for v in matched_vertices(sub, matched):
+            covered[v] += weight
+    runs = 1 if exact else trials
+    return MatchProbTable(tuple(1.0 - c / runs for c in covered), 0 if exact else trials, exact)
 
 
 @dataclass(frozen=True)
@@ -372,11 +356,7 @@ def round_x(x: dict, eps: float, g: Graph) -> FractionalMatching:
     """y_e = x_e / (1 + eps) where both endpoint loads x_v stay at or
     below 1 + eps, and 0 on every edge of an overloaded vertex.  The
     result is always a fractional matching."""
-    loads = [0.0] * g.n
-    for e, val in x.items():
-        u, v = g.endpoints(e)
-        loads[u] += val
-        loads[v] += val
+    loads = vertex_loads(g, x.items())
     limit = 1.0 + eps
     values = {}
     for e, val in x.items():
@@ -415,12 +395,7 @@ def ratio_sweep(
     estimate_ratio(g, sparsifiers[k], ...) with the same context, just
     cheaper.  Pairing makes differences between entries directly
     comparable."""
-    masks = []
-    for H in sparsifiers:
-        h_mask = 0
-        for e in H:
-            h_mask |= 1 << e
-        masks.append(h_mask)
+    masks = [edge_mask(H) for H in sparsifiers]
     if exact is None:
         exact = g.m <= cap
     if exact:
@@ -539,13 +514,7 @@ class PipelineRun:
         return sum(self.x.values())
 
     def x_loads(self) -> tuple:
-        g = self.setup.g
-        loads = [0.0] * g.n
-        for e, val in self.x.items():
-            u, v = g.endpoints(e)
-            loads[u] += val
-            loads[v] += val
-        return tuple(loads)
+        return tuple(vertex_loads(self.setup.g, self.x.items()))
 
     @property
     def y_total(self) -> float:
@@ -575,15 +544,8 @@ def prepare_pipeline(
     would use the eps^2 preset, far beyond enumeration reach.
     """
     ctx = SeedContext(seed)
-    p_min = min((g.probability(e) for e in range(g.m)), default=1.0)
-    if exact is None:
-        exact = g.m <= ENUM_CAP
-    q = estimate_q(g, samples=q_samples, ctx=ctx.child("q"), exact=exact)
-    if thresholds is None:
-        thresholds = select_thresholds(q, eps, p_min)
-    q = q.with_thresholds(*thresholds)
-    if R is None:
-        R = derive_R(thresholds[0])
+    q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
+    exact = q.exact
     sparams = SparsifierParams(R=R, eps=eps, seed=seed)
     H, matchings = build_H(g, sparams)
     if bparams is None:
@@ -611,7 +573,7 @@ def prepare_pipeline(
         crucial=crucial,
         match_prob=match_prob,
         delta=delta,
-        p_min=p_min,
+        p_min=p_min_of(g),
         delta_exponent=delta_exponent,
         ctx=ctx,
         exact=exact,

@@ -17,13 +17,11 @@ import sys
 from typing import Optional
 
 from .analysis import (
-    estimate_ratio,
     ratio_sweep,
     prepare_pipeline,
     verify_claims,
 )
 from .graph import (
-    ENUM_CAP,
     EdgeCountExceeded,
     GraphFormatError,
     SeedContext,
@@ -36,14 +34,7 @@ from .hyperwalk import BParams, EnumerationTooLarge, ResourceGuard, BMatchingLca
 from .lca import gather_ledger, ledger_to_csv
 from .matching import CapExceeded
 from .mis import TmisBudget, TruncatedGreedyMis
-from .sparsifier import (
-    SparsifierParams,
-    build_H,
-    derive_R,
-    estimate_q,
-    max_degree_of,
-    select_thresholds,
-)
+from .sparsifier import SparsifierParams, build_H, max_degree_of, p_min_of, resolve_R
 
 EXIT_OK = 0
 EXIT_GUARD = 1
@@ -159,20 +150,14 @@ def _emit(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _p_floor(g) -> float:
-    return min((g.probability(e) for e in range(g.m)), default=1.0)
-
-
 def cmd_sparsify(cfg: ExperimentConfig) -> int:
     if cfg.out is None:
         raise UsageError("sparsify writes files; --out is required")
     g = load_graph(cfg.input)
     ctx = SeedContext(cfg.seed)
-    exact = cfg.exact if cfg.exact is not None else g.m <= ENUM_CAP
-    q = estimate_q(g, samples=cfg.q_samples, ctx=ctx.child("q"), exact=exact)
-    thresholds = cfg.thresholds or select_thresholds(q, cfg.eps, _p_floor(g))
-    q = q.with_thresholds(*thresholds)
-    R = cfg.single_R() or derive_R(thresholds[0])
+    q, R = resolve_R(
+        g, cfg.eps, cfg.q_samples, ctx.child("q"), cfg.exact, cfg.thresholds, cfg.single_R()
+    )
     H, _ = build_H(g, SparsifierParams(R=R, eps=cfg.eps, seed=cfg.seed))
     sub, _, _ = subgraph(g, sorted(H))
     meta = {
@@ -183,8 +168,8 @@ def cmd_sparsify(cfg: ExperimentConfig) -> int:
         "m": g.m,
         "h_edges": len(H),
         "h_max_degree": max_degree_of(g, H),
-        "tau_minus": thresholds[0],
-        "tau_plus": thresholds[1],
+        "tau_minus": q.tau_minus,
+        "tau_plus": q.tau_plus,
         "crucial_count": len(q.crucial),
         "noncrucial_count": len(q.noncrucial),
         "q_exact": q.exact,
@@ -201,12 +186,10 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
     if cfg.R_list is not None:
         r_values = cfg.R_list
     else:
-        exact = cfg.exact if cfg.exact is not None else g.m <= ENUM_CAP
-        q = estimate_q(g, samples=cfg.q_samples, ctx=ctx.child("q"), exact=exact)
-        thresholds = cfg.thresholds or select_thresholds(q, cfg.eps, _p_floor(g))
-        r_values = [derive_R(thresholds[0])]
+        _, R = resolve_R(g, cfg.eps, cfg.q_samples, ctx.child("q"), cfg.exact, cfg.thresholds)
+        r_values = [R]
     rows = ["n,m,p,R,ratio,stderr,mode"]
-    p_floor = _p_floor(g)
+    p_min = p_min_of(g)
     sparsifiers = [
         build_H(g, SparsifierParams(R=R, eps=cfg.eps, seed=cfg.seed))[0]
         for R in r_values
@@ -218,7 +201,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
     for R, est in zip(r_values, ests):
         mode = "exact" if est.exact else "mc"
         rows.append(
-            f"{g.n},{g.m},{p_floor:.6g},{R},{est.ratio:.6f},{est.stderr:.6f},{mode}"
+            f"{g.n},{g.m},{p_min:.6g},{R},{est.ratio:.6f},{est.stderr:.6f},{mode}"
         )
     _emit(cfg.out, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -270,7 +253,7 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with long-form options")
     common.add_argument("--input", help="input graph file (u v p lines)")
@@ -293,7 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--match-prob-trials", dest="match_prob_trials", type=int)
     common.add_argument("--delta-exponent", dest="delta_exponent", type=int)
     common.add_argument("--budget", type=int, help="tmis expansion budget")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _common_options()
     parser = argparse.ArgumentParser(
         prog="stochmatch",
         description="stochastic matching sparsifier toolkit",
@@ -305,6 +292,27 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--lca", choices=["tmis", "b-matching"])
     sub.add_parser("verify", parents=[common], help="pipeline claim report")
     return parser
+
+
+def _check_config_types(loaded: dict) -> None:
+    """Each config value must have the type its flag parses to: int,
+    float (an int will do), bool for ``exact``, or str.  ``R`` and
+    ``thresholds`` go through their own parsers; null is accepted where
+    the default is null."""
+    for action in _common_options()._actions:
+        key = action.dest
+        if key not in loaded or key in ("R", "thresholds"):
+            continue
+        val = loaded[key]
+        if val is None and DEFAULTS[key] is None:
+            continue
+        flag = isinstance(action, argparse.BooleanOptionalAction)
+        want = bool if flag else action.type or str
+        accepted = (int, float) if want is float else want
+        if isinstance(val, bool) != (want is bool) or not isinstance(val, accepted):
+            raise UsageError(
+                f"config key {key!r} must be {want.__name__}, got {type(val).__name__}"
+            )
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
@@ -321,6 +329,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_types(loaded)
         values.update(loaded)
     for key in DEFAULTS:
         flag = getattr(args, key, None)

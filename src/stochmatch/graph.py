@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ENUM_CAP = 24
 
@@ -79,9 +79,6 @@ class SeedContext:
         raw = int.from_bytes(self.digest(*labels)[:8], "little")
         return (raw >> 11) / _FLOAT_DENOM
 
-    def bernoulli(self, p: float, *labels) -> bool:
-        return self.uniform(*labels) < p
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -140,14 +137,6 @@ class Graph:
             out.append(w if u == v else u)
         return out
 
-    def edge_id(self, u: int, v: int):
-        """Edge id for the pair (u, v), or None when absent."""
-        for e in self.adjacency[u]:
-            a, b, _ = self.edges[e]
-            if a == v or b == v:
-                return e
-        return None
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
@@ -161,21 +150,6 @@ class Realization:
 
     def has(self, e: int) -> bool:
         return (self.present >> e) & 1 == 1
-
-    def edge_ids(self) -> Iterator[int]:
-        mask = self.present
-        e = 0
-        while mask:
-            if mask & 1:
-                yield e
-            mask >>= 1
-            e += 1
-
-    def size(self) -> int:
-        return bin(self.present).count("1")
-
-    def restrict(self, edge_mask: int) -> "Realization":
-        return Realization(self.graph, self.present & edge_mask)
 
 
 def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
@@ -289,7 +263,13 @@ def subgraph(g: Graph, edge_ids: Iterable[int]):
 
 
 def edge_mask(edge_ids: Iterable[int]) -> int:
+    """Bitmask with bit e set for every listed edge id."""
     mask = 0
     for e in edge_ids:
         mask |= 1 << e
     return mask
+
+
+def mask_edges(mask: int) -> list:
+    """Edge ids of the set bits of ``mask``, in increasing order."""
+    return [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]

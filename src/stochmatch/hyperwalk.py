@@ -17,10 +17,14 @@ queries for the same function by local exploration; with identical
 seeds the two routes agree edge for edge, which the test suite checks
 exhaustively on small instances.
 
-Rank-greedy MIS membership is resolved per root query with a budget on
-distinct expansions.  A query that exhausts its budget aborts and
-reports non-membership; positive answers always come from completed
-computations, so the selected walk set stays independent.
+Rank-greedy MIS membership over the walk conflict graph runs on
+:func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
+with the same budget rule: ``mis_budget`` caps the distinct expansions
+of one root query, the expansion that would exceed it never runs, and a
+query that runs out reports non-membership after exactly ``mis_budget``
+expansions, which is also what it charges to the node guard.  Positive
+answers always come from completed computations, so the selected walk
+set stays independent.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, Realization, SeedContext, sample_realization
-from .lca import Site, site_tape
+from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
+from .lca import Site, run_lca, site_tape
+from .matching import is_matching, matched_vertices
+from .mis import greedy_member
 
 WALK_CEILING_DEFAULT = 100_000
 NODE_CEILING_DEFAULT = 2_000_000
@@ -43,10 +49,6 @@ class EnumerationTooLarge(RuntimeError):
 
 class ResourceGuard(RuntimeError):
     """A recursive computation exceeded its configured node ceiling."""
-
-
-class _MisExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -245,21 +247,21 @@ class WalkIndex:
         self._vseqs = {}
         self._all = None
 
+    def _check_ceiling(self, count: int, limit: int) -> None:
+        if self.ceiling and count > limit:
+            raise EnumerationTooLarge(
+                f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
+            )
+
     def _expand(self, directed: set) -> tuple:
         walks = set()
         reps = self.alpha + 1
         for _, eseq in directed:
             span = len(eseq)
-            if self.ceiling and len(walks) + reps**span > self.ceiling * 2:
-                raise EnumerationTooLarge(
-                    f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
-                )
+            self._check_ceiling(len(walks) + reps**span, self.ceiling * 2)
             for idx in itertools.product(range(reps), repeat=span):
                 walks.add(Hyperwalk.make(eseq, idx))
-        if self.ceiling and len(walks) > self.ceiling:
-            raise EnumerationTooLarge(
-                f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
-            )
+        self._check_ceiling(len(walks), self.ceiling)
         return tuple(sorted(walks, key=lambda w: w.sort_key))
 
     def walks_through_vertex(self, v: int) -> tuple:
@@ -281,10 +283,7 @@ class WalkIndex:
             walks = set()
             for v in range(self.g.n):
                 walks.update(self.walks_through_vertex(v))
-                if self.ceiling and len(walks) > self.ceiling:
-                    raise EnumerationTooLarge(
-                        f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
-                    )
+                self._check_ceiling(len(walks), self.ceiling)
             self._all = tuple(sorted(walks, key=lambda w: w.sort_key))
         return self._all
 
@@ -309,16 +308,6 @@ def enumerate_hyperwalks(
 ) -> tuple:
     """Every hyperwalk of length at most ``walk_len``, in canonical order."""
     return WalkIndex(g, walk_len, alpha, ceiling).all_walks()
-
-
-def enumerate_hyperwalks_containing(
-    g: Graph, site: Site, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
-) -> tuple:
-    """Hyperwalks through a vertex or edge site, in canonical order."""
-    index = WalkIndex(g, walk_len, alpha, ceiling)
-    if site.kind == "vertex":
-        return index.walks_through_vertex(site.id)
-    return index.walks_through_edge(site.id)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +337,12 @@ class Profile:
 
 def validate_profile(p: Profile) -> None:
     """Raises unless every matching is a matching within its realization."""
-    g = p.graph
     for i, (real, matching) in enumerate(p.pairs):
-        seen = set()
         for e in matching:
             if not real.has(e):
                 raise ValueError(f"copy {i}: edge {e} not realized")
-            u, v = g.endpoints(e)
-            if u in seen or v in seen:
-                raise ValueError(f"copy {i}: edges collide at a vertex")
-            seen.add(u)
-            seen.add(v)
+        if not is_matching(p.graph, matching):
+            raise ValueError(f"copy {i}: edges collide at a vertex")
 
 
 def apply_hyperwalk(p: Profile, w: Hyperwalk) -> Profile:
@@ -375,16 +359,6 @@ def apply_hyperwalk(p: Profile, w: Hyperwalk) -> Profile:
         new.difference_update(e for (e, s) in removals if s == i)
         pairs.append((real, frozenset(new)))
     return Profile(tuple(pairs))
-
-
-def degree_in_profile(p: Profile, v: int) -> int:
-    """Number of copies whose matching covers ``v``."""
-    g = p.graph
-    count = 0
-    for _, matching in p.pairs:
-        if any(e in matching for e in g.incident(v)):
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -407,11 +381,6 @@ class UnsaturationTable:
         Every vertex passes any margin below 1."""
         row = (0.0,) * n
         return cls((1.0,) * n, tuple(row for _ in range(levels + 1)), 0)
-
-    @classmethod
-    def never_unsaturated(cls, n: int, levels: int) -> "UnsaturationTable":
-        row = (0.0,) * n
-        return cls((0.0,) * n, tuple(row for _ in range(levels + 1)), 0)
 
 
 def _augmenting_core(
@@ -491,54 +460,33 @@ def is_augmenting(
 
 
 # ---------------------------------------------------------------------------
-# rank-greedy MIS over hyperwalks (shared recursion engine)
+# tape formulas and the walk conflict graph, shared by both routes
 
 
-def _mis_root_query(
-    root: Hyperwalk,
-    rank_fn: Callable,
-    valid_fn: Callable,
-    neighbors_fn: Callable,
-    budget: Optional[int],
-):
-    """Resolve one membership query in the conflict graph of hyperwalks.
+def _copy_realized(tape: SeedContext, lineage: tuple, p: float) -> bool:
+    """Whether an edge with probability ``p`` and tape ``tape`` is present
+    in the fresh copy drawn under ``lineage``."""
+    return tape.uniform("copy", *lineage) < p
 
-    Members are walks that are valid and have no lower-rank member
-    neighbor.  The recursion counts distinct expansions; exceeding the
-    budget aborts the whole query with a negative answer.  Returns
-    (member, truncated, calls).
-    """
-    memo = {}
-    calls = 0
 
-    def member(w: Hyperwalk) -> bool:
-        nonlocal calls
-        if w in memo:
-            return memo[w]
-        calls += 1
-        if budget is not None and calls > budget:
-            raise _MisExhausted
-        if not valid_fn(w):
-            memo[w] = False
-            return False
-        rank_w = rank_fn(w)
-        below = sorted(
-            ((rank_fn(x), x) for x in neighbors_fn(w)), key=lambda t: t[0]
-        )
-        out = True
-        for rank_x, x in below:
-            if rank_x >= rank_w:
-                break
-            if member(x):
-                out = False
-                break
-        memo[w] = out
-        return out
+def _walk_rank(tape: SeedContext, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
+    """MIS rank of ``w``, read off the tape of its first edge."""
+    u = tape.uniform("misrank", *lineage, level, len(w.edges), *w.edges, *w.indices)
+    return (u,) + w.sort_key
 
-    try:
-        return member(root), False, calls
-    except _MisExhausted:
-        return False, True, calls
+
+def _walk_lower(valid: Callable, rank: Callable, neighbors: Callable) -> Callable:
+    """The expansion step handed to :func:`greedy_member`: None for an
+    invalid walk, else its lower-rank conflict neighbors in rank order."""
+
+    def lower(w: Hyperwalk) -> Optional[list]:
+        if not valid(w):
+            return None
+        rank_w = rank(w)
+        below = sorted(((rank(x), x) for x in neighbors(w)), key=lambda t: t[0])
+        return [x for rank_x, x in below if rank_x < rank_w]
+
+    return lower
 
 
 # ---------------------------------------------------------------------------
@@ -556,25 +504,12 @@ class _Guard:
             raise ResourceGuard(f"computation exceeded {self.ceiling} nodes")
 
 
-def _prf_realized(g: Graph, ctx: SeedContext, lineage: tuple, e: int) -> bool:
-    tape = site_tape(ctx, Site.edge(e))
-    return tape.uniform("copy", *lineage) < g.probability(e)
-
-
 def _prf_realization(g: Graph, ctx: SeedContext, lineage: tuple) -> Realization:
-    mask = 0
-    for e in range(g.m):
-        if _prf_realized(g, ctx, lineage, e):
-            mask |= 1 << e
-    return Realization(g, mask)
-
-
-def _pure_walk_rank(ctx: SeedContext, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
-    tape = site_tape(ctx, Site.edge(w.edges[0]))
-    u = tape.uniform(
-        "misrank", *lineage, level, len(w.edges), *w.edges, *w.indices
+    present = (
+        e for e in range(g.m)
+        if _copy_realized(site_tape(ctx, Site.edge(e)), lineage, g.probability(e))
     )
-    return (u,) + w.sort_key
+    return Realization(g, edge_mask(present))
 
 
 def _select_walks(
@@ -601,7 +536,8 @@ def _select_walks(
 
     def rank(w: Hyperwalk) -> tuple:
         if w not in rank_memo:
-            rank_memo[w] = _pure_walk_rank(ctx, lineage, level, w)
+            tape = site_tape(ctx, Site.edge(w.edges[0]))
+            rank_memo[w] = _walk_rank(tape, lineage, level, w)
         return rank_memo[w]
 
     order = sorted(
@@ -616,11 +552,10 @@ def _select_walks(
             covered.update(vs)
     if params.mis_budget is None:
         return members
+    lower = _walk_lower(valid, rank, walks.neighbors)
     kept = []
     for w in members:
-        ok, truncated, calls = _mis_root_query(
-            w, rank, valid, walks.neighbors, params.mis_budget
-        )
+        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
         guard.tick(calls)
         assert ok or truncated, "sweep member must resolve positively when untruncated"
         if ok:
@@ -714,9 +649,7 @@ def build_unsaturation_table(
             sub = ctx.child("unsat", lvl, s)
             real = sample_realization(g, sub.child("input"), 0)
             matched = b_generic(g, real, params, sub.child("alg"), lvl, partial, walks)
-            for e in matched:
-                u, v = g.endpoints(e)
-                hits[u] += 1
+            for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))
     return UnsaturationTable(a_prob, tuple(rows), samples)
@@ -724,28 +657,6 @@ def build_unsaturation_table(
 
 # ---------------------------------------------------------------------------
 # local-computation route
-
-
-class _PureTapes:
-    """Tape access without instrumentation (shared-cache fast path)."""
-
-    def __init__(self, lca: "BMatchingLca", ctx: SeedContext) -> None:
-        self.lca = lca
-        self.ctx = ctx
-
-    def touch_edge(self, e: int) -> None:
-        pass
-
-    def ensure_walk(self, w: Hyperwalk) -> None:
-        pass
-
-    def realized(self, lineage: tuple, e: int) -> bool:
-        if not lineage:
-            return self.lca.root_realization.has(e)
-        return _prf_realized(self.lca.g, self.ctx, lineage, e)
-
-    def walk_rank(self, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
-        return _pure_walk_rank(self.ctx, lineage, level, w)
 
 
 class _OracleTapes:
@@ -797,19 +708,15 @@ class _OracleTapes:
         if not lineage:
             return self.lca.root_realization.has(e)
         tape = self.oracle.peek(Site.edge(e))
-        return tape.uniform("copy", *lineage) < self.lca.g.probability(e)
+        return _copy_realized(tape, lineage, self.lca.g.probability(e))
 
     def walk_rank(self, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
         self.ensure_walk(w)
-        tape = self.oracle.peek(Site.edge(w.edges[0]))
-        u = tape.uniform(
-            "misrank", *lineage, level, len(w.edges), *w.edges, *w.indices
-        )
-        return (u,) + w.sort_key
+        return _walk_rank(self.oracle.peek(Site.edge(w.edges[0])), lineage, level, w)
 
 
 class _Engine:
-    """Memoized recursion shared by the cached and instrumented paths."""
+    """Memoized recursion behind one instrumented root query."""
 
     def __init__(self, lca: "BMatchingLca", tapes) -> None:
         self.lca = lca
@@ -837,10 +744,7 @@ class _Engine:
             if not (removed or added):
                 continue
             if self.is_in_mis(lineage, w, level):
-                if removed:
-                    result = False
-                else:
-                    result = True
+                result = not removed
         self._match[key] = result
         return result
 
@@ -869,9 +773,8 @@ class _Engine:
                 self.tapes.ensure_walk(y)
             return self.lca.walks.neighbors(x)
 
-        ok, truncated, calls = _mis_root_query(
-            w, rank, valid, neighbors, self.lca.params.mis_budget
-        )
+        lower = _walk_lower(valid, rank, neighbors)
+        ok, _, calls = greedy_member(w, lower, self.lca.params.mis_budget)
         self.guard.tick(calls)
         self._mis[key] = ok
         return ok
@@ -913,10 +816,8 @@ class BMatchingLca:
     """Edge-membership queries against the recursive matching.
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
-    query with full probe instrumentation and fresh memos.  The
-    ``is_in_matching`` / ``is_in_mis`` / ``is_valid`` methods answer
-    from a cache shared across queries, which is sound because every
-    answer is a pure function of the tapes.
+    query with full probe instrumentation and fresh memos; it is the
+    only query route.
     """
 
     site_kind = "edge"
@@ -942,12 +843,6 @@ class BMatchingLca:
         )
         if self.walks.alpha != params.alpha or self.walks.walk_len != params.walk_len:
             raise ValueError("walk index does not match params")
-        self._engines = {}
-
-    def _engine(self, ctx: SeedContext) -> _Engine:
-        if ctx not in self._engines:
-            self._engines[ctx] = _Engine(self, _PureTapes(self, ctx))
-        return self._engines[ctx]
 
     def run(self, oracle, root: Site) -> bool:
         engine = _Engine(self, _OracleTapes(self, oracle))
@@ -955,44 +850,9 @@ class BMatchingLca:
         oracle.annotate("nodes", engine.guard.nodes)
         return out
 
-    def is_in_matching(self, ctx: SeedContext, e: int, level: Optional[int] = None) -> bool:
-        level = self.params.depth if level is None else level
-        return self._engine(ctx).is_in_matching((), e, level)
-
-    def is_in_mis(self, ctx: SeedContext, w: Hyperwalk, level: int, lineage: tuple = ()) -> bool:
-        return self._engine(ctx).is_in_mis(lineage, w, level)
-
-    def is_valid(self, ctx: SeedContext, w: Hyperwalk, level: int, lineage: tuple = ()) -> bool:
-        return self._engine(ctx).is_valid(lineage, w, level)
-
     def matching_via_queries(self, ctx: SeedContext) -> frozenset:
-        """Edge set assembled from one membership query per edge."""
+        """Edge set assembled from one instrumented query per edge."""
         return frozenset(
-            e for e in range(self.g.m) if self.is_in_matching(ctx, e)
+            e for e in range(self.g.m) if run_lca(self, self.g, ctx, Site.edge(e))[0]
         )
 
-
-def out_query_ceiling(g: Graph, walks: WalkIndex, params: BParams, level: int) -> int:
-    """Deterministic upper bound on distinct probed edges per root query.
-
-    Union-bounds the recursion: each matching node touches its edge,
-    recurses one level down, and resolves one MIS query per containing
-    walk, where every expansion probes the walk, its neighbors (for
-    ranks), and the validity neighborhood across copies.
-    """
-    all_w = walks.all_walks()
-    total = len(all_w)
-    if total == 0:
-        return 1
-    wmax = max((len(walks.walks_through_edge(e)) for e in range(g.m)), default=0)
-    nmax = max((len(walks.neighbors(w)) for w in all_w), default=0)
-    budget = params.mis_budget if params.mis_budget is not None else total
-    expansions = min(budget, total)
-    L = params.walk_len
-    dv = g.max_degree()
-    bound = 1
-    for _ in range(level):
-        per_validity = (L + 1) * dv * (1 + (params.alpha + 1) * bound)
-        per_expansion = L + nmax * L + per_validity
-        bound = 1 + bound + wmax * expansions * per_expansion
-    return bound

@@ -42,6 +42,10 @@ class Site:
     def edge(cls, e: int) -> "Site":
         return cls("edge", e)
 
+    def vertices(self, g: Graph) -> tuple:
+        """The vertices this site touches: itself, or an edge's endpoints."""
+        return (self.id,) if self.kind == "vertex" else g.endpoints(self.id)
+
 
 def site_tape(ctx: SeedContext, site: Site) -> SeedContext:
     """The PRF namespace holding this site's private random tape."""
@@ -60,15 +64,7 @@ class ProbeTrace:
 
     def vertex_footprint(self, g: Graph) -> frozenset:
         """Vertex-granular view: an edge probe touches both endpoints."""
-        out = set()
-        for s in self.probed:
-            if s.kind == "vertex":
-                out.add(s.id)
-            else:
-                u, v = g.endpoints(s.id)
-                out.add(u)
-                out.add(v)
-        return frozenset(out)
+        return frozenset(v for s in self.probed for v in s.vertices(g))
 
 
 class LcaOracle:
@@ -108,12 +104,7 @@ class LcaOracle:
         if site not in self._probed_set:
             self._probed_set.add(site)
             self._probed.append(site)
-            if site.kind == "vertex":
-                self._touched_vertices.add(site.id)
-            else:
-                u, v = self.graph.endpoints(site.id)
-                self._touched_vertices.add(u)
-                self._touched_vertices.add(v)
+            self._touched_vertices.update(site.vertices(self.graph))
         return site_tape(self._ctx, site)
 
     def peek(self, site: Site) -> SeedContext:
@@ -242,49 +233,6 @@ def gather_ledger(
         else:
             total.merge(one)
     return total
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """delta(u, v): how often two roots' out-query sets intersect."""
-
-    pair: tuple
-    delta: float
-    trials: int
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(max(self.delta * (1.0 - self.delta), 0.0) / self.trials)
-
-
-def estimate_delta(
-    lca,
-    g: Graph,
-    pairs: Iterable[tuple],
-    trials: int,
-    ctx: SeedContext,
-    vertex_granular: bool = False,
-) -> dict:
-    """Monte Carlo delta for each root pair under fresh shared tapes.
-
-    With ``vertex_granular`` set, edge-kind out-query sets are compared
-    through their vertex footprints instead of raw sites.
-    """
-    pairs = [tuple(p) for p in pairs]
-    roots = sorted({r for p in pairs for r in p})
-    hits = {p: 0 for p in pairs}
-    for t in range(trials):
-        sub = ctx.child("delta", t)
-        sets = {}
-        for root in roots:
-            _, trace = run_lca(lca, g, sub, root)
-            sets[root] = (
-                trace.vertex_footprint(g) if vertex_granular else trace.out_queries
-            )
-        for p in pairs:
-            if not sets[p[0]].isdisjoint(sets[p[1]]):
-                hits[p] += 1
-    return {p: CorrelationEstimate(p, hits[p] / trials, trials) for p in pairs}
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .graph import ENUM_CAP, Graph, enumerate_realizations
+from .graph import ENUM_CAP, Graph, enumerate_realizations, mask_edges
 
 BLOSSOM_SET_CAP = 15
 
@@ -27,14 +27,7 @@ def _active_ids(g: Graph, active) -> list:
     if active is None:
         return list(range(g.m))
     if isinstance(active, int):
-        ids = []
-        mask, e = active, 0
-        while mask:
-            if mask & 1:
-                ids.append(e)
-            mask >>= 1
-            e += 1
-        return ids
+        return mask_edges(active)
     return sorted(active)
 
 
@@ -228,8 +221,15 @@ def vertex_load(f: FractionalMatching, v: int) -> float:
     return total
 
 
-def violates_vertex_caps(f: FractionalMatching, tol: float = 1e-9) -> list:
-    return [v for v in range(f.graph.n) if vertex_load(f, v) > 1.0 + tol]
+def vertex_loads(g: Graph, pairs: Iterable[tuple]) -> list:
+    """Per-vertex sums of (edge, value) pairs, credited to both endpoints
+    in the order the pairs come."""
+    loads = [0.0] * g.n
+    for e, val in pairs:
+        u, v = g.endpoints(e)
+        loads[u] += val
+        loads[v] += val
+    return loads
 
 
 @dataclass(frozen=True)

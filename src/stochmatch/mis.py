@@ -5,9 +5,12 @@ no lower-rank neighbor of v is in it.  Membership is therefore locally
 decidable: recursively resolve the lower-rank neighbors in increasing
 rank order and stop at the first member found.
 
-The truncated variant aborts a root query whose recursion expands more
-than a budget of distinct vertices and reports the root as not-in-set.
-A truncated answer can only remove members (breaking maximality a
+:func:`greedy_member` is the package's one engine for this recursion;
+the hyperwalk MIS of :mod:`~stochmatch.hyperwalk` runs on it too.  A
+budget caps the distinct expansions of one root query: the expansion
+that would exceed it never runs, so a query reports at most ``budget``
+calls, and one that runs out is truncated and answers not-in-set.  A
+truncated answer can only remove members (breaking maximality a
 little); it can never add one, because a positive answer requires the
 recursion to have completed, in which case it equals the untruncated
 greedy answer.  The surviving set is always independent.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import Graph, SeedContext
 from .lca import Site, run_lca, site_tape
@@ -46,13 +49,47 @@ class TmisOutcome:
     truncated: bool
 
 
-class _Exhausted(Exception):
-    pass
-
-
 def vertex_rank(ctx: SeedContext, v: int) -> tuple:
     """Total rank order: tape-drawn float with id tie-breaking."""
     return (site_tape(ctx, Site.vertex(v)).uniform("rank"), v)
+
+
+def greedy_member(
+    root, lower: Callable, budget: Optional[int] = None, memo: Optional[dict] = None
+) -> tuple:
+    """Rank-greedy MIS membership of ``root``; returns (member, truncated, calls).
+
+    ``lower(x)`` expands x: it returns x's lower-rank neighbors in
+    increasing rank order, or None when x is not eligible (never a
+    member).  ``calls`` counts expansions; once ``budget`` of them have
+    run, the next is refused and the query ends truncated.  ``memo``
+    holds settled answers and may be shared across unbudgeted roots.
+    """
+    memo = {} if memo is None else memo
+    calls = 0
+
+    def member(x):
+        # True or False once settled; None when the budget ran out
+        nonlocal calls
+        if x in memo:
+            return memo[x]
+        if budget is not None and calls >= budget:
+            return None
+        calls += 1
+        below = lower(x)
+        out = below is not None
+        for y in below or ():
+            found = member(y)
+            if found is None:
+                return None
+            if found:
+                out = False
+                break
+        memo[x] = out
+        return out
+
+    out = member(root)
+    return out is True, out is None, calls
 
 
 def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> bool:
@@ -60,24 +97,14 @@ def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> 
 
     ``ranks[v]`` must be totally ordered (use (float, id) tuples).
     """
-    memo = {} if _memo is None else _memo
 
-    def member(u: int) -> bool:
-        if u in memo:
-            return memo[u]
-        below = sorted(
+    def lower(u: int) -> list:
+        return sorted(
             (w for w in g.neighbors(u) if ranks[w] < ranks[u]),
             key=lambda w: ranks[w],
         )
-        out = True
-        for w in below:
-            if member(w):
-                out = False
-                break
-        memo[u] = out
-        return out
 
-    return member(v)
+    return greedy_member(v, lower, memo=_memo)[0]
 
 
 class TruncatedGreedyMis:
@@ -90,19 +117,10 @@ class TruncatedGreedyMis:
 
     def run(self, oracle, root: Site) -> TmisOutcome:
         g = oracle.graph
-        memo = {}
-        calls = 0
         limit = self.budget.threshold if self.budget is not None else None
 
-        def member(v: int) -> bool:
-            nonlocal calls
-            if v in memo:
-                return memo[v]
-            if limit is not None and calls >= limit:
-                # the threshold is spent; the call that would exceed it
-                # never runs, so reported counts stay <= threshold
-                raise _Exhausted
-            calls += 1
+        def lower(v: int) -> list:
+            # expanding v probes it; neighbor ranks are only peeked at
             rank_v = oracle.probe(Site.vertex(v)).uniform("rank"), v
             below = []
             for w in g.neighbors(v):
@@ -110,32 +128,19 @@ class TruncatedGreedyMis:
                 if rank_w < rank_v:
                     below.append((rank_w, w))
             below.sort()
-            out = True
-            for _, w in below:
-                if member(w):
-                    out = False
-                    break
-            memo[v] = out
-            return out
+            return [w for _, w in below]
 
-        try:
-            result = member(root.id)
-        except _Exhausted:
-            oracle.annotate("calls", calls)
-            oracle.annotate("truncated", True)
-            return TmisOutcome(False, calls, True)
+        member, truncated, calls = greedy_member(root.id, lower, limit)
         oracle.annotate("calls", calls)
-        oracle.annotate("truncated", False)
-        return TmisOutcome(result, calls, False)
+        oracle.annotate("truncated", truncated)
+        return TmisOutcome(member, calls, truncated)
 
 
 def tmis_query(
     g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None
 ):
     """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
-    lca = TruncatedGreedyMis(budget)
-    outcome, trace = run_lca(lca, g, ctx, Site.vertex(v))
-    return outcome, trace
+    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site.vertex(v))
 
 
 def tmis_member(

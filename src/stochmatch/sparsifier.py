@@ -179,6 +179,33 @@ def derive_R(tau_minus: float) -> int:
     return max(1, math.ceil(1.0 / (2.0 * tau_minus)))
 
 
+def p_min_of(g: Graph) -> float:
+    """Smallest edge probability (1.0 on an edgeless graph)."""
+    return min((g.probability(e) for e in range(g.m)), default=1.0)
+
+
+def resolve_R(
+    g: Graph,
+    eps: float,
+    samples: int,
+    ctx: SeedContext,
+    exact: Optional[bool] = None,
+    thresholds: Optional[tuple] = None,
+    R: Optional[int] = None,
+) -> tuple:
+    """Estimates q, sets the given ``thresholds`` on it (or the ones
+    :func:`select_thresholds` picks at the smallest edge probability),
+    and derives R from tau_minus unless ``R`` is given.  Returns
+    ``(q, R)``; ``q.exact`` records the estimation mode."""
+    q = estimate_q(g, samples=samples, ctx=ctx, exact=exact)
+    if thresholds is None:
+        thresholds = select_thresholds(q, eps, p_min_of(g))
+    q = q.with_thresholds(*thresholds)
+    if R is None:
+        R = derive_R(q.tau_minus)
+    return q, R
+
+
 def max_degree_of(g: Graph, edge_ids: Iterable[int]) -> int:
     deg = [0] * g.n
     for e in edge_ids:

@@ -1,13 +1,30 @@
-"""Independent reference implementations used to freeze expected values.
+"""Reference implementations and test-only helpers.
 
-Everything here is deliberately naive: exhaustive recursion and direct
-set arithmetic, no shared code with the package beyond the Graph type.
-Slow is fine; these run on instances with at most a dozen edges.
+The brute-force oracles are deliberately naive: exhaustive recursion and
+direct set arithmetic, no shared code with the package beyond the Graph
+type.  Slow is fine; they run on instances with at most a dozen edges.
+
+Below them sit helpers that only tests use (kept out of the package
+surface), and earlier implementations that the package replaced, kept
+verbatim as differential oracles for their replacements.
 """
 
+import math
+from dataclasses import dataclass
 from itertools import combinations, product
 
-from stochmatch.graph import Graph
+from stochmatch.graph import Graph, Realization
+from stochmatch.hyperwalk import (
+    WALK_CEILING_DEFAULT,
+    BMatchingLca,
+    UnsaturationTable,
+    WalkIndex,
+    _Engine,
+    _OracleTapes,
+)
+from stochmatch.lca import Site, run_lca
+from stochmatch.matching import vertex_load
+from stochmatch.mis import TmisOutcome
 
 
 def brute_matching_number(g: Graph, active=None) -> int:
@@ -167,3 +184,269 @@ def hyperwalk_reference_set(g: Graph, max_len: int, alpha: int):
                 else:
                     out.add((edges, indices))
     return out
+
+
+# -- test-only helpers -------------------------------------------------------
+
+
+def edge_id(g: Graph, u: int, v: int):
+    """Edge id for the pair (u, v), or None when absent."""
+    for e in g.adjacency[u]:
+        a, b, _ = g.edges[e]
+        if a == v or b == v:
+            return e
+    return None
+
+
+def restrict(real: Realization, edge_mask: int) -> Realization:
+    return Realization(real.graph, real.present & edge_mask)
+
+
+def violates_vertex_caps(f, tol: float = 1e-9) -> list:
+    return [v for v in range(f.graph.n) if vertex_load(f, v) > 1.0 + tol]
+
+
+def degree_in_profile(p, v: int) -> int:
+    """Number of copies whose matching covers ``v``."""
+    g = p.graph
+    count = 0
+    for _, matching in p.pairs:
+        if any(e in matching for e in g.incident(v)):
+            count += 1
+    return count
+
+
+def never_unsaturated(n: int, levels: int) -> UnsaturationTable:
+    """Synthetic table in which no vertex passes any margin."""
+    row = (0.0,) * n
+    return UnsaturationTable((0.0,) * n, tuple(row for _ in range(levels + 1)), 0)
+
+
+def enumerate_hyperwalks_containing(
+    g: Graph, site: Site, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
+) -> tuple:
+    """Hyperwalks through a vertex or edge site, in canonical order."""
+    index = WalkIndex(g, walk_len, alpha, ceiling)
+    if site.kind == "vertex":
+        return index.walks_through_vertex(site.id)
+    return index.walks_through_edge(site.id)
+
+
+def out_query_ceiling(g: Graph, walks: WalkIndex, params, level: int) -> int:
+    """Deterministic upper bound on distinct probed edges per root query.
+
+    Union-bounds the recursion: each matching node touches its edge,
+    recurses one level down, and resolves one MIS query per containing
+    walk, where every expansion probes the walk, its neighbors (for
+    ranks), and the validity neighborhood across copies.
+    """
+    all_w = walks.all_walks()
+    total = len(all_w)
+    if total == 0:
+        return 1
+    wmax = max((len(walks.walks_through_edge(e)) for e in range(g.m)), default=0)
+    nmax = max((len(walks.neighbors(w)) for w in all_w), default=0)
+    budget = params.mis_budget if params.mis_budget is not None else total
+    expansions = min(budget, total)
+    L = params.walk_len
+    dv = g.max_degree()
+    bound = 1
+    for _ in range(level):
+        per_validity = (L + 1) * dv * (1 + (params.alpha + 1) * bound)
+        per_expansion = L + nmax * L + per_validity
+        bound = 1 + bound + wmax * expansions * per_expansion
+    return bound
+
+
+@dataclass(frozen=True)
+class CorrelationEstimate:
+    """delta(u, v): how often two roots' out-query sets intersect."""
+
+    pair: tuple
+    delta: float
+    trials: int
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(max(self.delta * (1.0 - self.delta), 0.0) / self.trials)
+
+
+def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool = False) -> dict:
+    """Monte Carlo delta for each root pair under fresh shared tapes.
+
+    With ``vertex_granular`` set, edge-kind out-query sets are compared
+    through their vertex footprints instead of raw sites.
+    """
+    pairs = [tuple(p) for p in pairs]
+    roots = sorted({r for p in pairs for r in p})
+    hits = {p: 0 for p in pairs}
+    for t in range(trials):
+        sub = ctx.child("delta", t)
+        sets = {}
+        for root in roots:
+            _, trace = run_lca(lca, g, sub, root)
+            sets[root] = (
+                trace.vertex_footprint(g) if vertex_granular else trace.out_queries
+            )
+        for p in pairs:
+            if not sets[p[0]].isdisjoint(sets[p[1]]):
+                hits[p] += 1
+    return {p: CorrelationEstimate(p, hits[p] / trials, trials) for p in pairs}
+
+
+# -- earlier implementations, kept as differential oracles ---------------------
+#
+# Before the MIS engine was merged, vertex MIS (TruncatedGreedyMis.run)
+# and walk MIS (_mis_root_query) each had their own recursion.  Both are
+# kept here verbatim.  The walk version counted the refused expansion:
+# a truncated query reported budget + 1 calls and charged them to the
+# node guard.
+
+
+class _Exhausted(Exception):
+    pass
+
+
+class TruncatedGreedyMisV0:
+    """``TruncatedGreedyMis`` with its original recursion."""
+
+    site_kind = "vertex"
+
+    def __init__(self, budget=None) -> None:
+        self.budget = budget
+
+    def run(self, oracle, root: Site) -> TmisOutcome:
+        g = oracle.graph
+        memo = {}
+        calls = 0
+        limit = self.budget.threshold if self.budget is not None else None
+
+        def member(v: int) -> bool:
+            nonlocal calls
+            if v in memo:
+                return memo[v]
+            if limit is not None and calls >= limit:
+                # the threshold is spent; the call that would exceed it
+                # never runs, so reported counts stay <= threshold
+                raise _Exhausted
+            calls += 1
+            rank_v = oracle.probe(Site.vertex(v)).uniform("rank"), v
+            below = []
+            for w in g.neighbors(v):
+                rank_w = oracle.peek(Site.vertex(w)).uniform("rank"), w
+                if rank_w < rank_v:
+                    below.append((rank_w, w))
+            below.sort()
+            out = True
+            for _, w in below:
+                if member(w):
+                    out = False
+                    break
+            memo[v] = out
+            return out
+
+        try:
+            result = member(root.id)
+        except _Exhausted:
+            oracle.annotate("calls", calls)
+            oracle.annotate("truncated", True)
+            return TmisOutcome(False, calls, True)
+        oracle.annotate("calls", calls)
+        oracle.annotate("truncated", False)
+        return TmisOutcome(result, calls, False)
+
+
+class _MisExhausted(Exception):
+    pass
+
+
+def _mis_root_query(root, rank_fn, valid_fn, neighbors_fn, budget):
+    """Resolve one membership query in the conflict graph of hyperwalks.
+
+    Members are walks that are valid and have no lower-rank member
+    neighbor.  The recursion counts distinct expansions; exceeding the
+    budget aborts the whole query with a negative answer.  Returns
+    (member, truncated, calls).
+    """
+    memo = {}
+    calls = 0
+
+    def member(w) -> bool:
+        nonlocal calls
+        if w in memo:
+            return memo[w]
+        calls += 1
+        if budget is not None and calls > budget:
+            raise _MisExhausted
+        if not valid_fn(w):
+            memo[w] = False
+            return False
+        rank_w = rank_fn(w)
+        below = sorted(
+            ((rank_fn(x), x) for x in neighbors_fn(w)), key=lambda t: t[0]
+        )
+        out = True
+        for rank_x, x in below:
+            if rank_x >= rank_w:
+                break
+            if member(x):
+                out = False
+                break
+        memo[w] = out
+        return out
+
+    try:
+        return member(root), False, calls
+    except _MisExhausted:
+        return False, True, calls
+
+
+class _EngineV0(_Engine):
+    """The query engine with walk-MIS resolved by ``_mis_root_query``;
+    every root query's (walk, member, truncated, calls) goes to
+    ``lca.mis_log``."""
+
+    def is_in_mis(self, lineage: tuple, w, level: int) -> bool:
+        key = (lineage, w, level)
+        if key in self._mis:
+            return self._mis[key]
+        self.tapes.ensure_walk(w)
+        if not self.is_valid(lineage, w, level):
+            self._mis[key] = False
+            return False
+
+        def rank(x) -> tuple:
+            rkey = (lineage, level, x)
+            if rkey not in self._ranks:
+                self._ranks[rkey] = self.tapes.walk_rank(lineage, level, x)
+            return self._ranks[rkey]
+
+        def valid(x) -> bool:
+            return self.is_valid(lineage, x, level)
+
+        def neighbors(x) -> tuple:
+            for y in self.lca.walks.neighbors(x):
+                self.tapes.ensure_walk(y)
+            return self.lca.walks.neighbors(x)
+
+        ok, truncated, calls = _mis_root_query(
+            w, rank, valid, neighbors, self.lca.params.mis_budget
+        )
+        self.lca.mis_log.append((w, ok, truncated, calls))
+        self.guard.tick(calls)
+        self._mis[key] = ok
+        return ok
+
+
+class BMatchingLcaV0(BMatchingLca):
+    """``BMatchingLca`` answering through :class:`_EngineV0`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.mis_log = []
+
+    def run(self, oracle, root: Site) -> bool:
+        engine = _EngineV0(self, _OracleTapes(self, oracle))
+        out = engine.is_in_matching((), root.id, self.params.depth)
+        oracle.annotate("nodes", engine.guard.nodes)
+        return out

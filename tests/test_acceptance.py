@@ -18,6 +18,7 @@ from oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    enumerate_hyperwalks_containing,
     greedy_mis_sweep,
     is_independent,
     path_graph,
@@ -37,7 +38,6 @@ from stochmatch.hyperwalk import (
     BParams,
     b_generic,
     enumerate_hyperwalks,
-    enumerate_hyperwalks_containing,
 )
 from stochmatch.lca import Site, check_correlated_bound, gather_ledger
 from stochmatch.matching import (

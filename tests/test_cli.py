@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -227,6 +228,24 @@ class TestConfigOverlay:
         cfgfile.write_text("[1, 2]")
         assert main(["evaluate", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value", [("seed", "7"), ("eps", "0.2"), ("samples", "10")]
+    )
+    def test_wrong_value_type_rejected(self, tmp_path, tri_file, capsys, key, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": tri_file, key: value}))
+        assert main(["evaluate", "--config", str(cfgfile), "--R", "1"]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_value_types_accepted(self, tmp_path, tri_file):
+        cfgfile = tmp_path / "cfg.json"
+        # an int will do for a float option; null keeps a null default
+        cfgfile.write_text(json.dumps({"input": tri_file, "seed": 7, "eps": 0.3,
+                                       "margin": 0, "samples": None, "exact": True,
+                                       "R": "1,2", "thresholds": [0.1, 0.4]}))
+        assert main(["evaluate", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "ev.csv")]) == 0
+
 
 class TestExitCodes:
     def test_missing_input_flag(self, capsys):
@@ -267,3 +286,59 @@ class TestExitCodes:
 
     def test_unknown_lca_kind(self, tri_file, capsys):
         assert main(["lca-stats", "--input", tri_file, "--lca", "nope"]) == 2
+
+
+# Output digests frozen from the implementation before the MIS engine,
+# the b-matching query route and the q -> R resolution were merged: for a
+# fixed seed every command's bytes must stay the same across refactors.
+GOLDEN_GRAPHS = {
+    "kite": (
+        Graph.build(7, [(0, 1, 0.9), (1, 2, 0.6), (2, 0, 0.7), (2, 3, 0.3), (3, 4, 0.8),
+                        (4, 5, 0.5), (5, 3, 0.4), (4, 6, 0.2), (1, 5, 0.35)]),
+        "0.2,0.24",
+    ),
+    "split": (
+        Graph.build(10, [(0, 1, 0.9), (2, 3, 0.9), (4, 5, 0.2), (5, 6, 0.2), (6, 7, 0.2),
+                         (7, 8, 0.2), (8, 9, 0.2), (9, 4, 0.2), (1, 4, 0.5)]),
+        "0.25,0.5",
+    ),
+}
+B_FLAGS = ["--alpha", "1", "--walk-len", "2", "--depth", "2", "--mis-budget", "1"]
+GOLDEN_RUNS = {
+    "sparsify": lambda t: ["sparsify", "--R", "4"],
+    "evaluate-exact": lambda t: ["evaluate", "--thresholds", t],
+    "evaluate-mc": lambda t: ["evaluate", "--thresholds", t, "--no-exact",
+                              "--q-samples", "100", "--samples", "200"],
+    "lca-tmis": lambda t: ["lca-stats", "--lca", "tmis", "--budget", "2", "--samples", "5"],
+    "lca-b": lambda t: ["lca-stats", "--lca", "b-matching", "--samples", "2"] + B_FLAGS,
+    "verify": lambda t: ["verify", "--thresholds", t, "--R", "4", "--samples", "10",
+                         "--table-samples", "10", "--delta-trials", "10",
+                         "--match-prob-trials", "20"] + B_FLAGS,
+}
+GOLDEN = {
+    ("kite", "sparsify"): "146462cf14e4bb1f23c112cd980bb18171900e3f145c918dd620ca9a0e170e72",
+    ("kite", "evaluate-exact"): "492407ee5fef3f9eed9b9b21b3f57751e4c6ffac0b9b19a6068fd222fd85810b",
+    ("kite", "evaluate-mc"): "b15822872b1bb8e0bc99abb99e6297133a612402d138fdf561238bc9738c9130",
+    ("kite", "lca-tmis"): "63e9362f18a75c915dcdf6feb1439ceeac725c3d4297c5388568ff432f8ef884",
+    ("kite", "lca-b"): "5a410dfff88d47de8c4ce8b09095081f2eea3e66cfff0577e80bac51ec986af3",
+    ("kite", "verify"): "507a77ffdb96406c3108d6306b521c6e80f74db060d53539419c1c51d009db4b",
+    ("split", "sparsify"): "2d666b8b4a7139c0a52ba38fc9d400ba66b5f581bfea7afc500d569c407434be",
+    ("split", "evaluate-exact"): "c65092a98061429d806fe4b0d1a54a07504af7c52dad7b4afbecdcaebbf8b31c",
+    ("split", "evaluate-mc"): "a3d2147f0f56502122db830cfb85f4fbed67d0b268bd5dfd4f1bfb48e34223d0",
+    ("split", "lca-tmis"): "4cb0ea7caeae30f8d8c5b33f51478cfdc7c0e5f6fadfe25ce59e881335499511",
+    ("split", "lca-b"): "dec60db104654a9871f06f2d78a3e2e429e9b82dbf72205eeaca65fd09d36e88",
+    ("split", "verify"): "4df6613ce9a175ee94926d97d18c4c75e21774f01764344be974b73f02025bd0",
+}
+
+
+@pytest.mark.parametrize("graph,run", sorted(GOLDEN))
+def test_golden_digest(tmp_path, graph, run):
+    g, thresholds = GOLDEN_GRAPHS[graph]
+    inp = write_input(tmp_path, g)
+    out = tmp_path / "out"
+    argv = GOLDEN_RUNS[run](thresholds)
+    assert main(argv + ["--input", inp, "--seed", "3", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes())
+    if run == "sparsify":
+        digest.update((tmp_path / "out.meta.json").read_bytes())
+    assert digest.hexdigest() == GOLDEN[graph, run]

@@ -4,6 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import edge_id, restrict
 from stochmatch.graph import (
     ENUM_CAP,
     EdgeCountExceeded,
@@ -13,6 +14,7 @@ from stochmatch.graph import (
     SeedContext,
     edge_mask,
     enumerate_realizations,
+    mask_edges,
     gnp_graph,
     parse_graph_text,
     sample_realization,
@@ -69,9 +71,9 @@ class TestGraphBuild:
 
     def test_edge_id_lookup(self):
         g = Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        assert g.edge_id(1, 0) == 0
-        assert g.edge_id(1, 2) == 1
-        assert g.edge_id(0, 2) is None
+        assert edge_id(g, 1, 0) == 0
+        assert edge_id(g, 1, 2) == 1
+        assert edge_id(g, 0, 2) is None
 
 
 class TestEnumeration:
@@ -140,7 +142,7 @@ class TestSampling:
     def test_restrict(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
         r = sample_realization(g, SeedContext(1), 0)
-        assert r.restrict(0b01).present == 0b01
+        assert restrict(r, 0b01).present == 0b01
 
 
 class TestSeedContext:
@@ -207,6 +209,10 @@ class TestSubgraph:
 
     def test_edge_mask(self):
         assert edge_mask([0, 3]) == 0b1001
+        assert mask_edges(0b1001) == [0, 3]
+        assert mask_edges(0) == []
+        ids = [0, 1, 5, 63, 64, 1000]
+        assert mask_edges(edge_mask(ids)) == ids
 
 
 def test_gnp_deterministic():

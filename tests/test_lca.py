@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from oracles import find_rank_ctx, path_graph
+from oracles import estimate_delta, find_rank_ctx, path_graph
 from stochmatch.graph import Graph, SeedContext, gnp_graph
 from stochmatch.lca import (
     NaturalityViolation,
     Site,
     check_correlated_bound,
-    estimate_delta,
     gather_ledger,
     ledger_to_csv,
     run_lca,

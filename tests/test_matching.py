@@ -7,6 +7,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     path_graph,
+    violates_vertex_caps,
 )
 from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph
 from stochmatch.matching import (
@@ -20,7 +21,6 @@ from stochmatch.matching import (
     matching_size_expectation_exact,
     maximum_matching,
     vertex_load,
-    violates_vertex_caps,
 )
 
 

@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from oracles import (
+    BMatchingLcaV0,
+    TruncatedGreedyMisV0,
     complete_graph,
     find_rank_ctx,
     greedy_mis_sweep,
@@ -11,17 +13,21 @@ from oracles import (
     is_maximal_independent,
     path_graph,
 )
-from stochmatch.graph import Graph, SeedContext, gnp_graph
-from stochmatch.lca import gather_ledger, Site
+from stochmatch import hyperwalk
+from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
+from stochmatch.hyperwalk import BMatchingLca, BParams
+from stochmatch.lca import gather_ledger, run_lca, Site
 from stochmatch.mis import (
     TmisBudget,
     TruncatedGreedyMis,
     gmis_member,
+    greedy_member,
     tmis_member,
     tmis_query,
     tmis_set,
     vertex_rank,
 )
+from test_acceptance import B_CORPUS
 
 
 def star(leaves):
@@ -183,3 +189,78 @@ def test_in_query_growth_linear():
     c_fit = means[4] / 4.0
     for leaves in (8, 16):
         assert means[leaves] <= 3.0 * c_fit * leaves
+
+
+class TestEngine:
+    """``greedy_member`` against the recursions it replaced (kept in
+    oracles.py): same answers, truncation flags and probe traces."""
+
+    def test_budget_rule(self):
+        # a chain 0 <- 1 <- 2 <- 3: each node's only lower neighbor is the next
+        def lower(x):
+            return [x + 1] if x < 3 else []
+
+        assert greedy_member(0, lower) == (False, False, 4)
+        assert greedy_member(0, lower, budget=4) == (False, False, 4)
+        for budget in (1, 2, 3):
+            assert greedy_member(0, lower, budget=budget) == (False, True, budget)
+        assert greedy_member(0, lambda x: None) == (False, False, 1)
+
+    def test_tmis_matches_parent(self):
+        truncated = 0
+        for seed in range(8):
+            n = 10 + 7 * seed
+            g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("diff"))
+            ctx = SeedContext(seed).child("tapes")
+            for threshold in (None,) + tuple(range(1, 11)):
+                budget = TmisBudget(threshold) if threshold else None
+                for v in range(g.n):
+                    root = Site.vertex(v)
+                    new, trace = run_lca(TruncatedGreedyMis(budget), g, ctx, root)
+                    old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root)
+                    assert new == old
+                    assert trace.probed == old_trace.probed
+                    assert trace.meta == old_trace.meta
+                    truncated += new.truncated
+        assert truncated > 0, "corpus never exercised truncation"
+
+    def test_walk_mis_matches_parent(self, monkeypatch):
+        log = []
+
+        def recorded(root, lower, budget=None, memo=None):
+            out = greedy_member(root, lower, budget, memo)
+            log.append((root,) + out)
+            return out
+
+        monkeypatch.setattr(hyperwalk, "greedy_member", recorded)
+        truncated = 0
+        for name, g, kw in B_CORPUS:
+            for mis_budget in (None, 1, 3, 6):
+                params = BParams(eps=0.3, margin=0.1, **dict(kw, mis_budget=mis_budget))
+                for seed in range(3):
+                    real = sample_realization(g, SeedContext(seed).child("real"), 0)
+                    ctx = SeedContext(seed).child("alg")
+                    lca = BMatchingLca(g, params, real)
+                    old_lca = BMatchingLcaV0(g, params, real)
+                    for e in range(g.m):
+                        log.clear()
+                        old_lca.mis_log.clear()
+                        out, trace = run_lca(lca, g, ctx, Site.edge(e))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site.edge(e))
+                        assert out == old, name
+                        assert trace.probed == old_trace.probed, name
+                        assert len(log) == len(old_lca.mis_log), name
+                        cut = 0
+                        for (w, ok, cut_short, calls), (w0, ok0, cut_short0, calls0) in zip(
+                            log, old_lca.mis_log
+                        ):
+                            assert (w, ok, cut_short) == (w0, ok0, cut_short0), name
+                            if cut_short:
+                                # the refused expansion is no longer counted
+                                assert (calls, calls0) == (mis_budget, mis_budget + 1), name
+                                cut += 1
+                            else:
+                                assert calls == calls0, name
+                        assert trace.meta["nodes"] == old_trace.meta["nodes"] - cut, name
+                        truncated += cut
+        assert truncated > 0, "corpus never exercised truncation"
