@@ -191,7 +191,6 @@ def build_match_prob_table(
     trials: int,
     ctx: SeedContext,
     exact: Optional[bool] = None,
-    cap: int = ENUM_CAP,
 ) -> MatchProbTable:
     """Estimates Pr[v not in V(M_C)] over crucial realizations.
 
@@ -201,10 +200,10 @@ def build_match_prob_table(
     """
     sub = crucial.sub
     if exact is None:
-        exact = sub.m <= cap
+        exact = sub.m <= ENUM_CAP
     if exact:
         alg_ctx = ctx.child("alg")
-        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub, cap))
+        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub))
     elif trials < 1:
         raise ValueError("trials must be positive")
     else:
@@ -386,7 +385,6 @@ def ratio_sweep(
     samples: int,
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
-    cap: int = ENUM_CAP,
 ) -> list:
     """Paired ratio estimates for several sparsifiers at once.
 
@@ -397,11 +395,11 @@ def ratio_sweep(
     comparable."""
     masks = [edge_mask(H) for H in sparsifiers]
     if exact is None:
-        exact = g.m <= cap
+        exact = g.m <= ENUM_CAP
     if exact:
         den = 0.0
         nums = [0.0] * len(masks)
-        for real, prob in enumerate_realizations(g, cap):
+        for real, prob in enumerate_realizations(g):
             den += prob * matching_number(g, active=real.present)
             for k, h_mask in enumerate(masks):
                 nums[k] += prob * matching_number(g, active=real.present & h_mask)
@@ -453,14 +451,13 @@ def estimate_ratio(
     samples: int,
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
-    cap: int = ENUM_CAP,
 ) -> RatioEstimate:
     """E[mu(H cap G_p)] / E[mu(G_p)] with both expectations taken over
     the same realizations (paired sampling), jackknife stderr for the
     ratio.  Under the enumeration cap the expectations are computed
     exactly and the stderr is 0.  An identically empty denominator
     reports ratio 1 (nothing to approximate)."""
-    return ratio_sweep(g, [H], samples, ctx=ctx, exact=exact, cap=cap)[0]
+    return ratio_sweep(g, [H], samples, ctx=ctx, exact=exact)[0]
 
 
 # ---------------------------------------------------------------------------

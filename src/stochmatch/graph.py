@@ -28,7 +28,8 @@ class GraphFormatError(ValueError):
 
 
 class EdgeCountExceeded(ValueError):
-    """Raised when an exhaustive enumeration would be too large."""
+    """Raised when an exhaustive enumeration, or a sparsifier's R * m
+    edge draws, would be too large."""
 
 
 def _encode_labels(labels: tuple) -> bytes:
@@ -168,15 +169,15 @@ def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
     return Realization(g, mask)
 
 
-def enumerate_realizations(g: Graph, cap: int = ENUM_CAP):
+def enumerate_realizations(g: Graph):
     """Yield (realization, probability) for every edge subset.
 
     Probabilities sum to 1 exactly up to float error.  Refuses graphs
-    with more than ``cap`` edges.
+    with more than ``ENUM_CAP`` edges.
     """
     m = g.m
-    if m > cap:
-        raise EdgeCountExceeded(f"{m} edges exceeds enumeration cap {cap}")
+    if m > ENUM_CAP:
+        raise EdgeCountExceeded(f"{m} edges exceeds enumeration cap {ENUM_CAP}")
     probs = [g.edges[e][2] for e in range(m)]
     for mask in range(1 << m):
         pr = 1.0

@@ -659,41 +659,44 @@ def build_unsaturation_table(
 # local-computation route
 
 
-class _OracleTapes:
-    """Tape access through a runtime oracle: every edge whose realization
-    or matching status is consulted gets probed, walks are probed in a
-    connected order, and ranks are read off the first walk edge's tape."""
+class _Engine:
+    """Memoized recursion behind one instrumented root query.
+
+    Tapes are read through ``oracle``, which records the probed region:
+    every edge whose realization or matching status is consulted gets
+    probed, walks are probed in a connected order, and ranks are read
+    off the first walk edge's tape.
+    """
 
     def __init__(self, lca: "BMatchingLca", oracle) -> None:
         self.lca = lca
         self.oracle = oracle
-        self._probed = set()
-        self._touched = set()
-        root = oracle.root
-        if root.kind != "edge":
-            raise ValueError("matching queries take edge roots")
-        self._note(root.id)
-
-    def _note(self, e: int) -> None:
-        self._probed.add(e)
-        u, v = self.lca.g.endpoints(e)
-        self._touched.add(u)
-        self._touched.add(v)
+        self._probed = oracle.probed
+        self._touched = oracle.touched
+        self.guard = _Guard(lca.params.node_ceiling)
+        self._match = {}
+        self._mis = {}
+        self._valid = {}
+        self._ranks = {}
 
     def touch_edge(self, e: int) -> None:
-        if e in self._probed:
-            return
-        self.oracle.probe(Site.edge(e))
-        self._note(e)
+        # a plain (kind, id) tuple matches the oracle's Site keys, and
+        # skipping known edges spares probe's tape derivation
+        if ("edge", e) not in self._probed:
+            self.oracle.probe(Site.edge(e))
 
     def ensure_walk(self, w: Hyperwalk) -> None:
         edges = w.edges
-        if all(e in self._probed for e in edges):
+        probed, touched = self._probed, self._touched
+        for e in edges:
+            if ("edge", e) not in probed:
+                break
+        else:
             return
         anchor = None
         for j, e in enumerate(edges):
             u, v = self.lca.g.endpoints(e)
-            if e in self._probed or u in self._touched or v in self._touched:
+            if ("edge", e) in probed or u in touched or v in touched:
                 anchor = j
                 break
         if anchor is None:
@@ -714,25 +717,12 @@ class _OracleTapes:
         self.ensure_walk(w)
         return _walk_rank(self.oracle.peek(Site.edge(w.edges[0])), lineage, level, w)
 
-
-class _Engine:
-    """Memoized recursion behind one instrumented root query."""
-
-    def __init__(self, lca: "BMatchingLca", tapes) -> None:
-        self.lca = lca
-        self.tapes = tapes
-        self.guard = _Guard(lca.params.node_ceiling)
-        self._match = {}
-        self._mis = {}
-        self._valid = {}
-        self._ranks = {}
-
     def is_in_matching(self, lineage: tuple, e: int, level: int) -> bool:
         key = (lineage, e, level)
         if key in self._match:
             return self._match[key]
         self.guard.tick()
-        self.tapes.touch_edge(e)
+        self.touch_edge(e)
         if level == 0:
             self._match[key] = False
             return False
@@ -752,7 +742,7 @@ class _Engine:
         key = (lineage, w, level)
         if key in self._mis:
             return self._mis[key]
-        self.tapes.ensure_walk(w)
+        self.ensure_walk(w)
         if not self.is_valid(lineage, w, level):
             # invalid walks are non-members and, with budgets >= 1, their
             # root queries can never truncate; skip the expansion
@@ -762,7 +752,7 @@ class _Engine:
         def rank(x: Hyperwalk) -> tuple:
             rkey = (lineage, level, x)
             if rkey not in self._ranks:
-                self._ranks[rkey] = self.tapes.walk_rank(lineage, level, x)
+                self._ranks[rkey] = self.walk_rank(lineage, level, x)
             return self._ranks[rkey]
 
         def valid(x: Hyperwalk) -> bool:
@@ -770,7 +760,7 @@ class _Engine:
 
         def neighbors(x: Hyperwalk) -> tuple:
             for y in self.lca.walks.neighbors(x):
-                self.tapes.ensure_walk(y)
+                self.ensure_walk(y)
             return self.lca.walks.neighbors(x)
 
         lower = _walk_lower(valid, rank, neighbors)
@@ -784,7 +774,7 @@ class _Engine:
         if key in self._valid:
             return self._valid[key]
         self.guard.tick()
-        self.tapes.ensure_walk(w)
+        self.ensure_walk(w)
         g = self.lca.g
         vseq = self.lca.walks.vertices_of(w)
         table = self.lca.table
@@ -797,7 +787,7 @@ class _Engine:
             return self.is_in_matching(sub_lineage(i), e, level - 1)
 
         def realized(i: int, e: int) -> bool:
-            return self.tapes.realized(sub_lineage(i), e)
+            return self.realized(sub_lineage(i), e)
 
         result = _augmenting_core(
             g,
@@ -845,7 +835,7 @@ class BMatchingLca:
             raise ValueError("walk index does not match params")
 
     def run(self, oracle, root: Site) -> bool:
-        engine = _Engine(self, _OracleTapes(self, oracle))
+        engine = _Engine(self, oracle)
         out = engine.is_in_matching((), root.id, self.params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
         return out

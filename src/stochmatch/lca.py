@@ -11,16 +11,20 @@ small neighborhood of it.  The runtime mediates every exploration step:
   expanding it.  Peeks orient local decisions (e.g. visiting neighbors
   in rank order) and are not ledgered.
 
-Sweeping all sites as roots yields, per site, the out-query count q+,
-the in-query count q- (how many roots expanded it), and the correlated
-count psi (how many roots' out-query sets intersect its own).
+The oracle is the one record of a query's probed region: it exposes
+its probed sites and the vertices they touch read-only.
+
+Sweeping all sites as roots yields, per site v, the out-query count
+q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
+in-query count is q-(v) = |in(v)| and the correlated count, the number
+of roots whose out-query sets meet v's, is psi(v) = |U_{w in Q+(v)} in(w)|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import NamedTuple
 
 from .graph import Graph, SeedContext
 
@@ -29,8 +33,9 @@ class NaturalityViolation(RuntimeError):
     """An LCA touched a site not adjacent to its probed region."""
 
 
-@dataclass(frozen=True, order=True)
-class Site:
+class Site(NamedTuple):
+    """A vertex or an edge by id; equal to the plain tuple (kind, id)."""
+
     kind: str  # "vertex" or "edge"
     id: int
 
@@ -68,30 +73,33 @@ class ProbeTrace:
 
 
 class LcaOracle:
-    """Per-query mediator enforcing naturality and recording probes."""
+    """Per-query mediator enforcing naturality; the one record of the
+    query's probed sites and touched vertices."""
 
     def __init__(self, g: Graph, ctx: SeedContext, root: Site) -> None:
         self.graph = g
         self._ctx = ctx
         self.root = root
-        self._probed = []
-        self._probed_set = set()
-        self._touched_vertices = set()
+        self._probed = {}  # Site -> None, in expansion order
+        self._touched = {}  # vertex -> None
+        # read-only live views: the probed sites and the vertices they touch
+        self.probed = self._probed.keys()
+        self.touched = self._touched.keys()
         self._meta = {}
         self.probe(root)
 
     def _adjacent_to_probed(self, site: Site) -> bool:
         if site.kind == "vertex":
-            if site.id in self._touched_vertices:
+            if site.id in self._touched:
                 return True
-            return any(u in self._touched_vertices for u in self.graph.neighbors(site.id))
+            return any(u in self._touched for u in self.graph.neighbors(site.id))
         u, v = self.graph.endpoints(site.id)
-        return u in self._touched_vertices or v in self._touched_vertices
+        return u in self._touched or v in self._touched
 
     def _admit(self, site: Site) -> None:
         if site.kind not in ("vertex", "edge"):
             raise ValueError(f"unknown site kind {site.kind!r}")
-        if site == self.root or site in self._probed_set:
+        if site == self.root or site in self._probed:
             return
         if not self._adjacent_to_probed(site):
             raise NaturalityViolation(
@@ -101,10 +109,9 @@ class LcaOracle:
     def probe(self, site: Site) -> SeedContext:
         """Expand ``site``: ledger it and return its tape namespace."""
         self._admit(site)
-        if site not in self._probed_set:
-            self._probed_set.add(site)
-            self._probed.append(site)
-            self._touched_vertices.update(site.vertices(self.graph))
+        if site not in self._probed:
+            self._probed[site] = None
+            self._touched.update(dict.fromkeys(site.vertices(self.graph)))
         return site_tape(self._ctx, site)
 
     def peek(self, site: Site) -> SeedContext:
@@ -152,25 +159,18 @@ class QueryLedger:
         return len(self.qplus_rows)
 
     def add_sweep(self, out_sets: dict) -> None:
-        qplus = {s: len(out_sets[s]) for s in self.sites}
-        qminus = {s: 0 for s in self.sites}
+        """Ledger one sweep from each root's out-query set.  q- and psi
+        read the in-query index ``into[w]`` (the roots whose out-set
+        holds w), at a cost of the sum of q+ * q- over the sweep."""
+        into = {s: [] for s in self.sites}
         for s in self.sites:
             for w in out_sets[s]:
-                qminus[w] += 1
-        psi = {}
-        for s in self.sites:
-            mine = out_sets[s]
-            psi[s] = sum(1 for u in self.sites if not mine.isdisjoint(out_sets[u]))
-        self.qplus_rows.append(qplus)
-        self.qminus_rows.append(qminus)
-        self.psi_rows.append(psi)
-
-    def merge(self, other: "QueryLedger") -> None:
-        if (self.site_kind, self.sites) != (other.site_kind, other.sites):
-            raise ValueError("ledgers cover different site sets")
-        self.qplus_rows.extend(other.qplus_rows)
-        self.qminus_rows.extend(other.qminus_rows)
-        self.psi_rows.extend(other.psi_rows)
+                into[w].append(s)
+        self.qplus_rows.append({s: len(out_sets[s]) for s in self.sites})
+        self.qminus_rows.append({s: len(into[s]) for s in self.sites})
+        self.psi_rows.append(
+            {s: len(set().union(*[into[w] for w in out_sets[s]])) for s in self.sites}
+        )
 
     def _mean(self, rows: list, site: Site) -> float:
         return sum(row[site] for row in rows) / len(rows)
@@ -199,40 +199,31 @@ class QueryLedger:
         return math.sqrt(var / k)
 
 
-def sweep_ledger(lca, g: Graph, ctx: SeedContext, roots: Optional[Iterable[Site]] = None) -> QueryLedger:
-    """One sweep: query every root under the tapes of ``ctx``."""
-    if roots is None:
-        count = g.n if lca.site_kind == "vertex" else g.m
-        roots = [Site(lca.site_kind, i) for i in range(count)]
-    else:
-        roots = list(roots)
-    ledger = QueryLedger(lca.site_kind, tuple(roots))
-    out_sets = {}
-    for root in roots:
-        _, trace = run_lca(lca, g, ctx, root)
-        out_sets[root] = trace.out_queries
-    ledger.add_sweep(out_sets)
+def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> QueryLedger:
+    ledger.add_sweep({r: run_lca(lca, g, ctx, r)[1].out_queries for r in ledger.sites})
     return ledger
 
 
-def gather_ledger(
-    lca,
-    g: Graph,
-    ctx: SeedContext,
-    trials: int,
-    roots: Optional[Iterable[Site]] = None,
-) -> QueryLedger:
+def _empty_ledger(lca, g: Graph) -> QueryLedger:
+    kind = lca.site_kind
+    count = g.n if kind == "vertex" else g.m
+    return QueryLedger(kind, tuple(Site(kind, i) for i in range(count)))
+
+
+def sweep_ledger(lca, g: Graph, ctx: SeedContext) -> QueryLedger:
+    """One sweep: query every site of the LCA's kind as a root under the
+    tapes of ``ctx``."""
+    return _ledger_sweep(_empty_ledger(lca, g), lca, g, ctx)
+
+
+def gather_ledger(lca, g: Graph, ctx: SeedContext, trials: int) -> QueryLedger:
     """``trials`` independent sweeps under tapes (ctx, "sweep", t)."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    total = None
+    ledger = _empty_ledger(lca, g)
     for t in range(trials):
-        one = sweep_ledger(lca, g, ctx.child("sweep", t), roots)
-        if total is None:
-            total = one
-        else:
-            total.merge(one)
-    return total
+        _ledger_sweep(ledger, lca, g, ctx.child("sweep", t))
+    return ledger
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import ENUM_CAP, Graph, enumerate_realizations, mask_edges
+from .graph import Graph, enumerate_realizations, mask_edges
 
 BLOSSOM_SET_CAP = 15
 
@@ -176,10 +176,10 @@ def matched_vertices(g: Graph, edge_ids: Iterable[int]) -> frozenset:
     return frozenset(out)
 
 
-def matching_size_expectation_exact(g: Graph, cap: int = ENUM_CAP) -> float:
+def matching_size_expectation_exact(g: Graph) -> float:
     """E[mu(G_p)] by exhaustive realization enumeration."""
     total = 0.0
-    for real, pr in enumerate_realizations(g, cap):
+    for real, pr in enumerate_realizations(g):
         if pr > 0.0:
             total += pr * matching_number(g, real.present)
     return total

@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .graph import ENUM_CAP, Graph, SeedContext, enumerate_realizations, sample_realization
+from .graph import ENUM_CAP, EdgeCountExceeded, Graph, SeedContext
+from .graph import enumerate_realizations, sample_realization
 from .matching import maximum_matching
 
 Q_SAMPLES_DEFAULT = 10_000
 THRESHOLD_EXPONENT_DEFAULT = 3
+# most edge draws (R * m) build_H starts; a derived R can reach 1e8
+BUILD_DRAW_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,14 @@ def build_H(g: Graph, params: SparsifierParams):
     Returns ``(H, matchings)`` with H a frozenset of edge ids and
     ``matchings`` the R per-realization matchings in order.  Realization
     i is drawn from stream (seed, "realize", i), so sparsifiers with the
-    same seed and growing R are nested prefixes of one another.
+    same seed and growing R are nested prefixes of one another.  Raises
+    :class:`EdgeCountExceeded` when R * m exceeds ``BUILD_DRAW_LIMIT``.
     """
+    if params.R * g.m > BUILD_DRAW_LIMIT:
+        raise EdgeCountExceeded(
+            f"R={params.R} realizations of m={g.m} edges exceed the "
+            f"limit of {BUILD_DRAW_LIMIT} edge draws"
+        )
     ctx = SeedContext(params.seed)
     matchings = []
     H = set()
@@ -107,7 +116,6 @@ def estimate_q(
     samples: int = Q_SAMPLES_DEFAULT,
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
-    cap: int = ENUM_CAP,
 ) -> QProfile:
     """Per-edge match probabilities under the fixed matcher.
 
@@ -116,10 +124,10 @@ def estimate_q(
     are drawn from ``ctx``.
     """
     if exact is None:
-        exact = g.m <= cap
+        exact = g.m <= ENUM_CAP
     q = [0.0] * g.m
     if exact:
-        for real, pr in enumerate_realizations(g, cap):
+        for real, pr in enumerate_realizations(g):
             if pr <= 0.0:
                 continue
             for e in maximum_matching(g, real.present):

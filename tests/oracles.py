@@ -20,7 +20,6 @@ from stochmatch.hyperwalk import (
     UnsaturationTable,
     WalkIndex,
     _Engine,
-    _OracleTapes,
 )
 from stochmatch.lca import Site, run_lca
 from stochmatch.matching import vertex_load
@@ -296,6 +295,27 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
 
 # -- earlier implementations, kept as differential oracles ---------------------
 #
+# QueryLedger.add_sweep before the in-query index, with ``self`` the
+# ledger: q- from a second pass over the out-sets, psi from one
+# isdisjoint test per pair of sites.
+
+
+def add_sweep_pairwise(self, out_sets: dict) -> None:
+    qplus = {s: len(out_sets[s]) for s in self.sites}
+    qminus = {s: 0 for s in self.sites}
+    for s in self.sites:
+        for w in out_sets[s]:
+            qminus[w] += 1
+    psi = {}
+    for s in self.sites:
+        mine = out_sets[s]
+        psi[s] = sum(1 for u in self.sites if not mine.isdisjoint(out_sets[u]))
+    self.qplus_rows.append(qplus)
+    self.qminus_rows.append(qminus)
+    self.psi_rows.append(psi)
+
+
+#
 # Before the MIS engine was merged, vertex MIS (TruncatedGreedyMis.run)
 # and walk MIS (_mis_root_query) each had their own recursion.  Both are
 # kept here verbatim.  The walk version counted the refused expansion:
@@ -410,7 +430,7 @@ class _EngineV0(_Engine):
         key = (lineage, w, level)
         if key in self._mis:
             return self._mis[key]
-        self.tapes.ensure_walk(w)
+        self.ensure_walk(w)
         if not self.is_valid(lineage, w, level):
             self._mis[key] = False
             return False
@@ -418,7 +438,7 @@ class _EngineV0(_Engine):
         def rank(x) -> tuple:
             rkey = (lineage, level, x)
             if rkey not in self._ranks:
-                self._ranks[rkey] = self.tapes.walk_rank(lineage, level, x)
+                self._ranks[rkey] = self.walk_rank(lineage, level, x)
             return self._ranks[rkey]
 
         def valid(x) -> bool:
@@ -426,7 +446,7 @@ class _EngineV0(_Engine):
 
         def neighbors(x) -> tuple:
             for y in self.lca.walks.neighbors(x):
-                self.tapes.ensure_walk(y)
+                self.ensure_walk(y)
             return self.lca.walks.neighbors(x)
 
         ok, truncated, calls = _mis_root_query(
@@ -446,7 +466,7 @@ class BMatchingLcaV0(BMatchingLca):
         self.mis_log = []
 
     def run(self, oracle, root: Site) -> bool:
-        engine = _EngineV0(self, _OracleTapes(self, oracle))
+        engine = _EngineV0(self, oracle)
         out = engine.is_in_matching((), root.id, self.params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
         return out

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from stochmatch.cli import main
 from stochmatch.graph import Graph, load_graph, write_graph_text
+from stochmatch.sparsifier import BUILD_DRAW_LIMIT
 
 
 def write_input(tmp_path, g, name="graph.txt"):
@@ -268,6 +270,16 @@ class TestExitCodes:
                    "--samples", "10"])
         assert rc == 1
         assert "aborted" in capsys.readouterr().err
+
+    def test_derived_R_draw_guard_aborts(self, tmp_path, capsys):
+        # without --R, kite's thresholds derive R = 122,070,313 at eps 0.2
+        inp = write_input(tmp_path, GOLDEN_GRAPHS["kite"][0])
+        start = time.perf_counter()
+        rc = main(["sparsify", "--input", inp, "--out", str(tmp_path / "H.txt")])
+        assert rc == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "R=122070313" in err and f"limit of {BUILD_DRAW_LIMIT}" in err
 
     def test_bad_thresholds(self, tri_file, capsys):
         assert main(["evaluate", "--input", tri_file, "--R", "1",

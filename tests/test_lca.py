@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from oracles import estimate_delta, find_rank_ctx, path_graph
-from stochmatch.graph import Graph, SeedContext, gnp_graph
+from oracles import add_sweep_pairwise, estimate_delta, find_rank_ctx, path_graph
+from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
+from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import (
     NaturalityViolation,
+    QueryLedger,
     Site,
     check_correlated_bound,
     gather_ledger,
@@ -14,7 +16,8 @@ from stochmatch.lca import (
     site_tape,
     sweep_ledger,
 )
-from stochmatch.mis import TruncatedGreedyMis
+from stochmatch.mis import TmisBudget, TruncatedGreedyMis
+from test_cli import B_FLAGS, GOLDEN_GRAPHS
 
 
 class SelfOnlyLca:
@@ -157,13 +160,6 @@ class TestLedger:
             for s in ledger.sites:
                 assert row_psi[s] >= row_plus[s]
 
-    def test_merge_requires_same_sites(self):
-        g = star(4)
-        a = sweep_ledger(SelfOnlyLca(), g, SeedContext(0))
-        b = sweep_ledger(SelfOnlyLca(), star(5), SeedContext(0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_csv_export(self):
         g = star(4)
         text = ledger_to_csv(sweep_ledger(SelfOnlyLca(), g, SeedContext(0)))
@@ -179,6 +175,40 @@ class TestLedger:
                 TruncatedGreedyMis(), g, SeedContext(seed).child("sw"), trials=30
             )
             assert check_correlated_bound(ledger).ok
+
+
+class TestLedgerIndex:
+    """The in-query index against the pairwise ledger it replaced."""
+
+    @staticmethod
+    def assert_matches_pairwise(lca, g, ctx):
+        ledger = sweep_ledger(lca, g, ctx)
+        out_sets = {r: run_lca(lca, g, ctx, r)[1].out_queries for r in ledger.sites}
+        ref = QueryLedger(ledger.site_kind, ledger.sites)
+        add_sweep_pairwise(ref, out_sets)
+        assert ledger.qplus_rows == ref.qplus_rows
+        assert ledger.qminus_rows == ref.qminus_rows
+        assert ledger.psi_rows == ref.psi_rows
+
+    def test_tmis_sweeps(self):
+        for n in (12, 60, 200):
+            for seed in range(2):
+                g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("gen"))
+                for budget in (None, 1, 3, 8):
+                    lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                    self.assert_matches_pairwise(lca, g, SeedContext(seed).child("sw"))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_b_matching_sweep(self, name):
+        g = GOLDEN_GRAPHS[name][0]
+        flags = dict(zip(B_FLAGS[::2], B_FLAGS[1::2]))
+        params = BParams(
+            eps=0.2, margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
+        )
+        real = sample_realization(g, SeedContext(3).child("real"), 0)
+        lca = BMatchingLca(g, params, real)
+        for t in range(2):
+            self.assert_matches_pairwise(lca, g, SeedContext(3).child("sw", t))
 
 
 class TestDelta:
