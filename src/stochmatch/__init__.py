@@ -12,7 +12,6 @@ analysis pipeline with claim verification (:mod:`~stochmatch.analysis`).
 """
 
 from .graph import (
-    ENUM_CAP,
     EdgeCountExceeded,
     Graph,
     GraphFormatError,
@@ -24,6 +23,7 @@ from .graph import (
     parse_graph_text,
     sample_realization,
     subgraph,
+    weighted_realizations,
     write_graph_text,
 )
 from .matching import (
@@ -36,7 +36,6 @@ from .matching import (
     is_matching,
     matched_vertices,
     matching_number,
-    matching_size_expectation_exact,
     maximum_matching,
     vertex_load,
 )

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field, asdict
 from typing import Iterable, Optional, Sequence
 
 from .graph import (
-    ENUM_CAP,
     Graph,
     Realization,
     SeedContext,
     edge_mask,
-    enumerate_realizations,
     sample_realization,
     subgraph,
+    weighted_realizations,
 )
 from .hyperwalk import (
     BParams,
@@ -176,6 +175,12 @@ def compute_MC(crucial: CrucialSetup, g_real: Realization, alg_ctx: SeedContext)
 # probability tables
 
 
+def alg_seed(ctx: SeedContext, exact: bool, trial: int) -> SeedContext:
+    """The algorithm seed of a trial: exact-mode tables are conditioned on
+    one seed, so every trial of an exact pipeline shares it."""
+    return ctx.child("alg") if exact else ctx.child("alg", trial)
+
+
 @dataclass(frozen=True)
 class MatchProbTable:
     """Per-vertex Pr[v not covered by M_C]."""
@@ -199,22 +204,12 @@ def build_match_prob_table(
     seed; Monte Carlo redraws both per trial.
     """
     sub = crucial.sub
-    if exact is None:
-        exact = sub.m <= ENUM_CAP
-    if exact:
-        alg_ctx = ctx.child("alg")
-        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub))
-    elif trials < 1:
-        raise ValueError("trials must be positive")
-    else:
-        worlds = (
-            (sample_realization(sub, ctx.child("real"), t), 1, ctx.child("alg", t))
-            for t in range(trials)
-        )
+    exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
     covered = [0.0] * g.n
-    for real, weight, alg_ctx in worlds:
+    for t, (real, weight) in enumerate(worlds):
         matched = b_generic(
-            sub, real, crucial.bparams, alg_ctx, table=crucial.table, walks=crucial.walks
+            sub, real, crucial.bparams, alg_seed(ctx, exact, t),
+            table=crucial.table, walks=crucial.walks,
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -246,15 +241,15 @@ def build_delta_table(
     pairs: Iterable[tuple],
     trials: int,
     ctx: SeedContext,
-    fixed_alg: bool = False,
+    exact: bool = False,
 ) -> DeltaTable:
     """Pr[explored vertex sets of the two endpoints' coverage queries
     intersect], per requested vertex pair.
 
     A vertex's exploration is the union of instrumented membership
     queries over its incident crucial edges (plus the vertex itself).
-    Each trial redraws the crucial realization; the algorithm seed is
-    fixed when ``fixed_alg`` (matching exact-mode pipelines).
+    Each trial redraws the crucial realization; the algorithm seed
+    follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines.
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
@@ -266,7 +261,7 @@ def build_delta_table(
     hits = {pair: 0 for pair in wanted}
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
-        alg_ctx = ctx.child("alg") if fixed_alg else ctx.child("alg", t)
+        alg_ctx = alg_seed(ctx, exact, t)
         lca = BMatchingLca(
             sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks
         )
@@ -394,52 +389,35 @@ def ratio_sweep(
     cheaper.  Pairing makes differences between entries directly
     comparable."""
     masks = [edge_mask(H) for H in sparsifiers]
-    if exact is None:
-        exact = g.m <= ENUM_CAP
-    if exact:
-        den = 0.0
-        nums = [0.0] * len(masks)
-        for real, prob in enumerate_realizations(g):
-            den += prob * matching_number(g, active=real.present)
-            for k, h_mask in enumerate(masks):
-                nums[k] += prob * matching_number(g, active=real.present & h_mask)
-        return [
-            RatioEstimate(num / den if den > 0 else 1.0, 0.0, num, den, 0, True)
-            for num in nums
-        ]
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if ctx is None:
-        raise ValueError("sampled mode needs a seed context")
-    dens = []
-    num_cols = [[] for _ in masks]
-    for t in range(samples):
-        real = sample_realization(g, ctx, t)
-        dens.append(matching_number(g, active=real.present))
-        for k, h_mask in enumerate(masks):
-            num_cols[k].append(matching_number(g, active=real.present & h_mask))
-    total_d = float(sum(dens))
+    exact, worlds = weighted_realizations(g, samples, ctx, exact)
+    den = 0.0
+    nums = [0.0] * len(masks)
+    per_trial = []  # sampled mode only: (mu, [mu within each H]) for the jackknife
+    for real, weight in worlds:
+        d = matching_number(g, active=real.present)
+        ns = [matching_number(g, active=real.present & h_mask) for h_mask in masks]
+        den += weight * d
+        for k, n in enumerate(ns):
+            nums[k] += weight * n
+        if not exact:
+            per_trial.append((d, ns))
+    runs = 1 if exact else samples
     out = []
-    for nums in num_cols:
-        if total_d == 0:
-            out.append(RatioEstimate(1.0, 0.0, 0.0, 0.0, samples, False))
-            continue
-        total_n = float(sum(nums))
-        ratio = total_n / total_d
-        loo = []
-        for i in range(samples):
-            d = total_d - dens[i]
-            loo.append((total_n - nums[i]) / d if d > 0 else 1.0)
-        mean_loo = sum(loo) / samples
-        var = sum((r - mean_loo) ** 2 for r in loo) * (samples - 1) / samples
+    for k, num in enumerate(nums):
+        stderr = 0.0
+        if not exact and den > 0:
+            loo = [(num - ns[k]) / (den - d) if den - d > 0 else 1.0 for d, ns in per_trial]
+            mean_loo = sum(loo) / samples
+            var = sum((r - mean_loo) ** 2 for r in loo) * (samples - 1) / samples
+            stderr = math.sqrt(var)
         out.append(
             RatioEstimate(
-                ratio,
-                math.sqrt(var),
-                total_n / samples,
-                total_d / samples,
-                samples,
-                False,
+                num / den if den > 0 else 1.0,
+                stderr,
+                num / runs,
+                den / runs,
+                0 if exact else samples,
+                exact,
             )
         )
     return out
@@ -489,10 +467,7 @@ class PipelineSetup:
         return sample_realization(self.g, self.ctx.child("run"), trial)
 
     def alg_ctx(self, trial: int) -> SeedContext:
-        # exact tables are conditioned on one algorithm seed; match it
-        if self.exact:
-            return self.ctx.child("alg")
-        return self.ctx.child("alg", trial)
+        return alg_seed(self.ctx, self.exact, trial)
 
 
 @dataclass
@@ -557,7 +532,7 @@ def prepare_pipeline(
     )
     pairs = [g.endpoints(e) for e in sorted(f.support)]
     delta = build_delta_table(
-        g, crucial, pairs, delta_trials, ctx.child("delta"), fixed_alg=exact
+        g, crucial, pairs, delta_trials, ctx.child("delta"), exact=exact
     )
     return PipelineSetup(
         g=g,
@@ -667,7 +642,8 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimR
     if trials < 1:
         raise ValueError("trials must be positive")
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
             stats = list(pool.map(_trial_stats, [setup] * trials, range(trials)))
     else:
         stats = [_trial_stats(setup, t) for t in range(trials)]

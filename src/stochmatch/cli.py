@@ -94,15 +94,12 @@ class ExperimentConfig:
 
     @staticmethod
     def _parse_pair(raw) -> tuple:
-        if isinstance(raw, str):
-            parts = raw.split(",")
-        else:
-            parts = list(raw)
+        parts = list(raw) if isinstance(raw, (list, tuple)) else str(raw).split(",")
         if len(parts) != 2:
             raise UsageError("thresholds must be two comma-separated values")
         try:
             return (float(parts[0]), float(parts[1]))
-        except ValueError as ex:
+        except (TypeError, ValueError) as ex:
             raise UsageError(f"bad thresholds: {ex}") from ex
 
     @staticmethod
@@ -117,7 +114,7 @@ class ExperimentConfig:
             items = str(raw).split(",")
         try:
             values = [int(x) for x in items]
-        except ValueError as ex:
+        except (TypeError, ValueError) as ex:
             raise UsageError(f"bad R list: {ex}") from ex
         if not values or any(r < 1 for r in values):
             raise UsageError("R values must be positive integers")
@@ -297,13 +294,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_config_types(loaded: dict) -> None:
     """Each config value must have the type its flag parses to: int,
     float (an int will do), bool for ``exact``, or str.  ``R`` and
-    ``thresholds`` go through their own parsers; null is accepted where
-    the default is null."""
+    ``thresholds`` go through their own parsers, but neither may hold a
+    bool; null is accepted where the default is null."""
     for action in _common_options()._actions:
         key = action.dest
-        if key not in loaded or key in ("R", "thresholds"):
+        if key not in loaded:
             continue
         val = loaded[key]
+        if key in ("R", "thresholds"):
+            if any(isinstance(x, bool) for x in (val if isinstance(val, list) else [val])):
+                raise UsageError(f"config key {key!r} must not hold a bool")
+            continue
         if val is None and DEFAULTS[key] is None:
             continue
         flag = isinstance(action, argparse.BooleanOptionalAction)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 ENUM_CAP = 24
+# largest vertex count a graph file may declare or imply; bench inputs stop at 4,000
+MAX_VERTICES = 1_000_000
 
 _U64 = (1 << 64) - 1
 _FLOAT_DENOM = float(1 << 53)
@@ -186,11 +188,33 @@ def enumerate_realizations(g: Graph):
         yield Realization(g, mask), pr
 
 
+def weighted_realizations(
+    g: Graph, samples: int, ctx: Optional[SeedContext] = None, exact: Optional[bool] = None
+) -> tuple:
+    """Resolves the mode of an expectation over G_p and returns
+    ``(exact, worlds)``, where ``worlds`` yields (realization, weight).
+
+    ``exact=None`` picks exact mode when m <= ``ENUM_CAP``.  Exact mode
+    streams every edge subset with its probability; sampled mode yields
+    trials 0..samples-1 drawn from ``ctx`` with weight 1.
+    """
+    if exact is None:
+        exact = g.m <= ENUM_CAP
+    if exact:
+        return True, enumerate_realizations(g)
+    if ctx is None:
+        raise ValueError("sampled mode needs a seed context")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    return False, ((sample_realization(g, ctx, t), 1) for t in range(samples))
+
+
 def parse_graph_text(text: str) -> Graph:
     """Parse the edge-list format: one ``u v p`` line per edge.
 
     ``#`` starts a comment; an optional ``n <count>`` header pins the
-    vertex count (otherwise it is 1 + the largest endpoint seen).
+    vertex count (otherwise it is 1 + the largest endpoint seen), which
+    may not exceed ``MAX_VERTICES``.
     """
     n_declared = None
     triples = []
@@ -217,6 +241,8 @@ def parse_graph_text(text: str) -> Graph:
     n = n_declared if n_declared is not None else 1 + max(
         (max(u, v) for u, v, _ in triples), default=-1
     )
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     try:
         return Graph.build(n, triples)
     except ValueError as exc:

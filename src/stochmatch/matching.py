@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, enumerate_realizations, mask_edges
+from .graph import Graph, mask_edges
 
 BLOSSOM_SET_CAP = 15
 
@@ -174,15 +174,6 @@ def matched_vertices(g: Graph, edge_ids: Iterable[int]) -> frozenset:
         out.add(u)
         out.add(v)
     return frozenset(out)
-
-
-def matching_size_expectation_exact(g: Graph) -> float:
-    """E[mu(G_p)] by exhaustive realization enumeration."""
-    total = 0.0
-    for real, pr in enumerate_realizations(g):
-        if pr > 0.0:
-            total += pr * matching_number(g, real.present)
-    return total
 
 
 @dataclass(frozen=True)

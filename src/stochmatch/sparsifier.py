@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .graph import ENUM_CAP, EdgeCountExceeded, Graph, SeedContext
-from .graph import enumerate_realizations, sample_realization
+from .graph import EdgeCountExceeded, Graph, SeedContext
+from .graph import sample_realization, weighted_realizations
 from .matching import maximum_matching
 
 Q_SAMPLES_DEFAULT = 10_000
@@ -51,7 +51,8 @@ def build_H(g: Graph, params: SparsifierParams):
     if params.R * g.m > BUILD_DRAW_LIMIT:
         raise EdgeCountExceeded(
             f"R={params.R} realizations of m={g.m} edges exceed the "
-            f"limit of {BUILD_DRAW_LIMIT} edge draws"
+            f"limit of {BUILD_DRAW_LIMIT} edge draws; pass --R or --thresholds "
+            f"to choose a smaller R"
         )
     ctx = SeedContext(params.seed)
     matchings = []
@@ -123,25 +124,15 @@ def estimate_q(
     cap) sums over all realizations; otherwise ``samples`` seeded trials
     are drawn from ``ctx``.
     """
-    if exact is None:
-        exact = g.m <= ENUM_CAP
+    exact, worlds = weighted_realizations(g, samples, ctx, exact)
     q = [0.0] * g.m
-    if exact:
-        for real, pr in enumerate_realizations(g):
-            if pr <= 0.0:
-                continue
-            for e in maximum_matching(g, real.present):
-                q[e] += pr
-        return QProfile(tuple(q), True, 0)
-    if ctx is None:
-        raise ValueError("sampled q estimation needs a SeedContext")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    for t in range(samples):
-        real = sample_realization(g, ctx, t)
+    for real, weight in worlds:
+        if weight <= 0.0:
+            continue
         for e in maximum_matching(g, real.present):
-            q[e] += 1.0
-    return QProfile(tuple(x / samples for x in q), False, samples)
+            q[e] += weight
+    runs = 1 if exact else samples
+    return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
 
 
 def select_thresholds(

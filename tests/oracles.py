@@ -12,18 +12,35 @@ verbatim as differential oracles for their replacements.
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Iterable, Optional, Sequence
 
-from stochmatch.graph import Graph, Realization
+from stochmatch.analysis import CrucialSetup, MatchProbTable, RatioEstimate
+from stochmatch.graph import (
+    ENUM_CAP,
+    Graph,
+    Realization,
+    SeedContext,
+    edge_mask,
+    enumerate_realizations,
+    sample_realization,
+)
 from stochmatch.hyperwalk import (
     WALK_CEILING_DEFAULT,
     BMatchingLca,
     UnsaturationTable,
     WalkIndex,
     _Engine,
+    b_generic,
 )
 from stochmatch.lca import Site, run_lca
-from stochmatch.matching import vertex_load
+from stochmatch.matching import (
+    matched_vertices,
+    matching_number,
+    maximum_matching,
+    vertex_load,
+)
 from stochmatch.mis import TmisOutcome
+from stochmatch.sparsifier import QProfile
 
 
 def brute_matching_number(g: Graph, active=None) -> int:
@@ -197,6 +214,15 @@ def edge_id(g: Graph, u: int, v: int):
     return None
 
 
+def matching_size_expectation_exact(g: Graph) -> float:
+    """E[mu(G_p)] by exhaustive realization enumeration."""
+    total = 0.0
+    for real, pr in enumerate_realizations(g):
+        if pr > 0.0:
+            total += pr * matching_number(g, real.present)
+    return total
+
+
 def restrict(real: Realization, edge_mask: int) -> Realization:
     return Realization(real.graph, real.present & edge_mask)
 
@@ -294,6 +320,129 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
 
 
 # -- earlier implementations, kept as differential oracles ---------------------
+#
+# estimate_q, ratio_sweep and build_match_prob_table before they shared
+# graph.weighted_realizations: each resolved exact mode and ran its own
+# exact and sampled loops.
+
+
+def estimate_q_v0(
+    g: Graph,
+    samples: int = 10_000,
+    ctx: Optional[SeedContext] = None,
+    exact: Optional[bool] = None,
+) -> QProfile:
+    if exact is None:
+        exact = g.m <= ENUM_CAP
+    q = [0.0] * g.m
+    if exact:
+        for real, pr in enumerate_realizations(g):
+            if pr <= 0.0:
+                continue
+            for e in maximum_matching(g, real.present):
+                q[e] += pr
+        return QProfile(tuple(q), True, 0)
+    if ctx is None:
+        raise ValueError("sampled q estimation needs a SeedContext")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    for t in range(samples):
+        real = sample_realization(g, ctx, t)
+        for e in maximum_matching(g, real.present):
+            q[e] += 1.0
+    return QProfile(tuple(x / samples for x in q), False, samples)
+
+
+def ratio_sweep_v0(
+    g: Graph,
+    sparsifiers: Sequence[Iterable[int]],
+    samples: int,
+    ctx: Optional[SeedContext] = None,
+    exact: Optional[bool] = None,
+) -> list:
+    masks = [edge_mask(H) for H in sparsifiers]
+    if exact is None:
+        exact = g.m <= ENUM_CAP
+    if exact:
+        den = 0.0
+        nums = [0.0] * len(masks)
+        for real, prob in enumerate_realizations(g):
+            den += prob * matching_number(g, active=real.present)
+            for k, h_mask in enumerate(masks):
+                nums[k] += prob * matching_number(g, active=real.present & h_mask)
+        return [
+            RatioEstimate(num / den if den > 0 else 1.0, 0.0, num, den, 0, True)
+            for num in nums
+        ]
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if ctx is None:
+        raise ValueError("sampled mode needs a seed context")
+    dens = []
+    num_cols = [[] for _ in masks]
+    for t in range(samples):
+        real = sample_realization(g, ctx, t)
+        dens.append(matching_number(g, active=real.present))
+        for k, h_mask in enumerate(masks):
+            num_cols[k].append(matching_number(g, active=real.present & h_mask))
+    total_d = float(sum(dens))
+    out = []
+    for nums in num_cols:
+        if total_d == 0:
+            out.append(RatioEstimate(1.0, 0.0, 0.0, 0.0, samples, False))
+            continue
+        total_n = float(sum(nums))
+        ratio = total_n / total_d
+        loo = []
+        for i in range(samples):
+            d = total_d - dens[i]
+            loo.append((total_n - nums[i]) / d if d > 0 else 1.0)
+        mean_loo = sum(loo) / samples
+        var = sum((r - mean_loo) ** 2 for r in loo) * (samples - 1) / samples
+        out.append(
+            RatioEstimate(
+                ratio,
+                math.sqrt(var),
+                total_n / samples,
+                total_d / samples,
+                samples,
+                False,
+            )
+        )
+    return out
+
+
+def build_match_prob_table_v0(
+    g: Graph,
+    crucial: CrucialSetup,
+    trials: int,
+    ctx: SeedContext,
+    exact: Optional[bool] = None,
+) -> MatchProbTable:
+    sub = crucial.sub
+    if exact is None:
+        exact = sub.m <= ENUM_CAP
+    if exact:
+        alg_ctx = ctx.child("alg")
+        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub))
+    elif trials < 1:
+        raise ValueError("trials must be positive")
+    else:
+        worlds = (
+            (sample_realization(sub, ctx.child("real"), t), 1, ctx.child("alg", t))
+            for t in range(trials)
+        )
+    covered = [0.0] * g.n
+    for real, weight, alg_ctx in worlds:
+        matched = b_generic(
+            sub, real, crucial.bparams, alg_ctx, table=crucial.table, walks=crucial.walks
+        )
+        for v in matched_vertices(sub, matched):
+            covered[v] += weight
+    runs = 1 if exact else trials
+    return MatchProbTable(tuple(1.0 - c / runs for c in covered), 0 if exact else trials, exact)
+
+
 #
 # QueryLedger.add_sweep before the in-query index, with ``self`` the
 # ledger: q- from a second pass over the out-sets, psi from one

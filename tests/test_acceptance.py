@@ -21,6 +21,7 @@ from oracles import (
     enumerate_hyperwalks_containing,
     greedy_mis_sweep,
     is_independent,
+    matching_size_expectation_exact,
     path_graph,
     petersen_subgraph,
 )
@@ -45,7 +46,6 @@ from stochmatch.matching import (
     check_blossom,
     fractional_size,
     is_matching,
-    matching_size_expectation_exact,
     maximum_matching,
     vertex_load,
 )

@@ -3,7 +3,12 @@ import math
 
 import pytest
 
-from oracles import path_graph
+from oracles import (
+    build_match_prob_table_v0,
+    estimate_q_v0,
+    path_graph,
+    ratio_sweep_v0,
+)
 from stochmatch.analysis import (
     DeltaTable,
     MatchProbTable,
@@ -32,7 +37,8 @@ from stochmatch.graph import (
 )
 from stochmatch.hyperwalk import BParams
 from stochmatch.matching import is_matching, vertex_load
-from stochmatch.sparsifier import QProfile, estimate_q
+from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
+from test_cli import GOLDEN_GRAPHS
 
 BP1 = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.18)
 
@@ -469,3 +475,73 @@ class TestPipeline:
         setup = smoke_setup()
         with pytest.raises(ValueError):
             verify_claims(setup, trials=0)
+
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        # a stub pool: forking real workers is what the cap avoids
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("stochmatch.analysis.ProcessPoolExecutor", RecordingPool)
+        setup = smoke_setup()
+        report = verify_claims(setup, trials=3, workers=8)
+        assert sizes == [3]
+        assert report.to_json() == verify_claims(setup, trials=3).to_json()
+
+
+# graph -> (tau_minus, tau_plus); sure-edges has zero-probability masks
+SOURCE_CORPUS = {
+    "sure-edges": (
+        Graph.build(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 0.4), (0, 4, 0.7)]),
+        (0.2, 0.45),
+    ),
+    "edgeless": (Graph.build(4, []), (0.2, 0.4)),
+    "gnp": (gnp_graph(7, 0.45, 0.45, SeedContext(2).child("g")), (0.15, 0.3)),
+    **{
+        name: (g, tuple(float(t) for t in taus.split(",")))
+        for name, (g, taus) in GOLDEN_GRAPHS.items()
+    },
+}
+SOURCE_BPARAMS = BParams(alpha=1, walk_len=2, depth=2, eps=0.2, margin=0.08, mis_budget=1)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_CORPUS))
+class TestSharedRealizationLoops:
+    """The loops over graph.weighted_realizations against the separate
+    exact and sampled loops they replaced, compared with ==."""
+
+    def test_estimate_q(self, name):
+        g, _ = SOURCE_CORPUS[name]
+        ctx = SeedContext(6).child("q")
+        for exact in (None, True, False):
+            assert estimate_q(g, 150, ctx, exact) == estimate_q_v0(g, 150, ctx, exact)
+
+    def test_ratio_sweep(self, name):
+        g, _ = SOURCE_CORPUS[name]
+        hs = [(), range(g.m)] + [
+            build_H(g, SparsifierParams(R=R, eps=0.3, seed=2))[0] for R in (1, 3)
+        ]
+        ctx = SeedContext(6).child("ratio")
+        for exact in (None, True, False):
+            assert ratio_sweep(g, hs, 150, ctx, exact) == ratio_sweep_v0(g, hs, 150, ctx, exact)
+
+    def test_match_prob_table(self, name):
+        g, thresholds = SOURCE_CORPUS[name]
+        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
+        crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
+        ctx = SeedContext(6).child("mprob")
+        for exact in (None, True, False):
+            assert build_match_prob_table(g, crucial, 40, ctx, exact) == (
+                build_match_prob_table_v0(g, crucial, 40, ctx, exact)
+            )

@@ -231,7 +231,9 @@ class TestConfigOverlay:
         assert main(["evaluate", "--config", str(cfgfile)]) == 2
 
     @pytest.mark.parametrize(
-        "key,value", [("seed", "7"), ("eps", "0.2"), ("samples", "10")]
+        "key,value",
+        [("seed", "7"), ("eps", "0.2"), ("samples", "10"), ("R", True),
+         ("R", [True, 2]), ("thresholds", [True, 2]), ("thresholds", True)],
     )
     def test_wrong_value_type_rejected(self, tmp_path, tri_file, capsys, key, value):
         cfgfile = tmp_path / "cfg.json"
@@ -280,6 +282,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "R=122070313" in err and f"limit of {BUILD_DRAW_LIMIT}" in err
+        assert "pass --R or --thresholds" in err
 
     def test_bad_thresholds(self, tri_file, capsys):
         assert main(["evaluate", "--input", tri_file, "--R", "1",

@@ -4,9 +4,10 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import edge_id, restrict
+from oracles import edge_id, path_graph, restrict
 from stochmatch.graph import (
     ENUM_CAP,
+    MAX_VERTICES,
     EdgeCountExceeded,
     Graph,
     GraphFormatError,
@@ -19,6 +20,7 @@ from stochmatch.graph import (
     parse_graph_text,
     sample_realization,
     subgraph,
+    weighted_realizations,
     write_graph_text,
 )
 
@@ -105,6 +107,27 @@ class TestEnumeration:
     def test_probabilities_sum_to_one(self, g):
         total = sum(p for _, p in enumerate_realizations(g))
         assert abs(total - 1.0) <= 1e-12
+
+
+class TestWeightedRealizations:
+    def test_auto_mode_boundary(self):
+        # the resolved flag comes back before any realization is made
+        exact, _ = weighted_realizations(path_graph(ENUM_CAP), 1)
+        assert exact is True
+        exact, _ = weighted_realizations(path_graph(ENUM_CAP + 1), 1, SeedContext(0))
+        assert exact is False
+
+    def test_sampled_preconditions(self, path3):
+        with pytest.raises(ValueError):
+            weighted_realizations(path3, 5, exact=False)
+        with pytest.raises(ValueError):
+            weighted_realizations(path3, 0, SeedContext(0), exact=False)
+
+    def test_sampled_trials_have_unit_weight(self, path3):
+        ctx = SeedContext(4)
+        _, worlds = weighted_realizations(path3, 6, ctx, exact=False)
+        expected = [(sample_realization(path3, ctx, t).present, 1) for t in range(6)]
+        assert [(real.present, w) for real, w in worlds] == expected
 
 
 class TestSampling:
@@ -196,6 +219,14 @@ class TestTextFormat:
     def test_malformed_line(self):
         with pytest.raises(GraphFormatError):
             parse_graph_text("0 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"n {MAX_VERTICES + 1}\n", f"0 {MAX_VERTICES} 0.5\n", "n -1\n"],
+    )
+    def test_vertex_count_limit(self, text):
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            parse_graph_text(text)
 
 
 class TestSubgraph:

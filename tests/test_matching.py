@@ -6,6 +6,7 @@ from oracles import (
     brute_matching_number,
     complete_graph,
     cycle_graph,
+    matching_size_expectation_exact,
     path_graph,
     violates_vertex_caps,
 )
@@ -18,7 +19,6 @@ from stochmatch.matching import (
     is_matching,
     matched_vertices,
     matching_number,
-    matching_size_expectation_exact,
     maximum_matching,
     vertex_load,
 )

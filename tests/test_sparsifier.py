@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import complete_graph, path_graph
+from oracles import complete_graph, matching_size_expectation_exact, path_graph
 from stochmatch.analysis import ratio_sweep
 from stochmatch.graph import Graph, SeedContext, gnp_graph
-from stochmatch.matching import matching_size_expectation_exact
 from stochmatch.sparsifier import (
     QProfile,
     SparsifierParams,
