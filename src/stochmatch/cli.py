@@ -295,15 +295,19 @@ def _check_config_types(loaded: dict) -> None:
     """Each config value must have the type its flag parses to: int,
     float (an int will do), bool for ``exact``, or str.  ``R`` and
     ``thresholds`` go through their own parsers, but neither may hold a
-    bool; null is accepted where the default is null."""
+    bool, and a list of ``R`` values holds ints only; null is accepted
+    where the default is null."""
     for action in _common_options()._actions:
         key = action.dest
         if key not in loaded:
             continue
         val = loaded[key]
         if key in ("R", "thresholds"):
-            if any(isinstance(x, bool) for x in (val if isinstance(val, list) else [val])):
+            items = val if isinstance(val, list) else [val]
+            if any(isinstance(x, bool) for x in items):
                 raise UsageError(f"config key {key!r} must not hold a bool")
+            if key == "R" and isinstance(val, list) and not all(isinstance(x, int) for x in val):
+                raise UsageError(f"config key 'R' must list ints, got {val!r}")
             continue
         if val is None and DEFAULTS[key] is None:
             continue

@@ -5,7 +5,9 @@ contraction on general graphs.  It processes free vertices in
 increasing id order and scans neighbors in adjacency order, so the
 returned edge set (not just its size) is a fixed deterministic function
 of the input; per-edge match frequencies measured elsewhere depend on
-this choice and stay reproducible under it.
+this choice and stay reproducible under it.  The search state is
+allocated once per matcher and each search resets only the entries it
+touched, so a search costs the tree it explores, not n.
 """
 
 from __future__ import annotations
@@ -32,27 +34,40 @@ def _active_ids(g: Graph, active) -> list:
 
 
 class _Matcher:
-    """One matching computation; holds the BFS state arrays."""
+    """One matching computation over the active edges of a graph.
+
+    The search state (``parent``, ``base``, ``used`` and the blossom
+    marks) is allocated once, here.  Each search records the vertices
+    it labels in ``tree`` and afterwards resets only those entries, and
+    a blossom relabels only tree vertices, so a search costs the tree
+    it explores rather than n.
+    """
 
     def __init__(self, g: Graph, active) -> None:
         n = g.n
         self.n = n
+        self.edges = g.edges
+        self.ids = _active_ids(g, active)
         self.adj = [[] for _ in range(n)]
         self.eid = {}
-        for e in _active_ids(g, active):
+        for e in self.ids:
             u, v, _ = g.edges[e]
             self.adj[u].append(v)
             self.adj[v].append(u)
             self.eid[u, v] = e
             self.eid[v, u] = e
         self.match = [-1] * n
+        self.parent = [-1] * n
+        self.base = list(range(n))
+        self.used = [False] * n
+        self.blossom = [False] * n
+        self.tree = []
 
     def _find_path(self, root: int) -> int:
-        n, adj, match = self.n, self.adj, self.match
-        self.parent = p = [-1] * n
-        base = list(range(n))
-        used = [False] * n
+        adj, match, p, base, used = self.adj, self.match, self.parent, self.base, self.used
+        tree = self.tree
         used[root] = True
+        tree.append(root)
         q = deque([root])
         while q:
             v = q.popleft()
@@ -60,47 +75,64 @@ class _Matcher:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = self._lca(base, p, v, to)
-                    blossom = [False] * n
-                    self._mark_path(base, p, blossom, v, cur, to)
-                    self._mark_path(base, p, blossom, to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    self._contract(q, v, to)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    tree.append(match[to])
                     q.append(match[to])
         return -1
 
-    def _lca(self, base, p, a, b):
+    def _contract(self, q, v, to) -> None:
+        base, used, blossom = self.base, self.used, self.blossom
+        cur = self._lca(v, to)
+        marks = []
+        self._mark_path(marks, v, cur, to)
+        self._mark_path(marks, to, cur, v)
+        fresh = []
+        for i in self.tree:
+            if blossom[base[i]]:
+                base[i] = cur
+                if not used[i]:
+                    fresh.append(i)
+        for b in marks:
+            blossom[b] = False
+        # The queue order decides the output: enqueue by increasing id.
+        fresh.sort()
+        for i in fresh:
+            used[i] = True
+        q.extend(fresh)
+
+    def _lca(self, a, b):
+        base, p, match = self.base, self.parent, self.match
         marked = set()
         v = a
         while True:
             v = base[v]
             marked.add(v)
-            if self.match[v] == -1:
+            if match[v] == -1:
                 break
-            v = p[self.match[v]]
+            v = p[match[v]]
         v = b
         while True:
             v = base[v]
             if v in marked:
                 return v
-            v = p[self.match[v]]
+            v = p[match[v]]
 
-    def _mark_path(self, base, p, blossom, v, b, child):
+    def _mark_path(self, marks, v, b, child):
+        base, p, match, blossom = self.base, self.parent, self.match, self.blossom
         while base[v] != b:
+            marks.append(base[v])
+            marks.append(base[match[v]])
             blossom[base[v]] = True
-            blossom[base[self.match[v]]] = True
+            blossom[base[match[v]]] = True
             p[v] = child
-            child = self.match[v]
-            v = p[self.match[v]]
+            child = match[v]
+            v = p[match[v]]
 
     def _augment(self, finish: int) -> None:
         v = finish
@@ -111,21 +143,31 @@ class _Matcher:
             self.match[pv] = v
             v = ppv
 
+    def _reset(self) -> None:
+        p, base, used = self.parent, self.base, self.used
+        for v in self.tree:
+            p[v] = -1
+            base[v] = v
+            used[v] = False
+        self.tree.clear()
+
     def run(self, greedy_seed: bool = False) -> None:
+        match = self.match
         if greedy_seed:
             # Size-only fast path: start from a maximal matching so few
             # augmentation phases remain.  Do not use where the edge
             # set itself matters.
-            match = self.match
-            for (u, v), _ in sorted(self.eid.items(), key=lambda kv: kv[1]):
-                if u < v and match[u] == -1 and match[v] == -1:
+            for e in self.ids:
+                u, v, _ = self.edges[e]
+                if match[u] == -1 and match[v] == -1:
                     match[u] = v
                     match[v] = u
         for v in range(self.n):
-            if self.match[v] == -1 and self.adj[v]:
+            if match[v] == -1 and self.adj[v]:
                 finish = self._find_path(v)
                 if finish != -1:
                     self._augment(finish)
+                self._reset()
 
     def edge_set(self) -> frozenset:
         out = set()

@@ -10,6 +10,7 @@ verbatim as differential oracles for their replacements.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
@@ -34,6 +35,7 @@ from stochmatch.hyperwalk import (
 )
 from stochmatch.lca import Site, run_lca
 from stochmatch.matching import (
+    _active_ids,
     matched_vertices,
     matching_number,
     maximum_matching,
@@ -619,3 +621,133 @@ class BMatchingLcaV0(BMatchingLca):
         out = engine.is_in_matching((), root.id, self.params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
         return out
+
+
+# _Matcher before its search state was allocated once per matcher: each
+# search allocated n-sized parent/base/used arrays, and each blossom
+# allocated and scanned an n-sized mark array.
+
+
+class MatcherV0:
+    """One matching computation; holds the BFS state arrays."""
+
+    def __init__(self, g: Graph, active) -> None:
+        n = g.n
+        self.n = n
+        self.adj = [[] for _ in range(n)]
+        self.eid = {}
+        for e in _active_ids(g, active):
+            u, v, _ = g.edges[e]
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+            self.eid[u, v] = e
+            self.eid[v, u] = e
+        self.match = [-1] * n
+
+    def _find_path(self, root: int) -> int:
+        n, adj, match = self.n, self.adj, self.match
+        self.parent = p = [-1] * n
+        base = list(range(n))
+        used = [False] * n
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur = self._lca(base, p, v, to)
+                    blossom = [False] * n
+                    self._mark_path(base, p, blossom, v, cur, to)
+                    self._mark_path(base, p, blossom, to, cur, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    q.append(match[to])
+        return -1
+
+    def _lca(self, base, p, a, b):
+        marked = set()
+        v = a
+        while True:
+            v = base[v]
+            marked.add(v)
+            if self.match[v] == -1:
+                break
+            v = p[self.match[v]]
+        v = b
+        while True:
+            v = base[v]
+            if v in marked:
+                return v
+            v = p[self.match[v]]
+
+    def _mark_path(self, base, p, blossom, v, b, child):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[self.match[v]]] = True
+            p[v] = child
+            child = self.match[v]
+            v = p[self.match[v]]
+
+    def _augment(self, finish: int) -> None:
+        v = finish
+        while v != -1:
+            pv = self.parent[v]
+            ppv = self.match[pv]
+            self.match[v] = pv
+            self.match[pv] = v
+            v = ppv
+
+    def run(self, greedy_seed: bool = False) -> None:
+        if greedy_seed:
+            # Size-only fast path: start from a maximal matching so few
+            # augmentation phases remain.  Do not use where the edge
+            # set itself matters.
+            match = self.match
+            for (u, v), _ in sorted(self.eid.items(), key=lambda kv: kv[1]):
+                if u < v and match[u] == -1 and match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+        for v in range(self.n):
+            if self.match[v] == -1 and self.adj[v]:
+                finish = self._find_path(v)
+                if finish != -1:
+                    self._augment(finish)
+
+    def edge_set(self) -> frozenset:
+        out = set()
+        for v, w in enumerate(self.match):
+            if w > v:
+                out.add(self.eid[v, w])
+        return frozenset(out)
+
+    def size(self) -> int:
+        return sum(1 for v, w in enumerate(self.match) if w > v)
+
+
+def maximum_matching_v0(g: Graph, active=None) -> frozenset:
+    """Deterministic maximum matching, returned as a set of edge ids.
+
+    ``active`` restricts the edge set: an iterable of edge ids, a
+    bitmask, or None for all edges.
+    """
+    m = MatcherV0(g, active)
+    m.run()
+    return m.edge_set()
+
+
+def matching_number_v0(g: Graph, active=None) -> int:
+    """Size of a maximum matching (value only, greedy-seeded search)."""
+    m = MatcherV0(g, active)
+    m.run(greedy_seed=True)
+    return m.size()

@@ -233,7 +233,8 @@ class TestConfigOverlay:
     @pytest.mark.parametrize(
         "key,value",
         [("seed", "7"), ("eps", "0.2"), ("samples", "10"), ("R", True),
-         ("R", [True, 2]), ("thresholds", [True, 2]), ("thresholds", True)],
+         ("R", [True, 2]), ("thresholds", [True, 2]), ("thresholds", True),
+         ("R", [2.7]), ("R", [2, 3.0])],
     )
     def test_wrong_value_type_rejected(self, tmp_path, tri_file, capsys, key, value):
         cfgfile = tmp_path / "cfg.json"

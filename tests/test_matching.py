@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,11 +9,14 @@ from oracles import (
     brute_matching_number,
     complete_graph,
     cycle_graph,
+    matching_number_v0,
     matching_size_expectation_exact,
+    maximum_matching_v0,
     path_graph,
+    petersen_subgraph,
     violates_vertex_caps,
 )
-from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph
+from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph, mask_edges
 from stochmatch.matching import (
     CapExceeded,
     FractionalMatching,
@@ -57,6 +63,15 @@ class TestMaximumMatching:
         assert is_matching(g, got)
         assert len(got) == brute_matching_number(g)
 
+    def test_sparse_cost_follows_the_tree(self):
+        # 5,000 disjoint edges on 50,000 vertices, one short search per
+        # edge: a matcher that allocates n-sized state per search took
+        # about 6 s (Python 3.11, 2-core Xeon), this one about 0.03 s
+        g = Graph.build(50_000, [(2 * i, 2 * i + 1, 0.5) for i in range(5000)])
+        t0 = time.monotonic()
+        assert maximum_matching(g) == frozenset(range(5000))
+        assert time.monotonic() - t0 < 2.0
+
     def test_matching_number_matches_set_size(self):
         for seed in range(30):
             g = random_instance(seed)
@@ -66,6 +81,39 @@ class TestMaximumMatching:
         g = complete_graph(5)
         assert matching_number(g, active=[]) == 0
         assert matching_number(g, active=[0]) == 1
+
+
+@pytest.fixture(scope="module")
+def differential_corpus():
+    graphs = [cycle_graph(n) for n in range(3, 10)]
+    graphs += [complete_graph(5), petersen_subgraph(range(15))]
+    graphs += [petersen_subgraph([e for e in range(15) if e != d]) for d in range(15)]
+    for seed in range(250):
+        n = 6 + seed % 25
+        density = (0.15, 0.3, 0.45)[seed % 3]
+        graphs.append(gnp_graph(n, density, 0.5, SeedContext(seed).child("diff")))
+    return graphs
+
+
+class TestDifferentialAgainstParent:
+    """The matcher against the one it replaced, which allocated its search
+    state per search (``oracles.MatcherV0``): equal edge sets and sizes on
+    blossom-heavy graphs, under every form of ``active``."""
+
+    @pytest.mark.parametrize("form", ["none", "mask", "ids"])
+    def test_equal_edge_sets_and_sizes(self, differential_corpus, form):
+        rng = random.Random(f"diff-{form}")
+        for g in differential_corpus:
+            for _ in range(1 if form == "none" else 8):
+                mask = rng.getrandbits(g.m)
+                if form == "none":
+                    active = None
+                elif form == "mask":
+                    active = mask
+                else:
+                    active = mask_edges(mask)[::-1]  # unsorted on purpose
+                assert maximum_matching(g, active) == maximum_matching_v0(g, active)
+                assert matching_number(g, active) == matching_number_v0(g, active)
 
 
 class TestExactExpectation:
