@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise UsageError("an input graph is required (--input or config)")
         if self.samples is None:
             self.samples = SAMPLE_DEFAULTS[command]
+        if self.threads < 1:
+            raise UsageError(f"threads must be at least 1, got {self.threads}")
         if self.thresholds is not None:
             t = self._parse_pair(self.thresholds)
             if not 0.0 <= t[0] < t[1]:

@@ -8,13 +8,16 @@ sparsifiers, local algorithms) consumes realizations produced here.
 All randomness flows through :class:`SeedContext`, a keyed PRF over
 hierarchical namespace paths.  Distinct paths yield independent streams
 and the same path always reproduces the same value, so random tapes can
-be revealed lazily and in any order without coordination.
+be revealed lazily and in any order without coordination.  Contexts are
+prefix-encoded: each keeps the encoding of its path, and a child encodes
+only the labels it appends.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 ENUM_CAP = 24
@@ -58,20 +61,27 @@ class SeedContext:
     ``child(*labels)`` derives a sub-context with an extended path;
     ``uniform(*labels)`` evaluates the PRF at the current path plus the
     given labels and maps the digest to a float in [0, 1).  Labels may
-    be strings or integers.
+    be strings or integers.  A context keeps its path's encoding; since
+    encodings concatenate, ``child`` passes it on extended by the new
+    labels alone.
     """
 
     seed: int
     path: tuple = ()
+    _encoded_path: InitVar[Optional[bytes]] = None
+    _encoded: bytes = field(init=False, repr=False, compare=False)
     _key: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _encoded_path: Optional[bytes]) -> None:
+        if _encoded_path is None:
+            _encoded_path = _encode_labels(self.path)
+        object.__setattr__(self, "_encoded", _encoded_path)
         seed_key = (self.seed & _U64).to_bytes(8, "little")
-        h = hashlib.blake2b(_encode_labels(self.path), digest_size=32, key=seed_key)
+        h = hashlib.blake2b(_encoded_path, digest_size=32, key=seed_key)
         object.__setattr__(self, "_key", h.digest())
 
     def child(self, *labels) -> "SeedContext":
-        return SeedContext(self.seed, self.path + tuple(labels))
+        return SeedContext(self.seed, self.path + labels, self._encoded + _encode_labels(labels))
 
     def digest(self, *labels) -> bytes:
         return hashlib.blake2b(
@@ -133,12 +143,18 @@ class Graph:
     def incident(self, v: int) -> tuple:
         return self.adjacency[v]
 
-    def neighbors(self, v: int) -> list:
-        out = []
-        for e in self.adjacency[v]:
-            u, w, _ = self.edges[e]
-            out.append(w if u == v else u)
-        return out
+    @cached_property
+    def _neighbors(self) -> tuple:
+        # built on first use, since only the LCA routes walk neighbors
+        edges = self.edges
+        return tuple(
+            tuple(b if a == v else a for a, b, _ in map(edges.__getitem__, incident))
+            for v, incident in enumerate(self.adjacency)
+        )
+
+    def neighbors(self, v: int) -> tuple:
+        """The other endpoints of ``v``'s incident edges, in ``adjacency`` order."""
+        return self._neighbors[v]
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
@@ -116,11 +117,20 @@ class Hyperwalk:
     positions (1-based) are additions, even positions removals.  A walk
     of odd length acts identically to its reversal, so those pairs are
     stored in one canonical orientation; even-length walks change
-    meaning under reversal and keep their direction.
+    meaning under reversal and keep their direction.  Walks key many
+    memos, so the hash is computed once, and ``additions``/``removals``
+    are built once per walk, on first use.
     """
 
     edges: tuple
     indices: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.edges, self.indices)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, edges: Iterable[int], indices: Iterable[int]) -> "Hyperwalk":
@@ -153,11 +163,19 @@ class Hyperwalk:
             (j + 1, e, s) for j, (e, s) in enumerate(zip(self.edges, self.indices))
         )
 
+    @cached_property
+    def _moves(self) -> tuple:
+        entries = self.entries()
+        return (
+            frozenset((e, s) for j, e, s in entries if j % 2 == 1),
+            frozenset((e, s) for j, e, s in entries if j % 2 == 0),
+        )
+
     def additions(self) -> frozenset:
-        return frozenset((e, s) for j, e, s in self.entries() if j % 2 == 1)
+        return self._moves[0]
 
     def removals(self) -> frozenset:
-        return frozenset((e, s) for j, e, s in self.entries() if j % 2 == 0)
+        return self._moves[1]
 
 
 def walk_vertices(g: Graph, edges: tuple) -> tuple:
@@ -681,7 +699,7 @@ class _Engine:
 
     def touch_edge(self, e: int) -> None:
         # a plain (kind, id) tuple matches the oracle's Site keys, and
-        # skipping known edges spares probe's tape derivation
+        # skipping known edges spares probe's naturality check
         if ("edge", e) not in self._probed:
             self.oracle.probe(Site.edge(e))
 

@@ -14,6 +14,13 @@ small neighborhood of it.  The runtime mediates every exploration step:
 The oracle is the one record of a query's probed region: it exposes
 its probed sites and the vertices they touch read-only.
 
+A site's tape is a fixed function of (ctx, site), so it is derived once
+and read from a tape table keyed by site.  A sweep shares one table
+across its roots and drops it when the sweep ends, so each tape is
+derived once per sweep; a lone query keeps its own table.  Only the
+derivation is shared: each query still checks naturality and records
+its own probes.
+
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
 in-query count is q-(v) = |in(v)| and the correlated count, the number
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .graph import Graph, SeedContext
 
@@ -76,9 +83,12 @@ class LcaOracle:
     """Per-query mediator enforcing naturality; the one record of the
     query's probed sites and touched vertices."""
 
-    def __init__(self, g: Graph, ctx: SeedContext, root: Site) -> None:
+    def __init__(
+        self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None
+    ) -> None:
         self.graph = g
         self._ctx = ctx
+        self._tapes = {} if tapes is None else tapes  # Site -> tape under ctx
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
         self._touched = {}  # vertex -> None
@@ -106,18 +116,24 @@ class LcaOracle:
                 f"{site} is not adjacent to the probed region of {self.root}"
             )
 
+    def _tape(self, site: Site) -> SeedContext:
+        tape = self._tapes.get(site)
+        if tape is None:
+            tape = self._tapes[site] = site_tape(self._ctx, site)
+        return tape
+
     def probe(self, site: Site) -> SeedContext:
         """Expand ``site``: ledger it and return its tape namespace."""
         self._admit(site)
         if site not in self._probed:
             self._probed[site] = None
             self._touched.update(dict.fromkeys(site.vertices(self.graph)))
-        return site_tape(self._ctx, site)
+        return self._tape(site)
 
     def peek(self, site: Site) -> SeedContext:
         """Read a tape without expanding the site (not ledgered)."""
         self._admit(site)
-        return site_tape(self._ctx, site)
+        return self._tape(site)
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value
@@ -126,15 +142,17 @@ class LcaOracle:
         return ProbeTrace(self.root, tuple(self._probed), dict(self._meta))
 
 
-def run_lca(lca, g: Graph, ctx: SeedContext, root: Site):
+def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None):
     """Run one rooted query; returns (output, ProbeTrace).
 
     The output is a pure function of (g, ctx, root): re-running with the
-    same arguments reproduces both the answer and the trace.
+    same arguments reproduces both the answer and the trace.  ``tapes``
+    is a tape table shared by queries under the same ``ctx``; without
+    it the query derives its tapes into a table of its own.
     """
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
-    oracle = LcaOracle(g, ctx, root)
+    oracle = LcaOracle(g, ctx, root, tapes)
     out = lca.run(oracle, root)
     return out, oracle.trace()
 
@@ -200,7 +218,10 @@ class QueryLedger:
 
 
 def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> QueryLedger:
-    ledger.add_sweep({r: run_lca(lca, g, ctx, r)[1].out_queries for r in ledger.sites})
+    tapes = {}  # this sweep's tape table
+    out_sets = {r: run_lca(lca, g, ctx, r, tapes)[1].out_queries for r in ledger.sites}
+    del tapes  # freed before add_sweep builds its index, so the two never peak together
+    ledger.add_sweep(out_sets)
     return ledger
 
 

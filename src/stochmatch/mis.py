@@ -89,6 +89,9 @@ def greedy_member(
         return out
 
     out = member(root)
+    # member refers to itself; breaking that cycle frees lower's state (for
+    # an LCA, its oracle) now rather than at the next cyclic collection
+    del member
     return out is True, out is None, calls
 
 

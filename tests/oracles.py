@@ -33,7 +33,7 @@ from stochmatch.hyperwalk import (
     _Engine,
     b_generic,
 )
-from stochmatch.lca import Site, run_lca
+from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca
 from stochmatch.matching import (
     _active_ids,
     matched_vertices,
@@ -464,6 +464,47 @@ def add_sweep_pairwise(self, out_sets: dict) -> None:
     self.qplus_rows.append(qplus)
     self.qminus_rows.append(qminus)
     self.psi_rows.append(psi)
+
+
+#
+# The LCA runtime before the tape table and prefix-encoded contexts:
+# every probe and every peek derived the site's tape afresh, encoding
+# the whole namespace path.
+
+
+def site_tape_v0(ctx: SeedContext, site: Site) -> SeedContext:
+    return SeedContext(ctx.seed, ctx.path + ("tape", site.kind, site.id))
+
+
+class LcaOracleV0(LcaOracle):
+    def probe(self, site: Site) -> SeedContext:
+        self._admit(site)
+        if site not in self._probed:
+            self._probed[site] = None
+            self._touched.update(dict.fromkeys(site.vertices(self.graph)))
+        return site_tape_v0(self._ctx, site)
+
+    def peek(self, site: Site) -> SeedContext:
+        self._admit(site)
+        return site_tape_v0(self._ctx, site)
+
+
+def run_lca_v0(lca, g: Graph, ctx: SeedContext, root: Site):
+    if root.kind != lca.site_kind:
+        raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
+    oracle = LcaOracleV0(g, ctx, root)
+    out = lca.run(oracle, root)
+    return out, oracle.trace()
+
+
+def gather_ledger_v0(lca, g: Graph, ctx: SeedContext, trials: int) -> QueryLedger:
+    kind = lca.site_kind
+    count = g.n if kind == "vertex" else g.m
+    ledger = QueryLedger(kind, tuple(Site(kind, i) for i in range(count)))
+    for t in range(trials):
+        sub = ctx.child("sweep", t)
+        ledger.add_sweep({r: run_lca_v0(lca, g, sub, r)[1].out_queries for r in ledger.sites})
+    return ledger
 
 
 #

@@ -297,6 +297,19 @@ class TestExitCodes:
         assert main(["sparsify", "--input", tri_file, "--R", "1,2",
                      "--out", "/dev/null"]) == 2
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_nonpositive_threads_rejected(self, tmp_path, single_file, capsys, threads):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", single_file, "--samples", "2",
+                     "--threads", str(threads), "--out", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": single_file, "samples": 2,
+                                       "threads": threads}))
+        assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
 

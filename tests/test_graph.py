@@ -13,6 +13,7 @@ from stochmatch.graph import (
     GraphFormatError,
     Realization,
     SeedContext,
+    _encode_labels,
     edge_mask,
     enumerate_realizations,
     mask_edges,
@@ -23,6 +24,11 @@ from stochmatch.graph import (
     weighted_realizations,
     write_graph_text,
 )
+
+
+LABELS = st.lists(
+    st.one_of(st.text(max_size=6), st.integers(-(2**70), 2**70)), max_size=4
+).map(tuple)
 
 
 def small_graphs():
@@ -199,6 +205,32 @@ class TestSeedContext:
     @settings(max_examples=40, deadline=None)
     def test_uniform_deterministic(self, seed, label):
         assert SeedContext(seed).uniform(label) == SeedContext(seed).uniform(label)
+
+    @given(LABELS, LABELS)
+    @settings(max_examples=100, deadline=None)
+    def test_encoding_is_prefix_closed(self, a, b):
+        assert _encode_labels(a + b) == _encode_labels(a) + _encode_labels(b)
+
+    @given(st.integers(min_value=-(2**64), max_value=2**64), LABELS, LABELS)
+    @settings(max_examples=100, deadline=None)
+    def test_child_equals_direct_construction(self, seed, a, b):
+        # child() extends the parent's cached encoding; direct construction
+        # encodes the whole path
+        derived = SeedContext(seed, a).child(*b)
+        direct = SeedContext(seed, a + b)
+        assert derived._key == direct._key
+        assert derived.digest("x", 3) == direct.digest("x", 3)
+        assert derived == direct and hash(derived) == hash(direct)
+        assert repr(derived) == repr(direct)
+        clone = pickle.loads(pickle.dumps(derived))
+        assert clone == direct and clone._key == direct._key
+        assert clone.child("y").digest() == direct.child("y").digest()
+
+    def test_child_rejects_bool_label(self):
+        with pytest.raises(TypeError):
+            SeedContext(0).child(True)
+        with pytest.raises(TypeError):
+            SeedContext(0, ("x",)).child(1, False)
 
 
 class TestTextFormat:

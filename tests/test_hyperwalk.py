@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +66,16 @@ class TestHyperwalkType:
         assert w.additions() == frozenset({(0, 3), (2, 5)})
         assert w.removals() == frozenset({(1, 4)})
         assert w.entries()[0] == (1, 0, 3)
+
+    def test_cached_hash_and_moves(self):
+        w = Hyperwalk.make((2, 1, 0), (1, 0, 1))
+        assert hash(w) == hash((w.edges, w.indices))
+        assert w.additions() is w.additions() and w.removals() is w.removals()
+        clone = pickle.loads(pickle.dumps(w))
+        assert clone == w and hash(clone) == hash((w.edges, w.indices))
+        assert clone.additions() == w.additions() and clone.removals() == w.removals()
+        assert w == Hyperwalk((0, 1, 2), (1, 0, 1)) and w.sort_key == (3, (0, 1, 2), (1, 0, 1))
+        assert len({w, clone, Hyperwalk.make((0, 1, 2), (1, 0, 1))}) == 1
 
     def test_rejects_repeated_edge(self):
         with pytest.raises(ValueError):

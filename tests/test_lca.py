@@ -1,8 +1,17 @@
+import gc
 import math
+import weakref
 
 import pytest
 
-from oracles import add_sweep_pairwise, estimate_delta, find_rank_ctx, path_graph
+from oracles import (
+    add_sweep_pairwise,
+    estimate_delta,
+    find_rank_ctx,
+    gather_ledger_v0,
+    path_graph,
+    run_lca_v0,
+)
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import (
@@ -177,6 +186,16 @@ class TestLedger:
             assert check_correlated_bound(ledger).ok
 
 
+def golden_b_matching(name):
+    g = GOLDEN_GRAPHS[name][0]
+    flags = dict(zip(B_FLAGS[::2], B_FLAGS[1::2]))
+    params = BParams(
+        eps=0.2, margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
+    )
+    real = sample_realization(g, SeedContext(3).child("real"), 0)
+    return g, BMatchingLca(g, params, real)
+
+
 class TestLedgerIndex:
     """The in-query index against the pairwise ledger it replaced."""
 
@@ -200,15 +219,93 @@ class TestLedgerIndex:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_b_matching_sweep(self, name):
-        g = GOLDEN_GRAPHS[name][0]
-        flags = dict(zip(B_FLAGS[::2], B_FLAGS[1::2]))
-        params = BParams(
-            eps=0.2, margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
-        )
-        real = sample_realization(g, SeedContext(3).child("real"), 0)
-        lca = BMatchingLca(g, params, real)
+        g, lca = golden_b_matching(name)
         for t in range(2):
             self.assert_matches_pairwise(lca, g, SeedContext(3).child("sw", t))
+
+
+class TestTapeTable:
+    """Tapes read through a sweep's shared table against the parent route,
+    which derived a fresh tape, encoding the whole path, per probe and peek."""
+
+    @staticmethod
+    def assert_matches_v0(lca, g, ctx, trials=2):
+        ledger = gather_ledger(lca, g, ctx, trials)
+        ref = gather_ledger_v0(lca, g, ctx, trials)
+        assert ledger.qplus_rows == ref.qplus_rows
+        assert ledger.qminus_rows == ref.qminus_rows
+        assert ledger.psi_rows == ref.psi_rows
+        for t in range(trials):
+            sub = ctx.child("sweep", t)
+            tapes = {}
+            for r in ledger.sites:
+                out, trace = run_lca(lca, g, sub, r, tapes)
+                old, old_trace = run_lca_v0(lca, g, sub, r)
+                assert out == old
+                assert trace == old_trace and trace.meta == old_trace.meta
+
+    def test_tmis_sweeps(self):
+        for n in (12, 60, 200):
+            for seed in range(2):
+                g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("gen"))
+                for budget in (None, 1, 3, 8):
+                    lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                    self.assert_matches_v0(lca, g, SeedContext(seed).child("tt"))
+
+    @pytest.mark.parametrize("name", ["kite", "split"])
+    def test_b_matching_sweeps(self, name):
+        g, lca = golden_b_matching(name)
+        self.assert_matches_v0(lca, g, SeedContext(3).child("tt"))
+
+    @staticmethod
+    def count_derivations(monkeypatch):
+        counter = {"n": 0}
+        original = SeedContext.__post_init__
+
+        def counting(self, *args):
+            counter["n"] += 1
+            original(self, *args)
+
+        monkeypatch.setattr(SeedContext, "__post_init__", counting)
+        return counter
+
+    def test_tmis_sweep_derives_each_tape_once(self, monkeypatch):
+        graphs = [gnp_graph(n, 3.0 / n, 0.5, SeedContext(1).child("gen")) for n in (12, 60, 200)]
+        ctx = SeedContext(1).child("count")
+        counter = self.count_derivations(monkeypatch)
+        for g in graphs:
+            for budget in (None, 3):
+                lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                counter["n"] = 0
+                sweep_ledger(lca, g, ctx)
+                assert counter["n"] <= g.n
+
+    def test_table_dies_with_its_sweep(self):
+        # no query may leave a reference cycle reaching the table: the
+        # table would then outlive its sweep until a full collection
+        kite, b_lca = golden_b_matching("kite")
+        g60 = gnp_graph(60, 0.05, 0.5, SeedContext(0).child("gen"))
+        cases = [(g60, TruncatedGreedyMis(), "vertex"), (kite, b_lca, "edge")]
+        gc.disable()
+        try:
+            for g, lca, kind in cases:
+                tapes = {}
+                for i in range(g.n if kind == "vertex" else g.m):
+                    run_lca(lca, g, SeedContext(0), Site(kind, i), tapes)
+                refs = [weakref.ref(tape) for tape in tapes.values()]
+                del tapes
+                assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_b_matching_query_derives_each_tape_once(self, monkeypatch):
+        g, lca = golden_b_matching("kite")
+        ctx = SeedContext(3).child("count")
+        counter = self.count_derivations(monkeypatch)
+        for e in range(g.m):
+            counter["n"] = 0
+            run_lca(lca, g, ctx, Site.edge(e))
+            assert counter["n"] <= g.m
 
 
 class TestDelta:
