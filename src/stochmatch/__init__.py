@@ -33,11 +33,9 @@ from .matching import (
     FractionalMatching,
     check_blossom,
     fractional_size,
-    is_matching,
     matched_vertices,
     matching_number,
     maximum_matching,
-    vertex_load,
 )
 from .sparsifier import (
     QProfile,
@@ -66,11 +64,6 @@ from .mis import (
     TmisBudget,
     TmisOutcome,
     TruncatedGreedyMis,
-    gmis_member,
-    tmis_member,
-    tmis_query,
-    tmis_set,
-    vertex_rank,
 )
 from .hyperwalk import (
     BMatchingLca,
@@ -84,9 +77,6 @@ from .hyperwalk import (
     apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
-    enumerate_hyperwalks,
-    is_augmenting,
-    validate_profile,
     walk_vertices,
 )
 from .analysis import (
@@ -104,7 +94,6 @@ from .analysis import (
     build_match_prob_table,
     build_x,
     compute_MC,
-    estimate_ratio,
     ratio_sweep,
     match_targets_from_q,
     prepare_crucial,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Iterable, Optional, Sequence
 
 from .graph import (
@@ -230,10 +230,6 @@ class DeltaTable:
             raise MissingTableEntry(f"no delta estimate for vertex pair {key}")
         return self.values[key]
 
-    def has(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.values
-
 
 def build_delta_table(
     g: Graph,
@@ -381,13 +377,16 @@ def ratio_sweep(
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
 ) -> list:
-    """Paired ratio estimates for several sparsifiers at once.
+    """Paired ratio estimates E[mu(H cap G_p)] / E[mu(G_p)], one per
+    sparsifier H, with a jackknife stderr for each ratio.
 
     Each realization (and its denominator matching) is computed once and
-    reused for every candidate edge set, so the k-th entry equals
-    estimate_ratio(g, sparsifiers[k], ...) with the same context, just
-    cheaper.  Pairing makes differences between entries directly
-    comparable."""
+    reused for every candidate edge set, so the k-th entry is what a
+    sweep over ``[sparsifiers[k]]`` alone returns under the same context.
+    Pairing makes differences between entries directly comparable.  In
+    exact mode the expectations are computed exactly and the stderr is
+    0.  An identically empty denominator reports ratio 1 (nothing to
+    approximate)."""
     masks = [edge_mask(H) for H in sparsifiers]
     exact, worlds = weighted_realizations(g, samples, ctx, exact)
     den = 0.0
@@ -421,21 +420,6 @@ def ratio_sweep(
             )
         )
     return out
-
-
-def estimate_ratio(
-    g: Graph,
-    H: Iterable[int],
-    samples: int,
-    ctx: Optional[SeedContext] = None,
-    exact: Optional[bool] = None,
-) -> RatioEstimate:
-    """E[mu(H cap G_p)] / E[mu(G_p)] with both expectations taken over
-    the same realizations (paired sampling), jackknife stderr for the
-    ratio.  Under the enumeration cap the expectations are computed
-    exactly and the stderr is 0.  An identically empty denominator
-    reports ratio 1 (nothing to approximate)."""
-    return ratio_sweep(g, [H], samples, ctx=ctx, exact=exact)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +496,8 @@ def prepare_pipeline(
 
     ``thresholds`` overrides the automatic bucket selection (handy for
     forcing a split with genuine mass on both sides at desk scale).
-    ``bparams`` defaults to a shallow recursion; the asymptotic regime
-    would use the eps^2 preset, far beyond enumeration reach.
+    ``bparams`` defaults to a shallow recursion (see :class:`BParams`
+    for the paper's asymptotic regime).
     """
     ctx = SeedContext(seed)
     q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
@@ -593,10 +577,6 @@ class ClaimReport:
     checks: tuple
     trials: int
     eps: float
-
-    @property
-    def flagged(self) -> tuple:
-        return tuple(c for c in self.checks if c.flag)
 
     def to_json(self) -> str:
         payload = {

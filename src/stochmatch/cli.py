@@ -40,7 +40,9 @@ EXIT_OK = 0
 EXIT_GUARD = 1
 EXIT_USAGE = 2
 
-GUARD_ERRORS = (ResourceGuard, EnumerationTooLarge, CapExceeded, EdgeCountExceeded)
+GUARD_ERRORS = (
+    ResourceGuard, EnumerationTooLarge, CapExceeded, EdgeCountExceeded, RecursionError,
+)
 
 DEFAULTS = {
     "seed": 0,
@@ -87,6 +89,9 @@ class ExperimentConfig:
             self.samples = SAMPLE_DEFAULTS[command]
         if self.threads < 1:
             raise UsageError(f"threads must be at least 1, got {self.threads}")
+        for key in ("samples", "q_samples", "table_samples", "delta_trials", "match_prob_trials"):
+            if getattr(self, key) < 0:
+                raise UsageError(f"{key} must not be negative, got {getattr(self, key)}")
         if self.thresholds is not None:
             t = self._parse_pair(self.thresholds)
             if not 0.0 <= t[0] < t[1]:

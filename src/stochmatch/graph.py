@@ -156,9 +156,6 @@ class Graph:
         """The other endpoints of ``v``'s incident edges, in ``adjacency`` order."""
         return self._neighbors[v]
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
 
 @dataclass(frozen=True)
 class Realization:

@@ -30,14 +30,13 @@ set stays independent.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
-from .lca import Site, run_lca, site_tape
-from .matching import is_matching, matched_vertices
+from .lca import Site, site_tape
+from .matching import matched_vertices
 from .mis import greedy_member
 
 WALK_CEILING_DEFAULT = 100_000
@@ -56,10 +55,14 @@ class ResourceGuard(RuntimeError):
 class BParams:
     """Knobs of the recursive matching procedure.
 
+    The paper's asymptotic regime, alpha = 1/eps^7 - 1, walk_len = 2/eps,
+    depth = 1/eps^9 and margin = 2 eps^2, lies far beyond enumeration
+    reach, so callers pass desk-scale values directly.
+
     alpha      fresh realizations per level (copy 0 inherits its input)
     walk_len   maximum hyperwalk length
     depth      recursion depth r
-    eps        accuracy parameter (drives the asymptotic presets)
+    eps        accuracy parameter
     margin     unsaturation slack subtracted from the target marginals
     mis_budget distinct expansions allowed per MIS root query (None: off)
     """
@@ -86,23 +89,6 @@ class BParams:
             raise ValueError("margin must be nonnegative")
         if self.mis_budget is not None and self.mis_budget < 1:
             raise ValueError("mis_budget must be positive when set")
-
-    @classmethod
-    def from_eps(cls, eps: float, conflict_degree: Optional[int] = None) -> "BParams":
-        """Asymptotic preset: alpha = 1/eps^7 - 1 copies, walks of length
-        2/eps, depth 1/eps^9, margin 2 eps^2, and a cubic budget in the
-        conflict degree when one is supplied."""
-        budget = None
-        if conflict_degree is not None:
-            budget = max(1, math.ceil(conflict_degree**3 / eps))
-        return cls(
-            alpha=max(0, math.ceil(1.0 / eps**7) - 1),
-            walk_len=math.ceil(2.0 / eps),
-            depth=math.ceil(1.0 / eps**9),
-            eps=eps,
-            margin=2.0 * eps * eps,
-            mis_budget=budget,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +135,6 @@ class Hyperwalk:
             rev = (edges[::-1], indices[::-1])
             edges, indices = min(fwd, rev)
         return cls(edges, indices)
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
     @property
     def sort_key(self) -> tuple:
@@ -321,13 +304,6 @@ class WalkIndex:
         return self._neighbors[w]
 
 
-def enumerate_hyperwalks(
-    g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
-) -> tuple:
-    """Every hyperwalk of length at most ``walk_len``, in canonical order."""
-    return WalkIndex(g, walk_len, alpha, ceiling).all_walks()
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -351,16 +327,6 @@ class Profile:
 
     def matching(self, i: int) -> frozenset:
         return self.pairs[i][1]
-
-
-def validate_profile(p: Profile) -> None:
-    """Raises unless every matching is a matching within its realization."""
-    for i, (real, matching) in enumerate(p.pairs):
-        for e in matching:
-            if not real.has(e):
-                raise ValueError(f"copy {i}: edge {e} not realized")
-        if not is_matching(p.graph, matching):
-            raise ValueError(f"copy {i}: edges collide at a vertex")
 
 
 def apply_hyperwalk(p: Profile, w: Hyperwalk) -> Profile:
@@ -414,7 +380,7 @@ def _augmenting_core(
 
     ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
     the previous level; ``unsat_fn(v)`` is the endpoint gate.  Both the
-    materialized checker and the local-computation route call this with
+    materialized route and the local-computation route call this with
     their own accessors, so the two routes cannot drift apart.
     """
     if any(s > alpha for s in w.indices):
@@ -450,31 +416,6 @@ def _augmenting_core(
         if delta != required:
             return False
     return True
-
-
-def is_augmenting(
-    p: Profile,
-    w: Hyperwalk,
-    table: UnsaturationTable,
-    level: int,
-    margin: float,
-) -> bool:
-    """Validity of ``w`` against a materialized profile.
-
-    ``level`` is the recursion level of the profile's matchings; the
-    endpoint gate reads that row of the table.
-    """
-    g = p.graph
-    vseq = walk_vertices(g, w.edges)
-    return _augmenting_core(
-        g,
-        w,
-        vseq,
-        p.alpha,
-        member_fn=lambda i, e: e in p.matching(i),
-        realized_fn=lambda i, e: p.realization(i).has(e),
-        unsat_fn=lambda v: table.unsaturated(v, level, margin),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +485,21 @@ def _select_walks(
     query re-run under the per-root expansion budget."""
     valid_memo = {}
 
+    def member(i: int, e: int) -> bool:
+        return e in profile.matching(i)
+
+    def realized(i: int, e: int) -> bool:
+        return profile.realization(i).has(e)
+
+    def unsat(v: int) -> bool:
+        return table.unsaturated(v, level - 1, params.margin)
+
     def valid(w: Hyperwalk) -> bool:
         if w not in valid_memo:
             guard.tick()
-            valid_memo[w] = is_augmenting(profile, w, table, level - 1, params.margin)
+            valid_memo[w] = _augmenting_core(
+                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
+            )
         return valid_memo[w]
 
     rank_memo = {}
@@ -589,16 +541,13 @@ def b_generic(
     level: Optional[int] = None,
     table: Optional[UnsaturationTable] = None,
     walks: Optional[WalkIndex] = None,
-    check: bool = False,
 ) -> frozenset:
     """Recursive matching of ``realization`` at the given level.
 
     Copy 0 of each node inherits the parent's realization; copies 1..alpha
     at level r under lineage path sigma are drawn from the PRF namespace
     (sigma, r, i).  The returned edge set is a matching within the input
-    realization and is reproducible from (ctx, realization).  With
-    ``check`` set, every intermediate profile is re-validated after each
-    hyperwalk application (slow; for tests).
+    realization and is reproducible from (ctx, realization).
     """
     if level is None:
         level = params.depth
@@ -623,13 +572,9 @@ def b_generic(
                 gi = _prf_realization(g, ctx, sub_lineage)
             pairs.append((gi, recurse(sub_lineage, gi, lvl - 1)))
         profile = Profile(tuple(pairs))
-        if check:
-            validate_profile(profile)
         chosen = _select_walks(profile, walks, table, params, ctx, lineage, lvl, guard)
         for w in sorted(chosen, key=lambda x: x.sort_key):
             profile = apply_hyperwalk(profile, w)
-            if check:
-                validate_profile(profile)
         return profile.matching(0)
 
     return recurse((), realization, level)
@@ -857,10 +802,4 @@ class BMatchingLca:
         out = engine.is_in_matching((), root.id, self.params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
         return out
-
-    def matching_via_queries(self, ctx: SeedContext) -> frozenset:
-        """Edge set assembled from one instrumented query per edge."""
-        return frozenset(
-            e for e in range(self.g.m) if run_lca(self, self.g, ctx, Site.edge(e))[0]
-        )
 

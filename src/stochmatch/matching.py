@@ -198,17 +198,6 @@ def matching_number(g: Graph, active=None) -> int:
     return m.size()
 
 
-def is_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
-    seen = set()
-    for e in edge_ids:
-        u, v = g.endpoints(e)
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
-
-
 def matched_vertices(g: Graph, edge_ids: Iterable[int]) -> frozenset:
     out = set()
     for e in edge_ids:
@@ -245,13 +234,6 @@ class FractionalMatching:
 
 def fractional_size(f: FractionalMatching) -> float:
     return sum(f.values.values())
-
-
-def vertex_load(f: FractionalMatching, v: int) -> float:
-    total = 0.0
-    for e in f.graph.incident(v):
-        total += f.values.get(e, 0.0)
-    return total
 
 
 def vertex_loads(g: Graph, pairs: Iterable[tuple]) -> list:

@@ -18,12 +18,10 @@ greedy answer.  The surviving set is always independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, SeedContext
-from .lca import Site, run_lca, site_tape
+from .lca import Site
 
 
 @dataclass(frozen=True)
@@ -36,22 +34,12 @@ class TmisBudget:
         if self.threshold < 1:
             raise ValueError("threshold must be positive")
 
-    @classmethod
-    def for_degree(cls, max_degree: int, eps: float, c: float = 1.0) -> "TmisBudget":
-        """Quadratic-in-degree budget: ceil(c * Delta^2 / eps)."""
-        return cls(max(1, math.ceil(c * max_degree * max_degree / eps)))
-
 
 @dataclass(frozen=True)
 class TmisOutcome:
     member: bool
     calls: int
     truncated: bool
-
-
-def vertex_rank(ctx: SeedContext, v: int) -> tuple:
-    """Total rank order: tape-drawn float with id tie-breaking."""
-    return (site_tape(ctx, Site.vertex(v)).uniform("rank"), v)
 
 
 def greedy_member(
@@ -95,21 +83,6 @@ def greedy_member(
     return out is True, out is None, calls
 
 
-def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> bool:
-    """Reference greedy-MIS membership under explicit ranks.
-
-    ``ranks[v]`` must be totally ordered (use (float, id) tuples).
-    """
-
-    def lower(u: int) -> list:
-        return sorted(
-            (w for w in g.neighbors(u) if ranks[w] < ranks[u]),
-            key=lambda w: ranks[w],
-        )
-
-    return greedy_member(v, lower, memo=_memo)[0]
-
-
 class TruncatedGreedyMis:
     """LCA protocol object for (possibly truncated) greedy MIS queries."""
 
@@ -138,33 +111,3 @@ class TruncatedGreedyMis:
         oracle.annotate("truncated", truncated)
         return TmisOutcome(member, calls, truncated)
 
-
-def tmis_query(
-    g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None
-):
-    """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
-    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site.vertex(v))
-
-
-def tmis_member(
-    g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None
-) -> bool:
-    outcome, _ = tmis_query(g, ctx, v, budget)
-    return outcome.member
-
-
-def tmis_set(
-    g: Graph, ctx: SeedContext, budget: Optional[TmisBudget] = None
-) -> frozenset:
-    """All members under shared tapes.
-
-    With no budget the answers are plain greedy MIS, a pure function of
-    the ranks, so a shared memo across roots is sound and fast.  With a
-    budget each root is queried independently to keep the per-root
-    truncation semantics honest.
-    """
-    if budget is None:
-        ranks = {v: vertex_rank(ctx, v) for v in range(g.n)}
-        memo: dict = {}
-        return frozenset(v for v in range(g.n) if gmis_member(g, ranks, v, memo))
-    return frozenset(v for v in range(g.n) if tmis_member(g, ctx, v, budget))

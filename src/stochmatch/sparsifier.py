@@ -85,13 +85,6 @@ class QProfile:
         """|q|, which equals E[mu(G_p)] for exact profiles."""
         return sum(self.q)
 
-    def vertex_load(self, g: Graph, v: int, within: Optional[frozenset] = None) -> float:
-        total = 0.0
-        for e in g.incident(v):
-            if within is None or e in within:
-                total += self.q[e]
-        return total
-
     def with_thresholds(self, tau_minus: float, tau_plus: float) -> "QProfile":
         if not tau_minus < tau_plus:
             raise ValueError("tau_minus must be below tau_plus")

@@ -11,11 +11,15 @@ verbatim as differential oracles for their replacements.
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from stochmatch.analysis import CrucialSetup, MatchProbTable, RatioEstimate
+import pytest
+
+from stochmatch import hyperwalk
+from stochmatch.analysis import CrucialSetup, MatchProbTable, RatioEstimate, ratio_sweep
 from stochmatch.graph import (
     ENUM_CAP,
     Graph,
@@ -28,21 +32,25 @@ from stochmatch.graph import (
 from stochmatch.hyperwalk import (
     WALK_CEILING_DEFAULT,
     BMatchingLca,
+    BParams,
+    Hyperwalk,
+    Profile,
     UnsaturationTable,
     WalkIndex,
+    _augmenting_core,
     _Engine,
     b_generic,
+    walk_vertices,
 )
-from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca
+from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
 from stochmatch.matching import (
     _active_ids,
     matched_vertices,
     matching_number,
     maximum_matching,
-    vertex_load,
 )
-from stochmatch.mis import TmisOutcome
-from stochmatch.sparsifier import QProfile
+from stochmatch.mis import TmisBudget, TmisOutcome, TruncatedGreedyMis, greedy_member
+from stochmatch.sparsifier import QProfile, max_degree_of
 
 
 def brute_matching_number(g: Graph, active=None) -> int:
@@ -153,9 +161,6 @@ def petersen_subgraph(edge_ids, p: float = 0.5) -> Graph:
 
 def find_rank_ctx(g: Graph, predicate, tries: int = 20000):
     """Smallest master seed whose vertex ranks satisfy the predicate."""
-    from stochmatch.graph import SeedContext
-    from stochmatch.mis import vertex_rank
-
     for seed in range(tries):
         ctx = SeedContext(seed)
         ranks = {v: vertex_rank(ctx, v) for v in range(g.n)}
@@ -276,7 +281,7 @@ def out_query_ceiling(g: Graph, walks: WalkIndex, params, level: int) -> int:
     budget = params.mis_budget if params.mis_budget is not None else total
     expansions = min(budget, total)
     L = params.walk_len
-    dv = g.max_degree()
+    dv = max_degree_of(g, range(g.m))
     bound = 1
     for _ in range(level):
         per_validity = (L + 1) * dv * (1 + (params.alpha + 1) * bound)
@@ -319,6 +324,188 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
             if not sets[p[0]].isdisjoint(sets[p[1]]):
                 hits[p] += 1
     return {p: CorrelationEstimate(p, hits[p] / trials, trials) for p in pairs}
+
+
+# -- reference checkers and wrappers moved out of the package ---------------
+#
+# Each has no caller in the package, its scripts or the bench: checkers
+# that tests compare the package against, and thin wrappers over one
+# production route that the tests spell by name.
+
+
+def is_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
+    seen = set()
+    for e in edge_ids:
+        u, v = g.endpoints(e)
+        if u in seen or v in seen:
+            return False
+        seen.add(u)
+        seen.add(v)
+    return True
+
+
+def vertex_load(f, v: int) -> float:
+    """Total weight of a fractional matching on the edges at ``v``."""
+    total = 0.0
+    for e in f.graph.incident(v):
+        total += f.values.get(e, 0.0)
+    return total
+
+
+def q_load(q: QProfile, g: Graph, v: int, within: Optional[frozenset] = None) -> float:
+    """Sum of q over the edges at ``v``, optionally only those in ``within``."""
+    total = 0.0
+    for e in g.incident(v):
+        if within is None or e in within:
+            total += q.q[e]
+    return total
+
+
+def vertex_rank(ctx: SeedContext, v: int) -> tuple:
+    """Total rank order: tape-drawn float with id tie-breaking."""
+    return (site_tape(ctx, Site.vertex(v)).uniform("rank"), v)
+
+
+def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> bool:
+    """Reference greedy-MIS membership under explicit ranks.
+
+    ``ranks[v]`` must be totally ordered (use (float, id) tuples).
+    """
+
+    def lower(u: int) -> list:
+        return sorted(
+            (w for w in g.neighbors(u) if ranks[w] < ranks[u]),
+            key=lambda w: ranks[w],
+        )
+
+    return greedy_member(v, lower, memo=_memo)[0]
+
+
+def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None):
+    """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
+    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site.vertex(v))
+
+
+def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[TmisBudget] = None) -> frozenset:
+    """All members under shared tapes.
+
+    With no budget the answers are plain greedy MIS, a pure function of
+    the ranks, so a shared memo across roots is sound and fast.  With a
+    budget each root is queried independently to keep the per-root
+    truncation semantics honest.
+    """
+    if budget is None:
+        ranks = {v: vertex_rank(ctx, v) for v in range(g.n)}
+        memo: dict = {}
+        return frozenset(v for v in range(g.n) if gmis_member(g, ranks, v, memo))
+    return frozenset(v for v in range(g.n) if tmis_query(g, ctx, v, budget)[0].member)
+
+
+def budget_for_degree(max_degree: int, eps: float, c: float = 1.0) -> TmisBudget:
+    """Quadratic-in-degree budget: ceil(c * Delta^2 / eps)."""
+    return TmisBudget(max(1, math.ceil(c * max_degree * max_degree / eps)))
+
+
+def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BParams:
+    """The paper's asymptotic regime: alpha = 1/eps^7 - 1 copies, walks
+    of length 2/eps, depth 1/eps^9, margin 2 eps^2, and a cubic budget
+    in the conflict degree when one is supplied."""
+    budget = None
+    if conflict_degree is not None:
+        budget = max(1, math.ceil(conflict_degree**3 / eps))
+    return BParams(
+        alpha=max(0, math.ceil(1.0 / eps**7) - 1),
+        walk_len=math.ceil(2.0 / eps),
+        depth=math.ceil(1.0 / eps**9),
+        eps=eps,
+        margin=2.0 * eps * eps,
+        mis_budget=budget,
+    )
+
+
+def estimate_ratio(
+    g: Graph,
+    H: Iterable[int],
+    samples: int,
+    ctx: Optional[SeedContext] = None,
+    exact: Optional[bool] = None,
+) -> RatioEstimate:
+    """The ratio estimate of one sparsifier: a sweep over ``[H]``."""
+    return ratio_sweep(g, [H], samples, ctx=ctx, exact=exact)[0]
+
+
+def flagged(report) -> tuple:
+    """The claim checks of a report that carry a flag."""
+    return tuple(c for c in report.checks if c.flag)
+
+
+def enumerate_hyperwalks(
+    g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
+) -> tuple:
+    """Every hyperwalk of length at most ``walk_len``, in canonical order."""
+    return WalkIndex(g, walk_len, alpha, ceiling).all_walks()
+
+
+def matching_via_queries(lca: BMatchingLca, ctx: SeedContext) -> frozenset:
+    """Edge set assembled from one instrumented query per edge."""
+    return frozenset(e for e in range(lca.g.m) if run_lca(lca, lca.g, ctx, Site.edge(e))[0])
+
+
+def validate_profile(p: Profile) -> None:
+    """Raises unless every matching is a matching within its realization."""
+    for i, (real, matching) in enumerate(p.pairs):
+        for e in matching:
+            if not real.has(e):
+                raise ValueError(f"copy {i}: edge {e} not realized")
+        if not is_matching(p.graph, matching):
+            raise ValueError(f"copy {i}: edges collide at a vertex")
+
+
+def is_augmenting(
+    p: Profile,
+    w: Hyperwalk,
+    table: UnsaturationTable,
+    level: int,
+    margin: float,
+) -> bool:
+    """Validity of ``w`` against a materialized profile.
+
+    ``level`` is the recursion level of the profile's matchings; the
+    endpoint gate reads that row of the table.
+    """
+    g = p.graph
+    vseq = walk_vertices(g, w.edges)
+    return _augmenting_core(
+        g,
+        w,
+        vseq,
+        p.alpha,
+        member_fn=lambda i, e: e in p.matching(i),
+        realized_fn=lambda i, e: p.realization(i).has(e),
+        unsat_fn=lambda v: table.unsaturated(v, level, margin),
+    )
+
+
+@contextmanager
+def validating_applications():
+    """Within the block, every ``hyperwalk.apply_hyperwalk`` call runs
+    :func:`validate_profile` on its input and its output.
+
+    Under ``b_generic`` this validates every profile: each copy pairs a
+    realization with the output of a recursion on it, which is empty,
+    an unchanged lower-level output, or the output of an application.
+    """
+    apply = hyperwalk.apply_hyperwalk
+
+    def checked(p: Profile, w: Hyperwalk) -> Profile:
+        validate_profile(p)
+        out = apply(p, w)
+        validate_profile(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperwalk, "apply_hyperwalk", checked)
+        yield
 
 
 # -- earlier implementations, kept as differential oracles ---------------------

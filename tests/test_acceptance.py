@@ -18,38 +18,40 @@ from oracles import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
+    estimate_ratio,
     greedy_mis_sweep,
     is_independent,
+    is_matching,
     matching_size_expectation_exact,
+    matching_via_queries,
     path_graph,
     petersen_subgraph,
+    q_load,
+    tmis_query,
+    tmis_set,
+    validating_applications,
+    vertex_load,
+    vertex_rank,
 )
 from stochmatch.analysis import (
     build_f,
-    estimate_ratio,
     prepare_pipeline,
     ratio_sweep,
     run_pipeline,
     scale_values,
 )
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
-from stochmatch.hyperwalk import (
-    BMatchingLca,
-    BParams,
-    b_generic,
-    enumerate_hyperwalks,
-)
+from stochmatch.hyperwalk import BMatchingLca, BParams, b_generic
 from stochmatch.lca import Site, check_correlated_bound, gather_ledger
 from stochmatch.matching import (
     FractionalMatching,
     check_blossom,
     fractional_size,
-    is_matching,
     maximum_matching,
-    vertex_load,
 )
-from stochmatch.mis import TmisBudget, TruncatedGreedyMis, tmis_query, tmis_set, vertex_rank
+from stochmatch.mis import TmisBudget, TruncatedGreedyMis
 from stochmatch.sparsifier import SparsifierParams, build_H, estimate_q, max_degree_of
 
 
@@ -216,19 +218,20 @@ def b_corpus_runs():
     """
     t0 = time.monotonic()
     runs = []
-    for name, g, kw in B_CORPUS:
-        assert g.m <= 8
-        params = BParams(eps=0.3, margin=0.1, **kw)
-        for seed in range(20):
-            real = sample_realization(g, SeedContext(seed).child("real"), 0)
-            ctx = SeedContext(seed).child("alg")
-            sizes = []
-            final = frozenset()
-            for r in range(params.depth + 1):
-                final = b_generic(g, real, params, ctx, level=r, check=True)
-                sizes.append(len(final))
-            via_queries = BMatchingLca(g, params, real).matching_via_queries(ctx)
-            runs.append((name, g, real, sizes, final, via_queries))
+    with validating_applications():
+        for name, g, kw in B_CORPUS:
+            assert g.m <= 8
+            params = BParams(eps=0.3, margin=0.1, **kw)
+            for seed in range(20):
+                real = sample_realization(g, SeedContext(seed).child("real"), 0)
+                ctx = SeedContext(seed).child("alg")
+                sizes = []
+                final = frozenset()
+                for r in range(params.depth + 1):
+                    final = b_generic(g, real, params, ctx, level=r)
+                    sizes.append(len(final))
+                via_queries = matching_via_queries(BMatchingLca(g, params, real), ctx)
+                runs.append((name, g, real, sizes, final, via_queries))
     return runs, time.monotonic() - t0
 
 
@@ -243,9 +246,9 @@ def test_lca_generic_equivalence(b_corpus_runs):
 
 @pytest.mark.criterion(10, "b_generic levels stay valid matchings and never shrink")
 def test_augmentation_soundness(b_corpus_runs):
-    # intermediate profiles are validated inside the fixture (check=True
-    # raises on any malformed application), so only the level-to-level
-    # facts are left to assert here
+    # intermediate profiles are validated inside the fixture (the
+    # validating wrapper raises on any malformed application), so only
+    # the level-to-level facts are left to assert here
     runs, _ = b_corpus_runs
     for name, g, real, sizes, final, _ in runs:
         assert all(b >= a for a, b in zip(sizes, sizes[1:])), name
@@ -294,7 +297,7 @@ def test_f_construction(pipe_graph):
         assert f.support <= (H & noncrucial)
         assert all(val <= cap + 1e-12 for val in f.values.values())
         for v in range(g.n):
-            assert vertex_load(f, v) <= q.vertex_load(g, v, noncrucial) + 1e-12
+            assert vertex_load(f, v) <= q_load(q, g, v, noncrucial) + 1e-12
         totals.append(fractional_size(f))
         for e in range(g.m):
             per_edge[e].append(f.get(e))

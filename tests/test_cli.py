@@ -310,6 +310,32 @@ class TestExitCodes:
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_recursion_limit_aborts(self, tmp_path, capsys):
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
+        rc = main(["lca-stats", "--input", inp, "--lca", "b-matching",
+                   "--depth", "1200", "--samples", "1"])
+        assert rc == 1
+        assert "aborted: maximum recursion depth exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,key", [
+        ("verify", "--table-samples", "table_samples"),
+        ("verify", "--q-samples", "q_samples"),
+        ("verify", "--match-prob-trials", "match_prob_trials"),
+        ("verify", "--delta-trials", "delta_trials"),
+        ("evaluate", "--samples", "samples"),
+        ("sparsify", "--q-samples", "q_samples"),
+    ])
+    def test_negative_counts_rejected(self, tmp_path, single_file, capsys, command, flag, key):
+        out = tmp_path / "out.txt"
+        assert main([command, "--input", single_file, "--R", "1", flag, "-3",
+                     "--out", str(out)]) == 2
+        assert f"{key} must not be negative" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": single_file, "R": 1, key: -3}))
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert f"{key} must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
 

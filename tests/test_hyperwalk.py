@@ -4,15 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bparams_from_eps,
     complete_graph,
     cycle_graph,
     degree_in_profile,
+    enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
     hyperwalk_reference_set,
+    is_augmenting,
+    is_matching,
+    matching_via_queries,
     never_unsaturated,
     out_query_ceiling,
     path_graph,
+    validate_profile,
+    validating_applications,
 )
+from stochmatch import hyperwalk
 from stochmatch.graph import Graph, Realization, SeedContext, sample_realization
 from stochmatch.hyperwalk import (
     BMatchingLca,
@@ -25,13 +33,9 @@ from stochmatch.hyperwalk import (
     apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
-    enumerate_hyperwalks,
-    is_augmenting,
-    validate_profile,
     walk_vertices,
 )
 from stochmatch.lca import Site, run_lca
-from stochmatch.matching import is_matching
 
 
 def star_graph(leaves, p=0.5):
@@ -299,9 +303,28 @@ class TestBGeneric:
         params = BParams(alpha=1, walk_len=3, depth=2, eps=0.3, margin=0.1)
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            loud = b_generic(g, real, params, SeedContext(seed), check=True)
+            with validating_applications():
+                loud = b_generic(g, real, params, SeedContext(seed))
             quiet = b_generic(g, real, params, SeedContext(seed))
             assert loud == quiet
+
+    def test_validating_wrapper_catches_collisions(self, monkeypatch):
+        # a mutant application that also adds a realized edge beside each
+        # matched copy-0 edge must not get past the wrapper
+        apply = hyperwalk.apply_hyperwalk
+
+        def colliding(p, w):
+            out = apply(p, w)
+            real, matching = out.pairs[0]
+            g = out.graph
+            extra = {f for e in matching for f in g.incident(g.endpoints(e)[0]) if real.has(f)}
+            return Profile(((real, matching | extra),) + out.pairs[1:])
+
+        monkeypatch.setattr(hyperwalk, "apply_hyperwalk", colliding)
+        g = complete_graph(4)
+        with validating_applications():
+            with pytest.raises(ValueError, match="collide"):
+                b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0))
 
     def test_monotone_without_extra_copies(self):
         # alpha = 0: each walk acts on copy 0 alone, so applications never
@@ -329,7 +352,7 @@ class TestBParams:
             BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1, mis_budget=0)
 
     def test_preset_arithmetic(self):
-        p = BParams.from_eps(0.5, conflict_degree=4)
+        p = bparams_from_eps(0.5, conflict_degree=4)
         assert p.alpha == 127
         assert p.walk_len == 4
         assert p.depth == 512
@@ -370,7 +393,7 @@ class TestLcaRoute:
             ctx = SeedContext(seed).child("alg")
             want = b_generic(g, real, params, ctx)
             lca = BMatchingLca(g, params, real)
-            got = lca.matching_via_queries(ctx)
+            got = matching_via_queries(lca, ctx)
             assert got == want
 
     def test_run_is_instrumented(self):

@@ -12,8 +12,10 @@ from oracles import (
     matching_number_v0,
     matching_size_expectation_exact,
     maximum_matching_v0,
+    is_matching,
     path_graph,
     petersen_subgraph,
+    vertex_load,
     violates_vertex_caps,
 )
 from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph, mask_edges
@@ -22,11 +24,9 @@ from stochmatch.matching import (
     FractionalMatching,
     check_blossom,
     fractional_size,
-    is_matching,
     matched_vertices,
     matching_number,
     maximum_matching,
-    vertex_load,
 )
 
 

@@ -6,27 +6,24 @@ import pytest
 from oracles import (
     BMatchingLcaV0,
     TruncatedGreedyMisV0,
+    budget_for_degree,
     complete_graph,
     find_rank_ctx,
+    gmis_member,
     greedy_mis_sweep,
     is_independent,
     is_maximal_independent,
     path_graph,
+    tmis_query,
+    tmis_set,
+    vertex_rank,
 )
 from stochmatch import hyperwalk
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import gather_ledger, run_lca, Site
-from stochmatch.mis import (
-    TmisBudget,
-    TruncatedGreedyMis,
-    gmis_member,
-    greedy_member,
-    tmis_member,
-    tmis_query,
-    tmis_set,
-    vertex_rank,
-)
+from stochmatch.mis import TmisBudget, TruncatedGreedyMis, greedy_member
+from stochmatch.sparsifier import max_degree_of
 from test_acceptance import B_CORPUS
 
 
@@ -68,8 +65,8 @@ class TestTmis:
         g = star(5)
         ctx = find_rank_ctx(g, lambda r: r[0] == min(r.values()))
         budget = TmisBudget(5)
-        assert tmis_member(g, ctx, 0, budget) is True
-        assert all(not tmis_member(g, ctx, v, budget) for v in range(1, 6))
+        assert tmis_query(g, ctx, 0, budget)[0].member is True
+        assert all(not tmis_query(g, ctx, v, budget)[0].member for v in range(1, 6))
 
     def test_budget_disabled_equals_gmis(self):
         for seed in range(10):
@@ -147,9 +144,9 @@ class TestTmisSet:
 
 class TestBudget:
     def test_for_degree(self):
-        assert TmisBudget.for_degree(4, 0.1).threshold == 160
-        assert TmisBudget.for_degree(4, 0.1, c=2.0).threshold == 320
-        assert TmisBudget.for_degree(0, 0.5).threshold == 1
+        assert budget_for_degree(4, 0.1).threshold == 160
+        assert budget_for_degree(4, 0.1, c=2.0).threshold == 320
+        assert budget_for_degree(0, 0.5).threshold == 1
 
     def test_positive(self):
         with pytest.raises(ValueError):
@@ -163,7 +160,7 @@ def test_approximate_maximality():
     for seed in range(50):
         g = gnp_graph(50, 0.2, 0.5, SeedContext(seed).child("gen"))
         ctx = SeedContext(seed).child("tapes")
-        budget = TmisBudget.for_degree(g.max_degree(), eps)
+        budget = budget_for_degree(max_degree_of(g, range(g.m)), eps)
         exact = tmis_set(g, ctx)
         cut = tmis_set(g, ctx, budget)
         assert cut <= exact
@@ -180,7 +177,7 @@ def test_in_query_growth_linear():
     for leaves in (4, 8, 16):
         g = star(leaves)
         ledger = gather_ledger(
-            TruncatedGreedyMis(TmisBudget.for_degree(leaves, 0.5)),
+            TruncatedGreedyMis(budget_for_degree(leaves, 0.5)),
             g,
             SeedContext(21).child("stars", leaves),
             trials=40,
