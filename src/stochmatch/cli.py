@@ -89,6 +89,8 @@ class ExperimentConfig:
             self.samples = SAMPLE_DEFAULTS[command]
         if self.threads < 1:
             raise UsageError(f"threads must be at least 1, got {self.threads}")
+        if self.delta_exponent < 1:  # else the collision threshold (eps p_min)^k is >= 1
+            raise UsageError(f"delta_exponent must be at least 1, got {self.delta_exponent}")
         for key in ("samples", "q_samples", "table_samples", "delta_trials", "match_prob_trials"):
             if getattr(self, key) < 0:
                 raise UsageError(f"{key} must not be negative, got {getattr(self, key)}")

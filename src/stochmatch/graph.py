@@ -16,8 +16,10 @@ only the labels it appends.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 ENUM_CAP = 24
@@ -26,6 +28,12 @@ MAX_VERTICES = 1_000_000
 
 _U64 = (1 << 64) - 1
 _FLOAT_DENOM = float(1 << 53)
+# a tagged int label's encoding, and a digest's first 8 bytes as an int
+_INT_LABEL = struct.Struct("<cQ").pack
+_RAW64 = struct.Struct("<Q").unpack_from
+# binary digits <-> 0/1 bytes, for the edge-mask codec
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class GraphFormatError(ValueError):
@@ -48,7 +56,7 @@ def _encode_labels(labels: tuple) -> bytes:
             raw = part.encode()
             parts.append(b"s" + len(raw).to_bytes(4, "little") + raw)
         elif isinstance(part, int):
-            parts.append(b"i" + (part & _U64).to_bytes(8, "little"))
+            parts.append(_INT_LABEL(b"i", part & _U64))
         else:
             raise TypeError(f"unsupported namespace label: {part!r}")
     return b"".join(parts)
@@ -84,13 +92,10 @@ class SeedContext:
         return SeedContext(self.seed, self.path + labels, self._encoded + _encode_labels(labels))
 
     def digest(self, *labels) -> bytes:
-        return hashlib.blake2b(
-            _encode_labels(labels), digest_size=16, key=self._key
-        ).digest()
+        return hashlib.blake2b(_encode_labels(labels), digest_size=16, key=self._key).digest()
 
     def uniform(self, *labels) -> float:
-        raw = int.from_bytes(self.digest(*labels)[:8], "little")
-        return (raw >> 11) / _FLOAT_DENOM
+        return (_RAW64(self.digest(*labels))[0] >> 11) / _FLOAT_DENOM
 
 
 @dataclass(frozen=True)
@@ -169,19 +174,21 @@ class Realization:
 
 
 def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
-    """Sample a realization; bit e is drawn from stream (ctx, "realize", trial, e)."""
+    """Sample a realization in O(m): edge e is present when
+    ``ctx.child("realize", trial).uniform(e) < p_e``, which this must stay
+    in lockstep with.  The present ids are collected, then masked once."""
     sub = ctx.child("realize", trial)
-    # Hot path: hash.copy() skips the per-call key schedule but yields the
-    # same digests as sub.uniform(e), which this must stay in lockstep with.
-    base = hashlib.blake2b(digest_size=16, key=sub._key)
-    mask = 0
-    for e in range(len(g.edges)):
-        h = base.copy()
-        h.update(b"i" + (e & _U64).to_bytes(8, "little"))
-        raw = int.from_bytes(h.digest()[:8], "little")
-        if (raw >> 11) / _FLOAT_DENOM < g.edges[e][2]:
-            mask |= 1 << e
-    return Realization(g, mask)
+    # hash.copy() skips the per-call key schedule.  uniform is
+    # (raw >> 11) / 2**53, and scaling by a power of two is exact, so the
+    # integer compared with p * 2**53 decides exactly as uniform < p.
+    copy = hashlib.blake2b(digest_size=16, key=sub._key).copy
+    present = []
+    for e, (_, _, p) in enumerate(g.edges):
+        h = copy()
+        h.update(_INT_LABEL(b"i", e))
+        if (_RAW64(h.digest())[0] >> 11) < p * _FLOAT_DENOM:
+            present.append(e)
+    return Realization(g, edge_mask(present))
 
 
 def enumerate_realizations(g: Graph):
@@ -294,22 +301,23 @@ def subgraph(g: Graph, edge_ids: Iterable[int]):
     """
     keep = sorted(set(edge_ids))
     to_sub = [None] * g.m
-    triples = []
     for new_id, e in enumerate(keep):
         to_sub[e] = new_id
-        triples.append(g.edges[e])
-    sub = Graph.build(g.n, triples)
-    return sub, tuple(to_sub), tuple(keep)
+    return Graph.build(g.n, [g.edges[e] for e in keep]), tuple(to_sub), tuple(keep)
 
 
 def edge_mask(edge_ids: Iterable[int]) -> int:
-    """Bitmask with bit e set for every listed edge id."""
-    mask = 0
-    for e in edge_ids:
-        mask |= 1 << e
-    return mask
+    """Bitmask with bit e set for every listed edge id, built in one pass."""
+    ids = list(edge_ids)
+    if min(ids, default=0) < 0:
+        raise ValueError("negative edge id")
+    bits = bytearray(max(ids, default=0) + 1)
+    for e in ids:
+        bits[e] = 1
+    return int(bits[::-1].translate(_BIT_DIGITS), 2)
 
 
 def mask_edges(mask: int) -> list:
     """Edge ids of the set bits of ``mask``, in increasing order."""
-    return [e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(bits)), bits))

@@ -5,9 +5,11 @@ contraction on general graphs.  It processes free vertices in
 increasing id order and scans neighbors in adjacency order, so the
 returned edge set (not just its size) is a fixed deterministic function
 of the input; per-edge match frequencies measured elsewhere depend on
-this choice and stay reproducible under it.  The search state is
-allocated once per matcher and each search resets only the entries it
-touched, so a search costs the tree it explores, not n.
+this choice and stay reproducible under it.  A matcher call reads only
+the active edges it is given.  The search state is allocated once per
+call and each search resets only the entries it touched, so a search
+costs the tree it explores, not n, and a blossom costs the vertices it
+relabels, not the tree.
 """
 
 from __future__ import annotations
@@ -36,32 +38,30 @@ def _active_ids(g: Graph, active) -> list:
 class _Matcher:
     """One matching computation over the active edges of a graph.
 
-    The search state (``parent``, ``base``, ``used`` and the blossom
-    marks) is allocated once, here.  Each search records the vertices
-    it labels in ``tree`` and afterwards resets only those entries, and
-    a blossom relabels only tree vertices, so a search costs the tree
-    it explores rather than n.
+    Set-up reads only the active edge ids.  The search state
+    (``parent``, ``base``, ``used``) is allocated once, here.  Each
+    search records the vertices it labels in ``tree`` and afterwards
+    resets only those entries.  ``members`` lists, for each base of a
+    contracted blossom, the vertices whose base it is, so a blossom
+    relabels the members of the bases it absorbs rather than scanning
+    the tree.
     """
 
     def __init__(self, g: Graph, active) -> None:
-        n = g.n
-        self.n = n
-        self.edges = g.edges
+        self.n = n = g.n
+        self.edges = edges = g.edges
         self.ids = _active_ids(g, active)
-        self.adj = [[] for _ in range(n)]
-        self.eid = {}
+        self.adj = adj = [[] for _ in range(n)]
         for e in self.ids:
-            u, v, _ = g.edges[e]
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-            self.eid[u, v] = e
-            self.eid[v, u] = e
+            u, v, _ = edges[e]
+            adj[u].append(v)
+            adj[v].append(u)
         self.match = [-1] * n
         self.parent = [-1] * n
         self.base = list(range(n))
         self.used = [False] * n
-        self.blossom = [False] * n
         self.tree = []
+        self.members = {}
 
     def _find_path(self, root: int) -> int:
         adj, match, p, base, used = self.adj, self.match, self.parent, self.base, self.used
@@ -87,19 +87,22 @@ class _Matcher:
         return -1
 
     def _contract(self, q, v, to) -> None:
-        base, used, blossom = self.base, self.used, self.blossom
+        base, used, members = self.base, self.used, self.members
         cur = self._lca(v, to)
         marks = []
         self._mark_path(marks, v, cur, to)
         self._mark_path(marks, to, cur, v)
+        group = members.setdefault(cur, [cur])
         fresh = []
-        for i in self.tree:
-            if blossom[base[i]]:
+        for b in marks:
+            if base[b] == cur:  # cur itself, or a base already absorbed
+                continue
+            absorbed = members.pop(b, None) or [b]
+            for i in absorbed:
                 base[i] = cur
                 if not used[i]:
                     fresh.append(i)
-        for b in marks:
-            blossom[b] = False
+            group += absorbed
         # The queue order decides the output: enqueue by increasing id.
         fresh.sort()
         for i in fresh:
@@ -108,39 +111,31 @@ class _Matcher:
 
     def _lca(self, a, b):
         base, p, match = self.base, self.parent, self.match
-        marked = set()
-        v = a
-        while True:
-            v = base[v]
+        v = base[a]
+        marked = {v}
+        while match[v] != -1:
+            v = base[p[match[v]]]
             marked.add(v)
-            if match[v] == -1:
-                break
-            v = p[match[v]]
-        v = b
-        while True:
-            v = base[v]
-            if v in marked:
-                return v
-            v = p[match[v]]
+        v = base[b]
+        while v not in marked:
+            v = base[p[match[v]]]
+        return v
 
     def _mark_path(self, marks, v, b, child):
-        base, p, match, blossom = self.base, self.parent, self.match, self.blossom
+        base, p, match = self.base, self.parent, self.match
         while base[v] != b:
             marks.append(base[v])
             marks.append(base[match[v]])
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
-    def _augment(self, finish: int) -> None:
-        v = finish
+    def _augment(self, v: int) -> None:
+        p, match = self.parent, self.match
         while v != -1:
-            pv = self.parent[v]
-            ppv = self.match[pv]
-            self.match[v] = pv
-            self.match[pv] = v
+            pv = p[v]
+            ppv = match[pv]
+            match[v], match[pv] = pv, v
             v = ppv
 
     def _reset(self) -> None:
@@ -150,34 +145,34 @@ class _Matcher:
             base[v] = v
             used[v] = False
         self.tree.clear()
+        self.members.clear()
 
     def run(self, greedy_seed: bool = False) -> None:
-        match = self.match
+        match, adj = self.match, self.adj
         if greedy_seed:
             # Size-only fast path: start from a maximal matching so few
             # augmentation phases remain.  Do not use where the edge
             # set itself matters.
-            for e in self.ids:
-                u, v, _ = self.edges[e]
+            for u, v, _ in map(self.edges.__getitem__, self.ids):
                 if match[u] == -1 and match[v] == -1:
                     match[u] = v
                     match[v] = u
         for v in range(self.n):
-            if match[v] == -1 and self.adj[v]:
+            if match[v] == -1 and adj[v]:
                 finish = self._find_path(v)
                 if finish != -1:
                     self._augment(finish)
                 self._reset()
 
     def edge_set(self) -> frozenset:
-        out = set()
-        for v, w in enumerate(self.match):
-            if w > v:
-                out.add(self.eid[v, w])
-        return frozenset(out)
+        # The graph is simple, so the matched pairs are the matched active
+        # edges.  A frozenset copied from a set is sized to fit, half the
+        # size of one grown from an iterator, and build_H keeps R of them.
+        match, edges = self.match, self.edges
+        return frozenset({e for e in self.ids if match[edges[e][0]] == edges[e][1]})
 
     def size(self) -> int:
-        return sum(1 for v, w in enumerate(self.match) if w > v)
+        return (self.n - self.match.count(-1)) // 2
 
 
 def maximum_matching(g: Graph, active=None) -> frozenset:
@@ -199,12 +194,7 @@ def matching_number(g: Graph, active=None) -> int:
 
 
 def matched_vertices(g: Graph, edge_ids: Iterable[int]) -> frozenset:
-    out = set()
-    for e in edge_ids:
-        u, v = g.endpoints(e)
-        out.add(u)
-        out.add(v)
-    return frozenset(out)
+    return frozenset({x for e in edge_ids for x in g.endpoints(e)})
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from stochmatch.hyperwalk import (
 from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
 from stochmatch.matching import (
     _active_ids,
+    _Matcher,
     matched_vertices,
     matching_number,
     maximum_matching,
@@ -977,5 +978,45 @@ def maximum_matching_v0(g: Graph, active=None) -> frozenset:
 def matching_number_v0(g: Graph, active=None) -> int:
     """Size of a maximum matching (value only, greedy-seeded search)."""
     m = MatcherV0(g, active)
+    m.run(greedy_seed=True)
+    return m.size()
+
+
+# _Matcher before a blossom kept its bases' member lists: each blossom
+# marked its bases, then relabeled by scanning every vertex of the search
+# tree, so a search with many blossoms cost tree x blossoms.
+
+
+class MatcherV1(_Matcher):
+    """The matcher whose blossom relabel scans the whole search tree."""
+
+    def _contract(self, q, v, to) -> None:
+        base, used = self.base, self.used
+        cur = self._lca(v, to)
+        marks = []
+        self._mark_path(marks, v, cur, to)
+        self._mark_path(marks, to, cur, v)
+        blossom = set(marks)
+        fresh = []
+        for i in self.tree:
+            if base[i] in blossom:
+                base[i] = cur
+                if not used[i]:
+                    fresh.append(i)
+        # The queue order decides the output: enqueue by increasing id.
+        fresh.sort()
+        for i in fresh:
+            used[i] = True
+        q.extend(fresh)
+
+
+def maximum_matching_v1(g: Graph, active=None) -> frozenset:
+    m = MatcherV1(g, active)
+    m.run()
+    return m.edge_set()
+
+
+def matching_number_v1(g: Graph, active=None) -> int:
+    m = MatcherV1(g, active)
     m.run(greedy_seed=True)
     return m.size()

@@ -310,6 +310,20 @@ class TestExitCodes:
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponent", [0, -3])
+    def test_delta_exponent_below_one_rejected(self, tmp_path, capsys, exponent):
+        # (eps p_min)^k >= 1 for k <= 0, so build_x's collision guard could never fire
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", inp, "--R", "1", "--delta-exponent",
+                     str(exponent), "--out", str(out)]) == 2
+        assert "delta_exponent" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": inp, "R": 1, "delta_exponent": exponent}))
+        assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert "delta_exponent" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recursion_limit_aborts(self, tmp_path, capsys):
         inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
         rc = main(["lca-stats", "--input", inp, "--lca", "b-matching",

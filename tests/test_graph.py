@@ -1,8 +1,9 @@
 import math
 import pickle
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import edge_id, path_graph, restrict
 from stochmatch.graph import (
@@ -25,6 +26,18 @@ from stochmatch.graph import (
     write_graph_text,
 )
 
+
+def _scale_pairs(n: int, m: int) -> list:
+    rng = random.Random(5)
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return sorted(pairs)
+
+
+# 1,200 distinct pairs on 200 vertices: the scale of the realization tests
+SCALE_N = 200
+SCALE_PAIRS = _scale_pairs(SCALE_N, 1200)
 
 LABELS = st.lists(
     st.one_of(st.text(max_size=6), st.integers(-(2**70), 2**70)), max_size=4
@@ -168,6 +181,42 @@ class TestSampling:
                     ref |= 1 << e
             assert sample_realization(g, ctx, t).present == ref
 
+    @given(st.integers(0, 2**32), st.integers(0, 2**20), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_uniform_stream_at_scale(self, seed, trial, mix):
+        # m = 1,200, with p on both sides of each edge's own draw k / 2**53
+        # (the draw itself, and the floats next to it), p = 1.0, subnormal
+        # p and plain p, so the exact integer threshold must agree with
+        # the float comparison at every boundary
+        ctx = SeedContext(seed)
+        sub = ctx.child("realize", trial)
+        rng = random.Random(mix)
+        draws = [sub.uniform(e) for e in range(len(SCALE_PAIRS))]
+        # the documented stream: a digest's first 8 bytes, little-endian, top 53 bits
+        assert draws == [
+            (int.from_bytes(sub.digest(e)[:8], "little") >> 11) / 2**53 for e in range(len(draws))
+        ]
+        triples = []
+        for (u, v), x in zip(SCALE_PAIRS, draws):
+            p = rng.choice(
+                (
+                    x,
+                    math.nextafter(x, 2.0),
+                    math.nextafter(x, 0.0),
+                    1.0,
+                    5e-324,
+                    2.2e-308,
+                    rng.random(),
+                )
+            )
+            triples.append((u, v, min(max(p, 5e-324), 1.0)))
+        g = Graph.build(SCALE_N, triples)
+        ref = 0
+        for e, (_, _, p) in enumerate(g.edges):
+            if draws[e] < p:
+                ref |= 1 << e
+        assert sample_realization(g, ctx, trial).present == ref
+
     def test_restrict(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
         r = sample_realization(g, SeedContext(1), 0)
@@ -276,6 +325,24 @@ class TestSubgraph:
         assert mask_edges(0) == []
         ids = [0, 1, 5, 63, 64, 1000]
         assert mask_edges(edge_mask(ids)) == ids
+        with pytest.raises(ValueError):
+            edge_mask([3, -1])
+
+    @given(st.lists(st.integers(0, 9000), max_size=300))
+    @example([])
+    @example([0])
+    @example([6000])
+    @example(list(range(0, 7000, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_codec_matches_bit_loop(self, ids):
+        # the plain loops the codec replaced, on masks up to 9,000 bits
+        mask = 0
+        for e in ids:
+            mask |= 1 << e
+        assert edge_mask(ids) == mask
+        assert edge_mask(iter(ids)) == mask
+        assert mask_edges(mask) == [e for e in range(mask.bit_length()) if (mask >> e) & 1]
+        assert mask_edges(mask) == sorted(set(ids))
 
 
 def test_gnp_deterministic():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -5,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    MatcherV1,
     blossom_violations_full,
     brute_matching_number,
     complete_graph,
     cycle_graph,
     matching_number_v0,
+    matching_number_v1,
     matching_size_expectation_exact,
     maximum_matching_v0,
+    maximum_matching_v1,
     is_matching,
     path_graph,
     petersen_subgraph,
@@ -21,6 +25,7 @@ from oracles import (
 from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph, mask_edges
 from stochmatch.matching import (
     CapExceeded,
+    _Matcher,
     FractionalMatching,
     check_blossom,
     fractional_size,
@@ -95,25 +100,109 @@ def differential_corpus():
     return graphs
 
 
+def sparse_gnp(n: int, seed: int, c: float = 3.0) -> Graph:
+    """G(n, c/n), by geometric skips over the pairs (Batagelj-Brandes)."""
+    rng = random.Random(seed)
+    log_q = math.log(1.0 - c / n)
+    triples = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            triples.append((w, v, 0.5))
+    return Graph.build(n, triples)
+
+
+def active_form(form: str, mask: int):
+    if form == "none":
+        return None
+    if form == "mask":
+        return mask
+    return mask_edges(mask)[::-1]  # unsorted on purpose
+
+
 class TestDifferentialAgainstParent:
-    """The matcher against the one it replaced, which allocated its search
-    state per search (``oracles.MatcherV0``): equal edge sets and sizes on
-    blossom-heavy graphs, under every form of ``active``."""
+    """The matcher against the ones it replaced: ``oracles.MatcherV1``,
+    whose blossoms relabeled by scanning the search tree, and
+    ``oracles.MatcherV0``, which allocated its search state per search.
+    Equal edge sets and sizes on blossom-heavy and on large sparse graphs,
+    under every form of ``active``."""
 
     @pytest.mark.parametrize("form", ["none", "mask", "ids"])
     def test_equal_edge_sets_and_sizes(self, differential_corpus, form):
         rng = random.Random(f"diff-{form}")
         for g in differential_corpus:
             for _ in range(1 if form == "none" else 8):
-                mask = rng.getrandbits(g.m)
-                if form == "none":
-                    active = None
-                elif form == "mask":
-                    active = mask
-                else:
-                    active = mask_edges(mask)[::-1]  # unsorted on purpose
-                assert maximum_matching(g, active) == maximum_matching_v0(g, active)
-                assert matching_number(g, active) == matching_number_v0(g, active)
+                active = active_form(form, rng.getrandbits(g.m))
+                got = maximum_matching(g, active)
+                assert got == maximum_matching_v1(g, active)
+                assert got == maximum_matching_v0(g, active)
+                size = matching_number(g, active)
+                assert size == matching_number_v1(g, active)
+                assert size == matching_number_v0(g, active)
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    @pytest.mark.parametrize("form", ["none", "mask", "ids"])
+    def test_sparse_gnp(self, n, form):
+        g = sparse_gnp(n, n)
+        rng = random.Random(f"sparse-{n}-{form}")
+        for _ in range(1 if form == "none" else 2):
+            # dense masks keep the big components, and their blossoms
+            active = active_form(form, rng.getrandbits(g.m) | rng.getrandbits(g.m))
+            got = maximum_matching(g, active)
+            assert got == maximum_matching_v1(g, active)
+            assert got == maximum_matching_v0(g, active)
+            size = matching_number(g, active)
+            assert size == len(got)
+            assert size == matching_number_v1(g, active)
+            assert size == matching_number_v0(g, active)
+
+
+class CountingMatcher(_Matcher):
+    """Counts the vertices blossoms relabel: each joins its new base's
+    member list once per relabel."""
+
+    relabeled = 0
+
+    def _lca(self, a, b):
+        cur = super()._lca(a, b)
+        self.cur, self.before = cur, len(self.members.get(cur, (cur,)))
+        return cur
+
+    def _contract(self, q, v, to) -> None:
+        super()._contract(q, v, to)
+        self.relabeled += len(self.members[self.cur]) - self.before
+
+
+class CountingMatcherV1(MatcherV1):
+    """Counts the tree entries blossoms scan."""
+
+    scanned = 0
+
+    def _contract(self, q, v, to) -> None:
+        self.scanned += len(self.tree)
+        super()._contract(q, v, to)
+
+
+def test_blossom_relabel_costs_the_blossom():
+    # the full G(8000, m=12,030): blossoms in big trees, where a relabel
+    # by tree scan costs tree x blossoms
+    rng = random.Random(8000)
+    pairs = set()
+    while len(pairs) < 12_030:
+        u, v = rng.randrange(8000), rng.randrange(8000)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    g = Graph.build(8000, [(u, v, 0.5) for u, v in sorted(pairs)])
+    new, old = CountingMatcher(g, None), CountingMatcherV1(g, None)
+    new.run()
+    old.run()
+    assert new.edge_set() == old.edge_set()
+    assert old.scanned > 100_000
+    assert 0 < new.relabeled < old.scanned / 20
 
 
 class TestExactExpectation:
