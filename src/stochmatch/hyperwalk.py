@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
-from .lca import Site, site_tape
+from .lca import Site, _Tape, site_tape
 from .matching import matched_vertices
 from .mis import greedy_member
 
@@ -422,13 +422,13 @@ def _augmenting_core(
 # tape formulas and the walk conflict graph, shared by both routes
 
 
-def _copy_realized(tape: SeedContext, lineage: tuple, p: float) -> bool:
+def _copy_realized(tape: SeedContext | _Tape, lineage: tuple, p: float) -> bool:
     """Whether an edge with probability ``p`` and tape ``tape`` is present
     in the fresh copy drawn under ``lineage``."""
     return tape.uniform("copy", *lineage) < p
 
 
-def _walk_rank(tape: SeedContext, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
+def _walk_rank(tape: SeedContext | _Tape, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
     """MIS rank of ``w``, read off the tape of its first edge."""
     u = tape.uniform("misrank", *lineage, level, len(w.edges), *w.edges, *w.indices)
     return (u,) + w.sort_key

@@ -14,12 +14,13 @@ small neighborhood of it.  The runtime mediates every exploration step:
 The oracle is the one record of a query's probed region: it exposes
 its probed sites and the vertices they touch read-only.
 
-A site's tape is a fixed function of (ctx, site), so it is derived once
-and read from a tape table keyed by site.  A sweep shares one table
-across its roots and drops it when the sweep ends, so each tape is
-derived once per sweep; a lone query keeps its own table.  Only the
-derivation is shared: each query still checks naturality and records
-its own probes.
+A site's tape is a fixed function of (ctx, site), and so is every value
+read off it, so a tape is derived once into a tape table keyed by site
+and each of its values is hashed once and stored there.  A sweep shares
+one table across its roots and drops it when the sweep ends; a lone
+query keeps its own table.  Derivations and the values read off each
+tape are shared; each query still checks naturality and records its own
+probes.
 
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
@@ -64,6 +65,22 @@ def site_tape(ctx: SeedContext, site: Site) -> SeedContext:
     return ctx.child("tape", site.kind, site.id)
 
 
+class _Tape:
+    """A site's tape in a tape table: ``uniform`` hashes each distinct
+    label tuple once and then returns the stored value.  The values die
+    with the table; long-lived contexts store none."""
+
+    def __init__(self, ctx: SeedContext) -> None:
+        self._ctx = ctx
+        self._values = {}  # labels -> float
+
+    def uniform(self, *labels) -> float:
+        value = self._values.get(labels)
+        if value is None:
+            value = self._values[labels] = self._ctx.uniform(*labels)
+        return value
+
+
 @dataclass(frozen=True)
 class ProbeTrace:
     root: Site
@@ -88,10 +105,11 @@ class LcaOracle:
     ) -> None:
         self.graph = g
         self._ctx = ctx
-        self._tapes = {} if tapes is None else tapes  # Site -> tape under ctx
+        self._tapes = {} if tapes is None else tapes  # Site -> _Tape under ctx
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
         self._touched = {}  # vertex -> None
+        self._near = set()  # the touched vertices and their neighbors
         # read-only live views: the probed sites and the vertices they touch
         self.probed = self._probed.keys()
         self.touched = self._touched.keys()
@@ -100,9 +118,7 @@ class LcaOracle:
 
     def _adjacent_to_probed(self, site: Site) -> bool:
         if site.kind == "vertex":
-            if site.id in self._touched:
-                return True
-            return any(u in self._touched for u in self.graph.neighbors(site.id))
+            return site.id in self._near
         u, v = self.graph.endpoints(site.id)
         return u in self._touched or v in self._touched
 
@@ -116,22 +132,28 @@ class LcaOracle:
                 f"{site} is not adjacent to the probed region of {self.root}"
             )
 
-    def _tape(self, site: Site) -> SeedContext:
+    def _tape(self, site: Site) -> _Tape:
         tape = self._tapes.get(site)
         if tape is None:
-            tape = self._tapes[site] = site_tape(self._ctx, site)
+            tape = self._tapes[site] = _Tape(site_tape(self._ctx, site))
         return tape
 
-    def probe(self, site: Site) -> SeedContext:
-        """Expand ``site``: ledger it and return its tape namespace."""
+    def probe(self, site: Site) -> _Tape:
+        """Expand ``site``: ledger it and return its tape from the table.
+        Naturality is checked on every call, stored values or not."""
         self._admit(site)
         if site not in self._probed:
             self._probed[site] = None
-            self._touched.update(dict.fromkeys(site.vertices(self.graph)))
+            for v in site.vertices(self.graph):
+                if v not in self._touched:
+                    self._touched[v] = None
+                    self._near.add(v)
+                    self._near.update(self.graph.neighbors(v))
         return self._tape(site)
 
-    def peek(self, site: Site) -> SeedContext:
-        """Read a tape without expanding the site (not ledgered)."""
+    def peek(self, site: Site) -> _Tape:
+        """Read a tape from the table without expanding the site (not
+        ledgered)."""
         self._admit(site)
         return self._tape(site)
 

@@ -665,6 +665,17 @@ def site_tape_v0(ctx: SeedContext, site: Site) -> SeedContext:
 
 
 class LcaOracleV0(LcaOracle):
+    """The parent oracle: a fresh tape per read, and a peeked vertex's
+    neighbors scanned against the touched set."""
+
+    def _adjacent_to_probed(self, site: Site) -> bool:
+        if site.kind == "vertex":
+            if site.id in self._touched:
+                return True
+            return any(u in self._touched for u in self.graph.neighbors(site.id))
+        u, v = self.graph.endpoints(site.id)
+        return u in self._touched or v in self._touched
+
     def probe(self, site: Site) -> SeedContext:
         self._admit(site)
         if site not in self._probed:

@@ -3,8 +3,11 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    LcaOracleV0,
     add_sweep_pairwise,
     estimate_delta,
     find_rank_ctx,
@@ -15,6 +18,7 @@ from oracles import (
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import (
+    LcaOracle,
     NaturalityViolation,
     QueryLedger,
     Site,
@@ -52,13 +56,17 @@ class HubLca:
 
 
 class RogueLca:
-    """Probes a site not adjacent to anything probed."""
+    """Probes the root, then probes or peeks at the vertex ``hops`` ids on."""
 
     site_kind = "vertex"
 
+    def __init__(self, op="probe", hops=2):
+        self.op = op
+        self.hops = hops
+
     def run(self, oracle, root):
         oracle.probe(root)
-        oracle.probe(Site.vertex(root.id + 2))
+        getattr(oracle, self.op)(Site.vertex(root.id + self.hops))
         return True
 
 
@@ -93,8 +101,10 @@ class TestRunLca:
 
     def test_naturality_enforced(self):
         g = path_graph(3)
-        with pytest.raises(NaturalityViolation):
-            run_lca(RogueLca(), g, SeedContext(0), Site.vertex(0))
+        for op in ("probe", "peek"):
+            with pytest.raises(NaturalityViolation):
+                run_lca(RogueLca(op), g, SeedContext(0), Site.vertex(0))
+            assert run_lca(RogueLca(op, hops=1), g, SeedContext(0), Site.vertex(0))[0]
 
     def test_trace_prefixes_connected(self):
         # independent re-check of the naturality contract on real traces
@@ -258,27 +268,43 @@ class TestTapeTable:
         self.assert_matches_v0(lca, g, SeedContext(3).child("tt"))
 
     @staticmethod
-    def count_derivations(monkeypatch):
+    def count_calls(monkeypatch, name):
         counter = {"n": 0}
-        original = SeedContext.__post_init__
+        original = getattr(SeedContext, name)
 
         def counting(self, *args):
             counter["n"] += 1
-            original(self, *args)
+            return original(self, *args)
 
-        monkeypatch.setattr(SeedContext, "__post_init__", counting)
+        monkeypatch.setattr(SeedContext, name, counting)
         return counter
 
     def test_tmis_sweep_derives_each_tape_once(self, monkeypatch):
+        # and hashes each rank once
         graphs = [gnp_graph(n, 3.0 / n, 0.5, SeedContext(1).child("gen")) for n in (12, 60, 200)]
         ctx = SeedContext(1).child("count")
-        counter = self.count_derivations(monkeypatch)
+        derived = self.count_calls(monkeypatch, "__post_init__")
+        digests = self.count_calls(monkeypatch, "digest")
         for g in graphs:
             for budget in (None, 3):
                 lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
-                counter["n"] = 0
+                derived["n"] = digests["n"] = 0
                 sweep_ledger(lca, g, ctx)
-                assert counter["n"] <= g.n
+                assert derived["n"] <= g.n
+                assert digests["n"] <= g.n
+
+    def test_b_matching_sweep_hashes_each_value_once(self, monkeypatch):
+        g, lca = golden_b_matching("kite")
+        reads = []
+        original = SeedContext.digest
+
+        def recording(self, *labels):
+            reads.append((self.seed, self.path, labels))
+            return original(self, *labels)
+
+        monkeypatch.setattr(SeedContext, "digest", recording)
+        sweep_ledger(lca, g, SeedContext(3).child("count"))
+        assert reads and len(set(reads)) == len(reads)
 
     def test_table_dies_with_its_sweep(self):
         # no query may leave a reference cycle reaching the table: the
@@ -301,11 +327,51 @@ class TestTapeTable:
     def test_b_matching_query_derives_each_tape_once(self, monkeypatch):
         g, lca = golden_b_matching("kite")
         ctx = SeedContext(3).child("count")
-        counter = self.count_derivations(monkeypatch)
+        counter = self.count_calls(monkeypatch, "__post_init__")
         for e in range(g.m):
             counter["n"] = 0
             run_lca(lca, g, ctx, Site.edge(e))
             assert counter["n"] <= g.m
+
+
+class TestNearSet:
+    """The oracle's one-lookup naturality check against the parent's
+    scan of a peeked vertex's neighbors (``LcaOracleV0``)."""
+
+    @staticmethod
+    def replay(oracle_cls, g, root, steps):
+        oracle = oracle_cls(g, SeedContext(0), root)
+        admitted = []
+        for op, site in steps:
+            try:
+                getattr(oracle, op)(site)
+                admitted.append(True)
+            except NaturalityViolation:
+                admitted.append(False)
+        return admitted, oracle.trace()
+
+    def assert_admits_as_scan(self, g, root, steps):
+        new = self.replay(LcaOracle, g, root, steps)
+        assert new == self.replay(LcaOracleV0, g, root, steps)
+        return new[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_reads(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph.build(n, [(u, v, 0.5) for u, v in chosen])
+        sites = [Site.vertex(v) for v in range(n)] + [Site.edge(e) for e in range(g.m)]
+        site = st.sampled_from(sites)
+        root = data.draw(site)
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(["probe", "peek"]), site), max_size=15))
+        self.assert_admits_as_scan(g, root, steps)
+
+    def test_vertex_peek_after_edge_probes_only(self):
+        g = path_graph(4)  # vertices 0-1-2-3-4, edge e joins e and e + 1
+        steps = [("probe", Site.edge(1)), ("peek", Site.vertex(3)), ("peek", Site.vertex(4))]
+        assert self.assert_admits_as_scan(g, Site.edge(0), steps) == [True, True, False]
 
 
 class TestDelta:
