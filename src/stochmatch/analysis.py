@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +34,7 @@ from .graph import (
 )
 from .hyperwalk import (
     BParams,
+    SeedMemo,
     UnsaturationTable,
     WalkIndex,
     b_generic,
@@ -152,10 +152,16 @@ def prepare_crucial(
     return CrucialSetup(sub, to_sub, from_sub, table, walks, bparams)
 
 
-def compute_MC(crucial: CrucialSetup, g_real: Realization, alg_ctx: SeedContext) -> frozenset:
+def compute_MC(
+    crucial: CrucialSetup,
+    g_real: Realization,
+    alg_ctx: SeedContext,
+    memo: Optional[SeedMemo] = None,
+) -> frozenset:
     """The recursive matching of the realized crucial subgraph, as
     full-graph edge ids.  Depends on the input realization only through
-    the bits of crucial edges."""
+    the bits of crucial edges.  ``memo`` is shared by calls under one
+    ``alg_ctx`` (see :class:`SeedMemo`)."""
     mask = edge_mask(
         sub_e for sub_e, full_e in enumerate(crucial.from_sub) if g_real.has(full_e)
     )
@@ -167,6 +173,7 @@ def compute_MC(crucial: CrucialSetup, g_real: Realization, alg_ctx: SeedContext)
         alg_ctx,
         table=crucial.table,
         walks=crucial.walks,
+        memo=memo,
     )
     return frozenset(crucial.from_sub[e] for e in matched)
 
@@ -201,15 +208,17 @@ def build_match_prob_table(
 
     Exact mode enumerates the crucial subgraph's realizations (the
     matching never reads anything else) against one fixed algorithm
-    seed; Monte Carlo redraws both per trial.
+    seed, so all of its calls share one :class:`SeedMemo`; Monte Carlo
+    redraws both per trial.
     """
     sub = crucial.sub
     exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
+    memo = SeedMemo() if exact else None
     covered = [0.0] * g.n
     for t, (real, weight) in enumerate(worlds):
         matched = b_generic(
             sub, real, crucial.bparams, alg_seed(ctx, exact, t),
-            table=crucial.table, walks=crucial.walks,
+            table=crucial.table, walks=crucial.walks, memo=memo,
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -245,7 +254,8 @@ def build_delta_table(
     A vertex's exploration is the union of instrumented membership
     queries over its incident crucial edges (plus the vertex itself).
     Each trial redraws the crucial realization; the algorithm seed
-    follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines.
+    follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines,
+    whose queries then share one tape table.
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
@@ -255,9 +265,11 @@ def build_delta_table(
     sub = crucial.sub
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
+    shared = {}  # the exact pipeline's one tape table
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
         alg_ctx = alg_seed(ctx, exact, t)
+        tapes = shared if exact else {}
         lca = BMatchingLca(
             sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks
         )
@@ -265,7 +277,7 @@ def build_delta_table(
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, alg_ctx, Site.edge(e))
+                _, trace = run_lca(lca, sub, alg_ctx, Site.edge(e), tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -536,9 +548,10 @@ def prepare_pipeline(
     )
 
 
-def run_pipeline(setup: PipelineSetup, trial: int) -> PipelineRun:
+def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = None) -> PipelineRun:
+    """One trial; ``memo`` is shared by trials under one algorithm seed."""
     real = setup.realization(trial)
-    m_c = compute_MC(setup.crucial, real, setup.alg_ctx(trial))
+    m_c = compute_MC(setup.crucial, real, setup.alg_ctx(trial), memo)
     x = build_x(
         setup.g,
         setup.q,
@@ -601,8 +614,8 @@ def _freq_stderr(count: int, n: int) -> tuple:
     return freq, math.sqrt(max(freq * (1.0 - freq), 0.0) / n)
 
 
-def _trial_stats(setup: PipelineSetup, trial: int) -> tuple:
-    run = run_pipeline(setup, trial)
+def _trial_stats(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> tuple:
+    run = run_pipeline(setup, trial, memo)
     scaled_total = (1.0 - setup.eps) * run.x_total
     try:
         blossom_ok = check_blossom(run.y, setup.eps).ok
@@ -611,6 +624,13 @@ def _trial_stats(setup: PipelineSetup, trial: int) -> tuple:
         blossom_ok = True
         blossom_known = False
     return (run.x_loads(), run.x_total, scaled_total, run.y_total, blossom_ok, blossom_known)
+
+
+def _trial_block(setup: PipelineSetup, trials: range) -> list:
+    """Stats of consecutive trials.  An exact pipeline's trials share one
+    algorithm seed and so one memo; sampled trials keep their own."""
+    memo = SeedMemo() if setup.exact else None
+    return [_trial_stats(setup, t, memo) for t in trials]
 
 
 def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimReport:
@@ -622,11 +642,19 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimR
     if trials < 1:
         raise ValueError("trials must be positive")
     if workers > 1:
+        # imported here: the pool machinery is a large share of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one block of consecutive trials per worker, each with its own memo;
         # a forked pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, trials)) as pool:
-            stats = list(pool.map(_trial_stats, [setup] * trials, range(trials)))
+        workers = min(workers, trials)
+        cuts = [trials * k // workers for k in range(workers + 1)]
+        blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = pool.map(_trial_block, [setup] * workers, blocks)
+            stats = [s for block in done for s in block]
     else:
-        stats = [_trial_stats(setup, t) for t in range(trials)]
+        stats = _trial_block(setup, range(trials))
     g = setup.g
     eps = setup.eps
     checks = []

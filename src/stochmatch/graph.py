@@ -23,6 +23,8 @@ from itertools import compress
 from typing import Iterable, Optional
 
 ENUM_CAP = 24
+# enumerate_realizations tabulates the prefix products of this many edges
+LOW_EDGES = 10
 # largest vertex count a graph file may declare or imply; bench inputs stop at 4,000
 MAX_VERTICES = 1_000_000
 
@@ -200,12 +202,23 @@ def enumerate_realizations(g: Graph):
     m = g.m
     if m > ENUM_CAP:
         raise EdgeCountExceeded(f"{m} edges exceeds enumeration cap {ENUM_CAP}")
-    probs = [g.edges[e][2] for e in range(m)]
-    for mask in range(1 << m):
-        pr = 1.0
-        for e in range(m):
-            pr *= probs[e] if (mask >> e) & 1 else 1.0 - probs[e]
-        yield Realization(g, mask), pr
+    factors = [(1.0 - p, p) for _, _, p in g.edges]
+    # Products of the low edges' factors, one per low mask, built in the
+    # same left-to-right order as the per-mask product; the high factors
+    # then multiply in that order too, so every probability keeps its bits.
+    low = min(m, LOW_EDGES)
+    prefix = [1.0]
+    for absent, present in factors[:low]:
+        prefix = [pr * absent for pr in prefix] + [pr * present for pr in prefix]
+    high = factors[low:]
+    for hi in range(1 << (m - low)):
+        row = prefix
+        for j, f in enumerate(high):
+            factor = f[(hi >> j) & 1]
+            row = [pr * factor for pr in row]
+        base = hi << low
+        for lo, pr in enumerate(row):
+            yield Realization(g, base | lo), pr
 
 
 def weighted_realizations(

@@ -12,10 +12,11 @@ vertex keeps its degree, and both endpoints are unsaturated.
 profile from level r-1 matchings (copy 0 inherits the input realization,
 copies 1..alpha draw fresh ones from the PRF), selects a greedy maximal
 independent set of augmenting hyperwalks by rank, and returns copy 0's
-updated matching.  ``BMatchingLca`` answers single-edge membership
-queries for the same function by local exploration; with identical
-seeds the two routes agree edge for edge, which the test suite checks
-exhaustively on small instances.
+updated matching; its calls under one algorithm seed share a
+:class:`SeedMemo` of what that seed alone fixes.  ``BMatchingLca``
+answers single-edge membership queries for the same function by local
+exploration; with identical seeds the two routes agree edge for edge,
+which the test suite checks exhaustively on small instances.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
@@ -35,12 +36,16 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
-from .lca import Site, _Tape, site_tape
+from .lca import Site, _Tape, table_tape
 from .matching import matched_vertices
 from .mis import greedy_member
 
 WALK_CEILING_DEFAULT = 100_000
 NODE_CEILING_DEFAULT = 2_000_000
+# deepest recursion either route runs; each level costs a few Python
+# frames, and this keeps both routes inside the interpreter's default
+# limit of 1,000 frames
+DEPTH_LIMIT = 500
 
 
 class EnumerationTooLarge(RuntimeError):
@@ -463,12 +468,38 @@ class _Guard:
             raise ResourceGuard(f"computation exceeded {self.ceiling} nodes")
 
 
-def _prf_realization(g: Graph, ctx: SeedContext, lineage: tuple) -> Realization:
-    present = (
-        e for e in range(g.m)
-        if _copy_realized(site_tape(ctx, Site.edge(e)), lineage, g.probability(e))
-    )
-    return Realization(g, edge_mask(present))
+def _check_depth(depth: int) -> None:
+    if depth > DEPTH_LIMIT:
+        raise ResourceGuard(f"--depth {depth} exceeds the recursion limit of {DEPTH_LIMIT} levels")
+
+
+class SeedMemo:
+    """What one algorithm seed fixes for ``b_generic``, shared by its calls.
+
+    Under one scope (g, ctx, table, walks, and the alpha, margin and
+    mis_budget of params) each edge tape, each walk rank and each fresh
+    copy (index i >= 1) with the matching of its subtree are functions
+    of the seed alone.  A fresh subtree never reads the input
+    realization, and its lineage names its level.  Copy-0 profiles and
+    walk validity read the input, so they stay per call.  The first call
+    binds the memo to its scope, and a call under another scope raises.
+    A subtree entry keeps the guard nodes its computation ticked, and a
+    hit ticks them again, so the node ceiling trips at the same count as
+    without the memo.  The values die with the memo; its owner drops it
+    when its loop ends.
+    """
+
+    def __init__(self) -> None:
+        self.scope = None
+        self.tapes = {}  # a tape table under the scope's ctx: Site -> _Tape
+        self.ranks = {}  # (lineage, level, walk) -> rank
+        self.copies = {}  # lineage -> (realization, subtree matching, guard nodes)
+
+    def bind(self, scope: tuple) -> None:
+        if self.scope is None:
+            self.scope = scope
+        elif self.scope != scope:
+            raise ValueError("memo belongs to another algorithm seed or setup")
 
 
 def _select_walks(
@@ -476,9 +507,8 @@ def _select_walks(
     walks: WalkIndex,
     table: UnsaturationTable,
     params: BParams,
-    ctx: SeedContext,
-    lineage: tuple,
     level: int,
+    rank: Callable,
     guard: _Guard,
 ) -> list:
     """Greedy MIS of augmenting hyperwalks by rank, with each member's
@@ -501,14 +531,6 @@ def _select_walks(
                 profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
             )
         return valid_memo[w]
-
-    rank_memo = {}
-
-    def rank(w: Hyperwalk) -> tuple:
-        if w not in rank_memo:
-            tape = site_tape(ctx, Site.edge(w.edges[0]))
-            rank_memo[w] = _walk_rank(tape, lineage, level, w)
-        return rank_memo[w]
 
     order = sorted(
         ((rank(w), w) for w in walks.all_walks() if valid(w)), key=lambda t: t[0]
@@ -541,38 +563,64 @@ def b_generic(
     level: Optional[int] = None,
     table: Optional[UnsaturationTable] = None,
     walks: Optional[WalkIndex] = None,
+    memo: Optional[SeedMemo] = None,
 ) -> frozenset:
     """Recursive matching of ``realization`` at the given level.
 
     Copy 0 of each node inherits the parent's realization; copies 1..alpha
     at level r under lineage path sigma are drawn from the PRF namespace
     (sigma, r, i).  The returned edge set is a matching within the input
-    realization and is reproducible from (ctx, realization).
+    realization and is reproducible from (ctx, realization).  ``memo``
+    is shared by calls under one scope (see :class:`SeedMemo`); without
+    it the call keeps its own.
     """
     if level is None:
         level = params.depth
+    _check_depth(level)
     if table is None:
         table = UnsaturationTable.always_unsaturated(g.n, max(1, level))
     if walks is None:
         walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
     if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
         raise ValueError("walk index does not match params")
+    if memo is None:
+        memo = SeedMemo()
+    memo.bind((g, ctx, table, walks, params.alpha, params.margin, params.mis_budget))
+    tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
     guard = _Guard(params.node_ceiling)
+
+    def tape(e: int) -> _Tape:
+        return table_tape(tapes, ctx, Site.edge(e))
 
     def recurse(lineage: tuple, real: Realization, lvl: int) -> frozenset:
         guard.tick()
         if lvl == 0:
             return frozenset()
-        pairs = []
-        for i in range(params.alpha + 1):
-            if i == 0:
-                sub_lineage, gi = lineage, real
+        pairs = [(real, recurse(lineage, real, lvl - 1))]
+        for i in range(1, params.alpha + 1):
+            sub_lineage = lineage + (lvl, i)
+            hit = copies.get(sub_lineage)
+            if hit is None:
+                start = guard.nodes
+                gi = Realization(g, edge_mask(
+                    e for e in range(g.m)
+                    if _copy_realized(tape(e), sub_lineage, g.probability(e))
+                ))
+                matching = recurse(sub_lineage, gi, lvl - 1)
+                hit = copies[sub_lineage] = (gi, matching, guard.nodes - start)
             else:
-                sub_lineage = lineage + (lvl, i)
-                gi = _prf_realization(g, ctx, sub_lineage)
-            pairs.append((gi, recurse(sub_lineage, gi, lvl - 1)))
+                guard.tick(hit[2])
+            pairs.append(hit[:2])
         profile = Profile(tuple(pairs))
-        chosen = _select_walks(profile, walks, table, params, ctx, lineage, lvl, guard)
+
+        def rank(w: Hyperwalk) -> tuple:
+            key = (lineage, lvl, w)
+            r = ranks.get(key)
+            if r is None:
+                r = ranks[key] = _walk_rank(tape(w.edges[0]), lineage, lvl, w)
+            return r
+
+        chosen = _select_walks(profile, walks, table, params, lvl, rank, guard)
         for w in sorted(chosen, key=lambda x: x.sort_key):
             profile = apply_hyperwalk(profile, w)
         return profile.matching(0)
@@ -785,6 +833,7 @@ class BMatchingLca:
     ) -> None:
         if root_realization.graph is not g:
             raise ValueError("realization belongs to a different graph")
+        _check_depth(params.depth)
         self.g = g
         self.params = params
         self.root_realization = root_realization

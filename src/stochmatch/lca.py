@@ -81,6 +81,15 @@ class _Tape:
         return value
 
 
+def table_tape(tapes: dict, ctx: SeedContext, site: Site) -> _Tape:
+    """``site``'s tape in the tape table ``tapes`` of ``ctx``, derived on
+    first use."""
+    tape = tapes.get(site)
+    if tape is None:
+        tape = tapes[site] = _Tape(site_tape(ctx, site))
+    return tape
+
+
 @dataclass(frozen=True)
 class ProbeTrace:
     root: Site
@@ -132,12 +141,6 @@ class LcaOracle:
                 f"{site} is not adjacent to the probed region of {self.root}"
             )
 
-    def _tape(self, site: Site) -> _Tape:
-        tape = self._tapes.get(site)
-        if tape is None:
-            tape = self._tapes[site] = _Tape(site_tape(self._ctx, site))
-        return tape
-
     def probe(self, site: Site) -> _Tape:
         """Expand ``site``: ledger it and return its tape from the table.
         Naturality is checked on every call, stored values or not."""
@@ -149,13 +152,13 @@ class LcaOracle:
                     self._touched[v] = None
                     self._near.add(v)
                     self._near.update(self.graph.neighbors(v))
-        return self._tape(site)
+        return table_tape(self._tapes, self._ctx, site)
 
     def peek(self, site: Site) -> _Tape:
         """Read a tape from the table without expanding the site (not
         ledgered)."""
         self._admit(site)
-        return self._tape(site)
+        return table_tape(self._tapes, self._ctx, site)
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value

@@ -27,6 +27,10 @@ class CapExceeded(ValueError):
     """Raised when an odd-set sweep would enumerate too many sets."""
 
 
+def _corrupt(where: str) -> RuntimeError:
+    return RuntimeError(f"matcher search state is inconsistent: {where} passed n + 1 steps")
+
+
 def _active_ids(g: Graph, active) -> list:
     if active is None:
         return list(range(g.m))
@@ -44,7 +48,11 @@ class _Matcher:
     resets only those entries.  ``members`` lists, for each base of a
     contracted blossom, the vertices whose base it is, so a blossom
     relabels the members of the bases it absorbs rather than scanning
-    the tree.
+    the tree.  A correct search enqueues each vertex at most once, and
+    every walk up the tree (a climb, a blossom path, an augmentation)
+    visits each vertex at most once, so each of these loops runs at most
+    n + 1 turns (``steps``); one that would run more raises instead of
+    looping on a fault in the per-search state.
     """
 
     def __init__(self, g: Graph, active) -> None:
@@ -62,6 +70,8 @@ class _Matcher:
         self.used = [False] * n
         self.tree = []
         self.members = {}
+        # a bound on every loop of a search: see the class docstring
+        self.steps = range(n + 1)
 
     def _find_path(self, root: int) -> int:
         adj, match, p, base, used = self.adj, self.match, self.parent, self.base, self.used
@@ -69,7 +79,9 @@ class _Matcher:
         used[root] = True
         tree.append(root)
         q = deque([root])
-        while q:
+        for _ in self.steps:
+            if not q:
+                return -1
             v = q.popleft()
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
@@ -84,7 +96,7 @@ class _Matcher:
                     used[match[to]] = True
                     tree.append(match[to])
                     q.append(match[to])
-        return -1
+        raise _corrupt("the search queue")
 
     def _contract(self, q, v, to) -> None:
         base, used, members = self.base, self.used, self.members
@@ -111,32 +123,34 @@ class _Matcher:
 
     def _lca(self, a, b):
         base, p, match = self.base, self.parent, self.match
+        steps = self.steps
         v = base[a]
         marked = {v}
-        while match[v] != -1:
+        for _ in steps:
+            if match[v] == -1:
+                break
             v = base[p[match[v]]]
             marked.add(v)
+        else:
+            raise _corrupt("a climb to the root")
         v = base[b]
-        while v not in marked:
+        for _ in steps:
+            if v in marked:
+                return v
             v = base[p[match[v]]]
-        return v
+        raise _corrupt("a climb to the common base")
 
     def _mark_path(self, marks, v, b, child):
         base, p, match = self.base, self.parent, self.match
-        while base[v] != b:
+        for _ in self.steps:
+            if base[v] == b:
+                return
             marks.append(base[v])
             marks.append(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
-
-    def _augment(self, v: int) -> None:
-        p, match = self.parent, self.match
-        while v != -1:
-            pv = p[v]
-            ppv = match[pv]
-            match[v], match[pv] = pv, v
-            v = ppv
+        raise _corrupt("a blossom path")
 
     def _reset(self) -> None:
         p, base, used = self.parent, self.base, self.used
@@ -148,7 +162,7 @@ class _Matcher:
         self.members.clear()
 
     def run(self, greedy_seed: bool = False) -> None:
-        match, adj = self.match, self.adj
+        match, adj, p, steps = self.match, self.adj, self.parent, self.steps
         if greedy_seed:
             # Size-only fast path: start from a maximal matching so few
             # augmentation phases remain.  Do not use where the edge
@@ -159,9 +173,16 @@ class _Matcher:
                     match[v] = u
         for v in range(self.n):
             if match[v] == -1 and adj[v]:
-                finish = self._find_path(v)
-                if finish != -1:
-                    self._augment(finish)
+                u = self._find_path(v)
+                for _ in steps:  # augment along the path found, if any
+                    if u == -1:
+                        break
+                    pu = p[u]
+                    ppu = match[pu]
+                    match[u], match[pu] = pu, u
+                    u = ppu
+                else:
+                    raise _corrupt("an augmenting path")
                 self._reset()
 
     def edge_set(self) -> frozenset:

@@ -38,8 +38,12 @@ from stochmatch.hyperwalk import (
     UnsaturationTable,
     WalkIndex,
     _augmenting_core,
+    _copy_realized,
     _Engine,
-    b_generic,
+    _Guard,
+    _walk_lower,
+    _walk_rank,
+    apply_hyperwalk,
     walk_vertices,
 )
 from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
@@ -624,13 +628,151 @@ def build_match_prob_table_v0(
         )
     covered = [0.0] * g.n
     for real, weight, alg_ctx in worlds:
-        matched = b_generic(
+        matched = b_generic_v0(
             sub, real, crucial.bparams, alg_ctx, table=crucial.table, walks=crucial.walks
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
     return MatchProbTable(tuple(1.0 - c / runs for c in covered), 0 if exact else trials, exact)
+
+
+#
+# enumerate_realizations before the prefix-product table: one product of
+# m factors per mask.
+
+
+def enumerate_realizations_v0(g: Graph):
+    m = g.m
+    probs = [g.edges[e][2] for e in range(m)]
+    for mask in range(1 << m):
+        pr = 1.0
+        for e in range(m):
+            pr *= probs[e] if (mask >> e) & 1 else 1.0 - probs[e]
+        yield Realization(g, mask), pr
+
+
+#
+# b_generic before the seed memo: every call derived each edge tape once
+# per lineage that read it, ranked walks afresh, and recomputed every
+# fresh-copy subtree.
+
+
+def _prf_realization_v0(g: Graph, ctx: SeedContext, lineage: tuple) -> Realization:
+    present = (
+        e for e in range(g.m)
+        if _copy_realized(site_tape(ctx, Site.edge(e)), lineage, g.probability(e))
+    )
+    return Realization(g, edge_mask(present))
+
+
+def _select_walks_v0(
+    profile: Profile,
+    walks: WalkIndex,
+    table: UnsaturationTable,
+    params: BParams,
+    ctx: SeedContext,
+    lineage: tuple,
+    level: int,
+    guard,
+) -> list:
+    """Greedy MIS of augmenting hyperwalks by rank, with each member's
+    query re-run under the per-root expansion budget."""
+    valid_memo = {}
+
+    def member(i: int, e: int) -> bool:
+        return e in profile.matching(i)
+
+    def realized(i: int, e: int) -> bool:
+        return profile.realization(i).has(e)
+
+    def unsat(v: int) -> bool:
+        return table.unsaturated(v, level - 1, params.margin)
+
+    def valid(w: Hyperwalk) -> bool:
+        if w not in valid_memo:
+            guard.tick()
+            valid_memo[w] = _augmenting_core(
+                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
+            )
+        return valid_memo[w]
+
+    rank_memo = {}
+
+    def rank(w: Hyperwalk) -> tuple:
+        if w not in rank_memo:
+            tape = site_tape(ctx, Site.edge(w.edges[0]))
+            rank_memo[w] = _walk_rank(tape, lineage, level, w)
+        return rank_memo[w]
+
+    order = sorted(
+        ((rank(w), w) for w in walks.all_walks() if valid(w)), key=lambda t: t[0]
+    )
+    members = []
+    covered = set()
+    for _, w in order:
+        vs = walks.vertices_of(w)
+        if all(v not in covered for v in vs):
+            members.append(w)
+            covered.update(vs)
+    if params.mis_budget is None:
+        return members
+    lower = _walk_lower(valid, rank, walks.neighbors)
+    kept = []
+    for w in members:
+        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
+        guard.tick(calls)
+        assert ok or truncated, "sweep member must resolve positively when untruncated"
+        if ok:
+            kept.append(w)
+    return kept
+
+
+def b_generic_v0(
+    g: Graph,
+    realization: Realization,
+    params: BParams,
+    ctx: SeedContext,
+    level: Optional[int] = None,
+    table: Optional[UnsaturationTable] = None,
+    walks: Optional[WalkIndex] = None,
+) -> frozenset:
+    """Recursive matching of ``realization`` at the given level.
+
+    Copy 0 of each node inherits the parent's realization; copies 1..alpha
+    at level r under lineage path sigma are drawn from the PRF namespace
+    (sigma, r, i).  The returned edge set is a matching within the input
+    realization and is reproducible from (ctx, realization).
+    """
+    if level is None:
+        level = params.depth
+    if table is None:
+        table = UnsaturationTable.always_unsaturated(g.n, max(1, level))
+    if walks is None:
+        walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
+    if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
+        raise ValueError("walk index does not match params")
+    guard = _Guard(params.node_ceiling)
+
+    def recurse(lineage: tuple, real: Realization, lvl: int) -> frozenset:
+        guard.tick()
+        if lvl == 0:
+            return frozenset()
+        pairs = []
+        for i in range(params.alpha + 1):
+            if i == 0:
+                sub_lineage, gi = lineage, real
+            else:
+                sub_lineage = lineage + (lvl, i)
+                gi = _prf_realization_v0(g, ctx, sub_lineage)
+            pairs.append((gi, recurse(sub_lineage, gi, lvl - 1)))
+        profile = Profile(tuple(pairs))
+        chosen = _select_walks_v0(profile, walks, table, params, ctx, lineage, lvl, guard)
+        for w in sorted(chosen, key=lambda x: x.sort_key):
+            profile = apply_hyperwalk(profile, w)
+        return profile.matching(0)
+
+    return recurse((), realization, level)
 
 
 #

@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from oracles import (
+    b_generic_v0,
     build_match_prob_table_v0,
     estimate_q_v0,
     estimate_ratio,
@@ -13,6 +15,7 @@ from oracles import (
     ratio_sweep_v0,
     vertex_load,
 )
+from stochmatch import analysis
 from stochmatch.analysis import (
     DeltaTable,
     MatchProbTable,
@@ -39,6 +42,7 @@ from stochmatch.graph import (
     sample_realization,
 )
 from stochmatch.hyperwalk import BParams
+from stochmatch.lca import run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
 
@@ -495,7 +499,7 @@ class TestPipeline:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("stochmatch.analysis.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         setup = smoke_setup()
         report = verify_claims(setup, trials=3, workers=8)
         assert sizes == [3]
@@ -547,3 +551,69 @@ class TestSharedRealizationLoops:
             assert build_match_prob_table(g, crucial, 40, ctx, exact) == (
                 build_match_prob_table_v0(g, crucial, 40, ctx, exact)
             )
+
+
+class TestSeedMemoPipelines:
+    """The exact pipelines' shared memos and tape tables against the
+    per-call routes they replace."""
+
+    @staticmethod
+    def fresh_calls(monkeypatch):
+        # the parent route: every b_generic call fresh, no memo
+        def parent(g, real, params, ctx, level=None, table=None, walks=None, memo=None):
+            return b_generic_v0(g, real, params, ctx, level, table, walks)
+
+        monkeypatch.setattr(analysis, "b_generic", parent)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_pipeline_matches_fresh_calls(self, monkeypatch, exact):
+        bparams = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.18, mis_budget=1)
+        kwargs = dict(bparams=bparams, exact=exact, q_samples=200, match_prob_trials=30)
+        setup = smoke_setup(**kwargs)
+        report = verify_claims(setup, trials=5)
+        self.fresh_calls(monkeypatch)
+        parent = smoke_setup(**kwargs)
+        assert setup.match_prob == parent.match_prob
+        assert report.to_json() == verify_claims(parent, trials=5).to_json()
+
+    def test_exact_table_derives_each_tape_once(self, monkeypatch):
+        g, thresholds = SOURCE_CORPUS["kite"]
+        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
+        crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
+        assert crucial.sub.m >= 3
+        paths = Counter()
+        original = SeedContext.__post_init__
+
+        def recording(self, *args):
+            paths[self.path] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(SeedContext, "__post_init__", recording)
+        build_match_prob_table(g, crucial, 40, SeedContext(6).child("mprob"), exact=True)
+        tapes = {path[-1]: n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")}
+        assert sorted(tapes) == list(range(crucial.sub.m))
+        assert set(tapes.values()) == {1}
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_delta_table_matches_per_query_tapes(self, monkeypatch, exact):
+        g, thresholds = SOURCE_CORPUS["kite"]
+        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
+        crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
+        pairs = [g.endpoints(e) for e in range(g.m)]
+        ctx = SeedContext(6).child("delta")
+
+        def recorded(per_query: bool):
+            runs = []
+
+            def recording(lca, g, ctx, root, tapes=None):
+                out, trace = run_lca(lca, g, ctx, root, None if per_query else tapes)
+                runs.append((out, trace.root, trace.probed, trace.meta))
+                return out, trace
+
+            monkeypatch.setattr(analysis, "run_lca", recording)
+            return build_delta_table(g, crucial, pairs, 6, ctx, exact), runs
+
+        shared, shared_runs = recorded(per_query=False)
+        per_query, per_query_runs = recorded(per_query=True)
+        assert shared == per_query
+        assert shared_runs == per_query_runs and len(shared_runs) > 6

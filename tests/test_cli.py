@@ -6,6 +6,7 @@ import pytest
 
 from stochmatch.cli import main
 from stochmatch.graph import Graph, load_graph, write_graph_text
+from stochmatch.hyperwalk import DEPTH_LIMIT
 from stochmatch.sparsifier import BUILD_DRAW_LIMIT
 
 
@@ -329,7 +330,25 @@ class TestExitCodes:
         rc = main(["lca-stats", "--input", inp, "--lca", "b-matching",
                    "--depth", "1200", "--samples", "1"])
         assert rc == 1
-        assert "aborted: maximum recursion depth exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"aborted: --depth 1200 exceeds the recursion limit of {DEPTH_LIMIT}" in err
+
+    @pytest.mark.parametrize("command", [
+        ["lca-stats", "--lca", "b-matching", "--samples", "1"],
+        ["verify", "--R", "1", "--thresholds", "0.1,0.2", "--samples", "1",
+         "--table-samples", "0", "--delta-trials", "1"],
+    ], ids=["lca-stats", "verify"])
+    def test_depth_limit_is_reachable(self, tmp_path, capsys, command):
+        # both routes run at the limit inside the interpreter's default
+        # frame limit, and refuse one level past it by naming the limit
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
+        out = str(tmp_path / "out")
+        assert main(command + ["--input", inp, "--depth", str(DEPTH_LIMIT), "--out", out]) == 0
+        past = str(DEPTH_LIMIT + 1)
+        assert main(command + ["--input", inp, "--depth", past, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"--depth {past} exceeds the recursion limit of {DEPTH_LIMIT} levels" in err
+        assert "maximum recursion depth" not in err
 
     @pytest.mark.parametrize("command,flag,key", [
         ("verify", "--table-samples", "table_samples"),

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import edge_id, path_graph, restrict
+from oracles import edge_id, enumerate_realizations_v0, path_graph, restrict
 from stochmatch.graph import (
     ENUM_CAP,
+    LOW_EDGES,
     MAX_VERTICES,
     EdgeCountExceeded,
     Graph,
@@ -120,6 +121,18 @@ class TestEnumeration:
         g = Graph.build(26, [(i, i + 1, 0.5) for i in range(25)])
         with pytest.raises(EdgeCountExceeded):
             list(enumerate_realizations(g))
+
+    @pytest.mark.parametrize("m", [0, 1, LOW_EDGES, 14, "sure"])
+    def test_matches_parent_loop(self, m):
+        # the prefix table must not change a single bit of any probability
+        if m == "sure":  # p = 1 edges on both sides of the table
+            g = Graph.build(13, [(i, i + 1, 1.0 if i % 3 else 0.3) for i in range(12)])
+        else:
+            rng = random.Random(m)
+            g = Graph.build(m + 1, [(i, i + 1, rng.uniform(0.01, 1.0)) for i in range(m)])
+        got = [(r.present, p.hex()) for r, p in enumerate_realizations(g)]
+        want = [(r.present, p.hex()) for r, p in enumerate_realizations_v0(g)]
+        assert got == want
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)

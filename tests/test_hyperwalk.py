@@ -1,9 +1,12 @@
 import pickle
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    b_generic_v0,
     bparams_from_eps,
     complete_graph,
     cycle_graph,
@@ -28,6 +31,8 @@ from stochmatch.hyperwalk import (
     EnumerationTooLarge,
     Hyperwalk,
     Profile,
+    ResourceGuard,
+    SeedMemo,
     UnsaturationTable,
     WalkIndex,
     apply_hyperwalk,
@@ -338,6 +343,132 @@ class TestBGeneric:
                 for r in range(params.depth + 1)
             ]
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+
+
+@st.composite
+def memo_cases(draw, mis_budget):
+    """A small graph, params, a table with gates that vary by vertex and
+    level, a seed, and a run of (realization mask, level) calls."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    g = Graph.build(n, [(u, v, draw(st.sampled_from([0.3, 0.5, 1.0]))) for u, v in sorted(chosen)])
+    alpha = draw(st.integers(0, 1))
+    params = BParams(
+        alpha=alpha, walk_len=draw(st.integers(1, 3 - alpha)), depth=draw(st.integers(1, 3)),
+        eps=0.3, margin=0.1, mis_budget=mis_budget,
+    )
+    rows = [(0.0,) * n] + [
+        tuple(draw(st.sampled_from([0.0, 0.5, 0.95])) for _ in range(n))
+        for _ in range(params.depth)
+    ]
+    table = UnsaturationTable((1.0,) * n, tuple(rows), 1)
+    walks = WalkIndex(g, params.walk_len, params.alpha)
+    ctx = SeedContext(draw(st.integers(0, 2**16))).child("alg")
+    calls = draw(st.lists(
+        st.tuples(st.integers(0, 2**g.m - 1), st.integers(0, params.depth)),
+        min_size=2, max_size=4,
+    ))
+    return g, params, table, walks, ctx, calls
+
+
+def smallest_ceiling(run) -> int:
+    """The least node ceiling under which ``run(ceiling)`` succeeds."""
+
+    def ok(ceiling):
+        try:
+            run(ceiling)
+        except ResourceGuard:
+            return False
+        return True
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestSeedMemo:
+    """Calls sharing one memo against the parent b_generic
+    (``oracles.b_generic_v0``) called fresh each time."""
+
+    @pytest.mark.parametrize("mis_budget", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shared_memo_matches_fresh_parent(self, mis_budget, data):
+        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        memo = SeedMemo()
+        for mask, level in calls:
+            real = Realization(g, mask)
+            got = b_generic(g, real, params, ctx, level, table, walks, memo)
+            assert got == b_generic_v0(g, real, params, ctx, level, table, walks)
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_smallest_ceiling_same_warm_and_cold(self, data):
+        budget = data.draw(st.sampled_from([None, 1]))
+        g, params, table, walks, ctx, calls = data.draw(memo_cases(budget))
+        warm = SeedMemo()
+        for mask, level in calls:
+            b_generic(g, Realization(g, mask), params, ctx, level, table, walks, warm)
+        for mask, level in calls:
+            real = Realization(g, mask)
+
+            def call(memo):
+                return lambda c: b_generic(
+                    g, real, replace(params, node_ceiling=c), ctx, level, table, walks, memo
+                )
+
+            cold = smallest_ceiling(lambda c: call(SeedMemo())(c))
+            assert smallest_ceiling(call(warm)) == cold
+
+    def test_plain_call_derives_each_tape_once(self, monkeypatch):
+        paths = Counter()
+        original = SeedContext.__post_init__
+
+        def recording(self, *args):
+            paths[self.path] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(SeedContext, "__post_init__", recording)
+        g = complete_graph(4)
+        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1, mis_budget=2)
+        ctx = SeedContext(5).child("alg")
+        for seed in range(3):
+            real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            paths.clear()
+            b_generic(g, real, params, ctx)
+            tapes = [n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")]
+            assert tapes and max(tapes) == 1
+
+    def test_memo_refuses_another_scope(self):
+        g = path_graph(3)
+        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
+        table = UnsaturationTable.always_unsaturated(g.n, 2)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
+        real = full_realization(g)
+        ctx = SeedContext(1).child("alg")
+        memo = SeedMemo()
+        b_generic(g, real, params, ctx, None, table, walks, memo)
+        # the guard's ceiling is no part of the scope, and an equal context is the same seed
+        b_generic(g, real, replace(params, node_ceiling=10**6), SeedContext(1).child("alg"),
+                  None, table, walks, memo)
+        others = [
+            (params, SeedContext(2).child("alg"), table, walks),
+            (replace(params, mis_budget=1), ctx, table, walks),
+            (params, ctx, UnsaturationTable.always_unsaturated(g.n, 3), walks),
+            (params, ctx, table, WalkIndex(g, params.walk_len, params.alpha)),
+        ]
+        for p, c, t, w in others:
+            with pytest.raises(ValueError, match="another"):
+                b_generic(g, real, p, c, None, t, w, memo)
 
 
 class TestBParams:

@@ -205,6 +205,54 @@ def test_blossom_relabel_costs_the_blossom():
     assert 0 < new.relabeled < old.scanned / 20
 
 
+class KeepsMembers(_Matcher):
+    """A faulty reset: blossom member lists survive into the next search."""
+
+    def _reset(self) -> None:
+        kept = dict(self.members)
+        super()._reset()
+        self.members.update(kept)
+
+
+class KeepsBases(_Matcher):
+    """A faulty reset: contracted bases survive into the next search."""
+
+    def _reset(self) -> None:
+        kept = list(self.base)
+        super()._reset()
+        self.base[:] = kept
+
+
+# graphs on which each faulty reset drives a walk up the tree into a cycle
+CORRUPTING = {
+    KeepsMembers: (8, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
+                       (2, 7), (4, 5), (4, 6), (5, 6)]),
+    KeepsBases: (8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+                     (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (3, 7),
+                     (4, 5), (4, 7), (5, 6), (5, 7)]),
+}
+
+
+class TestCorruptSearchState:
+    @pytest.mark.parametrize("faulty", list(CORRUPTING), ids=lambda c: c.__name__)
+    def test_fault_raises(self, faulty):
+        n, pairs = CORRUPTING[faulty]
+        g = Graph.build(n, [(u, v, 0.5) for u, v in pairs])
+        assert len(maximum_matching(g)) == n // 2
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            faulty(g, None).run()
+
+    @pytest.mark.parametrize("faulty", list(CORRUPTING), ids=lambda c: c.__name__)
+    def test_every_faulty_search_ends(self, faulty):
+        # each run either raises or returns; before the bounds, some looped forever
+        for seed in range(300):
+            g = random_instance(seed, n=8, edge_prob=0.5)
+            try:
+                faulty(g, None).run()
+            except RuntimeError as exc:
+                assert "inconsistent" in str(exc)
+
+
 class TestExactExpectation:
     def test_single_edge(self):
         g = Graph.build(2, [(0, 1, 0.5)])
