@@ -255,7 +255,8 @@ def build_delta_table(
     queries over its incident crucial edges (plus the vertex itself).
     Each trial redraws the crucial realization; the algorithm seed
     follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines,
-    whose queries then share one tape table.
+    whose queries then share one :class:`SeedMemo`: one tape table, and
+    a replay of each repeated (realization, root) query.
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
@@ -265,13 +266,13 @@ def build_delta_table(
     sub = crucial.sub
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
-    shared = {}  # the exact pipeline's one tape table
+    memo = SeedMemo() if exact else None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
         alg_ctx = alg_seed(ctx, exact, t)
-        tapes = shared if exact else {}
+        tapes = {} if memo is None else memo.tapes
         lca = BMatchingLca(
-            sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks
+            sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks, memo=memo
         )
         footprints = {}
         for w in involved:

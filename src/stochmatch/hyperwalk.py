@@ -16,7 +16,10 @@ updated matching; its calls under one algorithm seed share a
 :class:`SeedMemo` of what that seed alone fixes.  ``BMatchingLca``
 answers single-edge membership queries for the same function by local
 exploration; with identical seeds the two routes agree edge for edge,
-which the test suite checks exhaustively on small instances.
+which the test suite checks exhaustively on small instances.  Under a
+``SeedMemo`` a repeated query (same realization, root and depth) is
+replayed: its recorded probes go through the oracle again and its
+recorded answer and node count are returned.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
@@ -474,19 +477,22 @@ def _check_depth(depth: int) -> None:
 
 
 class SeedMemo:
-    """What one algorithm seed fixes for ``b_generic``, shared by its calls.
+    """What one algorithm seed fixes for ``b_generic`` and ``BMatchingLca``,
+    shared by their calls.
 
     Under one scope (g, ctx, table, walks, and the alpha, margin and
     mis_budget of params) each edge tape, each walk rank and each fresh
     copy (index i >= 1) with the matching of its subtree are functions
     of the seed alone.  A fresh subtree never reads the input
     realization, and its lineage names its level.  Copy-0 profiles and
-    walk validity read the input, so they stay per call.  The first call
-    binds the memo to its scope, and a call under another scope raises.
-    A subtree entry keeps the guard nodes its computation ticked, and a
-    hit ticks them again, so the node ceiling trips at the same count as
-    without the memo.  The values die with the memo; its owner drops it
-    when its loop ends.
+    walk validity read the input, so they stay per call.  So is a whole
+    query (realization mask, root edge, depth): its answer, its ordered
+    probes and its guard nodes.  The first call binds the memo to its
+    scope, and a call under another scope raises.  A subtree or query
+    entry keeps the guard nodes its computation ticked, and a hit ticks
+    them again, so the node ceiling trips at the same count as without
+    the memo.  The values die with the memo; its owner drops it when its
+    loop ends.
     """
 
     def __init__(self) -> None:
@@ -494,12 +500,18 @@ class SeedMemo:
         self.tapes = {}  # a tape table under the scope's ctx: Site -> _Tape
         self.ranks = {}  # (lineage, level, walk) -> rank
         self.copies = {}  # lineage -> (realization, subtree matching, guard nodes)
+        self.queries = {}  # (mask, root edge, depth) -> (answer, probed sites, guard nodes)
 
     def bind(self, scope: tuple) -> None:
         if self.scope is None:
             self.scope = scope
         elif self.scope != scope:
             raise ValueError("memo belongs to another algorithm seed or setup")
+
+
+def _scope(g: Graph, ctx: SeedContext, table, walks, params: BParams) -> tuple:
+    """What a :class:`SeedMemo`'s values are functions of."""
+    return (g, ctx, table, walks, params.alpha, params.margin, params.mis_budget)
 
 
 def _select_walks(
@@ -585,7 +597,7 @@ def b_generic(
         raise ValueError("walk index does not match params")
     if memo is None:
         memo = SeedMemo()
-    memo.bind((g, ctx, table, walks, params.alpha, params.margin, params.mis_budget))
+    memo.bind(_scope(g, ctx, table, walks, params))
     tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
     guard = _Guard(params.node_ceiling)
 
@@ -818,7 +830,10 @@ class BMatchingLca:
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
     query with full probe instrumentation and fresh memos; it is the
-    only query route.
+    only query route.  With a ``memo`` shared by queries under one
+    algorithm seed, a repeated query replays its recorded probes through
+    the oracle, so naturality is checked again, and returns its recorded
+    answer and node count (see :class:`SeedMemo`).
     """
 
     site_kind = "edge"
@@ -830,6 +845,7 @@ class BMatchingLca:
         root_realization: Realization,
         table: Optional[UnsaturationTable] = None,
         walks: Optional[WalkIndex] = None,
+        memo: Optional[SeedMemo] = None,
     ) -> None:
         if root_realization.graph is not g:
             raise ValueError("realization belongs to a different graph")
@@ -845,10 +861,25 @@ class BMatchingLca:
         )
         if self.walks.alpha != params.alpha or self.walks.walk_len != params.walk_len:
             raise ValueError("walk index does not match params")
+        self.memo = memo
 
     def run(self, oracle, root: Site) -> bool:
+        memo, params = self.memo, self.params
+        if memo is not None:
+            memo.bind(_scope(self.g, oracle.ctx, self.table, self.walks, params))
+            key = (self.root_realization.present, root.id, params.depth)
+            hit = memo.queries.get(key)
+            if hit is not None:
+                out, probed, nodes = hit
+                for site in probed:
+                    oracle.probe(site)
+                _Guard(params.node_ceiling).tick(nodes)
+                oracle.annotate("nodes", nodes)
+                return out
         engine = _Engine(self, oracle)
-        out = engine.is_in_matching((), root.id, self.params.depth)
+        out = engine.is_in_matching((), root.id, params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
+        if memo is not None:
+            memo.queries[key] = (out, tuple(oracle.probed), engine.guard.nodes)
         return out
 

@@ -113,7 +113,7 @@ class LcaOracle:
         self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None
     ) -> None:
         self.graph = g
-        self._ctx = ctx
+        self.ctx = ctx
         self._tapes = {} if tapes is None else tapes  # Site -> _Tape under ctx
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
@@ -152,13 +152,13 @@ class LcaOracle:
                     self._touched[v] = None
                     self._near.add(v)
                     self._near.update(self.graph.neighbors(v))
-        return table_tape(self._tapes, self._ctx, site)
+        return table_tape(self._tapes, self.ctx, site)
 
     def peek(self, site: Site) -> _Tape:
         """Read a tape from the table without expanding the site (not
         ledgered)."""
         self._admit(site)
-        return table_tape(self._tapes, self._ctx, site)
+        return table_tape(self._tapes, self.ctx, site)
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value

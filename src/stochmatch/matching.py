@@ -10,17 +10,30 @@ the active edges it is given.  The search state is allocated once per
 call and each search resets only the entries it touched, so a search
 costs the tree it explores, not n, and a blossom costs the vertices it
 relabels, not the tree.
+
+A maximum matching of a realized mask is the union of the maximum
+matchings of the mask's connected components, each computed alone.
+This holds edge for edge, not just in size: the matcher visits free
+vertices in increasing id order, a search from v explores only v's
+component, and each component's adjacency lists are the global lists
+restricted to that component, so every search of the whole mask runs
+as it would on the component alone.  An exact enumeration meets the
+same component in many masks, and a :class:`ComponentMemo` computes
+each component's matching once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .graph import Graph, mask_edges
 
 BLOSSOM_SET_CAP = 15
+# most component matchings a ComponentMemo keeps; once it is full, later
+# masks take the plain matcher.  verify-exact's 14-edge graph needs 2,151.
+COMPONENT_MEMO_CAP = 1 << 14
 
 
 class CapExceeded(ValueError):
@@ -196,12 +209,81 @@ class _Matcher:
         return (self.n - self.match.count(-1)) // 2
 
 
-def maximum_matching(g: Graph, active=None) -> frozenset:
+def _join(parts: list, vertices: int, edges: int) -> list:
+    """The partition ``parts`` of (vertex mask, edge mask) pairs with the
+    pair (vertices, edges) added and merged with every part it meets."""
+    out = []
+    for pv, pe in parts:
+        if pv & vertices:
+            vertices |= pv
+            edges |= pe
+        else:
+            out.append((pv, pe))
+    out.append((vertices, edges))
+    return out
+
+
+class ComponentMemo:
+    """Matchings of connected components, shared by the
+    ``maximum_matching`` calls of one enumeration over one graph.
+
+    A mask's components come from two cached partitions, one of its
+    low-half edge ids and one of its high-half ids, merged where they
+    share a vertex.  Each component's matching is keyed by the
+    component's edge mask, which fixes it (see the module docstring).
+    The memo keeps at most ``COMPONENT_MEMO_CAP`` matchings and dies
+    with its owner.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.low = (1 << (g.m // 2)) - 1
+        self.ends = [(1 << u) | (1 << v) for u, v, _ in g.edges]
+        # low-half and high-half masks share no key but 0, the empty partition
+        self.parts = {}  # half mask -> [(vertex mask, edge mask)]
+        self.matchings = {}  # component edge mask -> frozenset of edge ids
+
+    def _partition(self, half: int) -> list:
+        parts = self.parts.get(half)
+        if parts is None:
+            parts = []
+            for e in mask_edges(half):
+                parts = _join(parts, self.ends[e], 1 << e)
+            self.parts[half] = parts
+        return parts
+
+    def _matching(self, mask: int) -> frozenset:
+        low = mask & self.low
+        parts = self._partition(low)
+        for vertices, edges in self._partition(mask ^ low):
+            parts = _join(parts, vertices, edges)
+        matchings = self.matchings
+        found = []
+        for _, edges in parts:
+            hit = matchings.get(edges)
+            if hit is None:
+                m = _Matcher(self.g, edges)
+                m.run()
+                hit = m.edge_set()
+                if len(matchings) < COMPONENT_MEMO_CAP:
+                    matchings[edges] = hit
+            found.append(hit)
+        return found[0] if len(found) == 1 else frozenset().union(*found)
+
+
+def maximum_matching(g: Graph, active=None, memo: Optional[ComponentMemo] = None) -> frozenset:
     """Deterministic maximum matching, returned as a set of edge ids.
 
     ``active`` restricts the edge set: an iterable of edge ids, a
-    bitmask, or None for all edges.
+    bitmask, or None for all edges.  With a ``memo`` of ``g``, a bitmask
+    is matched per connected component, and each component's matching
+    is computed once per memo; the edge set is the same.
     """
+    if memo is not None:
+        if memo.g is not g or not isinstance(active, int):
+            raise ValueError("a component memo takes bitmasks of its own graph")
+        if len(memo.matchings) < COMPONENT_MEMO_CAP:
+            return memo._matching(active)
     m = _Matcher(g, active)
     m.run()
     return m.edge_set()

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .graph import EdgeCountExceeded, Graph, SeedContext
 from .graph import sample_realization, weighted_realizations
-from .matching import maximum_matching
+from .matching import ComponentMemo, maximum_matching
 
 Q_SAMPLES_DEFAULT = 10_000
 THRESHOLD_EXPONENT_DEFAULT = 3
@@ -115,14 +115,16 @@ def estimate_q(
 
     Exact mode (auto-selected when the graph fits under the enumeration
     cap) sums over all realizations; otherwise ``samples`` seeded trials
-    are drawn from ``ctx``.
+    are drawn from ``ctx``.  An exact enumeration matches each connected
+    component once, through one :class:`ComponentMemo`.
     """
     exact, worlds = weighted_realizations(g, samples, ctx, exact)
+    memo = ComponentMemo(g) if exact else None
     q = [0.0] * g.m
     for real, weight in worlds:
         if weight <= 0.0:
             continue
-        for e in maximum_matching(g, real.present):
+        for e in maximum_matching(g, real.present, memo):
             q[e] += weight
     runs = 1 if exact else samples
     return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)

@@ -19,7 +19,14 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 from stochmatch import hyperwalk
-from stochmatch.analysis import CrucialSetup, MatchProbTable, RatioEstimate, ratio_sweep
+from stochmatch.analysis import (
+    CrucialSetup,
+    DeltaTable,
+    MatchProbTable,
+    RatioEstimate,
+    alg_seed,
+    ratio_sweep,
+)
 from stochmatch.graph import (
     ENUM_CAP,
     Graph,
@@ -28,6 +35,7 @@ from stochmatch.graph import (
     edge_mask,
     enumerate_realizations,
     sample_realization,
+    weighted_realizations,
 )
 from stochmatch.hyperwalk import (
     WALK_CEILING_DEFAULT,
@@ -515,9 +523,8 @@ def validating_applications():
 
 # -- earlier implementations, kept as differential oracles ---------------------
 #
-# estimate_q, ratio_sweep and build_match_prob_table before they shared
-# graph.weighted_realizations: each resolved exact mode and ran its own
-# exact and sampled loops.
+# estimate_q before the component memo: one matcher run per mask, over
+# every edge of the mask.
 
 
 def estimate_q_v0(
@@ -526,25 +533,63 @@ def estimate_q_v0(
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
 ) -> QProfile:
-    if exact is None:
-        exact = g.m <= ENUM_CAP
+    exact, worlds = weighted_realizations(g, samples, ctx, exact)
     q = [0.0] * g.m
-    if exact:
-        for real, pr in enumerate_realizations(g):
-            if pr <= 0.0:
-                continue
-            for e in maximum_matching(g, real.present):
-                q[e] += pr
-        return QProfile(tuple(q), True, 0)
-    if ctx is None:
-        raise ValueError("sampled q estimation needs a SeedContext")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    for t in range(samples):
-        real = sample_realization(g, ctx, t)
+    for real, weight in worlds:
+        if weight <= 0.0:
+            continue
         for e in maximum_matching(g, real.present):
-            q[e] += 1.0
-    return QProfile(tuple(x / samples for x in q), False, samples)
+            q[e] += weight
+    runs = 1 if exact else samples
+    return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
+
+
+#
+# build_delta_table before query replay: every query ran its engine, and
+# an exact pipeline's queries shared only a tape table.
+
+
+def build_delta_table_v0(
+    g: Graph,
+    crucial: CrucialSetup,
+    pairs: Iterable[tuple],
+    trials: int,
+    ctx: SeedContext,
+    exact: bool = False,
+) -> DeltaTable:
+    wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
+    if not wanted:
+        return DeltaTable({}, trials)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    sub = crucial.sub
+    involved = sorted({w for pair in wanted for w in pair})
+    hits = {pair: 0 for pair in wanted}
+    shared = {}
+    for t in range(trials):
+        real = sample_realization(sub, ctx.child("real"), t)
+        alg_ctx = alg_seed(ctx, exact, t)
+        tapes = shared if exact else {}
+        lca = BMatchingLca(
+            sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks
+        )
+        footprints = {}
+        for w in involved:
+            fp = {w}
+            for e in sub.incident(w):
+                _, trace = run_lca(lca, sub, alg_ctx, Site.edge(e), tapes)
+                fp.update(trace.vertex_footprint(sub))
+            footprints[w] = fp
+        for u, v in wanted:
+            if footprints[u] & footprints[v]:
+                hits[(u, v)] += 1
+    return DeltaTable({pair: hits[pair] / trials for pair in wanted}, trials)
+
+
+#
+# ratio_sweep and build_match_prob_table before they shared
+# graph.weighted_realizations: each resolved exact mode and ran its own
+# exact and sampled loops.
 
 
 def ratio_sweep_v0(
@@ -823,11 +868,11 @@ class LcaOracleV0(LcaOracle):
         if site not in self._probed:
             self._probed[site] = None
             self._touched.update(dict.fromkeys(site.vertices(self.graph)))
-        return site_tape_v0(self._ctx, site)
+        return site_tape_v0(self.ctx, site)
 
     def peek(self, site: Site) -> SeedContext:
         self._admit(site)
-        return site_tape_v0(self._ctx, site)
+        return site_tape_v0(self.ctx, site)
 
 
 def run_lca_v0(lca, g: Graph, ctx: SeedContext, root: Site):

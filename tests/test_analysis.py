@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     b_generic_v0,
+    build_delta_table_v0,
     build_match_prob_table_v0,
     estimate_q_v0,
     estimate_ratio,
@@ -45,6 +46,7 @@ from stochmatch.hyperwalk import BParams
 from stochmatch.lca import run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
+from test_hyperwalk import counting_engines
 
 BP1 = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.18)
 
@@ -617,3 +619,27 @@ class TestSeedMemoPipelines:
         per_query, per_query_runs = recorded(per_query=True)
         assert shared == per_query
         assert shared_runs == per_query_runs and len(shared_runs) > 6
+
+    @pytest.mark.parametrize("name", ["kite", "split"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_delta_table_matches_parent(self, monkeypatch, name, exact):
+        g, thresholds = SOURCE_CORPUS[name]
+        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
+        crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
+        pairs = [g.endpoints(e) for e in range(g.m)]
+        ctx = SeedContext(6).child("delta")
+        queries = []
+
+        def recording(*args):
+            queries.append(args[3])
+            return run_lca(*args)
+
+        monkeypatch.setattr(analysis, "run_lca", recording)
+        engines = counting_engines(monkeypatch)
+        got = build_delta_table(g, crucial, pairs, 12, ctx, exact)
+        if exact:  # at most one engine per (realization, root)
+            assert len(engines) <= crucial.sub.m * 2**crucial.sub.m
+            assert len(engines) < len(queries)
+        else:  # a sampled pipeline keeps no memo
+            assert engines == queries
+        assert got == build_delta_table_v0(g, crucial, pairs, 12, ctx, exact)

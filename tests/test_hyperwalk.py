@@ -471,6 +471,79 @@ class TestSeedMemo:
                 b_generic(g, real, p, c, None, t, w, memo)
 
 
+def counting_engines(monkeypatch) -> list:
+    """Patches ``hyperwalk._Engine`` to log every engine a query starts."""
+    started = []
+
+    class Counting(hyperwalk._Engine):
+        def __init__(self, lca, oracle) -> None:
+            started.append(oracle.root)
+            super().__init__(lca, oracle)
+
+    monkeypatch.setattr(hyperwalk, "_Engine", Counting)
+    return started
+
+
+class TestQueryReplay:
+    """Queries under one ``SeedMemo``: a repeated (realization, root)
+    query replays its probes and returns the answer and node count of a
+    fresh query."""
+
+    @pytest.mark.parametrize("mis_budget", [None, 1])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_replay_equals_fresh_query(self, mis_budget, data):
+        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        masks = [mask for mask, _ in calls] * 2
+        memo = SeedMemo()
+        with pytest.MonkeyPatch.context() as mp:
+            engines = counting_engines(mp)
+            for mask in masks:
+                real = Realization(g, mask)
+                shared = BMatchingLca(g, params, real, table, walks, memo)
+                fresh = BMatchingLca(g, params, real, table, walks)
+                for e in range(g.m):
+                    out, trace = run_lca(shared, g, ctx, Site.edge(e), memo.tapes)
+                    want, want_trace = run_lca(fresh, g, ctx, Site.edge(e))
+                    assert out == want
+                    assert trace.probed == want_trace.probed
+                    assert trace.meta == want_trace.meta
+        # one engine per fresh query, plus one per distinct memo query
+        assert len(engines) == len(masks) * g.m + len(set(masks)) * g.m
+        assert len(memo.queries) == len(set(masks)) * g.m
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_smallest_ceiling_same_replayed_and_fresh(self, data):
+        g, params, table, walks, ctx, calls = data.draw(memo_cases(None))
+        mask = calls[0][0]
+        real = Realization(g, mask)
+        warm = SeedMemo()
+        root = Site.edge(data.draw(st.integers(0, g.m - 1)))
+        run_lca(BMatchingLca(g, params, real, table, walks, warm), g, ctx, root)
+
+        def query(memo):
+            return lambda c: run_lca(
+                BMatchingLca(g, replace(params, node_ceiling=c), real, table, walks, memo),
+                g, ctx, root,
+            )
+
+        assert smallest_ceiling(query(warm)) == smallest_ceiling(query(None))
+
+    def test_replay_refuses_another_scope(self):
+        g = path_graph(3)
+        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
+        real = full_realization(g)
+        memo = SeedMemo()
+        lca = BMatchingLca(g, params, real, memo=memo)
+        run_lca(lca, g, SeedContext(1).child("alg"), Site.edge(0))
+        with pytest.raises(ValueError, match="another"):
+            run_lca(lca, g, SeedContext(2).child("alg"), Site.edge(0))
+        other = BMatchingLca(g, replace(params, margin=0.2), real, memo=memo)
+        with pytest.raises(ValueError, match="another"):
+            run_lca(other, g, SeedContext(1).child("alg"), Site.edge(0))
+
+
 class TestBParams:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -22,9 +22,11 @@ from oracles import (
     vertex_load,
     violates_vertex_caps,
 )
+from stochmatch import matching
 from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph, mask_edges
 from stochmatch.matching import (
     CapExceeded,
+    ComponentMemo,
     _Matcher,
     FractionalMatching,
     check_blossom,
@@ -33,6 +35,7 @@ from stochmatch.matching import (
     matching_number,
     maximum_matching,
 )
+from test_cli import GOLDEN_GRAPHS
 
 
 def random_instance(seed: int, n: int = 9, edge_prob: float = 0.35) -> Graph:
@@ -251,6 +254,85 @@ class TestCorruptSearchState:
                 faulty(g, None).run()
             except RuntimeError as exc:
                 assert "inconsistent" in str(exc)
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 10 edges on up to 8 vertices, ids in drawn order, so a
+    graph is often disconnected and its ids do not follow its vertices;
+    some edges are sure, so some masks weigh 0."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    probs = st.sampled_from([0.2, 0.5, 0.9, 1.0])
+    return Graph.build(n, [(u, v, draw(probs)) for u, v in chosen])
+
+
+# the verify-exact bench workload's 12-vertex, 14-edge graph
+VERIFY_EXACT = Graph.build(12, [
+    (1, 2, 0.9), (3, 9, 0.9), (1, 8, 0.9), (3, 6, 0.9), (2, 6, 0.9),
+    (0, 3, 0.9), (5, 7, 0.9), (4, 9, 0.9), (3, 7, 0.9), (4, 6, 0.9),
+    (10, 11, 0.9), (0, 8, 0.2), (5, 11, 0.2), (0, 10, 0.2),
+])
+
+
+def component_corpus() -> dict:
+    odd = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (2, 3)]
+    return {
+        "kite": GOLDEN_GRAPHS["kite"][0],
+        "split": GOLDEN_GRAPHS["split"][0],
+        "verify-exact": VERIFY_EXACT,
+        "C5+C7": Graph.build(12, [(i, (i + 1) % 5, 0.5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 1) % 7, 0.5) for i in range(7)]),
+        "C3-C5 joined": Graph.build(8, [(u, v, 0.5) for u, v in odd]),
+        "petersen": petersen_subgraph(range(12)),
+    }
+
+
+class TestComponentMemo:
+    """The per-component route of ``maximum_matching`` against the plain
+    matcher, mask by mask, with ==."""
+
+    @given(small_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_every_mask_equals_plain(self, g):
+        memo = ComponentMemo(g)
+        for mask in range(1 << g.m):
+            assert maximum_matching(g, mask, memo) == maximum_matching(g, mask)
+
+    @pytest.mark.parametrize("name", sorted(component_corpus()))
+    def test_corpus_every_mask(self, name):
+        g = component_corpus()[name]
+        memo = ComponentMemo(g)
+        for mask in range(1 << g.m):
+            assert maximum_matching(g, mask, memo) == maximum_matching(g, mask)
+        # each stored matching is the plain matcher's on that component
+        assert all(got == maximum_matching(g, edges) for edges, got in memo.matchings.items())
+
+    def test_same_vertices_other_edges(self):
+        # paths 0-1-2-3 and 1-2-3-0 of the 4-cycle span the same vertices
+        # but match different edges
+        g = cycle_graph(4)
+        memo = ComponentMemo(g)
+        assert maximum_matching(g, 0b0111, memo) == frozenset({0, 2})
+        assert maximum_matching(g, 0b1110, memo) == frozenset({1, 3})
+
+    def test_capped_memo_stops_growing(self, monkeypatch):
+        monkeypatch.setattr(matching, "COMPONENT_MEMO_CAP", 4)
+        g = component_corpus()["kite"]
+        memo = ComponentMemo(g)
+        sizes = []
+        for mask in range(1 << g.m):
+            assert maximum_matching(g, mask, memo) == maximum_matching(g, mask)
+            sizes.append(len(memo.matchings))
+        assert max(sizes) == 4 and sizes[-1] == 4
+
+    def test_memo_refuses_other_inputs(self, triangle, path3):
+        memo = ComponentMemo(triangle)
+        with pytest.raises(ValueError, match="bitmasks of its own graph"):
+            maximum_matching(path3, 0b11, memo)
+        with pytest.raises(ValueError, match="bitmasks of its own graph"):
+            maximum_matching(triangle, [0, 1], memo)
 
 
 class TestExactExpectation:

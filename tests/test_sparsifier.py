@@ -3,7 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import complete_graph, matching_size_expectation_exact, path_graph, q_load
+from oracles import (
+    complete_graph,
+    estimate_q_v0,
+    matching_size_expectation_exact,
+    path_graph,
+    q_load,
+)
 from stochmatch.analysis import ratio_sweep
 from stochmatch.graph import Graph, SeedContext, gnp_graph
 from stochmatch.sparsifier import (
@@ -15,6 +21,7 @@ from stochmatch.sparsifier import (
     max_degree_of,
     select_thresholds,
 )
+from test_matching import component_corpus, small_graphs
 
 
 class TestBuildH:
@@ -109,6 +116,17 @@ class TestEstimateQ:
     def test_thresholds_required(self, triangle):
         with pytest.raises(ValueError):
             estimate_q(triangle).crucial
+
+    @given(small_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_equals_per_mask_loop(self, g):
+        # the component memo keeps every float sum in mask order
+        assert estimate_q(g, exact=True) == estimate_q_v0(g, exact=True)
+
+    @pytest.mark.parametrize("name", sorted(component_corpus()))
+    def test_exact_equals_per_mask_loop_on_corpus(self, name):
+        g = component_corpus()[name]
+        assert estimate_q(g, exact=True) == estimate_q_v0(g, exact=True)
 
 
 class TestSelectThresholds:
