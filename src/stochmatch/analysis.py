@@ -215,9 +215,9 @@ def build_match_prob_table(
     exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
     memo = SeedMemo() if exact else None
     covered = [0.0] * g.n
-    for t, (real, weight) in enumerate(worlds):
+    for t, (mask, weight) in enumerate(worlds):
         matched = b_generic(
-            sub, real, crucial.bparams, alg_seed(ctx, exact, t),
+            sub, Realization(sub, mask), crucial.bparams, alg_seed(ctx, exact, t),
             table=crucial.table, walks=crucial.walks, memo=memo,
         )
         for v in matched_vertices(sub, matched):
@@ -405,9 +405,9 @@ def ratio_sweep(
     den = 0.0
     nums = [0.0] * len(masks)
     per_trial = []  # sampled mode only: (mu, [mu within each H]) for the jackknife
-    for real, weight in worlds:
-        d = matching_number(g, active=real.present)
-        ns = [matching_number(g, active=real.present & h_mask) for h_mask in masks]
+    for mask, weight in worlds:
+        d = matching_number(g, active=mask)
+        ns = [matching_number(g, active=mask & h_mask) for h_mask in masks]
         den += weight * d
         for k, n in enumerate(ns):
             nums[k] += weight * n

@@ -194,7 +194,7 @@ def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
 
 
 def enumerate_realizations(g: Graph):
-    """Yield (realization, probability) for every edge subset.
+    """Yield (edge mask, probability) for every edge subset.
 
     Probabilities sum to 1 exactly up to float error.  Refuses graphs
     with more than ``ENUM_CAP`` edges.
@@ -218,14 +218,14 @@ def enumerate_realizations(g: Graph):
             row = [pr * factor for pr in row]
         base = hi << low
         for lo, pr in enumerate(row):
-            yield Realization(g, base | lo), pr
+            yield base | lo, pr
 
 
 def weighted_realizations(
     g: Graph, samples: int, ctx: Optional[SeedContext] = None, exact: Optional[bool] = None
 ) -> tuple:
     """Resolves the mode of an expectation over G_p and returns
-    ``(exact, worlds)``, where ``worlds`` yields (realization, weight).
+    ``(exact, worlds)``, where ``worlds`` yields (edge mask, weight).
 
     ``exact=None`` picks exact mode when m <= ``ENUM_CAP``.  Exact mode
     streams every edge subset with its probability; sampled mode yields
@@ -239,7 +239,7 @@ def weighted_realizations(
         raise ValueError("sampled mode needs a seed context")
     if samples < 1:
         raise ValueError("samples must be positive")
-    return False, ((sample_realization(g, ctx, t), 1) for t in range(samples))
+    return False, ((sample_realization(g, ctx, t).present, 1) for t in range(samples))
 
 
 def parse_graph_text(text: str) -> Graph:

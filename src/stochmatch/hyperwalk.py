@@ -21,6 +21,13 @@ which the test suite checks exhaustively on small instances.  Under a
 replayed: its recorded probes go through the oracle again and its
 recorded answer and node count are returned.
 
+The two routes decide walk validity in two forms.  ``b_generic`` holds
+every copy's realization and matching, so it reads each walk's row of
+:meth:`WalkIndex.walk_table` and checks it with integer operations on
+edge bitmasks.  The query route learns each membership and realization
+bit by probing, in order, so it runs :func:`_augmenting_core` with
+per-edge accessors.  A differential test keeps the two forms equal.
+
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
 with the same budget rule: ``mis_budget`` caps the distinct expansions
@@ -255,6 +262,7 @@ class WalkIndex:
         self._neighbors = {}
         self._vseqs = {}
         self._all = None
+        self._table = None
 
     def _check_ceiling(self, count: int, limit: int) -> None:
         if self.ceiling and count > limit:
@@ -295,6 +303,38 @@ class WalkIndex:
                 self._check_ceiling(len(walks), self.ceiling)
             self._all = tuple(sorted(walks, key=lambda w: w.sort_key))
         return self._all
+
+    def walk_table(self) -> tuple:
+        """One row per walk of :meth:`all_walks`, in that order, holding
+        what the walk-validity check reads as edge and vertex bitmasks:
+        ``(walk, ends, top, copies, vertices)``.  ``ends`` has the bits
+        of the two endpoints, or is 0 for a closed walk; ``top`` is the
+        largest copy index; ``copies`` holds ``(i, additions, removals)``
+        per copy the walk touches; ``vertices`` holds ``(incidence,
+        required degree change)`` per distinct walk vertex, the change
+        being 1 at an endpoint and 0 elsewhere."""
+        if self._table is None:
+            incidence = [edge_mask(self.g.incident(v)) for v in range(self.g.n)]
+            rows = []
+            for w in self.all_walks():
+                vseq = self.vertices_of(w)
+                v0, vk = vseq[0], vseq[-1]
+                adds, removals = w.additions(), w.removals()
+                copies = tuple(
+                    (
+                        i,
+                        edge_mask(e for e, s in adds if s == i),
+                        edge_mask(e for e, s in removals if s == i),
+                    )
+                    for i in sorted(set(w.indices))
+                )
+                vertices = tuple(
+                    (incidence[u], 1 if u in (v0, vk) else 0) for u in sorted(set(vseq))
+                )
+                ends = 0 if v0 == vk else (1 << v0) | (1 << vk)
+                rows.append((w, ends, max(w.indices), copies, vertices))
+            self._table = tuple(rows)
+        return self._table
 
     def vertices_of(self, w: Hyperwalk) -> tuple:
         if w not in self._vseqs:
@@ -384,12 +424,14 @@ def _augmenting_core(
     realized_fn: Callable,
     unsat_fn: Callable,
 ) -> bool:
-    """Shared validity predicate.
+    """Validity predicate of the query route.
 
     ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
-    the previous level; ``unsat_fn(v)`` is the endpoint gate.  Both the
-    materialized route and the local-computation route call this with
-    their own accessors, so the two routes cannot drift apart.
+    the previous level; ``unsat_fn(v)`` is the endpoint gate.  The query
+    route passes accessors that probe as they answer, so the order of
+    calls here fixes the order of its probes.  ``b_generic`` decides the
+    same predicate on bitmasks (:func:`_valid_walks`), and a
+    differential test keeps the two equal.
     """
     if any(s > alpha for s in w.indices):
         raise ValueError("copy index out of range")
@@ -514,6 +556,60 @@ def _scope(g: Graph, ctx: SeedContext, table, walks, params: BParams) -> tuple:
     return (g, ctx, table, walks, params.alpha, params.margin, params.mis_budget)
 
 
+def _augments(copies: tuple, vertices: tuple, reals: list, matches: list) -> bool:
+    """A walk-table row's check past its endpoint gates, on bitmasks.
+
+    ``reals[i]`` and ``matches[i]`` are copy i's realization and
+    matching masks.  Each addition must be realized in its copy.  At
+    each walk vertex and copy, ``x`` is the vertex's matched edges after
+    the application; ``x & (x - 1)`` is nonzero when two are left, and
+    the vertex's degree change over the copies must equal its required
+    one.  This decides as :func:`_augmenting_core` does.
+    """
+    changed = []
+    for i, add, rem in copies:
+        if add & ~reals[i]:
+            return False
+        before = matches[i]
+        changed.append((before, (before & ~rem) | add))
+    for inc, required in vertices:
+        delta = 0
+        for before, after in changed:
+            x = after & inc
+            if x & (x - 1):
+                return False
+            delta += (x != 0) - (before & inc != 0)
+        if delta != required:
+            return False
+    return True
+
+
+def _valid_walks(
+    rows: tuple, reals: list, matches: list, alpha: int, gates: Callable, tick: Callable
+) -> list:
+    """The walks of ``rows`` (a :meth:`WalkIndex.walk_table`) that augment
+    the profile with realization masks ``reals`` and matching masks
+    ``matches``, in row order.
+
+    Every row ticks once.  ``gates()`` returns the bitmask of unsaturated
+    vertices; it is called once, at the first walk with two distinct
+    endpoints, which is where a per-walk check first reads a gate.
+    """
+    out = []
+    unsat = None
+    for w, ends, top, copies, vertices in rows:
+        tick()
+        if top > alpha:
+            raise ValueError("copy index out of range")
+        if not ends:
+            continue
+        if unsat is None:
+            unsat = gates()
+        if unsat & ends == ends and _augments(copies, vertices, reals, matches):
+            out.append(w)
+    return out
+
+
 def _select_walks(
     profile: Profile,
     walks: WalkIndex,
@@ -525,28 +621,22 @@ def _select_walks(
 ) -> list:
     """Greedy MIS of augmenting hyperwalks by rank, with each member's
     query re-run under the per-root expansion budget."""
-    valid_memo = {}
+    g = profile.graph
 
-    def member(i: int, e: int) -> bool:
-        return e in profile.matching(i)
+    def gates() -> int:
+        return sum(
+            1 << v for v in range(g.n) if table.unsaturated(v, level - 1, params.margin)
+        )
 
-    def realized(i: int, e: int) -> bool:
-        return profile.realization(i).has(e)
-
-    def unsat(v: int) -> bool:
-        return table.unsaturated(v, level - 1, params.margin)
-
-    def valid(w: Hyperwalk) -> bool:
-        if w not in valid_memo:
-            guard.tick()
-            valid_memo[w] = _augmenting_core(
-                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
-            )
-        return valid_memo[w]
-
-    order = sorted(
-        ((rank(w), w) for w in walks.all_walks() if valid(w)), key=lambda t: t[0]
+    valid = _valid_walks(
+        walks.walk_table(),
+        [real.present for real, _ in profile.pairs],
+        [edge_mask(matching) for _, matching in profile.pairs],
+        profile.alpha,
+        gates,
+        guard.tick,
     )
+    order = sorted(((rank(w), w) for w in valid), key=lambda t: t[0])
     members = []
     covered = set()
     for _, w in order:
@@ -556,12 +646,13 @@ def _select_walks(
             covered.update(vs)
     if params.mis_budget is None:
         return members
-    lower = _walk_lower(valid, rank, walks.neighbors)
+    lower = _walk_lower(frozenset(valid).__contains__, rank, walks.neighbors)
     kept = []
     for w in members:
         ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
         guard.tick(calls)
-        assert ok or truncated, "sweep member must resolve positively when untruncated"
+        if not (ok or truncated):
+            raise RuntimeError(f"sweep member {w} resolved negatively without truncation")
         if ok:
             kept.append(w)
     return kept

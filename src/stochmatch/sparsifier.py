@@ -121,10 +121,10 @@ def estimate_q(
     exact, worlds = weighted_realizations(g, samples, ctx, exact)
     memo = ComponentMemo(g) if exact else None
     q = [0.0] * g.m
-    for real, weight in worlds:
+    for mask, weight in worlds:
         if weight <= 0.0:
             continue
-        for e in maximum_matching(g, real.present, memo):
+        for e in maximum_matching(g, mask, memo):
             q[e] += weight
     runs = 1 if exact else samples
     return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)

@@ -237,9 +237,9 @@ def edge_id(g: Graph, u: int, v: int):
 def matching_size_expectation_exact(g: Graph) -> float:
     """E[mu(G_p)] by exhaustive realization enumeration."""
     total = 0.0
-    for real, pr in enumerate_realizations(g):
+    for mask, pr in enumerate_realizations(g):
         if pr > 0.0:
-            total += pr * matching_number(g, real.present)
+            total += pr * matching_number(g, mask)
     return total
 
 
@@ -535,10 +535,10 @@ def estimate_q_v0(
 ) -> QProfile:
     exact, worlds = weighted_realizations(g, samples, ctx, exact)
     q = [0.0] * g.m
-    for real, weight in worlds:
+    for mask, weight in worlds:
         if weight <= 0.0:
             continue
-        for e in maximum_matching(g, real.present):
+        for e in maximum_matching(g, mask):
             q[e] += weight
     runs = 1 if exact else samples
     return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
@@ -605,10 +605,10 @@ def ratio_sweep_v0(
     if exact:
         den = 0.0
         nums = [0.0] * len(masks)
-        for real, prob in enumerate_realizations(g):
-            den += prob * matching_number(g, active=real.present)
+        for mask, prob in enumerate_realizations(g):
+            den += prob * matching_number(g, active=mask)
             for k, h_mask in enumerate(masks):
-                nums[k] += prob * matching_number(g, active=real.present & h_mask)
+                nums[k] += prob * matching_number(g, active=mask & h_mask)
         return [
             RatioEstimate(num / den if den > 0 else 1.0, 0.0, num, den, 0, True)
             for num in nums
@@ -663,7 +663,9 @@ def build_match_prob_table_v0(
         exact = sub.m <= ENUM_CAP
     if exact:
         alg_ctx = ctx.child("alg")
-        worlds = ((real, prob, alg_ctx) for real, prob in enumerate_realizations(sub))
+        worlds = (
+            (Realization(sub, mask), prob, alg_ctx) for mask, prob in enumerate_realizations(sub)
+        )
     elif trials < 1:
         raise ValueError("trials must be positive")
     else:
@@ -818,6 +820,65 @@ def b_generic_v0(
         return profile.matching(0)
 
     return recurse((), realization, level)
+
+
+#
+# _select_walks before the walk table: each walk's validity went through
+# _augmenting_core with per-edge member and realized calls on the
+# profile's sets.
+
+
+def _select_walks_v1(
+    profile: Profile,
+    walks: WalkIndex,
+    table: UnsaturationTable,
+    params: BParams,
+    level: int,
+    rank,
+    guard,
+) -> list:
+    """Greedy MIS of augmenting hyperwalks by rank, with each member's
+    query re-run under the per-root expansion budget."""
+    valid_memo = {}
+
+    def member(i: int, e: int) -> bool:
+        return e in profile.matching(i)
+
+    def realized(i: int, e: int) -> bool:
+        return profile.realization(i).has(e)
+
+    def unsat(v: int) -> bool:
+        return table.unsaturated(v, level - 1, params.margin)
+
+    def valid(w: Hyperwalk) -> bool:
+        if w not in valid_memo:
+            guard.tick()
+            valid_memo[w] = _augmenting_core(
+                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
+            )
+        return valid_memo[w]
+
+    order = sorted(
+        ((rank(w), w) for w in walks.all_walks() if valid(w)), key=lambda t: t[0]
+    )
+    members = []
+    covered = set()
+    for _, w in order:
+        vs = walks.vertices_of(w)
+        if all(v not in covered for v in vs):
+            members.append(w)
+            covered.update(vs)
+    if params.mis_budget is None:
+        return members
+    lower = _walk_lower(valid, rank, walks.neighbors)
+    kept = []
+    for w in members:
+        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
+        guard.tick(calls)
+        assert ok or truncated, "sweep member must resolve positively when untruncated"
+        if ok:
+            kept.append(w)
+    return kept
 
 
 #

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    _select_walks_v1,
     b_generic_v0,
     bparams_from_eps,
     complete_graph,
@@ -35,6 +36,8 @@ from stochmatch.hyperwalk import (
     SeedMemo,
     UnsaturationTable,
     WalkIndex,
+    _Guard,
+    _valid_walks,
     apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
@@ -542,6 +545,146 @@ class TestQueryReplay:
         other = BMatchingLca(g, replace(params, margin=0.2), real, memo=memo)
         with pytest.raises(ValueError, match="another"):
             run_lca(other, g, SeedContext(1).child("alg"), Site.edge(0))
+
+
+@st.composite
+def table_cases(draw):
+    """A small graph, its walk index at alpha 0..2, and per copy an
+    arbitrary realization mask and matching edge set (so a vertex may
+    hold several matched edges), with endpoint gates drawn per vertex."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    g = Graph.build(n, [(u, v, 0.5) for u, v in sorted(chosen)])
+    alpha = draw(st.integers(0, 2))
+    walks = WalkIndex(g, draw(st.integers(1, 3)), alpha)
+    full = (1 << g.m) - 1
+    copies = tuple(
+        (
+            Realization(g, draw(st.one_of(st.just(full), st.integers(0, full)))),
+            frozenset(draw(st.sets(st.integers(0, g.m - 1)))),
+        )
+        for _ in range(alpha + 1)
+    )
+    row = tuple(draw(st.sampled_from([0.0, 0.95])) for _ in range(n))
+    table = UnsaturationTable((1.0,) * n, ((0.0,) * n, row), 1)
+    return Profile(copies), walks, table
+
+
+class TestWalkTable:
+    """The bitmask selection in ``_select_walks`` against the per-edge
+    predicate it replaced (``oracles.is_augmenting``) and the parent
+    selection (``oracles._select_walks_v1``)."""
+
+    @given(case=table_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_equal_is_augmenting(self, case):
+        profile, walks, table = case
+        margin = 0.1
+        ticks = []
+        got = _valid_walks(
+            walks.walk_table(),
+            [real.present for real, _ in profile.pairs],
+            [sum(1 << e for e in matching) for _, matching in profile.pairs],
+            profile.alpha,
+            lambda: sum(1 << v for v in range(walks.g.n) if table.unsaturated(v, 1, margin)),
+            lambda: ticks.append(1),
+        )
+        want = [w for w in walks.all_walks() if is_augmenting(profile, w, table, 1, margin)]
+        assert got == want
+        assert len(ticks) == len(walks.all_walks())
+
+    def test_second_matched_edge_blocks(self):
+        # path 0-1-2-3 with a pendant edge 1-4 matched beside edge 1-2:
+        # the walk (0-1, 1-2, 2-3) leaves vertex 1 with two matched edges
+        # although every vertex's degree change is the required one
+        g = Graph.build(5, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (1, 4, 0.5)])
+        walks = WalkIndex(g, 3, 0)
+        w = Hyperwalk.make((0, 1, 2), (0, 0, 0))
+        profile = Profile(((full_realization(g), frozenset({1, 3})),))
+        table = UnsaturationTable.always_unsaturated(g.n, 1)
+        got = _valid_walks(
+            walks.walk_table(), [(1 << g.m) - 1], [0b1010], 0, lambda: (1 << g.n) - 1, lambda: None
+        )
+        assert w not in got
+        assert not is_augmenting(profile, w, table, 0, margin=0.1)
+
+    def test_rows_follow_all_walks(self):
+        g = complete_graph(4)
+        walks = WalkIndex(g, 3, 1)
+        rows = walks.walk_table()
+        assert walks.walk_table() is rows
+        assert tuple(row[0] for row in rows) == walks.all_walks()
+        w, ends, top, copies, vertices = rows[0]
+        u, v = g.endpoints(w.edges[0])
+        assert (ends, top, copies) == ((1 << u) | (1 << v), 0, ((0, 1 << w.edges[0], 0),))
+        assert vertices == tuple((sum(1 << e for e in g.incident(x)), 1) for x in (u, v))
+
+    @pytest.mark.parametrize("mis_budget", [None, 2])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_selection_equals_parent(self, mis_budget, data):
+        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        select = hyperwalk._select_walks
+        selections = []
+
+        def both(profile, walks, table, params, level, rank, guard):
+            new, old = _Guard(0), _Guard(0)
+            got = select(profile, walks, table, params, level, rank, new)
+            want = _select_walks_v1(profile, walks, table, params, level, rank, old)
+            assert got == want
+            assert new.nodes == old.nodes
+            selections.append(got)
+            guard.tick(new.nodes)
+            return got
+
+        def run(selection, mask, level):
+            def call(ceiling):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(hyperwalk, "_select_walks", selection)
+                    return b_generic(
+                        g, Realization(g, mask), replace(params, node_ceiling=ceiling),
+                        ctx, level, table, walks,
+                    )
+            return call
+
+        for mask, level in calls:
+            real = Realization(g, mask)
+            want = b_generic_v0(g, real, params, ctx, level, table, walks)
+            assert run(both, mask, level)(0) == want
+            assert run(select, mask, level)(0) == want
+            assert smallest_ceiling(run(select, mask, level)) == smallest_ceiling(
+                run(_select_walks_v1, mask, level)
+            )
+        assert len(selections) >= len([lvl for _, lvl in calls if lvl > 0])
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 0.5), (1, 2, 0.5)], []])
+    def test_missing_level_raises_as_parent(self, edges):
+        # the table has rows for levels 0 and 1, so a level-3 call reads
+        # the missing row 2; a graph without walks reads no row at all
+        g = Graph.build(3, edges)
+        params = BParams(alpha=1, walk_len=2, depth=3, eps=0.3, margin=0.1)
+        table = UnsaturationTable.always_unsaturated(g.n, 1)
+        ctx = SeedContext(3).child("alg")
+
+        def outcome(selection):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hyperwalk, "_select_walks", selection)
+                try:
+                    return b_generic(g, full_realization(g), params, ctx, None, table)
+                except ValueError as exc:
+                    return str(exc)
+
+        got = outcome(hyperwalk._select_walks)
+        assert got == outcome(_select_walks_v1)
+        assert got == ("no marginals for level 2" if edges else frozenset())
+
+    def test_unresolved_member_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperwalk, "greedy_member", lambda *args: (False, False, 1))
+        g = path_graph(2)
+        params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1, mis_budget=1)
+        with pytest.raises(RuntimeError, match="sweep member Hyperwalk"):
+            b_generic(g, full_realization(g), params, SeedContext(0))
 
 
 class TestBParams:
