@@ -9,9 +9,30 @@ import argparse
 import sys
 
 from stochmatch.graph import SeedContext, gnp_graph, load_graph, sample_realization
-from stochmatch.hyperwalk import BMatchingLca, BParams
+from stochmatch.hyperwalk import BMatchingLca, BParams, ResourceGuard
 from stochmatch.lca import check_correlated_bound, gather_ledger, ledger_to_csv
 from stochmatch.mis import TmisBudget, TruncatedGreedyMis
+
+
+def build_instance(args, ctx: SeedContext) -> tuple:
+    """The graph and the LCA the arguments ask for; raises on values that
+    the graph or parameter types refuse."""
+    if args.input:
+        g = load_graph(args.input)
+    else:
+        g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
+    if args.lca == "tmis":
+        budget = TmisBudget(args.budget) if args.budget is not None else None
+        return g, TruncatedGreedyMis(budget)
+    params = BParams(
+        alpha=args.alpha,
+        walk_len=args.walk_len,
+        depth=args.depth,
+        eps=args.eps,
+        margin=2.0 * args.eps * args.eps,
+    )
+    real = sample_realization(g, ctx.child("real"), 0)
+    return g, BMatchingLca(g, params, real)
 
 
 def main(argv=None) -> int:
@@ -30,26 +51,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", help="also write the raw ledger CSV here")
     args = ap.parse_args(argv)
+    if args.trials < 2:
+        ap.error("--trials must be at least 2: the correlated-probe check compares sweeps")
 
     ctx = SeedContext(args.seed)
-    if args.input:
-        g = load_graph(args.input)
-    else:
-        g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
-
-    if args.lca == "tmis":
-        budget = TmisBudget(args.budget) if args.budget is not None else None
-        lca = TruncatedGreedyMis(budget)
-    else:
-        params = BParams(
-            alpha=args.alpha,
-            walk_len=args.walk_len,
-            depth=args.depth,
-            eps=args.eps,
-            margin=2.0 * args.eps * args.eps,
-        )
-        real = sample_realization(g, ctx.child("real"), 0)
-        lca = BMatchingLca(g, params, real)
+    try:
+        g, lca = build_instance(args, ctx)
+    except (OSError, ValueError, ResourceGuard) as exc:
+        ap.error(str(exc))
 
     ledger = gather_ledger(lca, g, ctx.child("ledger"), trials=args.trials)
     if args.out:

@@ -25,17 +25,28 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--exact", action="store_true", help="enumerate realizations")
     args = ap.parse_args(argv)
+    try:
+        rs = [int(tok) for tok in args.R.split(",") if tok]
+    except ValueError:
+        rs = []
+    if not rs or min(rs) < 1:
+        ap.error(f"--R must list positive integers, got {args.R!r}")
+    if args.samples < 1:
+        ap.error("--samples must be positive")
 
     ctx = SeedContext(args.seed)
-    if args.input:
-        g = load_graph(args.input)
-    else:
-        g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
-    rs = [int(tok) for tok in args.R.split(",") if tok]
-
-    hs = [build_H(g, SparsifierParams(R=r, eps=args.eps, seed=args.seed))[0] for r in rs]
-    # exact stays opt-in: enumeration is 2^m realizations
-    ests = ratio_sweep(g, hs, args.samples, ctx=ctx.child("sweep"), exact=args.exact)
+    # the package refuses out-of-range values, too many edge draws and too
+    # many edges to enumerate with a ValueError before it does the work
+    try:
+        if args.input:
+            g = load_graph(args.input)
+        else:
+            g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
+        hs = [build_H(g, SparsifierParams(R=r, eps=args.eps, seed=args.seed))[0] for r in rs]
+        # exact stays opt-in: enumeration is 2^m realizations
+        ests = ratio_sweep(g, hs, args.samples, ctx=ctx.child("sweep"), exact=args.exact)
+    except (OSError, ValueError) as exc:
+        ap.error(str(exc))
 
     print("R,h_edges,h_max_degree,ratio,stderr")
     for r, H, est in zip(rs, hs, ests):

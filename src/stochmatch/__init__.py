@@ -15,7 +15,6 @@ from .graph import (
     EdgeCountExceeded,
     Graph,
     GraphFormatError,
-    Realization,
     SeedContext,
     enumerate_realizations,
     gnp_graph,
@@ -70,11 +69,9 @@ from .hyperwalk import (
     BParams,
     EnumerationTooLarge,
     Hyperwalk,
-    Profile,
     ResourceGuard,
     UnsaturationTable,
     WalkIndex,
-    apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
     walk_vertices,

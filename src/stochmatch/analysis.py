@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence
 
 from .graph import (
     Graph,
-    Realization,
     SeedContext,
     edge_mask,
     sample_realization,
@@ -154,18 +153,17 @@ def prepare_crucial(
 
 def compute_MC(
     crucial: CrucialSetup,
-    g_real: Realization,
+    g_real: int,
     alg_ctx: SeedContext,
     memo: Optional[SeedMemo] = None,
 ) -> frozenset:
     """The recursive matching of the realized crucial subgraph, as
-    full-graph edge ids.  Depends on the input realization only through
-    the bits of crucial edges.  ``memo`` is shared by calls under one
-    ``alg_ctx`` (see :class:`SeedMemo`)."""
-    mask = edge_mask(
-        sub_e for sub_e, full_e in enumerate(crucial.from_sub) if g_real.has(full_e)
+    full-graph edge ids.  Depends on the input realization mask
+    ``g_real`` only through the bits of crucial edges.  ``memo`` is
+    shared by calls under one ``alg_ctx`` (see :class:`SeedMemo`)."""
+    c_p = edge_mask(
+        sub_e for sub_e, full_e in enumerate(crucial.from_sub) if (g_real >> full_e) & 1
     )
-    c_p = Realization(crucial.sub, mask)
     matched = b_generic(
         crucial.sub,
         c_p,
@@ -217,7 +215,7 @@ def build_match_prob_table(
     covered = [0.0] * g.n
     for t, (mask, weight) in enumerate(worlds):
         matched = b_generic(
-            sub, Realization(sub, mask), crucial.bparams, alg_seed(ctx, exact, t),
+            sub, mask, crucial.bparams, alg_seed(ctx, exact, t),
             table=crucial.table, walks=crucial.walks, memo=memo,
         )
         for v in matched_vertices(sub, matched):
@@ -297,14 +295,14 @@ def build_x(
     f: FractionalMatching,
     m_c: frozenset,
     H: frozenset,
-    realization: Realization,
+    realization: int,
     match_prob: MatchProbTable,
     delta: DeltaTable,
     eps: float,
     p_min: float,
     delta_exponent: int = DELTA_EXPONENT_DEFAULT,
 ) -> dict:
-    """Per-edge values x.
+    """Per-edge values x for the trial's realization mask ``realization``.
 
     Crucial edges get 1 exactly when matched by M_C and present in the
     realized sparsifier.  A non-crucial edge gets
@@ -324,7 +322,7 @@ def build_x(
     x = {}
     for e in range(g.m):
         if e in crucial:
-            x[e] = 1.0 if (e in m_c and e in H and realization.has(e)) else 0.0
+            x[e] = 1.0 if (e in m_c and e in H and (realization >> e) & 1) else 0.0
             continue
         if e not in noncrucial:
             x[e] = 0.0
@@ -341,7 +339,7 @@ def build_x(
             d > threshold
             or pf_u < eps_sq
             or pf_v < eps_sq
-            or not realization.has(e)
+            or not (realization >> e) & 1
             or u in mc_cover
             or v in mc_cover
         ):
@@ -460,7 +458,7 @@ class PipelineSetup:
     ctx: SeedContext
     exact: bool
 
-    def realization(self, trial: int) -> Realization:
+    def realization(self, trial: int) -> int:
         return sample_realization(self.g, self.ctx.child("run"), trial)
 
     def alg_ctx(self, trial: int) -> SeedContext:
@@ -473,7 +471,7 @@ class PipelineRun:
 
     setup: PipelineSetup
     trial: int
-    realization: Realization
+    realization: int  # edge mask
     m_c: frozenset
     x: dict
     y: FractionalMatching

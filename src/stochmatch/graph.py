@@ -2,8 +2,9 @@
 
 A stochastic graph is a simple undirected graph whose edges carry
 independent existence probabilities.  A realization keeps each edge
-independently with its probability; everything downstream (matchings,
-sparsifiers, local algorithms) consumes realizations produced here.
+independently with its probability and is an int edge mask, bit e set
+when edge e is present; everything downstream (matchings, sparsifiers,
+local algorithms) consumes realizations produced here.
 
 All randomness flows through :class:`SeedContext`, a keyed PRF over
 hierarchical namespace paths.  Distinct paths yield independent streams
@@ -164,21 +165,11 @@ class Graph:
         return self._neighbors[v]
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled world: the subset of edges that came up present."""
-
-    graph: Graph
-    present: int  # bitmask over edge ids
-
-    def has(self, e: int) -> bool:
-        return (self.present >> e) & 1 == 1
-
-
-def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
-    """Sample a realization in O(m): edge e is present when
-    ``ctx.child("realize", trial).uniform(e) < p_e``, which this must stay
-    in lockstep with.  The present ids are collected, then masked once."""
+def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> int:
+    """Sample a realization in O(m) as its edge mask: edge e is present
+    when ``ctx.child("realize", trial).uniform(e) < p_e``, which this must
+    stay in lockstep with.  The present ids are collected, then masked
+    once."""
     sub = ctx.child("realize", trial)
     # hash.copy() skips the per-call key schedule.  uniform is
     # (raw >> 11) / 2**53, and scaling by a power of two is exact, so the
@@ -190,7 +181,7 @@ def sample_realization(g: Graph, ctx: SeedContext, trial: int) -> Realization:
         h.update(_INT_LABEL(b"i", e))
         if (_RAW64(h.digest())[0] >> 11) < p * _FLOAT_DENOM:
             present.append(e)
-    return Realization(g, edge_mask(present))
+    return edge_mask(present)
 
 
 def enumerate_realizations(g: Graph):
@@ -239,7 +230,7 @@ def weighted_realizations(
         raise ValueError("sampled mode needs a seed context")
     if samples < 1:
         raise ValueError("samples must be positive")
-    return False, ((sample_realization(g, ctx, t).present, 1) for t in range(samples))
+    return False, ((sample_realization(g, ctx, t), 1) for t in range(samples))
 
 
 def parse_graph_text(text: str) -> Graph:

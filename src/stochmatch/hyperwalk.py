@@ -1,30 +1,32 @@
-"""Profiles, augmenting hyperwalks, and the recursive matching procedure.
+"""Augmenting hyperwalks and the recursive matching procedure.
 
-A profile pairs each of alpha+1 realizations with a matching of it.
-A hyperwalk is a walk on the base graph whose j-th edge carries a copy
-index s_j; applying it to a profile adds odd-position edges to, and
-removes even-position edges from, the matching of their copy.  A walk
-is augmenting when the application yields a valid profile again, its
-two endpoints each gain one unit of profile degree, every other walk
-vertex keeps its degree, and both endpoints are unsaturated.
+The recursion holds alpha+1 copies, each a realization with a matching
+of it, both as int edge masks (bit e set for edge e).  A hyperwalk is a
+walk on the base graph whose j-th edge carries a copy index s_j;
+applying it adds odd-position edges to, and removes even-position edges
+from, the matching of their copy.  A walk is augmenting when after the
+application every copy's matching is again a matching inside its
+realization, its two endpoints each gain one unit of degree summed over
+the copies, every other walk vertex keeps its degree, and both
+endpoints are unsaturated.
 
 ``b_generic`` computes the recursive matching: at level r it builds the
-profile from level r-1 matchings (copy 0 inherits the input realization,
+copies from level r-1 matchings (copy 0 inherits the input realization,
 copies 1..alpha draw fresh ones from the PRF), selects a greedy maximal
-independent set of augmenting hyperwalks by rank, and returns copy 0's
-updated matching; its calls under one algorithm seed share a
-:class:`SeedMemo` of what that seed alone fixes.  ``BMatchingLca``
-answers single-edge membership queries for the same function by local
-exploration; with identical seeds the two routes agree edge for edge,
-which the test suite checks exhaustively on small instances.  Under a
-``SeedMemo`` a repeated query (same realization, root and depth) is
-replayed: its recorded probes go through the oracle again and its
-recorded answer and node count are returned.
+independent set of augmenting hyperwalks by rank, applies them to the
+matching masks, and returns copy 0's matching; its calls under one
+algorithm seed share a :class:`SeedMemo` of what that seed alone fixes.
+``BMatchingLca`` answers single-edge membership queries for the same
+function by local exploration; with identical seeds the two routes
+agree edge for edge, which the test suite checks exhaustively on small
+instances.  Under a ``SeedMemo`` a repeated query (same realization,
+root and depth) is replayed: its recorded probes go through the oracle
+again and its recorded answer and node count are returned.
 
 The two routes decide walk validity in two forms.  ``b_generic`` holds
-every copy's realization and matching, so it reads each walk's row of
-:meth:`WalkIndex.walk_table` and checks it with integer operations on
-edge bitmasks.  The query route learns each membership and realization
+every copy's realization and matching masks, so it reads each walk's
+row of :meth:`WalkIndex.walk_table` and checks it with integer
+operations on those masks.  The query route learns each membership and realization
 bit by probing, in order, so it runs :func:`_augmenting_core` with
 per-edge accessors.  A differential test keeps the two forms equal.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, Realization, SeedContext, edge_mask, sample_realization
+from .graph import Graph, SeedContext, edge_mask, mask_edges, sample_realization
 from .lca import Site, _Tape, table_tape
 from .matching import matched_vertices
 from .mis import greedy_member
@@ -352,47 +354,6 @@ class WalkIndex:
         return self._neighbors[w]
 
 
-# ---------------------------------------------------------------------------
-# profiles
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Realization/matching pairs (copy 0 first)."""
-
-    pairs: tuple
-
-    @property
-    def alpha(self) -> int:
-        return len(self.pairs) - 1
-
-    @property
-    def graph(self) -> Graph:
-        return self.pairs[0][0].graph
-
-    def realization(self, i: int) -> Realization:
-        return self.pairs[i][0]
-
-    def matching(self, i: int) -> frozenset:
-        return self.pairs[i][1]
-
-
-def apply_hyperwalk(p: Profile, w: Hyperwalk) -> Profile:
-    """P with odd entries added to and even entries removed from their
-    copies (removal wins when both touch the same copy)."""
-    if any(s > p.alpha for s in w.indices):
-        raise ValueError("copy index out of range for this profile")
-    adds = w.additions()
-    removals = w.removals()
-    pairs = []
-    for i, (real, matching) in enumerate(p.pairs):
-        new = set(matching)
-        new.update(e for (e, s) in adds if s == i)
-        new.difference_update(e for (e, s) in removals if s == i)
-        pairs.append((real, frozenset(new)))
-    return Profile(tuple(pairs))
-
-
 @dataclass(frozen=True)
 class UnsaturationTable:
     """Per-vertex match marginals: the targets ``a_prob`` and one row of
@@ -526,7 +487,7 @@ class SeedMemo:
     mis_budget of params) each edge tape, each walk rank and each fresh
     copy (index i >= 1) with the matching of its subtree are functions
     of the seed alone.  A fresh subtree never reads the input
-    realization, and its lineage names its level.  Copy-0 profiles and
+    realization, and its lineage names its level.  Copy-0 matchings and
     walk validity read the input, so they stay per call.  So is a whole
     query (realization mask, root edge, depth): its answer, its ordered
     probes and its guard nodes.  The first call binds the memo to its
@@ -541,7 +502,7 @@ class SeedMemo:
         self.scope = None
         self.tapes = {}  # a tape table under the scope's ctx: Site -> _Tape
         self.ranks = {}  # (lineage, level, walk) -> rank
-        self.copies = {}  # lineage -> (realization, subtree matching, guard nodes)
+        self.copies = {}  # lineage -> (realization mask, matching mask, guard nodes)
         self.queries = {}  # (mask, root edge, depth) -> (answer, probed sites, guard nodes)
 
     def bind(self, scope: tuple) -> None:
@@ -587,9 +548,9 @@ def _augments(copies: tuple, vertices: tuple, reals: list, matches: list) -> boo
 def _valid_walks(
     rows: tuple, reals: list, matches: list, alpha: int, gates: Callable, tick: Callable
 ) -> list:
-    """The walks of ``rows`` (a :meth:`WalkIndex.walk_table`) that augment
-    the profile with realization masks ``reals`` and matching masks
-    ``matches``, in row order.
+    """The rows of ``rows`` (a :meth:`WalkIndex.walk_table`) whose walks
+    augment the copies with realization masks ``reals`` and matching
+    masks ``matches``, in row order.
 
     Every row ticks once.  ``gates()`` returns the bitmask of unsaturated
     vertices; it is called once, at the first walk with two distinct
@@ -597,7 +558,8 @@ def _valid_walks(
     """
     out = []
     unsat = None
-    for w, ends, top, copies, vertices in rows:
+    for row in rows:
+        _, ends, top, copies, vertices = row
         tick()
         if top > alpha:
             raise ValueError("copy index out of range")
@@ -606,12 +568,13 @@ def _valid_walks(
         if unsat is None:
             unsat = gates()
         if unsat & ends == ends and _augments(copies, vertices, reals, matches):
-            out.append(w)
+            out.append(row)
     return out
 
 
 def _select_walks(
-    profile: Profile,
+    reals: list,
+    matches: list,
     walks: WalkIndex,
     table: UnsaturationTable,
     params: BParams,
@@ -619,48 +582,43 @@ def _select_walks(
     rank: Callable,
     guard: _Guard,
 ) -> list:
-    """Greedy MIS of augmenting hyperwalks by rank, with each member's
-    query re-run under the per-root expansion budget."""
-    g = profile.graph
+    """Greedy MIS by rank of the walks that augment the copies with
+    realization masks ``reals`` and matching masks ``matches``, with each
+    member's query re-run under the per-root expansion budget.  Returns
+    the members' :meth:`WalkIndex.walk_table` rows in rank order."""
+    g = walks.g
 
     def gates() -> int:
         return sum(
             1 << v for v in range(g.n) if table.unsaturated(v, level - 1, params.margin)
         )
 
-    valid = _valid_walks(
-        walks.walk_table(),
-        [real.present for real, _ in profile.pairs],
-        [edge_mask(matching) for _, matching in profile.pairs],
-        profile.alpha,
-        gates,
-        guard.tick,
-    )
-    order = sorted(((rank(w), w) for w in valid), key=lambda t: t[0])
+    valid = _valid_walks(walks.walk_table(), reals, matches, len(reals) - 1, gates, guard.tick)
+    order = sorted(((rank(row[0]), row) for row in valid), key=lambda t: t[0])
     members = []
     covered = set()
-    for _, w in order:
-        vs = walks.vertices_of(w)
+    for _, row in order:
+        vs = walks.vertices_of(row[0])
         if all(v not in covered for v in vs):
-            members.append(w)
+            members.append(row)
             covered.update(vs)
     if params.mis_budget is None:
         return members
-    lower = _walk_lower(frozenset(valid).__contains__, rank, walks.neighbors)
+    lower = _walk_lower({row[0] for row in valid}.__contains__, rank, walks.neighbors)
     kept = []
-    for w in members:
-        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
+    for row in members:
+        ok, truncated, calls = greedy_member(row[0], lower, params.mis_budget)
         guard.tick(calls)
         if not (ok or truncated):
-            raise RuntimeError(f"sweep member {w} resolved negatively without truncation")
+            raise RuntimeError(f"sweep member {row[0]} resolved negatively without truncation")
         if ok:
-            kept.append(w)
+            kept.append(row)
     return kept
 
 
 def b_generic(
     g: Graph,
-    realization: Realization,
+    realization: int,
     params: BParams,
     ctx: SeedContext,
     level: Optional[int] = None,
@@ -668,14 +626,18 @@ def b_generic(
     walks: Optional[WalkIndex] = None,
     memo: Optional[SeedMemo] = None,
 ) -> frozenset:
-    """Recursive matching of ``realization`` at the given level.
+    """Recursive matching of the realization with edge mask
+    ``realization`` at the given level.
 
-    Copy 0 of each node inherits the parent's realization; copies 1..alpha
+    Each recursion node holds one realization mask and one matching mask
+    per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
     at level r under lineage path sigma are drawn from the PRF namespace
-    (sigma, r, i).  The returned edge set is a matching within the input
-    realization and is reproducible from (ctx, realization).  ``memo``
-    is shared by calls under one scope (see :class:`SeedMemo`); without
-    it the call keeps its own.
+    (sigma, r, i).  The chosen walks' rows are applied in table order,
+    each setting ``matches[i] = (matches[i] | additions) & ~removals``
+    per copy it touches, so removal wins.  The returned edge set is a
+    matching within the input realization and is reproducible from
+    (ctx, realization).  ``memo`` is shared by calls under one scope (see
+    :class:`SeedMemo`); without it the call keeps its own.
     """
     if level is None:
         level = params.depth
@@ -695,26 +657,27 @@ def b_generic(
     def tape(e: int) -> _Tape:
         return table_tape(tapes, ctx, Site.edge(e))
 
-    def recurse(lineage: tuple, real: Realization, lvl: int) -> frozenset:
+    def recurse(lineage: tuple, real: int, lvl: int) -> int:
         guard.tick()
         if lvl == 0:
-            return frozenset()
-        pairs = [(real, recurse(lineage, real, lvl - 1))]
+            return 0
+        reals = [real]
+        matches = [recurse(lineage, real, lvl - 1)]
         for i in range(1, params.alpha + 1):
             sub_lineage = lineage + (lvl, i)
             hit = copies.get(sub_lineage)
             if hit is None:
                 start = guard.nodes
-                gi = Realization(g, edge_mask(
+                gi = edge_mask(
                     e for e in range(g.m)
                     if _copy_realized(tape(e), sub_lineage, g.probability(e))
-                ))
+                )
                 matching = recurse(sub_lineage, gi, lvl - 1)
                 hit = copies[sub_lineage] = (gi, matching, guard.nodes - start)
             else:
                 guard.tick(hit[2])
-            pairs.append(hit[:2])
-        profile = Profile(tuple(pairs))
+            reals.append(hit[0])
+            matches.append(hit[1])
 
         def rank(w: Hyperwalk) -> tuple:
             key = (lineage, lvl, w)
@@ -723,12 +686,13 @@ def b_generic(
                 r = ranks[key] = _walk_rank(tape(w.edges[0]), lineage, lvl, w)
             return r
 
-        chosen = _select_walks(profile, walks, table, params, lvl, rank, guard)
-        for w in sorted(chosen, key=lambda x: x.sort_key):
-            profile = apply_hyperwalk(profile, w)
-        return profile.matching(0)
+        chosen = _select_walks(reals, matches, walks, table, params, lvl, rank, guard)
+        for _, _, _, moves, _ in sorted(chosen, key=lambda row: row[0].sort_key):
+            for i, add, rem in moves:
+                matches[i] = (matches[i] | add) & ~rem
+        return matches[0]
 
-    return recurse((), realization, level)
+    return frozenset(mask_edges(recurse((), realization, level)))
 
 
 def build_unsaturation_table(
@@ -823,7 +787,7 @@ class _Engine:
     def realized(self, lineage: tuple, e: int) -> bool:
         self.touch_edge(e)
         if not lineage:
-            return self.lca.root_realization.has(e)
+            return (self.lca.root_realization >> e) & 1 == 1
         tape = self.oracle.peek(Site.edge(e))
         return _copy_realized(tape, lineage, self.lca.g.probability(e))
 
@@ -917,7 +881,8 @@ class _Engine:
 
 
 class BMatchingLca:
-    """Edge-membership queries against the recursive matching.
+    """Edge-membership queries against the recursive matching of the
+    realization with edge mask ``root_realization``.
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
     query with full probe instrumentation and fresh memos; it is the
@@ -933,13 +898,13 @@ class BMatchingLca:
         self,
         g: Graph,
         params: BParams,
-        root_realization: Realization,
+        root_realization: int,
         table: Optional[UnsaturationTable] = None,
         walks: Optional[WalkIndex] = None,
         memo: Optional[SeedMemo] = None,
     ) -> None:
-        if root_realization.graph is not g:
-            raise ValueError("realization belongs to a different graph")
+        if not 0 <= root_realization < 1 << g.m:
+            raise ValueError(f"realization mask outside the {g.m} edges of the graph")
         _check_depth(params.depth)
         self.g = g
         self.params = params
@@ -958,7 +923,7 @@ class BMatchingLca:
         memo, params = self.memo, self.params
         if memo is not None:
             memo.bind(_scope(self.g, oracle.ctx, self.table, self.walks, params))
-            key = (self.root_realization.present, root.id, params.depth)
+            key = (self.root_realization, root.id, params.depth)
             hit = memo.queries.get(key)
             if hit is not None:
                 out, probed, nodes = hit

@@ -59,7 +59,7 @@ def build_H(g: Graph, params: SparsifierParams):
     H = set()
     for i in range(params.R):
         real = sample_realization(g, ctx, i)
-        M = maximum_matching(g, real.present)
+        M = maximum_matching(g, real)
         matchings.append(M)
         H.update(M)
     return frozenset(H), tuple(matchings)

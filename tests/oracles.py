@@ -14,6 +14,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, product
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import pytest
@@ -30,10 +31,10 @@ from stochmatch.analysis import (
 from stochmatch.graph import (
     ENUM_CAP,
     Graph,
-    Realization,
     SeedContext,
     edge_mask,
     enumerate_realizations,
+    mask_edges,
     sample_realization,
     weighted_realizations,
 )
@@ -42,7 +43,6 @@ from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
     Hyperwalk,
-    Profile,
     UnsaturationTable,
     WalkIndex,
     _augmenting_core,
@@ -51,7 +51,6 @@ from stochmatch.hyperwalk import (
     _Guard,
     _walk_lower,
     _walk_rank,
-    apply_hyperwalk,
     walk_vertices,
 )
 from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
@@ -64,6 +63,66 @@ from stochmatch.matching import (
 )
 from stochmatch.mis import TmisBudget, TmisOutcome, TruncatedGreedyMis, greedy_member
 from stochmatch.sparsifier import QProfile, max_degree_of
+
+
+# -- the package's realization and profile types before edge masks, kept
+# for the references below, which read realizations and matchings as sets
+
+
+@dataclass(frozen=True)
+class Realization:
+    """One sampled world: the subset of edges that came up present."""
+
+    graph: Graph
+    present: int  # bitmask over edge ids
+
+    def has(self, e: int) -> bool:
+        return (self.present >> e) & 1 == 1
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Realization/matching pairs (copy 0 first)."""
+
+    pairs: tuple
+
+    @property
+    def alpha(self) -> int:
+        return len(self.pairs) - 1
+
+    @property
+    def graph(self) -> Graph:
+        return self.pairs[0][0].graph
+
+    def realization(self, i: int) -> Realization:
+        return self.pairs[i][0]
+
+    def matching(self, i: int) -> frozenset:
+        return self.pairs[i][1]
+
+
+def apply_hyperwalk(p: Profile, w: Hyperwalk) -> Profile:
+    """P with odd entries added to and even entries removed from their
+    copies (removal wins when both touch the same copy)."""
+    if any(s > p.alpha for s in w.indices):
+        raise ValueError("copy index out of range for this profile")
+    adds = w.additions()
+    removals = w.removals()
+    pairs = []
+    for i, (real, matching) in enumerate(p.pairs):
+        new = set(matching)
+        new.update(e for (e, s) in adds if s == i)
+        new.difference_update(e for (e, s) in removals if s == i)
+        pairs.append((real, frozenset(new)))
+    return Profile(tuple(pairs))
+
+
+def mask_profile(g: Graph, reals: Sequence[int], matches: Sequence[int]) -> Profile:
+    """The :class:`Profile` of per-copy realization and matching masks."""
+    return Profile(tuple(
+        (Realization(g, real), frozenset(mask_edges(match)))
+        for real, match in zip(reals, matches)
+    ))
 
 
 def brute_matching_number(g: Graph, active=None) -> int:
@@ -243,8 +302,8 @@ def matching_size_expectation_exact(g: Graph) -> float:
     return total
 
 
-def restrict(real: Realization, edge_mask: int) -> Realization:
-    return Realization(real.graph, real.present & edge_mask)
+def restrict(real: int, edge_mask: int) -> int:
+    return real & edge_mask
 
 
 def violates_vertex_caps(f, tol: float = 1e-9) -> list:
@@ -500,25 +559,27 @@ def is_augmenting(
 
 
 @contextmanager
-def validating_applications():
-    """Within the block, every ``hyperwalk.apply_hyperwalk`` call runs
-    :func:`validate_profile` on its input and its output.
+def validating_profiles():
+    """Within the block, every ``hyperwalk._select_walks`` call first runs
+    :func:`validate_profile` on the copies handed to it; the block gets a
+    tally whose ``profiles`` counts them.
 
-    Under ``b_generic`` this validates every profile: each copy pairs a
-    realization with the output of a recursion on it, which is empty,
-    an unchanged lower-level output, or the output of an application.
+    Under ``b_generic`` this validates every recursion output but the
+    root's: each copy's matching is the output of a recursion one level
+    down.  The walks a selection chooses are vertex-disjoint, so a valid
+    state after all of them implies a valid state after each.
     """
-    apply = hyperwalk.apply_hyperwalk
+    select = hyperwalk._select_walks
+    tally = SimpleNamespace(profiles=0)
 
-    def checked(p: Profile, w: Hyperwalk) -> Profile:
-        validate_profile(p)
-        out = apply(p, w)
-        validate_profile(out)
-        return out
+    def checked(reals, matches, walks, *args):
+        validate_profile(mask_profile(walks.g, reals, matches))
+        tally.profiles += 1
+        return select(reals, matches, walks, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyperwalk, "apply_hyperwalk", checked)
-        yield
+        mp.setattr(hyperwalk, "_select_walks", checked)
+        yield tally
 
 
 # -- earlier implementations, kept as differential oracles ---------------------
@@ -621,9 +682,9 @@ def ratio_sweep_v0(
     num_cols = [[] for _ in masks]
     for t in range(samples):
         real = sample_realization(g, ctx, t)
-        dens.append(matching_number(g, active=real.present))
+        dens.append(matching_number(g, active=real))
         for k, h_mask in enumerate(masks):
-            num_cols[k].append(matching_number(g, active=real.present & h_mask))
+            num_cols[k].append(matching_number(g, active=real & h_mask))
     total_d = float(sum(dens))
     out = []
     for nums in num_cols:
@@ -670,7 +731,8 @@ def build_match_prob_table_v0(
         raise ValueError("trials must be positive")
     else:
         worlds = (
-            (sample_realization(sub, ctx.child("real"), t), 1, ctx.child("alg", t))
+            (Realization(sub, sample_realization(sub, ctx.child("real"), t)), 1,
+             ctx.child("alg", t))
             for t in range(trials)
         )
     covered = [0.0] * g.n

@@ -31,7 +31,7 @@ from oracles import (
     q_load,
     tmis_query,
     tmis_set,
-    validating_applications,
+    validating_profiles,
     vertex_load,
     vertex_rank,
 )
@@ -214,11 +214,12 @@ def b_corpus_runs():
     Per (instance, seed): sizes of the level-r matchings under one seed
     context (shared tapes), the final matching with full profile
     validation enabled, and the same matching recovered edge by edge
-    through the query route.
+    through the query route.  Every call at level r >= 1 runs at least
+    one selection, so it must validate at least one profile.
     """
     t0 = time.monotonic()
     runs = []
-    with validating_applications():
+    with validating_profiles() as tally:
         for name, g, kw in B_CORPUS:
             assert g.m <= 8
             params = BParams(eps=0.3, margin=0.1, **kw)
@@ -228,8 +229,10 @@ def b_corpus_runs():
                 sizes = []
                 final = frozenset()
                 for r in range(params.depth + 1):
+                    before = tally.profiles
                     final = b_generic(g, real, params, ctx, level=r)
                     sizes.append(len(final))
+                    assert tally.profiles > before or r == 0
                 via_queries = matching_via_queries(BMatchingLca(g, params, real), ctx)
                 runs.append((name, g, real, sizes, final, via_queries))
     return runs, time.monotonic() - t0
@@ -247,13 +250,13 @@ def test_lca_generic_equivalence(b_corpus_runs):
 @pytest.mark.criterion(10, "b_generic levels stay valid matchings and never shrink")
 def test_augmentation_soundness(b_corpus_runs):
     # intermediate profiles are validated inside the fixture (the
-    # validating wrapper raises on any malformed application), so only
-    # the level-to-level facts are left to assert here
+    # validating wrapper raises on any malformed selection input), so
+    # only the level-to-level facts are left to assert here
     runs, _ = b_corpus_runs
     for name, g, real, sizes, final, _ in runs:
         assert all(b >= a for a, b in zip(sizes, sizes[1:])), name
         assert is_matching(g, final)
-        assert all(real.has(e) for e in final)
+        assert all((real >> e) & 1 for e in final)
 
 
 # Fixed split instance for the fractional stages: two heavy pair edges

@@ -13,7 +13,6 @@ from stochmatch.graph import (
     EdgeCountExceeded,
     Graph,
     GraphFormatError,
-    Realization,
     SeedContext,
     _encode_labels,
     edge_mask,
@@ -158,7 +157,7 @@ class TestWeightedRealizations:
     def test_sampled_trials_have_unit_weight(self, path3):
         ctx = SeedContext(4)
         _, worlds = weighted_realizations(path3, 6, ctx, exact=False)
-        expected = [(sample_realization(path3, ctx, t).present, 1) for t in range(6)]
+        expected = [(sample_realization(path3, ctx, t), 1) for t in range(6)]
         assert list(worlds) == expected
 
 
@@ -166,20 +165,20 @@ class TestSampling:
     def test_sure_edge_always_present(self):
         g = Graph.build(2, [(0, 1, 1.0)])
         ctx = SeedContext(5)
-        assert all(sample_realization(g, ctx, t).has(0) for t in range(50))
+        assert all(sample_realization(g, ctx, t) & 1 for t in range(50))
 
     def test_determinism(self):
         g = Graph.build(3, [(0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5)])
         a = sample_realization(g, SeedContext(9), 3)
         b = sample_realization(g, SeedContext(9), 3)
-        assert a.present == b.present
+        assert a == b
 
     def test_presence_frequency(self):
         # 4 sigma budget at N = 1e5 for p = 0.5
         g = Graph.build(2, [(0, 1, 0.5)])
         ctx = SeedContext(123)
         n = 100_000
-        hits = sum(sample_realization(g, ctx, t).has(0) for t in range(n))
+        hits = sum(sample_realization(g, ctx, t) & 1 for t in range(n))
         assert abs(hits / n - 0.5) <= 4 * math.sqrt(0.25 / n)
 
     def test_matches_uniform_stream(self):
@@ -192,7 +191,7 @@ class TestSampling:
             for e in range(g.m):
                 if sub.uniform(e) < g.edges[e][2]:
                     ref |= 1 << e
-            assert sample_realization(g, ctx, t).present == ref
+            assert sample_realization(g, ctx, t) == ref
 
     @given(st.integers(0, 2**32), st.integers(0, 2**20), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -228,12 +227,12 @@ class TestSampling:
         for e, (_, _, p) in enumerate(g.edges):
             if draws[e] < p:
                 ref |= 1 << e
-        assert sample_realization(g, ctx, trial).present == ref
+        assert sample_realization(g, ctx, trial) == ref
 
     def test_restrict(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
         r = sample_realization(g, SeedContext(1), 0)
-        assert restrict(r, 0b01).present == 0b01
+        assert restrict(r, 0b01) == 0b01
 
 
 class TestSeedContext:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    Profile,
+    Realization,
     _select_walks_v1,
+    apply_hyperwalk,
     b_generic_v0,
     bparams_from_eps,
     complete_graph,
@@ -17,28 +20,27 @@ from oracles import (
     hyperwalk_reference_set,
     is_augmenting,
     is_matching,
+    mask_profile,
     matching_via_queries,
     never_unsaturated,
     out_query_ceiling,
     path_graph,
     validate_profile,
-    validating_applications,
+    validating_profiles,
 )
 from stochmatch import hyperwalk
-from stochmatch.graph import Graph, Realization, SeedContext, sample_realization
+from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
     EnumerationTooLarge,
     Hyperwalk,
-    Profile,
     ResourceGuard,
     SeedMemo,
     UnsaturationTable,
     WalkIndex,
     _Guard,
     _valid_walks,
-    apply_hyperwalk,
     b_generic,
     build_unsaturation_table,
     walk_vertices,
@@ -51,7 +53,7 @@ def star_graph(leaves, p=0.5):
 
 
 def full_realization(g):
-    return Realization(g, (1 << g.m) - 1)
+    return (1 << g.m) - 1
 
 
 def profile_noalpha(g, mask, matching=frozenset()):
@@ -205,7 +207,7 @@ class TestProfileOps:
 
     def test_apply_targets_copy_by_index(self):
         g = path_graph(1)
-        real = full_realization(g)
+        real = Realization(g, full_realization(g))
         p = Profile(((real, frozenset()), (real, frozenset())))
         w = Hyperwalk.make((0,), (1,))
         out = apply_hyperwalk(p, w)
@@ -220,7 +222,7 @@ class TestProfileOps:
 
     def test_degree_in_profile(self):
         g = path_graph(2)
-        real = full_realization(g)
+        real = Realization(g, full_realization(g))
         p = Profile(((real, frozenset({0})), (real, frozenset({1}))))
         assert degree_in_profile(p, 0) == 1
         assert degree_in_profile(p, 1) == 2
@@ -255,7 +257,7 @@ class TestAugmenting:
     def test_double_match_blocks(self):
         # copy 1 already matches the shared vertex; adding with s=1 collides
         g = path_graph(2)
-        real = full_realization(g)
+        real = Realization(g, full_realization(g))
         p = Profile(((real, frozenset()), (real, frozenset({1}))))
         w = Hyperwalk.make((0,), (1,))
         table = UnsaturationTable.always_unsaturated(g.n, 1)
@@ -304,35 +306,30 @@ class TestBGeneric:
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             got = b_generic(g, real, SMALL_PARAMS, SeedContext(seed), level=1)
             assert is_matching(g, got)
-            assert all(real.has(e) for e in got)
+            assert all((real >> e) & 1 for e in got)
 
     def test_check_mode_validates_intermediates(self):
         g = complete_graph(4)
         params = BParams(alpha=1, walk_len=3, depth=2, eps=0.3, margin=0.1)
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            with validating_applications():
+            with validating_profiles() as tally:
                 loud = b_generic(g, real, params, SeedContext(seed))
             quiet = b_generic(g, real, params, SeedContext(seed))
             assert loud == quiet
+            assert tally.profiles > 0
 
     def test_validating_wrapper_catches_collisions(self, monkeypatch):
-        # a mutant application that also adds a realized edge beside each
-        # matched copy-0 edge must not get past the wrapper
-        apply = hyperwalk.apply_hyperwalk
-
-        def colliding(p, w):
-            out = apply(p, w)
-            real, matching = out.pairs[0]
-            g = out.graph
-            extra = {f for e in matching for f in g.incident(g.endpoints(e)[0]) if real.has(f)}
-            return Profile(((real, matching | extra),) + out.pairs[1:])
-
-        monkeypatch.setattr(hyperwalk, "apply_hyperwalk", colliding)
+        # a mutant that accepts every walk with two distinct endpoints
+        # applies walks such as (0-1, 1-2, 2-0, 0-3), which matches two
+        # edges at vertex 0; the level-2 selection must not get past the
+        # wrapper
+        monkeypatch.setattr(hyperwalk, "_augments", lambda *args: True)
         g = complete_graph(4)
-        with validating_applications():
+        params = replace(SMALL_PARAMS, walk_len=4, depth=2)
+        with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
-                b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0))
+                b_generic(g, full_realization(g), params, SeedContext(0))
 
     def test_monotone_without_extra_copies(self):
         # alpha = 0: each walk acts on copy 0 alone, so applications never
@@ -409,9 +406,8 @@ class TestSeedMemo:
         g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         memo = SeedMemo()
         for mask, level in calls:
-            real = Realization(g, mask)
-            got = b_generic(g, real, params, ctx, level, table, walks, memo)
-            assert got == b_generic_v0(g, real, params, ctx, level, table, walks)
+            got = b_generic(g, mask, params, ctx, level, table, walks, memo)
+            assert got == b_generic_v0(g, Realization(g, mask), params, ctx, level, table, walks)
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -420,13 +416,11 @@ class TestSeedMemo:
         g, params, table, walks, ctx, calls = data.draw(memo_cases(budget))
         warm = SeedMemo()
         for mask, level in calls:
-            b_generic(g, Realization(g, mask), params, ctx, level, table, walks, warm)
+            b_generic(g, mask, params, ctx, level, table, walks, warm)
         for mask, level in calls:
-            real = Realization(g, mask)
-
             def call(memo):
                 return lambda c: b_generic(
-                    g, real, replace(params, node_ceiling=c), ctx, level, table, walks, memo
+                    g, mask, replace(params, node_ceiling=c), ctx, level, table, walks, memo
                 )
 
             cold = smallest_ceiling(lambda c: call(SeedMemo())(c))
@@ -502,9 +496,8 @@ class TestQueryReplay:
         with pytest.MonkeyPatch.context() as mp:
             engines = counting_engines(mp)
             for mask in masks:
-                real = Realization(g, mask)
-                shared = BMatchingLca(g, params, real, table, walks, memo)
-                fresh = BMatchingLca(g, params, real, table, walks)
+                shared = BMatchingLca(g, params, mask, table, walks, memo)
+                fresh = BMatchingLca(g, params, mask, table, walks)
                 for e in range(g.m):
                     out, trace = run_lca(shared, g, ctx, Site.edge(e), memo.tapes)
                     want, want_trace = run_lca(fresh, g, ctx, Site.edge(e))
@@ -520,14 +513,13 @@ class TestQueryReplay:
     def test_smallest_ceiling_same_replayed_and_fresh(self, data):
         g, params, table, walks, ctx, calls = data.draw(memo_cases(None))
         mask = calls[0][0]
-        real = Realization(g, mask)
         warm = SeedMemo()
         root = Site.edge(data.draw(st.integers(0, g.m - 1)))
-        run_lca(BMatchingLca(g, params, real, table, walks, warm), g, ctx, root)
+        run_lca(BMatchingLca(g, params, mask, table, walks, warm), g, ctx, root)
 
         def query(memo):
             return lambda c: run_lca(
-                BMatchingLca(g, replace(params, node_ceiling=c), real, table, walks, memo),
+                BMatchingLca(g, replace(params, node_ceiling=c), mask, table, walks, memo),
                 g, ctx, root,
             )
 
@@ -571,6 +563,14 @@ def table_cases(draw):
     return Profile(copies), walks, table
 
 
+def select_v1(reals, matches, walks, *args):
+    """``oracles._select_walks_v1`` behind the signature of
+    ``_select_walks``: the copies' masks go in as a profile, and the
+    chosen walks come back as their walk-table rows."""
+    rows = {row[0]: row for row in walks.walk_table()}
+    return [rows[w] for w in _select_walks_v1(mask_profile(walks.g, reals, matches), walks, *args)]
+
+
 class TestWalkTable:
     """The bitmask selection in ``_select_walks`` against the per-edge
     predicate it replaced (``oracles.is_augmenting``) and the parent
@@ -591,7 +591,7 @@ class TestWalkTable:
             lambda: ticks.append(1),
         )
         want = [w for w in walks.all_walks() if is_augmenting(profile, w, table, 1, margin)]
-        assert got == want
+        assert [row[0] for row in got] == want
         assert len(ticks) == len(walks.all_walks())
 
     def test_second_matched_edge_blocks(self):
@@ -601,12 +601,12 @@ class TestWalkTable:
         g = Graph.build(5, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (1, 4, 0.5)])
         walks = WalkIndex(g, 3, 0)
         w = Hyperwalk.make((0, 1, 2), (0, 0, 0))
-        profile = Profile(((full_realization(g), frozenset({1, 3})),))
+        profile = profile_noalpha(g, full_realization(g), {1, 3})
         table = UnsaturationTable.always_unsaturated(g.n, 1)
         got = _valid_walks(
             walks.walk_table(), [(1 << g.m) - 1], [0b1010], 0, lambda: (1 << g.n) - 1, lambda: None
         )
-        assert w not in got
+        assert w not in [row[0] for row in got]
         assert not is_augmenting(profile, w, table, 0, margin=0.1)
 
     def test_rows_follow_all_walks(self):
@@ -628,11 +628,12 @@ class TestWalkTable:
         select = hyperwalk._select_walks
         selections = []
 
-        def both(profile, walks, table, params, level, rank, guard):
+        def both(reals, matches, walks, table, params, level, rank, guard):
             new, old = _Guard(0), _Guard(0)
-            got = select(profile, walks, table, params, level, rank, new)
+            got = select(reals, matches, walks, table, params, level, rank, new)
+            profile = mask_profile(walks.g, reals, matches)
             want = _select_walks_v1(profile, walks, table, params, level, rank, old)
-            assert got == want
+            assert [row[0] for row in got] == want
             assert new.nodes == old.nodes
             selections.append(got)
             guard.tick(new.nodes)
@@ -643,7 +644,7 @@ class TestWalkTable:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
                     return b_generic(
-                        g, Realization(g, mask), replace(params, node_ceiling=ceiling),
+                        g, mask, replace(params, node_ceiling=ceiling),
                         ctx, level, table, walks,
                     )
             return call
@@ -654,7 +655,7 @@ class TestWalkTable:
             assert run(both, mask, level)(0) == want
             assert run(select, mask, level)(0) == want
             assert smallest_ceiling(run(select, mask, level)) == smallest_ceiling(
-                run(_select_walks_v1, mask, level)
+                run(select_v1, mask, level)
             )
         assert len(selections) >= len([lvl for _, lvl in calls if lvl > 0])
 
@@ -676,7 +677,7 @@ class TestWalkTable:
                     return str(exc)
 
         got = outcome(hyperwalk._select_walks)
-        assert got == outcome(_select_walks_v1)
+        assert got == outcome(select_v1)
         assert got == ("no marginals for level 2" if edges else frozenset())
 
     def test_unresolved_member_raises(self, monkeypatch):
@@ -752,6 +753,14 @@ class TestLcaRoute:
         out, trace = run_lca(lca, g, ctx, Site.edge(0))
         assert out == (0 in b_generic(g, real, params, ctx))
         assert Site.edge(0) in trace.out_queries
+
+    def test_rejects_mask_outside_graph(self):
+        g = path_graph(2)
+        params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1)
+        for mask in (-1, 1 << g.m):
+            with pytest.raises(ValueError, match="outside"):
+                BMatchingLca(g, params, mask)
+        BMatchingLca(g, params, full_realization(g))
 
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)

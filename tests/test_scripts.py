@@ -33,3 +33,27 @@ def test_lca_profile(capsys, tmp_path, lca):
     assert lines[0].startswith("graph: n=12 ") and lines[0].endswith(f"lca={lca}  sweeps=3")
     assert lines[-1].startswith("correlated bound: ")
     assert csv.read_text().startswith("kind,site,mean_qplus,mean_qminus,mean_psi\n")
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("lca_profile", ["--n", "12", "--trials", "1"], "--trials"),
+        ("lca_profile", ["--n", "12", "--trials", "0"], "--trials"),
+        ("lca_profile", ["--n", "12", "--budget", "0"], "threshold must be positive"),
+        ("lca_profile", ["--n", "12", "--lca", "b-matching", "--depth", "600"], "--depth 600"),
+        ("ratio_sweep", ["--n", "12", "--R", "1,x"], "--R"),
+        ("ratio_sweep", ["--n", "12", "--R", "0"], "--R"),
+        ("ratio_sweep", ["--n", "12", "--samples", "0"], "--samples"),
+        ("ratio_sweep", ["--n", "12", "--eps", "2"], "eps must lie in (0, 1)"),
+        ("ratio_sweep", ["--n", "30", "--R", "1", "--exact"], "enumeration cap"),
+    ],
+)
+def test_bad_arguments_exit_with_usage(capsys, name, argv, message):
+    main = script_main(name)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and message in captured.err.splitlines()[-1]

@@ -9,6 +9,9 @@ to a fixpoint.  The bench tracer binds its wrappers by dotted strings
 (``"hyperwalk.BMatchingLca.run"``), so the string constants of
 ``bench/tracer.py`` count as references too.  Matching is by name, not
 by type, so the lint can miss dead code; it never flags live code.
+
+The package also holds no ``assert`` statement: ``python -O`` strips
+them, so a check the package relies on raises an exception instead.
 """
 
 import ast
@@ -110,3 +113,13 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_entries_are_still_uncalled():
     dead = {q.rsplit(".", 1)[-1] for q in unreferenced()}
     assert set(ALLOWED) <= dead, f"allowlisted names that gained a caller: {set(ALLOWED) - dead}"
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements in src/stochmatch: {found}"
