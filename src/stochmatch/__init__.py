@@ -68,13 +68,11 @@ from .hyperwalk import (
     BMatchingLca,
     BParams,
     EnumerationTooLarge,
-    Hyperwalk,
     ResourceGuard,
     UnsaturationTable,
     WalkIndex,
     b_generic,
     build_unsaturation_table,
-    walk_vertices,
 )
 from .analysis import (
     ClaimCheck,

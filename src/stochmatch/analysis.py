@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from typing import Iterable, Optional, Sequence
 
@@ -640,13 +641,14 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimR
     standard errors."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    # at most one worker per trial and per CPU
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery is a large share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
         # one block of consecutive trials per worker, each with its own memo;
         # a forked pool starts every worker at the first submit
-        workers = min(workers, trials)
         cuts = [trials * k // workers for k in range(workers + 1)]
         blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:

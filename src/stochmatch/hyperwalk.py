@@ -23,12 +23,16 @@ instances.  Under a ``SeedMemo`` a repeated query (same realization,
 root and depth) is replayed: its recorded probes go through the oracle
 again and its recorded answer and node count are returned.
 
-The two routes decide walk validity in two forms.  ``b_generic`` holds
-every copy's realization and matching masks, so it reads each walk's
-row of :meth:`WalkIndex.walk_table` and checks it with integer
-operations on those masks.  The query route learns each membership and realization
-bit by probing, in order, so it runs :func:`_augmenting_core` with
-per-edge accessors.  A differential test keeps the two forms equal.
+Both routes name a walk by the int id that :class:`WalkIndex` gave it
+when it first enumerated it, and read one record per id (a
+:class:`Walk`): its edges and copy indices, vertex sequence, sort key,
+and the bitmasks that decide its validity.  Ranks, memos and conflict
+lists all key on ids.  ``b_generic`` holds every copy's realization and
+matching masks, so it checks each row of :meth:`WalkIndex.walk_table`
+with integer operations on them.  The query route learns each
+membership and realization bit by probing, in order, so
+:func:`_augmenting_core` checks the same record with per-edge
+accessors.  A differential test keeps the two equal.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
@@ -43,9 +47,8 @@ set stays independent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graph import Graph, SeedContext, edge_mask, mask_edges, sample_realization
 from .lca import Site, _Tape, table_tape
@@ -112,100 +115,6 @@ class BParams:
 # hyperwalks
 
 
-@dataclass(frozen=True)
-class Hyperwalk:
-    """Edge walk with one copy index per position.
-
-    Edges are distinct and consecutive edges share an endpoint.  Odd
-    positions (1-based) are additions, even positions removals.  A walk
-    of odd length acts identically to its reversal, so those pairs are
-    stored in one canonical orientation; even-length walks change
-    meaning under reversal and keep their direction.  Walks key many
-    memos, so the hash is computed once, and ``additions``/``removals``
-    are built once per walk, on first use.
-    """
-
-    edges: tuple
-    indices: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.edges, self.indices)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @classmethod
-    def make(cls, edges: Iterable[int], indices: Iterable[int]) -> "Hyperwalk":
-        edges = tuple(edges)
-        indices = tuple(indices)
-        if not edges:
-            raise ValueError("empty hyperwalk")
-        if len(edges) != len(indices):
-            raise ValueError("edges and indices must have equal length")
-        if len(set(edges)) != len(edges):
-            raise ValueError("hyperwalk edges must be distinct")
-        if any(s < 0 for s in indices):
-            raise ValueError("copy indices must be nonnegative")
-        if len(edges) % 2 == 1:
-            fwd = (edges, indices)
-            rev = (edges[::-1], indices[::-1])
-            edges, indices = min(fwd, rev)
-        return cls(edges, indices)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (len(self.edges), self.edges, self.indices)
-
-    def entries(self):
-        """(position, edge, copy) triples with 1-based positions."""
-        return tuple(
-            (j + 1, e, s) for j, (e, s) in enumerate(zip(self.edges, self.indices))
-        )
-
-    @cached_property
-    def _moves(self) -> tuple:
-        entries = self.entries()
-        return (
-            frozenset((e, s) for j, e, s in entries if j % 2 == 1),
-            frozenset((e, s) for j, e, s in entries if j % 2 == 0),
-        )
-
-    def additions(self) -> frozenset:
-        return self._moves[0]
-
-    def removals(self) -> frozenset:
-        return self._moves[1]
-
-
-def walk_vertices(g: Graph, edges: tuple) -> tuple:
-    """Vertex sequence v_0..v_k of an edge walk; raises for non-walks.
-
-    A single edge is oriented from its smaller endpoint; longer walks
-    are oriented by the shared endpoints of consecutive edges.
-    """
-    if not edges:
-        raise ValueError("empty walk")
-    if len(edges) == 1:
-        return g.endpoints(edges[0])
-    a1, b1 = g.endpoints(edges[0])
-    a2, b2 = g.endpoints(edges[1])
-    shared = {a1, b1} & {a2, b2}
-    if len(shared) != 1:
-        raise ValueError("consecutive edges must share one endpoint")
-    v1 = shared.pop()
-    vseq = [b1 if v1 == a1 else a1, v1]
-    for e in edges[1:]:
-        a, b = g.endpoints(e)
-        if a == vseq[-1]:
-            vseq.append(b)
-        elif b == vseq[-1]:
-            vseq.append(a)
-        else:
-            raise ValueError("consecutive edges must share one endpoint")
-    return tuple(vseq)
-
-
 def _walks_from(g: Graph, start: int, maxlen: int, banned: tuple = ()):
     """All directed edge-distinct walks leaving ``start``, including the
     trivial length-0 walk."""
@@ -241,12 +150,47 @@ def _directed_walks_touching(g: Graph, v: int, maxlen: int) -> set:
     return found
 
 
-class WalkIndex:
-    """Lazy registry of all hyperwalks of bounded length on one graph.
+class Walk(NamedTuple):
+    """The record of one interned hyperwalk.
 
-    Provides containment lookups (walks through a vertex or an edge),
-    conflict adjacency (walks sharing a vertex), and vertex sequences.
-    Enumerations beyond ``ceiling`` hyperwalks raise
+    ``edges`` is the edge walk and ``indices`` its copy index per
+    position; odd positions (1-based) are additions, even positions
+    removals.  ``vseq`` is the vertex sequence v_0..v_k (a single edge's
+    in the orientation its enumeration met first), and ``sort_key`` is
+    (length, edges, indices).  The rest is what the validity check
+    reads as bitmasks: ``ends`` has the bits of the two endpoints, or is
+    0 for a closed walk; ``copies`` holds ``(i, additions, removals)``
+    edge masks per copy the walk touches, in copy order; ``vertices``
+    holds ``(incidence, required degree change)`` per distinct walk
+    vertex, in vertex order, the change being 1 at an endpoint and 0
+    elsewhere.
+    """
+
+    edges: tuple
+    indices: tuple
+    vseq: tuple
+    sort_key: tuple
+    ends: int
+    copies: tuple
+    vertices: tuple
+
+
+class WalkIndex:
+    """Lazy registry of all hyperwalks of bounded length on one graph,
+    each interned as an int id.
+
+    A hyperwalk's edges are distinct and consecutive edges share an
+    endpoint.  A walk of odd length acts identically to its reversal, so
+    those pairs are kept in one canonical orientation, the smaller of
+    (edges, indices) and its reverse; even-length walks change meaning
+    under reversal and keep their direction.
+
+    Enumeration stays local: the walks through a vertex are enumerated
+    on first request, and a walk gets the next id the first time one of
+    them finds it.  ``records[i]`` is walk i's :class:`Walk`, and every
+    lookup (walks through a vertex or an edge, all walks, conflict
+    neighbors) returns ids in ``sort_key`` order, so no order depends on
+    the ids.  Enumerations beyond ``ceiling`` hyperwalks raise
     :class:`EnumerationTooLarge`.
     """
 
@@ -259,10 +203,12 @@ class WalkIndex:
         self.walk_len = walk_len
         self.alpha = alpha
         self.ceiling = ceiling
+        self.records = []  # id -> Walk
+        self._ids = {}  # (edges, indices) -> id
+        self._incidence = [edge_mask(g.incident(v)) for v in range(g.n)]
         self._by_vertex = {}
         self._by_edge = {}
-        self._neighbors = {}
-        self._vseqs = {}
+        self._neighbors = {}  # id -> ids
         self._all = None
         self._table = None
 
@@ -272,16 +218,46 @@ class WalkIndex:
                 f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
             )
 
+    def _intern(self, edges: tuple, indices: tuple, vseq: tuple) -> int:
+        i = self._ids.get((edges, indices))
+        if i is None:
+            i = self._ids[edges, indices] = len(self.records)
+            adds = tuple(zip(edges[0::2], indices[0::2]))
+            removals = tuple(zip(edges[1::2], indices[1::2]))
+            copies = tuple(
+                (
+                    c,
+                    edge_mask(e for e, s in adds if s == c),
+                    edge_mask(e for e, s in removals if s == c),
+                )
+                for c in sorted(set(indices))
+            )
+            v0, vk = vseq[0], vseq[-1]
+            vertices = tuple(
+                (self._incidence[u], 1 if u in (v0, vk) else 0) for u in sorted(set(vseq))
+            )
+            ends = 0 if v0 == vk else (1 << v0) | (1 << vk)
+            key = (len(edges), edges, indices)
+            self.records.append(Walk(edges, indices, vseq, key, ends, copies, vertices))
+        return i
+
+    def _sorted(self, ids: Iterable[int]) -> tuple:
+        return tuple(sorted(ids, key=lambda i: self.records[i].sort_key))
+
     def _expand(self, directed: set) -> tuple:
-        walks = set()
+        found = {}  # canonical (edges, indices) -> vertex sequence
         reps = self.alpha + 1
-        for _, eseq in directed:
+        for vseq, eseq in directed:
             span = len(eseq)
-            self._check_ceiling(len(walks) + reps**span, self.ceiling * 2)
+            self._check_ceiling(len(found) + reps**span, self.ceiling * 2)
             for idx in itertools.product(range(reps), repeat=span):
-                walks.add(Hyperwalk.make(eseq, idx))
-        self._check_ceiling(len(walks), self.ceiling)
-        return tuple(sorted(walks, key=lambda w: w.sort_key))
+                if span % 2 == 1 and (eseq[::-1], idx[::-1]) < (eseq, idx):
+                    found.setdefault((eseq[::-1], idx[::-1]), vseq[::-1])
+                else:
+                    found.setdefault((eseq, idx), vseq)
+        self._check_ceiling(len(found), self.ceiling)
+        order = sorted(found, key=lambda k: (len(k[0]),) + k)
+        return tuple(self._intern(*k, found[k]) for k in order)
 
     def walks_through_vertex(self, v: int) -> tuple:
         if v not in self._by_vertex:
@@ -293,65 +269,41 @@ class WalkIndex:
         if e not in self._by_edge:
             u = self.g.endpoints(e)[0]
             self._by_edge[e] = tuple(
-                w for w in self.walks_through_vertex(u) if e in w.edges
+                i for i in self.walks_through_vertex(u) if e in self.records[i].edges
             )
         return self._by_edge[e]
 
     def all_walks(self) -> tuple:
         if self._all is None:
-            walks = set()
+            ids = set()
             for v in range(self.g.n):
-                walks.update(self.walks_through_vertex(v))
-                self._check_ceiling(len(walks), self.ceiling)
-            self._all = tuple(sorted(walks, key=lambda w: w.sort_key))
+                ids.update(self.walks_through_vertex(v))
+                self._check_ceiling(len(ids), self.ceiling)
+            self._all = self._sorted(ids)
         return self._all
 
     def walk_table(self) -> tuple:
-        """One row per walk of :meth:`all_walks`, in that order, holding
-        what the walk-validity check reads as edge and vertex bitmasks:
-        ``(walk, ends, top, copies, vertices)``.  ``ends`` has the bits
-        of the two endpoints, or is 0 for a closed walk; ``top`` is the
-        largest copy index; ``copies`` holds ``(i, additions, removals)``
-        per copy the walk touches; ``vertices`` holds ``(incidence,
-        required degree change)`` per distinct walk vertex, the change
-        being 1 at an endpoint and 0 elsewhere."""
+        """One row ``(id, ends, copies, vertices)`` per walk of
+        :meth:`all_walks`, in that order: the bitmask fields of the
+        walk's record (see :class:`Walk`)."""
         if self._table is None:
-            incidence = [edge_mask(self.g.incident(v)) for v in range(self.g.n)]
             rows = []
-            for w in self.all_walks():
-                vseq = self.vertices_of(w)
-                v0, vk = vseq[0], vseq[-1]
-                adds, removals = w.additions(), w.removals()
-                copies = tuple(
-                    (
-                        i,
-                        edge_mask(e for e, s in adds if s == i),
-                        edge_mask(e for e, s in removals if s == i),
-                    )
-                    for i in sorted(set(w.indices))
-                )
-                vertices = tuple(
-                    (incidence[u], 1 if u in (v0, vk) else 0) for u in sorted(set(vseq))
-                )
-                ends = 0 if v0 == vk else (1 << v0) | (1 << vk)
-                rows.append((w, ends, max(w.indices), copies, vertices))
+            for i in self.all_walks():
+                r = self.records[i]
+                rows.append((i, r.ends, r.copies, r.vertices))
             self._table = tuple(rows)
         return self._table
 
-    def vertices_of(self, w: Hyperwalk) -> tuple:
-        if w not in self._vseqs:
-            self._vseqs[w] = walk_vertices(self.g, w.edges)
-        return self._vseqs[w]
-
-    def neighbors(self, w: Hyperwalk) -> tuple:
-        """Hyperwalks sharing at least one vertex with ``w``, excluding it."""
-        if w not in self._neighbors:
+    def neighbors(self, i: int) -> tuple:
+        """Ids of the hyperwalks sharing at least one vertex with walk
+        ``i``, excluding it."""
+        if i not in self._neighbors:
             seen = set()
-            for v in sorted(set(self.vertices_of(w))):
+            for v in sorted(set(self.records[i].vseq)):
                 seen.update(self.walks_through_vertex(v))
-            seen.discard(w)
-            self._neighbors[w] = tuple(sorted(seen, key=lambda x: x.sort_key))
-        return self._neighbors[w]
+            seen.discard(i)
+            self._neighbors[i] = self._sorted(seen)
+        return self._neighbors[i]
 
 
 @dataclass(frozen=True)
@@ -377,53 +329,38 @@ class UnsaturationTable:
 
 
 def _augmenting_core(
-    g: Graph,
-    w: Hyperwalk,
-    vseq: tuple,
-    alpha: int,
-    member_fn: Callable,
-    realized_fn: Callable,
-    unsat_fn: Callable,
+    g: Graph, w: Walk, member_fn: Callable, realized_fn: Callable, unsat_fn: Callable
 ) -> bool:
-    """Validity predicate of the query route.
+    """Validity predicate of the query route, on walk record ``w``.
 
     ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
     the previous level; ``unsat_fn(v)`` is the endpoint gate.  The query
     route passes accessors that probe as they answer, so the order of
-    calls here fixes the order of its probes.  ``b_generic`` decides the
-    same predicate on bitmasks (:func:`_valid_walks`), and a
-    differential test keeps the two equal.
+    calls here fixes the order of its probes: the additions by edge id,
+    then per walk vertex in vertex order, per copy, every incident edge
+    in adjacency order.  ``b_generic`` decides the same predicate on
+    whole masks (:func:`_augments`), and a differential test keeps the
+    two equal.
     """
-    if any(s > alpha for s in w.indices):
-        raise ValueError("copy index out of range")
-    v0, vk = vseq[0], vseq[-1]
-    if v0 == vk:
+    if not w.ends:
         return False
+    v0, vk = w.vseq[0], w.vseq[-1]
     if not unsat_fn(v0) or not unsat_fn(vk):
         return False
-    adds = w.additions()
-    removals = w.removals()
-    for e, s in sorted(adds):
+    for e, s in sorted(zip(w.edges[0::2], w.indices[0::2])):
         if not realized_fn(s, e):
             return False
-    touched = sorted({s for s in w.indices})
-    endpoints = (v0, vk)
-    for u in sorted(set(vseq)):
+    for u, (inc, required) in zip(sorted(set(w.vseq)), w.vertices):
         delta = 0
-        for i in touched:
-            before = False
-            after_count = 0
+        for i, add, rem in w.copies:
+            before = 0
             for e in g.incident(u):
-                in_before = member_fn(i, e)
-                if in_before:
-                    before = True
-                in_after = (in_before and (e, i) not in removals) or (e, i) in adds
-                if in_after:
-                    after_count += 1
-            if after_count > 1:
+                if member_fn(i, e):
+                    before |= 1 << e
+            x = ((before & ~rem) | add) & inc
+            if x & (x - 1):
                 return False
-            delta += (1 if after_count > 0 else 0) - (1 if before else 0)
-        required = 1 if u in endpoints else 0
+            delta += (x != 0) - (before != 0)
         if delta != required:
             return False
     return True
@@ -439,22 +376,24 @@ def _copy_realized(tape: SeedContext | _Tape, lineage: tuple, p: float) -> bool:
     return tape.uniform("copy", *lineage) < p
 
 
-def _walk_rank(tape: SeedContext | _Tape, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
-    """MIS rank of ``w``, read off the tape of its first edge."""
+def _walk_rank(tape: SeedContext | _Tape, lineage: tuple, level: int, w: Walk) -> tuple:
+    """MIS rank of the walk with record ``w``, read off the tape of its
+    first edge; its sort key breaks ties."""
     u = tape.uniform("misrank", *lineage, level, len(w.edges), *w.edges, *w.indices)
     return (u,) + w.sort_key
 
 
 def _walk_lower(valid: Callable, rank: Callable, neighbors: Callable) -> Callable:
     """The expansion step handed to :func:`greedy_member`: None for an
-    invalid walk, else its lower-rank conflict neighbors in rank order."""
+    invalid walk, else its lower-rank conflict neighbors in rank order.
+    Every neighbor's rank is read, in neighbor order, before the
+    lower-rank ones are sorted."""
 
-    def lower(w: Hyperwalk) -> Optional[list]:
+    def lower(w: int) -> Optional[list]:
         if not valid(w):
             return None
         rank_w = rank(w)
-        below = sorted(((rank(x), x) for x in neighbors(w)), key=lambda t: t[0])
-        return [x for rank_x, x in below if rank_x < rank_w]
+        return sorted([x for x in neighbors(w) if rank(x) < rank_w], key=rank)
 
     return lower
 
@@ -501,7 +440,7 @@ class SeedMemo:
     def __init__(self) -> None:
         self.scope = None
         self.tapes = {}  # a tape table under the scope's ctx: Site -> _Tape
-        self.ranks = {}  # (lineage, level, walk) -> rank
+        self.ranks = {}  # (lineage, level, walk id) -> rank
         self.copies = {}  # lineage -> (realization mask, matching mask, guard nodes)
         self.queries = {}  # (mask, root edge, depth) -> (answer, probed sites, guard nodes)
 
@@ -545,9 +484,7 @@ def _augments(copies: tuple, vertices: tuple, reals: list, matches: list) -> boo
     return True
 
 
-def _valid_walks(
-    rows: tuple, reals: list, matches: list, alpha: int, gates: Callable, tick: Callable
-) -> list:
+def _valid_walks(rows: tuple, reals: list, matches: list, gates: Callable, tick: Callable) -> list:
     """The rows of ``rows`` (a :meth:`WalkIndex.walk_table`) whose walks
     augment the copies with realization masks ``reals`` and matching
     masks ``matches``, in row order.
@@ -559,10 +496,8 @@ def _valid_walks(
     out = []
     unsat = None
     for row in rows:
-        _, ends, top, copies, vertices = row
+        _, ends, copies, vertices = row
         tick()
-        if top > alpha:
-            raise ValueError("copy index out of range")
         if not ends:
             continue
         if unsat is None:
@@ -593,13 +528,12 @@ def _select_walks(
             1 << v for v in range(g.n) if table.unsaturated(v, level - 1, params.margin)
         )
 
-    valid = _valid_walks(walks.walk_table(), reals, matches, len(reals) - 1, gates, guard.tick)
-    order = sorted(((rank(row[0]), row) for row in valid), key=lambda t: t[0])
+    valid = _valid_walks(walks.walk_table(), reals, matches, gates, guard.tick)
     members = []
     covered = set()
-    for _, row in order:
-        vs = walks.vertices_of(row[0])
-        if all(v not in covered for v in vs):
+    for row in sorted(valid, key=lambda row: rank(row[0])):
+        vs = walks.records[row[0]].vseq
+        if covered.isdisjoint(vs):
             members.append(row)
             covered.update(vs)
     if params.mis_budget is None:
@@ -610,7 +544,11 @@ def _select_walks(
         ok, truncated, calls = greedy_member(row[0], lower, params.mis_budget)
         guard.tick(calls)
         if not (ok or truncated):
-            raise RuntimeError(f"sweep member {row[0]} resolved negatively without truncation")
+            w = walks.records[row[0]]
+            raise RuntimeError(
+                f"sweep member with edges {w.edges} and copies {w.indices} "
+                "resolved negatively without truncation"
+            )
         if ok:
             kept.append(row)
     return kept
@@ -632,11 +570,12 @@ def b_generic(
     Each recursion node holds one realization mask and one matching mask
     per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
     at level r under lineage path sigma are drawn from the PRF namespace
-    (sigma, r, i).  The chosen walks' rows are applied in table order,
-    each setting ``matches[i] = (matches[i] | additions) & ~removals``
-    per copy it touches, so removal wins.  The returned edge set is a
-    matching within the input realization and is reproducible from
-    (ctx, realization).  ``memo`` is shared by calls under one scope (see
+    (sigma, r, i).  Only copy 0's matching leaves a node, so each chosen
+    walk applies just its copy-0 moves, ``match = (match | additions) &
+    ~removals``; the chosen walks are vertex-disjoint, so their order
+    does not matter.  The returned edge set is a matching within the
+    input realization and is reproducible from (ctx, realization).
+    ``memo`` is shared by calls under one scope (see
     :class:`SeedMemo`); without it the call keeps its own.
     """
     if level is None:
@@ -652,6 +591,7 @@ def b_generic(
         memo = SeedMemo()
     memo.bind(_scope(g, ctx, table, walks, params))
     tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
+    records = walks.records
     guard = _Guard(params.node_ceiling)
 
     def tape(e: int) -> _Tape:
@@ -679,18 +619,20 @@ def b_generic(
             reals.append(hit[0])
             matches.append(hit[1])
 
-        def rank(w: Hyperwalk) -> tuple:
+        def rank(w: int) -> tuple:
             key = (lineage, lvl, w)
             r = ranks.get(key)
             if r is None:
-                r = ranks[key] = _walk_rank(tape(w.edges[0]), lineage, lvl, w)
+                rec = records[w]
+                r = ranks[key] = _walk_rank(tape(rec.edges[0]), lineage, lvl, rec)
             return r
 
-        chosen = _select_walks(reals, matches, walks, table, params, lvl, rank, guard)
-        for _, _, _, moves, _ in sorted(chosen, key=lambda row: row[0].sort_key):
-            for i, add, rem in moves:
-                matches[i] = (matches[i] | add) & ~rem
-        return matches[0]
+        match = matches[0]
+        for _, _, moves, _ in _select_walks(reals, matches, walks, table, params, lvl, rank, guard):
+            i, add, rem = moves[0]
+            if i == 0:
+                match = (match | add) & ~rem
+        return match
 
     return frozenset(mask_edges(recurse((), realization, level)))
 
@@ -743,7 +685,7 @@ class _Engine:
     Tapes are read through ``oracle``, which records the probed region:
     every edge whose realization or matching status is consulted gets
     probed, walks are probed in a connected order, and ranks are read
-    off the first walk edge's tape.
+    off the first walk edge's tape.  Walks are ids of ``lca.walks``.
     """
 
     def __init__(self, lca: "BMatchingLca", oracle) -> None:
@@ -751,11 +693,13 @@ class _Engine:
         self.oracle = oracle
         self._probed = oracle.probed
         self._touched = oracle.touched
+        self._records = lca.walks.records
         self.guard = _Guard(lca.params.node_ceiling)
         self._match = {}
         self._mis = {}
         self._valid = {}
-        self._ranks = {}
+        self._ranks = {}  # (lineage, level) -> {walk: rank}
+        self._ensured = set()  # walks whose edges are all probed
 
     def touch_edge(self, e: int) -> None:
         # a plain (kind, id) tuple matches the oracle's Site keys, and
@@ -763,26 +707,22 @@ class _Engine:
         if ("edge", e) not in self._probed:
             self.oracle.probe(Site.edge(e))
 
-    def ensure_walk(self, w: Hyperwalk) -> None:
-        edges = w.edges
-        probed, touched = self._probed, self._touched
-        for e in edges:
-            if ("edge", e) not in probed:
-                break
-        else:
+    def ensure_walk(self, w: int) -> None:
+        if w in self._ensured:
             return
-        anchor = None
+        edges = self._records[w].edges
+        probed, touched = self._probed, self._touched
+        anchor = 0  # without an anchor, the runtime flags the violation on probe
         for j, e in enumerate(edges):
             u, v = self.lca.g.endpoints(e)
             if ("edge", e) in probed or u in touched or v in touched:
                 anchor = j
                 break
-        if anchor is None:
-            anchor = 0  # let the runtime flag the violation on probe
         for j in range(anchor, -1, -1):
             self.touch_edge(edges[j])
         for j in range(anchor + 1, len(edges)):
             self.touch_edge(edges[j])
+        self._ensured.add(w)
 
     def realized(self, lineage: tuple, e: int) -> bool:
         self.touch_edge(e)
@@ -791,9 +731,10 @@ class _Engine:
         tape = self.oracle.peek(Site.edge(e))
         return _copy_realized(tape, lineage, self.lca.g.probability(e))
 
-    def walk_rank(self, lineage: tuple, level: int, w: Hyperwalk) -> tuple:
+    def walk_rank(self, lineage: tuple, level: int, w: int) -> tuple:
         self.ensure_walk(w)
-        return _walk_rank(self.oracle.peek(Site.edge(w.edges[0])), lineage, level, w)
+        rec = self._records[w]
+        return _walk_rank(self.oracle.peek(Site.edge(rec.edges[0])), lineage, level, rec)
 
     def is_in_matching(self, lineage: tuple, e: int, level: int) -> bool:
         key = (lineage, e, level)
@@ -805,18 +746,18 @@ class _Engine:
             self._match[key] = False
             return False
         result = self.is_in_matching(lineage, e, level - 1)
+        bit = 1 << e
         for w in self.lca.walks.walks_through_edge(e):
-            # only copy-0 entries at e can change this answer
-            removed = (e, 0) in w.removals()
-            added = (e, 0) in w.additions()
-            if not (removed or added):
+            # only copy-0 moves at e can change this answer
+            i, add, rem = self._records[w].copies[0]
+            if i != 0 or not (add | rem) & bit:
                 continue
             if self.is_in_mis(lineage, w, level):
-                result = not removed
+                result = not rem & bit
         self._match[key] = result
         return result
 
-    def is_in_mis(self, lineage: tuple, w: Hyperwalk, level: int) -> bool:
+    def is_in_mis(self, lineage: tuple, w: int, level: int) -> bool:
         key = (lineage, w, level)
         if key in self._mis:
             return self._mis[key]
@@ -827,19 +768,22 @@ class _Engine:
             self._mis[key] = False
             return False
 
-        def rank(x: Hyperwalk) -> tuple:
-            rkey = (lineage, level, x)
-            if rkey not in self._ranks:
-                self._ranks[rkey] = self.walk_rank(lineage, level, x)
-            return self._ranks[rkey]
+        ranks = self._ranks.setdefault((lineage, level), {})
 
-        def valid(x: Hyperwalk) -> bool:
+        def rank(x: int) -> tuple:
+            r = ranks.get(x)
+            if r is None:
+                r = ranks[x] = self.walk_rank(lineage, level, x)
+            return r
+
+        def valid(x: int) -> bool:
             return self.is_valid(lineage, x, level)
 
-        def neighbors(x: Hyperwalk) -> tuple:
-            for y in self.lca.walks.neighbors(x):
+        def neighbors(x: int) -> tuple:
+            out = self.lca.walks.neighbors(x)
+            for y in out:
                 self.ensure_walk(y)
-            return self.lca.walks.neighbors(x)
+            return out
 
         lower = _walk_lower(valid, rank, neighbors)
         ok, _, calls = greedy_member(w, lower, self.lca.params.mis_budget)
@@ -847,14 +791,12 @@ class _Engine:
         self._mis[key] = ok
         return ok
 
-    def is_valid(self, lineage: tuple, w: Hyperwalk, level: int) -> bool:
+    def is_valid(self, lineage: tuple, w: int, level: int) -> bool:
         key = (lineage, w, level)
         if key in self._valid:
             return self._valid[key]
         self.guard.tick()
         self.ensure_walk(w)
-        g = self.lca.g
-        vseq = self.lca.walks.vertices_of(w)
         table = self.lca.table
         margin = self.lca.params.margin
 
@@ -868,10 +810,8 @@ class _Engine:
             return self.realized(sub_lineage(i), e)
 
         result = _augmenting_core(
-            g,
-            w,
-            vseq,
-            self.lca.params.alpha,
+            self.lca.g,
+            self._records[w],
             member_fn=member,
             realized_fn=realized,
             unsat_fn=lambda v: table.unsaturated(v, level - 1, margin),

@@ -142,7 +142,10 @@ def select_thresholds(
     tau_i = tau_{i-1}^exponent, for i = 1..ceil(1/eps).  The bucket of
     least q-mass is dropped, so at most a 1/ceil(1/eps) fraction of the
     total q-mass falls between the returned thresholds.  Deep taus may
-    underflow to 0.0; the bucket logic tolerates that.
+    underflow to 0.0, which leaves their buckets empty.  When the dropped
+    bucket's upper tau has underflowed too (always so when (eps * p_min)^2
+    does) there is no band to return, and this raises ValueError naming
+    p_min.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -163,6 +166,11 @@ def select_thresholds(
                 masses[i - 1] += qe
                 break
     best = min(range(buckets), key=lambda i: (masses[i], i))
+    if taus[best] == 0.0:
+        raise ValueError(
+            f"thresholds underflow to 0.0 at eps {eps} and smallest edge probability "
+            f"{p_min!r}; pass --thresholds"
+        )
     return taus[best + 1], taus[best]
 
 

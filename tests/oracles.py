@@ -12,10 +12,11 @@ verbatim as differential oracles for their replacements.
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
 
@@ -42,16 +43,13 @@ from stochmatch.hyperwalk import (
     WALK_CEILING_DEFAULT,
     BMatchingLca,
     BParams,
-    Hyperwalk,
     UnsaturationTable,
     WalkIndex,
-    _augmenting_core,
     _copy_realized,
     _Engine,
     _Guard,
     _walk_lower,
     _walk_rank,
-    walk_vertices,
 )
 from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
 from stochmatch.matching import (
@@ -63,6 +61,110 @@ from stochmatch.matching import (
 )
 from stochmatch.mis import TmisBudget, TmisOutcome, TruncatedGreedyMis, greedy_member
 from stochmatch.sparsifier import QProfile, max_degree_of
+
+
+# -- the package's hyperwalk object before walks became int ids of a
+# WalkIndex, kept for the references below, which take walks as objects
+
+
+@dataclass(frozen=True)
+class Hyperwalk:
+    """Edge walk with one copy index per position.
+
+    Edges are distinct and consecutive edges share an endpoint.  Odd
+    positions (1-based) are additions, even positions removals.  A walk
+    of odd length acts identically to its reversal, so those pairs are
+    stored in one canonical orientation; even-length walks change
+    meaning under reversal and keep their direction.  Walks key many
+    memos, so the hash is computed once, and ``additions``/``removals``
+    are built once per walk, on first use.
+    """
+
+    edges: tuple
+    indices: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.edges, self.indices)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def make(cls, edges: Iterable[int], indices: Iterable[int]) -> "Hyperwalk":
+        edges = tuple(edges)
+        indices = tuple(indices)
+        if not edges:
+            raise ValueError("empty hyperwalk")
+        if len(edges) != len(indices):
+            raise ValueError("edges and indices must have equal length")
+        if len(set(edges)) != len(edges):
+            raise ValueError("hyperwalk edges must be distinct")
+        if any(s < 0 for s in indices):
+            raise ValueError("copy indices must be nonnegative")
+        if len(edges) % 2 == 1:
+            fwd = (edges, indices)
+            rev = (edges[::-1], indices[::-1])
+            edges, indices = min(fwd, rev)
+        return cls(edges, indices)
+
+    @property
+    def sort_key(self) -> tuple:
+        return (len(self.edges), self.edges, self.indices)
+
+    def entries(self):
+        """(position, edge, copy) triples with 1-based positions."""
+        return tuple(
+            (j + 1, e, s) for j, (e, s) in enumerate(zip(self.edges, self.indices))
+        )
+
+    @cached_property
+    def _moves(self) -> tuple:
+        entries = self.entries()
+        return (
+            frozenset((e, s) for j, e, s in entries if j % 2 == 1),
+            frozenset((e, s) for j, e, s in entries if j % 2 == 0),
+        )
+
+    def additions(self) -> frozenset:
+        return self._moves[0]
+
+    def removals(self) -> frozenset:
+        return self._moves[1]
+
+
+def walk_vertices(g: Graph, edges: tuple) -> tuple:
+    """Vertex sequence v_0..v_k of an edge walk; raises for non-walks.
+
+    A single edge is oriented from its smaller endpoint; longer walks
+    are oriented by the shared endpoints of consecutive edges.
+    """
+    if not edges:
+        raise ValueError("empty walk")
+    if len(edges) == 1:
+        return g.endpoints(edges[0])
+    a1, b1 = g.endpoints(edges[0])
+    a2, b2 = g.endpoints(edges[1])
+    shared = {a1, b1} & {a2, b2}
+    if len(shared) != 1:
+        raise ValueError("consecutive edges must share one endpoint")
+    v1 = shared.pop()
+    vseq = [b1 if v1 == a1 else a1, v1]
+    for e in edges[1:]:
+        a, b = g.endpoints(e)
+        if a == vseq[-1]:
+            vseq.append(b)
+        elif b == vseq[-1]:
+            vseq.append(a)
+        else:
+            raise ValueError("consecutive edges must share one endpoint")
+    return tuple(vseq)
+
+
+def hyperwalk_of(walks: WalkIndex, i: int) -> Hyperwalk:
+    """The :class:`Hyperwalk` of walk id ``i`` of ``walks``."""
+    record = walks.records[i]
+    return Hyperwalk(record.edges, record.indices)
 
 
 # -- the package's realization and profile types before edge masks, kept
@@ -332,8 +434,10 @@ def enumerate_hyperwalks_containing(
     """Hyperwalks through a vertex or edge site, in canonical order."""
     index = WalkIndex(g, walk_len, alpha, ceiling)
     if site.kind == "vertex":
-        return index.walks_through_vertex(site.id)
-    return index.walks_through_edge(site.id)
+        ids = index.walks_through_vertex(site.id)
+    else:
+        ids = index.walks_through_edge(site.id)
+    return tuple(hyperwalk_of(index, i) for i in ids)
 
 
 def out_query_ceiling(g: Graph, walks: WalkIndex, params, level: int) -> int:
@@ -515,7 +619,8 @@ def enumerate_hyperwalks(
     g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
 ) -> tuple:
     """Every hyperwalk of length at most ``walk_len``, in canonical order."""
-    return WalkIndex(g, walk_len, alpha, ceiling).all_walks()
+    index = WalkIndex(g, walk_len, alpha, ceiling)
+    return tuple(hyperwalk_of(index, i) for i in index.all_walks())
 
 
 def matching_via_queries(lca: BMatchingLca, ctx: SeedContext) -> frozenset:
@@ -583,6 +688,65 @@ def validating_profiles():
 
 
 # -- earlier implementations, kept as differential oracles ---------------------
+#
+# _augmenting_core before walks were interned ids: the query route's
+# validity predicate on a Hyperwalk, reading its additions and removals
+# as (edge, copy) sets.
+
+
+def _augmenting_core(
+    g: Graph,
+    w: Hyperwalk,
+    vseq: tuple,
+    alpha: int,
+    member_fn: Callable,
+    realized_fn: Callable,
+    unsat_fn: Callable,
+) -> bool:
+    """Validity predicate of the query route.
+
+    ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
+    the previous level; ``unsat_fn(v)`` is the endpoint gate.  The query
+    route passes accessors that probe as they answer, so the order of
+    calls here fixes the order of its probes.  ``b_generic`` decides the
+    same predicate on bitmasks (:func:`_valid_walks`), and a
+    differential test keeps the two equal.
+    """
+    if any(s > alpha for s in w.indices):
+        raise ValueError("copy index out of range")
+    v0, vk = vseq[0], vseq[-1]
+    if v0 == vk:
+        return False
+    if not unsat_fn(v0) or not unsat_fn(vk):
+        return False
+    adds = w.additions()
+    removals = w.removals()
+    for e, s in sorted(adds):
+        if not realized_fn(s, e):
+            return False
+    touched = sorted({s for s in w.indices})
+    endpoints = (v0, vk)
+    for u in sorted(set(vseq)):
+        delta = 0
+        for i in touched:
+            before = False
+            after_count = 0
+            for e in g.incident(u):
+                in_before = member_fn(i, e)
+                if in_before:
+                    before = True
+                in_after = (in_before and (e, i) not in removals) or (e, i) in adds
+                if in_after:
+                    after_count += 1
+            if after_count > 1:
+                return False
+            delta += (1 if after_count > 0 else 0) - (1 if before else 0)
+        required = 1 if u in endpoints else 0
+        if delta != required:
+            return False
+    return True
+
+
 #
 # estimate_q before the component memo: one matcher run per mask, over
 # every edge of the mask.
@@ -798,20 +962,22 @@ def _select_walks_v0(
     def unsat(v: int) -> bool:
         return table.unsaturated(v, level - 1, params.margin)
 
-    def valid(w: Hyperwalk) -> bool:
+    def valid(w: int) -> bool:
         if w not in valid_memo:
             guard.tick()
             valid_memo[w] = _augmenting_core(
-                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
+                profile.graph, hyperwalk_of(walks, w), walks.records[w].vseq, profile.alpha,
+                member, realized, unsat,
             )
         return valid_memo[w]
 
     rank_memo = {}
 
-    def rank(w: Hyperwalk) -> tuple:
+    def rank(w: int) -> tuple:
         if w not in rank_memo:
-            tape = site_tape(ctx, Site.edge(w.edges[0]))
-            rank_memo[w] = _walk_rank(tape, lineage, level, w)
+            walk = hyperwalk_of(walks, w)
+            tape = site_tape(ctx, Site.edge(walk.edges[0]))
+            rank_memo[w] = _walk_rank(tape, lineage, level, walk)
         return rank_memo[w]
 
     order = sorted(
@@ -820,7 +986,7 @@ def _select_walks_v0(
     members = []
     covered = set()
     for _, w in order:
-        vs = walks.vertices_of(w)
+        vs = walks.records[w].vseq
         if all(v not in covered for v in vs):
             members.append(w)
             covered.update(vs)
@@ -877,7 +1043,7 @@ def b_generic_v0(
             pairs.append((gi, recurse(sub_lineage, gi, lvl - 1)))
         profile = Profile(tuple(pairs))
         chosen = _select_walks_v0(profile, walks, table, params, ctx, lineage, lvl, guard)
-        for w in sorted(chosen, key=lambda x: x.sort_key):
+        for w in sorted((hyperwalk_of(walks, i) for i in chosen), key=lambda x: x.sort_key):
             profile = apply_hyperwalk(profile, w)
         return profile.matching(0)
 
@@ -912,11 +1078,12 @@ def _select_walks_v1(
     def unsat(v: int) -> bool:
         return table.unsaturated(v, level - 1, params.margin)
 
-    def valid(w: Hyperwalk) -> bool:
+    def valid(w: int) -> bool:
         if w not in valid_memo:
             guard.tick()
             valid_memo[w] = _augmenting_core(
-                profile.graph, w, walks.vertices_of(w), profile.alpha, member, realized, unsat
+                profile.graph, hyperwalk_of(walks, w), walks.records[w].vseq, profile.alpha,
+                member, realized, unsat,
             )
         return valid_memo[w]
 
@@ -926,7 +1093,7 @@ def _select_walks_v1(
     members = []
     covered = set()
     for _, w in order:
-        vs = walks.vertices_of(w)
+        vs = walks.records[w].vseq
         if all(v not in covered for v in vs):
             members.append(w)
             covered.update(vs)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -426,6 +427,29 @@ def smoke_setup(**overrides):
     return prepare_pipeline(g, **kwargs)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """Replaces the process pool with a stub that maps in this process, so
+    no worker is forked; returns the ``max_workers`` of each pool made."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestPipeline:
     def test_smoke_run(self):
         setup = smoke_setup()
@@ -484,28 +508,21 @@ class TestPipeline:
         with pytest.raises(ValueError):
             verify_claims(setup, trials=0)
 
-    def test_pool_capped_at_trial_count(self, monkeypatch):
-        # a stub pool: forking real workers is what the cap avoids
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def test_pool_capped_at_trial_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
         setup = smoke_setup()
         report = verify_claims(setup, trials=3, workers=8)
-        assert sizes == [3]
+        assert pool_sizes == [3]
         assert report.to_json() == verify_claims(setup, trials=3).to_json()
+
+    @pytest.mark.parametrize("cpus,size", [(2, 2), (1, None), (None, None)])
+    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch, cpus, size):
+        # one CPU, or an unknown count, runs the trials serially without a pool
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        setup = smoke_setup()
+        report = verify_claims(setup, trials=6, workers=6)
+        assert pool_sizes == ([size] if size else [])
+        assert report.to_json() == verify_claims(setup, trials=6).to_json()
 
 
 # graph -> (tau_minus, tau_plus); sure-edges has zero-probability masks

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import stochmatch
 from stochmatch.cli import main
 from stochmatch.graph import Graph, load_graph, write_graph_text
 from stochmatch.hyperwalk import DEPTH_LIMIT
@@ -286,6 +291,18 @@ class TestExitCodes:
         assert "R=122070313" in err and f"limit of {BUILD_DRAW_LIMIT}" in err
         assert "pass --R or --thresholds" in err
 
+    def test_threshold_underflow_refused(self, tmp_path, capsys):
+        # (eps * 1e-200)^2 is below the smallest float, so every bucket
+        # threshold is 0.0 and no band exists; --thresholds gets past it
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 1e-200), (1, 2, 0.5)]))
+        out = str(tmp_path / "H.txt")
+        assert main(["sparsify", "--input", inp, "--R", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thresholds underflow")
+        assert "smallest edge probability 1e-200" in err and "pass --thresholds" in err
+        assert main(["sparsify", "--input", inp, "--R", "2", "--thresholds", "0.1,0.2",
+                     "--out", out]) == 0
+
     def test_bad_thresholds(self, tri_file, capsys):
         assert main(["evaluate", "--input", tri_file, "--R", "1",
                      "--thresholds", "0.5,0.1"]) == 2
@@ -430,3 +447,35 @@ def test_golden_digest(tmp_path, graph, run):
     if run == "sparsify":
         digest.update((tmp_path / "out.meta.json").read_bytes())
     assert digest.hexdigest() == GOLDEN[graph, run]
+
+
+@pytest.mark.parametrize(
+    "hashseed,flags", [("0", []), ("1", []), ("random", ["-O"])],
+    ids=["hashseed-0", "hashseed-1", "optimized"],
+)
+def test_golden_digest_in_fresh_interpreter(tmp_path, hashseed, flags):
+    # the b-matching golden runs in a new interpreter: walk ids come in
+    # discovery order and set order follows the hash seed, so neither may
+    # reach the output, and -O strips asserts the package must not need
+    runs = [key for key in sorted(GOLDEN) if key[1] in ("lca-b", "verify")]
+    argvs = []
+    for graph, run in runs:
+        g, thresholds = GOLDEN_GRAPHS[graph]
+        inp = write_input(tmp_path, g, f"{graph}.txt")
+        out = str(tmp_path / f"{graph}-{run}.out")
+        argvs.append(GOLDEN_RUNS[run](thresholds) + ["--input", inp, "--seed", "3", "--out", out])
+    script = (
+        "import json, sys\n"
+        "from stochmatch.cli import main\n"
+        "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(stochmatch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (graph, run), argv in zip(runs, argvs):
+        digest = hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
+        assert digest == GOLDEN[graph, run], (graph, run)

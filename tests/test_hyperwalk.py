@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    Hyperwalk,
     Profile,
     Realization,
     _select_walks_v1,
@@ -17,6 +18,7 @@ from oracles import (
     degree_in_profile,
     enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
+    hyperwalk_of,
     hyperwalk_reference_set,
     is_augmenting,
     is_matching,
@@ -27,6 +29,7 @@ from oracles import (
     path_graph,
     validate_profile,
     validating_profiles,
+    walk_vertices,
 )
 from stochmatch import hyperwalk
 from stochmatch.graph import Graph, SeedContext, sample_realization
@@ -34,7 +37,6 @@ from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
     EnumerationTooLarge,
-    Hyperwalk,
     ResourceGuard,
     SeedMemo,
     UnsaturationTable,
@@ -43,7 +45,6 @@ from stochmatch.hyperwalk import (
     _valid_walks,
     b_generic,
     build_unsaturation_table,
-    walk_vertices,
 )
 from stochmatch.lca import Site, run_lca
 
@@ -331,6 +332,18 @@ class TestBGeneric:
             with pytest.raises(ValueError, match="collide"):
                 b_generic(g, full_realization(g), params, SeedContext(0))
 
+    @pytest.mark.parametrize("walk_len,alpha", [(3, 1), (2, 0)])
+    def test_rejects_index_for_other_params(self, walk_len, alpha):
+        # the entry checks alone keep every walk's copy indices within the
+        # alpha + 1 copies of a recursion node
+        g = path_graph(3)
+        params = BParams(alpha=1, walk_len=2, depth=1, eps=0.3, margin=0.1)
+        walks = WalkIndex(g, walk_len, alpha)
+        with pytest.raises(ValueError, match="walk index does not match params"):
+            b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
+        with pytest.raises(ValueError, match="walk index does not match params"):
+            BMatchingLca(g, params, full_realization(g), walks=walks)
+
     def test_monotone_without_extra_copies(self):
         # alpha = 0: each walk acts on copy 0 alone, so applications never
         # shrink the matching and levels only grow it
@@ -586,11 +599,13 @@ class TestWalkTable:
             walks.walk_table(),
             [real.present for real, _ in profile.pairs],
             [sum(1 << e for e in matching) for _, matching in profile.pairs],
-            profile.alpha,
             lambda: sum(1 << v for v in range(walks.g.n) if table.unsaturated(v, 1, margin)),
             lambda: ticks.append(1),
         )
-        want = [w for w in walks.all_walks() if is_augmenting(profile, w, table, 1, margin)]
+        want = [
+            w for w in walks.all_walks()
+            if is_augmenting(profile, hyperwalk_of(walks, w), table, 1, margin)
+        ]
         assert [row[0] for row in got] == want
         assert len(ticks) == len(walks.all_walks())
 
@@ -604,9 +619,9 @@ class TestWalkTable:
         profile = profile_noalpha(g, full_realization(g), {1, 3})
         table = UnsaturationTable.always_unsaturated(g.n, 1)
         got = _valid_walks(
-            walks.walk_table(), [(1 << g.m) - 1], [0b1010], 0, lambda: (1 << g.n) - 1, lambda: None
+            walks.walk_table(), [(1 << g.m) - 1], [0b1010], lambda: (1 << g.n) - 1, lambda: None
         )
-        assert w not in [row[0] for row in got]
+        assert w not in [hyperwalk_of(walks, row[0]) for row in got]
         assert not is_augmenting(profile, w, table, 0, margin=0.1)
 
     def test_rows_follow_all_walks(self):
@@ -615,9 +630,10 @@ class TestWalkTable:
         rows = walks.walk_table()
         assert walks.walk_table() is rows
         assert tuple(row[0] for row in rows) == walks.all_walks()
-        w, ends, top, copies, vertices = rows[0]
+        i, ends, copies, vertices = rows[0]
+        w = hyperwalk_of(walks, i)
         u, v = g.endpoints(w.edges[0])
-        assert (ends, top, copies) == ((1 << u) | (1 << v), 0, ((0, 1 << w.edges[0], 0),))
+        assert (ends, copies) == ((1 << u) | (1 << v), ((0, 1 << w.edges[0], 0),))
         assert vertices == tuple((sum(1 << e for e in g.incident(x)), 1) for x in (u, v))
 
     @pytest.mark.parametrize("mis_budget", [None, 2])
@@ -684,7 +700,7 @@ class TestWalkTable:
         monkeypatch.setattr(hyperwalk, "greedy_member", lambda *args: (False, False, 1))
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1, mis_budget=1)
-        with pytest.raises(RuntimeError, match="sweep member Hyperwalk"):
+        with pytest.raises(RuntimeError, match=r"sweep member with edges \(0,\) and copies \(0,\)"):
             b_generic(g, full_realization(g), params, SeedContext(0))
 
 
