@@ -8,8 +8,8 @@ trials, print the heaviest sites, and run the correlated-probe check.
 import argparse
 import sys
 
-from stochmatch.graph import SeedContext, gnp_graph, load_graph, sample_realization
-from stochmatch.hyperwalk import BMatchingLca, BParams, ResourceGuard
+from stochmatch.graph import ResourceGuard, SeedContext, gnp_graph, load_graph, sample_realization
+from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import check_correlated_bound, gather_ledger, ledger_to_csv
 from stochmatch.mis import TmisBudget, TruncatedGreedyMis
 
@@ -59,8 +59,12 @@ def main(argv=None) -> int:
         g, lca = build_instance(args, ctx)
     except (OSError, ValueError, ResourceGuard) as exc:
         ap.error(str(exc))
+    # the walk index enumerates lazily, so its ceiling can trip mid-sweep
+    try:
+        ledger = gather_ledger(lca, g, ctx.child("ledger"), trials=args.trials)
+    except ResourceGuard as exc:
+        ap.error(str(exc))
 
-    ledger = gather_ledger(lca, g, ctx.child("ledger"), trials=args.trials)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(ledger_to_csv(ledger))

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from stochmatch.analysis import ratio_sweep
-from stochmatch.graph import SeedContext, gnp_graph, load_graph
+from stochmatch.graph import ResourceGuard, SeedContext, gnp_graph, load_graph
 from stochmatch.sparsifier import SparsifierParams, build_H, max_degree_of
 
 
@@ -35,8 +35,9 @@ def main(argv=None) -> int:
         ap.error("--samples must be positive")
 
     ctx = SeedContext(args.seed)
-    # the package refuses out-of-range values, too many edge draws and too
-    # many edges to enumerate with a ValueError before it does the work
+    # the package refuses out-of-range values with a ValueError, and too
+    # many edge draws or edges to enumerate with a ResourceGuard, before
+    # it does the work
     try:
         if args.input:
             g = load_graph(args.input)
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
         hs = [build_H(g, SparsifierParams(R=r, eps=args.eps, seed=args.seed))[0] for r in rs]
         # exact stays opt-in: enumeration is 2^m realizations
         ests = ratio_sweep(g, hs, args.samples, ctx=ctx.child("sweep"), exact=args.exact)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ResourceGuard) as exc:
         ap.error(str(exc))
 
     print("R,h_edges,h_max_degree,ratio,stderr")

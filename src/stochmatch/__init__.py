@@ -12,9 +12,9 @@ analysis pipeline with claim verification (:mod:`~stochmatch.analysis`).
 """
 
 from .graph import (
-    EdgeCountExceeded,
     Graph,
     GraphFormatError,
+    ResourceGuard,
     SeedContext,
     enumerate_realizations,
     gnp_graph,
@@ -27,7 +27,6 @@ from .graph import (
 )
 from .matching import (
     BLOSSOM_SET_CAP,
-    CapExceeded,
     CertificateReport,
     FractionalMatching,
     check_blossom,
@@ -67,8 +66,6 @@ from .mis import (
 from .hyperwalk import (
     BMatchingLca,
     BParams,
-    EnumerationTooLarge,
-    ResourceGuard,
     UnsaturationTable,
     WalkIndex,
     b_generic,

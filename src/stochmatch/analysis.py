@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .graph import (
     Graph,
+    ResourceGuard,
     SeedContext,
     edge_mask,
     sample_realization,
@@ -43,7 +44,6 @@ from .hyperwalk import (
 )
 from .lca import Site, run_lca
 from .matching import (
-    CapExceeded,
     FractionalMatching,
     check_blossom,
     fractional_size,
@@ -141,7 +141,7 @@ def prepare_crucial(
     (the coverage marginals of MM restricted to C)."""
     crucial_ids = sorted(q.crucial)
     sub, to_sub, from_sub = subgraph(g, crucial_ids)
-    walks = WalkIndex(sub, bparams.walk_len, bparams.alpha, bparams.walk_ceiling)
+    walks = WalkIndex(sub, bparams.walk_len, bparams.alpha)
     a_prob = match_targets_from_q(g, q, crucial_ids)
     if sub.m == 0 or table_samples < 1 or bparams.depth == 0:
         table = UnsaturationTable.always_unsaturated(sub.n, max(1, bparams.depth))
@@ -620,7 +620,7 @@ def _trial_stats(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> 
     try:
         blossom_ok = check_blossom(run.y, setup.eps).ok
         blossom_known = True
-    except CapExceeded:
+    except ResourceGuard:
         blossom_ok = True
         blossom_known = False
     return (run.x_loads(), run.x_total, scaled_total, run.y_total, blossom_ok, blossom_known)

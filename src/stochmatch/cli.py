@@ -22,27 +22,22 @@ from .analysis import (
     verify_claims,
 )
 from .graph import (
-    EdgeCountExceeded,
     GraphFormatError,
+    ResourceGuard,
     SeedContext,
     load_graph,
     sample_realization,
     subgraph,
     write_graph_text,
 )
-from .hyperwalk import BParams, EnumerationTooLarge, ResourceGuard, BMatchingLca
+from .hyperwalk import BParams, BMatchingLca
 from .lca import gather_ledger, ledger_to_csv
-from .matching import CapExceeded
 from .mis import TmisBudget, TruncatedGreedyMis
 from .sparsifier import SparsifierParams, build_H, max_degree_of, p_min_of, resolve_R
 
 EXIT_OK = 0
 EXIT_GUARD = 1
 EXIT_USAGE = 2
-
-GUARD_ERRORS = (
-    ResourceGuard, EnumerationTooLarge, CapExceeded, EdgeCountExceeded, RecursionError,
-)
 
 DEFAULTS = {
     "seed": 0,
@@ -370,7 +365,7 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    except GUARD_ERRORS as ex:
+    except (ResourceGuard, RecursionError) as ex:
         print(f"aborted: {ex}", file=sys.stderr)
         return EXIT_GUARD
     except ValueError as ex:

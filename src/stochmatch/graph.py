@@ -43,9 +43,10 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph text input."""
 
 
-class EdgeCountExceeded(ValueError):
-    """Raised when an exhaustive enumeration, or a sparsifier's R * m
-    edge draws, would be too large."""
+class ResourceGuard(RuntimeError):
+    """Raised when a run would exceed one of the package's work limits:
+    the enumeration cap, the sparsifier's edge draws, the odd-set size
+    cap, the hyperwalk and node ceilings, or the recursion depth."""
 
 
 def _encode_labels(labels: tuple) -> bytes:
@@ -192,7 +193,7 @@ def enumerate_realizations(g: Graph):
     """
     m = g.m
     if m > ENUM_CAP:
-        raise EdgeCountExceeded(f"{m} edges exceeds enumeration cap {ENUM_CAP}")
+        raise ResourceGuard(f"{m} edges exceeds enumeration cap {ENUM_CAP}")
     factors = [(1.0 - p, p) for _, _, p in g.edges]
     # Products of the low edges' factors, one per low mask, built in the
     # same left-to-right order as the per-mask product; the high factors

@@ -50,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .graph import Graph, SeedContext, edge_mask, mask_edges, sample_realization
+from .graph import Graph, ResourceGuard, SeedContext, edge_mask, mask_edges, sample_realization
 from .lca import Site, _Tape, table_tape
 from .matching import matched_vertices
 from .mis import greedy_member
@@ -61,14 +61,6 @@ NODE_CEILING_DEFAULT = 2_000_000
 # frames, and this keeps both routes inside the interpreter's default
 # limit of 1,000 frames
 DEPTH_LIMIT = 500
-
-
-class EnumerationTooLarge(RuntimeError):
-    """A hyperwalk enumeration would exceed its configured ceiling."""
-
-
-class ResourceGuard(RuntimeError):
-    """A recursive computation exceeded its configured node ceiling."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,6 @@ class BParams:
     eps: float
     margin: float
     mis_budget: Optional[int] = None
-    walk_ceiling: int = WALK_CEILING_DEFAULT
     node_ceiling: int = NODE_CEILING_DEFAULT
 
     def __post_init__(self) -> None:
@@ -191,7 +182,7 @@ class WalkIndex:
     lookup (walks through a vertex or an edge, all walks, conflict
     neighbors) returns ids in ``sort_key`` order, so no order depends on
     the ids.  Enumerations beyond ``ceiling`` hyperwalks raise
-    :class:`EnumerationTooLarge`.
+    :class:`ResourceGuard`.
     """
 
     def __init__(self, g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT) -> None:
@@ -214,7 +205,7 @@ class WalkIndex:
 
     def _check_ceiling(self, count: int, limit: int) -> None:
         if self.ceiling and count > limit:
-            raise EnumerationTooLarge(
+            raise ResourceGuard(
                 f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
             )
 
@@ -584,7 +575,7 @@ def b_generic(
     if table is None:
         table = UnsaturationTable.always_unsaturated(g.n, max(1, level))
     if walks is None:
-        walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
     if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
         raise ValueError("walk index does not match params")
     if memo is None:
@@ -660,7 +651,7 @@ def build_unsaturation_table(
     if samples < 1:
         raise ValueError("samples must be positive")
     if walks is None:
-        walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
     rows = [(0.0,) * g.n]
     for lvl in range(1, level + 1):
         partial = UnsaturationTable(a_prob, tuple(rows), samples)
@@ -852,9 +843,7 @@ class BMatchingLca:
         self.table = table if table is not None else UnsaturationTable.always_unsaturated(
             g.n, max(1, params.depth)
         )
-        self.walks = walks if walks is not None else WalkIndex(
-            g, params.walk_len, params.alpha, params.walk_ceiling
-        )
+        self.walks = walks if walks is not None else WalkIndex(g, params.walk_len, params.alpha)
         if self.walks.alpha != params.alpha or self.walks.walk_len != params.walk_len:
             raise ValueError("walk index does not match params")
         self.memo = memo

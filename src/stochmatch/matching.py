@@ -28,16 +28,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, mask_edges
+from .graph import Graph, ResourceGuard, mask_edges
 
 BLOSSOM_SET_CAP = 15
 # most component matchings a ComponentMemo keeps; once it is full, later
 # masks take the plain matcher.  verify-exact's 14-edge graph needs 2,151.
 COMPONENT_MEMO_CAP = 1 << 14
-
-
-class CapExceeded(ValueError):
-    """Raised when an odd-set sweep would enumerate too many sets."""
 
 
 def _corrupt(where: str) -> RuntimeError:
@@ -389,7 +385,7 @@ def check_blossom(f: FractionalMatching, eps: float, tol: float = 1e-9) -> Certi
         raise ValueError("eps must be positive")
     kmax = int(1.0 / eps)
     if kmax > BLOSSOM_SET_CAP:
-        raise CapExceeded(f"odd-set size cap {kmax} exceeds {BLOSSOM_SET_CAP}")
+        raise ResourceGuard(f"odd-set size cap {kmax} exceeds {BLOSSOM_SET_CAP}")
     g = f.graph
     adj = {}
     for e in f.support:

@@ -42,18 +42,15 @@ class TmisOutcome:
     truncated: bool
 
 
-def greedy_member(
-    root, lower: Callable, budget: Optional[int] = None, memo: Optional[dict] = None
-) -> tuple:
+def greedy_member(root, lower: Callable, budget: Optional[int] = None) -> tuple:
     """Rank-greedy MIS membership of ``root``; returns (member, truncated, calls).
 
     ``lower(x)`` expands x: it returns x's lower-rank neighbors in
     increasing rank order, or None when x is not eligible (never a
     member).  ``calls`` counts expansions; once ``budget`` of them have
-    run, the next is refused and the query ends truncated.  ``memo``
-    holds settled answers and may be shared across unbudgeted roots.
+    run, the next is refused and the query ends truncated.
     """
-    memo = {} if memo is None else memo
+    memo = {}  # settled answers
     calls = 0
 
     def member(x):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .graph import EdgeCountExceeded, Graph, SeedContext
+from .graph import Graph, ResourceGuard, SeedContext
 from .graph import sample_realization, weighted_realizations
 from .matching import ComponentMemo, maximum_matching
 
@@ -46,10 +46,10 @@ def build_H(g: Graph, params: SparsifierParams):
     ``matchings`` the R per-realization matchings in order.  Realization
     i is drawn from stream (seed, "realize", i), so sparsifiers with the
     same seed and growing R are nested prefixes of one another.  Raises
-    :class:`EdgeCountExceeded` when R * m exceeds ``BUILD_DRAW_LIMIT``.
+    :class:`ResourceGuard` when R * m exceeds ``BUILD_DRAW_LIMIT``.
     """
     if params.R * g.m > BUILD_DRAW_LIMIT:
-        raise EdgeCountExceeded(
+        raise ResourceGuard(
             f"R={params.R} realizations of m={g.m} edges exceed the "
             f"limit of {BUILD_DRAW_LIMIT} edge draws; pass --R or --thresholds "
             f"to choose a smaller R"
@@ -197,13 +197,20 @@ def resolve_R(
 ) -> tuple:
     """Estimates q, sets the given ``thresholds`` on it (or the ones
     :func:`select_thresholds` picks at the smallest edge probability),
-    and derives R from tau_minus unless ``R`` is given.  Returns
+    and derives R from tau_minus unless ``R`` is given; a tau_minus of
+    0.0 derives none, so that case raises ValueError.  Returns
     ``(q, R)``; ``q.exact`` records the estimation mode."""
     q = estimate_q(g, samples=samples, ctx=ctx, exact=exact)
+    p_min = p_min_of(g)
     if thresholds is None:
-        thresholds = select_thresholds(q, eps, p_min_of(g))
+        thresholds = select_thresholds(q, eps, p_min)
     q = q.with_thresholds(*thresholds)
     if R is None:
+        if q.tau_minus <= 0.0:
+            raise ValueError(
+                f"tau_minus is {q.tau_minus!r} at smallest edge probability {p_min!r}, "
+                f"so no R derives from it; pass --R, or --thresholds with tau_minus > 0"
+            )
         R = derive_R(q.tau_minus)
     return q, R
 

@@ -542,7 +542,7 @@ def vertex_rank(ctx: SeedContext, v: int) -> tuple:
     return (site_tape(ctx, Site.vertex(v)).uniform("rank"), v)
 
 
-def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> bool:
+def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
     """Reference greedy-MIS membership under explicit ranks.
 
     ``ranks[v]`` must be totally ordered (use (float, id) tuples).
@@ -554,7 +554,7 @@ def gmis_member(g: Graph, ranks: dict, v: int, _memo: Optional[dict] = None) -> 
             key=lambda w: ranks[w],
         )
 
-    return greedy_member(v, lower, memo=_memo)[0]
+    return greedy_member(v, lower)[0]
 
 
 def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None):
@@ -566,14 +566,12 @@ def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[TmisBudget] = None) ->
     """All members under shared tapes.
 
     With no budget the answers are plain greedy MIS, a pure function of
-    the ranks, so a shared memo across roots is sound and fast.  With a
-    budget each root is queried independently to keep the per-root
-    truncation semantics honest.
+    the ranks.  With a budget each root is queried independently to keep
+    the per-root truncation semantics honest.
     """
     if budget is None:
         ranks = {v: vertex_rank(ctx, v) for v in range(g.n)}
-        memo: dict = {}
-        return frozenset(v for v in range(g.n) if gmis_member(g, ranks, v, memo))
+        return frozenset(v for v in range(g.n) if gmis_member(g, ranks, v))
     return frozenset(v for v in range(g.n) if tmis_query(g, ctx, v, budget)[0].member)
 
 
@@ -1024,7 +1022,7 @@ def b_generic_v0(
     if table is None:
         table = UnsaturationTable.always_unsaturated(g.n, max(1, level))
     if walks is None:
-        walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
     if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
         raise ValueError("walk index does not match params")
     guard = _Guard(params.node_ceiling)

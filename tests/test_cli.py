@@ -197,6 +197,19 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(not c["flag"] for c in report["claims"])
 
+    def test_odd_set_cap_skips_blossom_claim(self, tmp_path):
+        # floor(1/0.05) = 20 exceeds BLOSSOM_SET_CAP: the claim is skipped,
+        # the run still succeeds
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--input", inp, "--eps", "0.05", "--R", "1",
+                   "--thresholds", "0.1,0.2", "--samples", "2", "--table-samples", "0",
+                   "--delta-trials", "1", "--out", str(out)])
+        assert rc == 0
+        claims = {c["name"]: c for c in json.loads(out.read_text())["claims"]}
+        assert claims["blossom-feasibility"]["note"] == "skipped: odd-set size cap exceeded"
+        assert not claims["blossom-feasibility"]["flag"]
+
 
 class TestConfigOverlay:
     def test_config_overrides_defaults(self, tmp_path, tri_file):
@@ -280,6 +293,15 @@ class TestExitCodes:
         assert rc == 1
         assert "aborted" in capsys.readouterr().err
 
+    def test_walk_index_ceiling_aborts(self, tmp_path, capsys):
+        pairs = [(u, v, 0.5) for u in range(6) for v in range(u + 1, 6)]
+        inp = write_input(tmp_path, Graph.build(6, pairs))
+        rc = main(["lca-stats", "--input", inp, "--lca", "b-matching", "--alpha", "3",
+                   "--walk-len", "6", "--samples", "1", "--out", str(tmp_path / "l.csv")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["aborted: more than 100000 hyperwalks at length 6"]
+
     def test_derived_R_draw_guard_aborts(self, tmp_path, capsys):
         # without --R, kite's thresholds derive R = 122,070,313 at eps 0.2
         inp = write_input(tmp_path, GOLDEN_GRAPHS["kite"][0])
@@ -302,6 +324,18 @@ class TestExitCodes:
         assert "smallest edge probability 1e-200" in err and "pass --thresholds" in err
         assert main(["sparsify", "--input", inp, "--R", "2", "--thresholds", "0.1,0.2",
                      "--out", out]) == 0
+
+    @pytest.mark.parametrize("p, thresholds", [(1e-80, []), (0.5, ["--thresholds", "0,0.1"])],
+                             ids=["derived", "given"])
+    def test_zero_tau_minus_without_R_refused(self, tmp_path, capsys, p, thresholds):
+        # (eps * 1e-80)^2 = 4e-162 leaves a band whose tau_minus is 0.0, and
+        # --thresholds can set it directly; neither derives an R
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, p), (1, 2, 0.5)]))
+        out = str(tmp_path / "H.txt")
+        assert main(["sparsify", "--input", inp, "--out", out] + thresholds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau_minus is 0.0 at smallest edge probability")
+        assert f"probability {p!r}" in err and "--R" in err and "--thresholds" in err
 
     def test_bad_thresholds(self, tri_file, capsys):
         assert main(["evaluate", "--input", tri_file, "--R", "1",

@@ -10,9 +10,9 @@ from stochmatch.graph import (
     ENUM_CAP,
     LOW_EDGES,
     MAX_VERTICES,
-    EdgeCountExceeded,
     Graph,
     GraphFormatError,
+    ResourceGuard,
     SeedContext,
     _encode_labels,
     edge_mask,
@@ -118,7 +118,7 @@ class TestEnumeration:
 
     def test_cap_enforced(self):
         g = Graph.build(26, [(i, i + 1, 0.5) for i in range(25)])
-        with pytest.raises(EdgeCountExceeded):
+        with pytest.raises(ResourceGuard):
             list(enumerate_realizations(g))
 
     @pytest.mark.parametrize("m", [0, 1, LOW_EDGES, 14, "sure"])

@@ -32,12 +32,10 @@ from oracles import (
     walk_vertices,
 )
 from stochmatch import hyperwalk
-from stochmatch.graph import Graph, SeedContext, sample_realization
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, sample_realization
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
-    EnumerationTooLarge,
-    ResourceGuard,
     SeedMemo,
     UnsaturationTable,
     WalkIndex,
@@ -188,7 +186,7 @@ class TestEnumeration:
 
     def test_ceiling_guard(self):
         g = complete_graph(5)
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(ResourceGuard):
             enumerate_hyperwalks(g, 5, 3, ceiling=500)
 
 
@@ -781,7 +779,7 @@ class TestLcaRoute:
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)
         params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
-        walks = WalkIndex(g, params.walk_len, params.alpha, params.walk_ceiling)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
         ceiling = out_query_ceiling(g, walks, params, params.depth)
         real = full_realization(g)
         lca = BMatchingLca(g, params, real)

@@ -23,9 +23,8 @@ from oracles import (
     violates_vertex_caps,
 )
 from stochmatch import matching
-from stochmatch.graph import EdgeCountExceeded, Graph, SeedContext, gnp_graph, mask_edges
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, gnp_graph, mask_edges
 from stochmatch.matching import (
-    CapExceeded,
     ComponentMemo,
     _Matcher,
     FractionalMatching,
@@ -352,7 +351,7 @@ class TestExactExpectation:
 
     def test_cap(self):
         g = path_graph(25)
-        with pytest.raises(EdgeCountExceeded):
+        with pytest.raises(ResourceGuard):
             matching_size_expectation_exact(g)
 
 
@@ -406,7 +405,7 @@ class TestBlossomChecker:
 
     def test_cap_exceeded(self):
         f = FractionalMatching.build(path_graph(1), {0: 1.0})
-        with pytest.raises(CapExceeded):
+        with pytest.raises(ResourceGuard):
             check_blossom(f, eps=0.05)
 
     @given(st.integers(0, 200), st.sampled_from([0.2, 0.25, 1.0 / 3.0]))

@@ -224,8 +224,8 @@ class TestEngine:
     def test_walk_mis_matches_parent(self, monkeypatch):
         log = []
 
-        def recorded(root, lower, budget=None, memo=None):
-            out = greedy_member(root, lower, budget, memo)
+        def recorded(root, lower, budget=None):
+            out = greedy_member(root, lower, budget)
             log.append((root,) + out)
             return out
 

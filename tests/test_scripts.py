@@ -47,6 +47,8 @@ def test_lca_profile(capsys, tmp_path, lca):
         ("ratio_sweep", ["--n", "12", "--samples", "0"], "--samples"),
         ("ratio_sweep", ["--n", "12", "--eps", "2"], "eps must lie in (0, 1)"),
         ("ratio_sweep", ["--n", "30", "--R", "1", "--exact"], "enumeration cap"),
+        ("lca_profile", ["--n", "12", "--edge-prob", "0.5", "--lca", "b-matching", "--alpha", "3",
+                         "--walk-len", "6", "--trials", "2"], "hyperwalks"),
     ],
 )
 def test_bad_arguments_exit_with_usage(capsys, name, argv, message):

@@ -12,13 +12,24 @@ by type, so the lint can miss dead code; it never flags live code.
 
 The package also holds no ``assert`` statement: ``python -O`` strips
 them, so a check the package relies on raises an exception instead.
+And it defines a fixed set of exception types: every work limit raises
+``graph.ResourceGuard``, so callers catch one type for all of them.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stochmatch"
+
+EXCEPTIONS = {
+    "analysis.MissingTableEntry",
+    "cli.UsageError",
+    "graph.GraphFormatError",
+    "graph.ResourceGuard",
+    "lca.NaturalityViolation",
+}
 
 # name -> why it stays without a caller outside the tests
 ALLOWED = {
@@ -123,3 +134,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in src/stochmatch: {found}"
+
+
+def _exception_classes() -> set:
+    """Classes of the package that derive from a builtin exception,
+    directly or through another such class, by base name."""
+    bases = {
+        f"{path.stem}.{node.name}": {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    names = {k for k, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    found = set()
+    while new := {q for q, b in bases.items() if b & names} - found:
+        found |= new
+        names |= {q.rsplit(".", 1)[1] for q in new}
+    return found
+
+
+def test_exception_types_are_fixed():
+    assert _exception_classes() == EXCEPTIONS
