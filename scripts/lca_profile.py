@@ -66,8 +66,11 @@ def main(argv=None) -> int:
         ap.error(str(exc))
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(ledger_to_csv(ledger))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(ledger_to_csv(ledger))
+        except OSError as exc:
+            ap.error(str(exc))
 
     print(f"graph: n={g.n} m={g.m}  lca={args.lca}  sweeps={ledger.trials}")
     for stat in ("qplus", "qminus", "psi"):

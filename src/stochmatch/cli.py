@@ -22,7 +22,6 @@ from .analysis import (
     verify_claims,
 )
 from .graph import (
-    GraphFormatError,
     ResourceGuard,
     SeedContext,
     load_graph,
@@ -356,21 +355,13 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = _resolve(args)
         return COMMANDS[cfg.command](cfg)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphFormatError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as ex:
+    except (UsageError, OSError, ValueError) as ex:
+        # a GraphFormatError is a ValueError
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceGuard, RecursionError) as ex:
         print(f"aborted: {ex}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,12 +27,12 @@ Both routes name a walk by the int id that :class:`WalkIndex` gave it
 when it first enumerated it, and read one record per id (a
 :class:`Walk`): its edges and copy indices, vertex sequence, sort key,
 and the bitmasks that decide its validity.  Ranks, memos and conflict
-lists all key on ids.  ``b_generic`` holds every copy's realization and
-matching masks, so it checks each row of :meth:`WalkIndex.walk_table`
-with integer operations on them.  The query route learns each
-membership and realization bit by probing, in order, so
-:func:`_augmenting_core` checks the same record with per-edge
-accessors.  A differential test keeps the two equal.
+lists all key on ids.  Both routes decide validity with one predicate,
+:func:`_augments`, on that record; they differ only in how it reads the
+copies.  ``b_generic`` holds every copy's realization and matching
+masks and answers with integer operations on them; the query route
+learns each membership and realization bit by probing, so the order in
+which the predicate reads fixes the order of its probes.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
@@ -152,9 +152,9 @@ class Walk(NamedTuple):
     reads as bitmasks: ``ends`` has the bits of the two endpoints, or is
     0 for a closed walk; ``copies`` holds ``(i, additions, removals)``
     edge masks per copy the walk touches, in copy order; ``vertices``
-    holds ``(incidence, required degree change)`` per distinct walk
-    vertex, in vertex order, the change being 1 at an endpoint and 0
-    elsewhere.
+    holds ``(u, incidence, required degree change)`` per distinct walk
+    vertex u, in vertex order, the incidence being the mask of u's edges
+    and the change 1 at an endpoint and 0 elsewhere.
     """
 
     edges: tuple
@@ -201,7 +201,6 @@ class WalkIndex:
         self._by_edge = {}
         self._neighbors = {}  # id -> ids
         self._all = None
-        self._table = None
 
     def _check_ceiling(self, count: int, limit: int) -> None:
         if self.ceiling and count > limit:
@@ -225,7 +224,7 @@ class WalkIndex:
             )
             v0, vk = vseq[0], vseq[-1]
             vertices = tuple(
-                (self._incidence[u], 1 if u in (v0, vk) else 0) for u in sorted(set(vseq))
+                (u, self._incidence[u], 1 if u in (v0, vk) else 0) for u in sorted(set(vseq))
             )
             ends = 0 if v0 == vk else (1 << v0) | (1 << vk)
             key = (len(edges), edges, indices)
@@ -273,18 +272,6 @@ class WalkIndex:
             self._all = self._sorted(ids)
         return self._all
 
-    def walk_table(self) -> tuple:
-        """One row ``(id, ends, copies, vertices)`` per walk of
-        :meth:`all_walks`, in that order: the bitmask fields of the
-        walk's record (see :class:`Walk`)."""
-        if self._table is None:
-            rows = []
-            for i in self.all_walks():
-                r = self.records[i]
-                rows.append((i, r.ends, r.copies, r.vertices))
-            self._table = tuple(rows)
-        return self._table
-
     def neighbors(self, i: int) -> tuple:
         """Ids of the hyperwalks sharing at least one vertex with walk
         ``i``, excluding it."""
@@ -317,44 +304,6 @@ class UnsaturationTable:
         Every vertex passes any margin below 1."""
         row = (0.0,) * n
         return cls((1.0,) * n, tuple(row for _ in range(levels + 1)), 0)
-
-
-def _augmenting_core(
-    g: Graph, w: Walk, member_fn: Callable, realized_fn: Callable, unsat_fn: Callable
-) -> bool:
-    """Validity predicate of the query route, on walk record ``w``.
-
-    ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
-    the previous level; ``unsat_fn(v)`` is the endpoint gate.  The query
-    route passes accessors that probe as they answer, so the order of
-    calls here fixes the order of its probes: the additions by edge id,
-    then per walk vertex in vertex order, per copy, every incident edge
-    in adjacency order.  ``b_generic`` decides the same predicate on
-    whole masks (:func:`_augments`), and a differential test keeps the
-    two equal.
-    """
-    if not w.ends:
-        return False
-    v0, vk = w.vseq[0], w.vseq[-1]
-    if not unsat_fn(v0) or not unsat_fn(vk):
-        return False
-    for e, s in sorted(zip(w.edges[0::2], w.indices[0::2])):
-        if not realized_fn(s, e):
-            return False
-    for u, (inc, required) in zip(sorted(set(w.vseq)), w.vertices):
-        delta = 0
-        for i, add, rem in w.copies:
-            before = 0
-            for e in g.incident(u):
-                if member_fn(i, e):
-                    before |= 1 << e
-            x = ((before & ~rem) | add) & inc
-            if x & (x - 1):
-                return False
-            delta += (x != 0) - (before != 0)
-        if delta != required:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -447,54 +396,72 @@ def _scope(g: Graph, ctx: SeedContext, table, walks, params: BParams) -> tuple:
     return (g, ctx, table, walks, params.alpha, params.margin, params.mis_budget)
 
 
-def _augments(copies: tuple, vertices: tuple, reals: list, matches: list) -> bool:
-    """A walk-table row's check past its endpoint gates, on bitmasks.
+def _augments(w: Walk, realized: Callable, before: Callable) -> bool:
+    """Whether walk record ``w`` augments the copies, past its endpoint
+    gates: the one validity predicate of both routes.
 
-    ``reals[i]`` and ``matches[i]`` are copy i's realization and
-    matching masks.  Each addition must be realized in its copy.  At
-    each walk vertex and copy, ``x`` is the vertex's matched edges after
-    the application; ``x & (x - 1)`` is nonzero when two are left, and
-    the vertex's degree change over the copies must equal its required
-    one.  This decides as :func:`_augmenting_core` does.
+    ``realized(i, add)`` says whether copy i realizes every edge of the
+    mask ``add``, and ``before(i, u, inc)`` is copy i's matched edges at
+    walk vertex u, whose incident edges are the mask ``inc``.  Each
+    copy's additions must be realized.  At each walk vertex and copy,
+    ``x`` is the vertex's matched edges after the application; ``x & (x
+    - 1)`` is nonzero when two are left, and the vertex's degree change
+    over the copies must equal its required one.
+
+    ``b_generic`` answers both from whole masks.  The query route's
+    accessors probe as they answer, so the order of the ``before`` calls
+    is its probe order: walk vertices in ascending order, then copies in
+    ascending order, and the accessor reads each vertex's incident edges
+    in adjacency order.  Its ``realized`` reads no new site, since every
+    edge of the walk is probed before the check.
     """
-    changed = []
-    for i, add, rem in copies:
-        if add & ~reals[i]:
+    for i, add, _ in w.copies:
+        if not realized(i, add):
             return False
-        before = matches[i]
-        changed.append((before, (before & ~rem) | add))
-    for inc, required in vertices:
+    for u, inc, required in w.vertices:
         delta = 0
-        for before, after in changed:
-            x = after & inc
+        for i, add, rem in w.copies:
+            b = before(i, u, inc)
+            x = ((b & ~rem) | add) & inc
             if x & (x - 1):
                 return False
-            delta += (x != 0) - (before & inc != 0)
+            delta += (x != 0) - (b != 0)
         if delta != required:
             return False
     return True
 
 
-def _valid_walks(rows: tuple, reals: list, matches: list, gates: Callable, tick: Callable) -> list:
-    """The rows of ``rows`` (a :meth:`WalkIndex.walk_table`) whose walks
-    augment the copies with realization masks ``reals`` and matching
-    masks ``matches``, in row order.
+def _valid_walks(
+    walks: WalkIndex, reals: list, matches: list, gates: Callable, tick: Callable
+) -> list:
+    """The ids of :meth:`WalkIndex.all_walks` whose walks augment the
+    copies with realization masks ``reals`` and matching masks
+    ``matches``, in that order.
 
-    Every row ticks once.  ``gates()`` returns the bitmask of unsaturated
-    vertices; it is called once, at the first walk with two distinct
-    endpoints, which is where a per-walk check first reads a gate.
+    Every walk ticks once.  ``gates()`` returns the bitmask of
+    unsaturated vertices; it is called once, at the first walk with two
+    distinct endpoints, which is where a per-walk check first reads a
+    gate.
     """
+
+    def realized(i: int, add: int) -> bool:
+        return not add & ~reals[i]
+
+    def before(i: int, u: int, inc: int) -> int:
+        return matches[i] & inc
+
+    records = walks.records
     out = []
     unsat = None
-    for row in rows:
-        _, ends, copies, vertices = row
+    for w in walks.all_walks():
+        rec = records[w]
         tick()
-        if not ends:
+        if not rec.ends:
             continue
         if unsat is None:
             unsat = gates()
-        if unsat & ends == ends and _augments(copies, vertices, reals, matches):
-            out.append(row)
+        if unsat & rec.ends == rec.ends and _augments(rec, realized, before):
+            out.append(w)
     return out
 
 
@@ -511,7 +478,7 @@ def _select_walks(
     """Greedy MIS by rank of the walks that augment the copies with
     realization masks ``reals`` and matching masks ``matches``, with each
     member's query re-run under the per-root expansion budget.  Returns
-    the members' :meth:`WalkIndex.walk_table` rows in rank order."""
+    the members' ids in rank order."""
     g = walks.g
 
     def gates() -> int:
@@ -519,29 +486,29 @@ def _select_walks(
             1 << v for v in range(g.n) if table.unsaturated(v, level - 1, params.margin)
         )
 
-    valid = _valid_walks(walks.walk_table(), reals, matches, gates, guard.tick)
+    valid = _valid_walks(walks, reals, matches, gates, guard.tick)
     members = []
     covered = set()
-    for row in sorted(valid, key=lambda row: rank(row[0])):
-        vs = walks.records[row[0]].vseq
+    for w in sorted(valid, key=rank):
+        vs = walks.records[w].vseq
         if covered.isdisjoint(vs):
-            members.append(row)
+            members.append(w)
             covered.update(vs)
     if params.mis_budget is None:
         return members
-    lower = _walk_lower({row[0] for row in valid}.__contains__, rank, walks.neighbors)
+    lower = _walk_lower(set(valid).__contains__, rank, walks.neighbors)
     kept = []
-    for row in members:
-        ok, truncated, calls = greedy_member(row[0], lower, params.mis_budget)
+    for w in members:
+        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
         guard.tick(calls)
         if not (ok or truncated):
-            w = walks.records[row[0]]
+            rec = walks.records[w]
             raise RuntimeError(
-                f"sweep member with edges {w.edges} and copies {w.indices} "
+                f"sweep member with edges {rec.edges} and copies {rec.indices} "
                 "resolved negatively without truncation"
             )
         if ok:
-            kept.append(row)
+            kept.append(w)
     return kept
 
 
@@ -619,8 +586,8 @@ def b_generic(
             return r
 
         match = matches[0]
-        for _, _, moves, _ in _select_walks(reals, matches, walks, table, params, lvl, rank, guard):
-            i, add, rem = moves[0]
+        for w in _select_walks(reals, matches, walks, table, params, lvl, rank, guard):
+            i, add, rem = records[w].copies[0]
             if i == 0:
                 match = (match | add) & ~rem
         return match
@@ -788,24 +755,27 @@ class _Engine:
             return self._valid[key]
         self.guard.tick()
         self.ensure_walk(w)
-        table = self.lca.table
-        margin = self.lca.params.margin
+        rec = self._records[w]
+        g, table, margin = self.lca.g, self.lca.table, self.lca.params.margin
 
         def sub_lineage(i: int) -> tuple:
             return lineage if i == 0 else lineage + (level, i)
 
-        def member(i: int, e: int) -> bool:
-            return self.is_in_matching(sub_lineage(i), e, level - 1)
+        def realized(i: int, add: int) -> bool:
+            return all(self.realized(sub_lineage(i), e) for e in mask_edges(add))
 
-        def realized(i: int, e: int) -> bool:
-            return self.realized(sub_lineage(i), e)
+        def before(i: int, u: int, inc: int) -> int:
+            b = 0
+            for e in g.incident(u):
+                if self.is_in_matching(sub_lineage(i), e, level - 1):
+                    b |= 1 << e
+            return b
 
-        result = _augmenting_core(
-            self.lca.g,
-            self._records[w],
-            member_fn=member,
-            realized_fn=realized,
-            unsat_fn=lambda v: table.unsaturated(v, level - 1, margin),
+        result = (
+            bool(rec.ends)
+            and table.unsaturated(rec.vseq[0], level - 1, margin)
+            and table.unsaturated(rec.vseq[-1], level - 1, margin)
+            and _augments(rec, realized, before)
         )
         self._valid[key] = result
         return result

@@ -1338,6 +1338,93 @@ class BMatchingLcaV0(BMatchingLca):
         return out
 
 
+#
+# _augmenting_core and _Engine.is_valid before both routes shared one
+# predicate: the query route checked a Walk record with per-edge
+# member and realized accessors of its own.  The record's vertices are
+# now (u, incidence, required) triples, so the vertex loop unpacks u
+# from them instead of zipping the sorted walk vertices in.
+
+
+def _augmenting_core_v1(
+    g: Graph, w, member_fn: Callable, realized_fn: Callable, unsat_fn: Callable
+) -> bool:
+    """Validity predicate of the query route, on walk record ``w``.
+
+    ``member_fn(i, e)`` and ``realized_fn(i, e)`` answer for copy i at
+    the previous level; ``unsat_fn(v)`` is the endpoint gate.  The query
+    route passes accessors that probe as they answer, so the order of
+    calls here fixes the order of its probes: the additions by edge id,
+    then per walk vertex in vertex order, per copy, every incident edge
+    in adjacency order.
+    """
+    if not w.ends:
+        return False
+    v0, vk = w.vseq[0], w.vseq[-1]
+    if not unsat_fn(v0) or not unsat_fn(vk):
+        return False
+    for e, s in sorted(zip(w.edges[0::2], w.indices[0::2])):
+        if not realized_fn(s, e):
+            return False
+    for u, inc, required in w.vertices:
+        delta = 0
+        for i, add, rem in w.copies:
+            before = 0
+            for e in g.incident(u):
+                if member_fn(i, e):
+                    before |= 1 << e
+            x = ((before & ~rem) | add) & inc
+            if x & (x - 1):
+                return False
+            delta += (x != 0) - (before != 0)
+        if delta != required:
+            return False
+    return True
+
+
+class _EngineV1(_Engine):
+    """The query engine with walk validity decided by
+    :func:`_augmenting_core_v1`."""
+
+    def is_valid(self, lineage: tuple, w: int, level: int) -> bool:
+        key = (lineage, w, level)
+        if key in self._valid:
+            return self._valid[key]
+        self.guard.tick()
+        self.ensure_walk(w)
+        table = self.lca.table
+        margin = self.lca.params.margin
+
+        def sub_lineage(i: int) -> tuple:
+            return lineage if i == 0 else lineage + (level, i)
+
+        def member(i: int, e: int) -> bool:
+            return self.is_in_matching(sub_lineage(i), e, level - 1)
+
+        def realized(i: int, e: int) -> bool:
+            return self.realized(sub_lineage(i), e)
+
+        result = _augmenting_core_v1(
+            self.lca.g,
+            self._records[w],
+            member_fn=member,
+            realized_fn=realized,
+            unsat_fn=lambda v: table.unsaturated(v, level - 1, margin),
+        )
+        self._valid[key] = result
+        return result
+
+
+class BMatchingLcaV1(BMatchingLca):
+    """``BMatchingLca`` answering through :class:`_EngineV1`."""
+
+    def run(self, oracle, root: Site) -> bool:
+        engine = _EngineV1(self, oracle)
+        out = engine.is_in_matching((), root.id, self.params.depth)
+        oracle.annotate("nodes", engine.guard.nodes)
+        return out
+
+
 # _Matcher before its search state was allocated once per matcher: each
 # search allocated n-sized parent/base/used arrays, and each blossom
 # allocated and scanned an n-sized mark array.

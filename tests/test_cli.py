@@ -443,16 +443,21 @@ GOLDEN_GRAPHS = {
     ),
 }
 B_FLAGS = ["--alpha", "1", "--walk-len", "2", "--depth", "2", "--mis-budget", "1"]
+# unbudgeted walks of length 3: additions and removals in both copies
+B3_FLAGS = ["--alpha", "1", "--walk-len", "3", "--depth", "2"]
+LCA_B = ["lca-stats", "--lca", "b-matching", "--samples", "2"]
+VERIFY = ["verify", "--R", "4", "--samples", "10", "--table-samples", "10",
+          "--delta-trials", "10", "--match-prob-trials", "20"]
 GOLDEN_RUNS = {
     "sparsify": lambda t: ["sparsify", "--R", "4"],
     "evaluate-exact": lambda t: ["evaluate", "--thresholds", t],
     "evaluate-mc": lambda t: ["evaluate", "--thresholds", t, "--no-exact",
                               "--q-samples", "100", "--samples", "200"],
     "lca-tmis": lambda t: ["lca-stats", "--lca", "tmis", "--budget", "2", "--samples", "5"],
-    "lca-b": lambda t: ["lca-stats", "--lca", "b-matching", "--samples", "2"] + B_FLAGS,
-    "verify": lambda t: ["verify", "--thresholds", t, "--R", "4", "--samples", "10",
-                         "--table-samples", "10", "--delta-trials", "10",
-                         "--match-prob-trials", "20"] + B_FLAGS,
+    "lca-b": lambda t: LCA_B + B_FLAGS,
+    "verify": lambda t: VERIFY + ["--thresholds", t] + B_FLAGS,
+    "lca-b3": lambda t: LCA_B + B3_FLAGS,
+    "verify-b3": lambda t: VERIFY + ["--thresholds", t] + B3_FLAGS,
 }
 GOLDEN = {
     ("kite", "sparsify"): "146462cf14e4bb1f23c112cd980bb18171900e3f145c918dd620ca9a0e170e72",
@@ -461,13 +466,26 @@ GOLDEN = {
     ("kite", "lca-tmis"): "63e9362f18a75c915dcdf6feb1439ceeac725c3d4297c5388568ff432f8ef884",
     ("kite", "lca-b"): "5a410dfff88d47de8c4ce8b09095081f2eea3e66cfff0577e80bac51ec986af3",
     ("kite", "verify"): "507a77ffdb96406c3108d6306b521c6e80f74db060d53539419c1c51d009db4b",
+    ("kite", "lca-b3"): "cab94955d45348920e36bfd802819ce826a8c94ffa06023f618e5e0fd0810d46",
+    ("kite", "verify-b3"): "bed43590891d807acf3347a14fa1daeed588066f40bf37a04970d1a6aaf339bd",
     ("split", "sparsify"): "2d666b8b4a7139c0a52ba38fc9d400ba66b5f581bfea7afc500d569c407434be",
     ("split", "evaluate-exact"): "c65092a98061429d806fe4b0d1a54a07504af7c52dad7b4afbecdcaebbf8b31c",
     ("split", "evaluate-mc"): "a3d2147f0f56502122db830cfb85f4fbed67d0b268bd5dfd4f1bfb48e34223d0",
     ("split", "lca-tmis"): "4cb0ea7caeae30f8d8c5b33f51478cfdc7c0e5f6fadfe25ce59e881335499511",
     ("split", "lca-b"): "dec60db104654a9871f06f2d78a3e2e429e9b82dbf72205eeaca65fd09d36e88",
     ("split", "verify"): "4df6613ce9a175ee94926d97d18c4c75e21774f01764344be974b73f02025bd0",
+    ("split", "lca-b3"): "e842f1a1e105927b9866f826f5cafa6e4a03a2d65654c2fa45b884110813151c",
+    ("split", "verify-b3"): "f4bd476a64622eaf5a2bdcf44c6ec71599786a3ea8167c5d2a77d6c86da5810f",
 }
+
+
+def golden_digest(run, out: Path) -> str:
+    """The digest of a golden run's output file (and, for ``sparsify``,
+    its ``.meta.json``)."""
+    digest = hashlib.sha256(out.read_bytes())
+    if run == "sparsify":
+        digest.update(out.with_name(out.name + ".meta.json").read_bytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("graph,run", sorted(GOLDEN))
@@ -477,10 +495,7 @@ def test_golden_digest(tmp_path, graph, run):
     out = tmp_path / "out"
     argv = GOLDEN_RUNS[run](thresholds)
     assert main(argv + ["--input", inp, "--seed", "3", "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes())
-    if run == "sparsify":
-        digest.update((tmp_path / "out.meta.json").read_bytes())
-    assert digest.hexdigest() == GOLDEN[graph, run]
+    assert golden_digest(run, out) == GOLDEN[graph, run]
 
 
 @pytest.mark.parametrize(
@@ -488,10 +503,10 @@ def test_golden_digest(tmp_path, graph, run):
     ids=["hashseed-0", "hashseed-1", "optimized"],
 )
 def test_golden_digest_in_fresh_interpreter(tmp_path, hashseed, flags):
-    # the b-matching golden runs in a new interpreter: walk ids come in
-    # discovery order and set order follows the hash seed, so neither may
-    # reach the output, and -O strips asserts the package must not need
-    runs = [key for key in sorted(GOLDEN) if key[1] in ("lca-b", "verify")]
+    # every golden run in a new interpreter: walk ids come in discovery
+    # order and set order follows the hash seed, so neither may reach the
+    # output, and -O strips asserts the package must not need
+    runs = sorted(GOLDEN)
     argvs = []
     for graph, run in runs:
         g, thresholds = GOLDEN_GRAPHS[graph]
@@ -511,5 +526,4 @@ def test_golden_digest_in_fresh_interpreter(tmp_path, hashseed, flags):
     )
     assert proc.returncode == 0, proc.stderr
     for (graph, run), argv in zip(runs, argvs):
-        digest = hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest()
-        assert digest == GOLDEN[graph, run], (graph, run)
+        assert golden_digest(run, Path(argv[-1])) == GOLDEN[graph, run], (graph, run)

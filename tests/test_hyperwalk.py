@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    BMatchingLcaV1,
     Hyperwalk,
     Profile,
     Realization,
@@ -45,6 +46,7 @@ from stochmatch.hyperwalk import (
     build_unsaturation_table,
 )
 from stochmatch.lca import Site, run_lca
+from test_acceptance import B_CORPUS
 
 
 def star_graph(leaves, p=0.5):
@@ -553,8 +555,10 @@ class TestQueryReplay:
 @st.composite
 def table_cases(draw):
     """A small graph, its walk index at alpha 0..2, and per copy an
-    arbitrary realization mask and matching edge set (so a vertex may
-    hold several matched edges), with endpoint gates drawn per vertex."""
+    arbitrary realization mask and matching edge set, with endpoint
+    gates drawn per vertex.  A matching set is either arbitrary (so a
+    vertex may hold several matched edges) or a matching, without which
+    no walk that removes an edge is ever valid."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
@@ -562,10 +566,23 @@ def table_cases(draw):
     alpha = draw(st.integers(0, 2))
     walks = WalkIndex(g, draw(st.integers(1, 3)), alpha)
     full = (1 << g.m) - 1
+
+    def matching_set() -> frozenset:
+        edges = draw(st.lists(st.integers(0, g.m - 1), unique=True))
+        if draw(st.booleans()):
+            return frozenset(edges)
+        covered, kept = set(), set()
+        for e in edges:
+            ends = g.endpoints(e)
+            if covered.isdisjoint(ends):
+                kept.add(e)
+                covered.update(ends)
+        return frozenset(kept)
+
     copies = tuple(
         (
             Realization(g, draw(st.one_of(st.just(full), st.integers(0, full)))),
-            frozenset(draw(st.sets(st.integers(0, g.m - 1)))),
+            matching_set(),
         )
         for _ in range(alpha + 1)
     )
@@ -576,10 +593,8 @@ def table_cases(draw):
 
 def select_v1(reals, matches, walks, *args):
     """``oracles._select_walks_v1`` behind the signature of
-    ``_select_walks``: the copies' masks go in as a profile, and the
-    chosen walks come back as their walk-table rows."""
-    rows = {row[0]: row for row in walks.walk_table()}
-    return [rows[w] for w in _select_walks_v1(mask_profile(walks.g, reals, matches), walks, *args)]
+    ``_select_walks``: the copies' masks go in as a profile."""
+    return _select_walks_v1(mask_profile(walks.g, reals, matches), walks, *args)
 
 
 class TestWalkTable:
@@ -594,7 +609,7 @@ class TestWalkTable:
         margin = 0.1
         ticks = []
         got = _valid_walks(
-            walks.walk_table(),
+            walks,
             [real.present for real, _ in profile.pairs],
             [sum(1 << e for e in matching) for _, matching in profile.pairs],
             lambda: sum(1 << v for v in range(walks.g.n) if table.unsaturated(v, 1, margin)),
@@ -604,7 +619,7 @@ class TestWalkTable:
             w for w in walks.all_walks()
             if is_augmenting(profile, hyperwalk_of(walks, w), table, 1, margin)
         ]
-        assert [row[0] for row in got] == want
+        assert got == want
         assert len(ticks) == len(walks.all_walks())
 
     def test_second_matched_edge_blocks(self):
@@ -617,22 +632,43 @@ class TestWalkTable:
         profile = profile_noalpha(g, full_realization(g), {1, 3})
         table = UnsaturationTable.always_unsaturated(g.n, 1)
         got = _valid_walks(
-            walks.walk_table(), [(1 << g.m) - 1], [0b1010], lambda: (1 << g.n) - 1, lambda: None
+            walks, [(1 << g.m) - 1], [0b1010], lambda: (1 << g.n) - 1, lambda: None
         )
-        assert w not in [hyperwalk_of(walks, row[0]) for row in got]
+        assert w not in [hyperwalk_of(walks, i) for i in got]
         assert not is_augmenting(profile, w, table, 0, margin=0.1)
 
-    def test_rows_follow_all_walks(self):
+    def test_removal_frees_inner_vertices(self):
+        # path 0-1-2-3 with edge 1-2 matched: the walk (0-1, 1-2, 2-3)
+        # swaps it for the two outer edges, so vertices 1 and 2 keep one
+        # matched edge each only because 1-2 leaves
+        g = path_graph(3)
+        walks = WalkIndex(g, 3, 0)
+        w = Hyperwalk.make((0, 1, 2), (0, 0, 0))
+        profile = profile_noalpha(g, full_realization(g), {1})
+        table = UnsaturationTable.always_unsaturated(g.n, 1)
+        got = _valid_walks(
+            walks, [full_realization(g)], [0b010], lambda: (1 << g.n) - 1, lambda: None
+        )
+        assert w in [hyperwalk_of(walks, i) for i in got]
+        assert is_augmenting(profile, w, table, 0, margin=0.1)
+
+    def test_ids_follow_all_walks(self, monkeypatch):
+        # with every open walk accepted, the selection's candidates are
+        # all_walks() in its order, closed walks dropped
+        monkeypatch.setattr(hyperwalk, "_augments", lambda *args: True)
         g = complete_graph(4)
         walks = WalkIndex(g, 3, 1)
-        rows = walks.walk_table()
-        assert walks.walk_table() is rows
-        assert tuple(row[0] for row in rows) == walks.all_walks()
-        i, ends, copies, vertices = rows[0]
-        w = hyperwalk_of(walks, i)
+        full = (1 << g.m) - 1
+        got = _valid_walks(walks, [full, full], [0, 0], lambda: (1 << g.n) - 1, lambda: None)
+        assert got == [i for i in walks.all_walks() if walks.records[i].ends]
+        assert len(got) < len(walks.all_walks())
+        rec = walks.records[got[0]]
+        w = hyperwalk_of(walks, got[0])
         u, v = g.endpoints(w.edges[0])
-        assert (ends, copies) == ((1 << u) | (1 << v), ((0, 1 << w.edges[0], 0),))
-        assert vertices == tuple((sum(1 << e for e in g.incident(x)), 1) for x in (u, v))
+        assert (rec.ends, rec.copies) == ((1 << u) | (1 << v), ((0, 1 << w.edges[0], 0),))
+        assert rec.vertices == tuple(
+            (x, sum(1 << e for e in g.incident(x)), 1) for x in (u, v)
+        )
 
     @pytest.mark.parametrize("mis_budget", [None, 2])
     @given(data=st.data())
@@ -647,7 +683,7 @@ class TestWalkTable:
             got = select(reals, matches, walks, table, params, level, rank, new)
             profile = mask_profile(walks.g, reals, matches)
             want = _select_walks_v1(profile, walks, table, params, level, rank, old)
-            assert [row[0] for row in got] == want
+            assert got == want
             assert new.nodes == old.nodes
             selections.append(got)
             guard.tick(new.nodes)
@@ -775,6 +811,26 @@ class TestLcaRoute:
             with pytest.raises(ValueError, match="outside"):
                 BMatchingLca(g, params, mask)
         BMatchingLca(g, params, full_realization(g))
+
+    def test_validity_matches_parent(self):
+        # the query route decides validity through the predicate it shares
+        # with b_generic; against the accessor predicate it used before
+        # (oracles.BMatchingLcaV1), answers, probe order and node counts
+        # stay the same
+        for name, g, kw in B_CORPUS:
+            for mis_budget in (None, 1, 3, 6):
+                params = BParams(eps=0.3, margin=0.1, **dict(kw, mis_budget=mis_budget))
+                for seed in range(3):
+                    real = sample_realization(g, SeedContext(seed).child("real"), 0)
+                    ctx = SeedContext(seed).child("alg")
+                    lca = BMatchingLca(g, params, real)
+                    old_lca = BMatchingLcaV1(g, params, real)
+                    for e in range(g.m):
+                        out, trace = run_lca(lca, g, ctx, Site.edge(e))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site.edge(e))
+                        assert out == old, name
+                        assert trace.probed == old_trace.probed, name
+                        assert trace.meta["nodes"] == old_trace.meta["nodes"], name
 
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)

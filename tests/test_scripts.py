@@ -49,6 +49,8 @@ def test_lca_profile(capsys, tmp_path, lca):
         ("ratio_sweep", ["--n", "30", "--R", "1", "--exact"], "enumeration cap"),
         ("lca_profile", ["--n", "12", "--edge-prob", "0.5", "--lca", "b-matching", "--alpha", "3",
                          "--walk-len", "6", "--trials", "2"], "hyperwalks"),
+        ("lca_profile", ["--n", "12", "--trials", "2", "--out", "/nonexistent/x.csv"],
+         "No such file or directory"),
     ],
 )
 def test_bad_arguments_exit_with_usage(capsys, name, argv, message):
