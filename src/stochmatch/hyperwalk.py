@@ -553,7 +553,7 @@ def b_generic(
     guard = _Guard(params.node_ceiling)
 
     def tape(e: int) -> _Tape:
-        return table_tape(tapes, ctx, Site.edge(e))
+        return table_tape(tapes, ctx, ("edge", e))
 
     def recurse(lineage: tuple, real: int, lvl: int) -> int:
         guard.tick()
@@ -660,10 +660,10 @@ class _Engine:
         self._ensured = set()  # walks whose edges are all probed
 
     def touch_edge(self, e: int) -> None:
-        # a plain (kind, id) tuple matches the oracle's Site keys, and
-        # skipping known edges spares probe's naturality check
+        # a (kind, id) pair matches the oracle's Site keys; skipping known
+        # edges here spares the call to probe
         if ("edge", e) not in self._probed:
-            self.oracle.probe(Site.edge(e))
+            self.oracle.probe(("edge", e))
 
     def ensure_walk(self, w: int) -> None:
         if w in self._ensured:
@@ -686,13 +686,13 @@ class _Engine:
         self.touch_edge(e)
         if not lineage:
             return (self.lca.root_realization >> e) & 1 == 1
-        tape = self.oracle.peek(Site.edge(e))
+        tape = self.oracle.peek(("edge", e))
         return _copy_realized(tape, lineage, self.lca.g.probability(e))
 
     def walk_rank(self, lineage: tuple, level: int, w: int) -> tuple:
         self.ensure_walk(w)
         rec = self._records[w]
-        return _walk_rank(self.oracle.peek(Site.edge(rec.edges[0])), lineage, level, rec)
+        return _walk_rank(self.oracle.peek(("edge", rec.edges[0])), lineage, level, rec)
 
     def is_in_matching(self, lineage: tuple, e: int, level: int) -> bool:
         key = (lineage, e, level)

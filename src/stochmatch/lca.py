@@ -12,15 +12,20 @@ small neighborhood of it.  The runtime mediates every exploration step:
   in rank order) and are not ledgered.
 
 The oracle is the one record of a query's probed region: it exposes
-its probed sites and the vertices they touch read-only.
+its probed sites and the vertices they touch read-only.  A vertex read
+is admitted with one lookup in the set of touched vertices and their
+neighbors, and a repeated probe with one lookup in the probed sites;
+every other read runs the full site-kind and naturality check.
 
 A site's tape is a fixed function of (ctx, site), and so is every value
 read off it, so a tape is derived once into a tape table keyed by site
-and each of its values is hashed once and stored there.  A sweep shares
-one table across its roots and drops it when the sweep ends; a lone
-query keeps its own table.  Derivations and the values read off each
-tape are shared; each query still checks naturality and records its own
-probes.
+and each of its values is hashed once and stored there.  The table also
+builds the site's one :class:`Site`, kept on its tape, so callers may
+name a site by the plain pair (kind, id) and a sweep builds each Site
+once.  A sweep shares one table across its roots and drops it when the
+sweep ends; a lone query keeps its own table, holding only the sites it
+read.  Derivations, Sites and the values read off each tape are shared;
+each query still checks naturality and records its own probes.
 
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
@@ -66,12 +71,14 @@ def site_tape(ctx: SeedContext, site: Site) -> SeedContext:
 
 
 class _Tape:
-    """A site's tape in a tape table: ``uniform`` hashes each distinct
-    label tuple once and then returns the stored value.  The values die
-    with the table; long-lived contexts store none."""
+    """A site's tape in a tape table under ``ctx``: ``site`` is the
+    table's one Site for it, and ``uniform`` hashes each distinct label
+    tuple once and then returns the stored value.  The values die with
+    the table; long-lived contexts store none."""
 
-    def __init__(self, ctx: SeedContext) -> None:
-        self._ctx = ctx
+    def __init__(self, ctx: SeedContext, site: Site) -> None:
+        self.site = site
+        self._ctx = site_tape(ctx, site)
         self._values = {}  # labels -> float
 
     def uniform(self, *labels) -> float:
@@ -81,12 +88,14 @@ class _Tape:
         return value
 
 
-def table_tape(tapes: dict, ctx: SeedContext, site: Site) -> _Tape:
-    """``site``'s tape in the tape table ``tapes`` of ``ctx``, derived on
-    first use."""
+def table_tape(tapes: dict, ctx: SeedContext, site) -> _Tape:
+    """The tape of ``site``, a Site or a plain (kind, id) pair, in the
+    tape table ``tapes`` of ``ctx``; its Site and tape are built on first
+    use."""
     tape = tapes.get(site)
     if tape is None:
-        tape = tapes[site] = _Tape(site_tape(ctx, site))
+        site = Site(*site)
+        tape = tapes[site] = _Tape(ctx, site)
     return tape
 
 
@@ -125,40 +134,48 @@ class LcaOracle:
         self._meta = {}
         self.probe(root)
 
-    def _adjacent_to_probed(self, site: Site) -> bool:
-        if site.kind == "vertex":
-            return site.id in self._near
-        u, v = self.graph.endpoints(site.id)
-        return u in self._touched or v in self._touched
-
-    def _admit(self, site: Site) -> None:
-        if site.kind not in ("vertex", "edge"):
-            raise ValueError(f"unknown site kind {site.kind!r}")
+    def _admit(self, site) -> None:
+        kind, i = site
+        if kind not in ("vertex", "edge"):
+            raise ValueError(f"unknown site kind {kind!r}")
         if site == self.root or site in self._probed:
             return
-        if not self._adjacent_to_probed(site):
+        if kind == "vertex":
+            adjacent = i in self._near
+        else:
+            u, v = self.graph.endpoints(i)
+            adjacent = u in self._touched or v in self._touched
+        if not adjacent:
             raise NaturalityViolation(
-                f"{site} is not adjacent to the probed region of {self.root}"
+                f"{Site(*site)} is not adjacent to the probed region of {self.root}"
             )
 
-    def probe(self, site: Site) -> _Tape:
-        """Expand ``site``: ledger it and return its tape from the table.
-        Naturality is checked on every call, stored values or not."""
+    def probe(self, site) -> _Tape:
+        """Expand ``site`` (a Site or a plain (kind, id) pair): ledger the
+        table's Site for it and return its tape.  A site already probed
+        is found with one lookup; any other runs the full check, so
+        naturality holds on every call."""
+        if site in self._probed:
+            return self._tapes[site]
         self._admit(site)
-        if site not in self._probed:
-            self._probed[site] = None
-            for v in site.vertices(self.graph):
-                if v not in self._touched:
-                    self._touched[v] = None
-                    self._near.add(v)
-                    self._near.update(self.graph.neighbors(v))
-        return table_tape(self._tapes, self.ctx, site)
+        tape = self._tapes.get(site) or table_tape(self._tapes, self.ctx, site)
+        site = tape.site
+        self._probed[site] = None
+        for v in site.vertices(self.graph):
+            if v not in self._touched:
+                self._touched[v] = None
+                self._near.add(v)
+                self._near.update(self.graph.neighbors(v))
+        return tape
 
-    def peek(self, site: Site) -> _Tape:
-        """Read a tape from the table without expanding the site (not
-        ledgered)."""
-        self._admit(site)
-        return table_tape(self._tapes, self.ctx, site)
+    def peek(self, site) -> _Tape:
+        """Read the tape of ``site`` (a Site or a plain (kind, id) pair)
+        without expanding it (not ledgered).  A vertex among the touched
+        vertices and their neighbors is admitted with that one lookup; any
+        other site runs the full check."""
+        if site[0] != "vertex" or site[1] not in self._near:
+            self._admit(site)
+        return self._tapes.get(site) or table_tape(self._tapes, self.ctx, site)
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value

@@ -93,11 +93,12 @@ class TruncatedGreedyMis:
         limit = self.budget.threshold if self.budget is not None else None
 
         def lower(v: int) -> list:
-            # expanding v probes it; neighbor ranks are only peeked at
-            rank_v = oracle.probe(Site.vertex(v)).uniform("rank"), v
+            # expanding v probes it; neighbor ranks are only peeked at.
+            # Sites go by (kind, id) pairs, so a read builds no Site.
+            rank_v = oracle.probe(("vertex", v)).uniform("rank"), v
             below = []
             for w in g.neighbors(v):
-                rank_w = oracle.peek(Site.vertex(w)).uniform("rank"), w
+                rank_w = oracle.peek(("vertex", w)).uniform("rank"), w
                 if rank_w < rank_v:
                     below.append((rank_w, w))
             below.sort()

@@ -51,7 +51,16 @@ from stochmatch.hyperwalk import (
     _walk_lower,
     _walk_rank,
 )
-from stochmatch.lca import LcaOracle, QueryLedger, Site, run_lca, site_tape
+from stochmatch.lca import (
+    LcaOracle,
+    NaturalityViolation,
+    QueryLedger,
+    Site,
+    _Tape,
+    run_lca,
+    site_tape,
+    table_tape,
+)
 from stochmatch.matching import (
     _active_ids,
     _Matcher,
@@ -1130,6 +1139,48 @@ def add_sweep_pairwise(self, out_sets: dict) -> None:
 
 
 #
+# The oracle before sites were built once per sweep: every probe and
+# every peek ran the full admission check and read the tape table
+# through ``table_tape``.  The LCAs now name sites by plain (kind, id)
+# pairs, so both references below turn each into a Site on entry.
+
+
+class LcaOracleV1(LcaOracle):
+    def _adjacent_to_probed(self, site: Site) -> bool:
+        if site.kind == "vertex":
+            return site.id in self._near
+        u, v = self.graph.endpoints(site.id)
+        return u in self._touched or v in self._touched
+
+    def _admit(self, site: Site) -> None:
+        if site.kind not in ("vertex", "edge"):
+            raise ValueError(f"unknown site kind {site.kind!r}")
+        if site == self.root or site in self._probed:
+            return
+        if not self._adjacent_to_probed(site):
+            raise NaturalityViolation(
+                f"{site} is not adjacent to the probed region of {self.root}"
+            )
+
+    def probe(self, site) -> _Tape:
+        site = Site(*site)
+        self._admit(site)
+        if site not in self._probed:
+            self._probed[site] = None
+            for v in site.vertices(self.graph):
+                if v not in self._touched:
+                    self._touched[v] = None
+                    self._near.add(v)
+                    self._near.update(self.graph.neighbors(v))
+        return table_tape(self._tapes, self.ctx, site)
+
+    def peek(self, site) -> _Tape:
+        site = Site(*site)
+        self._admit(site)
+        return table_tape(self._tapes, self.ctx, site)
+
+
+#
 # The LCA runtime before the tape table and prefix-encoded contexts:
 # every probe and every peek derived the site's tape afresh, encoding
 # the whole namespace path.
@@ -1139,9 +1190,9 @@ def site_tape_v0(ctx: SeedContext, site: Site) -> SeedContext:
     return SeedContext(ctx.seed, ctx.path + ("tape", site.kind, site.id))
 
 
-class LcaOracleV0(LcaOracle):
-    """The parent oracle: a fresh tape per read, and a peeked vertex's
-    neighbors scanned against the touched set."""
+class LcaOracleV0(LcaOracleV1):
+    """The oracle before the tape table: a fresh tape per read, and a
+    peeked vertex's neighbors scanned against the touched set."""
 
     def _adjacent_to_probed(self, site: Site) -> bool:
         if site.kind == "vertex":
@@ -1151,14 +1202,16 @@ class LcaOracleV0(LcaOracle):
         u, v = self.graph.endpoints(site.id)
         return u in self._touched or v in self._touched
 
-    def probe(self, site: Site) -> SeedContext:
+    def probe(self, site) -> SeedContext:
+        site = Site(*site)
         self._admit(site)
         if site not in self._probed:
             self._probed[site] = None
             self._touched.update(dict.fromkeys(site.vertices(self.graph)))
         return site_tape_v0(self.ctx, site)
 
-    def peek(self, site: Site) -> SeedContext:
+    def peek(self, site) -> SeedContext:
+        site = Site(*site)
         self._admit(site)
         return site_tape_v0(self.ctx, site)
 

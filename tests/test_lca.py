@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     LcaOracleV0,
+    LcaOracleV1,
     add_sweep_pairwise,
     estimate_delta,
     find_rank_ctx,
@@ -56,17 +57,19 @@ class HubLca:
 
 
 class RogueLca:
-    """Probes the root, then probes or peeks at the vertex ``hops`` ids on."""
+    """Probes the root, then probes or peeks at the site of kind ``kind``
+    ``hops`` ids on."""
 
     site_kind = "vertex"
 
-    def __init__(self, op="probe", hops=2):
+    def __init__(self, op="probe", hops=2, kind="vertex"):
         self.op = op
         self.hops = hops
+        self.kind = kind
 
     def run(self, oracle, root):
         oracle.probe(root)
-        getattr(oracle, self.op)(Site.vertex(root.id + self.hops))
+        getattr(oracle, self.op)((self.kind, root.id + self.hops))
         return True
 
 
@@ -105,6 +108,19 @@ class TestRunLca:
             with pytest.raises(NaturalityViolation):
                 run_lca(RogueLca(op), g, SeedContext(0), Site.vertex(0))
             assert run_lca(RogueLca(op, hops=1), g, SeedContext(0), Site.vertex(0))[0]
+
+    def test_unknown_site_kind_refused(self):
+        # also for an id among the touched vertices, which a vertex read
+        # would admit with one lookup
+        g = path_graph(3)
+        for op in ("probe", "peek"):
+            for hops in (0, 1):
+                with pytest.raises(ValueError, match="unknown site kind 'face'"):
+                    run_lca(RogueLca(op, hops, "face"), g, SeedContext(0), Site.vertex(1))
+
+    def test_root_kind_mismatch(self):
+        with pytest.raises(ValueError, match="expects vertex roots, got edge"):
+            run_lca(TruncatedGreedyMis(), path_graph(2), SeedContext(0), Site.edge(0))
 
     def test_trace_prefixes_connected(self):
         # independent re-check of the naturality contract on real traces
@@ -187,6 +203,15 @@ class TestLedger:
         assert len(lines) == 1 + g.n
         assert lines[1].startswith("vertex,0,1.000000")
 
+    def test_gather_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            gather_ledger(SelfOnlyLca(), star(3), SeedContext(0), trials=0)
+
+    def test_bound_needs_two_sweeps(self):
+        ledger = gather_ledger(SelfOnlyLca(), star(3), SeedContext(0), trials=1)
+        with pytest.raises(ValueError, match="need at least two sweeps"):
+            check_correlated_bound(ledger)
+
     def test_correlated_bound_on_random_graphs(self):
         for seed in (0, 1):
             g = gnp_graph(14, 0.25, 0.5, SeedContext(seed).child("gen"))
@@ -268,15 +293,15 @@ class TestTapeTable:
         self.assert_matches_v0(lca, g, SeedContext(3).child("tt"))
 
     @staticmethod
-    def count_calls(monkeypatch, name):
+    def count_calls(monkeypatch, name, cls=SeedContext):
         counter = {"n": 0}
-        original = getattr(SeedContext, name)
+        original = getattr(cls, name)
 
         def counting(self, *args):
             counter["n"] += 1
             return original(self, *args)
 
-        monkeypatch.setattr(SeedContext, name, counting)
+        monkeypatch.setattr(cls, name, counting)
         return counter
 
     def test_tmis_sweep_derives_each_tape_once(self, monkeypatch):
@@ -292,6 +317,22 @@ class TestTapeTable:
                 sweep_ledger(lca, g, ctx)
                 assert derived["n"] <= g.n
                 assert digests["n"] <= g.n
+
+    def test_tmis_sweep_builds_each_site_once(self, monkeypatch):
+        # the queries name sites by plain pairs; the sweep's tape table
+        # builds the one Site of each vertex read
+        graphs = [gnp_graph(n, 3.0 / n, 0.5, SeedContext(1).child("gen")) for n in (12, 60, 200)]
+        ctx = SeedContext(1).child("count")
+        built = self.count_calls(monkeypatch, "__new__", Site)
+        for g in graphs:
+            roots = [Site.vertex(v) for v in range(g.n)]
+            for budget in (None, 3):
+                lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                tapes = {}  # the sweep's tape table, as in sweep_ledger
+                built["n"] = 0
+                for root in roots:
+                    run_lca(lca, g, ctx, root, tapes)
+                assert 0 < built["n"] <= g.n
 
     def test_b_matching_sweep_hashes_each_value_once(self, monkeypatch):
         g, lca = golden_b_matching("kite")
@@ -335,25 +376,30 @@ class TestTapeTable:
 
 
 class TestNearSet:
-    """The oracle's one-lookup naturality check against the parent's
-    scan of a peeked vertex's neighbors (``LcaOracleV0``)."""
+    """The oracle's one-lookup admission against the oracle it replaced
+    (``LcaOracleV1``), which ran the full check on every read, and
+    against the earlier scan of a peeked vertex's neighbors
+    (``LcaOracleV0``)."""
 
     @staticmethod
     def replay(oracle_cls, g, root, steps):
         oracle = oracle_cls(g, SeedContext(0), root)
-        admitted = []
+        outcomes = []
         for op, site in steps:
             try:
                 getattr(oracle, op)(site)
-                admitted.append(True)
-            except NaturalityViolation:
-                admitted.append(False)
-        return admitted, oracle.trace()
+                outcomes.append(True)
+            except (NaturalityViolation, ValueError) as err:
+                outcomes.append((type(err).__name__, str(err)))
+        trace = oracle.trace()
+        assert all(type(s) is Site for s in trace.probed)
+        return outcomes, trace
 
-    def assert_admits_as_scan(self, g, root, steps):
+    def assert_admits_as_references(self, g, root, steps):
         new = self.replay(LcaOracle, g, root, steps)
+        assert new == self.replay(LcaOracleV1, g, root, steps)
         assert new == self.replay(LcaOracleV0, g, root, steps)
-        return new[0]
+        return [out is True for out in new[0]]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -363,15 +409,17 @@ class TestNearSet:
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = Graph.build(n, [(u, v, 0.5) for u, v in chosen])
         sites = [Site.vertex(v) for v in range(n)] + [Site.edge(e) for e in range(g.m)]
-        site = st.sampled_from(sites)
-        root = data.draw(site)
+        root = data.draw(st.sampled_from(sites))
+        # unknown kinds, and every site also as the plain pair the LCAs pass
+        unknown = [Site("face", i) for i in range(n)]
+        site = st.sampled_from(sites + unknown).flatmap(lambda s: st.sampled_from([s, tuple(s)]))
         steps = data.draw(st.lists(st.tuples(st.sampled_from(["probe", "peek"]), site), max_size=15))
-        self.assert_admits_as_scan(g, root, steps)
+        self.assert_admits_as_references(g, root, steps)
 
     def test_vertex_peek_after_edge_probes_only(self):
         g = path_graph(4)  # vertices 0-1-2-3-4, edge e joins e and e + 1
         steps = [("probe", Site.edge(1)), ("peek", Site.vertex(3)), ("peek", Site.vertex(4))]
-        assert self.assert_admits_as_scan(g, Site.edge(0), steps) == [True, True, False]
+        assert self.assert_admits_as_references(g, Site.edge(0), steps) == [True, True, False]
 
 
 class TestDelta:
