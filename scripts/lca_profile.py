@@ -11,7 +11,7 @@ import sys
 from stochmatch.graph import ResourceGuard, SeedContext, gnp_graph, load_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import check_correlated_bound, gather_ledger, ledger_to_csv
-from stochmatch.mis import TmisBudget, TruncatedGreedyMis
+from stochmatch.mis import TruncatedGreedyMis
 
 
 def build_instance(args, ctx: SeedContext) -> tuple:
@@ -22,8 +22,7 @@ def build_instance(args, ctx: SeedContext) -> tuple:
     else:
         g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
     if args.lca == "tmis":
-        budget = TmisBudget(args.budget) if args.budget is not None else None
-        return g, TruncatedGreedyMis(budget)
+        return g, TruncatedGreedyMis(args.budget)
     params = BParams(
         alpha=args.alpha,
         walk_len=args.walk_len,

@@ -56,10 +56,8 @@ from .lca import (
     ledger_to_csv,
     run_lca,
     site_tape,
-    sweep_ledger,
 )
 from .mis import (
-    TmisBudget,
     TmisOutcome,
     TruncatedGreedyMis,
 )

@@ -53,9 +53,6 @@ from .matching import (
 )
 from .sparsifier import QProfile, SparsifierParams, build_H, p_min_of, resolve_R
 
-DELTA_EXPONENT_DEFAULT = 15
-MATCH_PROB_TRIALS_DEFAULT = 1000
-
 
 class MissingTableEntry(KeyError):
     """A value-table lookup required by the x construction is absent."""
@@ -301,7 +298,7 @@ def build_x(
     delta: DeltaTable,
     eps: float,
     p_min: float,
-    delta_exponent: int = DELTA_EXPONENT_DEFAULT,
+    delta_exponent: int,
 ) -> dict:
     """Per-edge values x for the trial's realization mask ``realization``.
 
@@ -493,34 +490,32 @@ def prepare_pipeline(
     g: Graph,
     eps: float,
     seed: int,
+    *,
+    bparams: BParams,
+    q_samples: int,
+    table_samples: int,
+    match_prob_trials: int,
+    delta_trials: int,
+    delta_exponent: int,
     R: Optional[int] = None,
-    bparams: Optional[BParams] = None,
-    q_samples: int = 10_000,
-    table_samples: int = 200,
-    match_prob_trials: int = MATCH_PROB_TRIALS_DEFAULT,
-    delta_trials: int = 200,
     exact: Optional[bool] = None,
-    delta_exponent: int = DELTA_EXPONENT_DEFAULT,
     thresholds: Optional[tuple] = None,
 ) -> PipelineSetup:
     """Builds a reusable pipeline: q and thresholds, H and f, the
     crucial-side recursion setup, and the probability tables.
 
-    ``thresholds`` overrides the automatic bucket selection (handy for
-    forcing a split with genuine mass on both sides at desk scale).
-    ``bparams`` defaults to a shallow recursion (see :class:`BParams`
-    for the paper's asymptotic regime).
+    Every sample count, ``delta_exponent`` and ``bparams`` come from the
+    caller (the command line's defaults live in ``cli.DEFAULTS``).
+    ``R`` is derived from the thresholds when None, ``thresholds``
+    overrides the automatic bucket selection (handy for forcing a split
+    with genuine mass on both sides at desk scale), and ``exact`` None
+    picks the mode by edge count.
     """
     ctx = SeedContext(seed)
     q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
     exact = q.exact
     sparams = SparsifierParams(R=R, eps=eps, seed=seed)
     H, matchings = build_H(g, sparams)
-    if bparams is None:
-        bparams = BParams(
-            alpha=0, walk_len=2, depth=1, eps=eps, margin=2.0 * eps * eps,
-            mis_budget=None,
-        )
     crucial = prepare_crucial(g, q, bparams, table_samples, ctx.child("table"))
     f = build_f(g, H, matchings, q, eps, R)
     match_prob = build_match_prob_table(

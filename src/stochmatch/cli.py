@@ -31,7 +31,7 @@ from .graph import (
 )
 from .hyperwalk import BParams, BMatchingLca
 from .lca import gather_ledger, ledger_to_csv
-from .mis import TmisBudget, TruncatedGreedyMis
+from .mis import TruncatedGreedyMis
 from .sparsifier import SparsifierParams, build_H, max_degree_of, p_min_of, resolve_R
 
 EXIT_OK = 0
@@ -211,8 +211,7 @@ def cmd_lca_stats(cfg: ExperimentConfig) -> int:
     g = load_graph(cfg.input)
     ctx = SeedContext(cfg.seed)
     if cfg.lca == "tmis":
-        budget = TmisBudget(cfg.budget) if cfg.budget is not None else None
-        lca = TruncatedGreedyMis(budget)
+        lca = TruncatedGreedyMis(cfg.budget)
     elif cfg.lca == "b-matching":
         # instance = graph + one seeded realization; sweeps vary the tapes
         real = sample_realization(g, ctx.child("real"), 0)

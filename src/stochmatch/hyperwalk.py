@@ -55,8 +55,10 @@ from .lca import Site, _Tape, table_tape
 from .matching import matched_vertices
 from .mis import greedy_member
 
-WALK_CEILING_DEFAULT = 100_000
-NODE_CEILING_DEFAULT = 2_000_000
+# most hyperwalks one WalkIndex enumerates
+WALK_CEILING = 100_000
+# most guard nodes one b_generic call or root query ticks
+NODE_CEILING = 2_000_000
 # deepest recursion either route runs; each level costs a few Python
 # frames, and this keeps both routes inside the interpreter's default
 # limit of 1,000 frames
@@ -77,6 +79,9 @@ class BParams:
     eps        accuracy parameter
     margin     unsaturation slack subtracted from the target marginals
     mis_budget distinct expansions allowed per MIS root query (None: off)
+
+    The work limits ``WALK_CEILING``, ``NODE_CEILING`` and ``DEPTH_LIMIT``
+    are module constants.
     """
 
     alpha: int
@@ -85,7 +90,6 @@ class BParams:
     eps: float
     margin: float
     mis_budget: Optional[int] = None
-    node_ceiling: int = NODE_CEILING_DEFAULT
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -181,11 +185,11 @@ class WalkIndex:
     them finds it.  ``records[i]`` is walk i's :class:`Walk`, and every
     lookup (walks through a vertex or an edge, all walks, conflict
     neighbors) returns ids in ``sort_key`` order, so no order depends on
-    the ids.  Enumerations beyond ``ceiling`` hyperwalks raise
+    the ids.  Enumerations beyond ``WALK_CEILING`` hyperwalks raise
     :class:`ResourceGuard`.
     """
 
-    def __init__(self, g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT) -> None:
+    def __init__(self, g: Graph, walk_len: int, alpha: int) -> None:
         if walk_len < 1:
             raise ValueError("walk_len must be positive")
         if alpha < 0:
@@ -193,7 +197,6 @@ class WalkIndex:
         self.g = g
         self.walk_len = walk_len
         self.alpha = alpha
-        self.ceiling = ceiling
         self.records = []  # id -> Walk
         self._ids = {}  # (edges, indices) -> id
         self._incidence = [edge_mask(g.incident(v)) for v in range(g.n)]
@@ -203,10 +206,8 @@ class WalkIndex:
         self._all = None
 
     def _check_ceiling(self, count: int, limit: int) -> None:
-        if self.ceiling and count > limit:
-            raise ResourceGuard(
-                f"more than {self.ceiling} hyperwalks at length {self.walk_len}"
-            )
+        if count > limit:
+            raise ResourceGuard(f"more than {WALK_CEILING} hyperwalks at length {self.walk_len}")
 
     def _intern(self, edges: tuple, indices: tuple, vseq: tuple) -> int:
         i = self._ids.get((edges, indices))
@@ -239,13 +240,13 @@ class WalkIndex:
         reps = self.alpha + 1
         for vseq, eseq in directed:
             span = len(eseq)
-            self._check_ceiling(len(found) + reps**span, self.ceiling * 2)
+            self._check_ceiling(len(found) + reps**span, WALK_CEILING * 2)
             for idx in itertools.product(range(reps), repeat=span):
                 if span % 2 == 1 and (eseq[::-1], idx[::-1]) < (eseq, idx):
                     found.setdefault((eseq[::-1], idx[::-1]), vseq[::-1])
                 else:
                     found.setdefault((eseq, idx), vseq)
-        self._check_ceiling(len(found), self.ceiling)
+        self._check_ceiling(len(found), WALK_CEILING)
         order = sorted(found, key=lambda k: (len(k[0]),) + k)
         return tuple(self._intern(*k, found[k]) for k in order)
 
@@ -268,7 +269,7 @@ class WalkIndex:
             ids = set()
             for v in range(self.g.n):
                 ids.update(self.walks_through_vertex(v))
-                self._check_ceiling(len(ids), self.ceiling)
+                self._check_ceiling(len(ids), WALK_CEILING)
             self._all = self._sorted(ids)
         return self._all
 
@@ -343,14 +344,13 @@ def _walk_lower(valid: Callable, rank: Callable, neighbors: Callable) -> Callabl
 
 
 class _Guard:
-    def __init__(self, ceiling: int) -> None:
-        self.ceiling = ceiling
+    def __init__(self) -> None:
         self.nodes = 0
 
     def tick(self, amount: int = 1) -> None:
         self.nodes += amount
-        if self.ceiling and self.nodes > self.ceiling:
-            raise ResourceGuard(f"computation exceeded {self.ceiling} nodes")
+        if self.nodes > NODE_CEILING:
+            raise ResourceGuard(f"computation exceeded {NODE_CEILING} nodes")
 
 
 def _check_depth(depth: int) -> None:
@@ -550,7 +550,7 @@ def b_generic(
     memo.bind(_scope(g, ctx, table, walks, params))
     tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
     records = walks.records
-    guard = _Guard(params.node_ceiling)
+    guard = _Guard()
 
     def tape(e: int) -> _Tape:
         return table_tape(tapes, ctx, ("edge", e))
@@ -652,7 +652,7 @@ class _Engine:
         self._probed = oracle.probed
         self._touched = oracle.touched
         self._records = lca.walks.records
-        self.guard = _Guard(lca.params.node_ceiling)
+        self.guard = _Guard()
         self._match = {}
         self._mis = {}
         self._valid = {}
@@ -828,7 +828,7 @@ class BMatchingLca:
                 out, probed, nodes = hit
                 for site in probed:
                     oracle.probe(site)
-                _Guard(params.node_ceiling).tick(nodes)
+                _Guard().tick(nodes)
                 oracle.annotate("nodes", nodes)
                 return out
         engine = _Engine(self, oracle)

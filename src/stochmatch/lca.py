@@ -41,6 +41,8 @@ from typing import NamedTuple, Optional
 
 from .graph import Graph, SeedContext
 
+CORRELATED_SLACK = 3.0
+
 
 class NaturalityViolation(RuntimeError):
     """An LCA touched a site not adjacent to its probed region."""
@@ -273,12 +275,6 @@ def _empty_ledger(lca, g: Graph) -> QueryLedger:
     return QueryLedger(kind, tuple(Site(kind, i) for i in range(count)))
 
 
-def sweep_ledger(lca, g: Graph, ctx: SeedContext) -> QueryLedger:
-    """One sweep: query every site of the LCA's kind as a root under the
-    tapes of ``ctx``."""
-    return _ledger_sweep(_empty_ledger(lca, g), lca, g, ctx)
-
-
 def gather_ledger(lca, g: Graph, ctx: SeedContext, trials: int) -> QueryLedger:
     """``trials`` independent sweeps under tapes (ctx, "sweep", t)."""
     if trials < 1:
@@ -304,12 +300,12 @@ class CorrelatedBoundReport:
         return self.lhs <= self.slack * self.rhs + 3.0 * self.lhs_stderr
 
 
-def check_correlated_bound(ledger: QueryLedger, slack: float = 3.0) -> CorrelatedBoundReport:
+def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
     """Compare the worst mean correlated-set size to mean-q+ * mean-q-.
 
     Needs a ledger of at least 30 sweeps for the error term to mean
-    anything; flags violations beyond ``slack`` times the product plus
-    three standard errors.
+    anything; flags violations beyond ``CORRELATED_SLACK`` times the
+    product plus three standard errors.
     """
     if ledger.trials < 2:
         raise ValueError("need at least two sweeps")
@@ -320,7 +316,7 @@ def check_correlated_bound(ledger: QueryLedger, slack: float = 3.0) -> Correlate
         lhs=lhs,
         lhs_stderr=ledger.stderr("psi", lhs_site),
         rhs=qp * qm,
-        slack=slack,
+        slack=CORRELATED_SLACK,
         trials=ledger.trials,
     )
 

@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 from .graph import Graph, ResourceGuard, mask_edges
 
 BLOSSOM_SET_CAP = 15
+BLOSSOM_TOL = 1e-9
 # most component matchings a ComponentMemo keeps; once it is full, later
 # masks take the plain matcher.  verify-exact's 14-edge graph needs 2,151.
 COMPONENT_MEMO_CAP = 1 << 14
@@ -374,7 +375,7 @@ def _connected_odd_sets(adj: dict, vertices: list, kmax: int):
                 )
 
 
-def check_blossom(f: FractionalMatching, eps: float, tol: float = 1e-9) -> CertificateReport:
+def check_blossom(f: FractionalMatching, eps: float) -> CertificateReport:
     """Sweep the odd-set inequalities for |S| <= floor(1/eps).
 
     Only sets connected in the support of ``f`` are enumerated: a
@@ -410,7 +411,7 @@ def check_blossom(f: FractionalMatching, eps: float, tol: float = 1e-9) -> Certi
                     if a in inside and b in inside and u == min(a, b):
                         mass += x
         bound = len(S) // 2
-        if mass > bound + tol:
+        if mass > bound + BLOSSOM_TOL:
             violations.append((S, mass, bound))
     violations.sort()
     return CertificateReport(eps, kmax, checked, tuple(violations))

@@ -14,6 +14,10 @@ truncated answer can only remove members (breaking maximality a
 little); it can never add one, because a positive answer requires the
 recursion to have completed, in which case it equals the untruncated
 greedy answer.  The surviving set is always independent.
+
+A budget has one form, a positive int or None for no cap, checked where
+it is set: ``TruncatedGreedyMis(budget)`` for vertex MIS and
+``BParams.mis_budget`` for the hyperwalk MIS.
 """
 
 from __future__ import annotations
@@ -22,17 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lca import Site
-
-
-@dataclass(frozen=True)
-class TmisBudget:
-    """Cap on distinct vertices a single root query may expand."""
-
-    threshold: int
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,16 +74,19 @@ def greedy_member(root, lower: Callable, budget: Optional[int] = None) -> tuple:
 
 
 class TruncatedGreedyMis:
-    """LCA protocol object for (possibly truncated) greedy MIS queries."""
+    """LCA protocol object for (possibly truncated) greedy MIS queries;
+    ``budget`` caps the distinct vertices one root query expands (None:
+    off)."""
 
     site_kind = "vertex"
 
-    def __init__(self, budget: Optional[TmisBudget] = None) -> None:
+    def __init__(self, budget: Optional[int] = None) -> None:
+        if budget is not None and budget < 1:
+            raise ValueError("budget must be positive when set")
         self.budget = budget
 
     def run(self, oracle, root: Site) -> TmisOutcome:
         g = oracle.graph
-        limit = self.budget.threshold if self.budget is not None else None
 
         def lower(v: int) -> list:
             # expanding v probes it; neighbor ranks are only peeked at.
@@ -104,7 +100,7 @@ class TruncatedGreedyMis:
             below.sort()
             return [w for _, w in below]
 
-        member, truncated, calls = greedy_member(root.id, lower, limit)
+        member, truncated, calls = greedy_member(root.id, lower, self.budget)
         oracle.annotate("calls", calls)
         oracle.annotate("truncated", truncated)
         return TmisOutcome(member, calls, truncated)

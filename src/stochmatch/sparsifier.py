@@ -19,7 +19,7 @@ from .graph import sample_realization, weighted_realizations
 from .matching import ComponentMemo, maximum_matching
 
 Q_SAMPLES_DEFAULT = 10_000
-THRESHOLD_EXPONENT_DEFAULT = 3
+THRESHOLD_EXPONENT = 3
 # most edge draws (R * m) build_H starts; a derived R can reach 1e8
 BUILD_DRAW_LIMIT = 1_000_000
 
@@ -130,18 +130,13 @@ def estimate_q(
     return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
 
 
-def select_thresholds(
-    q: QProfile,
-    eps: float,
-    p_min: float,
-    exponent: int = THRESHOLD_EXPONENT_DEFAULT,
-) -> tuple:
+def select_thresholds(q: QProfile, eps: float, p_min: float) -> tuple:
     """Lightest-bucket threshold pair (tau_minus, tau_plus).
 
     Buckets are (tau_i, tau_{i-1}] with tau_0 = (eps * p_min)^2 and
-    tau_i = tau_{i-1}^exponent, for i = 1..ceil(1/eps).  The bucket of
-    least q-mass is dropped, so at most a 1/ceil(1/eps) fraction of the
-    total q-mass falls between the returned thresholds.  Deep taus may
+    tau_i = tau_{i-1}^THRESHOLD_EXPONENT, for i = 1..ceil(1/eps).  The
+    bucket of least q-mass is dropped, so at most a 1/ceil(1/eps) fraction
+    of the total q-mass falls between the returned thresholds.  Deep taus may
     underflow to 0.0, which leaves their buckets empty.  When the dropped
     bucket's upper tau has underflowed too (always so when (eps * p_min)^2
     does) there is no band to return, and this raises ValueError naming
@@ -151,12 +146,10 @@ def select_thresholds(
         raise ValueError("eps must lie in (0, 1)")
     if not 0.0 < p_min <= 1.0:
         raise ValueError("p_min must lie in (0, 1]")
-    if exponent < 2:
-        raise ValueError("exponent must be at least 2")
     buckets = max(1, math.ceil(1.0 / eps))
     taus = [(eps * p_min) ** 2]
     for _ in range(buckets):
-        taus.append(taus[-1] ** exponent)
+        taus.append(taus[-1] ** THRESHOLD_EXPONENT)
     masses = [0.0] * buckets
     for qe in q.q:
         if qe <= 0.0:

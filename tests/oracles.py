@@ -40,7 +40,6 @@ from stochmatch.graph import (
     weighted_realizations,
 )
 from stochmatch.hyperwalk import (
-    WALK_CEILING_DEFAULT,
     BMatchingLca,
     BParams,
     UnsaturationTable,
@@ -56,6 +55,8 @@ from stochmatch.lca import (
     NaturalityViolation,
     QueryLedger,
     Site,
+    _empty_ledger,
+    _ledger_sweep,
     _Tape,
     run_lca,
     site_tape,
@@ -68,7 +69,7 @@ from stochmatch.matching import (
     matching_number,
     maximum_matching,
 )
-from stochmatch.mis import TmisBudget, TmisOutcome, TruncatedGreedyMis, greedy_member
+from stochmatch.mis import TmisOutcome, TruncatedGreedyMis, greedy_member
 from stochmatch.sparsifier import QProfile, max_degree_of
 
 
@@ -437,11 +438,9 @@ def never_unsaturated(n: int, levels: int) -> UnsaturationTable:
     return UnsaturationTable((0.0,) * n, tuple(row for _ in range(levels + 1)), 0)
 
 
-def enumerate_hyperwalks_containing(
-    g: Graph, site: Site, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
-) -> tuple:
+def enumerate_hyperwalks_containing(g: Graph, site: Site, walk_len: int, alpha: int) -> tuple:
     """Hyperwalks through a vertex or edge site, in canonical order."""
-    index = WalkIndex(g, walk_len, alpha, ceiling)
+    index = WalkIndex(g, walk_len, alpha)
     if site.kind == "vertex":
         ids = index.walks_through_vertex(site.id)
     else:
@@ -566,12 +565,12 @@ def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
     return greedy_member(v, lower)[0]
 
 
-def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[TmisBudget] = None):
+def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[int] = None):
     """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
     return run_lca(TruncatedGreedyMis(budget), g, ctx, Site.vertex(v))
 
 
-def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[TmisBudget] = None) -> frozenset:
+def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[int] = None) -> frozenset:
     """All members under shared tapes.
 
     With no budget the answers are plain greedy MIS, a pure function of
@@ -584,9 +583,16 @@ def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[TmisBudget] = None) ->
     return frozenset(v for v in range(g.n) if tmis_query(g, ctx, v, budget)[0].member)
 
 
-def budget_for_degree(max_degree: int, eps: float, c: float = 1.0) -> TmisBudget:
+def sweep_ledger(lca, g: Graph, ctx: SeedContext) -> QueryLedger:
+    """One sweep: query every site of the LCA's kind as a root under the
+    tapes of ``ctx`` itself (``gather_ledger`` sweeps under
+    ``ctx.child("sweep", t)``)."""
+    return _ledger_sweep(_empty_ledger(lca, g), lca, g, ctx)
+
+
+def budget_for_degree(max_degree: int, eps: float, c: float = 1.0) -> int:
     """Quadratic-in-degree budget: ceil(c * Delta^2 / eps)."""
-    return TmisBudget(max(1, math.ceil(c * max_degree * max_degree / eps)))
+    return max(1, math.ceil(c * max_degree * max_degree / eps))
 
 
 def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BParams:
@@ -606,6 +612,12 @@ def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BPara
     )
 
 
+def shallow_bparams(eps: float) -> BParams:
+    """The depth-1 recursion without fresh copies that ``prepare_pipeline``
+    used when given no ``bparams``."""
+    return BParams(alpha=0, walk_len=2, depth=1, eps=eps, margin=2.0 * eps * eps)
+
+
 def estimate_ratio(
     g: Graph,
     H: Iterable[int],
@@ -622,11 +634,9 @@ def flagged(report) -> tuple:
     return tuple(c for c in report.checks if c.flag)
 
 
-def enumerate_hyperwalks(
-    g: Graph, walk_len: int, alpha: int, ceiling: int = WALK_CEILING_DEFAULT
-) -> tuple:
+def enumerate_hyperwalks(g: Graph, walk_len: int, alpha: int) -> tuple:
     """Every hyperwalk of length at most ``walk_len``, in canonical order."""
-    index = WalkIndex(g, walk_len, alpha, ceiling)
+    index = WalkIndex(g, walk_len, alpha)
     return tuple(hyperwalk_of(index, i) for i in index.all_walks())
 
 
@@ -1034,7 +1044,7 @@ def b_generic_v0(
         walks = WalkIndex(g, params.walk_len, params.alpha)
     if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
         raise ValueError("walk index does not match params")
-    guard = _Guard(params.node_ceiling)
+    guard = _Guard()
 
     def recurse(lineage: tuple, real: Realization, lvl: int) -> frozenset:
         guard.tick()
@@ -1258,7 +1268,7 @@ class TruncatedGreedyMisV0:
         g = oracle.graph
         memo = {}
         calls = 0
-        limit = self.budget.threshold if self.budget is not None else None
+        limit = self.budget
 
         def member(v: int) -> bool:
             nonlocal calls

@@ -29,6 +29,7 @@ from oracles import (
     path_graph,
     petersen_subgraph,
     q_load,
+    shallow_bparams,
     tmis_query,
     tmis_set,
     validating_profiles,
@@ -51,7 +52,7 @@ from stochmatch.matching import (
     fractional_size,
     maximum_matching,
 )
-from stochmatch.mis import TmisBudget, TruncatedGreedyMis
+from stochmatch.mis import TruncatedGreedyMis
 from stochmatch.sparsifier import SparsifierParams, build_H, estimate_q, max_degree_of
 
 
@@ -147,7 +148,7 @@ def test_tmis_equivalence():
         assert tmis_set(g, ctx, None) == greedy_mis_sweep(g, ranks)
     for i in range(30):
         g = gnp_graph(40, 0.15, 0.5, SeedContext(i).child("mist"))
-        cut = tmis_set(g, SeedContext(2000 + i), TmisBudget(3))
+        cut = tmis_set(g, SeedContext(2000 + i), 3)
         assert is_independent(g, cut)
     assert time.monotonic() - t0 < 30.0
 
@@ -157,12 +158,12 @@ def test_tmis_query_cap():
     total = 0
     for i in range(25):
         g = gnp_graph(20, 0.2, 0.5, SeedContext(i).child("cap"))
-        budget = TmisBudget(1 + (i % 5) * 3)
+        budget = 1 + (i % 5) * 3
         for rep in range(20):
             ctx = SeedContext(10_000 + 20 * i + rep)
             for v in range(g.n):
                 out, _ = tmis_query(g, ctx, v, budget)
-                assert out.calls <= budget.threshold
+                assert out.calls <= budget
                 again, _ = tmis_query(g, ctx, v, budget)
                 assert again == out
                 total += 1
@@ -319,8 +320,12 @@ def pipe_runs(pipe_graph):
         seed=7,
         R=PIPE_R,
         thresholds=PIPE_THRESHOLDS,
+        bparams=shallow_bparams(PIPE_EPS),
+        q_samples=10_000,
         table_samples=20,
+        match_prob_trials=1000,
         delta_trials=40,
+        delta_exponent=15,
     )
     return setup, [run_pipeline(setup, t) for t in range(100)]
 

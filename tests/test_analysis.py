@@ -16,6 +16,7 @@ from oracles import (
     is_matching,
     path_graph,
     ratio_sweep_v0,
+    shallow_bparams,
     vertex_load,
 )
 from stochmatch import analysis
@@ -265,6 +266,7 @@ class TestBuildX:
             delta,
             self.eps,
             self.p_min,
+            15,
         )
 
     def test_crucial_matched_in_realized_H(self):
@@ -315,6 +317,7 @@ class TestBuildX:
             DeltaTable({}, 1),
             self.eps,
             self.p_min,
+            15,
         )
         assert x[1] == 0.0
 
@@ -418,9 +421,12 @@ def smoke_setup(**overrides):
     kwargs = dict(
         eps=0.3,
         seed=7,
+        bparams=shallow_bparams(0.3),
+        q_samples=10_000,
         table_samples=20,
         match_prob_trials=50,
         delta_trials=30,
+        delta_exponent=15,
         thresholds=(0.2, 0.4),
     )
     kwargs.update(overrides)
@@ -498,7 +504,8 @@ class TestPipeline:
     def test_empty_graph_vacuous_pass(self):
         g = Graph.build(3, [])
         setup = prepare_pipeline(
-            g, eps=0.3, seed=1, table_samples=5, match_prob_trials=5, delta_trials=5
+            g, eps=0.3, seed=1, bparams=shallow_bparams(0.3), q_samples=10_000,
+            table_samples=5, match_prob_trials=5, delta_trials=5, delta_exponent=15,
         )
         report = verify_claims(setup, trials=4)
         assert flagged(report) == ()

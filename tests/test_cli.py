@@ -151,7 +151,7 @@ class TestLcaStats:
         for r in rows:
             assert float(r[4]) >= float(r[2]) - 1e-9
 
-    def test_budget_flag_accepted(self, tmp_path):
+    def test_budget_flag_accepted(self, tmp_path, capsys):
         g = Graph.build(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
         inp = write_input(tmp_path, g)
         out = tmp_path / "ledger.csv"
@@ -159,6 +159,8 @@ class TestLcaStats:
                    "--samples", "5", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("kind,site,")
+        assert main(["lca-stats", "--input", inp, "--budget", "0"]) == 2
+        assert capsys.readouterr().err == "error: budget must be positive when set\n"
 
     def test_b_matching_ledger(self, tmp_path, tri_file):
         out = tmp_path / "ledger.csv"
@@ -279,11 +281,27 @@ class TestExitCodes:
     def test_nonexistent_input_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["evaluate", "--input", missing, "--R", "1"]) == 2
+        capsys.readouterr()
+        assert main(["evaluate", "--config", missing, "--R", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("n 2\n0 1\n")
-        assert main(["evaluate", "--input", str(bad), "--R", "1"]) == 2
+        cases = [
+            ("n 2\n0 1\n", "line 2: expected 'u v p'"),
+            ("n 3\nn 4\n", "line 2: bad vertex-count header"),
+            ("n x\n", "line 1: bad vertex-count header"),
+            ("0 1 x\n", "line 1: expected 'u v p'"),
+            ("0 0 0.5\n", "self-loop"),
+            ("0 1 0.5\n1 0 0.5\n", "parallel edge"),
+            ("0 1 1.5\n", "outside (0, 1]"),
+            ("n 2\n0 5 0.5\n", "out of range"),
+        ]
+        for text, message in cases:
+            bad.write_text(text)
+            assert main(["evaluate", "--input", str(bad), "--R", "1"]) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err, text
 
     def test_enumeration_guard_aborts(self, tmp_path, capsys):
         pairs = [(u, v, 0.5) for u in range(8) for v in range(u + 1, 8)]
@@ -338,8 +356,15 @@ class TestExitCodes:
         assert f"probability {p!r}" in err and "--R" in err and "--thresholds" in err
 
     def test_bad_thresholds(self, tri_file, capsys):
-        assert main(["evaluate", "--input", tri_file, "--R", "1",
-                     "--thresholds", "0.5,0.1"]) == 2
+        cases = [
+            ("0.5,0.1", "thresholds must satisfy 0 <= tau_minus < tau_plus"),
+            ("0.1", "thresholds must be two comma-separated values"),
+            ("a,b", "bad thresholds: could not convert string to float: 'a'"),
+        ]
+        for value, message in cases:
+            assert main(["evaluate", "--input", tri_file, "--R", "1",
+                         "--thresholds", value]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_R_list(self, tri_file, capsys):
         assert main(["evaluate", "--input", tri_file, "--R", "two"]) == 2
@@ -423,8 +448,19 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
 
-    def test_unknown_lca_kind(self, tri_file, capsys):
+    def test_unknown_lca_kind(self, tmp_path, tri_file, capsys):
         assert main(["lca-stats", "--input", tri_file, "--lca", "nope"]) == 2
+        # a config value gets past argparse's choices
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": tri_file, "lca": "nope"}))
+        capsys.readouterr()
+        assert main(["lca-stats", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == "error: unknown lca kind: nope\n"
+
+    @pytest.mark.parametrize("flag,value,key", [("--depth", "-1", "depth"), ("--margin", "-0.1", "margin")])
+    def test_negative_b_matching_knob_rejected(self, tri_file, capsys, flag, value, key):
+        assert main(["lca-stats", "--input", tri_file, "--lca", "b-matching", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be nonnegative\n"
 
 
 # Output digests frozen from the implementation before the MIS engine,

@@ -1,6 +1,7 @@
 import pickle
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,10 +187,11 @@ class TestEnumeration:
             got = set(enumerate_hyperwalks_containing(g, Site.edge(e), 3, 1))
             assert got == {w for w in allwalks if e in w.edges}
 
-    def test_ceiling_guard(self):
+    def test_ceiling_guard(self, monkeypatch):
+        monkeypatch.setattr(hyperwalk, "WALK_CEILING", 500)
         g = complete_graph(5)
         with pytest.raises(ResourceGuard):
-            enumerate_hyperwalks(g, 5, 3, ceiling=500)
+            enumerate_hyperwalks(g, 5, 3)
 
 
 class TestProfileOps:
@@ -386,13 +388,15 @@ def memo_cases(draw, mis_budget):
 
 
 def smallest_ceiling(run) -> int:
-    """The least node ceiling under which ``run(ceiling)`` succeeds."""
+    """The least node ceiling under which ``run()`` succeeds, patched in
+    as ``NODE_CEILING``."""
 
     def ok(ceiling):
-        try:
-            run(ceiling)
-        except ResourceGuard:
-            return False
+        with patch.object(hyperwalk, "NODE_CEILING", ceiling):
+            try:
+                run()
+            except ResourceGuard:
+                return False
         return True
 
     hi = 1
@@ -432,11 +436,9 @@ class TestSeedMemo:
             b_generic(g, mask, params, ctx, level, table, walks, warm)
         for mask, level in calls:
             def call(memo):
-                return lambda c: b_generic(
-                    g, mask, replace(params, node_ceiling=c), ctx, level, table, walks, memo
-                )
+                return lambda: b_generic(g, mask, params, ctx, level, table, walks, memo)
 
-            cold = smallest_ceiling(lambda c: call(SeedMemo())(c))
+            cold = smallest_ceiling(lambda: call(SeedMemo())())
             assert smallest_ceiling(call(warm)) == cold
 
     def test_plain_call_derives_each_tape_once(self, monkeypatch):
@@ -467,9 +469,8 @@ class TestSeedMemo:
         ctx = SeedContext(1).child("alg")
         memo = SeedMemo()
         b_generic(g, real, params, ctx, None, table, walks, memo)
-        # the guard's ceiling is no part of the scope, and an equal context is the same seed
-        b_generic(g, real, replace(params, node_ceiling=10**6), SeedContext(1).child("alg"),
-                  None, table, walks, memo)
+        # an equal context is the same seed
+        b_generic(g, real, params, SeedContext(1).child("alg"), None, table, walks, memo)
         others = [
             (params, SeedContext(2).child("alg"), table, walks),
             (replace(params, mis_budget=1), ctx, table, walks),
@@ -531,10 +532,7 @@ class TestQueryReplay:
         run_lca(BMatchingLca(g, params, mask, table, walks, warm), g, ctx, root)
 
         def query(memo):
-            return lambda c: run_lca(
-                BMatchingLca(g, replace(params, node_ceiling=c), mask, table, walks, memo),
-                g, ctx, root,
-            )
+            return lambda: run_lca(BMatchingLca(g, params, mask, table, walks, memo), g, ctx, root)
 
         assert smallest_ceiling(query(warm)) == smallest_ceiling(query(None))
 
@@ -679,7 +677,7 @@ class TestWalkTable:
         selections = []
 
         def both(reals, matches, walks, table, params, level, rank, guard):
-            new, old = _Guard(0), _Guard(0)
+            new, old = _Guard(), _Guard()
             got = select(reals, matches, walks, table, params, level, rank, new)
             profile = mask_profile(walks.g, reals, matches)
             want = _select_walks_v1(profile, walks, table, params, level, rank, old)
@@ -690,20 +688,17 @@ class TestWalkTable:
             return got
 
         def run(selection, mask, level):
-            def call(ceiling):
+            def call():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
-                    return b_generic(
-                        g, mask, replace(params, node_ceiling=ceiling),
-                        ctx, level, table, walks,
-                    )
+                    return b_generic(g, mask, params, ctx, level, table, walks)
             return call
 
         for mask, level in calls:
             real = Realization(g, mask)
             want = b_generic_v0(g, real, params, ctx, level, table, walks)
-            assert run(both, mask, level)(0) == want
-            assert run(select, mask, level)(0) == want
+            assert run(both, mask, level)() == want
+            assert run(select, mask, level)() == want
             assert smallest_ceiling(run(select, mask, level)) == smallest_ceiling(
                 run(select_v1, mask, level)
             )

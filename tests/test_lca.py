@@ -15,6 +15,7 @@ from oracles import (
     gather_ledger_v0,
     path_graph,
     run_lca_v0,
+    sweep_ledger,
 )
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
@@ -28,9 +29,8 @@ from stochmatch.lca import (
     ledger_to_csv,
     run_lca,
     site_tape,
-    sweep_ledger,
 )
-from stochmatch.mis import TmisBudget, TruncatedGreedyMis
+from stochmatch.mis import TruncatedGreedyMis
 from test_cli import B_FLAGS, GOLDEN_GRAPHS
 
 
@@ -249,7 +249,7 @@ class TestLedgerIndex:
             for seed in range(2):
                 g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("gen"))
                 for budget in (None, 1, 3, 8):
-                    lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                    lca = TruncatedGreedyMis(budget)
                     self.assert_matches_pairwise(lca, g, SeedContext(seed).child("sw"))
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
@@ -284,7 +284,7 @@ class TestTapeTable:
             for seed in range(2):
                 g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("gen"))
                 for budget in (None, 1, 3, 8):
-                    lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                    lca = TruncatedGreedyMis(budget)
                     self.assert_matches_v0(lca, g, SeedContext(seed).child("tt"))
 
     @pytest.mark.parametrize("name", ["kite", "split"])
@@ -312,7 +312,7 @@ class TestTapeTable:
         digests = self.count_calls(monkeypatch, "digest")
         for g in graphs:
             for budget in (None, 3):
-                lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                lca = TruncatedGreedyMis(budget)
                 derived["n"] = digests["n"] = 0
                 sweep_ledger(lca, g, ctx)
                 assert derived["n"] <= g.n
@@ -327,7 +327,7 @@ class TestTapeTable:
         for g in graphs:
             roots = [Site.vertex(v) for v in range(g.n)]
             for budget in (None, 3):
-                lca = TruncatedGreedyMis(None if budget is None else TmisBudget(budget))
+                lca = TruncatedGreedyMis(budget)
                 tapes = {}  # the sweep's tape table, as in sweep_ledger
                 built["n"] = 0
                 for root in roots:

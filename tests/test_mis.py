@@ -22,7 +22,7 @@ from stochmatch import hyperwalk
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import gather_ledger, run_lca, Site
-from stochmatch.mis import TmisBudget, TruncatedGreedyMis, greedy_member
+from stochmatch.mis import TruncatedGreedyMis, greedy_member
 from stochmatch.sparsifier import max_degree_of
 from test_acceptance import B_CORPUS
 
@@ -64,7 +64,7 @@ class TestTmis:
     def test_star_center_lowest(self):
         g = star(5)
         ctx = find_rank_ctx(g, lambda r: r[0] == min(r.values()))
-        budget = TmisBudget(5)
+        budget = 5
         assert tmis_query(g, ctx, 0, budget)[0].member is True
         assert all(not tmis_query(g, ctx, v, budget)[0].member for v in range(1, 6))
 
@@ -82,7 +82,7 @@ class TestTmis:
         )
         full, _ = tmis_query(g, ctx, 4)
         assert full.member is True and full.calls == 5
-        cut, _ = tmis_query(g, ctx, 4, TmisBudget(3))
+        cut, _ = tmis_query(g, ctx, 4, 3)
         assert cut.member is False
         assert cut.truncated is True
         assert cut.calls <= 3
@@ -92,15 +92,14 @@ class TestTmis:
         ctx = SeedContext(11)
         unbounded = tmis_set(g, ctx)
         for threshold in (1, 2, 4, 8):
-            assert tmis_set(g, ctx, TmisBudget(threshold)) <= unbounded
+            assert tmis_set(g, ctx, threshold) <= unbounded
 
     def test_independence_under_truncation(self):
         truncations = 0
         for seed in range(6):
             g = gnp_graph(30, 0.2, 0.5, SeedContext(seed).child("gen"))
             ctx = SeedContext(seed).child("tapes")
-            for threshold in (1, 2, 3):
-                budget = TmisBudget(threshold)
+            for budget in (1, 2, 3):
                 members = tmis_set(g, ctx, budget)
                 assert is_independent(g, members)
                 truncations += sum(
@@ -113,7 +112,7 @@ class TestTmis:
         for t in range(20):
             ctx = SeedContext(t).child("sweep")
             for v in range(g.n):
-                out, _ = tmis_query(g, ctx, v, TmisBudget(3))
+                out, _ = tmis_query(g, ctx, v, 3)
                 assert out.calls <= 3
 
 
@@ -139,18 +138,18 @@ class TestTmisSet:
     def test_big_budget_matches_unbounded(self):
         g = gnp_graph(20, 0.3, 0.5, SeedContext(2).child("gen"))
         ctx = SeedContext(13)
-        assert tmis_set(g, ctx, TmisBudget(10_000)) == tmis_set(g, ctx)
+        assert tmis_set(g, ctx, 10_000) == tmis_set(g, ctx)
 
 
 class TestBudget:
     def test_for_degree(self):
-        assert budget_for_degree(4, 0.1).threshold == 160
-        assert budget_for_degree(4, 0.1, c=2.0).threshold == 320
-        assert budget_for_degree(0, 0.5).threshold == 1
+        assert budget_for_degree(4, 0.1) == 160
+        assert budget_for_degree(4, 0.1, c=2.0) == 320
+        assert budget_for_degree(0, 0.5) == 1
 
     def test_positive(self):
-        with pytest.raises(ValueError):
-            TmisBudget(0)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            TruncatedGreedyMis(0)
 
 
 def test_approximate_maximality():
@@ -210,11 +209,10 @@ class TestEngine:
             g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("diff"))
             ctx = SeedContext(seed).child("tapes")
             for threshold in (None,) + tuple(range(1, 11)):
-                budget = TmisBudget(threshold) if threshold else None
                 for v in range(g.n):
                     root = Site.vertex(v)
-                    new, trace = run_lca(TruncatedGreedyMis(budget), g, ctx, root)
-                    old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root)
+                    new, trace = run_lca(TruncatedGreedyMis(threshold), g, ctx, root)
+                    old, old_trace = run_lca(TruncatedGreedyMisV0(threshold), g, ctx, root)
                     assert new == old
                     assert trace.probed == old_trace.probed
                     assert trace.meta == old_trace.meta

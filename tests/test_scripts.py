@@ -40,7 +40,7 @@ def test_lca_profile(capsys, tmp_path, lca):
     [
         ("lca_profile", ["--n", "12", "--trials", "1"], "--trials"),
         ("lca_profile", ["--n", "12", "--trials", "0"], "--trials"),
-        ("lca_profile", ["--n", "12", "--budget", "0"], "threshold must be positive"),
+        ("lca_profile", ["--n", "12", "--budget", "0"], "budget must be positive"),
         ("lca_profile", ["--n", "12", "--lca", "b-matching", "--depth", "600"], "--depth 600"),
         ("ratio_sweep", ["--n", "12", "--R", "1,x"], "--R"),
         ("ratio_sweep", ["--n", "12", "--R", "0"], "--R"),

@@ -169,8 +169,6 @@ class TestSelectThresholds:
             select_thresholds(q, eps=0.0, p_min=0.5)
         with pytest.raises(ValueError):
             select_thresholds(q, eps=0.5, p_min=0.0)
-        with pytest.raises(ValueError):
-            select_thresholds(q, eps=0.5, p_min=0.5, exponent=1)
 
     @given(st.integers(0, 100), st.sampled_from([0.2, 0.4, 0.6]))
     @settings(max_examples=30, deadline=None)

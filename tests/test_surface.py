@@ -10,6 +10,14 @@ to a fixpoint.  The bench tracer binds its wrappers by dotted strings
 ``bench/tracer.py`` count as references too.  Matching is by name, not
 by type, so the lint can miss dead code; it never flags live code.
 
+The same holds for settings: every defaulted parameter of a public
+function, public method or ``__init__``, and every plainly defaulted
+field of a public dataclass or NamedTuple, must be passed, by keyword or
+by position, in some call in the package, ``scripts/`` or ``bench/``.
+Calls are matched by callee name (a class's name for its ``__init__``
+and its fields), and a ``replace(x, name=...)`` keyword sets the field
+``name``.  A value that only tests set is a module constant instead.
+
 The package also holds no ``assert`` statement: ``python -O`` strips
 them, so a check the package relies on raises an exception instead.
 And it defines a fixed set of exception types: every work limit raises
@@ -32,14 +40,10 @@ EXCEPTIONS = {
 }
 
 # name -> why it stays without a caller outside the tests
-ALLOWED = {
-    "sweep_ledger": (
-        "one sweep under exactly the context it is given: test_lca pins that "
-        "context by rank, compares it with run_lca under the same context and "
-        "bounds its PRF derivations by g.n, which gather_ledger's extra "
-        "ctx.child('sweep', t) would break"
-    ),
-}
+ALLOWED = {}
+
+# "module.callable.parameter" -> why only tests set it
+ALLOWED_PARAMETERS = {}
 
 
 def _refs(*nodes) -> set:
@@ -124,6 +128,108 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_entries_are_still_uncalled():
     dead = {q.rsplit(".", 1)[-1] for q in unreferenced()}
     assert set(ALLOWED) <= dead, f"allowlisted names that gained a caller: {set(ALLOWED) - dead}"
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _settings():
+    """(qualified name, callee name, position or None, is a field) for
+    every defaulted parameter and field the lint covers; the position
+    excludes ``self`` and ``cls``, and a keyword-only parameter has none."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not _is_def(node) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                out += _parameters(f"{mod}.{node.name}", node.name, node, bound=False)
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    callee = node.name if item.name == "__init__" else item.name
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    out += _parameters(f"{mod}.{node.name}.{item.name}", callee, item, bound=not static)
+            if _is_record(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                out += [
+                    (f"{mod}.{node.name}.{f.target.id}", node.name, pos, True)
+                    for pos, f in enumerate(fields)
+                    if f.value is not None
+                    and not (isinstance(f.value, ast.Call) and _callee(f.value) == "field")
+                ]
+    return out
+
+
+def _parameters(qual: str, callee: str, fn: ast.FunctionDef, bound: bool) -> list:
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+    first = len(positional) - len(args.defaults)
+    out = [(f"{qual}.{a.arg}", callee, pos, False) for pos, a in enumerate(positional) if pos >= first]
+    out += [
+        (f"{qual}.{a.arg}", callee, None, False)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, by decorator or base name."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks)
+
+
+def _calls() -> tuple:
+    """callee name -> [(positional count, keywords)] over every call in
+    the package, ``scripts/`` and ``bench/``, and the keywords of
+    ``replace`` calls.  A starred argument counts as every position and
+    a ``**`` argument as every keyword (``None``)."""
+    calls, replaced = {}, set()
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            count = float("inf") if starred else len(call.args)
+            keywords = {k.arg for k in call.keywords}
+            calls.setdefault(_callee(call), []).append((count, keywords))
+            if _callee(call) == "replace":
+                replaced |= keywords
+    return calls, replaced
+
+
+def unset_parameters() -> list:
+    """Qualified names of the covered settings that no call passes."""
+    calls, replaced = _calls()
+
+    def is_set(name: str, callee: str, pos, field: bool) -> bool:
+        if field and (name in replaced or None in replaced):
+            return True
+        return any(
+            name in kws or None in kws or (pos is not None and count > pos)
+            for count, kws in calls.get(callee, ())
+        )
+
+    return sorted(
+        q for q, callee, pos, field in _settings() if not is_set(q.rsplit(".", 1)[1], callee, pos, field)
+    )
+
+
+def test_every_optional_parameter_is_set():
+    unset = unset_parameters()
+    missing = [q for q in unset if q not in ALLOWED_PARAMETERS]
+    assert missing == [], f"settings that no call in src/, scripts/ or bench/ passes: {missing}"
+    stale = set(ALLOWED_PARAMETERS) - set(unset)
+    assert not stale, f"allowlisted settings that gained a caller: {stale}"
 
 
 def test_no_assert_statements():
