@@ -74,7 +74,6 @@ from .analysis import (
     ClaimReport,
     CrucialSetup,
     DeltaTable,
-    MatchProbTable,
     MissingTableEntry,
     PipelineRun,
     PipelineSetup,

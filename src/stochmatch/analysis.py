@@ -119,7 +119,6 @@ class CrucialSetup:
     """Crucial subgraph with everything the recursive matching needs."""
 
     sub: Graph
-    to_sub: tuple
     from_sub: tuple
     table: UnsaturationTable
     walks: WalkIndex
@@ -137,7 +136,7 @@ def prepare_crucial(
     table whose targets are the q loads restricted to crucial edges
     (the coverage marginals of MM restricted to C)."""
     crucial_ids = sorted(q.crucial)
-    sub, to_sub, from_sub = subgraph(g, crucial_ids)
+    sub, from_sub = subgraph(g, crucial_ids)
     walks = WalkIndex(sub, bparams.walk_len, bparams.alpha)
     a_prob = match_targets_from_q(g, q, crucial_ids)
     if sub.m == 0 or table_samples < 1 or bparams.depth == 0:
@@ -146,7 +145,7 @@ def prepare_crucial(
         table = build_unsaturation_table(
             sub, bparams, bparams.depth, table_samples, ctx, a_prob, walks
         )
-    return CrucialSetup(sub, to_sub, from_sub, table, walks, bparams)
+    return CrucialSetup(sub, from_sub, table, walks, bparams)
 
 
 def compute_MC(
@@ -184,23 +183,15 @@ def alg_seed(ctx: SeedContext, exact: bool, trial: int) -> SeedContext:
     return ctx.child("alg") if exact else ctx.child("alg", trial)
 
 
-@dataclass(frozen=True)
-class MatchProbTable:
-    """Per-vertex Pr[v not covered by M_C]."""
-
-    free_prob: tuple
-    trials: int
-    exact: bool
-
-
 def build_match_prob_table(
     g: Graph,
     crucial: CrucialSetup,
     trials: int,
     ctx: SeedContext,
     exact: Optional[bool] = None,
-) -> MatchProbTable:
-    """Estimates Pr[v not in V(M_C)] over crucial realizations.
+) -> tuple:
+    """Per-vertex Pr[v not in V(M_C)], the free probabilities, estimated
+    over crucial realizations.
 
     Exact mode enumerates the crucial subgraph's realizations (the
     matching never reads anything else) against one fixed algorithm
@@ -219,7 +210,7 @@ def build_match_prob_table(
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
-    return MatchProbTable(tuple(1.0 - c / runs for c in covered), 0 if exact else trials, exact)
+    return tuple(1.0 - c / runs for c in covered)
 
 
 @dataclass(frozen=True)
@@ -227,7 +218,6 @@ class DeltaTable:
     """Estimated query-footprint collision probabilities per vertex pair."""
 
     values: dict
-    trials: int
 
     def get(self, u: int, v: int) -> float:
         key = (u, v) if u < v else (v, u)
@@ -256,7 +246,7 @@ def build_delta_table(
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
-        return DeltaTable({}, trials)
+        return DeltaTable({})
     if trials < 1:
         raise ValueError("trials must be positive")
     sub = crucial.sub
@@ -280,7 +270,7 @@ def build_delta_table(
         for u, v in wanted:
             if footprints[u] & footprints[v]:
                 hits[(u, v)] += 1
-    return DeltaTable({pair: hits[pair] / trials for pair in wanted}, trials)
+    return DeltaTable({pair: hits[pair] / trials for pair in wanted})
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,7 @@ def build_x(
     m_c: frozenset,
     H: frozenset,
     realization: int,
-    match_prob: MatchProbTable,
+    free_prob: tuple,
     delta: DeltaTable,
     eps: float,
     p_min: float,
@@ -304,7 +294,8 @@ def build_x(
 
     Crucial edges get 1 exactly when matched by M_C and present in the
     realized sparsifier.  A non-crucial edge gets
-    f_e / (p_e Pr[u free] Pr[v free]) unless a guard zeroes it: footprint
+    f_e / (p_e Pr[u free] Pr[v free]), with the free probabilities from
+    ``free_prob``, unless a guard zeroes it: footprint
     collision probability above (eps p_min)^exponent, either free
     probability below eps^2, the edge unrealized, or an endpoint covered
     by M_C.  Edges in neither class (the middle q band) get 0.
@@ -331,8 +322,8 @@ def build_x(
             continue
         u, v = g.endpoints(e)
         d = delta.get(u, v)
-        pf_u = match_prob.free_prob[u]
-        pf_v = match_prob.free_prob[v]
+        pf_u = free_prob[u]
+        pf_v = free_prob[v]
         if (
             d > threshold
             or pf_u < eps_sq
@@ -373,9 +364,6 @@ def round_x(x: dict, eps: float, g: Graph) -> FractionalMatching:
 class RatioEstimate:
     ratio: float
     stderr: float
-    numerator: float
-    denominator: float
-    samples: int
     exact: bool
 
 
@@ -409,7 +397,6 @@ def ratio_sweep(
             nums[k] += weight * n
         if not exact:
             per_trial.append((d, ns))
-    runs = 1 if exact else samples
     out = []
     for k, num in enumerate(nums):
         stderr = 0.0
@@ -418,16 +405,7 @@ def ratio_sweep(
             mean_loo = sum(loo) / samples
             var = sum((r - mean_loo) ** 2 for r in loo) * (samples - 1) / samples
             stderr = math.sqrt(var)
-        out.append(
-            RatioEstimate(
-                num / den if den > 0 else 1.0,
-                stderr,
-                num / runs,
-                den / runs,
-                0 if exact else samples,
-                exact,
-            )
-        )
+        out.append(RatioEstimate(num / den if den > 0 else 1.0, stderr, exact))
     return out
 
 
@@ -446,10 +424,9 @@ class PipelineSetup:
     R: int
     q: QProfile
     H: frozenset
-    matchings: tuple
     f: FractionalMatching
     crucial: CrucialSetup
-    match_prob: MatchProbTable
+    free_prob: tuple
     delta: DeltaTable
     p_min: float
     delta_exponent: int
@@ -465,12 +442,9 @@ class PipelineSetup:
 
 @dataclass
 class PipelineRun:
-    """One trial: a realization and everything derived from it."""
+    """One trial's values x and their rounding y."""
 
     setup: PipelineSetup
-    trial: int
-    realization: int  # edge mask
-    m_c: frozenset
     x: dict
     y: FractionalMatching
 
@@ -518,7 +492,7 @@ def prepare_pipeline(
     H, matchings = build_H(g, sparams)
     crucial = prepare_crucial(g, q, bparams, table_samples, ctx.child("table"))
     f = build_f(g, H, matchings, q, eps, R)
-    match_prob = build_match_prob_table(
+    free_prob = build_match_prob_table(
         g, crucial, match_prob_trials, ctx.child("mprob"), exact=exact
     )
     pairs = [g.endpoints(e) for e in sorted(f.support)]
@@ -531,10 +505,9 @@ def prepare_pipeline(
         R=R,
         q=q,
         H=H,
-        matchings=matchings,
         f=f,
         crucial=crucial,
-        match_prob=match_prob,
+        free_prob=free_prob,
         delta=delta,
         p_min=p_min_of(g),
         delta_exponent=delta_exponent,
@@ -554,7 +527,7 @@ def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = No
         m_c,
         setup.H,
         real,
-        setup.match_prob,
+        setup.free_prob,
         setup.delta,
         setup.eps,
         setup.p_min,
@@ -562,7 +535,7 @@ def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = No
     )
     scaled = scale_values(x, 1.0 - setup.eps)
     y = round_x(scaled, setup.eps, setup.g)
-    return PipelineRun(setup, trial, real, m_c, x, y)
+    return PipelineRun(setup, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +555,7 @@ class ClaimCheck:
 
 @dataclass(frozen=True)
 class ClaimReport:
-    checks: tuple
+    checks: tuple[ClaimCheck, ...]
     trials: int
     eps: float
 

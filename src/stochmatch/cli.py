@@ -32,7 +32,8 @@ from .graph import (
 from .hyperwalk import BParams, BMatchingLca
 from .lca import gather_ledger, ledger_to_csv
 from .mis import TruncatedGreedyMis
-from .sparsifier import SparsifierParams, build_H, max_degree_of, p_min_of, resolve_R
+from .sparsifier import Q_SAMPLES_DEFAULT, SparsifierParams, build_H
+from .sparsifier import max_degree_of, p_min_of, resolve_R
 
 EXIT_OK = 0
 EXIT_GUARD = 1
@@ -42,7 +43,7 @@ DEFAULTS = {
     "seed": 0,
     "eps": 0.2,
     "samples": None,  # per-command default
-    "q_samples": 10_000,
+    "q_samples": Q_SAMPLES_DEFAULT,
     "R": None,
     "alpha": 0,
     "walk_len": 2,
@@ -159,7 +160,7 @@ def cmd_sparsify(cfg: ExperimentConfig) -> int:
         g, cfg.eps, cfg.q_samples, ctx.child("q"), cfg.exact, cfg.thresholds, cfg.single_R()
     )
     H, _ = build_H(g, SparsifierParams(R=R, eps=cfg.eps, seed=cfg.seed))
-    sub, _, _ = subgraph(g, sorted(H))
+    sub, _ = subgraph(g, sorted(H))
     meta = {
         "R": R,
         "eps": cfg.eps,

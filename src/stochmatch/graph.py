@@ -300,15 +300,12 @@ def gnp_graph(n: int, edge_prob: float, p: float, ctx: SeedContext) -> Graph:
 def subgraph(g: Graph, edge_ids: Iterable[int]):
     """Dense re-indexed subgraph on the same vertex set.
 
-    Returns ``(sub, to_sub, from_sub)`` where ``to_sub`` maps original
-    edge ids to subgraph ids (None for dropped edges) and ``from_sub``
-    maps back.
+    Returns ``(sub, from_sub)``: the kept edges get ids 0, 1, ... in
+    increasing original order, and ``from_sub`` maps each subgraph id to
+    its original edge id.
     """
     keep = sorted(set(edge_ids))
-    to_sub = [None] * g.m
-    for new_id, e in enumerate(keep):
-        to_sub[e] = new_id
-    return Graph.build(g.n, [g.edges[e] for e in keep]), tuple(to_sub), tuple(keep)
+    return Graph.build(g.n, [g.edges[e] for e in keep]), tuple(keep)
 
 
 def edge_mask(edge_ids: Iterable[int]) -> int:

@@ -287,12 +287,12 @@ class WalkIndex:
 
 @dataclass(frozen=True)
 class UnsaturationTable:
-    """Per-vertex match marginals: the targets ``a_prob`` and one row of
-    recursive-matching marginals per level (row 0 is all zeros)."""
+    """Per-vertex match marginals: the targets ``a_prob``, and in
+    ``b_rows[l]`` the recursive matching's marginals at level l (row 0
+    is all zeros)."""
 
     a_prob: tuple
     b_rows: tuple
-    samples: int
 
     def unsaturated(self, v: int, level: int, margin: float) -> bool:
         if not 0 <= level < len(self.b_rows):
@@ -304,7 +304,7 @@ class UnsaturationTable:
         """Synthetic table: target 1, recursive marginal 0 at all levels.
         Every vertex passes any margin below 1."""
         row = (0.0,) * n
-        return cls((1.0,) * n, tuple(row for _ in range(levels + 1)), 0)
+        return cls((1.0,) * n, tuple(row for _ in range(levels + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +621,7 @@ def build_unsaturation_table(
         walks = WalkIndex(g, params.walk_len, params.alpha)
     rows = [(0.0,) * g.n]
     for lvl in range(1, level + 1):
-        partial = UnsaturationTable(a_prob, tuple(rows), samples)
+        partial = UnsaturationTable(a_prob, tuple(rows))
         hits = [0] * g.n
         for s in range(samples):
             sub = ctx.child("unsat", lvl, s)
@@ -630,7 +630,7 @@ def build_unsaturation_table(
             for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))
-    return UnsaturationTable(a_prob, tuple(rows), samples)
+    return UnsaturationTable(a_prob, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
 in-query count is q-(v) = |in(v)| and the correlated count, the number
 of roots whose out-query sets meet v's, is psi(v) = |U_{w in Q+(v)} in(w)|.
+All three count probes only.  The b-matching LCA peeks only at sites it
+has probed, so its Q+ is every site it reads; the tmis LCA also peeks at
+its neighbors' ranks, which it reads outside Q+.
 """
 
 from __future__ import annotations

@@ -339,11 +339,11 @@ def vertex_loads(g: Graph, pairs: Iterable[tuple]) -> list:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of an odd-set sweep: every connected odd vertex set S
-    with |S| <= size_cap was checked against sum(f inside S) <= |S|//2."""
+    """Outcome of an odd-set sweep: ``sets_checked`` connected odd
+    vertex sets S with 3 <= |S| <= floor(1/eps) were checked against
+    sum(f inside S) <= |S|//2, and ``violations`` holds each
+    (S, mass, bound) that broke it."""
 
-    eps: float
-    size_cap: int
     sets_checked: int
     violations: tuple
 
@@ -414,4 +414,4 @@ def check_blossom(f: FractionalMatching, eps: float) -> CertificateReport:
         if mass > bound + BLOSSOM_TOL:
             violations.append((S, mass, bound))
     violations.sort()
-    return CertificateReport(eps, kmax, checked, tuple(violations))
+    return CertificateReport(checked, tuple(violations))

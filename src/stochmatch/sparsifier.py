@@ -69,14 +69,13 @@ def build_H(g: Graph, params: SparsifierParams):
 class QProfile:
     """Per-edge probabilities q_e of appearing in the matched realization.
 
-    ``exact`` profiles come from full realization enumeration; sampled
-    ones record the Monte Carlo trial count.  Threshold fields stay None
-    until a band has been selected.
+    ``exact`` profiles come from full realization enumeration, the
+    others from Monte Carlo trials.  Threshold fields stay None until a
+    band has been selected.
     """
 
     q: tuple
     exact: bool
-    samples: int
     tau_minus: Optional[float] = None
     tau_plus: Optional[float] = None
 
@@ -127,7 +126,7 @@ def estimate_q(
         for e in maximum_matching(g, mask, memo):
             q[e] += weight
     runs = 1 if exact else samples
-    return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
+    return QProfile(tuple(x / runs for x in q), exact)
 
 
 def select_thresholds(q: QProfile, eps: float, p_min: float) -> tuple:

@@ -24,7 +24,6 @@ from stochmatch import hyperwalk
 from stochmatch.analysis import (
     CrucialSetup,
     DeltaTable,
-    MatchProbTable,
     RatioEstimate,
     alg_seed,
     ratio_sweep,
@@ -435,7 +434,7 @@ def degree_in_profile(p, v: int) -> int:
 def never_unsaturated(n: int, levels: int) -> UnsaturationTable:
     """Synthetic table in which no vertex passes any margin."""
     row = (0.0,) * n
-    return UnsaturationTable((0.0,) * n, tuple(row for _ in range(levels + 1)), 0)
+    return UnsaturationTable((0.0,) * n, tuple(row for _ in range(levels + 1)))
 
 
 def enumerate_hyperwalks_containing(g: Graph, site: Site, walk_len: int, alpha: int) -> tuple:
@@ -783,7 +782,7 @@ def estimate_q_v0(
         for e in maximum_matching(g, mask):
             q[e] += weight
     runs = 1 if exact else samples
-    return QProfile(tuple(x / runs for x in q), exact, 0 if exact else samples)
+    return QProfile(tuple(x / runs for x in q), exact)
 
 
 #
@@ -801,7 +800,7 @@ def build_delta_table_v0(
 ) -> DeltaTable:
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
-        return DeltaTable({}, trials)
+        return DeltaTable({})
     if trials < 1:
         raise ValueError("trials must be positive")
     sub = crucial.sub
@@ -825,7 +824,7 @@ def build_delta_table_v0(
         for u, v in wanted:
             if footprints[u] & footprints[v]:
                 hits[(u, v)] += 1
-    return DeltaTable({pair: hits[pair] / trials for pair in wanted}, trials)
+    return DeltaTable({pair: hits[pair] / trials for pair in wanted})
 
 
 #
@@ -852,7 +851,7 @@ def ratio_sweep_v0(
             for k, h_mask in enumerate(masks):
                 nums[k] += prob * matching_number(g, active=mask & h_mask)
         return [
-            RatioEstimate(num / den if den > 0 else 1.0, 0.0, num, den, 0, True)
+            RatioEstimate(num / den if den > 0 else 1.0, 0.0, True)
             for num in nums
         ]
     if samples < 1:
@@ -870,7 +869,7 @@ def ratio_sweep_v0(
     out = []
     for nums in num_cols:
         if total_d == 0:
-            out.append(RatioEstimate(1.0, 0.0, 0.0, 0.0, samples, False))
+            out.append(RatioEstimate(1.0, 0.0, False))
             continue
         total_n = float(sum(nums))
         ratio = total_n / total_d
@@ -880,16 +879,7 @@ def ratio_sweep_v0(
             loo.append((total_n - nums[i]) / d if d > 0 else 1.0)
         mean_loo = sum(loo) / samples
         var = sum((r - mean_loo) ** 2 for r in loo) * (samples - 1) / samples
-        out.append(
-            RatioEstimate(
-                ratio,
-                math.sqrt(var),
-                total_n / samples,
-                total_d / samples,
-                samples,
-                False,
-            )
-        )
+        out.append(RatioEstimate(ratio, math.sqrt(var), False))
     return out
 
 
@@ -899,7 +889,7 @@ def build_match_prob_table_v0(
     trials: int,
     ctx: SeedContext,
     exact: Optional[bool] = None,
-) -> MatchProbTable:
+) -> tuple:
     sub = crucial.sub
     if exact is None:
         exact = sub.m <= ENUM_CAP
@@ -924,7 +914,7 @@ def build_match_prob_table_v0(
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
-    return MatchProbTable(tuple(1.0 - c / runs for c in covered), 0 if exact else trials, exact)
+    return tuple(1.0 - c / runs for c in covered)
 
 
 #

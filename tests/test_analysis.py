@@ -22,7 +22,6 @@ from oracles import (
 from stochmatch import analysis
 from stochmatch.analysis import (
     DeltaTable,
-    MatchProbTable,
     MissingTableEntry,
     build_delta_table,
     build_f,
@@ -62,7 +61,7 @@ CLAIM_NAMES = (
 
 
 def qprofile(q, tau_minus=None, tau_plus=None):
-    prof = QProfile(tuple(q), exact=True, samples=0)
+    prof = QProfile(tuple(q), exact=True)
     if tau_minus is not None:
         prof = prof.with_thresholds(tau_minus, tau_plus)
     return prof
@@ -190,26 +189,23 @@ class TestCrucialSide:
         g = path_graph(1)
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_match_prob_table(g, crucial, 10, SeedContext(2), exact=True)
-        assert table.exact
-        assert table.free_prob == pytest.approx((0.5, 0.5), abs=1e-12)
+        free = build_match_prob_table(g, crucial, 10, SeedContext(2), exact=True)
+        assert free == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_match_prob_table_sampled_close(self):
         g = path_graph(1)
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_match_prob_table(
+        free = build_match_prob_table(
             g, crucial, 600, SeedContext(2), exact=False
         )
-        assert not table.exact
-        assert table.trials == 600
         # 4 sigma of a p=0.5 frequency at 600 trials
-        assert abs(table.free_prob[0] - 0.5) <= 4 * math.sqrt(0.25 / 600)
+        assert abs(free[0] - 0.5) <= 4 * math.sqrt(0.25 / 600)
 
 
 class TestDeltaTable:
     def test_symmetric_lookup(self):
-        table = DeltaTable({(1, 4): 0.25}, 10)
+        table = DeltaTable({(1, 4): 0.25})
         assert table.get(1, 4) == 0.25
         assert table.get(4, 1) == 0.25
         assert (1, 4) in table.values
@@ -245,7 +241,7 @@ class TestBuildX:
     def setup_method(self):
         self.g = path_graph(3)
         self.q = qprofile((0.5, 0.1, 0.1), 0.2, 0.4)
-        self.free = MatchProbTable((0.5, 0.5, 0.5, 0.5), 0, True)
+        self.free = (0.5, 0.5, 0.5, 0.5)
         self.eps = 0.3
         self.p_min = 0.5
 
@@ -254,7 +250,7 @@ class TestBuildX:
 
         f = FractionalMatching.build(self.g, f_values)
         if delta is None:
-            delta = DeltaTable({(1, 2): 0.0, (2, 3): 0.0}, 1)
+            delta = DeltaTable({(1, 2): 0.0, (2, 3): 0.0})
         return build_x(
             self.g,
             self.q,
@@ -289,12 +285,12 @@ class TestBuildX:
         assert x[1] == 0.0
 
     def test_delta_guard(self):
-        delta = DeltaTable({(2, 3): 0.5}, 1)
+        delta = DeltaTable({(2, 3): 0.5})
         x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, delta=delta)
         assert x[2] == 0.0
 
     def test_low_free_probability_guard(self):
-        free = MatchProbTable((0.5, 0.5, 0.5, 0.01), 0, True)
+        free = (0.5, 0.5, 0.5, 0.01)
         x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, free=free)
         assert x[2] == 0.0
 
@@ -314,7 +310,7 @@ class TestBuildX:
             frozenset({0, 1, 2}),
             0b111,
             self.free,
-            DeltaTable({}, 1),
+            DeltaTable({}),
             self.eps,
             self.p_min,
             15,
@@ -323,7 +319,7 @@ class TestBuildX:
 
     def test_missing_delta_entry_raises(self):
         with pytest.raises(MissingTableEntry):
-            self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, delta=DeltaTable({}, 1))
+            self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, delta=DeltaTable({}))
 
     def test_scale_values(self):
         assert scale_values({0: 1.0, 2: 0.5}, 0.7) == {0: 0.7, 2: 0.35}
@@ -361,17 +357,20 @@ class TestRoundX:
 
 class TestRatio:
     def test_identity_sparsifier(self, triangle):
-        est = estimate_ratio(triangle, range(3), 1, exact=True)
+        est, one = ratio_sweep(triangle, [range(3), {0}], 1, exact=True)
         assert est.exact
         assert est.ratio == 1.0
         assert est.stderr == 0.0
-        assert est.denominator == pytest.approx(0.875, abs=1e-9)
+        # H = {0} has numerator p_0 = 0.5, so its ratio fixes the shared
+        # denominator E[mu(G_p)] at 0.875
+        assert one.ratio == pytest.approx(0.5 / 0.875, abs=1e-9)
 
     def test_single_edge_identity(self):
         g = path_graph(1)
         est = estimate_ratio(g, {0}, 1, exact=True)
         assert est.ratio == 1.0
-        assert est.denominator == pytest.approx(0.5, abs=1e-12)
+        # the denominator E[mu(G_p)] by the exact q route
+        assert estimate_q(g, exact=True).total == pytest.approx(0.5, abs=1e-12)
 
     def test_triangle_one_edge(self, triangle):
         est = estimate_ratio(triangle, {0}, 1, exact=True)
@@ -379,8 +378,11 @@ class TestRatio:
 
     def test_empty_graph_reports_one(self):
         g = Graph.build(2, [])
+        # an empty H has numerator 0, so it reports 1.0 only through a
+        # zero denominator; with an edge it reports 0.0
         exact = estimate_ratio(g, (), 1, exact=True)
-        assert exact.ratio == 1.0 and exact.denominator == 0.0
+        assert exact.ratio == 1.0
+        assert estimate_ratio(path_graph(1), (), 1, exact=True).ratio == 0.0
         sampled = estimate_ratio(g, (), 5, ctx=SeedContext(1), exact=False)
         assert sampled.ratio == 1.0 and sampled.stderr == 0.0
 
@@ -464,9 +466,11 @@ class TestPipeline:
         assert setup.q.crucial and setup.q.noncrucial
         run = run_pipeline(setup, 0)
         assert set(run.x) == set(range(setup.g.m))
-        assert is_matching(setup.g, run.m_c)
-        assert run.m_c <= setup.q.crucial
-        assert all((run.realization >> e) & 1 for e in run.m_c)
+        real = setup.realization(0)
+        m_c = compute_MC(setup.crucial, real, setup.alg_ctx(0))
+        assert is_matching(setup.g, m_c)
+        assert m_c <= setup.q.crucial
+        assert all((real >> e) & 1 for e in m_c)
         for e in setup.q.crucial:
             assert run.x[e] in (0.0, 1.0)
         assert all(v >= 0.0 for v in run.x.values())
@@ -599,7 +603,7 @@ class TestSeedMemoPipelines:
         report = verify_claims(setup, trials=5)
         self.fresh_calls(monkeypatch)
         parent = smoke_setup(**kwargs)
-        assert setup.match_prob == parent.match_prob
+        assert setup.free_prob == parent.free_prob
         assert report.to_json() == verify_claims(parent, trials=5).to_json()
 
     def test_exact_table_derives_each_tape_once(self, monkeypatch):

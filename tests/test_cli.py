@@ -199,6 +199,16 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(not c["flag"] for c in report["claims"])
 
+    def test_no_vertices(self, tmp_path):
+        inp = tmp_path / "empty.txt"
+        inp.write_text("n 0\n")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", str(inp), "--samples", "2", "--out", str(out)]) == 0
+        claims = {c["name"]: c for c in json.loads(out.read_text())["claims"]}
+        for name in ("x-vertex-expectation", "x-vertex-tail"):
+            assert claims[name]["note"] == "no vertices"
+            assert not claims[name]["flag"]
+
     def test_odd_set_cap_skips_blossom_claim(self, tmp_path):
         # floor(1/0.05) = 20 exceeds BLOSSOM_SET_CAP: the claim is skipped,
         # the run still succeeds
@@ -239,6 +249,26 @@ class TestConfigOverlay:
                                        "thresholds": [0.1, 0.4], "samples": 5}))
         out = tmp_path / "report.json"
         assert main(["verify", "--config", str(cfgfile), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["evaluate", "verify"])
+    def test_R_list_form(self, tmp_path, single_file, capsys, command):
+        # a JSON list of one R runs as --R does; a longer one is refused
+        # by every command but evaluate
+        cfgfile = tmp_path / "cfg.json"
+        values = {"input": single_file, "thresholds": [0.1, 0.4], "samples": 3}
+        cfgfile.write_text(json.dumps(dict(values, R=[3])))
+        listed, flagged = tmp_path / "listed", tmp_path / "flagged"
+        assert main([command, "--config", str(cfgfile), "--out", str(listed)]) == 0
+        assert main([command, "--config", str(cfgfile), "--R", "3", "--out", str(flagged)]) == 0
+        assert listed.read_bytes() == flagged.read_bytes()
+        cfgfile.write_text(json.dumps(dict(values, R=[3, 4])))
+        rc = main([command, "--config", str(cfgfile), "--out", str(listed)])
+        if command == "verify":
+            assert rc == 2
+            assert capsys.readouterr().err == "error: this command takes a single R\n"
+        else:
+            assert rc == 0
+            assert [row.split(",")[3] for row in listed.read_text().splitlines()[1:]] == ["3", "4"]
 
     def test_unknown_config_key_rejected(self, tmp_path, tri_file, capsys):
         cfgfile = tmp_path / "cfg.json"

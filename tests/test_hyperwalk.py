@@ -377,7 +377,7 @@ def memo_cases(draw, mis_budget):
         tuple(draw(st.sampled_from([0.0, 0.5, 0.95])) for _ in range(n))
         for _ in range(params.depth)
     ]
-    table = UnsaturationTable((1.0,) * n, tuple(rows), 1)
+    table = UnsaturationTable((1.0,) * n, tuple(rows))
     walks = WalkIndex(g, params.walk_len, params.alpha)
     ctx = SeedContext(draw(st.integers(0, 2**16))).child("alg")
     calls = draw(st.lists(
@@ -585,7 +585,7 @@ def table_cases(draw):
         for _ in range(alpha + 1)
     )
     row = tuple(draw(st.sampled_from([0.0, 0.95])) for _ in range(n))
-    table = UnsaturationTable((1.0,) * n, ((0.0,) * n, row), 1)
+    table = UnsaturationTable((1.0,) * n, ((0.0,) * n, row))
     return Profile(copies), walks, table
 
 
@@ -763,7 +763,7 @@ class TestUnsaturationTable:
         assert all(0.0 <= x <= 1.0 for x in table.b_rows[1])
 
     def test_gate_logic(self):
-        table = UnsaturationTable((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)), 1)
+        table = UnsaturationTable((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)))
         assert table.unsaturated(0, 0, margin=0.1)
         assert not table.unsaturated(0, 1, margin=0.1)  # 0.5 >= 0.6 - 0.1
         assert not table.unsaturated(1, 1, margin=0.1)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -31,6 +32,7 @@ from stochmatch.lca import (
     site_tape,
 )
 from stochmatch.mis import TruncatedGreedyMis
+from test_acceptance import B_CORPUS
 from test_cli import B_FLAGS, GOLDEN_GRAPHS
 
 
@@ -480,3 +482,61 @@ class TestDelta:
             sigma = math.sqrt(var / trials)
             assert abs(cov) <= delta0 + 4 * sigma
         assert checked > 0
+
+
+def _b_corpus_queries():
+    """Every edge root of criterion 9's corpus over 20 seeds, each query
+    under its own tapes, as ``matching_via_queries`` runs them: yields
+    (instance name, seed, root, answer, trace)."""
+    for name, g, kw in B_CORPUS:
+        params = BParams(eps=0.3, margin=0.1, **kw)
+        for seed in range(20):
+            real = sample_realization(g, SeedContext(seed).child("real"), 0)
+            lca = BMatchingLca(g, params, real)
+            ctx = SeedContext(seed).child("alg")
+            for e in range(g.m):
+                out, trace = run_lca(lca, g, ctx, Site.edge(e))
+                yield name, seed, e, out, trace
+
+
+class TestProbeOrder:
+    # sha256 over the ordered traces below, computed before any change to
+    # the query routes; a reordering that keeps answers and probe sets
+    # (say, visiting a walk list backwards) still moves it
+    DIGEST = "28172efba11a2070604851732b6c46c07fafb28287b8f56fb2ac72db86c270ca"
+
+    @staticmethod
+    def line(*parts, trace):
+        meta = sorted(trace.meta.items())
+        return repr((*parts, trace.root, trace.probed, meta)).encode() + b"\n"
+
+    def test_golden_probe_order(self):
+        h = hashlib.sha256()
+        for name, seed, e, out, trace in _b_corpus_queries():
+            h.update(self.line(name, seed, e, out, trace=trace))
+        g = gnp_graph(50, 0.2, 0.5, SeedContext(3).child("g"))
+        lca = TruncatedGreedyMis(4)
+        ctx = SeedContext(8).child("ledger", "sweep", 0)
+        tapes = {}
+        for v in range(g.n):
+            out, trace = run_lca(lca, g, ctx, Site.vertex(v), tapes)
+            h.update(self.line(v, out.member, out.calls, out.truncated, trace=trace))
+        assert h.hexdigest() == self.DIGEST
+
+    def test_b_matching_peeks_read_probed_sites(self, monkeypatch):
+        # the b-matching LCA's read set is its probe set, so the footprint
+        # collisions DeltaTable estimates bound its outputs' correlation
+        peeks, unprobed = [0], []
+        original = LcaOracle.peek
+
+        def checked_peek(self, site):
+            peeks[0] += 1
+            if site not in self.probed:
+                unprobed.append((self.root, site))
+            return original(self, site)
+
+        monkeypatch.setattr(LcaOracle, "peek", checked_peek)
+        for _ in _b_corpus_queries():
+            pass
+        assert peeks[0] > 0
+        assert unprobed == []

@@ -59,7 +59,8 @@ class TestBuildH:
         assert H == frozenset().union(*matchings) if matchings else H == frozenset()
 
     def test_monotone_value_in_R(self):
-        # nested prefixes make the paired estimates monotone
+        # nested prefixes make each realization's numerator monotone, and
+        # the paired estimates share one denominator: the order is exact
         g = gnp_graph(20, 0.25, 0.5, SeedContext(3).child("gen"))
         Hs = [
             build_H(g, SparsifierParams(R=R, eps=0.2, seed=9))[0]
@@ -67,8 +68,7 @@ class TestBuildH:
         ]
         ests = ratio_sweep(g, Hs, samples=1500, ctx=SeedContext(7).child("mc"))
         for lo, hi in zip(ests, ests[1:]):
-            slack = 3.0 * math.hypot(lo.stderr, hi.stderr)
-            assert hi.numerator >= lo.numerator - slack
+            assert hi.ratio >= lo.ratio
 
 
 class TestEstimateQ:
@@ -103,7 +103,7 @@ class TestEstimateQ:
     def test_sampled_mode_close_to_exact(self, triangle):
         exact = estimate_q(triangle)
         mc = estimate_q(triangle, samples=4000, ctx=SeedContext(2).child("q"), exact=False)
-        assert not mc.exact and mc.samples == 4000
+        assert not mc.exact
         for a, b in zip(mc.q, exact.q):
             assert abs(a - b) <= 4 * math.sqrt(0.25 / 4000)
 
@@ -140,7 +140,7 @@ class TestSelectThresholds:
         assert banded.crucial == frozenset(range(3))
 
     def test_single_edge_example(self):
-        q = QProfile((0.5,), True, 0)
+        q = QProfile((0.5,), True)
         tau_minus, tau_plus = select_thresholds(q, eps=0.5, p_min=0.5)
         assert tau_plus == pytest.approx(0.0625)
         assert 0.5 >= tau_plus  # the edge lands crucial for any returned pair
@@ -149,16 +149,16 @@ class TestSelectThresholds:
         tau0 = 0.0625
         tau1 = tau0**3
         # mass in bucket 1 only: selector must hand back bucket 2
-        q = QProfile((0.5, 0.05), True, 0)
+        q = QProfile((0.5, 0.05), True)
         got = select_thresholds(q, eps=0.5, p_min=0.5)
         assert got == pytest.approx((tau1**3, tau1))
         # mass in bucket 2 only: selector hands back bucket 1
-        q = QProfile((0.5, 1e-5), True, 0)
+        q = QProfile((0.5, 1e-5), True)
         got = select_thresholds(q, eps=0.5, p_min=0.5)
         assert got == pytest.approx((tau1, tau0))
 
     def test_degenerate_all_zero(self):
-        q = QProfile((0.0, 0.0), True, 0)
+        q = QProfile((0.0, 0.0), True)
         tau_minus, tau_plus = select_thresholds(q, eps=0.5, p_min=0.5)
         assert tau_plus == pytest.approx(0.0625)
         assert tau_minus == pytest.approx(0.0625**3)

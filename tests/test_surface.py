@@ -18,6 +18,14 @@ Calls are matched by callee name (a class's name for its ``__init__``
 and its fields), and a ``replace(x, name=...)`` keyword sets the field
 ``name``.  A value that only tests set is a module constant instead.
 
+Both ways round: every field of a public dataclass or NamedTuple must be
+read in the package, ``scripts/`` or ``bench/``, again by name.  A read
+is a loaded attribute, a slot of a tuple unpacking of a NamedTuple's
+arity, or an ``asdict`` of the elements of a field whose annotation names
+the record (``ClaimReport.checks: tuple[ClaimCheck, ...]``).  No module
+constant used as a parameter default repeats a literal of
+``cli.DEFAULTS``, so the command line's values have one copy.
+
 The package also holds no ``assert`` statement: ``python -O`` strips
 them, so a check the package relies on raises an exception instead.
 And it defines a fixed set of exception types: every work limit raises
@@ -44,6 +52,12 @@ ALLOWED = {}
 
 # "module.callable.parameter" -> why only tests set it
 ALLOWED_PARAMETERS = {}
+
+# "module.Record.field" -> why it stays with no reader outside the tests
+ALLOWED_FIELDS = {
+    "mis.TmisOutcome.member": "the tmis LCA's answer; criterion 6 compares it with "
+    "the greedy MIS through oracles.tmis_set",
+}
 
 
 def _refs(*nodes) -> set:
@@ -261,3 +275,140 @@ def _exception_classes() -> set:
 
 def test_exception_types_are_fixed():
     assert _exception_classes() == EXCEPTIONS
+
+
+def _records() -> dict:
+    """qualified name -> (field names, annotations by field, is a
+    NamedTuple) for every public dataclass and NamedTuple."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_record(node):
+                # an InitVar is an argument of __post_init__, not a field
+                fields = [
+                    f for f in node.body
+                    if isinstance(f, ast.AnnAssign) and "InitVar" not in _refs(f.annotation)
+                ]
+                named = any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+                out[f"{path.stem}.{node.name}"] = (
+                    [f.target.id for f in fields],
+                    {f.target.id: _refs(f.annotation) for f in fields},
+                    named,
+                )
+    return out
+
+
+def _serialized_attr(call: ast.Call, parents: dict):
+    """The attribute an ``asdict`` call serializes: its argument's, or
+    the one a comprehension iterates to bind its argument."""
+    arg = call.args[0] if call.args else None
+    if isinstance(arg, ast.Attribute):
+        return arg.attr
+    node = call
+    while isinstance(arg, ast.Name) and node in parents:
+        node = parents[node]
+        for gen in getattr(node, "generators", ()):
+            if getattr(gen.target, "id", None) == arg.id and isinstance(gen.iter, ast.Attribute):
+                return gen.iter.attr
+    return None
+
+
+def _reads() -> tuple:
+    """Attribute names read anywhere in the package, ``scripts/`` and
+    ``bench/``; the (arity, position) slots of every tuple unpacking that
+    binds a name; and the attributes serialized whole by ``asdict``."""
+    attrs, slots, serialized = set(), set(), set()
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store):
+                if not any(isinstance(e, ast.Starred) for e in node.elts):
+                    k = len(node.elts)
+                    slots |= {(k, i) for i, e in enumerate(node.elts) if getattr(e, "id", "_") != "_"}
+            elif isinstance(node, ast.Call) and _callee(node) == "asdict":
+                attr = _serialized_attr(node, parents)
+                assert attr is not None, f"{path.name}:{node.lineno}: asdict of a value the lint cannot name"
+                serialized.add(attr)
+    return attrs, slots, serialized
+
+
+def unread_fields() -> list:
+    """Qualified names of the record fields that nothing in the package,
+    ``scripts/`` or ``bench/`` reads."""
+    records = _records()
+    attrs, slots, serialized = _reads()
+    # records an asdict writes whole: those named in a serialized field's annotation
+    whole = {
+        q
+        for fields, annotations, _ in records.values()
+        for f in fields
+        if f in serialized
+        for q in records
+        if q.rsplit(".", 1)[1] in annotations[f]
+    }
+    return sorted(
+        f"{q}.{f}"
+        for q, (fields, _, named) in records.items()
+        if q not in whole
+        for i, f in enumerate(fields)
+        if f not in attrs and not (named and (len(fields), i) in slots)
+    )
+
+
+def test_every_field_is_read():
+    unread = unread_fields()
+    missing = [q for q in unread if q not in ALLOWED_FIELDS]
+    assert missing == [], f"record fields that nothing in src/, scripts/ or bench/ reads: {missing}"
+    stale = set(ALLOWED_FIELDS) - set(unread)
+    assert not stale, f"allowlisted fields that gained a reader: {stale}"
+
+
+def repeated_cli_defaults() -> list:
+    """Module constants used as a parameter default whose value is also
+    a literal of ``cli.DEFAULTS``."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    table = next(
+        node.value
+        for node in cli.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "DEFAULTS"
+    )
+    literals = {
+        (type(v.value), v.value)
+        for v in table.values
+        if isinstance(v, ast.Constant) and v.value is not None
+    }
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {
+            node.targets[0].id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+        }
+        defaults = {
+            d.id
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for d in fn.args.defaults + fn.args.kw_defaults
+            if isinstance(d, ast.Name)
+        }
+        out += [
+            f"{path.stem}.{name}"
+            for name in sorted(defaults & set(constants))
+            if (type(constants[name]), constants[name]) in literals
+        ]
+    return out
+
+
+def test_no_default_repeats_a_cli_default():
+    # the command line's value is the one copy; a library default that
+    # repeats it drifts from it silently
+    assert repeated_cli_defaults() == []
