@@ -75,7 +75,6 @@ from .analysis import (
     CrucialSetup,
     DeltaTable,
     MissingTableEntry,
-    PipelineRun,
     PipelineSetup,
     RatioEstimate,
     build_delta_table,

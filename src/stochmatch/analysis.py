@@ -134,17 +134,23 @@ def prepare_crucial(
 ) -> CrucialSetup:
     """Builds the crucial subgraph, its walk index, and the unsaturation
     table whose targets are the q loads restricted to crucial edges
-    (the coverage marginals of MM restricted to C)."""
+    (the coverage marginals of MM restricted to C).
+
+    The table holds the rows 0..depth-1 that the recursion reads (none
+    at depth 0).  Row 0 is all zeros, so at depth 1 nothing is sampled
+    and the gates compare zero with the q-load targets.  With no crucial
+    edge, or ``table_samples < 1``, it is the always-unsaturated table,
+    whose targets are 1, so every gate opens: at depth 1, a count of 0
+    and a positive count both sample nothing, yet gate differently.
+    """
     crucial_ids = sorted(q.crucial)
     sub, from_sub = subgraph(g, crucial_ids)
     walks = WalkIndex(sub, bparams.walk_len, bparams.alpha)
     a_prob = match_targets_from_q(g, q, crucial_ids)
-    if sub.m == 0 or table_samples < 1 or bparams.depth == 0:
+    if sub.m == 0 or table_samples < 1:
         table = UnsaturationTable.always_unsaturated(sub.n, max(1, bparams.depth))
     else:
-        table = build_unsaturation_table(
-            sub, bparams, bparams.depth, table_samples, ctx, a_prob, walks
-        )
+        table = build_unsaturation_table(sub, bparams, table_samples, ctx, a_prob, walks)
     return CrucialSetup(sub, from_sub, table, walks, bparams)
 
 
@@ -440,26 +446,6 @@ class PipelineSetup:
         return alg_seed(self.ctx, self.exact, trial)
 
 
-@dataclass
-class PipelineRun:
-    """One trial's values x and their rounding y."""
-
-    setup: PipelineSetup
-    x: dict
-    y: FractionalMatching
-
-    @property
-    def x_total(self) -> float:
-        return sum(self.x.values())
-
-    def x_loads(self) -> tuple:
-        return tuple(vertex_loads(self.setup.g, self.x.items()))
-
-    @property
-    def y_total(self) -> float:
-        return fractional_size(self.y)
-
-
 def prepare_pipeline(
     g: Graph,
     eps: float,
@@ -516,8 +502,10 @@ def prepare_pipeline(
     )
 
 
-def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = None) -> PipelineRun:
-    """One trial; ``memo`` is shared by trials under one algorithm seed."""
+def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = None) -> tuple:
+    """One trial's per-edge values x (a dict) and their rounding y (a
+    :class:`FractionalMatching`), as ``(x, y)``; ``memo`` is shared by
+    trials under one algorithm seed."""
     real = setup.realization(trial)
     m_c = compute_MC(setup.crucial, real, setup.alg_ctx(trial), memo)
     x = build_x(
@@ -535,7 +523,7 @@ def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = No
     )
     scaled = scale_values(x, 1.0 - setup.eps)
     y = round_x(scaled, setup.eps, setup.g)
-    return PipelineRun(setup, x, y)
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +571,25 @@ def _freq_stderr(count: int, n: int) -> tuple:
 
 
 def _trial_stats(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> tuple:
-    run = run_pipeline(setup, trial, memo)
-    scaled_total = (1.0 - setup.eps) * run.x_total
+    """What :func:`verify_claims` reads of one trial: the vertex loads of
+    x, |x|, |y|, and the blossom check of y, which is None when the
+    odd-set size cap is exceeded."""
+    x, y = run_pipeline(setup, trial, memo)
     try:
-        blossom_ok = check_blossom(run.y, setup.eps).ok
-        blossom_known = True
+        blossom_ok = check_blossom(y, setup.eps).ok
     except ResourceGuard:
-        blossom_ok = True
-        blossom_known = False
-    return (run.x_loads(), run.x_total, scaled_total, run.y_total, blossom_ok, blossom_known)
+        blossom_ok = None
+    return vertex_loads(setup.g, x.items()), sum(x.values()), fractional_size(y), blossom_ok
+
+
+def _claim(name: str, kind: str, bound: float, value: float, se: float, note: str) -> ClaimCheck:
+    """A check flagged when ``value`` breaks ``bound`` by more than three
+    standard errors: above it for an ``upper`` claim, below for ``lower``."""
+    if kind == "upper":
+        flag = value > bound + 3.0 * se
+    else:
+        flag = value < bound - 3.0 * se
+    return ClaimCheck(name, kind, bound, value, se, flag, note)
 
 
 def _trial_block(setup: PipelineSetup, trials: range) -> list:
@@ -626,73 +624,42 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimR
         stats = _trial_block(setup, range(trials))
     g = setup.g
     eps = setup.eps
+    loads, x_totals, y_totals, blossoms = zip(*stats)
+    per_vertex = list(zip(*loads))  # empty when the graph has no vertices
+    tail_limit = 1.0 + 2.0 * eps
+    worst_vertex_claims = (
+        ("x-vertex-expectation", 1.0 + eps, [_mean_stderr(series) for series in per_vertex]),
+        ("x-vertex-tail", eps * eps, [
+            _freq_stderr(sum(1 for load in series if load >= tail_limit), trials)
+            for series in per_vertex
+        ]),
+    )
     checks = []
-
-    loads_per_trial = [s[0] for s in stats]
-    if g.n > 0:
-        worst_mean = None
-        for v in range(g.n):
-            series = [loads[v] for loads in loads_per_trial]
-            mean, se = _mean_stderr(series)
-            if worst_mean is None or mean > worst_mean[0]:
-                worst_mean = (mean, se, v)
-        mean, se, v = worst_mean
-        checks.append(
-            ClaimCheck(
-                "x-vertex-expectation", "upper", 1.0 + eps, mean, se,
-                mean > 1.0 + eps + 3.0 * se, f"worst vertex {v}",
-            )
-        )
-        tail_limit = 1.0 + 2.0 * eps
-        worst_tail = None
-        for v in range(g.n):
-            count = sum(1 for loads in loads_per_trial if loads[v] >= tail_limit)
-            freq, se = _freq_stderr(count, trials)
-            if worst_tail is None or freq > worst_tail[0]:
-                worst_tail = (freq, se, v)
-        freq, se, v = worst_tail
-        checks.append(
-            ClaimCheck(
-                "x-vertex-tail", "upper", eps * eps, freq, se,
-                freq > eps * eps + 3.0 * se, f"worst vertex {v}",
-            )
-        )
-    else:
-        checks.append(ClaimCheck("x-vertex-expectation", "upper", 1.0 + eps, 0.0, 0.0, False, "no vertices"))
-        checks.append(ClaimCheck("x-vertex-tail", "upper", eps * eps, 0.0, 0.0, False, "no vertices"))
+    for name, bound, moments in worst_vertex_claims:
+        if moments:
+            v = max(range(g.n), key=lambda u: moments[u][0])
+            checks.append(_claim(name, "upper", bound, *moments[v], f"worst vertex {v}"))
+        else:
+            checks.append(_claim(name, "upper", bound, 0.0, 0.0, "no vertices"))
 
     opt = setup.q.total
-    mean_x, se_x = _mean_stderr([s[1] for s in stats])
-    bound = (1.0 - 7.0 * eps) * opt
-    checks.append(
-        ClaimCheck(
-            "x-total-expectation", "lower", bound, mean_x, se_x,
-            mean_x < bound - 3.0 * se_x, f"opt estimate {opt:.6f}",
-        )
-    )
+    mean_x, se_x = _mean_stderr(x_totals)
+    checks.append(_claim(
+        "x-total-expectation", "lower", (1.0 - 7.0 * eps) * opt, mean_x, se_x,
+        f"opt estimate {opt:.6f}",
+    ))
+    mean_scaled, _ = _mean_stderr([(1.0 - eps) * t for t in x_totals])
+    mean_y, se_y = _mean_stderr(y_totals)
+    checks.append(_claim(
+        "rounding-loss", "lower", (1.0 - eps) * mean_scaled - eps * eps * g.n, mean_y, se_y,
+        "bound is (1-eps) E|input| - eps^2 n against the rounded input",
+    ))
 
-    mean_scaled, _ = _mean_stderr([s[2] for s in stats])
-    mean_y, se_y = _mean_stderr([s[3] for s in stats])
-    rounding_bound = (1.0 - eps) * mean_scaled - eps * eps * g.n
-    checks.append(
-        ClaimCheck(
-            "rounding-loss", "lower", rounding_bound, mean_y, se_y,
-            mean_y < rounding_bound - 3.0 * se_y,
-            "bound is (1-eps) E|input| - eps^2 n against the rounded input",
-        )
-    )
-
-    known = [s for s in stats if s[5]]
+    known = [ok for ok in blossoms if ok is not None]
     if known:
-        bad = sum(1 for s in known if not s[4])
-        freq, se = _freq_stderr(bad, len(known))
+        freq, se = _freq_stderr(known.count(False), len(known))
         note = f"{len(known)} trials checked"
     else:
         freq, se, note = 0.0, 0.0, "skipped: odd-set size cap exceeded"
-    checks.append(
-        ClaimCheck(
-            "blossom-feasibility", "upper", 0.0, freq, se,
-            freq > 3.0 * se, note,
-        )
-    )
+    checks.append(_claim("blossom-feasibility", "upper", 0.0, freq, se, note))
     return ClaimReport(tuple(checks), trials, eps)

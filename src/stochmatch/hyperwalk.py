@@ -289,7 +289,8 @@ class WalkIndex:
 class UnsaturationTable:
     """Per-vertex match marginals: the targets ``a_prob``, and in
     ``b_rows[l]`` the recursive matching's marginals at level l (row 0
-    is all zeros)."""
+    is all zeros).  Level r gates its walks on row r-1, so a depth-d
+    recursion reads rows 0..d-1, which is all a built table holds."""
 
     a_prob: tuple
     b_rows: tuple
@@ -598,7 +599,6 @@ def b_generic(
 def build_unsaturation_table(
     g: Graph,
     params: BParams,
-    level: int,
     samples: int,
     ctx: SeedContext,
     a_prob: Iterable[float],
@@ -606,11 +606,12 @@ def build_unsaturation_table(
 ) -> UnsaturationTable:
     """Monte Carlo match marginals of the recursive matching, per level.
 
-    Row l is estimated by running level-l computations on ``samples``
-    fresh realizations; rows are built bottom-up since level l consults
-    row l-1 for its endpoint gates.  ``a_prob`` supplies the target
-    marginals (for a matched-realization target these are the per-vertex
-    q loads, which the caller knows from its q profile).
+    Holds rows 0..depth-1 for ``params.depth``, the rows a recursion of
+    that depth reads: row 0 is all zeros, and row l >= 1 is estimated by
+    running level-l computations on ``samples`` fresh realizations,
+    bottom-up since level l gates on row l-1.  ``a_prob`` supplies the
+    target marginals (for a matched-realization target these are the
+    per-vertex q loads, which the caller knows from its q profile).
     """
     a_prob = tuple(a_prob)
     if len(a_prob) != g.n:
@@ -620,7 +621,7 @@ def build_unsaturation_table(
     if walks is None:
         walks = WalkIndex(g, params.walk_len, params.alpha)
     rows = [(0.0,) * g.n]
-    for lvl in range(1, level + 1):
+    for lvl in range(1, params.depth):
         partial = UnsaturationTable(a_prob, tuple(rows))
         hits = [0] * g.n
         for s in range(samples):

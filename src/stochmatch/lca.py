@@ -296,7 +296,6 @@ class CorrelatedBoundReport:
     lhs_stderr: float
     rhs: float
     slack: float
-    trials: int
 
     @property
     def ok(self) -> bool:
@@ -320,7 +319,6 @@ def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
         lhs_stderr=ledger.stderr("psi", lhs_site),
         rhs=qp * qm,
         slack=CORRELATED_SLACK,
-        trials=ledger.trials,
     )
 
 

@@ -338,8 +338,8 @@ def test_rounding(pipe_runs):
     tail_events = 0
     y_totals = []
     in_totals = []
-    for run in runs:
-        scaled = scale_values(run.x, 1.0 - eps)
+    for x, y in runs:
+        scaled = scale_values(x, 1.0 - eps)
         loads = [0.0] * g.n
         for e, val in scaled.items():
             u, v = g.endpoints(e)
@@ -349,12 +349,12 @@ def test_rounding(pipe_runs):
         for e, val in scaled.items():
             u, v = g.endpoints(e)
             if val > 0 and loads[u] <= 1.0 + eps and loads[v] <= 1.0 + eps:
-                assert run.y.get(e) == pytest.approx(val / (1.0 + eps), abs=1e-12)
+                assert y.get(e) == pytest.approx(val / (1.0 + eps), abs=1e-12)
             else:
-                assert run.y.get(e) == 0.0
+                assert y.get(e) == 0.0
         for v in range(g.n):
-            assert vertex_load(run.y, v) <= 1.0 + 1e-9
-        y_totals.append(run.y_total)
+            assert vertex_load(y, v) <= 1.0 + 1e-9
+        y_totals.append(fractional_size(y))
         in_totals.append(sum(scaled.values()))
     alpha = tail_events / (len(runs) * g.n)
     mean_y, se_y = _mean_se(y_totals)
@@ -371,8 +371,8 @@ def test_blossom_checker(pipe_runs):
         ones = FractionalMatching.build(g, {e: 1.0 for e in maximum_matching(g)})
         assert check_blossom(ones, 0.2).ok
     setup, runs = pipe_runs
-    for run in runs:
-        assert check_blossom(run.y, setup.eps).ok
+    for _, y in runs:
+        assert check_blossom(y, setup.eps).ok
 
 
 @pytest.mark.criterion(14, "hyperwalk counts match the closed forms")

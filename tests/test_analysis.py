@@ -19,7 +19,7 @@ from oracles import (
     shallow_bparams,
     vertex_load,
 )
-from stochmatch import analysis
+from stochmatch import analysis, hyperwalk
 from stochmatch.analysis import (
     DeltaTable,
     MissingTableEntry,
@@ -42,12 +42,15 @@ from stochmatch.graph import (
     SeedContext,
     gnp_graph,
     sample_realization,
+    write_graph_text,
 )
-from stochmatch.hyperwalk import BParams
+from stochmatch.cli import main
+from stochmatch.hyperwalk import BParams, UnsaturationTable
 from stochmatch.lca import run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
 from test_hyperwalk import counting_engines
+from test_matching import VERIFY_EXACT
 
 BP1 = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.18)
 
@@ -201,6 +204,71 @@ class TestCrucialSide:
         )
         # 4 sigma of a p=0.5 frequency at 600 trials
         assert abs(free[0] - 0.5) <= 4 * math.sqrt(0.25 / 600)
+
+
+def count_b_generic(monkeypatch) -> list:
+    """Counts every ``b_generic`` call, from either module that calls it."""
+    calls = []
+    real = hyperwalk.b_generic
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyperwalk, "b_generic", counting)
+    monkeypatch.setattr(analysis, "b_generic", counting)
+    return calls
+
+
+class TestUnsaturationRows:
+    """A depth-d recursion gates level r on row r-1, so the sampled table
+    holds rows 0..d-1 and samples rows 1..d-1 only."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_sampled_table_has_depth_rows(self, monkeypatch, depth):
+        g, thresholds = SOURCE_CORPUS["kite"]
+        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
+        calls = count_b_generic(monkeypatch)
+        bparams = BParams(alpha=1, walk_len=2, depth=depth, eps=0.2, margin=0.08)
+        crucial = prepare_crucial(g, q, bparams, 4, SeedContext(6).child("table"))
+        assert crucial.sub.m > 0
+        assert len(crucial.table.b_rows) == depth
+        assert crucial.table.b_rows[0] == (0.0,) * crucial.sub.n
+        assert len(calls) == 4 * (depth - 1)
+
+    def test_gates_read_the_top_row(self, monkeypatch):
+        levels = set()
+        unsaturated = UnsaturationTable.unsaturated
+
+        def recording(table, v, level, margin):
+            levels.add(level)
+            return unsaturated(table, v, level, margin)
+
+        monkeypatch.setattr(UnsaturationTable, "unsaturated", recording)
+        g, thresholds = SOURCE_CORPUS["kite"]
+        setup = prepare_pipeline(
+            g, eps=0.2, seed=3, bparams=SOURCE_BPARAMS, q_samples=10_000,
+            table_samples=5, match_prob_trials=10, delta_trials=5, delta_exponent=15,
+            R=4, thresholds=thresholds,
+        )
+        verify_claims(setup, trials=4)
+        assert levels == {0, 1} == set(range(len(setup.crucial.table.b_rows)))
+
+    def test_verify_exact_b_generic_calls(self, tmp_path, monkeypatch):
+        # the verify-exact bench workload's argv: 20 table samples at level
+        # 1, one call per each of the 2^7 crucial realizations for the free
+        # probabilities, and one M_C per each of the 20 trials
+        calls = count_b_generic(monkeypatch)
+        inp = tmp_path / "g.txt"
+        inp.write_text(write_graph_text(VERIFY_EXACT))
+        argv = [
+            "verify", "--input", str(inp), "--out", str(tmp_path / "out"), "--seed", "14",
+            "--alpha", "1", "--walk-len", "3", "--depth", "2", "--R", "8",
+            "--thresholds", "0.25,0.32", "--table-samples", "20",
+            "--delta-trials", "50", "--samples", "20", "--threads", "1",
+        ]
+        assert main(argv) == 0
+        assert len(calls) == 20 + 2**7 + 20 == 168
 
 
 class TestDeltaTable:
@@ -464,28 +532,28 @@ class TestPipeline:
         assert setup.exact
         assert setup.R == 3
         assert setup.q.crucial and setup.q.noncrucial
-        run = run_pipeline(setup, 0)
-        assert set(run.x) == set(range(setup.g.m))
+        x, y = run_pipeline(setup, 0)
+        assert set(x) == set(range(setup.g.m))
         real = setup.realization(0)
         m_c = compute_MC(setup.crucial, real, setup.alg_ctx(0))
         assert is_matching(setup.g, m_c)
         assert m_c <= setup.q.crucial
         assert all((real >> e) & 1 for e in m_c)
         for e in setup.q.crucial:
-            assert run.x[e] in (0.0, 1.0)
-        assert all(v >= 0.0 for v in run.x.values())
+            assert x[e] in (0.0, 1.0)
+        assert all(v >= 0.0 for v in x.values())
         for v in range(setup.g.n):
-            assert vertex_load(run.y, v) <= 1.0 + 1e-12
+            assert vertex_load(y, v) <= 1.0 + 1e-12
 
     def test_runs_are_deterministic(self):
         setup = smoke_setup()
-        a = run_pipeline(setup, 2)
-        b = run_pipeline(setup, 2)
-        assert a.x == b.x
-        assert a.y.values == b.y.values
+        a_x, a_y = run_pipeline(setup, 2)
+        b_x, b_y = run_pipeline(setup, 2)
+        assert a_x == b_x
+        assert a_y.values == b_y.values
         again = smoke_setup()
-        c = run_pipeline(again, 2)
-        assert c.x == a.x
+        c_x, _ = run_pipeline(again, 2)
+        assert c_x == a_x
 
     def test_claim_report_shape(self):
         setup = smoke_setup()
@@ -498,6 +566,16 @@ class TestPipeline:
         assert payload["trials"] == 6
         assert payload["eps"] == setup.eps
         assert [c["name"] for c in payload["claims"]] == list(CLAIM_NAMES)
+
+    @pytest.mark.parametrize("kind", ["upper", "lower"])
+    def test_flag_rule(self, kind):
+        # bound ± 3 se is exact here: 1.0 ± 0.75
+        bound, sign = 1.0, (1.0 if kind == "upper" else -1.0)
+        edge = bound + sign * 3.0 * 0.25
+        for value, flag in ((edge + sign * 1e-9, True), (edge, False), (edge - sign * 1e-9, False)):
+            check = analysis._claim("c", kind, bound, value, 0.25, "")
+            assert check.flag is flag, (kind, value)
+        assert analysis._claim("c", kind, bound, bound, 0.0, "").flag is False
 
     def test_workers_match_serial(self):
         setup = smoke_setup()

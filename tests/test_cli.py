@@ -524,6 +524,8 @@ GOLDEN_RUNS = {
     "verify": lambda t: VERIFY + ["--thresholds", t] + B_FLAGS,
     "lca-b3": lambda t: LCA_B + B3_FLAGS,
     "verify-b3": lambda t: VERIFY + ["--thresholds", t] + B3_FLAGS,
+    # the default --depth 1: the table is row 0 with the q-load targets
+    "verify-d1": lambda t: VERIFY + ["--thresholds", t],
 }
 GOLDEN = {
     ("kite", "sparsify"): "146462cf14e4bb1f23c112cd980bb18171900e3f145c918dd620ca9a0e170e72",
@@ -534,6 +536,7 @@ GOLDEN = {
     ("kite", "verify"): "507a77ffdb96406c3108d6306b521c6e80f74db060d53539419c1c51d009db4b",
     ("kite", "lca-b3"): "cab94955d45348920e36bfd802819ce826a8c94ffa06023f618e5e0fd0810d46",
     ("kite", "verify-b3"): "bed43590891d807acf3347a14fa1daeed588066f40bf37a04970d1a6aaf339bd",
+    ("kite", "verify-d1"): "de443c3fc4409830c69f412904d6c761082ae1e55bfec87c3e9e07797c7348e4",
     ("split", "sparsify"): "2d666b8b4a7139c0a52ba38fc9d400ba66b5f581bfea7afc500d569c407434be",
     ("split", "evaluate-exact"): "c65092a98061429d806fe4b0d1a54a07504af7c52dad7b4afbecdcaebbf8b31c",
     ("split", "evaluate-mc"): "a3d2147f0f56502122db830cfb85f4fbed67d0b268bd5dfd4f1bfb48e34223d0",
@@ -542,6 +545,7 @@ GOLDEN = {
     ("split", "verify"): "4df6613ce9a175ee94926d97d18c4c75e21774f01764344be974b73f02025bd0",
     ("split", "lca-b3"): "e842f1a1e105927b9866f826f5cafa6e4a03a2d65654c2fa45b884110813151c",
     ("split", "verify-b3"): "f4bd476a64622eaf5a2bdcf44c6ec71599786a3ea8167c5d2a77d6c86da5810f",
+    ("split", "verify-d1"): "f4bd476a64622eaf5a2bdcf44c6ec71599786a3ea8167c5d2a77d6c86da5810f",
 }
 
 

@@ -757,7 +757,7 @@ class TestUnsaturationTable:
     def test_level_zero_row_is_zero(self):
         g = path_graph(1)
         table = build_unsaturation_table(
-            g, SMALL_PARAMS, level=1, samples=20, ctx=SeedContext(0), a_prob=[1.0, 1.0]
+            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 1.0]
         )
         assert table.b_rows[0] == (0.0, 0.0)
         assert all(0.0 <= x <= 1.0 for x in table.b_rows[1])
