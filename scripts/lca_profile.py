@@ -23,11 +23,12 @@ def build_instance(args, ctx: SeedContext) -> tuple:
         g = gnp_graph(args.n, args.edge_prob, args.p, ctx.child("g"))
     if args.lca == "tmis":
         return g, TruncatedGreedyMis(args.budget)
+    if not 0.0 < args.eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
     params = BParams(
         alpha=args.alpha,
         walk_len=args.walk_len,
         depth=args.depth,
-        eps=args.eps,
         margin=2.0 * args.eps * args.eps,
     )
     real = sample_realization(g, ctx.child("real"), 0)

@@ -64,7 +64,6 @@ from .mis import (
 from .hyperwalk import (
     BMatchingLca,
     BParams,
-    UnsaturationTable,
     WalkIndex,
     b_generic,
     build_unsaturation_table,

@@ -36,11 +36,11 @@ from .graph import (
 from .hyperwalk import (
     BParams,
     SeedMemo,
-    UnsaturationTable,
     WalkIndex,
     b_generic,
     BMatchingLca,
     build_unsaturation_table,
+    open_gates,
 )
 from .lca import Site, run_lca
 from .matching import (
@@ -120,7 +120,7 @@ class CrucialSetup:
 
     sub: Graph
     from_sub: tuple
-    table: UnsaturationTable
+    gates: tuple
     walks: WalkIndex
     bparams: BParams
 
@@ -132,15 +132,17 @@ def prepare_crucial(
     table_samples: int,
     ctx: SeedContext,
 ) -> CrucialSetup:
-    """Builds the crucial subgraph, its walk index, and the unsaturation
-    table whose targets are the q loads restricted to crucial edges
-    (the coverage marginals of MM restricted to C).
+    """Builds the crucial subgraph, its walk index, and the gates of
+    :func:`build_unsaturation_table`, whose targets are the q loads
+    restricted to crucial edges (the coverage marginals of MM restricted
+    to C).
 
-    The table holds the rows 0..depth-1 that the recursion reads (none
-    at depth 0).  Row 0 is all zeros, so at depth 1 nothing is sampled
-    and the gates compare zero with the q-load targets.  With no crucial
-    edge, or ``table_samples < 1``, it is the always-unsaturated table,
-    whose targets are 1, so every gate opens: at depth 1, a count of 0
+    There is one gate per level 0..depth-1 that the recursion reads (none
+    at depth 0).  The level-0 marginals are all zeros, so at depth 1
+    nothing is sampled and gate 0 opens the vertices whose q-load target
+    exceeds the margin.  With no crucial edge, or ``table_samples < 1``,
+    the gates are :func:`open_gates`, whose targets are 1, so every gate
+    opens all vertices under a margin below 1: at depth 1, a count of 0
     and a positive count both sample nothing, yet gate differently.
     """
     crucial_ids = sorted(q.crucial)
@@ -148,10 +150,10 @@ def prepare_crucial(
     walks = WalkIndex(sub, bparams.walk_len, bparams.alpha)
     a_prob = match_targets_from_q(g, q, crucial_ids)
     if sub.m == 0 or table_samples < 1:
-        table = UnsaturationTable.always_unsaturated(sub.n, max(1, bparams.depth))
+        gates = open_gates(sub.n, bparams.depth, bparams.margin)
     else:
-        table = build_unsaturation_table(sub, bparams, table_samples, ctx, a_prob, walks)
-    return CrucialSetup(sub, from_sub, table, walks, bparams)
+        gates = build_unsaturation_table(sub, bparams, table_samples, ctx, a_prob, walks)
+    return CrucialSetup(sub, from_sub, gates, walks, bparams)
 
 
 def compute_MC(
@@ -172,7 +174,7 @@ def compute_MC(
         c_p,
         crucial.bparams,
         alg_ctx,
-        table=crucial.table,
+        gates=crucial.gates,
         walks=crucial.walks,
         memo=memo,
     )
@@ -211,7 +213,7 @@ def build_match_prob_table(
     for t, (mask, weight) in enumerate(worlds):
         matched = b_generic(
             sub, mask, crucial.bparams, alg_seed(ctx, exact, t),
-            table=crucial.table, walks=crucial.walks, memo=memo,
+            gates=crucial.gates, walks=crucial.walks, memo=memo,
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -264,7 +266,7 @@ def build_delta_table(
         alg_ctx = alg_seed(ctx, exact, t)
         tapes = {} if memo is None else memo.tapes
         lca = BMatchingLca(
-            sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks, memo=memo
+            sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks, memo=memo
         )
         footprints = {}
         for w in involved:

@@ -132,12 +132,13 @@ class ExperimentConfig:
         return self.R_list[0]
 
     def bparams(self) -> BParams:
+        if not 0.0 < self.eps < 1.0:
+            raise UsageError("eps must lie in (0, 1)")
         margin = self.margin if self.margin is not None else 2.0 * self.eps**2
         return BParams(
             alpha=self.alpha,
             walk_len=self.walk_len,
             depth=self.depth,
-            eps=self.eps,
             margin=margin,
             mis_budget=self.mis_budget,
         )

@@ -8,7 +8,11 @@ from, the matching of their copy.  A walk is augmenting when after the
 application every copy's matching is again a matching inside its
 realization, its two endpoints each gain one unit of degree summed over
 the copies, every other walk vertex keeps its degree, and both
-endpoints are unsaturated.
+endpoints are open at the level below.  A vertex is open at level l
+when it is unsaturated there: its level-l match marginal lies below its
+target minus the margin.  So each level's gate is a vertex set, held as
+one bitmask per level (:func:`gate_masks`); both routes take the tuple
+of them, ``gates``, and level r reads ``gates[r - 1]``.
 
 ``b_generic`` computes the recursive matching: at level r it builds the
 copies from level r-1 matchings (copy 0 inherits the input realization,
@@ -32,7 +36,8 @@ lists all key on ids.  Both routes decide validity with one predicate,
 copies.  ``b_generic`` holds every copy's realization and matching
 masks and answers with integer operations on them; the query route
 learns each membership and realization bit by probing, so the order in
-which the predicate reads fixes the order of its probes.
+which the predicate reads fixes the order of its probes.  The gates are
+not probed, so reading them first moves no probe.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, ResourceGuard, SeedContext, edge_mask, mask_edges, sample_realization
 from .lca import Site, _Tape, table_tape
@@ -76,7 +81,6 @@ class BParams:
     alpha      fresh realizations per level (copy 0 inherits its input)
     walk_len   maximum hyperwalk length
     depth      recursion depth r
-    eps        accuracy parameter
     margin     unsaturation slack subtracted from the target marginals
     mis_budget distinct expansions allowed per MIS root query (None: off)
 
@@ -87,7 +91,6 @@ class BParams:
     alpha: int
     walk_len: int
     depth: int
-    eps: float
     margin: float
     mis_budget: Optional[int] = None
 
@@ -98,8 +101,6 @@ class BParams:
             raise ValueError("walk_len must be positive")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
         if self.margin < 0.0:
             raise ValueError("margin must be nonnegative")
         if self.mis_budget is not None and self.mis_budget < 1:
@@ -285,27 +286,27 @@ class WalkIndex:
         return self._neighbors[i]
 
 
-@dataclass(frozen=True)
-class UnsaturationTable:
-    """Per-vertex match marginals: the targets ``a_prob``, and in
-    ``b_rows[l]`` the recursive matching's marginals at level l (row 0
-    is all zeros).  Level r gates its walks on row r-1, so a depth-d
-    recursion reads rows 0..d-1, which is all a built table holds."""
+def gate_masks(a_prob: Sequence[float], rows: Iterable[Sequence[float]], margin: float) -> tuple:
+    """One open-vertex bitmask per row of marginals: bit v of entry l is
+    set when vertex v is unsaturated at level l, ``rows[l][v] < a_prob[v]
+    - margin``, its level-l match marginal below its target minus the
+    margin."""
+    return tuple(
+        edge_mask(v for v, b in enumerate(row) if b < a_prob[v] - margin) for row in rows
+    )
 
-    a_prob: tuple
-    b_rows: tuple
 
-    def unsaturated(self, v: int, level: int, margin: float) -> bool:
-        if not 0 <= level < len(self.b_rows):
-            raise ValueError(f"no marginals for level {level}")
-        return self.b_rows[level][v] < self.a_prob[v] - margin
+def open_gates(n: int, levels: int, margin: float) -> tuple:
+    """The gates of ``levels`` levels without a table: targets 1 and
+    marginals 0, so every vertex is open under a margin below 1 and every
+    gate is shut under a margin of 1 or more."""
+    return gate_masks((1.0,) * n, ((0.0,) * n,) * levels, margin)
 
-    @classmethod
-    def always_unsaturated(cls, n: int, levels: int) -> "UnsaturationTable":
-        """Synthetic table: target 1, recursive marginal 0 at all levels.
-        Every vertex passes any margin below 1."""
-        row = (0.0,) * n
-        return cls((1.0,) * n, tuple(row for _ in range(levels + 1)))
+
+def _check_gates(gates: tuple, depth: int) -> None:
+    """A depth-d recursion reads the gates of levels 0..d-1."""
+    if len(gates) < depth:
+        raise ValueError(f"no gate for level {len(gates)}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +364,19 @@ class SeedMemo:
     """What one algorithm seed fixes for ``b_generic`` and ``BMatchingLca``,
     shared by their calls.
 
-    Under one scope (g, ctx, table, walks, and the alpha, margin and
-    mis_budget of params) each edge tape, each walk rank and each fresh
-    copy (index i >= 1) with the matching of its subtree are functions
-    of the seed alone.  A fresh subtree never reads the input
-    realization, and its lineage names its level.  Copy-0 matchings and
-    walk validity read the input, so they stay per call.  So is a whole
-    query (realization mask, root edge, depth): its answer, its ordered
-    probes and its guard nodes.  The first call binds the memo to its
-    scope, and a call under another scope raises.  A subtree or query
-    entry keeps the guard nodes its computation ticked, and a hit ticks
-    them again, so the node ceiling trips at the same count as without
-    the memo.  The values die with the memo; its owner drops it when its
-    loop ends.
+    Under one scope (g, ctx, gates, walks, and the alpha and mis_budget
+    of params; the gates fold in the margin) each edge tape, each walk
+    rank and each fresh copy (index i >= 1) with the matching of its
+    subtree are functions of the seed alone.  A fresh subtree never
+    reads the input realization, and its lineage names its level.
+    Copy-0 matchings and walk validity read the input, so they stay per
+    call.  So is a whole query (realization mask, root edge, depth): its
+    answer, its ordered probes and its guard nodes.  The first call
+    binds the memo to its scope, and a call under another scope raises.
+    A subtree or query entry keeps the guard nodes its computation
+    ticked, and a hit ticks them again, so the node ceiling trips at the
+    same count as without the memo.  The values die with the memo; its
+    owner drops it when its loop ends.
     """
 
     def __init__(self) -> None:
@@ -392,22 +393,23 @@ class SeedMemo:
             raise ValueError("memo belongs to another algorithm seed or setup")
 
 
-def _scope(g: Graph, ctx: SeedContext, table, walks, params: BParams) -> tuple:
+def _scope(g: Graph, ctx: SeedContext, gates: tuple, walks, params: BParams) -> tuple:
     """What a :class:`SeedMemo`'s values are functions of."""
-    return (g, ctx, table, walks, params.alpha, params.margin, params.mis_budget)
+    return (g, ctx, gates, walks, params.alpha, params.mis_budget)
 
 
-def _augments(w: Walk, realized: Callable, before: Callable) -> bool:
-    """Whether walk record ``w`` augments the copies, past its endpoint
-    gates: the one validity predicate of both routes.
+def _augments(w: Walk, gate: int, realized: Callable, before: Callable) -> bool:
+    """Whether walk record ``w`` augments the copies: the one validity
+    predicate of both routes.
 
-    ``realized(i, add)`` says whether copy i realizes every edge of the
-    mask ``add``, and ``before(i, u, inc)`` is copy i's matched edges at
-    walk vertex u, whose incident edges are the mask ``inc``.  Each
-    copy's additions must be realized.  At each walk vertex and copy,
-    ``x`` is the vertex's matched edges after the application; ``x & (x
-    - 1)`` is nonzero when two are left, and the vertex's degree change
-    over the copies must equal its required one.
+    The walk must be open, with both endpoints in the open-vertex mask
+    ``gate``.  ``realized(i, add)`` says whether copy i realizes every
+    edge of the mask ``add``, and ``before(i, u, inc)`` is copy i's
+    matched edges at walk vertex u, whose incident edges are the mask
+    ``inc``.  Each copy's additions must be realized.  At each walk
+    vertex and copy, ``x`` is the vertex's matched edges after the
+    application; ``x & (x - 1)`` is nonzero when two are left, and the
+    vertex's degree change over the copies must equal its required one.
 
     ``b_generic`` answers both from whole masks.  The query route's
     accessors probe as they answer, so the order of the ``before`` calls
@@ -416,6 +418,8 @@ def _augments(w: Walk, realized: Callable, before: Callable) -> bool:
     in adjacency order.  Its ``realized`` reads no new site, since every
     edge of the walk is probed before the check.
     """
+    if not (w.ends and gate & w.ends == w.ends):
+        return False
     for i, add, _ in w.copies:
         if not realized(i, add):
             return False
@@ -432,18 +436,11 @@ def _augments(w: Walk, realized: Callable, before: Callable) -> bool:
     return True
 
 
-def _valid_walks(
-    walks: WalkIndex, reals: list, matches: list, gates: Callable, tick: Callable
-) -> list:
+def _valid_walks(walks: WalkIndex, reals: list, matches: list, gate: int, tick: Callable) -> list:
     """The ids of :meth:`WalkIndex.all_walks` whose walks augment the
     copies with realization masks ``reals`` and matching masks
-    ``matches``, in that order.
-
-    Every walk ticks once.  ``gates()`` returns the bitmask of
-    unsaturated vertices; it is called once, at the first walk with two
-    distinct endpoints, which is where a per-walk check first reads a
-    gate.
-    """
+    ``matches`` past the open-vertex mask ``gate``, in that order.  Every
+    walk ticks once."""
 
     def realized(i: int, add: int) -> bool:
         return not add & ~reals[i]
@@ -453,15 +450,9 @@ def _valid_walks(
 
     records = walks.records
     out = []
-    unsat = None
     for w in walks.all_walks():
-        rec = records[w]
         tick()
-        if not rec.ends:
-            continue
-        if unsat is None:
-            unsat = gates()
-        if unsat & rec.ends == rec.ends and _augments(rec, realized, before):
+        if _augments(records[w], gate, realized, before):
             out.append(w)
     return out
 
@@ -470,24 +461,16 @@ def _select_walks(
     reals: list,
     matches: list,
     walks: WalkIndex,
-    table: UnsaturationTable,
+    gate: int,
     params: BParams,
-    level: int,
     rank: Callable,
     guard: _Guard,
 ) -> list:
     """Greedy MIS by rank of the walks that augment the copies with
-    realization masks ``reals`` and matching masks ``matches``, with each
-    member's query re-run under the per-root expansion budget.  Returns
-    the members' ids in rank order."""
-    g = walks.g
-
-    def gates() -> int:
-        return sum(
-            1 << v for v in range(g.n) if table.unsaturated(v, level - 1, params.margin)
-        )
-
-    valid = _valid_walks(walks, reals, matches, gates, guard.tick)
+    realization masks ``reals`` and matching masks ``matches`` past the
+    open-vertex mask ``gate``, with each member's query re-run under the
+    per-root expansion budget.  Returns the members' ids in rank order."""
+    valid = _valid_walks(walks, reals, matches, gate, guard.tick)
     members = []
     covered = set()
     for w in sorted(valid, key=rank):
@@ -519,12 +502,13 @@ def b_generic(
     params: BParams,
     ctx: SeedContext,
     level: Optional[int] = None,
-    table: Optional[UnsaturationTable] = None,
+    gates: Optional[tuple] = None,
     walks: Optional[WalkIndex] = None,
     memo: Optional[SeedMemo] = None,
 ) -> frozenset:
     """Recursive matching of the realization with edge mask
-    ``realization`` at the given level.
+    ``realization`` at the given level, level r admitting walks past
+    ``gates[r - 1]`` (default: :func:`open_gates`).
 
     Each recursion node holds one realization mask and one matching mask
     per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
@@ -540,15 +524,16 @@ def b_generic(
     if level is None:
         level = params.depth
     _check_depth(level)
-    if table is None:
-        table = UnsaturationTable.always_unsaturated(g.n, max(1, level))
+    if gates is None:
+        gates = open_gates(g.n, level, params.margin)
+    _check_gates(gates, level)
     if walks is None:
         walks = WalkIndex(g, params.walk_len, params.alpha)
     if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
         raise ValueError("walk index does not match params")
     if memo is None:
         memo = SeedMemo()
-    memo.bind(_scope(g, ctx, table, walks, params))
+    memo.bind(_scope(g, ctx, gates, walks, params))
     tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
     records = walks.records
     guard = _Guard()
@@ -587,7 +572,7 @@ def b_generic(
             return r
 
         match = matches[0]
-        for w in _select_walks(reals, matches, walks, table, params, lvl, rank, guard):
+        for w in _select_walks(reals, matches, walks, gates[lvl - 1], params, rank, guard):
             i, add, rem = records[w].copies[0]
             if i == 0:
                 match = (match | add) & ~rem
@@ -603,15 +588,17 @@ def build_unsaturation_table(
     ctx: SeedContext,
     a_prob: Iterable[float],
     walks: Optional[WalkIndex] = None,
-) -> UnsaturationTable:
-    """Monte Carlo match marginals of the recursive matching, per level.
+) -> tuple:
+    """The gates of levels 0..depth-1 for ``params.depth``, the levels a
+    recursion of that depth reads, from Monte Carlo match marginals of
+    the recursive matching (see :func:`gate_masks`).
 
-    Holds rows 0..depth-1 for ``params.depth``, the rows a recursion of
-    that depth reads: row 0 is all zeros, and row l >= 1 is estimated by
-    running level-l computations on ``samples`` fresh realizations,
-    bottom-up since level l gates on row l-1.  ``a_prob`` supplies the
-    target marginals (for a matched-realization target these are the
-    per-vertex q loads, which the caller knows from its q profile).
+    The level-0 marginals are all zeros, and those of level l >= 1 are
+    estimated by running level-l computations on ``samples`` fresh
+    realizations, bottom-up since level l runs past the gates of levels
+    0..l-1.  ``a_prob`` supplies the target marginals (for a
+    matched-realization target these are the per-vertex q loads, which
+    the caller knows from its q profile).
     """
     a_prob = tuple(a_prob)
     if len(a_prob) != g.n:
@@ -622,7 +609,7 @@ def build_unsaturation_table(
         walks = WalkIndex(g, params.walk_len, params.alpha)
     rows = [(0.0,) * g.n]
     for lvl in range(1, params.depth):
-        partial = UnsaturationTable(a_prob, tuple(rows))
+        partial = gate_masks(a_prob, rows, params.margin)
         hits = [0] * g.n
         for s in range(samples):
             sub = ctx.child("unsat", lvl, s)
@@ -631,7 +618,7 @@ def build_unsaturation_table(
             for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))
-    return UnsaturationTable(a_prob, tuple(rows))
+    return gate_masks(a_prob, rows[: params.depth], params.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +743,7 @@ class _Engine:
             return self._valid[key]
         self.guard.tick()
         self.ensure_walk(w)
-        rec = self._records[w]
-        g, table, margin = self.lca.g, self.lca.table, self.lca.params.margin
+        g = self.lca.g
 
         def sub_lineage(i: int) -> tuple:
             return lineage if i == 0 else lineage + (level, i)
@@ -772,19 +758,15 @@ class _Engine:
                     b |= 1 << e
             return b
 
-        result = (
-            bool(rec.ends)
-            and table.unsaturated(rec.vseq[0], level - 1, margin)
-            and table.unsaturated(rec.vseq[-1], level - 1, margin)
-            and _augments(rec, realized, before)
-        )
+        result = _augments(self._records[w], self.lca.gates[level - 1], realized, before)
         self._valid[key] = result
         return result
 
 
 class BMatchingLca:
     """Edge-membership queries against the recursive matching of the
-    realization with edge mask ``root_realization``.
+    realization with edge mask ``root_realization``, past ``gates`` as in
+    :func:`b_generic`.
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
     query with full probe instrumentation and fresh memos; it is the
@@ -801,7 +783,7 @@ class BMatchingLca:
         g: Graph,
         params: BParams,
         root_realization: int,
-        table: Optional[UnsaturationTable] = None,
+        gates: Optional[tuple] = None,
         walks: Optional[WalkIndex] = None,
         memo: Optional[SeedMemo] = None,
     ) -> None:
@@ -811,9 +793,8 @@ class BMatchingLca:
         self.g = g
         self.params = params
         self.root_realization = root_realization
-        self.table = table if table is not None else UnsaturationTable.always_unsaturated(
-            g.n, max(1, params.depth)
-        )
+        self.gates = gates if gates is not None else open_gates(g.n, params.depth, params.margin)
+        _check_gates(self.gates, params.depth)
         self.walks = walks if walks is not None else WalkIndex(g, params.walk_len, params.alpha)
         if self.walks.alpha != params.alpha or self.walks.walk_len != params.walk_len:
             raise ValueError("walk index does not match params")
@@ -822,7 +803,7 @@ class BMatchingLca:
     def run(self, oracle, root: Site) -> bool:
         memo, params = self.memo, self.params
         if memo is not None:
-            memo.bind(_scope(self.g, oracle.ctx, self.table, self.walks, params))
+            memo.bind(_scope(self.g, oracle.ctx, self.gates, self.walks, params))
             key = (self.root_realization, root.id, params.depth)
             hit = memo.queries.get(key)
             if hit is not None:

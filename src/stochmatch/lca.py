@@ -295,11 +295,10 @@ class CorrelatedBoundReport:
     lhs: float
     lhs_stderr: float
     rhs: float
-    slack: float
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.slack * self.rhs + 3.0 * self.lhs_stderr
+        return self.lhs <= CORRELATED_SLACK * self.rhs + 3.0 * self.lhs_stderr
 
 
 def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
@@ -318,7 +317,6 @@ def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
         lhs=lhs,
         lhs_stderr=ledger.stderr("psi", lhs_site),
         rhs=qp * qm,
-        slack=CORRELATED_SLACK,
     )
 
 

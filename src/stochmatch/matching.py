@@ -41,14 +41,6 @@ def _corrupt(where: str) -> RuntimeError:
     return RuntimeError(f"matcher search state is inconsistent: {where} passed n + 1 steps")
 
 
-def _active_ids(g: Graph, active) -> list:
-    if active is None:
-        return list(range(g.m))
-    if isinstance(active, int):
-        return mask_edges(active)
-    return sorted(active)
-
-
 class _Matcher:
     """One matching computation over the active edges of a graph.
 
@@ -68,7 +60,7 @@ class _Matcher:
     def __init__(self, g: Graph, active) -> None:
         self.n = n = g.n
         self.edges = edges = g.edges
-        self.ids = _active_ids(g, active)
+        self.ids = list(range(g.m)) if active is None else mask_edges(active)
         self.adj = adj = [[] for _ in range(n)]
         for e in self.ids:
             u, v, _ = edges[e]
@@ -271,10 +263,10 @@ class ComponentMemo:
 def maximum_matching(g: Graph, active=None, memo: Optional[ComponentMemo] = None) -> frozenset:
     """Deterministic maximum matching, returned as a set of edge ids.
 
-    ``active`` restricts the edge set: an iterable of edge ids, a
-    bitmask, or None for all edges.  With a ``memo`` of ``g``, a bitmask
-    is matched per connected component, and each component's matching
-    is computed once per memo; the edge set is the same.
+    ``active`` restricts the edge set: an edge bitmask, or None for all
+    edges.  With a ``memo`` of ``g``, a bitmask is matched per connected
+    component, and each component's matching is computed once per memo;
+    the edge set is the same.
     """
     if memo is not None:
         if memo.g is not g or not isinstance(active, int):

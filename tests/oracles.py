@@ -41,13 +41,13 @@ from stochmatch.graph import (
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
-    UnsaturationTable,
     WalkIndex,
     _copy_realized,
     _Engine,
     _Guard,
     _walk_lower,
     _walk_rank,
+    gate_masks,
 )
 from stochmatch.lca import (
     LcaOracle,
@@ -62,7 +62,6 @@ from stochmatch.lca import (
     table_tape,
 )
 from stochmatch.matching import (
-    _active_ids,
     _Matcher,
     matched_vertices,
     matching_number,
@@ -431,10 +430,51 @@ def degree_in_profile(p, v: int) -> int:
     return count
 
 
+# -- the package's unsaturation table before the gates became one
+# open-vertex bitmask per level; the references below read it
+
+
+@dataclass(frozen=True)
+class UnsaturationTable:
+    """Per-vertex match marginals: the targets ``a_prob``, and in
+    ``b_rows[l]`` the recursive matching's marginals at level l (row 0
+    is all zeros).  Level r gates its walks on row r-1, so a depth-d
+    recursion reads rows 0..d-1, which is all a built table holds."""
+
+    a_prob: tuple
+    b_rows: tuple
+
+    def unsaturated(self, v: int, level: int, margin: float) -> bool:
+        if not 0 <= level < len(self.b_rows):
+            raise ValueError(f"no marginals for level {level}")
+        return self.b_rows[level][v] < self.a_prob[v] - margin
+
+    @classmethod
+    def always_unsaturated(cls, n: int, levels: int) -> "UnsaturationTable":
+        """Synthetic table: target 1, recursive marginal 0 at all levels.
+        Every vertex passes any margin below 1."""
+        row = (0.0,) * n
+        return cls((1.0,) * n, tuple(row for _ in range(levels + 1)))
+
+
 def never_unsaturated(n: int, levels: int) -> UnsaturationTable:
     """Synthetic table in which no vertex passes any margin."""
     row = (0.0,) * n
     return UnsaturationTable((0.0,) * n, tuple(row for _ in range(levels + 1)))
+
+
+def table_gates(table: UnsaturationTable, margin: float) -> tuple:
+    """The package's gates for a reference table: one open-vertex mask
+    per row."""
+    return gate_masks(table.a_prob, table.b_rows, margin)
+
+
+def gate_table(gates: Sequence[int], n: int) -> UnsaturationTable:
+    """A reference table for the package's gates: target 1, and marginal
+    0 at an open vertex and 1 at a shut one.  Under any margin below 1
+    its rows gate exactly as ``gates`` do."""
+    rows = tuple(tuple(0.0 if gate >> v & 1 else 1.0 for v in range(n)) for gate in gates)
+    return UnsaturationTable((1.0,) * n, rows)
 
 
 def enumerate_hyperwalks_containing(g: Graph, site: Site, walk_len: int, alpha: int) -> tuple:
@@ -605,7 +645,6 @@ def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BPara
         alpha=max(0, math.ceil(1.0 / eps**7) - 1),
         walk_len=math.ceil(2.0 / eps),
         depth=math.ceil(1.0 / eps**9),
-        eps=eps,
         margin=2.0 * eps * eps,
         mis_budget=budget,
     )
@@ -614,7 +653,7 @@ def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BPara
 def shallow_bparams(eps: float) -> BParams:
     """The depth-1 recursion without fresh copies that ``prepare_pipeline``
     used when given no ``bparams``."""
-    return BParams(alpha=0, walk_len=2, depth=1, eps=eps, margin=2.0 * eps * eps)
+    return BParams(alpha=0, walk_len=2, depth=1, margin=2.0 * eps * eps)
 
 
 def estimate_ratio(
@@ -812,7 +851,7 @@ def build_delta_table_v0(
         alg_ctx = alg_seed(ctx, exact, t)
         tapes = shared if exact else {}
         lca = BMatchingLca(
-            sub, crucial.bparams, real, table=crucial.table, walks=crucial.walks
+            sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks
         )
         footprints = {}
         for w in involved:
@@ -908,8 +947,9 @@ def build_match_prob_table_v0(
         )
     covered = [0.0] * g.n
     for real, weight, alg_ctx in worlds:
+        table = gate_table(crucial.gates, sub.n)
         matched = b_generic_v0(
-            sub, real, crucial.bparams, alg_ctx, table=crucial.table, walks=crucial.walks
+            sub, real, crucial.bparams, alg_ctx, table=table, walks=crucial.walks
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -1469,7 +1509,24 @@ class _EngineV1(_Engine):
 
 
 class BMatchingLcaV1(BMatchingLca):
-    """``BMatchingLca`` answering through :class:`_EngineV1`."""
+    """``BMatchingLca`` answering through :class:`_EngineV1`, which reads
+    its own ``table``; the package's constructor gets that table's
+    gates."""
+
+    def __init__(
+        self,
+        g: Graph,
+        params: BParams,
+        root_realization: int,
+        table: Optional[UnsaturationTable] = None,
+        walks: Optional[WalkIndex] = None,
+        memo=None,
+    ) -> None:
+        if table is None:
+            table = UnsaturationTable.always_unsaturated(g.n, max(1, params.depth))
+        self.table = table
+        gates = table_gates(table, params.margin)
+        super().__init__(g, params, root_realization, gates, walks, memo)
 
     def run(self, oracle, root: Site) -> bool:
         engine = _EngineV1(self, oracle)
@@ -1481,6 +1538,16 @@ class BMatchingLcaV1(BMatchingLca):
 # _Matcher before its search state was allocated once per matcher: each
 # search allocated n-sized parent/base/used arrays, and each blossom
 # allocated and scanned an n-sized mark array.
+
+
+def _active_ids(g: Graph, active) -> list:
+    """The edge ids of ``active``: an iterable of edge ids, a bitmask, or
+    None for all edges."""
+    if active is None:
+        return list(range(g.m))
+    if isinstance(active, int):
+        return mask_edges(active)
+    return sorted(active)
 
 
 class MatcherV0:

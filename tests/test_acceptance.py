@@ -223,7 +223,7 @@ def b_corpus_runs():
     with validating_profiles() as tally:
         for name, g, kw in B_CORPUS:
             assert g.m <= 8
-            params = BParams(eps=0.3, margin=0.1, **kw)
+            params = BParams(margin=0.1, **kw)
             for seed in range(20):
                 real = sample_realization(g, SeedContext(seed).child("real"), 0)
                 ctx = SeedContext(seed).child("alg")

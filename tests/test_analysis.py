@@ -7,12 +7,14 @@ import pytest
 
 from oracles import (
     Realization,
+    UnsaturationTable,
     b_generic_v0,
     build_delta_table_v0,
     build_match_prob_table_v0,
     estimate_q_v0,
     estimate_ratio,
     flagged,
+    gate_table,
     is_matching,
     path_graph,
     ratio_sweep_v0,
@@ -45,14 +47,14 @@ from stochmatch.graph import (
     write_graph_text,
 )
 from stochmatch.cli import main
-from stochmatch.hyperwalk import BParams, UnsaturationTable
+from stochmatch.hyperwalk import BParams
 from stochmatch.lca import run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
 from test_hyperwalk import counting_engines
 from test_matching import VERIFY_EXACT
 
-BP1 = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.18)
+BP1 = BParams(alpha=0, walk_len=2, depth=1, margin=0.18)
 
 CLAIM_NAMES = (
     "x-vertex-expectation",
@@ -221,30 +223,39 @@ def count_b_generic(monkeypatch) -> list:
 
 
 class TestUnsaturationRows:
-    """A depth-d recursion gates level r on row r-1, so the sampled table
-    holds rows 0..d-1 and samples rows 1..d-1 only."""
+    """A depth-d recursion gates level r on the level r-1 marginals, so the
+    sampled gates cover levels 0..d-1 and sample levels 1..d-1 only."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_sampled_table_has_depth_rows(self, monkeypatch, depth):
         g, thresholds = SOURCE_CORPUS["kite"]
         q = estimate_q(g, exact=True).with_thresholds(*thresholds)
         calls = count_b_generic(monkeypatch)
-        bparams = BParams(alpha=1, walk_len=2, depth=depth, eps=0.2, margin=0.08)
+        bparams = BParams(alpha=1, walk_len=2, depth=depth, margin=0.08)
         crucial = prepare_crucial(g, q, bparams, 4, SeedContext(6).child("table"))
         assert crucial.sub.m > 0
-        assert len(crucial.table.b_rows) == depth
-        assert crucial.table.b_rows[0] == (0.0,) * crucial.sub.n
+        assert len(crucial.gates) == depth
+        # the level-0 marginals are zeros
+        a_prob = match_targets_from_q(g, q, sorted(q.crucial))
+        zeros = UnsaturationTable(a_prob, ((0.0,) * crucial.sub.n,))
+        n = crucial.sub.n
+        assert crucial.gates[0] == sum(
+            1 << v for v in range(n) if zeros.unsaturated(v, 0, bparams.margin)
+        )
         assert len(calls) == 4 * (depth - 1)
 
     def test_gates_read_the_top_row(self, monkeypatch):
         levels = set()
-        unsaturated = UnsaturationTable.unsaturated
 
-        def recording(table, v, level, margin):
-            levels.add(level)
-            return unsaturated(table, v, level, margin)
+        class Recording(tuple):
+            def __getitem__(self, level):
+                levels.add(level)
+                return tuple.__getitem__(self, level)
 
-        monkeypatch.setattr(UnsaturationTable, "unsaturated", recording)
+        build = analysis.build_unsaturation_table
+        monkeypatch.setattr(
+            analysis, "build_unsaturation_table", lambda *args: Recording(build(*args))
+        )
         g, thresholds = SOURCE_CORPUS["kite"]
         setup = prepare_pipeline(
             g, eps=0.2, seed=3, bparams=SOURCE_BPARAMS, q_samples=10_000,
@@ -252,7 +263,7 @@ class TestUnsaturationRows:
             R=4, thresholds=thresholds,
         )
         verify_claims(setup, trials=4)
-        assert levels == {0, 1} == set(range(len(setup.crucial.table.b_rows)))
+        assert levels == {0, 1} == set(range(len(setup.crucial.gates)))
 
     def test_verify_exact_b_generic_calls(self, tmp_path, monkeypatch):
         # the verify-exact bench workload's argv: 20 table samples at level
@@ -627,7 +638,7 @@ SOURCE_CORPUS = {
         for name, (g, taus) in GOLDEN_GRAPHS.items()
     },
 }
-SOURCE_BPARAMS = BParams(alpha=1, walk_len=2, depth=2, eps=0.2, margin=0.08, mis_budget=1)
+SOURCE_BPARAMS = BParams(alpha=1, walk_len=2, depth=2, margin=0.08, mis_budget=1)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCE_CORPUS))
@@ -668,14 +679,15 @@ class TestSeedMemoPipelines:
     @staticmethod
     def fresh_calls(monkeypatch):
         # the parent route: every b_generic call fresh, no memo
-        def parent(g, real, params, ctx, level=None, table=None, walks=None, memo=None):
+        def parent(g, real, params, ctx, level=None, gates=None, walks=None, memo=None):
+            table = None if gates is None else gate_table(gates, g.n)
             return b_generic_v0(g, Realization(g, real), params, ctx, level, table, walks)
 
         monkeypatch.setattr(analysis, "b_generic", parent)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_pipeline_matches_fresh_calls(self, monkeypatch, exact):
-        bparams = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.18, mis_budget=1)
+        bparams = BParams(alpha=1, walk_len=2, depth=2, margin=0.18, mis_budget=1)
         kwargs = dict(bparams=bparams, exact=exact, q_samples=200, match_prob_trials=30)
         setup = smoke_setup(**kwargs)
         report = verify_claims(setup, trials=5)

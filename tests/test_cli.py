@@ -492,6 +492,12 @@ class TestExitCodes:
         assert main(["lca-stats", "--input", tri_file, "--lca", "b-matching", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {key} must be nonnegative\n"
 
+    @pytest.mark.parametrize("eps", ["1.5", "0", "-0.2"])
+    def test_b_matching_eps_out_of_range_rejected(self, tri_file, capsys, eps):
+        # lca-stats reads eps only through the default margin 2 eps^2
+        assert main(["lca-stats", "--input", tri_file, "--lca", "b-matching", "--eps", eps]) == 2
+        assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+
 
 # Output digests frozen from the implementation before the MIS engine,
 # the b-matching query route and the q -> R resolution were merged: for a
@@ -526,6 +532,12 @@ GOLDEN_RUNS = {
     "verify-b3": lambda t: VERIFY + ["--thresholds", t] + B3_FLAGS,
     # the default --depth 1: the table is row 0 with the q-load targets
     "verify-d1": lambda t: VERIFY + ["--thresholds", t],
+    # gate edge cases: a margin >= 1 closes every gate of the open-gate
+    # path; at depth 1 no table samples open every gate, while a sampled
+    # table gates on the q-load targets minus a tight margin
+    "lca-b-closed": lambda t: LCA_B + B_FLAGS + ["--margin", "1.5"],
+    "verify-d1-open": lambda t: VERIFY + ["--thresholds", t, "--table-samples", "0", "--margin", "0.6"],
+    "verify-d1-tight": lambda t: VERIFY + ["--thresholds", t, "--table-samples", "5", "--margin", "0.6"],
 }
 GOLDEN = {
     ("kite", "sparsify"): "146462cf14e4bb1f23c112cd980bb18171900e3f145c918dd620ca9a0e170e72",
@@ -537,6 +549,9 @@ GOLDEN = {
     ("kite", "lca-b3"): "cab94955d45348920e36bfd802819ce826a8c94ffa06023f618e5e0fd0810d46",
     ("kite", "verify-b3"): "bed43590891d807acf3347a14fa1daeed588066f40bf37a04970d1a6aaf339bd",
     ("kite", "verify-d1"): "de443c3fc4409830c69f412904d6c761082ae1e55bfec87c3e9e07797c7348e4",
+    ("kite", "lca-b-closed"): "6ca3e2aa3205bde74ac74c172474ad11c445428acb5181be35be553c7dedecd4",
+    ("kite", "verify-d1-open"): "de443c3fc4409830c69f412904d6c761082ae1e55bfec87c3e9e07797c7348e4",
+    ("kite", "verify-d1-tight"): "645fb5594f39aef2baffd6d6eba0eb57c8c8a4864a9bb7ec4fdde49045a391e4",
     ("split", "sparsify"): "2d666b8b4a7139c0a52ba38fc9d400ba66b5f581bfea7afc500d569c407434be",
     ("split", "evaluate-exact"): "c65092a98061429d806fe4b0d1a54a07504af7c52dad7b4afbecdcaebbf8b31c",
     ("split", "evaluate-mc"): "a3d2147f0f56502122db830cfb85f4fbed67d0b268bd5dfd4f1bfb48e34223d0",

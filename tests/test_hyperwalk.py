@@ -11,6 +11,7 @@ from oracles import (
     Hyperwalk,
     Profile,
     Realization,
+    UnsaturationTable,
     _select_walks_v1,
     apply_hyperwalk,
     b_generic_v0,
@@ -20,6 +21,7 @@ from oracles import (
     degree_in_profile,
     enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
+    gate_table,
     hyperwalk_of,
     hyperwalk_reference_set,
     is_augmenting,
@@ -29,6 +31,7 @@ from oracles import (
     never_unsaturated,
     out_query_ceiling,
     path_graph,
+    table_gates,
     validate_profile,
     validating_profiles,
     walk_vertices,
@@ -39,12 +42,13 @@ from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
     SeedMemo,
-    UnsaturationTable,
     WalkIndex,
     _Guard,
     _valid_walks,
     b_generic,
     build_unsaturation_table,
+    gate_masks,
+    open_gates,
 )
 from stochmatch.lca import Site, run_lca
 from test_acceptance import B_CORPUS
@@ -62,7 +66,7 @@ def profile_noalpha(g, mask, matching=frozenset()):
     return Profile(((Realization(g, mask), frozenset(matching)),))
 
 
-SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1)
+SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
 
 
 class TestHyperwalkType:
@@ -313,7 +317,7 @@ class TestBGeneric:
 
     def test_check_mode_validates_intermediates(self):
         g = complete_graph(4)
-        params = BParams(alpha=1, walk_len=3, depth=2, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=3, depth=2, margin=0.1)
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             with validating_profiles() as tally:
@@ -327,7 +331,7 @@ class TestBGeneric:
         # applies walks such as (0-1, 1-2, 2-0, 0-3), which matches two
         # edges at vertex 0; the level-2 selection must not get past the
         # wrapper
-        monkeypatch.setattr(hyperwalk, "_augments", lambda *args: True)
+        monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
         params = replace(SMALL_PARAMS, walk_len=4, depth=2)
         with validating_profiles():
@@ -339,7 +343,7 @@ class TestBGeneric:
         # the entry checks alone keep every walk's copy indices within the
         # alpha + 1 copies of a recursion node
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=1, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=1, margin=0.1)
         walks = WalkIndex(g, walk_len, alpha)
         with pytest.raises(ValueError, match="walk index does not match params"):
             b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
@@ -350,7 +354,7 @@ class TestBGeneric:
         # alpha = 0: each walk acts on copy 0 alone, so applications never
         # shrink the matching and levels only grow it
         g = complete_graph(4)
-        params = BParams(alpha=0, walk_len=3, depth=3, eps=0.3, margin=0.1)
+        params = BParams(alpha=0, walk_len=3, depth=3, margin=0.1)
         for seed in range(6):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             sizes = [
@@ -362,8 +366,9 @@ class TestBGeneric:
 
 @st.composite
 def memo_cases(draw, mis_budget):
-    """A small graph, params, a table with gates that vary by vertex and
-    level, a seed, and a run of (realization mask, level) calls."""
+    """A small graph, params, a reference table whose gates vary by vertex
+    and level with the package's gates for it, a seed, and a run of
+    (realization mask, level) calls."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
@@ -371,7 +376,7 @@ def memo_cases(draw, mis_budget):
     alpha = draw(st.integers(0, 1))
     params = BParams(
         alpha=alpha, walk_len=draw(st.integers(1, 3 - alpha)), depth=draw(st.integers(1, 3)),
-        eps=0.3, margin=0.1, mis_budget=mis_budget,
+        margin=0.1, mis_budget=mis_budget,
     )
     rows = [(0.0,) * n] + [
         tuple(draw(st.sampled_from([0.0, 0.5, 0.95])) for _ in range(n))
@@ -384,7 +389,7 @@ def memo_cases(draw, mis_budget):
         st.tuples(st.integers(0, 2**g.m - 1), st.integers(0, params.depth)),
         min_size=2, max_size=4,
     ))
-    return g, params, table, walks, ctx, calls
+    return g, params, table, table_gates(table, params.margin), walks, ctx, calls
 
 
 def smallest_ceiling(run) -> int:
@@ -420,23 +425,23 @@ class TestSeedMemo:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_shared_memo_matches_fresh_parent(self, mis_budget, data):
-        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         memo = SeedMemo()
         for mask, level in calls:
-            got = b_generic(g, mask, params, ctx, level, table, walks, memo)
+            got = b_generic(g, mask, params, ctx, level, gates, walks, memo)
             assert got == b_generic_v0(g, Realization(g, mask), params, ctx, level, table, walks)
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_smallest_ceiling_same_warm_and_cold(self, data):
         budget = data.draw(st.sampled_from([None, 1]))
-        g, params, table, walks, ctx, calls = data.draw(memo_cases(budget))
+        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(budget))
         warm = SeedMemo()
         for mask, level in calls:
-            b_generic(g, mask, params, ctx, level, table, walks, warm)
+            b_generic(g, mask, params, ctx, level, gates, walks, warm)
         for mask, level in calls:
             def call(memo):
-                return lambda: b_generic(g, mask, params, ctx, level, table, walks, memo)
+                return lambda: b_generic(g, mask, params, ctx, level, gates, walks, memo)
 
             cold = smallest_ceiling(lambda: call(SeedMemo())())
             assert smallest_ceiling(call(warm)) == cold
@@ -451,7 +456,7 @@ class TestSeedMemo:
 
         monkeypatch.setattr(SeedContext, "__post_init__", recording)
         g = complete_graph(4)
-        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1, mis_budget=2)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=2)
         ctx = SeedContext(5).child("alg")
         for seed in range(3):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
@@ -462,20 +467,20 @@ class TestSeedMemo:
 
     def test_memo_refuses_another_scope(self):
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
-        table = UnsaturationTable.always_unsaturated(g.n, 2)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        gates = open_gates(g.n, 2, params.margin)
         walks = WalkIndex(g, params.walk_len, params.alpha)
         real = full_realization(g)
         ctx = SeedContext(1).child("alg")
         memo = SeedMemo()
-        b_generic(g, real, params, ctx, None, table, walks, memo)
+        b_generic(g, real, params, ctx, None, gates, walks, memo)
         # an equal context is the same seed
-        b_generic(g, real, params, SeedContext(1).child("alg"), None, table, walks, memo)
+        b_generic(g, real, params, SeedContext(1).child("alg"), None, gates, walks, memo)
         others = [
-            (params, SeedContext(2).child("alg"), table, walks),
-            (replace(params, mis_budget=1), ctx, table, walks),
-            (params, ctx, UnsaturationTable.always_unsaturated(g.n, 3), walks),
-            (params, ctx, table, WalkIndex(g, params.walk_len, params.alpha)),
+            (params, SeedContext(2).child("alg"), gates, walks),
+            (replace(params, mis_budget=1), ctx, gates, walks),
+            (params, ctx, open_gates(g.n, 3, params.margin), walks),
+            (params, ctx, gates, WalkIndex(g, params.walk_len, params.alpha)),
         ]
         for p, c, t, w in others:
             with pytest.raises(ValueError, match="another"):
@@ -504,14 +509,14 @@ class TestQueryReplay:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_replay_equals_fresh_query(self, mis_budget, data):
-        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         masks = [mask for mask, _ in calls] * 2
         memo = SeedMemo()
         with pytest.MonkeyPatch.context() as mp:
             engines = counting_engines(mp)
             for mask in masks:
-                shared = BMatchingLca(g, params, mask, table, walks, memo)
-                fresh = BMatchingLca(g, params, mask, table, walks)
+                shared = BMatchingLca(g, params, mask, gates, walks, memo)
+                fresh = BMatchingLca(g, params, mask, gates, walks)
                 for e in range(g.m):
                     out, trace = run_lca(shared, g, ctx, Site.edge(e), memo.tapes)
                     want, want_trace = run_lca(fresh, g, ctx, Site.edge(e))
@@ -525,27 +530,28 @@ class TestQueryReplay:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_smallest_ceiling_same_replayed_and_fresh(self, data):
-        g, params, table, walks, ctx, calls = data.draw(memo_cases(None))
+        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(None))
         mask = calls[0][0]
         warm = SeedMemo()
         root = Site.edge(data.draw(st.integers(0, g.m - 1)))
-        run_lca(BMatchingLca(g, params, mask, table, walks, warm), g, ctx, root)
+        run_lca(BMatchingLca(g, params, mask, gates, walks, warm), g, ctx, root)
 
         def query(memo):
-            return lambda: run_lca(BMatchingLca(g, params, mask, table, walks, memo), g, ctx, root)
+            return lambda: run_lca(BMatchingLca(g, params, mask, gates, walks, memo), g, ctx, root)
 
         assert smallest_ceiling(query(warm)) == smallest_ceiling(query(None))
 
     def test_replay_refuses_another_scope(self):
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
         real = full_realization(g)
         memo = SeedMemo()
         lca = BMatchingLca(g, params, real, memo=memo)
         run_lca(lca, g, SeedContext(1).child("alg"), Site.edge(0))
         with pytest.raises(ValueError, match="another"):
             run_lca(lca, g, SeedContext(2).child("alg"), Site.edge(0))
-        other = BMatchingLca(g, replace(params, margin=0.2), real, memo=memo)
+        # the gates fold in the margin: one of 1 or more shuts them all
+        other = BMatchingLca(g, replace(params, margin=1.5), real, memo=memo)
         with pytest.raises(ValueError, match="another"):
             run_lca(other, g, SeedContext(1).child("alg"), Site.edge(0))
 
@@ -589,10 +595,13 @@ def table_cases(draw):
     return Profile(copies), walks, table
 
 
-def select_v1(reals, matches, walks, *args):
+def select_v1(reals, matches, walks, gate, params, rank, guard):
     """``oracles._select_walks_v1`` behind the signature of
-    ``_select_walks``: the copies' masks go in as a profile."""
-    return _select_walks_v1(mask_profile(walks.g, reals, matches), walks, *args)
+    ``_select_walks``: the copies' masks go in as a profile, and the gate
+    as the one row of a table that the reference reads at level 1."""
+    table = gate_table((gate,), walks.g.n)
+    profile = mask_profile(walks.g, reals, matches)
+    return _select_walks_v1(profile, walks, table, params, 1, rank, guard)
 
 
 class TestWalkTable:
@@ -610,7 +619,7 @@ class TestWalkTable:
             walks,
             [real.present for real, _ in profile.pairs],
             [sum(1 << e for e in matching) for _, matching in profile.pairs],
-            lambda: sum(1 << v for v in range(walks.g.n) if table.unsaturated(v, 1, margin)),
+            sum(1 << v for v in range(walks.g.n) if table.unsaturated(v, 1, margin)),
             lambda: ticks.append(1),
         )
         want = [
@@ -629,9 +638,7 @@ class TestWalkTable:
         w = Hyperwalk.make((0, 1, 2), (0, 0, 0))
         profile = profile_noalpha(g, full_realization(g), {1, 3})
         table = UnsaturationTable.always_unsaturated(g.n, 1)
-        got = _valid_walks(
-            walks, [(1 << g.m) - 1], [0b1010], lambda: (1 << g.n) - 1, lambda: None
-        )
+        got = _valid_walks(walks, [(1 << g.m) - 1], [0b1010], (1 << g.n) - 1, lambda: None)
         assert w not in [hyperwalk_of(walks, i) for i in got]
         assert not is_augmenting(profile, w, table, 0, margin=0.1)
 
@@ -644,20 +651,18 @@ class TestWalkTable:
         w = Hyperwalk.make((0, 1, 2), (0, 0, 0))
         profile = profile_noalpha(g, full_realization(g), {1})
         table = UnsaturationTable.always_unsaturated(g.n, 1)
-        got = _valid_walks(
-            walks, [full_realization(g)], [0b010], lambda: (1 << g.n) - 1, lambda: None
-        )
+        got = _valid_walks(walks, [full_realization(g)], [0b010], (1 << g.n) - 1, lambda: None)
         assert w in [hyperwalk_of(walks, i) for i in got]
         assert is_augmenting(profile, w, table, 0, margin=0.1)
 
     def test_ids_follow_all_walks(self, monkeypatch):
         # with every open walk accepted, the selection's candidates are
         # all_walks() in its order, closed walks dropped
-        monkeypatch.setattr(hyperwalk, "_augments", lambda *args: True)
+        monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
         walks = WalkIndex(g, 3, 1)
         full = (1 << g.m) - 1
-        got = _valid_walks(walks, [full, full], [0, 0], lambda: (1 << g.n) - 1, lambda: None)
+        got = _valid_walks(walks, [full, full], [0, 0], (1 << g.n) - 1, lambda: None)
         assert got == [i for i in walks.all_walks() if walks.records[i].ends]
         assert len(got) < len(walks.all_walks())
         rec = walks.records[got[0]]
@@ -672,15 +677,14 @@ class TestWalkTable:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_selection_equals_parent(self, mis_budget, data):
-        g, params, table, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         select = hyperwalk._select_walks
         selections = []
 
-        def both(reals, matches, walks, table, params, level, rank, guard):
+        def both(reals, matches, walks, gate, params, rank, guard):
             new, old = _Guard(), _Guard()
-            got = select(reals, matches, walks, table, params, level, rank, new)
-            profile = mask_profile(walks.g, reals, matches)
-            want = _select_walks_v1(profile, walks, table, params, level, rank, old)
+            got = select(reals, matches, walks, gate, params, rank, new)
+            want = select_v1(reals, matches, walks, gate, params, rank, old)
             assert got == want
             assert new.nodes == old.nodes
             selections.append(got)
@@ -691,7 +695,7 @@ class TestWalkTable:
             def call():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
-                    return b_generic(g, mask, params, ctx, level, table, walks)
+                    return b_generic(g, mask, params, ctx, level, gates, walks)
             return call
 
         for mask, level in calls:
@@ -706,29 +710,30 @@ class TestWalkTable:
 
     @pytest.mark.parametrize("edges", [[(0, 1, 0.5), (1, 2, 0.5)], []])
     def test_missing_level_raises_as_parent(self, edges):
-        # the table has rows for levels 0 and 1, so a level-3 call reads
-        # the missing row 2; a graph without walks reads no row at all
+        # gates and table cover levels 0 and 1, so a level-3 call reads
+        # the missing level 2.  Both routes refuse the gates at entry; the
+        # parent raised at the first read, so on a graph without walks it
+        # read no row and returned the empty matching
         g = Graph.build(3, edges)
-        params = BParams(alpha=1, walk_len=2, depth=3, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=3, margin=0.1)
         table = UnsaturationTable.always_unsaturated(g.n, 1)
+        gates = table_gates(table, params.margin)
         ctx = SeedContext(3).child("alg")
-
-        def outcome(selection):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(hyperwalk, "_select_walks", selection)
-                try:
-                    return b_generic(g, full_realization(g), params, ctx, None, table)
-                except ValueError as exc:
-                    return str(exc)
-
-        got = outcome(hyperwalk._select_walks)
-        assert got == outcome(select_v1)
-        assert got == ("no marginals for level 2" if edges else frozenset())
+        real = full_realization(g)
+        with pytest.raises(ValueError, match="no gate for level 2"):
+            b_generic(g, real, params, ctx, None, gates)
+        with pytest.raises(ValueError, match="no gate for level 2"):
+            BMatchingLca(g, params, real, gates)
+        if edges:
+            with pytest.raises(ValueError, match="no marginals for level 2"):
+                b_generic_v0(g, Realization(g, real), params, ctx, None, table)
+        else:
+            assert b_generic_v0(g, Realization(g, real), params, ctx, None, table) == frozenset()
 
     def test_unresolved_member_raises(self, monkeypatch):
         monkeypatch.setattr(hyperwalk, "greedy_member", lambda *args: (False, False, 1))
         g = path_graph(2)
-        params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1, mis_budget=1)
+        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=1)
         with pytest.raises(RuntimeError, match=r"sweep member with edges \(0,\) and copies \(0,\)"):
             b_generic(g, full_realization(g), params, SeedContext(0))
 
@@ -736,13 +741,13 @@ class TestWalkTable:
 class TestBParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BParams(alpha=-1, walk_len=2, depth=1, eps=0.3, margin=0.1)
+            BParams(alpha=-1, walk_len=2, depth=1, margin=0.1)
         with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=0, depth=1, eps=0.3, margin=0.1)
+            BParams(alpha=0, walk_len=0, depth=1, margin=0.1)
         with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=2, depth=1, eps=1.5, margin=0.1)
+            BParams(alpha=0, walk_len=2, depth=1, margin=-0.1)
         with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1, mis_budget=0)
+            BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=0)
 
     def test_preset_arithmetic(self):
         p = bparams_from_eps(0.5, conflict_degree=4)
@@ -753,33 +758,72 @@ class TestBParams:
         assert p.mis_budget == 128
 
 
+@st.composite
+def gate_cases(draw):
+    """Targets and per-level marginals on a few vertices, drawn from a
+    small grid so that ties with the margin occur, and a margin that may
+    shut every gate."""
+    n = draw(st.integers(0, 6))
+    grid = st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.6, 0.95, 1.0])
+    a_prob = tuple(draw(grid) for _ in range(n))
+    rows = tuple(tuple(draw(grid) for _ in range(n)) for _ in range(draw(st.integers(0, 4))))
+    margin = draw(st.sampled_from([0.0, 0.1, 0.4, 0.5, 0.9, 1.0, 1.5]))
+    return a_prob, rows, margin
+
+
 class TestUnsaturationTable:
+    """The gates against the per-vertex table they replaced
+    (``oracles.UnsaturationTable``)."""
+
     def test_level_zero_row_is_zero(self):
+        # the level-0 marginals are zeros, so gate 0 opens every vertex
+        # whose target exceeds the margin
         g = path_graph(1)
-        table = build_unsaturation_table(
-            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 1.0]
+        gates = build_unsaturation_table(
+            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05]
         )
-        assert table.b_rows[0] == (0.0, 0.0)
-        assert all(0.0 <= x <= 1.0 for x in table.b_rows[1])
+        assert len(gates) == 2
+        assert gates[0] == 0b01
+        assert 0 <= gates[1] < 1 << g.n
 
     def test_gate_logic(self):
-        table = UnsaturationTable((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)))
-        assert table.unsaturated(0, 0, margin=0.1)
-        assert not table.unsaturated(0, 1, margin=0.1)  # 0.5 >= 0.6 - 0.1
-        assert not table.unsaturated(1, 1, margin=0.1)
-        with pytest.raises(ValueError):
-            table.unsaturated(0, 5, margin=0.1)
+        gates = gate_masks((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)), margin=0.1)
+        assert gates == (0b11, 0)  # 0.5 >= 0.6 - 0.1 and 0.1 >= 0.2 - 0.1
+        with pytest.raises(ValueError, match="no gate for level 2"):
+            b_generic(path_graph(1), 1, replace(SMALL_PARAMS, depth=3), SeedContext(0), gates=gates)
 
     def test_factories(self):
-        t = UnsaturationTable.always_unsaturated(3, 2)
-        assert all(t.unsaturated(v, lvl, 0.5) for v in range(3) for lvl in range(3))
-        t = never_unsaturated(3, 2)
-        assert not any(t.unsaturated(v, lvl, 0.0) for v in range(3) for lvl in range(3))
+        assert open_gates(3, 2, 0.5) == (0b111, 0b111)
+        assert open_gates(3, 2, 1.0) == (0, 0)
+        assert open_gates(3, 0, 0.5) == ()
+        assert table_gates(never_unsaturated(3, 2), 0.0) == (0, 0, 0)
+
+    @given(case=gate_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_gate_bits_equal_unsaturated(self, case):
+        a_prob, rows, margin = case
+        gates = gate_masks(a_prob, rows, margin)
+        table = UnsaturationTable(a_prob, rows)
+        assert len(gates) == len(rows)
+        for level, gate in enumerate(gates):
+            assert gate >> len(a_prob) == 0
+            for v in range(len(a_prob)):
+                assert (gate >> v & 1 == 1) == table.unsaturated(v, level, margin)
+
+    @given(
+        n=st.integers(0, 6),
+        levels=st.integers(0, 4),
+        margin=st.sampled_from([0.0, 0.3, 0.99, 1.0, 1.5]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_open_gates_equal_always_unsaturated(self, n, levels, margin):
+        table = UnsaturationTable.always_unsaturated(n, levels)
+        assert open_gates(n, levels, margin) == table_gates(table, margin)[:levels]
 
 
 class TestLcaRoute:
     def test_agrees_with_generic_small(self):
-        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
         for seed in range(12):
             g = complete_graph(4)
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
@@ -791,7 +835,7 @@ class TestLcaRoute:
 
     def test_run_is_instrumented(self):
         g = path_graph(2)
-        params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1)
+        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
         real = full_realization(g)
         lca = BMatchingLca(g, params, real)
         ctx = SeedContext(4).child("alg")
@@ -801,7 +845,7 @@ class TestLcaRoute:
 
     def test_rejects_mask_outside_graph(self):
         g = path_graph(2)
-        params = BParams(alpha=0, walk_len=2, depth=1, eps=0.3, margin=0.1)
+        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
         for mask in (-1, 1 << g.m):
             with pytest.raises(ValueError, match="outside"):
                 BMatchingLca(g, params, mask)
@@ -814,7 +858,7 @@ class TestLcaRoute:
         # stay the same
         for name, g, kw in B_CORPUS:
             for mis_budget in (None, 1, 3, 6):
-                params = BParams(eps=0.3, margin=0.1, **dict(kw, mis_budget=mis_budget))
+                params = BParams(margin=0.1, **dict(kw, mis_budget=mis_budget))
                 for seed in range(3):
                     real = sample_realization(g, SeedContext(seed).child("real"), 0)
                     ctx = SeedContext(seed).child("alg")
@@ -829,7 +873,7 @@ class TestLcaRoute:
 
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)
-        params = BParams(alpha=1, walk_len=2, depth=2, eps=0.3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
         walks = WalkIndex(g, params.walk_len, params.alpha)
         ceiling = out_query_ceiling(g, walks, params, params.depth)
         real = full_realization(g)

@@ -227,7 +227,7 @@ def golden_b_matching(name):
     g = GOLDEN_GRAPHS[name][0]
     flags = dict(zip(B_FLAGS[::2], B_FLAGS[1::2]))
     params = BParams(
-        eps=0.2, margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
+        margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
     )
     real = sample_realization(g, SeedContext(3).child("real"), 0)
     return g, BMatchingLca(g, params, real)
@@ -489,7 +489,7 @@ def _b_corpus_queries():
     under its own tapes, as ``matching_via_queries`` runs them: yields
     (instance name, seed, root, answer, trace)."""
     for name, g, kw in B_CORPUS:
-        params = BParams(eps=0.3, margin=0.1, **kw)
+        params = BParams(margin=0.1, **kw)
         for seed in range(20):
             real = sample_realization(g, SeedContext(seed).child("real"), 0)
             lca = BMatchingLca(g, params, real)

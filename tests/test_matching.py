@@ -23,7 +23,7 @@ from oracles import (
     violates_vertex_caps,
 )
 from stochmatch import matching
-from stochmatch.graph import Graph, ResourceGuard, SeedContext, gnp_graph, mask_edges
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, edge_mask, gnp_graph, mask_edges
 from stochmatch.matching import (
     ComponentMemo,
     _Matcher,
@@ -53,7 +53,7 @@ class TestMaximumMatching:
         assert len(maximum_matching(cycle_graph(5))) == 2
 
     def test_output_is_matching_within_active(self, triangle):
-        got = maximum_matching(triangle, active=[0, 1])
+        got = maximum_matching(triangle, active=edge_mask([0, 1]))
         assert is_matching(triangle, got)
         assert got <= {0, 1}
 
@@ -86,8 +86,8 @@ class TestMaximumMatching:
 
     def test_active_subset(self):
         g = complete_graph(5)
-        assert matching_number(g, active=[]) == 0
-        assert matching_number(g, active=[0]) == 1
+        assert matching_number(g, active=edge_mask([])) == 0
+        assert matching_number(g, active=edge_mask([0])) == 1
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +119,13 @@ def sparse_gnp(n: int, seed: int, c: float = 3.0) -> Graph:
 
 
 def active_form(form: str, mask: int):
+    """``active`` in one of the forms ``oracles.MatcherV0`` takes, and the
+    same edge set as the package takes it: an edge mask or None."""
     if form == "none":
-        return None
+        return None, None
     if form == "mask":
-        return mask
-    return mask_edges(mask)[::-1]  # unsorted on purpose
+        return mask, mask
+    return mask_edges(mask)[::-1], edge_mask(mask_edges(mask))  # unsorted on purpose
 
 
 class TestDifferentialAgainstParent:
@@ -131,19 +133,19 @@ class TestDifferentialAgainstParent:
     whose blossoms relabeled by scanning the search tree, and
     ``oracles.MatcherV0``, which allocated its search state per search.
     Equal edge sets and sizes on blossom-heavy and on large sparse graphs,
-    under every form of ``active``."""
+    under every form of ``active`` that the V0 reference takes."""
 
     @pytest.mark.parametrize("form", ["none", "mask", "ids"])
     def test_equal_edge_sets_and_sizes(self, differential_corpus, form):
         rng = random.Random(f"diff-{form}")
         for g in differential_corpus:
             for _ in range(1 if form == "none" else 8):
-                active = active_form(form, rng.getrandbits(g.m))
-                got = maximum_matching(g, active)
-                assert got == maximum_matching_v1(g, active)
+                active, mask = active_form(form, rng.getrandbits(g.m))
+                got = maximum_matching(g, mask)
+                assert got == maximum_matching_v1(g, mask)
                 assert got == maximum_matching_v0(g, active)
-                size = matching_number(g, active)
-                assert size == matching_number_v1(g, active)
+                size = matching_number(g, mask)
+                assert size == matching_number_v1(g, mask)
                 assert size == matching_number_v0(g, active)
 
     @pytest.mark.parametrize("n", [300, 1000, 3000])
@@ -153,13 +155,13 @@ class TestDifferentialAgainstParent:
         rng = random.Random(f"sparse-{n}-{form}")
         for _ in range(1 if form == "none" else 2):
             # dense masks keep the big components, and their blossoms
-            active = active_form(form, rng.getrandbits(g.m) | rng.getrandbits(g.m))
-            got = maximum_matching(g, active)
-            assert got == maximum_matching_v1(g, active)
+            active, mask = active_form(form, rng.getrandbits(g.m) | rng.getrandbits(g.m))
+            got = maximum_matching(g, mask)
+            assert got == maximum_matching_v1(g, mask)
             assert got == maximum_matching_v0(g, active)
-            size = matching_number(g, active)
+            size = matching_number(g, mask)
             assert size == len(got)
-            assert size == matching_number_v1(g, active)
+            assert size == matching_number_v1(g, mask)
             assert size == matching_number_v0(g, active)
 
 
@@ -453,7 +455,7 @@ class TestBlossomChecker:
         assert violates_vertex_caps(f) == []
         if not check_blossom(f, eps=eps).ok:
             return
-        mu = matching_number(g, active=f.support)
+        mu = matching_number(g, active=edge_mask(f.support))
         assert mu >= (1.0 - eps) * fractional_size(f) - 1e-9
 
 

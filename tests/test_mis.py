@@ -231,7 +231,7 @@ class TestEngine:
         truncated = 0
         for name, g, kw in B_CORPUS:
             for mis_budget in (None, 1, 3, 6):
-                params = BParams(eps=0.3, margin=0.1, **dict(kw, mis_budget=mis_budget))
+                params = BParams(margin=0.1, **dict(kw, mis_budget=mis_budget))
                 for seed in range(3):
                     real = sample_realization(g, SeedContext(seed).child("real"), 0)
                     ctx = SeedContext(seed).child("alg")

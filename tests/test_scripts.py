@@ -51,6 +51,7 @@ def test_lca_profile(capsys, tmp_path, lca):
                          "--walk-len", "6", "--trials", "2"], "hyperwalks"),
         ("lca_profile", ["--n", "12", "--trials", "2", "--out", "/nonexistent/x.csv"],
          "No such file or directory"),
+        ("lca_profile", ["--n", "12", "--lca", "b-matching", "--eps", "1.5"], "eps must lie in (0, 1)"),
     ],
 )
 def test_bad_arguments_exit_with_usage(capsys, name, argv, message):

@@ -30,6 +30,11 @@ The package also holds no ``assert`` statement: ``python -O`` strips
 them, so a check the package relies on raises an exception instead.
 And it defines a fixed set of exception types: every work limit raises
 ``graph.ResourceGuard``, so callers catch one type for all of them.
+
+The frozen references of ``tests/oracles.py`` check the package, so none
+derives from a package class, directly or through another class: a
+reference that inherits the code it checks compares that code with
+itself.  Each exception is allowlisted with its reason.
 """
 
 import ast
@@ -52,6 +57,20 @@ ALLOWED = {}
 
 # "module.callable.parameter" -> why only tests set it
 ALLOWED_PARAMETERS = {}
+
+# oracles class -> why it still derives from a package class
+ALLOWED_SUBCLASSES = dict.fromkeys(
+    (
+        "BMatchingLcaV0",
+        "BMatchingLcaV1",
+        "LcaOracleV0",
+        "LcaOracleV1",
+        "MatcherV1",
+        "_EngineV0",
+        "_EngineV1",
+    ),
+    "item 11(a): not yet self-contained",
+)
 
 # "module.Record.field" -> why it stays with no reader outside the tests
 ALLOWED_FIELDS = {
@@ -412,3 +431,25 @@ def test_no_default_repeats_a_cli_default():
     # the command line's value is the one copy; a library default that
     # repeats it drifts from it silently
     assert repeated_cli_defaults() == []
+
+
+def oracle_subclasses() -> list:
+    """Classes defined in ``tests/oracles.py`` with a ``stochmatch`` class
+    among their ancestors."""
+    import oracles
+
+    return sorted(
+        name
+        for name, cls in vars(oracles).items()
+        if isinstance(cls, type)
+        and cls.__module__ == oracles.__name__
+        and any(base.__module__.split(".")[0] == "stochmatch" for base in cls.__mro__[1:])
+    )
+
+
+def test_frozen_references_derive_from_no_package_class():
+    found = oracle_subclasses()
+    missing = [name for name in found if name not in ALLOWED_SUBCLASSES]
+    assert missing == [], f"oracles classes deriving from a stochmatch class: {missing}"
+    stale = set(ALLOWED_SUBCLASSES) - set(found)
+    assert not stale, f"allowlisted oracles classes that no longer derive from one: {stale}"
