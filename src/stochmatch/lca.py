@@ -22,18 +22,22 @@ read off it, so a tape is derived once into a tape table keyed by site
 and each of its values is hashed once and stored there.  The table also
 builds the site's one :class:`Site`, kept on its tape, so callers may
 name a site by the plain pair (kind, id) and a sweep builds each Site
-once.  A sweep shares one table across its roots and drops it when the
-sweep ends; a lone query keeps its own table, holding only the sites it
-read.  Derivations, Sites and the values read off each tape are shared;
-each query still checks naturality and records its own probes.
+once.  A tape also holds what an LCA derives from the tapes alone on
+the table's graph, such as a vertex's lower-rank neighbors, so a table
+serves one ctx and one graph.  A sweep shares one table across its roots
+and drops it when the sweep ends; a lone query keeps its own table,
+holding only the sites it read.  Derivations, Sites, the values read off
+each tape and what is derived from them are shared; each query still
+checks naturality and records its own probes.
 
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
 in-query count is q-(v) = |in(v)| and the correlated count, the number
 of roots whose out-query sets meet v's, is psi(v) = |U_{w in Q+(v)} in(w)|.
 All three count probes only.  The b-matching LCA peeks only at sites it
-has probed, so its Q+ is every site it reads; the tmis LCA also peeks at
-its neighbors' ranks, which it reads outside Q+.
+has probed, so its Q+ is every site it reads; the tmis LCA also reads its
+probed vertices' neighbors' ranks, outside Q+, but peeks at them only
+the first time its sweep's table expands a vertex.
 """
 
 from __future__ import annotations
@@ -78,8 +82,12 @@ def site_tape(ctx: SeedContext, site: Site) -> SeedContext:
 class _Tape:
     """A site's tape in a tape table under ``ctx``: ``site`` is the
     table's one Site for it, and ``uniform`` hashes each distinct label
-    tuple once and then returns the stored value.  The values die with
-    the table; long-lived contexts store none."""
+    tuple once and then returns the stored value.  ``lower`` holds a
+    vertex's expansion, (the Graph it was computed on, the tuple of its
+    lower-rank neighbors in rank order), once an LCA has computed it.
+    The values die with the table; long-lived contexts store none."""
+
+    lower = None  # (Graph, tuple) once expanded
 
     def __init__(self, ctx: SeedContext, site: Site) -> None:
         self.site = site
@@ -121,7 +129,10 @@ class ProbeTrace:
 
 class LcaOracle:
     """Per-query mediator enforcing naturality; the one record of the
-    query's probed sites and touched vertices."""
+    query's probed sites and touched vertices.  A vertex LCA's read set
+    is ``_near``, the touched vertices and their neighbors, not its peek
+    calls: a tmis answer depends on every tape in it, and an expansion
+    stored by an earlier query of the sweep is read without peeks."""
 
     def __init__(
         self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None
@@ -194,8 +205,10 @@ def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] =
 
     The output is a pure function of (g, ctx, root): re-running with the
     same arguments reproduces both the answer and the trace.  ``tapes``
-    is a tape table shared by queries under the same ``ctx``; without
-    it the query derives its tapes into a table of its own.
+    is a tape table shared by queries under the same ``ctx`` on the same
+    ``g``; it holds their tapes and what the LCA derived from them, such
+    as tmis expansions.  Without it the query derives its tapes into a
+    table of its own.
     """
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
@@ -265,6 +278,9 @@ class QueryLedger:
 
 
 def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> QueryLedger:
+    """Query every site of ``ledger`` as a root and ledger the sweep.  The
+    roots share one tape table, serving this ctx and g alone: each tape is
+    derived, and each tape-derived expansion computed, once per sweep."""
     tapes = {}  # this sweep's tape table
     out_sets = {r: run_lca(lca, g, ctx, r, tapes)[1].out_queries for r in ledger.sites}
     del tapes  # freed before add_sweep builds its index, so the two never peak together

@@ -18,6 +18,13 @@ greedy answer.  The surviving set is always independent.
 A budget has one form, a positive int or None for no cap, checked where
 it is set: ``TruncatedGreedyMis(budget)`` for vertex MIS and
 ``BParams.mis_budget`` for the hyperwalk MIS.
+
+A vertex's expansion, its lower-rank neighbors in rank order, depends on
+the tapes and the graph alone, so :class:`TruncatedGreedyMis` stores it
+on the vertex's tape and the roots of a sweep share it through their
+tape table.  The budget still counts each query's own expansions: a
+shared expansion costs its query one call and one probe, as a fresh one
+does, so answers, traces and the q+/q-/psi ledger are unchanged.
 """
 
 from __future__ import annotations
@@ -88,17 +95,24 @@ class TruncatedGreedyMis:
     def run(self, oracle, root: Site) -> TmisOutcome:
         g = oracle.graph
 
-        def lower(v: int) -> list:
-            # expanding v probes it; neighbor ranks are only peeked at.
+        def lower(v: int) -> tuple:
+            # expanding v probes it; neighbor ranks are only peeked at, and
+            # only the first time the sweep's table expands v on this graph.
             # Sites go by (kind, id) pairs, so a read builds no Site.
-            rank_v = oracle.probe(("vertex", v)).uniform("rank"), v
+            tape = oracle.probe(("vertex", v))
+            known = tape.lower
+            if known is not None and known[0] is g:
+                return known[1]
+            rank_v = tape.uniform("rank"), v
             below = []
             for w in g.neighbors(v):
                 rank_w = oracle.peek(("vertex", w)).uniform("rank"), w
                 if rank_w < rank_v:
                     below.append((rank_w, w))
             below.sort()
-            return [w for _, w in below]
+            below = tuple(w for _, w in below)
+            tape.lower = g, below
+            return below
 
         member, truncated, calls = greedy_member(root.id, lower, self.budget)
         oracle.annotate("calls", calls)

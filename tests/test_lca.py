@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     LcaOracleV0,
     LcaOracleV1,
+    TruncatedGreedyMisV0,
     add_sweep_pairwise,
     estimate_delta,
     find_rank_ctx,
@@ -266,9 +267,10 @@ class TestTapeTable:
     which derived a fresh tape, encoding the whole path, per probe and peek."""
 
     @staticmethod
-    def assert_matches_v0(lca, g, ctx, trials=2):
+    def assert_matches_v0(lca, ref_lca, g, ctx, trials=2):
+        # ref_lca runs on LcaOracleV0, whose tapes are bare SeedContexts
         ledger = gather_ledger(lca, g, ctx, trials)
-        ref = gather_ledger_v0(lca, g, ctx, trials)
+        ref = gather_ledger_v0(ref_lca, g, ctx, trials)
         assert ledger.qplus_rows == ref.qplus_rows
         assert ledger.qminus_rows == ref.qminus_rows
         assert ledger.psi_rows == ref.psi_rows
@@ -277,7 +279,7 @@ class TestTapeTable:
             tapes = {}
             for r in ledger.sites:
                 out, trace = run_lca(lca, g, sub, r, tapes)
-                old, old_trace = run_lca_v0(lca, g, sub, r)
+                old, old_trace = run_lca_v0(ref_lca, g, sub, r)
                 assert out == old
                 assert trace == old_trace and trace.meta == old_trace.meta
 
@@ -287,12 +289,13 @@ class TestTapeTable:
                 g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("gen"))
                 for budget in (None, 1, 3, 8):
                     lca = TruncatedGreedyMis(budget)
-                    self.assert_matches_v0(lca, g, SeedContext(seed).child("tt"))
+                    ref_lca = TruncatedGreedyMisV0(budget)
+                    self.assert_matches_v0(lca, ref_lca, g, SeedContext(seed).child("tt"))
 
     @pytest.mark.parametrize("name", ["kite", "split"])
     def test_b_matching_sweeps(self, name):
         g, lca = golden_b_matching(name)
-        self.assert_matches_v0(lca, g, SeedContext(3).child("tt"))
+        self.assert_matches_v0(lca, lca, g, SeedContext(3).child("tt"))
 
     @staticmethod
     def count_calls(monkeypatch, name, cls=SeedContext):
@@ -319,6 +322,18 @@ class TestTapeTable:
                 sweep_ledger(lca, g, ctx)
                 assert derived["n"] <= g.n
                 assert digests["n"] <= g.n
+
+    def test_tmis_sweep_expands_each_vertex_once(self, monkeypatch):
+        # a vertex's lower-rank neighbors are stored on its tape, so the
+        # sweep peeks at each neighbor rank once per table: at most 2m peeks
+        graphs = [gnp_graph(n, 3.0 / n, 0.5, SeedContext(1).child("gen")) for n in (12, 60, 200)]
+        ctx = SeedContext(1).child("count")
+        peeks = self.count_calls(monkeypatch, "peek", LcaOracle)
+        for g in graphs:
+            for budget in (None, 3):
+                peeks["n"] = 0
+                sweep_ledger(TruncatedGreedyMis(budget), g, ctx)
+                assert 0 < peeks["n"] <= 2 * g.m
 
     def test_tmis_sweep_builds_each_site_once(self, monkeypatch):
         # the queries name sites by plain pairs; the sweep's tape table
@@ -522,6 +537,39 @@ class TestProbeOrder:
             out, trace = run_lca(lca, g, ctx, Site.vertex(v), tapes)
             h.update(self.line(v, out.member, out.calls, out.truncated, trace=trace))
         assert h.hexdigest() == self.DIGEST
+
+    def test_tmis_read_set_is_near_set(self, monkeypatch):
+        # a vertex LCA's read set is the oracle's near set: the vertices
+        # whose tapes the reference recursion probes or peeks, which reads
+        # every rank it depends on, are the probed vertices and their
+        # neighbors (the production LCA skips peeks it has stored)
+        reads = set()
+        originals = {name: getattr(LcaOracle, name) for name in ("probe", "peek")}
+
+        def recording(name):
+            def read(self, site):
+                reads.add(site[1])
+                return originals[name](self, site)
+
+            return read
+
+        for name in originals:
+            monkeypatch.setattr(LcaOracle, name, recording(name))
+        truncated = 0
+        for seed, n in ((0, 12), (1, 60)):
+            g = gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("g"))
+            ctx = SeedContext(seed).child("reads")
+            for budget in (None, 1, 3):
+                lca = TruncatedGreedyMisV0(budget)
+                tapes = {}
+                for v in range(g.n):
+                    reads.clear()
+                    oracle = LcaOracle(g, ctx, Site.vertex(v), tapes)
+                    truncated += lca.run(oracle, Site.vertex(v)).truncated
+                    probed = {s.id for s in oracle.probed}
+                    near = probed.union(*(g.neighbors(u) for u in probed))
+                    assert reads == near == oracle._near
+        assert truncated > 0, "corpus never exercised truncation"
 
     def test_b_matching_peeks_read_probed_sites(self, monkeypatch):
         # the b-matching LCA's read set is its probe set, so the footprint

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     TruncatedGreedyMisV0,
     budget_for_degree,
     complete_graph,
+    cycle_graph,
     find_rank_ctx,
     gmis_member,
     greedy_mis_sweep,
@@ -259,3 +261,48 @@ class TestEngine:
                         assert trace.meta["nodes"] == old_trace.meta["nodes"] - cut, name
                         truncated += cut
         assert truncated > 0, "corpus never exercised truncation"
+
+
+class TestSharedExpansions:
+    """Expansions stored on a sweep's tapes against ``TruncatedGreedyMisV0``,
+    which expands every vertex afresh, here in a fresh table per root."""
+
+    GRAPHS = [
+        gnp_graph(n, 3.0 / n, 0.5, SeedContext(seed).child("share"))
+        for seed, n in ((0, 12), (1, 40), (2, 90))
+    ] + [cycle_graph(12)]
+
+    @staticmethod
+    def assert_matches_fresh(budget, g, ctx, roots, tapes) -> int:
+        truncated = 0
+        for v in roots:
+            root = Site.vertex(v)
+            out, trace = run_lca(TruncatedGreedyMis(budget), g, ctx, root, tapes)
+            old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root)
+            assert out == old
+            assert trace.probed == old_trace.probed
+            assert trace.meta == old_trace.meta
+            truncated += out.truncated
+        return truncated
+
+    def test_any_root_order(self):
+        truncated = 0
+        for i, g in enumerate(self.GRAPHS):
+            ctx = SeedContext(i).child("tapes")
+            shuffled = list(range(g.n))
+            random.Random(i).shuffle(shuffled)
+            for roots in (range(g.n), range(g.n - 1, -1, -1), shuffled):
+                for budget in (None, 1, 3, 8):
+                    truncated += self.assert_matches_fresh(budget, g, ctx, roots, {})
+        assert truncated > 0, "corpus never exercised truncation"
+
+    def test_table_reused_across_graphs(self):
+        # one table and one ctx on two graphs over the same vertices: an
+        # expansion stored for one graph must not answer the other
+        graphs = (cycle_graph(12), gnp_graph(12, 0.3, 0.5, SeedContext(5).child("share")))
+        ctx = SeedContext(5).child("tapes")
+        for budget in (None, 3):
+            tapes = {}
+            for v in range(12):
+                for g in graphs:
+                    self.assert_matches_fresh(budget, g, ctx, [v], tapes)
