@@ -11,84 +11,8 @@ matching with its query twin (:mod:`~stochmatch.hyperwalk`), and the
 analysis pipeline with claim verification (:mod:`~stochmatch.analysis`).
 """
 
-from .graph import (
-    Graph,
-    GraphFormatError,
-    ResourceGuard,
-    SeedContext,
-    enumerate_realizations,
-    gnp_graph,
-    load_graph,
-    parse_graph_text,
-    sample_realization,
-    subgraph,
-    weighted_realizations,
-    write_graph_text,
-)
-from .matching import (
-    BLOSSOM_SET_CAP,
-    CertificateReport,
-    FractionalMatching,
-    check_blossom,
-    fractional_size,
-    matched_vertices,
-    matching_number,
-    maximum_matching,
-)
-from .sparsifier import (
-    QProfile,
-    SparsifierParams,
-    build_H,
-    derive_R,
-    estimate_q,
-    max_degree_of,
-    select_thresholds,
-)
-from .lca import (
-    CorrelatedBoundReport,
-    LcaOracle,
-    NaturalityViolation,
-    ProbeTrace,
-    QueryLedger,
-    Site,
-    check_correlated_bound,
-    gather_ledger,
-    ledger_to_csv,
-    run_lca,
-    site_tape,
-)
-from .mis import (
-    TmisOutcome,
-    TruncatedGreedyMis,
-)
-from .hyperwalk import (
-    BMatchingLca,
-    BParams,
-    WalkIndex,
-    b_generic,
-    build_unsaturation_table,
-)
-from .analysis import (
-    ClaimCheck,
-    ClaimReport,
-    CrucialSetup,
-    DeltaTable,
-    MissingTableEntry,
-    PipelineSetup,
-    RatioEstimate,
-    build_delta_table,
-    build_f,
-    build_match_prob_table,
-    build_x,
-    compute_MC,
-    ratio_sweep,
-    match_targets_from_q,
-    prepare_crucial,
-    prepare_pipeline,
-    round_x,
-    run_pipeline,
-    scale_values,
-    verify_claims,
-)
+# bench/test_bench.py checks that the bench tracer rebinds this name in the
+# package namespace too
+from .graph import sample_realization
 
 __version__ = "0.1.0"

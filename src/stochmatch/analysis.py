@@ -42,7 +42,7 @@ from .hyperwalk import (
     build_unsaturation_table,
     open_gates,
 )
-from .lca import Site, run_lca
+from .lca import Site, TapeTable, run_lca
 from .matching import (
     FractionalMatching,
     check_blossom,
@@ -235,7 +235,6 @@ class DeltaTable:
 
 
 def build_delta_table(
-    g: Graph,
     crucial: CrucialSetup,
     pairs: Iterable[tuple],
     trials: int,
@@ -249,8 +248,8 @@ def build_delta_table(
     queries over its incident crucial edges (plus the vertex itself).
     Each trial redraws the crucial realization; the algorithm seed
     follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines,
-    whose queries then share one :class:`SeedMemo`: one tape table, and
-    a replay of each repeated (realization, root) query.
+    whose queries then share one tape table and one :class:`SeedMemo`,
+    which replays each repeated (realization, root) query.
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
@@ -261,10 +260,12 @@ def build_delta_table(
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
     memo = SeedMemo() if exact else None
+    tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
         alg_ctx = alg_seed(ctx, exact, t)
-        tapes = {} if memo is None else memo.tapes
+        if tapes is None or not exact:
+            tapes = TapeTable(alg_ctx, sub)
         lca = BMatchingLca(
             sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks, memo=memo
         )
@@ -272,7 +273,7 @@ def build_delta_table(
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, alg_ctx, Site.edge(e), tapes)
+                _, trace = run_lca(lca, sub, alg_ctx, Site("edge", e), tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -484,9 +485,7 @@ def prepare_pipeline(
         g, crucial, match_prob_trials, ctx.child("mprob"), exact=exact
     )
     pairs = [g.endpoints(e) for e in sorted(f.support)]
-    delta = build_delta_table(
-        g, crucial, pairs, delta_trials, ctx.child("delta"), exact=exact
-    )
+    delta = build_delta_table(crucial, pairs, delta_trials, ctx.child("delta"), exact=exact)
     return PipelineSetup(
         g=g,
         eps=eps,

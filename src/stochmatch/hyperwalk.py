@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, ResourceGuard, SeedContext, edge_mask, mask_edges, sample_realization
-from .lca import Site, _Tape, table_tape
+from .lca import Site, TapeTable, _Tape
 from .matching import matched_vertices
 from .mis import greedy_member
 
@@ -309,6 +309,12 @@ def _check_gates(gates: tuple, depth: int) -> None:
         raise ValueError(f"no gate for level {len(gates)}")
 
 
+def _check_walks(walks: WalkIndex, g: Graph, params: BParams) -> None:
+    """Both routes read the walks of ``g`` at ``params``' length and copies."""
+    if walks.g is not g or walks.alpha != params.alpha or walks.walk_len != params.walk_len:
+        raise ValueError("walk index does not match params or graph")
+
+
 # ---------------------------------------------------------------------------
 # tape formulas and the walk conflict graph, shared by both routes
 
@@ -381,21 +387,20 @@ class SeedMemo:
 
     def __init__(self) -> None:
         self.scope = None
-        self.tapes = {}  # a tape table under the scope's ctx: Site -> _Tape
+        self.tapes = None  # the TapeTable of the scope's ctx and graph, once bound
         self.ranks = {}  # (lineage, level, walk id) -> rank
         self.copies = {}  # lineage -> (realization mask, matching mask, guard nodes)
         self.queries = {}  # (mask, root edge, depth) -> (answer, probed sites, guard nodes)
 
-    def bind(self, scope: tuple) -> None:
+    def bind(
+        self, g: Graph, ctx: SeedContext, gates: tuple, walks: WalkIndex, params: BParams
+    ) -> None:
+        scope = (g, ctx, gates, walks, params.alpha, params.mis_budget)
         if self.scope is None:
             self.scope = scope
+            self.tapes = TapeTable(ctx, g)
         elif self.scope != scope:
             raise ValueError("memo belongs to another algorithm seed or setup")
-
-
-def _scope(g: Graph, ctx: SeedContext, gates: tuple, walks, params: BParams) -> tuple:
-    """What a :class:`SeedMemo`'s values are functions of."""
-    return (g, ctx, gates, walks, params.alpha, params.mis_budget)
 
 
 def _augments(w: Walk, gate: int, realized: Callable, before: Callable) -> bool:
@@ -529,17 +534,13 @@ def b_generic(
     _check_gates(gates, level)
     if walks is None:
         walks = WalkIndex(g, params.walk_len, params.alpha)
-    if walks.alpha != params.alpha or walks.walk_len != params.walk_len:
-        raise ValueError("walk index does not match params")
+    _check_walks(walks, g, params)
     if memo is None:
         memo = SeedMemo()
-    memo.bind(_scope(g, ctx, gates, walks, params))
+    memo.bind(g, ctx, gates, walks, params)
     tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
     records = walks.records
     guard = _Guard()
-
-    def tape(e: int) -> _Tape:
-        return table_tape(tapes, ctx, ("edge", e))
 
     def recurse(lineage: tuple, real: int, lvl: int) -> int:
         guard.tick()
@@ -554,7 +555,7 @@ def b_generic(
                 start = guard.nodes
                 gi = edge_mask(
                     e for e in range(g.m)
-                    if _copy_realized(tape(e), sub_lineage, g.probability(e))
+                    if _copy_realized(tapes["edge", e], sub_lineage, g.probability(e))
                 )
                 matching = recurse(sub_lineage, gi, lvl - 1)
                 hit = copies[sub_lineage] = (gi, matching, guard.nodes - start)
@@ -568,7 +569,7 @@ def b_generic(
             r = ranks.get(key)
             if r is None:
                 rec = records[w]
-                r = ranks[key] = _walk_rank(tape(rec.edges[0]), lineage, lvl, rec)
+                r = ranks[key] = _walk_rank(tapes["edge", rec.edges[0]], lineage, lvl, rec)
             return r
 
         match = matches[0]
@@ -578,7 +579,12 @@ def b_generic(
                 match = (match | add) & ~rem
         return match
 
-    return frozenset(mask_edges(recurse((), realization, level)))
+    out = recurse((), realization, level)
+    # recurse refers to itself; breaking that cycle frees the walk index,
+    # the memo's views and the tapes now rather than at the next cyclic
+    # collection
+    del recurse
+    return frozenset(mask_edges(out))
 
 
 def build_unsaturation_table(
@@ -796,14 +802,13 @@ class BMatchingLca:
         self.gates = gates if gates is not None else open_gates(g.n, params.depth, params.margin)
         _check_gates(self.gates, params.depth)
         self.walks = walks if walks is not None else WalkIndex(g, params.walk_len, params.alpha)
-        if self.walks.alpha != params.alpha or self.walks.walk_len != params.walk_len:
-            raise ValueError("walk index does not match params")
+        _check_walks(self.walks, g, params)
         self.memo = memo
 
     def run(self, oracle, root: Site) -> bool:
         memo, params = self.memo, self.params
         if memo is not None:
-            memo.bind(_scope(self.g, oracle.ctx, self.gates, self.walks, params))
+            memo.bind(self.g, oracle.ctx, self.gates, self.walks, params)
             key = (self.root_realization, root.id, params.depth)
             hit = memo.queries.get(key)
             if hit is not None:

@@ -18,17 +18,18 @@ neighbors, and a repeated probe with one lookup in the probed sites;
 every other read runs the full site-kind and naturality check.
 
 A site's tape is a fixed function of (ctx, site), and so is every value
-read off it, so a tape is derived once into a tape table keyed by site
-and each of its values is hashed once and stored there.  The table also
-builds the site's one :class:`Site`, kept on its tape, so callers may
-name a site by the plain pair (kind, id) and a sweep builds each Site
-once.  A tape also holds what an LCA derives from the tapes alone on
-the table's graph, such as a vertex's lower-rank neighbors, so a table
-serves one ctx and one graph.  A sweep shares one table across its roots
-and drops it when the sweep ends; a lone query keeps its own table,
-holding only the sites it read.  Derivations, Sites, the values read off
-each tape and what is derived from them are shared; each query still
-checks naturality and records its own probes.
+read off it, so a tape is derived once into a :class:`TapeTable` keyed
+by site and each of its values is hashed once and stored there.  The
+table also builds the site's one :class:`Site`, kept on its tape, so
+callers may name a site by the plain pair (kind, id) and a sweep builds
+each Site once.  A tape also holds what an LCA derives from the tapes
+alone on the table's graph, such as a vertex's lower-rank neighbors, so
+a table is bound to one ctx and one graph, and an oracle refuses a table
+of another.  A sweep shares one table across its roots and drops it when
+the sweep ends; a lone query keeps its own table, holding only the sites
+it read.  Derivations, Sites, the values read off each tape and what is
+derived from them are shared; each query still checks naturality and
+records its own probes.
 
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
@@ -61,14 +62,6 @@ class Site(NamedTuple):
     kind: str  # "vertex" or "edge"
     id: int
 
-    @classmethod
-    def vertex(cls, v: int) -> "Site":
-        return cls("vertex", v)
-
-    @classmethod
-    def edge(cls, e: int) -> "Site":
-        return cls("edge", e)
-
     def vertices(self, g: Graph) -> tuple:
         """The vertices this site touches: itself, or an edge's endpoints."""
         return (self.id,) if self.kind == "vertex" else g.endpoints(self.id)
@@ -80,14 +73,14 @@ def site_tape(ctx: SeedContext, site: Site) -> SeedContext:
 
 
 class _Tape:
-    """A site's tape in a tape table under ``ctx``: ``site`` is the
-    table's one Site for it, and ``uniform`` hashes each distinct label
-    tuple once and then returns the stored value.  ``lower`` holds a
-    vertex's expansion, (the Graph it was computed on, the tuple of its
-    lower-rank neighbors in rank order), once an LCA has computed it.
-    The values die with the table; long-lived contexts store none."""
+    """A site's tape in a :class:`TapeTable`: ``site`` is the table's one
+    Site for it, and ``uniform`` hashes each distinct label tuple once and
+    then returns the stored value.  ``lower`` holds a vertex's expansion,
+    the tuple of its lower-rank neighbors on the table's graph in rank
+    order, once an LCA has computed it.  The values die with the table;
+    long-lived contexts store none."""
 
-    lower = None  # (Graph, tuple) once expanded
+    lower = None  # tuple once expanded
 
     def __init__(self, ctx: SeedContext, site: Site) -> None:
         self.site = site
@@ -101,15 +94,21 @@ class _Tape:
         return value
 
 
-def table_tape(tapes: dict, ctx: SeedContext, site) -> _Tape:
-    """The tape of ``site``, a Site or a plain (kind, id) pair, in the
-    tape table ``tapes`` of ``ctx``; its Site and tape are built on first
-    use."""
-    tape = tapes.get(site)
-    if tape is None:
+class TapeTable(dict):
+    """The tapes of one ``ctx`` on one ``graph``, keyed by Site: looking
+    up a site, a Site or a plain (kind, id) pair, builds its Site and tape
+    on first use.  What a tape holds beyond its values is derived on
+    ``graph``, so an oracle refuses a table of another ctx or graph."""
+
+    def __init__(self, ctx: SeedContext, graph: Graph) -> None:
+        super().__init__()
+        self.ctx = ctx
+        self.graph = graph
+
+    def __missing__(self, site) -> _Tape:
         site = Site(*site)
-        tape = tapes[site] = _Tape(ctx, site)
-    return tape
+        tape = self[site] = _Tape(self.ctx, site)
+        return tape
 
 
 @dataclass(frozen=True)
@@ -135,11 +134,15 @@ class LcaOracle:
     stored by an earlier query of the sweep is read without peeks."""
 
     def __init__(
-        self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None
+        self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[TapeTable] = None
     ) -> None:
+        if tapes is None:
+            tapes = TapeTable(ctx, g)
+        elif tapes.graph is not g or (tapes.ctx is not ctx and tapes.ctx != ctx):
+            raise ValueError("tape table belongs to another ctx or graph")
         self.graph = g
         self.ctx = ctx
-        self._tapes = {} if tapes is None else tapes  # Site -> _Tape under ctx
+        self._tapes = tapes
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
         self._touched = {}  # vertex -> None
@@ -174,7 +177,7 @@ class LcaOracle:
         if site in self._probed:
             return self._tapes[site]
         self._admit(site)
-        tape = self._tapes.get(site) or table_tape(self._tapes, self.ctx, site)
+        tape = self._tapes[site]
         site = tape.site
         self._probed[site] = None
         for v in site.vertices(self.graph):
@@ -191,7 +194,7 @@ class LcaOracle:
         other site runs the full check."""
         if site[0] != "vertex" or site[1] not in self._near:
             self._admit(site)
-        return self._tapes.get(site) or table_tape(self._tapes, self.ctx, site)
+        return self._tapes[site]
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value
@@ -200,7 +203,7 @@ class LcaOracle:
         return ProbeTrace(self.root, tuple(self._probed), dict(self._meta))
 
 
-def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[dict] = None):
+def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[TapeTable] = None):
     """Run one rooted query; returns (output, ProbeTrace).
 
     The output is a pure function of (g, ctx, root): re-running with the
@@ -281,7 +284,7 @@ def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> Query
     """Query every site of ``ledger`` as a root and ledger the sweep.  The
     roots share one tape table, serving this ctx and g alone: each tape is
     derived, and each tape-derived expansion computed, once per sweep."""
-    tapes = {}  # this sweep's tape table
+    tapes = TapeTable(ctx, g)
     out_sets = {r: run_lca(lca, g, ctx, r, tapes)[1].out_queries for r in ledger.sites}
     del tapes  # freed before add_sweep builds its index, so the two never peak together
     ledger.add_sweep(out_sets)

@@ -97,12 +97,11 @@ class TruncatedGreedyMis:
 
         def lower(v: int) -> tuple:
             # expanding v probes it; neighbor ranks are only peeked at, and
-            # only the first time the sweep's table expands v on this graph.
+            # only the first time the sweep's table, bound to g, expands v.
             # Sites go by (kind, id) pairs, so a read builds no Site.
             tape = oracle.probe(("vertex", v))
-            known = tape.lower
-            if known is not None and known[0] is g:
-                return known[1]
+            if tape.lower is not None:
+                return tape.lower
             rank_v = tape.uniform("rank"), v
             below = []
             for w in g.neighbors(v):
@@ -111,7 +110,7 @@ class TruncatedGreedyMis:
                     below.append((rank_w, w))
             below.sort()
             below = tuple(w for _, w in below)
-            tape.lower = g, below
+            tape.lower = below
             return below
 
         member, truncated, calls = greedy_member(root.id, lower, self.budget)

@@ -54,12 +54,12 @@ from stochmatch.lca import (
     NaturalityViolation,
     QueryLedger,
     Site,
+    TapeTable,
     _empty_ledger,
     _ledger_sweep,
     _Tape,
     run_lca,
     site_tape,
-    table_tape,
 )
 from stochmatch.matching import (
     _Matcher,
@@ -586,7 +586,7 @@ def q_load(q: QProfile, g: Graph, v: int, within: Optional[frozenset] = None) ->
 
 def vertex_rank(ctx: SeedContext, v: int) -> tuple:
     """Total rank order: tape-drawn float with id tie-breaking."""
-    return (site_tape(ctx, Site.vertex(v)).uniform("rank"), v)
+    return (site_tape(ctx, Site("vertex", v)).uniform("rank"), v)
 
 
 def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
@@ -606,7 +606,7 @@ def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
 
 def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[int] = None):
     """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
-    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site.vertex(v))
+    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site("vertex", v))
 
 
 def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[int] = None) -> frozenset:
@@ -680,7 +680,7 @@ def enumerate_hyperwalks(g: Graph, walk_len: int, alpha: int) -> tuple:
 
 def matching_via_queries(lca: BMatchingLca, ctx: SeedContext) -> frozenset:
     """Edge set assembled from one instrumented query per edge."""
-    return frozenset(e for e in range(lca.g.m) if run_lca(lca, lca.g, ctx, Site.edge(e))[0])
+    return frozenset(e for e in range(lca.g.m) if run_lca(lca, lca.g, ctx, Site("edge", e))[0])
 
 
 def validate_profile(p: Profile) -> None:
@@ -845,11 +845,12 @@ def build_delta_table_v0(
     sub = crucial.sub
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
-    shared = {}
+    tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
         alg_ctx = alg_seed(ctx, exact, t)
-        tapes = shared if exact else {}
+        if tapes is None or not exact:
+            tapes = TapeTable(alg_ctx, sub)
         lca = BMatchingLca(
             sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks
         )
@@ -857,7 +858,7 @@ def build_delta_table_v0(
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, alg_ctx, Site.edge(e), tapes)
+                _, trace = run_lca(lca, sub, alg_ctx, Site("edge", e), tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -981,7 +982,7 @@ def enumerate_realizations_v0(g: Graph):
 def _prf_realization_v0(g: Graph, ctx: SeedContext, lineage: tuple) -> Realization:
     present = (
         e for e in range(g.m)
-        if _copy_realized(site_tape(ctx, Site.edge(e)), lineage, g.probability(e))
+        if _copy_realized(site_tape(ctx, Site("edge", e)), lineage, g.probability(e))
     )
     return Realization(g, edge_mask(present))
 
@@ -1023,7 +1024,7 @@ def _select_walks_v0(
     def rank(w: int) -> tuple:
         if w not in rank_memo:
             walk = hyperwalk_of(walks, w)
-            tape = site_tape(ctx, Site.edge(walk.edges[0]))
+            tape = site_tape(ctx, Site("edge", walk.edges[0]))
             rank_memo[w] = _walk_rank(tape, lineage, level, walk)
         return rank_memo[w]
 
@@ -1180,8 +1181,8 @@ def add_sweep_pairwise(self, out_sets: dict) -> None:
 
 #
 # The oracle before sites were built once per sweep: every probe and
-# every peek ran the full admission check and read the tape table
-# through ``table_tape``.  The LCAs now name sites by plain (kind, id)
+# every peek ran the full admission check and then looked its site up in
+# the tape table.  The LCAs now name sites by plain (kind, id)
 # pairs, so both references below turn each into a Site on entry.
 
 
@@ -1212,12 +1213,12 @@ class LcaOracleV1(LcaOracle):
                     self._touched[v] = None
                     self._near.add(v)
                     self._near.update(self.graph.neighbors(v))
-        return table_tape(self._tapes, self.ctx, site)
+        return self._tapes[site]
 
     def peek(self, site) -> _Tape:
         site = Site(*site)
         self._admit(site)
-        return table_tape(self._tapes, self.ctx, site)
+        return self._tapes[site]
 
 
 #
@@ -1309,10 +1310,10 @@ class TruncatedGreedyMisV0:
                 # never runs, so reported counts stay <= threshold
                 raise _Exhausted
             calls += 1
-            rank_v = oracle.probe(Site.vertex(v)).uniform("rank"), v
+            rank_v = oracle.probe(Site("vertex", v)).uniform("rank"), v
             below = []
             for w in g.neighbors(v):
-                rank_w = oracle.peek(Site.vertex(w)).uniform("rank"), w
+                rank_w = oracle.peek(Site("vertex", w)).uniform("rank"), w
                 if rank_w < rank_v:
                     below.append((rank_w, w))
             below.sort()

@@ -381,4 +381,4 @@ def test_hyperwalk_counts():
     for alpha in range(5):
         assert len(enumerate_hyperwalks(edge, 1, alpha)) == alpha + 1
     two = path_graph(2)
-    assert len(enumerate_hyperwalks_containing(two, Site.vertex(1), 2, 0)) == 4
+    assert len(enumerate_hyperwalks_containing(two, Site("vertex", 1), 2, 0)) == 4

@@ -296,7 +296,7 @@ class TestDeltaTable:
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(g, crucial, [(0, 1)], 20, SeedContext(5))
+        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5))
         assert table.get(0, 1) == 1.0
 
     def test_isolated_pair_never_collides(self):
@@ -304,14 +304,14 @@ class TestDeltaTable:
         g = path_graph(3)
         q = qprofile((0.9, 0.05, 0.05), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(g, crucial, [(2, 3)], 20, SeedContext(5))
+        table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5))
         assert table.get(2, 3) == 0.0
 
     def test_empty_pairs_short_circuits(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert build_delta_table(g, crucial, [], 0, SeedContext(5)).values == {}
+        assert build_delta_table(crucial, [], 0, SeedContext(5)).values == {}
 
 
 class TestBuildX:
@@ -731,7 +731,7 @@ class TestSeedMemoPipelines:
                 return out, trace
 
             monkeypatch.setattr(analysis, "run_lca", recording)
-            return build_delta_table(g, crucial, pairs, 6, ctx, exact), runs
+            return build_delta_table(crucial, pairs, 6, ctx, exact), runs
 
         shared, shared_runs = recorded(per_query=False)
         per_query, per_query_runs = recorded(per_query=True)
@@ -754,7 +754,7 @@ class TestSeedMemoPipelines:
 
         monkeypatch.setattr(analysis, "run_lca", recording)
         engines = counting_engines(monkeypatch)
-        got = build_delta_table(g, crucial, pairs, 12, ctx, exact)
+        got = build_delta_table(crucial, pairs, 12, ctx, exact)
         if exact:  # at most one engine per (realization, root)
             assert len(engines) <= crucial.sub.m * 2**crucial.sub.m
             assert len(engines) < len(queries)

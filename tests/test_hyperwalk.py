@@ -1,4 +1,6 @@
+import gc
 import pickle
+import weakref
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
@@ -37,7 +39,7 @@ from oracles import (
     walk_vertices,
 )
 from stochmatch import hyperwalk
-from stochmatch.graph import Graph, ResourceGuard, SeedContext, sample_realization
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
@@ -50,7 +52,7 @@ from stochmatch.hyperwalk import (
     gate_masks,
     open_gates,
 )
-from stochmatch.lca import Site, run_lca
+from stochmatch.lca import Site, TapeTable, run_lca
 from test_acceptance import B_CORPUS
 
 
@@ -150,12 +152,12 @@ class TestWalkVertices:
 class TestEnumeration:
     def test_single_edge_counts(self):
         g = path_graph(1)
-        assert len(enumerate_hyperwalks_containing(g, Site.edge(0), 1, 0)) == 1
-        assert len(enumerate_hyperwalks_containing(g, Site.edge(0), 1, 2)) == 3
+        assert len(enumerate_hyperwalks_containing(g, Site("edge", 0), 1, 0)) == 1
+        assert len(enumerate_hyperwalks_containing(g, Site("edge", 0), 1, 2)) == 3
 
     def test_two_path_middle_vertex(self):
         g = path_graph(2)
-        walks = enumerate_hyperwalks_containing(g, Site.vertex(1), 2, 0)
+        walks = enumerate_hyperwalks_containing(g, Site("vertex", 1), 2, 0)
         assert len(walks) == 4
         assert {(w.edges, w.indices) for w in walks} == {
             ((0,), (0,)),
@@ -184,11 +186,11 @@ class TestEnumeration:
         g = cycle_graph(5)
         allwalks = set(enumerate_hyperwalks(g, 3, 1))
         for v in range(g.n):
-            got = set(enumerate_hyperwalks_containing(g, Site.vertex(v), 3, 1))
+            got = set(enumerate_hyperwalks_containing(g, Site("vertex", v), 3, 1))
             want = {w for w in allwalks if v in walk_vertices(g, w.edges)}
             assert got == want
         for e in range(g.m):
-            got = set(enumerate_hyperwalks_containing(g, Site.edge(e), 3, 1))
+            got = set(enumerate_hyperwalks_containing(g, Site("edge", e), 3, 1))
             assert got == {w for w in allwalks if e in w.edges}
 
     def test_ceiling_guard(self, monkeypatch):
@@ -349,6 +351,34 @@ class TestBGeneric:
             b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
         with pytest.raises(ValueError, match="walk index does not match params"):
             BMatchingLca(g, params, full_realization(g), walks=walks)
+
+    def test_rejects_index_of_another_graph(self):
+        # the same vertex count is not enough: walk ids of another graph
+        # name other edges, and some of them past this graph's
+        g = gnp_graph(10, 0.4, 0.5, SeedContext(1).child("gen"))
+        other = gnp_graph(10, 0.4, 0.5, SeedContext(2).child("gen"))
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        walks = WalkIndex(other, params.walk_len, params.alpha)
+        real = full_realization(g)
+        with pytest.raises(ValueError, match="walk index does not match"):
+            b_generic(g, real, params, SeedContext(0), walks=walks)
+        with pytest.raises(ValueError, match="walk index does not match"):
+            BMatchingLca(g, params, real, walks=walks)
+
+    def test_recursion_freed_on_return(self):
+        # recurse refers to itself; unless b_generic breaks that cycle, the
+        # walk index outlives the call until a cyclic collection
+        g = complete_graph(4)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=2)
+        gc.disable()
+        try:
+            walks = WalkIndex(g, params.walk_len, params.alpha)
+            ref = weakref.ref(walks)
+            b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
+            del walks
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_monotone_without_extra_copies(self):
         # alpha = 0: each walk acts on copy 0 alone, so applications never
@@ -512,14 +542,15 @@ class TestQueryReplay:
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         masks = [mask for mask, _ in calls] * 2
         memo = SeedMemo()
+        tapes = TapeTable(ctx, g)  # one table for every query under the memo
         with pytest.MonkeyPatch.context() as mp:
             engines = counting_engines(mp)
             for mask in masks:
                 shared = BMatchingLca(g, params, mask, gates, walks, memo)
                 fresh = BMatchingLca(g, params, mask, gates, walks)
                 for e in range(g.m):
-                    out, trace = run_lca(shared, g, ctx, Site.edge(e), memo.tapes)
-                    want, want_trace = run_lca(fresh, g, ctx, Site.edge(e))
+                    out, trace = run_lca(shared, g, ctx, Site("edge", e), tapes)
+                    want, want_trace = run_lca(fresh, g, ctx, Site("edge", e))
                     assert out == want
                     assert trace.probed == want_trace.probed
                     assert trace.meta == want_trace.meta
@@ -533,7 +564,7 @@ class TestQueryReplay:
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(None))
         mask = calls[0][0]
         warm = SeedMemo()
-        root = Site.edge(data.draw(st.integers(0, g.m - 1)))
+        root = Site("edge", data.draw(st.integers(0, g.m - 1)))
         run_lca(BMatchingLca(g, params, mask, gates, walks, warm), g, ctx, root)
 
         def query(memo):
@@ -547,13 +578,13 @@ class TestQueryReplay:
         real = full_realization(g)
         memo = SeedMemo()
         lca = BMatchingLca(g, params, real, memo=memo)
-        run_lca(lca, g, SeedContext(1).child("alg"), Site.edge(0))
+        run_lca(lca, g, SeedContext(1).child("alg"), Site("edge", 0))
         with pytest.raises(ValueError, match="another"):
-            run_lca(lca, g, SeedContext(2).child("alg"), Site.edge(0))
+            run_lca(lca, g, SeedContext(2).child("alg"), Site("edge", 0))
         # the gates fold in the margin: one of 1 or more shuts them all
         other = BMatchingLca(g, replace(params, margin=1.5), real, memo=memo)
         with pytest.raises(ValueError, match="another"):
-            run_lca(other, g, SeedContext(1).child("alg"), Site.edge(0))
+            run_lca(other, g, SeedContext(1).child("alg"), Site("edge", 0))
 
 
 @st.composite
@@ -839,9 +870,9 @@ class TestLcaRoute:
         real = full_realization(g)
         lca = BMatchingLca(g, params, real)
         ctx = SeedContext(4).child("alg")
-        out, trace = run_lca(lca, g, ctx, Site.edge(0))
+        out, trace = run_lca(lca, g, ctx, Site("edge", 0))
         assert out == (0 in b_generic(g, real, params, ctx))
-        assert Site.edge(0) in trace.out_queries
+        assert Site("edge", 0) in trace.out_queries
 
     def test_rejects_mask_outside_graph(self):
         g = path_graph(2)
@@ -865,8 +896,8 @@ class TestLcaRoute:
                     lca = BMatchingLca(g, params, real)
                     old_lca = BMatchingLcaV1(g, params, real)
                     for e in range(g.m):
-                        out, trace = run_lca(lca, g, ctx, Site.edge(e))
-                        old, old_trace = run_lca(old_lca, g, ctx, Site.edge(e))
+                        out, trace = run_lca(lca, g, ctx, Site("edge", e))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e))
                         assert out == old, name
                         assert trace.probed == old_trace.probed, name
                         assert trace.meta["nodes"] == old_trace.meta["nodes"], name
@@ -881,5 +912,5 @@ class TestLcaRoute:
         for seed in range(10):
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                _, trace = run_lca(lca, g, ctx, Site.edge(e))
+                _, trace = run_lca(lca, g, ctx, Site("edge", e))
                 assert len(trace.out_queries) <= ceiling

@@ -26,6 +26,7 @@ from stochmatch.lca import (
     NaturalityViolation,
     QueryLedger,
     Site,
+    TapeTable,
     check_correlated_bound,
     gather_ledger,
     ledger_to_csv,
@@ -55,7 +56,7 @@ class HubLca:
     def run(self, oracle, root):
         oracle.probe(root)
         if root.id != 0:
-            oracle.probe(Site.vertex(0))
+            oracle.probe(Site("vertex", 0))
         return True
 
 
@@ -83,34 +84,34 @@ def star(n):
 class TestRunLca:
     def test_self_only_trace(self):
         g = star(5)
-        out, trace = run_lca(SelfOnlyLca(), g, SeedContext(0), Site.vertex(2))
-        assert trace.out_queries == frozenset({Site.vertex(2)})
+        out, trace = run_lca(SelfOnlyLca(), g, SeedContext(0), Site("vertex", 2))
+        assert trace.out_queries == frozenset({Site("vertex", 2)})
         assert isinstance(out, bool)
 
     def test_isolated_gmis_member(self):
         g = Graph.build(1, [])
-        out, trace = run_lca(TruncatedGreedyMis(), g, SeedContext(3), Site.vertex(0))
+        out, trace = run_lca(TruncatedGreedyMis(), g, SeedContext(3), Site("vertex", 0))
         assert out.member is True
-        assert trace.out_queries == frozenset({Site.vertex(0)})
+        assert trace.out_queries == frozenset({Site("vertex", 0)})
 
     def test_purity_and_interleaving(self):
         g = gnp_graph(10, 0.3, 0.5, SeedContext(4).child("gen"))
         ctx = SeedContext(17)
         lca = TruncatedGreedyMis()
-        first = [run_lca(lca, g, ctx, Site.vertex(v)) for v in range(g.n)]
+        first = [run_lca(lca, g, ctx, Site("vertex", v)) for v in range(g.n)]
         # interleave repeats with fresh queries in a different order
         for v in reversed(range(g.n)):
-            out, trace = run_lca(lca, g, ctx, Site.vertex(v))
+            out, trace = run_lca(lca, g, ctx, Site("vertex", v))
             assert (out, trace) == first[v]
-            again, trace2 = run_lca(lca, g, ctx, Site.vertex((v * 3) % g.n))
+            again, trace2 = run_lca(lca, g, ctx, Site("vertex", (v * 3) % g.n))
             assert (again, trace2) == first[(v * 3) % g.n]
 
     def test_naturality_enforced(self):
         g = path_graph(3)
         for op in ("probe", "peek"):
             with pytest.raises(NaturalityViolation):
-                run_lca(RogueLca(op), g, SeedContext(0), Site.vertex(0))
-            assert run_lca(RogueLca(op, hops=1), g, SeedContext(0), Site.vertex(0))[0]
+                run_lca(RogueLca(op), g, SeedContext(0), Site("vertex", 0))
+            assert run_lca(RogueLca(op, hops=1), g, SeedContext(0), Site("vertex", 0))[0]
 
     def test_unknown_site_kind_refused(self):
         # also for an id among the touched vertices, which a vertex read
@@ -119,18 +120,18 @@ class TestRunLca:
         for op in ("probe", "peek"):
             for hops in (0, 1):
                 with pytest.raises(ValueError, match="unknown site kind 'face'"):
-                    run_lca(RogueLca(op, hops, "face"), g, SeedContext(0), Site.vertex(1))
+                    run_lca(RogueLca(op, hops, "face"), g, SeedContext(0), Site("vertex", 1))
 
     def test_root_kind_mismatch(self):
         with pytest.raises(ValueError, match="expects vertex roots, got edge"):
-            run_lca(TruncatedGreedyMis(), path_graph(2), SeedContext(0), Site.edge(0))
+            run_lca(TruncatedGreedyMis(), path_graph(2), SeedContext(0), Site("edge", 0))
 
     def test_trace_prefixes_connected(self):
         # independent re-check of the naturality contract on real traces
         g = gnp_graph(12, 0.3, 0.5, SeedContext(6).child("gen"))
         ctx = SeedContext(23)
         for v in range(g.n):
-            _, trace = run_lca(TruncatedGreedyMis(), g, ctx, Site.vertex(v))
+            _, trace = run_lca(TruncatedGreedyMis(), g, ctx, Site("vertex", v))
             seen = set()
             for site in trace.probed:
                 ok = not seen or any(
@@ -141,8 +142,8 @@ class TestRunLca:
 
     def test_site_tape_is_canonical(self):
         ctx = SeedContext(9)
-        a = site_tape(ctx, Site.vertex(4)).uniform("rank")
-        b = site_tape(ctx, Site.vertex(4)).uniform("rank")
+        a = site_tape(ctx, Site("vertex", 4)).uniform("rank")
+        b = site_tape(ctx, Site("vertex", 4)).uniform("rank")
         assert a == b
 
 
@@ -151,7 +152,7 @@ class TestLedger:
         g = star(6)
         ledger = sweep_ledger(SelfOnlyLca(), g, SeedContext(0))
         for v in range(g.n):
-            s = Site.vertex(v)
+            s = Site("vertex", v)
             assert ledger.mean_qplus(s) == 1.0
             assert ledger.mean_qminus(s) == 1.0
             assert ledger.mean_psi(s) == 1.0
@@ -160,8 +161,8 @@ class TestLedger:
         n = 7
         g = star(n)
         ledger = sweep_ledger(HubLca(), g, SeedContext(0))
-        assert ledger.mean_qminus(Site.vertex(0)) == n
-        assert all(ledger.mean_psi(Site.vertex(v)) == n for v in range(n))
+        assert ledger.mean_qminus(Site("vertex", 0)) == n
+        assert all(ledger.mean_psi(Site("vertex", v)) == n for v in range(n))
         report = check_correlated_bound(
             gather_ledger(HubLca(), g, SeedContext(0), trials=3)
         )
@@ -177,15 +178,15 @@ class TestLedger:
         lca = TruncatedGreedyMis()
         outs = {}
         for v in range(3):
-            out, trace = run_lca(lca, g, ctx, Site.vertex(v))
+            out, trace = run_lca(lca, g, ctx, Site("vertex", v))
             outs[v] = (out.member, trace.out_queries)
-        assert outs[0] == (False, frozenset({Site.vertex(0), Site.vertex(1)}))
-        assert outs[2] == (False, frozenset({Site.vertex(2), Site.vertex(1)}))
+        assert outs[0] == (False, frozenset({Site("vertex", 0), Site("vertex", 1)}))
+        assert outs[2] == (False, frozenset({Site("vertex", 2), Site("vertex", 1)}))
         assert outs[1][0] is True
         # correlated set of 0 contains 2: their out-query sets meet at 1
         assert outs[0][1] & outs[2][1]
         ledger = sweep_ledger(lca, g, ctx)
-        assert ledger.mean_psi(Site.vertex(0)) == 3.0
+        assert ledger.mean_psi(Site("vertex", 0)) == 3.0
 
     def test_identity_and_pointwise(self):
         g = gnp_graph(12, 0.3, 0.5, SeedContext(1).child("gen"))
@@ -276,7 +277,7 @@ class TestTapeTable:
         assert ledger.psi_rows == ref.psi_rows
         for t in range(trials):
             sub = ctx.child("sweep", t)
-            tapes = {}
+            tapes = TapeTable(sub, g)
             for r in ledger.sites:
                 out, trace = run_lca(lca, g, sub, r, tapes)
                 old, old_trace = run_lca_v0(ref_lca, g, sub, r)
@@ -342,10 +343,10 @@ class TestTapeTable:
         ctx = SeedContext(1).child("count")
         built = self.count_calls(monkeypatch, "__new__", Site)
         for g in graphs:
-            roots = [Site.vertex(v) for v in range(g.n)]
+            roots = [Site("vertex", v) for v in range(g.n)]
             for budget in (None, 3):
                 lca = TruncatedGreedyMis(budget)
-                tapes = {}  # the sweep's tape table, as in sweep_ledger
+                tapes = TapeTable(ctx, g)  # the sweep's, as in sweep_ledger
                 built["n"] = 0
                 for root in roots:
                     run_lca(lca, g, ctx, root, tapes)
@@ -364,6 +365,22 @@ class TestTapeTable:
         sweep_ledger(lca, g, SeedContext(3).child("count"))
         assert reads and len(set(reads)) == len(reads)
 
+    def test_table_refuses_another_ctx_or_graph(self):
+        # a table's tapes and expansions are functions of its ctx and graph:
+        # reused under another seed or on another graph, it would answer
+        # from them, so the oracle refuses it; an equal ctx is the same seed
+        g = gnp_graph(30, 0.1, 0.5, SeedContext(0).child("gen"))
+        other = gnp_graph(30, 0.1, 0.5, SeedContext(1).child("gen"))
+        lca = TruncatedGreedyMis()
+        tapes = TapeTable(SeedContext(1), g)
+        for v in range(g.n):
+            root = Site("vertex", v)
+            shared = run_lca(lca, g, SeedContext(1), root, tapes)
+            assert shared == run_lca(lca, g, SeedContext(1), root)
+            for ctx, h in ((SeedContext(2), g), (SeedContext(1), other)):
+                with pytest.raises(ValueError, match="another ctx or graph"):
+                    run_lca(lca, h, ctx, root, tapes)
+
     def test_table_dies_with_its_sweep(self):
         # no query may leave a reference cycle reaching the table: the
         # table would then outlive its sweep until a full collection
@@ -373,9 +390,9 @@ class TestTapeTable:
         gc.disable()
         try:
             for g, lca, kind in cases:
-                tapes = {}
+                tapes = TapeTable(SeedContext(0), g)
                 for i in range(g.n if kind == "vertex" else g.m):
-                    run_lca(lca, g, SeedContext(0), Site(kind, i), tapes)
+                    run_lca(lca, g, tapes.ctx, Site(kind, i), tapes)
                 refs = [weakref.ref(tape) for tape in tapes.values()]
                 del tapes
                 assert refs and all(ref() is None for ref in refs)
@@ -388,7 +405,7 @@ class TestTapeTable:
         counter = self.count_calls(monkeypatch, "__post_init__")
         for e in range(g.m):
             counter["n"] = 0
-            run_lca(lca, g, ctx, Site.edge(e))
+            run_lca(lca, g, ctx, Site("edge", e))
             assert counter["n"] <= g.m
 
 
@@ -425,7 +442,7 @@ class TestNearSet:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = Graph.build(n, [(u, v, 0.5) for u, v in chosen])
-        sites = [Site.vertex(v) for v in range(n)] + [Site.edge(e) for e in range(g.m)]
+        sites = [Site("vertex", v) for v in range(n)] + [Site("edge", e) for e in range(g.m)]
         root = data.draw(st.sampled_from(sites))
         # unknown kinds, and every site also as the plain pair the LCAs pass
         unknown = [Site("face", i) for i in range(n)]
@@ -435,8 +452,8 @@ class TestNearSet:
 
     def test_vertex_peek_after_edge_probes_only(self):
         g = path_graph(4)  # vertices 0-1-2-3-4, edge e joins e and e + 1
-        steps = [("probe", Site.edge(1)), ("peek", Site.vertex(3)), ("peek", Site.vertex(4))]
-        assert self.assert_admits_as_references(g, Site.edge(0), steps) == [True, True, False]
+        steps = [("probe", Site("edge", 1)), ("peek", Site("vertex", 3)), ("peek", Site("vertex", 4))]
+        assert self.assert_admits_as_references(g, Site("edge", 0), steps) == [True, True, False]
 
 
 class TestDelta:
@@ -445,21 +462,21 @@ class TestDelta:
         est = estimate_delta(
             TruncatedGreedyMis(),
             g,
-            [(Site.vertex(0), Site.vertex(1))],
+            [(Site("vertex", 0), Site("vertex", 1))],
             trials=40,
             ctx=SeedContext(0),
         )
-        assert est[(Site.vertex(0), Site.vertex(1))].delta == 0.0
+        assert est[(Site("vertex", 0), Site("vertex", 1))].delta == 0.0
 
     def test_same_root_one(self):
         g = star(3)
-        pair = (Site.vertex(1), Site.vertex(1))
+        pair = (Site("vertex", 1), Site("vertex", 1))
         est = estimate_delta(TruncatedGreedyMis(), g, [pair], trials=20, ctx=SeedContext(0))
         assert est[pair].delta == 1.0
 
     def test_adjacent_gmis_one(self):
         g = Graph.build(2, [(0, 1, 0.5)])
-        pair = (Site.vertex(0), Site.vertex(1))
+        pair = (Site("vertex", 0), Site("vertex", 1))
         est = estimate_delta(TruncatedGreedyMis(), g, [pair], trials=50, ctx=SeedContext(1))
         assert est[pair].delta == 1.0
 
@@ -477,7 +494,7 @@ class TestDelta:
             outs = {}
             sets = {}
             for v in range(g.n):
-                out, trace = run_lca(lca, g, sub, Site.vertex(v))
+                out, trace = run_lca(lca, g, sub, Site("vertex", v))
                 outs[v] = 1.0 if out.member else 0.0
                 sets[v] = trace.out_queries
             outputs.append((outs, sets))
@@ -510,7 +527,7 @@ def _b_corpus_queries():
             lca = BMatchingLca(g, params, real)
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                out, trace = run_lca(lca, g, ctx, Site.edge(e))
+                out, trace = run_lca(lca, g, ctx, Site("edge", e))
                 yield name, seed, e, out, trace
 
 
@@ -532,9 +549,9 @@ class TestProbeOrder:
         g = gnp_graph(50, 0.2, 0.5, SeedContext(3).child("g"))
         lca = TruncatedGreedyMis(4)
         ctx = SeedContext(8).child("ledger", "sweep", 0)
-        tapes = {}
+        tapes = TapeTable(ctx, g)
         for v in range(g.n):
-            out, trace = run_lca(lca, g, ctx, Site.vertex(v), tapes)
+            out, trace = run_lca(lca, g, ctx, Site("vertex", v), tapes)
             h.update(self.line(v, out.member, out.calls, out.truncated, trace=trace))
         assert h.hexdigest() == self.DIGEST
 
@@ -561,11 +578,11 @@ class TestProbeOrder:
             ctx = SeedContext(seed).child("reads")
             for budget in (None, 1, 3):
                 lca = TruncatedGreedyMisV0(budget)
-                tapes = {}
+                tapes = TapeTable(ctx, g)
                 for v in range(g.n):
                     reads.clear()
-                    oracle = LcaOracle(g, ctx, Site.vertex(v), tapes)
-                    truncated += lca.run(oracle, Site.vertex(v)).truncated
+                    oracle = LcaOracle(g, ctx, Site("vertex", v), tapes)
+                    truncated += lca.run(oracle, Site("vertex", v)).truncated
                     probed = {s.id for s in oracle.probed}
                     near = probed.union(*(g.neighbors(u) for u in probed))
                     assert reads == near == oracle._near

@@ -23,7 +23,7 @@ from oracles import (
 from stochmatch import hyperwalk
 from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
-from stochmatch.lca import gather_ledger, run_lca, Site
+from stochmatch.lca import Site, TapeTable, gather_ledger, run_lca
 from stochmatch.mis import TruncatedGreedyMis, greedy_member
 from stochmatch.sparsifier import max_degree_of
 from test_acceptance import B_CORPUS
@@ -183,7 +183,7 @@ def test_in_query_growth_linear():
             SeedContext(21).child("stars", leaves),
             trials=40,
         )
-        means[leaves] = ledger.mean_qminus(Site.vertex(0))
+        means[leaves] = ledger.mean_qminus(Site("vertex", 0))
     c_fit = means[4] / 4.0
     for leaves in (8, 16):
         assert means[leaves] <= 3.0 * c_fit * leaves
@@ -212,7 +212,7 @@ class TestEngine:
             ctx = SeedContext(seed).child("tapes")
             for threshold in (None,) + tuple(range(1, 11)):
                 for v in range(g.n):
-                    root = Site.vertex(v)
+                    root = Site("vertex", v)
                     new, trace = run_lca(TruncatedGreedyMis(threshold), g, ctx, root)
                     old, old_trace = run_lca(TruncatedGreedyMisV0(threshold), g, ctx, root)
                     assert new == old
@@ -242,8 +242,8 @@ class TestEngine:
                     for e in range(g.m):
                         log.clear()
                         old_lca.mis_log.clear()
-                        out, trace = run_lca(lca, g, ctx, Site.edge(e))
-                        old, old_trace = run_lca(old_lca, g, ctx, Site.edge(e))
+                        out, trace = run_lca(lca, g, ctx, Site("edge", e))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e))
                         assert out == old, name
                         assert trace.probed == old_trace.probed, name
                         assert len(log) == len(old_lca.mis_log), name
@@ -276,7 +276,7 @@ class TestSharedExpansions:
     def assert_matches_fresh(budget, g, ctx, roots, tapes) -> int:
         truncated = 0
         for v in roots:
-            root = Site.vertex(v)
+            root = Site("vertex", v)
             out, trace = run_lca(TruncatedGreedyMis(budget), g, ctx, root, tapes)
             old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root)
             assert out == old
@@ -293,16 +293,19 @@ class TestSharedExpansions:
             random.Random(i).shuffle(shuffled)
             for roots in (range(g.n), range(g.n - 1, -1, -1), shuffled):
                 for budget in (None, 1, 3, 8):
-                    truncated += self.assert_matches_fresh(budget, g, ctx, roots, {})
+                    tapes = TapeTable(ctx, g)
+                    truncated += self.assert_matches_fresh(budget, g, ctx, roots, tapes)
         assert truncated > 0, "corpus never exercised truncation"
 
     def test_table_reused_across_graphs(self):
-        # one table and one ctx on two graphs over the same vertices: an
-        # expansion stored for one graph must not answer the other
-        graphs = (cycle_graph(12), gnp_graph(12, 0.3, 0.5, SeedContext(5).child("share")))
+        # an expansion stored on a tape is its table's graph's, so a table
+        # bound to one graph refuses a query on another over the same
+        # vertices, and keeps answering its own as a fresh table does
+        g, other = cycle_graph(12), gnp_graph(12, 0.3, 0.5, SeedContext(5).child("share"))
         ctx = SeedContext(5).child("tapes")
         for budget in (None, 3):
-            tapes = {}
+            tapes = TapeTable(ctx, g)
             for v in range(12):
-                for g in graphs:
-                    self.assert_matches_fresh(budget, g, ctx, [v], tapes)
+                self.assert_matches_fresh(budget, g, ctx, [v], tapes)
+                with pytest.raises(ValueError, match="another ctx or graph"):
+                    run_lca(TruncatedGreedyMis(budget), other, ctx, Site("vertex", v), tapes)

@@ -6,9 +6,18 @@ referenced from the package itself, ``scripts/`` or ``bench/``.  A
 reference counts only when it is live: references made inside a
 definition that is itself unreferenced do not count, which is resolved
 to a fixpoint.  The bench tracer binds its wrappers by dotted strings
-(``"hyperwalk.BMatchingLca.run"``), so the string constants of
-``bench/tracer.py`` count as references too.  Matching is by name, not
-by type, so the lint can miss dead code; it never flags live code.
+(``"hyperwalk.BMatchingLca.run"``), so the dotted string constants of
+``bench/tracer.py`` count as references too; an undotted one such as
+``"vertex"`` names no wrapper target.  Matching is by name, not by type,
+so the lint can miss dead code; it never flags live code.
+
+``__init__.py`` re-exports only allowlisted names: every module of the
+package is imported by its dotted path, so a package-level binding is a
+second front end that something must read.
+
+Every parameter of a top-level function or method of the package is
+read in its body, ``self`` and ``cls`` aside.  A nested function is
+exempt: its caller fixes its signature.
 
 The same holds for settings: every defaulted parameter of a public
 function, public method or ``__init__``, and every plainly defaulted
@@ -34,7 +43,12 @@ And it defines a fixed set of exception types: every work limit raises
 The frozen references of ``tests/oracles.py`` check the package, so none
 derives from a package class, directly or through another class: a
 reference that inherits the code it checks compares that code with
-itself.  Each exception is allowlisted with its reason.
+itself.  Nor does a top-level class or function there load a
+``_``-prefixed attribute name that a package class defines (a method, a
+class attribute or an attribute it stores), unless the reference or an
+oracles class it derives from defines that name too: a reference that
+reads the package's private state moves when that state does.  Each
+exception is allowlisted with its reason.
 """
 
 import ast
@@ -55,6 +69,18 @@ EXCEPTIONS = {
 # name -> why it stays without a caller outside the tests
 ALLOWED = {}
 
+# name bound in __init__.py -> why the package namespace binds it
+ALLOWED_REEXPORTS = {
+    "sample_realization": "bench/test_bench.py checks that the tracer rebinds it "
+    "in the package namespace too",
+}
+
+# "module.callable.parameter" -> why its body does not read it
+ALLOWED_UNREAD = {
+    "analysis.build_f.H": "bench/test_bench.py passes it by position, so "
+    "dropping it would shift that call's arguments",
+}
+
 # "module.callable.parameter" -> why only tests set it
 ALLOWED_PARAMETERS = {}
 
@@ -68,6 +94,25 @@ ALLOWED_SUBCLASSES = dict.fromkeys(
         "MatcherV1",
         "_EngineV0",
         "_EngineV1",
+    ),
+    "item 11(a): not yet self-contained",
+)
+
+# "oracles definition.private name" -> why that reference still reads it
+ALLOWED_PRIVATE_READS = dict.fromkeys(
+    (
+        "LcaOracleV0._probed",
+        "LcaOracleV0._touched",
+        "LcaOracleV1._near",
+        "LcaOracleV1._probed",
+        "LcaOracleV1._tapes",
+        "LcaOracleV1._touched",
+        "MatcherV1._lca",
+        "MatcherV1._mark_path",
+        "_EngineV0._mis",
+        "_EngineV0._ranks",
+        "_EngineV1._records",
+        "_EngineV1._valid",
     ),
     "item 11(a): not yet self-contained",
 )
@@ -125,7 +170,7 @@ def _outside_refs() -> set:
         out |= _refs(tree)
         if path.name == "tracer.py":
             for sub in ast.walk(tree):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "." in sub.value:
                     out.update(sub.value.split("."))
     return out
 
@@ -161,6 +206,68 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_entries_are_still_uncalled():
     dead = {q.rsplit(".", 1)[-1] for q in unreferenced()}
     assert set(ALLOWED) <= dead, f"allowlisted names that gained a caller: {set(ALLOWED) - dead}"
+
+
+def reexports() -> list:
+    """The names that ``__init__.py`` binds at its top level, dunders aside."""
+    out = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif _is_def(node):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return sorted(n for n in out if not (n.startswith("__") and n.endswith("__")))
+
+
+def test_package_namespace_binds_only_allowlisted_names():
+    found = reexports()
+    missing = [n for n in found if n not in ALLOWED_REEXPORTS]
+    assert missing == [], f"names __init__.py binds that no caller reads through the package: {missing}"
+    stale = set(ALLOWED_REEXPORTS) - set(found)
+    assert not stale, f"allowlisted re-exports that __init__.py no longer binds: {stale}"
+
+
+def unread_parameters() -> list:
+    """Qualified names of the parameters of top-level functions and
+    methods that their bodies never load; ``self`` and ``cls`` aside."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(f"{path.stem}.{node.name}", node, False)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [
+                    (f"{path.stem}.{node.name}.{item.name}", item, not any(
+                        getattr(d, "id", None) == "staticmethod" for d in item.decorator_list
+                    ))
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for qual, fn, bound in fns:
+                args = fn.args
+                params = (args.posonlyargs + args.args)[1 if bound else 0 :] + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                read = {
+                    n.id
+                    for stmt in fn.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                out += [f"{qual}.{a.arg}" for a in params if a.arg not in read]
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    missing = [q for q in unread if q not in ALLOWED_UNREAD]
+    assert missing == [], f"parameters that their function never reads: {missing}"
+    stale = set(ALLOWED_UNREAD) - set(unread)
+    assert not stale, f"allowlisted parameters that are now read: {stale}"
 
 
 def _callee(call: ast.Call):
@@ -453,3 +560,54 @@ def test_frozen_references_derive_from_no_package_class():
     assert missing == [], f"oracles classes deriving from a stochmatch class: {missing}"
     stale = set(ALLOWED_SUBCLASSES) - set(found)
     assert not stale, f"allowlisted oracles classes that no longer derive from one: {stale}"
+
+
+def _private_names(*nodes) -> set:
+    """The ``_``-prefixed, non-dunder attribute names the classes among
+    ``nodes`` and their nested nodes define: their methods and class
+    attributes, and every attribute stored within them."""
+    out = set()
+    for cls in (c for node in nodes for c in ast.walk(node) if isinstance(c, ast.ClassDef)):
+        for item in cls.body:
+            if _is_def(item):
+                out.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                out |= {t.id for t in targets if isinstance(t, ast.Name)}
+        out |= {
+            sub.attr
+            for sub in ast.walk(cls)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        }
+    return {n for n in out if n.startswith("_") and not n.endswith("__")}
+
+
+def private_reads() -> list:
+    """``definition.name`` for each private attribute name of the package
+    that a top-level definition of ``tests/oracles.py`` loads, and that
+    neither it nor an oracles class it derives from defines."""
+    package = _private_names(*(ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))))
+    body = ast.parse((ROOT / "tests" / "oracles.py").read_text()).body
+    defs = {node.name: node for node in body if _is_def(node)}
+
+    def own(node) -> set:
+        bases = {getattr(b, "id", None) for b in getattr(node, "bases", ())} & set(defs)
+        return _private_names(node).union(*(own(defs[b]) for b in bases))
+
+    out = []
+    for name, node in defs.items():
+        loads = {
+            sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
+        out += [f"{name}.{attr}" for attr in (loads & package) - own(node)]
+    return sorted(out)
+
+
+def test_frozen_references_read_no_private_state():
+    found = private_reads()
+    missing = [q for q in found if q not in ALLOWED_PRIVATE_READS]
+    assert missing == [], f"oracles definitions reading private package attributes: {missing}"
+    stale = set(ALLOWED_PRIVATE_READS) - set(found)
+    assert not stale, f"allowlisted private reads that no longer happen: {stale}"
