@@ -286,17 +286,6 @@ def load_graph(path) -> Graph:
         return parse_graph_text(fh.read())
 
 
-def gnp_graph(n: int, edge_prob: float, p: float, ctx: SeedContext) -> Graph:
-    """Erdos-Renyi instance: each pair is an edge with probability
-    ``edge_prob``; every edge gets realization probability ``p``."""
-    triples = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if ctx.uniform("gnp", u, v) < edge_prob:
-                triples.append((u, v, p))
-    return Graph.build(n, triples)
-
-
 def subgraph(g: Graph, edge_ids: Iterable[int]):
     """Dense re-indexed subgraph on the same vertex set.
 

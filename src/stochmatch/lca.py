@@ -43,13 +43,10 @@ the first time its sweep's table expands a vertex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .graph import Graph, SeedContext
-
-CORRELATED_SLACK = 3.0
 
 
 class NaturalityViolation(RuntimeError):
@@ -235,10 +232,6 @@ class QueryLedger:
     qminus_rows: list = field(default_factory=list)
     psi_rows: list = field(default_factory=list)
 
-    @property
-    def trials(self) -> int:
-        return len(self.qplus_rows)
-
     def add_sweep(self, out_sets: dict) -> None:
         """Ledger one sweep from each root's out-query set.  q- and psi
         read the in-query index ``into[w]`` (the roots whose out-set
@@ -264,20 +257,6 @@ class QueryLedger:
 
     def mean_psi(self, site: Site) -> float:
         return self._mean(self.psi_rows, site)
-
-    def max_mean(self, stat: str) -> tuple:
-        rows = getattr(self, f"{stat}_rows")
-        best_site = max(self.sites, key=lambda s: (self._mean(rows, s), s))
-        return self._mean(rows, best_site), best_site
-
-    def stderr(self, stat: str, site: Site) -> float:
-        rows = getattr(self, f"{stat}_rows")
-        k = len(rows)
-        if k < 2:
-            return float("inf")
-        mean = self._mean(rows, site)
-        var = sum((row[site] - mean) ** 2 for row in rows) / (k - 1)
-        return math.sqrt(var / k)
 
 
 def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> QueryLedger:
@@ -305,38 +284,6 @@ def gather_ledger(lca, g: Graph, ctx: SeedContext, trials: int) -> QueryLedger:
     for t in range(trials):
         _ledger_sweep(ledger, lca, g, ctx.child("sweep", t))
     return ledger
-
-
-@dataclass(frozen=True)
-class CorrelatedBoundReport:
-    """max_v E[psi(v)] against the product of the largest mean q+ and q-."""
-
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= CORRELATED_SLACK * self.rhs + 3.0 * self.lhs_stderr
-
-
-def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
-    """Compare the worst mean correlated-set size to mean-q+ * mean-q-.
-
-    Needs a ledger of at least 30 sweeps for the error term to mean
-    anything; flags violations beyond ``CORRELATED_SLACK`` times the
-    product plus three standard errors.
-    """
-    if ledger.trials < 2:
-        raise ValueError("need at least two sweeps")
-    lhs, lhs_site = ledger.max_mean("psi")
-    qp, _ = ledger.max_mean("qplus")
-    qm, _ = ledger.max_mean("qminus")
-    return CorrelatedBoundReport(
-        lhs=lhs,
-        lhs_stderr=ledger.stderr("psi", lhs_site),
-        rhs=qp * qm,
-    )
 
 
 def ledger_to_csv(ledger: QueryLedger) -> str:

@@ -330,6 +330,17 @@ def complete_bipartite(a: int, b: int, p: float = 0.5) -> Graph:
     return Graph.build(a + b, [(u, a + w, p) for u in range(a) for w in range(b)])
 
 
+def gnp_graph(n: int, edge_prob: float, p: float, ctx: SeedContext) -> Graph:
+    """Erdos-Renyi instance: each pair is an edge with probability
+    ``edge_prob``; every edge gets realization probability ``p``."""
+    triples = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if ctx.uniform("gnp", u, v) < edge_prob:
+                triples.append((u, v, p))
+    return Graph.build(n, triples)
+
+
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -551,8 +562,9 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
 
 # -- reference checkers and wrappers moved out of the package ---------------
 #
-# Each has no caller in the package, its scripts or the bench: checkers
-# that tests compare the package against, and thin wrappers over one
+# Each has no caller in the package or the bench: checkers that tests
+# compare the package against, properties the tests check about it (the
+# correlated-probe bound over a ledger), and thin wrappers over one
 # production route that the tests spell by name.
 
 
@@ -627,6 +639,48 @@ def sweep_ledger(lca, g: Graph, ctx: SeedContext) -> QueryLedger:
     tapes of ``ctx`` itself (``gather_ledger`` sweeps under
     ``ctx.child("sweep", t)``)."""
     return _ledger_sweep(_empty_ledger(lca, g), lca, g, ctx)
+
+
+CORRELATED_SLACK = 3.0
+
+
+@dataclass(frozen=True)
+class CorrelatedBoundReport:
+    """max_v E[psi(v)] against the product of the largest mean q+ and q-."""
+
+    lhs: float
+    lhs_stderr: float
+    rhs: float
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs <= CORRELATED_SLACK * self.rhs + 3.0 * self.lhs_stderr
+
+
+def max_mean(ledger: QueryLedger, stat: str) -> tuple:
+    """(mean, site): the largest mean of ``stat`` ("qplus", "qminus" or
+    "psi") over the ledger's sweeps, at the largest site on a tie."""
+    rows = getattr(ledger, f"{stat}_rows")
+    return max((sum(row[s] for row in rows) / len(rows), s) for s in ledger.sites)
+
+
+def check_correlated_bound(ledger: QueryLedger) -> CorrelatedBoundReport:
+    """Compare the worst mean correlated-set size to mean-q+ * mean-q-.
+
+    Needs a ledger of at least 30 sweeps for the error term to mean
+    anything; flags violations beyond ``CORRELATED_SLACK`` times the
+    product plus three standard errors of the worst mean.
+    """
+    k = len(ledger.psi_rows)
+    if k < 2:
+        raise ValueError("need at least two sweeps")
+    lhs, site = max_mean(ledger, "psi")
+    var = sum((row[site] - lhs) ** 2 for row in ledger.psi_rows) / (k - 1)
+    return CorrelatedBoundReport(
+        lhs=lhs,
+        lhs_stderr=math.sqrt(var / k),
+        rhs=max_mean(ledger, "qplus")[0] * max_mean(ledger, "qminus")[0],
+    )
 
 
 def budget_for_degree(max_degree: int, eps: float, c: float = 1.0) -> int:

@@ -15,12 +15,14 @@ import pytest
 
 from oracles import (
     brute_matching_number,
+    check_correlated_bound,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
     estimate_ratio,
+    gnp_graph,
     greedy_mis_sweep,
     is_independent,
     is_matching,
@@ -43,9 +45,9 @@ from stochmatch.analysis import (
     run_pipeline,
     scale_values,
 )
-from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
+from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams, b_generic
-from stochmatch.lca import Site, check_correlated_bound, gather_ledger
+from stochmatch.lca import Site, gather_ledger
 from stochmatch.matching import (
     FractionalMatching,
     check_blossom,
@@ -172,6 +174,10 @@ def test_tmis_query_cap():
 
 @pytest.mark.criterion(8, "ledger identity and correlated-probe bound over tmis sweeps")
 def test_ledger_identity():
+    """Every sweep keeps sum q+ = sum q- and psi >= q+ at each site, and
+    30 sweeps keep the correlated-probe bound.  The bound is a property
+    the tests check about the LCA, not a package output, so its check
+    and the G(n, p) generator come from ``oracles``."""
     g = gnp_graph(50, 0.2, 0.5, SeedContext(3).child("g"))
     ledger = gather_ledger(
         TruncatedGreedyMis(None), g, SeedContext(8).child("ledger"), trials=30

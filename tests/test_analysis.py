@@ -15,6 +15,7 @@ from oracles import (
     estimate_ratio,
     flagged,
     gate_table,
+    gnp_graph,
     is_matching,
     path_graph,
     ratio_sweep_v0,
@@ -42,7 +43,6 @@ from stochmatch.analysis import (
 from stochmatch.graph import (
     Graph,
     SeedContext,
-    gnp_graph,
     sample_realization,
     write_graph_text,
 )

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import stochmatch
+from oracles import path_graph
 from stochmatch.cli import main
-from stochmatch.graph import Graph, load_graph, write_graph_text
+from stochmatch.graph import ENUM_CAP, Graph, load_graph, write_graph_text
 from stochmatch.hyperwalk import DEPTH_LIMIT
 from stochmatch.sparsifier import BUILD_DRAW_LIMIT
 
@@ -131,6 +132,16 @@ class TestEvaluate:
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("n,m,p,R,ratio,stderr,mode")
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block of README.md, run as written, so a moved
+    # import or renamed argument there fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    ratio, stderr = map(float, capsys.readouterr().out.split())
+    assert 0.0 < ratio <= 1.0 and stderr > 0.0
 
 
 class TestLcaStats:
@@ -340,6 +351,10 @@ class TestExitCodes:
                    "--samples", "10"])
         assert rc == 1
         assert "aborted" in capsys.readouterr().err
+        # one edge past the cap is refused too, with one line naming both counts
+        inp = write_input(tmp_path, path_graph(ENUM_CAP + 1), "path.txt")
+        assert main(["evaluate", "--input", inp, "--R", "1", "--exact"]) == 1
+        assert capsys.readouterr().err == f"aborted: {ENUM_CAP + 1} edges exceeds enumeration cap {ENUM_CAP}\n"
 
     def test_walk_index_ceiling_aborts(self, tmp_path, capsys):
         pairs = [(u, v, 0.5) for u in range(6) for v in range(u + 1, 6)]
@@ -475,6 +490,19 @@ class TestExitCodes:
         assert f"{key} must not be negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sparsify", "--R", "1"],
+        ["evaluate", "--R", "1"],
+        ["lca-stats", "--samples", "2"],
+        ["verify", "--R", "1", "--samples", "2"],
+    ], ids=lambda command: command[0])
+    def test_unwritable_out_writes_nothing(self, tmp_path, tri_file, capsys, command):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(command + ["--input", tri_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "No such file" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["tri.txt"]
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
 
@@ -497,6 +525,13 @@ class TestExitCodes:
         # lca-stats reads eps only through the default margin 2 eps^2
         assert main(["lca-stats", "--input", tri_file, "--lca", "b-matching", "--eps", eps]) == 2
         assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+
+    @pytest.mark.parametrize("command", ["sparsify", "evaluate"])
+    def test_sparsifier_eps_out_of_range_rejected(self, tmp_path, tri_file, capsys, command):
+        out = tmp_path / "out.txt"
+        assert main([command, "--input", tri_file, "--R", "1", "--eps", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+        assert not out.exists()
 
 
 # Output digests frozen from the implementation before the MIS engine,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import edge_id, enumerate_realizations_v0, path_graph, restrict
+from oracles import edge_id, enumerate_realizations_v0, gnp_graph, path_graph, restrict
 from stochmatch.graph import (
     ENUM_CAP,
     LOW_EDGES,
@@ -18,7 +18,6 @@ from stochmatch.graph import (
     edge_mask,
     enumerate_realizations,
     mask_edges,
-    gnp_graph,
     parse_graph_text,
     sample_realization,
     subgraph,

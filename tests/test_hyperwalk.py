@@ -24,6 +24,7 @@ from oracles import (
     enumerate_hyperwalks,
     enumerate_hyperwalks_containing,
     gate_table,
+    gnp_graph,
     hyperwalk_of,
     hyperwalk_reference_set,
     is_augmenting,
@@ -39,7 +40,7 @@ from oracles import (
     walk_vertices,
 )
 from stochmatch import hyperwalk
-from stochmatch.graph import Graph, ResourceGuard, SeedContext, gnp_graph, sample_realization
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, sample_realization
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,

@@ -12,14 +12,16 @@ from oracles import (
     LcaOracleV1,
     TruncatedGreedyMisV0,
     add_sweep_pairwise,
+    check_correlated_bound,
     estimate_delta,
     find_rank_ctx,
     gather_ledger_v0,
+    gnp_graph,
     path_graph,
     run_lca_v0,
     sweep_ledger,
 )
-from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
+from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import (
     LcaOracle,
@@ -27,7 +29,6 @@ from stochmatch.lca import (
     QueryLedger,
     Site,
     TapeTable,
-    check_correlated_bound,
     gather_ledger,
     ledger_to_csv,
     run_lca,

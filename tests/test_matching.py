@@ -11,6 +11,7 @@ from oracles import (
     brute_matching_number,
     complete_graph,
     cycle_graph,
+    gnp_graph,
     matching_number_v0,
     matching_number_v1,
     matching_size_expectation_exact,
@@ -23,7 +24,7 @@ from oracles import (
     violates_vertex_caps,
 )
 from stochmatch import matching
-from stochmatch.graph import Graph, ResourceGuard, SeedContext, edge_mask, gnp_graph, mask_edges
+from stochmatch.graph import Graph, ResourceGuard, SeedContext, edge_mask, mask_edges
 from stochmatch.matching import (
     ComponentMemo,
     _Matcher,

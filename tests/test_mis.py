@@ -12,6 +12,7 @@ from oracles import (
     cycle_graph,
     find_rank_ctx,
     gmis_member,
+    gnp_graph,
     greedy_mis_sweep,
     is_independent,
     is_maximal_independent,
@@ -21,7 +22,7 @@ from oracles import (
     vertex_rank,
 )
 from stochmatch import hyperwalk
-from stochmatch.graph import Graph, SeedContext, gnp_graph, sample_realization
+from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
 from stochmatch.lca import Site, TapeTable, gather_ledger, run_lca
 from stochmatch.mis import TruncatedGreedyMis, greedy_member

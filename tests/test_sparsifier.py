@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     complete_graph,
     estimate_q_v0,
+    gnp_graph,
     matching_size_expectation_exact,
     path_graph,
     q_load,
 )
 from stochmatch.analysis import ratio_sweep
-from stochmatch.graph import Graph, SeedContext, gnp_graph
+from stochmatch.graph import Graph, SeedContext
 from stochmatch.sparsifier import (
     QProfile,
     SparsifierParams,

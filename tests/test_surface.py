@@ -2,10 +2,10 @@
 
 Public top-level functions and classes of ``src/stochmatch`` (except
 ``__init__.py``), and the public methods of public classes, must be
-referenced from the package itself, ``scripts/`` or ``bench/``.  A
-reference counts only when it is live: references made inside a
-definition that is itself unreferenced do not count, which is resolved
-to a fixpoint.  The bench tracer binds its wrappers by dotted strings
+referenced from the package itself or ``bench/``.  A reference counts
+only when it is live: references made inside a definition that is
+itself unreferenced do not count, which is resolved to a fixpoint.  The
+bench tracer binds its wrappers by dotted strings
 (``"hyperwalk.BMatchingLca.run"``), so the dotted string constants of
 ``bench/tracer.py`` count as references too; an undotted one such as
 ``"vertex"`` names no wrapper target.  Matching is by name, not by type,
@@ -22,16 +22,15 @@ exempt: its caller fixes its signature.
 The same holds for settings: every defaulted parameter of a public
 function, public method or ``__init__``, and every plainly defaulted
 field of a public dataclass or NamedTuple, must be passed, by keyword or
-by position, in some call in the package, ``scripts/`` or ``bench/``.
-Calls are matched by callee name (a class's name for its ``__init__``
-and its fields), and a ``replace(x, name=...)`` keyword sets the field
-``name``.  A value that only tests set is a module constant instead.
+by position, in some call in the package or ``bench/``.  Calls are
+matched by callee name (a class's name for its ``__init__`` and its
+fields), and a ``replace(x, name=...)`` keyword sets the field ``name``.
+A value that only tests set is a module constant instead.
 
 Both ways round: every field of a public dataclass or NamedTuple must be
-read in the package, ``scripts/`` or ``bench/``, again by name.  A read
-is a loaded attribute, a slot of a tuple unpacking of a NamedTuple's
-arity, or an ``asdict`` of the elements of a field whose annotation names
-the record (``ClaimReport.checks: tuple[ClaimCheck, ...]``).  No module
+read in the package or ``bench/``, again by name.  A read is a loaded
+attribute, a slot of a tuple unpacking of a NamedTuple's arity, or an
+``asdict`` of the elements of a field whose annotation names the record (``ClaimReport.checks: tuple[ClaimCheck, ...]``).  No module
 constant used as a parameter default repeats a literal of
 ``cli.DEFAULTS``, so the command line's values have one copy.
 
@@ -165,7 +164,7 @@ def _definitions():
 
 def _outside_refs() -> set:
     out = set()
-    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+    for path in sorted((ROOT / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
         out |= _refs(tree)
         if path.name == "tracer.py":
@@ -200,7 +199,7 @@ def unreferenced() -> list:
 
 def test_every_public_name_has_a_caller():
     dead = [q for q in unreferenced() if q.rsplit(".", 1)[-1] not in ALLOWED]
-    assert dead == [], f"public names with no caller in src/, scripts/ or bench/: {dead}"
+    assert dead == [], f"public names with no caller in src/ or bench/: {dead}"
 
 
 def test_allowlist_entries_are_still_uncalled():
@@ -329,12 +328,11 @@ def _is_record(node: ast.ClassDef) -> bool:
 
 def _calls() -> tuple:
     """callee name -> [(positional count, keywords)] over every call in
-    the package, ``scripts/`` and ``bench/``, and the keywords of
-    ``replace`` calls.  A starred argument counts as every position and
-    a ``**`` argument as every keyword (``None``)."""
+    the package and ``bench/``, and the keywords of ``replace`` calls.
+    A starred argument counts as every position and a ``**`` argument as
+    every keyword (``None``)."""
     calls, replaced = {}, set()
-    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
                 continue
@@ -367,7 +365,7 @@ def unset_parameters() -> list:
 def test_every_optional_parameter_is_set():
     unset = unset_parameters()
     missing = [q for q in unset if q not in ALLOWED_PARAMETERS]
-    assert missing == [], f"settings that no call in src/, scripts/ or bench/ passes: {missing}"
+    assert missing == [], f"settings that no call in src/ or bench/ passes: {missing}"
     stale = set(ALLOWED_PARAMETERS) - set(unset)
     assert not stale, f"allowlisted settings that gained a caller: {stale}"
 
@@ -442,12 +440,11 @@ def _serialized_attr(call: ast.Call, parents: dict):
 
 
 def _reads() -> tuple:
-    """Attribute names read anywhere in the package, ``scripts/`` and
-    ``bench/``; the (arity, position) slots of every tuple unpacking that
-    binds a name; and the attributes serialized whole by ``asdict``."""
+    """Attribute names read anywhere in the package and ``bench/``; the
+    (arity, position) slots of every tuple unpacking that binds a name;
+    and the attributes serialized whole by ``asdict``."""
     attrs, slots, serialized = set(), set(), set()
-    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
@@ -465,8 +462,8 @@ def _reads() -> tuple:
 
 
 def unread_fields() -> list:
-    """Qualified names of the record fields that nothing in the package,
-    ``scripts/`` or ``bench/`` reads."""
+    """Qualified names of the record fields that nothing in the package
+    or ``bench/`` reads."""
     records = _records()
     attrs, slots, serialized = _reads()
     # records an asdict writes whole: those named in a serialized field's annotation
@@ -490,7 +487,7 @@ def unread_fields() -> list:
 def test_every_field_is_read():
     unread = unread_fields()
     missing = [q for q in unread if q not in ALLOWED_FIELDS]
-    assert missing == [], f"record fields that nothing in src/, scripts/ or bench/ reads: {missing}"
+    assert missing == [], f"record fields that nothing in src/ or bench/ reads: {missing}"
     stale = set(ALLOWED_FIELDS) - set(unread)
     assert not stale, f"allowlisted fields that gained a reader: {stale}"
 
