@@ -160,7 +160,7 @@ def compute_MC(
     crucial: CrucialSetup,
     g_real: int,
     alg_ctx: SeedContext,
-    memo: Optional[SeedMemo] = None,
+    memo: Optional[SeedMemo],
 ) -> frozenset:
     """The recursive matching of the realized crucial subgraph, as
     full-graph edge ids.  Depends on the input realization mask
@@ -196,7 +196,7 @@ def build_match_prob_table(
     crucial: CrucialSetup,
     trials: int,
     ctx: SeedContext,
-    exact: Optional[bool] = None,
+    exact: Optional[bool],
 ) -> tuple:
     """Per-vertex Pr[v not in V(M_C)], the free probabilities, estimated
     over crucial realizations.
@@ -239,7 +239,7 @@ def build_delta_table(
     pairs: Iterable[tuple],
     trials: int,
     ctx: SeedContext,
-    exact: bool = False,
+    exact: bool,
 ) -> DeltaTable:
     """Pr[explored vertex sets of the two endpoints' coverage queries
     intersect], per requested vertex pair.
@@ -380,8 +380,8 @@ def ratio_sweep(
     g: Graph,
     sparsifiers: Sequence[Iterable[int]],
     samples: int,
-    ctx: Optional[SeedContext] = None,
-    exact: Optional[bool] = None,
+    ctx: Optional[SeedContext],
+    exact: Optional[bool],
 ) -> list:
     """Paired ratio estimates E[mu(H cap G_p)] / E[mu(G_p)], one per
     sparsifier H, with a jackknife stderr for each ratio.
@@ -460,9 +460,9 @@ def prepare_pipeline(
     match_prob_trials: int,
     delta_trials: int,
     delta_exponent: int,
-    R: Optional[int] = None,
-    exact: Optional[bool] = None,
-    thresholds: Optional[tuple] = None,
+    R: Optional[int],
+    exact: Optional[bool],
+    thresholds: Optional[tuple],
 ) -> PipelineSetup:
     """Builds a reusable pipeline: q and thresholds, H and f, the
     crucial-side recursion setup, and the probability tables.
@@ -503,7 +503,7 @@ def prepare_pipeline(
     )
 
 
-def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo] = None) -> tuple:
+def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> tuple:
     """One trial's per-edge values x (a dict) and their rounding y (a
     :class:`FractionalMatching`), as ``(x, y)``; ``memo`` is shared by
     trials under one algorithm seed."""
@@ -539,7 +539,7 @@ class ClaimCheck:
     empirical: float
     stderr: float
     flag: bool  # True when the empirical value breaks the bound by > 3 sigma
-    note: str = ""
+    note: str
 
 
 @dataclass(frozen=True)
@@ -600,7 +600,7 @@ def _trial_block(setup: PipelineSetup, trials: range) -> list:
     return [_trial_stats(setup, t, memo) for t in trials]
 
 
-def verify_claims(setup: PipelineSetup, trials: int, workers: int = 1) -> ClaimReport:
+def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimReport:
     """Runs the pipeline ``trials`` times and scores the inequalities:
     per-vertex E[x_v] <= 1 + eps, the x_v tail bound, the |x| lower
     bound against opt, the rounding loss of y, and per-run blossom

@@ -214,7 +214,7 @@ def enumerate_realizations(g: Graph):
 
 
 def weighted_realizations(
-    g: Graph, samples: int, ctx: Optional[SeedContext] = None, exact: Optional[bool] = None
+    g: Graph, samples: int, ctx: Optional[SeedContext], exact: Optional[bool]
 ) -> tuple:
     """Resolves the mode of an expectation over G_p and returns
     ``(exact, worlds)``, where ``worlds`` yields (edge mask, weight).

@@ -92,7 +92,7 @@ class BParams:
     walk_len: int
     depth: int
     margin: float
-    mis_budget: Optional[int] = None
+    mis_budget: Optional[int]
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -191,10 +191,6 @@ class WalkIndex:
     """
 
     def __init__(self, g: Graph, walk_len: int, alpha: int) -> None:
-        if walk_len < 1:
-            raise ValueError("walk_len must be positive")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
         self.g = g
         self.walk_len = walk_len
         self.alpha = alpha
@@ -507,13 +503,14 @@ def b_generic(
     params: BParams,
     ctx: SeedContext,
     level: Optional[int] = None,
-    gates: Optional[tuple] = None,
-    walks: Optional[WalkIndex] = None,
+    *,
+    gates: tuple,
+    walks: WalkIndex,
     memo: Optional[SeedMemo] = None,
 ) -> frozenset:
     """Recursive matching of the realization with edge mask
-    ``realization`` at the given level, level r admitting walks past
-    ``gates[r - 1]`` (default: :func:`open_gates`).
+    ``realization`` at the given level (default: ``params.depth``),
+    level r admitting walks past ``gates[r - 1]``.
 
     Each recursion node holds one realization mask and one matching mask
     per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
@@ -529,11 +526,7 @@ def b_generic(
     if level is None:
         level = params.depth
     _check_depth(level)
-    if gates is None:
-        gates = open_gates(g.n, level, params.margin)
     _check_gates(gates, level)
-    if walks is None:
-        walks = WalkIndex(g, params.walk_len, params.alpha)
     _check_walks(walks, g, params)
     if memo is None:
         memo = SeedMemo()
@@ -593,7 +586,7 @@ def build_unsaturation_table(
     samples: int,
     ctx: SeedContext,
     a_prob: Iterable[float],
-    walks: Optional[WalkIndex] = None,
+    walks: WalkIndex,
 ) -> tuple:
     """The gates of levels 0..depth-1 for ``params.depth``, the levels a
     recursion of that depth reads, from Monte Carlo match marginals of
@@ -611,8 +604,6 @@ def build_unsaturation_table(
         raise ValueError("a_prob must have one entry per vertex")
     if samples < 1:
         raise ValueError("samples must be positive")
-    if walks is None:
-        walks = WalkIndex(g, params.walk_len, params.alpha)
     rows = [(0.0,) * g.n]
     for lvl in range(1, params.depth):
         partial = gate_masks(a_prob, rows, params.margin)
@@ -620,7 +611,7 @@ def build_unsaturation_table(
         for s in range(samples):
             sub = ctx.child("unsat", lvl, s)
             real = sample_realization(g, sub.child("input"), 0)
-            matched = b_generic(g, real, params, sub.child("alg"), lvl, partial, walks)
+            matched = b_generic(g, real, params, sub.child("alg"), lvl, gates=partial, walks=walks)
             for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))

@@ -25,9 +25,9 @@ callers may name a site by the plain pair (kind, id) and a sweep builds
 each Site once.  A tape also holds what an LCA derives from the tapes
 alone on the table's graph, such as a vertex's lower-rank neighbors, so
 a table is bound to one ctx and one graph, and an oracle refuses a table
-of another.  A sweep shares one table across its roots and drops it when
-the sweep ends; a lone query keeps its own table, holding only the sites
-it read.  Derivations, Sites, the values read off each tape and what is
+of another.  The table belongs to the caller, which passes it to every
+query it runs: a sweep shares one across its roots and drops it when the
+sweep ends.  Derivations, Sites, the values read off each tape and what is
 derived from them are shared; each query still checks naturality and
 records its own probes.
 
@@ -44,7 +44,7 @@ the first time its sweep's table expands a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .graph import Graph, SeedContext
 
@@ -125,17 +125,14 @@ class ProbeTrace:
 
 class LcaOracle:
     """Per-query mediator enforcing naturality; the one record of the
-    query's probed sites and touched vertices.  A vertex LCA's read set
+    query's probed sites and touched vertices, reading tapes from the
+    caller's table ``tapes`` of ``ctx`` on ``g``.  A vertex LCA's read set
     is ``_near``, the touched vertices and their neighbors, not its peek
     calls: a tmis answer depends on every tape in it, and an expansion
     stored by an earlier query of the sweep is read without peeks."""
 
-    def __init__(
-        self, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[TapeTable] = None
-    ) -> None:
-        if tapes is None:
-            tapes = TapeTable(ctx, g)
-        elif tapes.graph is not g or (tapes.ctx is not ctx and tapes.ctx != ctx):
+    def __init__(self, g: Graph, ctx: SeedContext, root: Site, tapes: TapeTable) -> None:
+        if tapes.graph is not g or (tapes.ctx is not ctx and tapes.ctx != ctx):
             raise ValueError("tape table belongs to another ctx or graph")
         self.graph = g
         self.ctx = ctx
@@ -200,15 +197,14 @@ class LcaOracle:
         return ProbeTrace(self.root, tuple(self._probed), dict(self._meta))
 
 
-def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: Optional[TapeTable] = None):
+def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: TapeTable):
     """Run one rooted query; returns (output, ProbeTrace).
 
     The output is a pure function of (g, ctx, root): re-running with the
     same arguments reproduces both the answer and the trace.  ``tapes``
-    is a tape table shared by queries under the same ``ctx`` on the same
-    ``g``; it holds their tapes and what the LCA derived from them, such
-    as tmis expansions.  Without it the query derives its tapes into a
-    table of its own.
+    is the caller's tape table of ``ctx`` on ``g``, shared by the queries
+    the caller runs under them; it holds their tapes and what the LCA
+    derived from them, such as tmis expansions.
     """
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")

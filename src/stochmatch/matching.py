@@ -60,7 +60,7 @@ class _Matcher:
     def __init__(self, g: Graph, active) -> None:
         self.n = n = g.n
         self.edges = edges = g.edges
-        self.ids = list(range(g.m)) if active is None else mask_edges(active)
+        self.ids = mask_edges(active)
         self.adj = adj = [[] for _ in range(n)]
         for e in self.ids:
             u, v, _ = edges[e]
@@ -260,13 +260,11 @@ class ComponentMemo:
         return found[0] if len(found) == 1 else frozenset().union(*found)
 
 
-def maximum_matching(g: Graph, active=None, memo: Optional[ComponentMemo] = None) -> frozenset:
-    """Deterministic maximum matching, returned as a set of edge ids.
-
-    ``active`` restricts the edge set: an edge bitmask, or None for all
-    edges.  With a ``memo`` of ``g``, a bitmask is matched per connected
-    component, and each component's matching is computed once per memo;
-    the edge set is the same.
+def maximum_matching(g: Graph, active: int, memo: Optional[ComponentMemo] = None) -> frozenset:
+    """Deterministic maximum matching of the edges in the bitmask
+    ``active``, returned as a set of edge ids.  With a ``memo`` of ``g``,
+    the mask is matched per connected component, and each component's
+    matching is computed once per memo; the edge set is the same.
     """
     if memo is not None:
         if memo.g is not g or not isinstance(active, int):
@@ -278,7 +276,7 @@ def maximum_matching(g: Graph, active=None, memo: Optional[ComponentMemo] = None
     return m.edge_set()
 
 
-def matching_number(g: Graph, active=None) -> int:
+def matching_number(g: Graph, active: int) -> int:
     """Size of a maximum matching (value only, greedy-seeded search)."""
     m = _Matcher(g, active)
     m.run(greedy_seed=True)

@@ -15,9 +15,10 @@ little); it can never add one, because a positive answer requires the
 recursion to have completed, in which case it equals the untruncated
 greedy answer.  The surviving set is always independent.
 
-A budget has one form, a positive int or None for no cap, checked where
-it is set: ``TruncatedGreedyMis(budget)`` for vertex MIS and
-``BParams.mis_budget`` for the hyperwalk MIS.
+A budget has one form, a positive int or None for no cap, and has no
+default: the caller writes it where it is set and checked,
+``TruncatedGreedyMis(budget)`` for vertex MIS and ``BParams.mis_budget``
+for the hyperwalk MIS.
 
 A vertex's expansion, its lower-rank neighbors in rank order, depends on
 the tapes and the graph alone, so :class:`TruncatedGreedyMis` stores it
@@ -42,13 +43,13 @@ class TmisOutcome:
     truncated: bool
 
 
-def greedy_member(root, lower: Callable, budget: Optional[int] = None) -> tuple:
+def greedy_member(root, lower: Callable, budget: Optional[int]) -> tuple:
     """Rank-greedy MIS membership of ``root``; returns (member, truncated, calls).
 
     ``lower(x)`` expands x: it returns x's lower-rank neighbors in
     increasing rank order, or None when x is not eligible (never a
     member).  ``calls`` counts expansions; once ``budget`` of them have
-    run, the next is refused and the query ends truncated.
+    run, the next is refused and the query ends truncated (None: no cap).
     """
     memo = {}  # settled answers
     calls = 0
@@ -87,7 +88,7 @@ class TruncatedGreedyMis:
 
     site_kind = "vertex"
 
-    def __init__(self, budget: Optional[int] = None) -> None:
+    def __init__(self, budget: Optional[int]) -> None:
         if budget is not None and budget < 1:
             raise ValueError("budget must be positive when set")
         self.budget = budget

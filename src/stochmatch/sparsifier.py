@@ -108,7 +108,8 @@ def estimate_q(
     g: Graph,
     samples: int = Q_SAMPLES_DEFAULT,
     ctx: Optional[SeedContext] = None,
-    exact: Optional[bool] = None,
+    *,
+    exact: Optional[bool],
 ) -> QProfile:
     """Per-edge match probabilities under the fixed matcher.
 
@@ -183,8 +184,8 @@ def resolve_R(
     eps: float,
     samples: int,
     ctx: SeedContext,
-    exact: Optional[bool] = None,
-    thresholds: Optional[tuple] = None,
+    exact: Optional[bool],
+    thresholds: Optional[tuple],
     R: Optional[int] = None,
 ) -> tuple:
     """Estimates q, sets the given ``thresholds`` on it (or the ones

@@ -405,6 +405,19 @@ def hyperwalk_reference_set(g: Graph, max_len: int, alpha: int):
 # -- test-only helpers -------------------------------------------------------
 
 
+def all_edges(g: Graph) -> int:
+    """The edge bitmask of every edge of ``g``."""
+    return (1 << g.m) - 1
+
+
+def walk_setup(g: Graph, params: BParams) -> tuple:
+    """``(gates, walks)`` for a recursion of ``params`` on ``g`` without a
+    table: every gate of levels 0..depth-1 open (:func:`open_gates`), and a
+    fresh walk index at the params' length and copies."""
+    gates = hyperwalk.open_gates(g.n, params.depth, params.margin)
+    return gates, WalkIndex(g, params.walk_len, params.alpha)
+
+
 def edge_id(g: Graph, u: int, v: int):
     """Edge id for the pair (u, v), or None when absent."""
     for e in g.adjacency[u]:
@@ -550,7 +563,7 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
         sub = ctx.child("delta", t)
         sets = {}
         for root in roots:
-            _, trace = run_lca(lca, g, sub, root)
+            _, trace = run_lca(lca, g, sub, root, TapeTable(sub, g))
             sets[root] = (
                 trace.vertex_footprint(g) if vertex_granular else trace.out_queries
             )
@@ -613,12 +626,12 @@ def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
             key=lambda w: ranks[w],
         )
 
-    return greedy_member(v, lower)[0]
+    return greedy_member(v, lower, None)[0]
 
 
 def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[int] = None):
     """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
-    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site("vertex", v))
+    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site("vertex", v), TapeTable(ctx, g))
 
 
 def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[int] = None) -> frozenset:
@@ -707,7 +720,7 @@ def bparams_from_eps(eps: float, conflict_degree: Optional[int] = None) -> BPara
 def shallow_bparams(eps: float) -> BParams:
     """The depth-1 recursion without fresh copies that ``prepare_pipeline``
     used when given no ``bparams``."""
-    return BParams(alpha=0, walk_len=2, depth=1, margin=2.0 * eps * eps)
+    return BParams(alpha=0, walk_len=2, depth=1, margin=2.0 * eps * eps, mis_budget=None)
 
 
 def estimate_ratio(
@@ -734,7 +747,8 @@ def enumerate_hyperwalks(g: Graph, walk_len: int, alpha: int) -> tuple:
 
 def matching_via_queries(lca: BMatchingLca, ctx: SeedContext) -> frozenset:
     """Edge set assembled from one instrumented query per edge."""
-    return frozenset(e for e in range(lca.g.m) if run_lca(lca, lca.g, ctx, Site("edge", e))[0])
+    g = lca.g
+    return frozenset(e for e in range(g.m) if run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))[0])
 
 
 def validate_profile(p: Profile) -> None:
@@ -1314,7 +1328,7 @@ class LcaOracleV0(LcaOracleV1):
 def run_lca_v0(lca, g: Graph, ctx: SeedContext, root: Site):
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
-    oracle = LcaOracleV0(g, ctx, root)
+    oracle = LcaOracleV0(g, ctx, root, TapeTable(ctx, g))
     out = lca.run(oracle, root)
     return out, oracle.trace()
 
@@ -1758,13 +1772,13 @@ class MatcherV1(_Matcher):
         q.extend(fresh)
 
 
-def maximum_matching_v1(g: Graph, active=None) -> frozenset:
+def maximum_matching_v1(g: Graph, active: int) -> frozenset:
     m = MatcherV1(g, active)
     m.run()
     return m.edge_set()
 
 
-def matching_number_v1(g: Graph, active=None) -> int:
+def matching_number_v1(g: Graph, active: int) -> int:
     m = MatcherV1(g, active)
     m.run(greedy_seed=True)
     return m.size()

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from oracles import (
+    all_edges,
     brute_matching_number,
     check_correlated_bound,
     complete_bipartite,
@@ -37,6 +38,7 @@ from oracles import (
     validating_profiles,
     vertex_load,
     vertex_rank,
+    walk_setup,
 )
 from stochmatch.analysis import (
     build_f,
@@ -98,7 +100,7 @@ def test_matching_oracle_corpus():
     t0 = time.monotonic()
     for g in _oracle_corpus():
         assert g.m <= 12
-        mm = maximum_matching(g)
+        mm = maximum_matching(g, all_edges(g))
         assert is_matching(g, mm)
         assert len(mm) == brute_matching_number(g)
     assert time.monotonic() - t0 < 30.0
@@ -229,7 +231,8 @@ def b_corpus_runs():
     with validating_profiles() as tally:
         for name, g, kw in B_CORPUS:
             assert g.m <= 8
-            params = BParams(margin=0.1, **kw)
+            params = BParams(margin=0.1, **{"mis_budget": None, **kw})
+            gates, walks = walk_setup(g, params)
             for seed in range(20):
                 real = sample_realization(g, SeedContext(seed).child("real"), 0)
                 ctx = SeedContext(seed).child("alg")
@@ -237,7 +240,7 @@ def b_corpus_runs():
                 final = frozenset()
                 for r in range(params.depth + 1):
                     before = tally.profiles
-                    final = b_generic(g, real, params, ctx, level=r)
+                    final = b_generic(g, real, params, ctx, r, gates=gates, walks=walks)
                     sizes.append(len(final))
                     assert tally.profiles > before or r == 0
                 via_queries = matching_via_queries(BMatchingLca(g, params, real), ctx)
@@ -331,9 +334,9 @@ def pipe_runs(pipe_graph):
         table_samples=20,
         match_prob_trials=1000,
         delta_trials=40,
-        delta_exponent=15,
+        delta_exponent=15, exact=None,
     )
-    return setup, [run_pipeline(setup, t) for t in range(100)]
+    return setup, [run_pipeline(setup, t, None) for t in range(100)]
 
 
 @pytest.mark.criterion(12, "rounding obeys the case split, unit loads, and loses little mass")
@@ -374,7 +377,7 @@ def test_blossom_checker(pipe_runs):
     half = FractionalMatching.build(c5, {e: 0.5 for e in range(5)})
     assert not check_blossom(half, 0.2).ok
     for g in (path_graph(4), cycle_graph(6), complete_graph(5), complete_bipartite(3, 3)):
-        ones = FractionalMatching.build(g, {e: 1.0 for e in maximum_matching(g)})
+        ones = FractionalMatching.build(g, {e: 1.0 for e in maximum_matching(g, all_edges(g))})
         assert check_blossom(ones, 0.2).ok
     setup, runs = pipe_runs
     for _, y in runs:

@@ -48,13 +48,13 @@ from stochmatch.graph import (
 )
 from stochmatch.cli import main
 from stochmatch.hyperwalk import BParams
-from stochmatch.lca import run_lca
+from stochmatch.lca import TapeTable, run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
 from test_hyperwalk import counting_engines
 from test_matching import VERIFY_EXACT
 
-BP1 = BParams(alpha=0, walk_len=2, depth=1, margin=0.18)
+BP1 = BParams(alpha=0, walk_len=2, depth=1, margin=0.18, mis_budget=None)
 
 CLAIM_NAMES = (
     "x-vertex-expectation",
@@ -158,14 +158,14 @@ class TestCrucialSide:
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         assert crucial.sub.m == 0
         real = 0b111
-        assert compute_MC(crucial, real, SeedContext(1)) == frozenset()
+        assert compute_MC(crucial, real, SeedContext(1), None) == frozenset()
 
     def test_single_crucial_edge(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert compute_MC(crucial, 0b1, SeedContext(1)) == frozenset({0})
-        assert compute_MC(crucial, 0b0, SeedContext(1)) == frozenset()
+        assert compute_MC(crucial, 0b1, SeedContext(1), None) == frozenset({0})
+        assert compute_MC(crucial, 0b0, SeedContext(1), None) == frozenset()
 
     def test_mc_is_matching_inside_realized_crucial(self):
         for seed in range(6):
@@ -176,7 +176,7 @@ class TestCrucialSide:
             crucial = prepare_crucial(g, q, BP1, 0, SeedContext(seed))
             for t in range(4):
                 real = sample_realization(g, SeedContext(seed).child("real"), t)
-                m_c = compute_MC(crucial, real, SeedContext(seed).child("alg"))
+                m_c = compute_MC(crucial, real, SeedContext(seed).child("alg"), None)
                 assert is_matching(g, m_c)
                 assert m_c <= q.crucial
                 assert all((real >> e) & 1 for e in m_c)
@@ -186,8 +186,8 @@ class TestCrucialSide:
         q = qprofile((0.9, 0.1), 0.2, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         ctx = SeedContext(3)
-        with_other = compute_MC(crucial, 0b11, ctx)
-        without = compute_MC(crucial, 0b01, ctx)
+        with_other = compute_MC(crucial, 0b11, ctx, None)
+        without = compute_MC(crucial, 0b01, ctx, None)
         assert with_other == without == frozenset({0})
 
     def test_match_prob_table_exact_single_edge(self):
@@ -231,7 +231,7 @@ class TestUnsaturationRows:
         g, thresholds = SOURCE_CORPUS["kite"]
         q = estimate_q(g, exact=True).with_thresholds(*thresholds)
         calls = count_b_generic(monkeypatch)
-        bparams = BParams(alpha=1, walk_len=2, depth=depth, margin=0.08)
+        bparams = BParams(alpha=1, walk_len=2, depth=depth, margin=0.08, mis_budget=None)
         crucial = prepare_crucial(g, q, bparams, 4, SeedContext(6).child("table"))
         assert crucial.sub.m > 0
         assert len(crucial.gates) == depth
@@ -260,9 +260,9 @@ class TestUnsaturationRows:
         setup = prepare_pipeline(
             g, eps=0.2, seed=3, bparams=SOURCE_BPARAMS, q_samples=10_000,
             table_samples=5, match_prob_trials=10, delta_trials=5, delta_exponent=15,
-            R=4, thresholds=thresholds,
+            R=4, thresholds=thresholds, exact=None,
         )
-        verify_claims(setup, trials=4)
+        verify_claims(setup, trials=4, workers=1)
         assert levels == {0, 1} == set(range(len(setup.crucial.gates)))
 
     def test_verify_exact_b_generic_calls(self, tmp_path, monkeypatch):
@@ -296,7 +296,7 @@ class TestDeltaTable:
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5))
+        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5), exact=False)
         assert table.get(0, 1) == 1.0
 
     def test_isolated_pair_never_collides(self):
@@ -304,14 +304,14 @@ class TestDeltaTable:
         g = path_graph(3)
         q = qprofile((0.9, 0.05, 0.05), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5))
+        table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5), exact=False)
         assert table.get(2, 3) == 0.0
 
     def test_empty_pairs_short_circuits(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert build_delta_table(crucial, [], 0, SeedContext(5)).values == {}
+        assert build_delta_table(crucial, [], 0, SeedContext(5), exact=False).values == {}
 
 
 class TestBuildX:
@@ -436,7 +436,7 @@ class TestRoundX:
 
 class TestRatio:
     def test_identity_sparsifier(self, triangle):
-        est, one = ratio_sweep(triangle, [range(3), {0}], 1, exact=True)
+        est, one = ratio_sweep(triangle, [range(3), {0}], 1, None, exact=True)
         assert est.exact
         assert est.ratio == 1.0
         assert est.stderr == 0.0
@@ -508,6 +508,8 @@ def smoke_setup(**overrides):
         match_prob_trials=50,
         delta_trials=30,
         delta_exponent=15,
+        R=None,
+        exact=None,
         thresholds=(0.2, 0.4),
     )
     kwargs.update(overrides)
@@ -543,10 +545,10 @@ class TestPipeline:
         assert setup.exact
         assert setup.R == 3
         assert setup.q.crucial and setup.q.noncrucial
-        x, y = run_pipeline(setup, 0)
+        x, y = run_pipeline(setup, 0, None)
         assert set(x) == set(range(setup.g.m))
         real = setup.realization(0)
-        m_c = compute_MC(setup.crucial, real, setup.alg_ctx(0))
+        m_c = compute_MC(setup.crucial, real, setup.alg_ctx(0), None)
         assert is_matching(setup.g, m_c)
         assert m_c <= setup.q.crucial
         assert all((real >> e) & 1 for e in m_c)
@@ -558,17 +560,17 @@ class TestPipeline:
 
     def test_runs_are_deterministic(self):
         setup = smoke_setup()
-        a_x, a_y = run_pipeline(setup, 2)
-        b_x, b_y = run_pipeline(setup, 2)
+        a_x, a_y = run_pipeline(setup, 2, None)
+        b_x, b_y = run_pipeline(setup, 2, None)
         assert a_x == b_x
         assert a_y.values == b_y.values
         again = smoke_setup()
-        c_x, _ = run_pipeline(again, 2)
+        c_x, _ = run_pipeline(again, 2, None)
         assert c_x == a_x
 
     def test_claim_report_shape(self):
         setup = smoke_setup()
-        report = verify_claims(setup, trials=6)
+        report = verify_claims(setup, trials=6, workers=1)
         assert report.trials == 6
         assert tuple(c.name for c in report.checks) == CLAIM_NAMES
         assert all(c.flag in (False, True) for c in report.checks)
@@ -590,7 +592,7 @@ class TestPipeline:
 
     def test_workers_match_serial(self):
         setup = smoke_setup()
-        serial = verify_claims(setup, trials=4)
+        serial = verify_claims(setup, trials=4, workers=1)
         forked = verify_claims(setup, trials=4, workers=2)
         assert serial.checks == forked.checks
 
@@ -599,21 +601,22 @@ class TestPipeline:
         setup = prepare_pipeline(
             g, eps=0.3, seed=1, bparams=shallow_bparams(0.3), q_samples=10_000,
             table_samples=5, match_prob_trials=5, delta_trials=5, delta_exponent=15,
+            R=None, exact=None, thresholds=None,
         )
-        report = verify_claims(setup, trials=4)
+        report = verify_claims(setup, trials=4, workers=1)
         assert flagged(report) == ()
 
     def test_trials_must_be_positive(self):
         setup = smoke_setup()
         with pytest.raises(ValueError):
-            verify_claims(setup, trials=0)
+            verify_claims(setup, trials=0, workers=1)
 
     def test_pool_capped_at_trial_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         setup = smoke_setup()
         report = verify_claims(setup, trials=3, workers=8)
         assert pool_sizes == [3]
-        assert report.to_json() == verify_claims(setup, trials=3).to_json()
+        assert report.to_json() == verify_claims(setup, trials=3, workers=1).to_json()
 
     @pytest.mark.parametrize("cpus,size", [(2, 2), (1, None), (None, None)])
     def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch, cpus, size):
@@ -622,7 +625,7 @@ class TestPipeline:
         setup = smoke_setup()
         report = verify_claims(setup, trials=6, workers=6)
         assert pool_sizes == ([size] if size else [])
-        assert report.to_json() == verify_claims(setup, trials=6).to_json()
+        assert report.to_json() == verify_claims(setup, trials=6, workers=1).to_json()
 
 
 # graph -> (tau_minus, tau_plus); sure-edges has zero-probability masks
@@ -650,7 +653,7 @@ class TestSharedRealizationLoops:
         g, _ = SOURCE_CORPUS[name]
         ctx = SeedContext(6).child("q")
         for exact in (None, True, False):
-            assert estimate_q(g, 150, ctx, exact) == estimate_q_v0(g, 150, ctx, exact)
+            assert estimate_q(g, 150, ctx, exact=exact) == estimate_q_v0(g, 150, ctx, exact)
 
     def test_ratio_sweep(self, name):
         g, _ = SOURCE_CORPUS[name]
@@ -690,11 +693,11 @@ class TestSeedMemoPipelines:
         bparams = BParams(alpha=1, walk_len=2, depth=2, margin=0.18, mis_budget=1)
         kwargs = dict(bparams=bparams, exact=exact, q_samples=200, match_prob_trials=30)
         setup = smoke_setup(**kwargs)
-        report = verify_claims(setup, trials=5)
+        report = verify_claims(setup, trials=5, workers=1)
         self.fresh_calls(monkeypatch)
         parent = smoke_setup(**kwargs)
         assert setup.free_prob == parent.free_prob
-        assert report.to_json() == verify_claims(parent, trials=5).to_json()
+        assert report.to_json() == verify_claims(parent, trials=5, workers=1).to_json()
 
     def test_exact_table_derives_each_tape_once(self, monkeypatch):
         g, thresholds = SOURCE_CORPUS["kite"]
@@ -725,8 +728,8 @@ class TestSeedMemoPipelines:
         def recorded(per_query: bool):
             runs = []
 
-            def recording(lca, g, ctx, root, tapes=None):
-                out, trace = run_lca(lca, g, ctx, root, None if per_query else tapes)
+            def recording(lca, g, ctx, root, tapes):
+                out, trace = run_lca(lca, g, ctx, root, TapeTable(ctx, g) if per_query else tapes)
                 runs.append((out, trace.root, trace.probed, trace.meta))
                 return out, trace
 

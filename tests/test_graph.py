@@ -142,14 +142,14 @@ class TestEnumeration:
 class TestWeightedRealizations:
     def test_auto_mode_boundary(self):
         # the resolved flag comes back before any realization is made
-        exact, _ = weighted_realizations(path_graph(ENUM_CAP), 1)
+        exact, _ = weighted_realizations(path_graph(ENUM_CAP), 1, None, None)
         assert exact is True
-        exact, _ = weighted_realizations(path_graph(ENUM_CAP + 1), 1, SeedContext(0))
+        exact, _ = weighted_realizations(path_graph(ENUM_CAP + 1), 1, SeedContext(0), None)
         assert exact is False
 
     def test_sampled_preconditions(self, path3):
         with pytest.raises(ValueError):
-            weighted_realizations(path3, 5, exact=False)
+            weighted_realizations(path3, 5, None, exact=False)
         with pytest.raises(ValueError):
             weighted_realizations(path3, 0, SeedContext(0), exact=False)
 

@@ -37,6 +37,7 @@ from oracles import (
     table_gates,
     validate_profile,
     validating_profiles,
+    walk_setup,
     walk_vertices,
 )
 from stochmatch import hyperwalk
@@ -69,7 +70,7 @@ def profile_noalpha(g, mask, matching=frozenset()):
     return Profile(((Realization(g, mask), frozenset(matching)),))
 
 
-SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
+SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
 
 
 class TestHyperwalkType:
@@ -293,19 +294,22 @@ class TestAugmenting:
 class TestBGeneric:
     def test_level_zero_empty(self):
         g = path_graph(2)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), level=0)
+        gates, walks = walk_setup(g, SMALL_PARAMS)
+        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), 0, gates=gates, walks=walks)
         assert got == frozenset()
 
     def test_single_realized_edge(self):
         g = path_graph(1)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), level=1)
+        gates, walks = walk_setup(g, SMALL_PARAMS)
+        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), 1, gates=gates, walks=walks)
         assert got == frozenset({0})
 
     def test_path_maximal_matching(self):
         g = path_graph(3)
         for seed in range(10):
+            gates, walks = walk_setup(g, SMALL_PARAMS)
             got = b_generic(
-                g, full_realization(g), SMALL_PARAMS, SeedContext(seed), level=1
+                g, full_realization(g), SMALL_PARAMS, SeedContext(seed), 1, gates=gates, walks=walks
             )
             assert is_matching(g, got)
             assert got in (frozenset({0, 2}), frozenset({1}))
@@ -314,18 +318,20 @@ class TestBGeneric:
         g = complete_graph(4)
         for seed in range(8):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            got = b_generic(g, real, SMALL_PARAMS, SeedContext(seed), level=1)
+            gates, walks = walk_setup(g, SMALL_PARAMS)
+            got = b_generic(g, real, SMALL_PARAMS, SeedContext(seed), 1, gates=gates, walks=walks)
             assert is_matching(g, got)
             assert all((real >> e) & 1 for e in got)
 
     def test_check_mode_validates_intermediates(self):
         g = complete_graph(4)
-        params = BParams(alpha=1, walk_len=3, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=3, depth=2, margin=0.1, mis_budget=None)
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            gates, walks = walk_setup(g, params)
             with validating_profiles() as tally:
-                loud = b_generic(g, real, params, SeedContext(seed))
-            quiet = b_generic(g, real, params, SeedContext(seed))
+                loud = b_generic(g, real, params, SeedContext(seed), gates=gates, walks=walks)
+            quiet = b_generic(g, real, params, SeedContext(seed), gates=gates, walks=walks)
             assert loud == quiet
             assert tally.profiles > 0
 
@@ -337,19 +343,21 @@ class TestBGeneric:
         monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
         params = replace(SMALL_PARAMS, walk_len=4, depth=2)
+        gates, walks = walk_setup(g, params)
         with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
-                b_generic(g, full_realization(g), params, SeedContext(0))
+                b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
 
     @pytest.mark.parametrize("walk_len,alpha", [(3, 1), (2, 0)])
     def test_rejects_index_for_other_params(self, walk_len, alpha):
         # the entry checks alone keep every walk's copy indices within the
         # alpha + 1 copies of a recursion node
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=1, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         walks = WalkIndex(g, walk_len, alpha)
+        gates = open_gates(g.n, params.depth, params.margin)
         with pytest.raises(ValueError, match="walk index does not match params"):
-            b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
+            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
         with pytest.raises(ValueError, match="walk index does not match params"):
             BMatchingLca(g, params, full_realization(g), walks=walks)
 
@@ -358,11 +366,12 @@ class TestBGeneric:
         # name other edges, and some of them past this graph's
         g = gnp_graph(10, 0.4, 0.5, SeedContext(1).child("gen"))
         other = gnp_graph(10, 0.4, 0.5, SeedContext(2).child("gen"))
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
         walks = WalkIndex(other, params.walk_len, params.alpha)
         real = full_realization(g)
+        gates = open_gates(g.n, params.depth, params.margin)
         with pytest.raises(ValueError, match="walk index does not match"):
-            b_generic(g, real, params, SeedContext(0), walks=walks)
+            b_generic(g, real, params, SeedContext(0), gates=gates, walks=walks)
         with pytest.raises(ValueError, match="walk index does not match"):
             BMatchingLca(g, params, real, walks=walks)
 
@@ -373,9 +382,9 @@ class TestBGeneric:
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=2)
         gc.disable()
         try:
-            walks = WalkIndex(g, params.walk_len, params.alpha)
+            gates, walks = walk_setup(g, params)
             ref = weakref.ref(walks)
-            b_generic(g, full_realization(g), params, SeedContext(0), walks=walks)
+            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
             del walks
             assert ref() is None
         finally:
@@ -385,11 +394,12 @@ class TestBGeneric:
         # alpha = 0: each walk acts on copy 0 alone, so applications never
         # shrink the matching and levels only grow it
         g = complete_graph(4)
-        params = BParams(alpha=0, walk_len=3, depth=3, margin=0.1)
+        params = BParams(alpha=0, walk_len=3, depth=3, margin=0.1, mis_budget=None)
         for seed in range(6):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            gates, walks = walk_setup(g, params)
             sizes = [
-                len(b_generic(g, real, params, SeedContext(seed), level=r))
+                len(b_generic(g, real, params, SeedContext(seed), r, gates=gates, walks=walks))
                 for r in range(params.depth + 1)
             ]
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -459,7 +469,7 @@ class TestSeedMemo:
         g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         memo = SeedMemo()
         for mask, level in calls:
-            got = b_generic(g, mask, params, ctx, level, gates, walks, memo)
+            got = b_generic(g, mask, params, ctx, level, gates=gates, walks=walks, memo=memo)
             assert got == b_generic_v0(g, Realization(g, mask), params, ctx, level, table, walks)
 
     @given(data=st.data())
@@ -469,10 +479,12 @@ class TestSeedMemo:
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(budget))
         warm = SeedMemo()
         for mask, level in calls:
-            b_generic(g, mask, params, ctx, level, gates, walks, warm)
+            b_generic(g, mask, params, ctx, level, gates=gates, walks=walks, memo=warm)
         for mask, level in calls:
             def call(memo):
-                return lambda: b_generic(g, mask, params, ctx, level, gates, walks, memo)
+                return lambda: b_generic(
+                    g, mask, params, ctx, level, gates=gates, walks=walks, memo=memo
+                )
 
             cold = smallest_ceiling(lambda: call(SeedMemo())())
             assert smallest_ceiling(call(warm)) == cold
@@ -491,22 +503,23 @@ class TestSeedMemo:
         ctx = SeedContext(5).child("alg")
         for seed in range(3):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            gates, walks = walk_setup(g, params)
             paths.clear()
-            b_generic(g, real, params, ctx)
+            b_generic(g, real, params, ctx, gates=gates, walks=walks)
             tapes = [n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")]
             assert tapes and max(tapes) == 1
 
     def test_memo_refuses_another_scope(self):
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
         gates = open_gates(g.n, 2, params.margin)
         walks = WalkIndex(g, params.walk_len, params.alpha)
         real = full_realization(g)
         ctx = SeedContext(1).child("alg")
         memo = SeedMemo()
-        b_generic(g, real, params, ctx, None, gates, walks, memo)
+        b_generic(g, real, params, ctx, gates=gates, walks=walks, memo=memo)
         # an equal context is the same seed
-        b_generic(g, real, params, SeedContext(1).child("alg"), None, gates, walks, memo)
+        b_generic(g, real, params, SeedContext(1).child("alg"), gates=gates, walks=walks, memo=memo)
         others = [
             (params, SeedContext(2).child("alg"), gates, walks),
             (replace(params, mis_budget=1), ctx, gates, walks),
@@ -515,7 +528,7 @@ class TestSeedMemo:
         ]
         for p, c, t, w in others:
             with pytest.raises(ValueError, match="another"):
-                b_generic(g, real, p, c, None, t, w, memo)
+                b_generic(g, real, p, c, gates=t, walks=w, memo=memo)
 
 
 def counting_engines(monkeypatch) -> list:
@@ -551,7 +564,7 @@ class TestQueryReplay:
                 fresh = BMatchingLca(g, params, mask, gates, walks)
                 for e in range(g.m):
                     out, trace = run_lca(shared, g, ctx, Site("edge", e), tapes)
-                    want, want_trace = run_lca(fresh, g, ctx, Site("edge", e))
+                    want, want_trace = run_lca(fresh, g, ctx, Site("edge", e), TapeTable(ctx, g))
                     assert out == want
                     assert trace.probed == want_trace.probed
                     assert trace.meta == want_trace.meta
@@ -566,26 +579,28 @@ class TestQueryReplay:
         mask = calls[0][0]
         warm = SeedMemo()
         root = Site("edge", data.draw(st.integers(0, g.m - 1)))
-        run_lca(BMatchingLca(g, params, mask, gates, walks, warm), g, ctx, root)
+        run_lca(BMatchingLca(g, params, mask, gates, walks, warm), g, ctx, root, TapeTable(ctx, g))
 
         def query(memo):
-            return lambda: run_lca(BMatchingLca(g, params, mask, gates, walks, memo), g, ctx, root)
+            lca = BMatchingLca(g, params, mask, gates, walks, memo)
+            return lambda: run_lca(lca, g, ctx, root, TapeTable(ctx, g))
 
         assert smallest_ceiling(query(warm)) == smallest_ceiling(query(None))
 
     def test_replay_refuses_another_scope(self):
         g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
         real = full_realization(g)
         memo = SeedMemo()
         lca = BMatchingLca(g, params, real, memo=memo)
-        run_lca(lca, g, SeedContext(1).child("alg"), Site("edge", 0))
+        ctx, ctx2 = SeedContext(1).child("alg"), SeedContext(2).child("alg")
+        run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
         with pytest.raises(ValueError, match="another"):
-            run_lca(lca, g, SeedContext(2).child("alg"), Site("edge", 0))
+            run_lca(lca, g, ctx2, Site("edge", 0), TapeTable(ctx2, g))
         # the gates fold in the margin: one of 1 or more shuts them all
         other = BMatchingLca(g, replace(params, margin=1.5), real, memo=memo)
         with pytest.raises(ValueError, match="another"):
-            run_lca(other, g, SeedContext(1).child("alg"), Site("edge", 0))
+            run_lca(other, g, ctx, Site("edge", 0), TapeTable(ctx, g))
 
 
 @st.composite
@@ -727,7 +742,7 @@ class TestWalkTable:
             def call():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
-                    return b_generic(g, mask, params, ctx, level, gates, walks)
+                    return b_generic(g, mask, params, ctx, level, gates=gates, walks=walks)
             return call
 
         for mask, level in calls:
@@ -747,13 +762,13 @@ class TestWalkTable:
         # parent raised at the first read, so on a graph without walks it
         # read no row and returned the empty matching
         g = Graph.build(3, edges)
-        params = BParams(alpha=1, walk_len=2, depth=3, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=3, margin=0.1, mis_budget=None)
         table = UnsaturationTable.always_unsaturated(g.n, 1)
         gates = table_gates(table, params.margin)
         ctx = SeedContext(3).child("alg")
         real = full_realization(g)
         with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(g, real, params, ctx, None, gates)
+            b_generic(g, real, params, ctx, gates=gates, walks=walk_setup(g, params)[1])
         with pytest.raises(ValueError, match="no gate for level 2"):
             BMatchingLca(g, params, real, gates)
         if edges:
@@ -766,18 +781,19 @@ class TestWalkTable:
         monkeypatch.setattr(hyperwalk, "greedy_member", lambda *args: (False, False, 1))
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=1)
+        gates, walks = walk_setup(g, params)
         with pytest.raises(RuntimeError, match=r"sweep member with edges \(0,\) and copies \(0,\)"):
-            b_generic(g, full_realization(g), params, SeedContext(0))
+            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
 
 
 class TestBParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BParams(alpha=-1, walk_len=2, depth=1, margin=0.1)
+            BParams(alpha=-1, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=0, depth=1, margin=0.1)
+            BParams(alpha=0, walk_len=0, depth=1, margin=0.1, mis_budget=None)
         with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=2, depth=1, margin=-0.1)
+            BParams(alpha=0, walk_len=2, depth=1, margin=-0.1, mis_budget=None)
         with pytest.raises(ValueError):
             BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=0)
 
@@ -812,7 +828,8 @@ class TestUnsaturationTable:
         # whose target exceeds the margin
         g = path_graph(1)
         gates = build_unsaturation_table(
-            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05]
+            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
+            walks=walk_setup(g, SMALL_PARAMS)[1],
         )
         assert len(gates) == 2
         assert gates[0] == 0b01
@@ -821,8 +838,9 @@ class TestUnsaturationTable:
     def test_gate_logic(self):
         gates = gate_masks((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)), margin=0.1)
         assert gates == (0b11, 0)  # 0.5 >= 0.6 - 0.1 and 0.1 >= 0.2 - 0.1
+        g, params = path_graph(1), replace(SMALL_PARAMS, depth=3)
         with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(path_graph(1), 1, replace(SMALL_PARAMS, depth=3), SeedContext(0), gates=gates)
+            b_generic(g, 1, params, SeedContext(0), gates=gates, walks=walk_setup(g, params)[1])
 
     def test_factories(self):
         assert open_gates(3, 2, 0.5) == (0b111, 0b111)
@@ -855,29 +873,31 @@ class TestUnsaturationTable:
 
 class TestLcaRoute:
     def test_agrees_with_generic_small(self):
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
         for seed in range(12):
             g = complete_graph(4)
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             ctx = SeedContext(seed).child("alg")
-            want = b_generic(g, real, params, ctx)
+            gates, walks = walk_setup(g, params)
+            want = b_generic(g, real, params, ctx, gates=gates, walks=walks)
             lca = BMatchingLca(g, params, real)
             got = matching_via_queries(lca, ctx)
             assert got == want
 
     def test_run_is_instrumented(self):
         g = path_graph(2)
-        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
+        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         real = full_realization(g)
         lca = BMatchingLca(g, params, real)
         ctx = SeedContext(4).child("alg")
-        out, trace = run_lca(lca, g, ctx, Site("edge", 0))
-        assert out == (0 in b_generic(g, real, params, ctx))
+        out, trace = run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
+        gates, walks = walk_setup(g, params)
+        assert out == (0 in b_generic(g, real, params, ctx, gates=gates, walks=walks))
         assert Site("edge", 0) in trace.out_queries
 
     def test_rejects_mask_outside_graph(self):
         g = path_graph(2)
-        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1)
+        params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         for mask in (-1, 1 << g.m):
             with pytest.raises(ValueError, match="outside"):
                 BMatchingLca(g, params, mask)
@@ -897,15 +917,15 @@ class TestLcaRoute:
                     lca = BMatchingLca(g, params, real)
                     old_lca = BMatchingLcaV1(g, params, real)
                     for e in range(g.m):
-                        out, trace = run_lca(lca, g, ctx, Site("edge", e))
-                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e))
+                        out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
                         assert out == old, name
                         assert trace.probed == old_trace.probed, name
                         assert trace.meta["nodes"] == old_trace.meta["nodes"], name
 
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
         walks = WalkIndex(g, params.walk_len, params.alpha)
         ceiling = out_query_ceiling(g, walks, params, params.depth)
         real = full_realization(g)
@@ -913,5 +933,5 @@ class TestLcaRoute:
         for seed in range(10):
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                _, trace = run_lca(lca, g, ctx, Site("edge", e))
+                _, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
                 assert len(trace.out_queries) <= ceiling

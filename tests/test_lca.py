@@ -84,55 +84,56 @@ def star(n):
 
 class TestRunLca:
     def test_self_only_trace(self):
-        g = star(5)
-        out, trace = run_lca(SelfOnlyLca(), g, SeedContext(0), Site("vertex", 2))
+        g, ctx = star(5), SeedContext(0)
+        out, trace = run_lca(SelfOnlyLca(), g, ctx, Site("vertex", 2), TapeTable(ctx, g))
         assert trace.out_queries == frozenset({Site("vertex", 2)})
         assert isinstance(out, bool)
 
     def test_isolated_gmis_member(self):
-        g = Graph.build(1, [])
-        out, trace = run_lca(TruncatedGreedyMis(), g, SeedContext(3), Site("vertex", 0))
+        g, ctx = Graph.build(1, []), SeedContext(3)
+        out, trace = run_lca(TruncatedGreedyMis(None), g, ctx, Site("vertex", 0), TapeTable(ctx, g))
         assert out.member is True
         assert trace.out_queries == frozenset({Site("vertex", 0)})
 
     def test_purity_and_interleaving(self):
         g = gnp_graph(10, 0.3, 0.5, SeedContext(4).child("gen"))
         ctx = SeedContext(17)
-        lca = TruncatedGreedyMis()
-        first = [run_lca(lca, g, ctx, Site("vertex", v)) for v in range(g.n)]
+        lca = TruncatedGreedyMis(None)
+        first = [run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g)) for v in range(g.n)]
         # interleave repeats with fresh queries in a different order
         for v in reversed(range(g.n)):
-            out, trace = run_lca(lca, g, ctx, Site("vertex", v))
+            out, trace = run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g))
             assert (out, trace) == first[v]
-            again, trace2 = run_lca(lca, g, ctx, Site("vertex", (v * 3) % g.n))
+            again, trace2 = run_lca(lca, g, ctx, Site("vertex", (v * 3) % g.n), TapeTable(ctx, g))
             assert (again, trace2) == first[(v * 3) % g.n]
 
     def test_naturality_enforced(self):
-        g = path_graph(3)
+        g, ctx = path_graph(3), SeedContext(0)
         for op in ("probe", "peek"):
             with pytest.raises(NaturalityViolation):
-                run_lca(RogueLca(op), g, SeedContext(0), Site("vertex", 0))
-            assert run_lca(RogueLca(op, hops=1), g, SeedContext(0), Site("vertex", 0))[0]
+                run_lca(RogueLca(op), g, ctx, Site("vertex", 0), TapeTable(ctx, g))
+            assert run_lca(RogueLca(op, hops=1), g, ctx, Site("vertex", 0), TapeTable(ctx, g))[0]
 
     def test_unknown_site_kind_refused(self):
         # also for an id among the touched vertices, which a vertex read
         # would admit with one lookup
-        g = path_graph(3)
+        g, ctx = path_graph(3), SeedContext(0)
         for op in ("probe", "peek"):
             for hops in (0, 1):
                 with pytest.raises(ValueError, match="unknown site kind 'face'"):
-                    run_lca(RogueLca(op, hops, "face"), g, SeedContext(0), Site("vertex", 1))
+                    run_lca(RogueLca(op, hops, "face"), g, ctx, Site("vertex", 1), TapeTable(ctx, g))
 
     def test_root_kind_mismatch(self):
+        g, ctx = path_graph(2), SeedContext(0)
         with pytest.raises(ValueError, match="expects vertex roots, got edge"):
-            run_lca(TruncatedGreedyMis(), path_graph(2), SeedContext(0), Site("edge", 0))
+            run_lca(TruncatedGreedyMis(None), g, ctx, Site("edge", 0), TapeTable(ctx, g))
 
     def test_trace_prefixes_connected(self):
         # independent re-check of the naturality contract on real traces
         g = gnp_graph(12, 0.3, 0.5, SeedContext(6).child("gen"))
         ctx = SeedContext(23)
         for v in range(g.n):
-            _, trace = run_lca(TruncatedGreedyMis(), g, ctx, Site("vertex", v))
+            _, trace = run_lca(TruncatedGreedyMis(None), g, ctx, Site("vertex", v), TapeTable(ctx, g))
             seen = set()
             for site in trace.probed:
                 ok = not seen or any(
@@ -176,10 +177,10 @@ class TestLedger:
         ctx = find_rank_ctx(
             g, lambda r: r[1] < r[0] and r[1] < r[2]
         )
-        lca = TruncatedGreedyMis()
+        lca = TruncatedGreedyMis(None)
         outs = {}
         for v in range(3):
-            out, trace = run_lca(lca, g, ctx, Site("vertex", v))
+            out, trace = run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g))
             outs[v] = (out.member, trace.out_queries)
         assert outs[0] == (False, frozenset({Site("vertex", 0), Site("vertex", 1)}))
         assert outs[2] == (False, frozenset({Site("vertex", 2), Site("vertex", 1)}))
@@ -192,7 +193,7 @@ class TestLedger:
     def test_identity_and_pointwise(self):
         g = gnp_graph(12, 0.3, 0.5, SeedContext(1).child("gen"))
         for t in range(6):
-            ledger = sweep_ledger(TruncatedGreedyMis(), g, SeedContext(t))
+            ledger = sweep_ledger(TruncatedGreedyMis(None), g, SeedContext(t))
             row_plus = ledger.qplus_rows[0]
             row_minus = ledger.qminus_rows[0]
             row_psi = ledger.psi_rows[0]
@@ -221,7 +222,7 @@ class TestLedger:
         for seed in (0, 1):
             g = gnp_graph(14, 0.25, 0.5, SeedContext(seed).child("gen"))
             ledger = gather_ledger(
-                TruncatedGreedyMis(), g, SeedContext(seed).child("sw"), trials=30
+                TruncatedGreedyMis(None), g, SeedContext(seed).child("sw"), trials=30
             )
             assert check_correlated_bound(ledger).ok
 
@@ -242,7 +243,7 @@ class TestLedgerIndex:
     @staticmethod
     def assert_matches_pairwise(lca, g, ctx):
         ledger = sweep_ledger(lca, g, ctx)
-        out_sets = {r: run_lca(lca, g, ctx, r)[1].out_queries for r in ledger.sites}
+        out_sets = {r: run_lca(lca, g, ctx, r, TapeTable(ctx, g))[1].out_queries for r in ledger.sites}
         ref = QueryLedger(ledger.site_kind, ledger.sites)
         add_sweep_pairwise(ref, out_sets)
         assert ledger.qplus_rows == ref.qplus_rows
@@ -372,12 +373,12 @@ class TestTapeTable:
         # from them, so the oracle refuses it; an equal ctx is the same seed
         g = gnp_graph(30, 0.1, 0.5, SeedContext(0).child("gen"))
         other = gnp_graph(30, 0.1, 0.5, SeedContext(1).child("gen"))
-        lca = TruncatedGreedyMis()
+        lca = TruncatedGreedyMis(None)
         tapes = TapeTable(SeedContext(1), g)
         for v in range(g.n):
             root = Site("vertex", v)
             shared = run_lca(lca, g, SeedContext(1), root, tapes)
-            assert shared == run_lca(lca, g, SeedContext(1), root)
+            assert shared == run_lca(lca, g, SeedContext(1), root, TapeTable(SeedContext(1), g))
             for ctx, h in ((SeedContext(2), g), (SeedContext(1), other)):
                 with pytest.raises(ValueError, match="another ctx or graph"):
                     run_lca(lca, h, ctx, root, tapes)
@@ -387,7 +388,7 @@ class TestTapeTable:
         # table would then outlive its sweep until a full collection
         kite, b_lca = golden_b_matching("kite")
         g60 = gnp_graph(60, 0.05, 0.5, SeedContext(0).child("gen"))
-        cases = [(g60, TruncatedGreedyMis(), "vertex"), (kite, b_lca, "edge")]
+        cases = [(g60, TruncatedGreedyMis(None), "vertex"), (kite, b_lca, "edge")]
         gc.disable()
         try:
             for g, lca, kind in cases:
@@ -406,7 +407,7 @@ class TestTapeTable:
         counter = self.count_calls(monkeypatch, "__post_init__")
         for e in range(g.m):
             counter["n"] = 0
-            run_lca(lca, g, ctx, Site("edge", e))
+            run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
             assert counter["n"] <= g.m
 
 
@@ -418,7 +419,7 @@ class TestNearSet:
 
     @staticmethod
     def replay(oracle_cls, g, root, steps):
-        oracle = oracle_cls(g, SeedContext(0), root)
+        oracle = oracle_cls(g, SeedContext(0), root, TapeTable(SeedContext(0), g))
         outcomes = []
         for op, site in steps:
             try:
@@ -461,7 +462,7 @@ class TestDelta:
     def test_disjoint_components_zero(self):
         g = Graph.build(2, [])
         est = estimate_delta(
-            TruncatedGreedyMis(),
+            TruncatedGreedyMis(None),
             g,
             [(Site("vertex", 0), Site("vertex", 1))],
             trials=40,
@@ -472,19 +473,19 @@ class TestDelta:
     def test_same_root_one(self):
         g = star(3)
         pair = (Site("vertex", 1), Site("vertex", 1))
-        est = estimate_delta(TruncatedGreedyMis(), g, [pair], trials=20, ctx=SeedContext(0))
+        est = estimate_delta(TruncatedGreedyMis(None), g, [pair], trials=20, ctx=SeedContext(0))
         assert est[pair].delta == 1.0
 
     def test_adjacent_gmis_one(self):
         g = Graph.build(2, [(0, 1, 0.5)])
         pair = (Site("vertex", 0), Site("vertex", 1))
-        est = estimate_delta(TruncatedGreedyMis(), g, [pair], trials=50, ctx=SeedContext(1))
+        est = estimate_delta(TruncatedGreedyMis(None), g, [pair], trials=50, ctx=SeedContext(1))
         assert est[pair].delta == 1.0
 
     def test_near_independence(self):
         # outputs of roots with small delta have covariance of the same order
         g = gnp_graph(20, 0.15, 0.5, SeedContext(2).child("gen"))
-        lca = TruncatedGreedyMis()
+        lca = TruncatedGreedyMis(None)
         trials = 400
         delta0 = 0.1
         ctx = SeedContext(5).child("ni")
@@ -495,7 +496,7 @@ class TestDelta:
             outs = {}
             sets = {}
             for v in range(g.n):
-                out, trace = run_lca(lca, g, sub, Site("vertex", v))
+                out, trace = run_lca(lca, g, sub, Site("vertex", v), TapeTable(sub, g))
                 outs[v] = 1.0 if out.member else 0.0
                 sets[v] = trace.out_queries
             outputs.append((outs, sets))
@@ -522,13 +523,13 @@ def _b_corpus_queries():
     under its own tapes, as ``matching_via_queries`` runs them: yields
     (instance name, seed, root, answer, trace)."""
     for name, g, kw in B_CORPUS:
-        params = BParams(margin=0.1, **kw)
+        params = BParams(margin=0.1, **{"mis_budget": None, **kw})
         for seed in range(20):
             real = sample_realization(g, SeedContext(seed).child("real"), 0)
             lca = BMatchingLca(g, params, real)
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                out, trace = run_lca(lca, g, ctx, Site("edge", e))
+                out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
                 yield name, seed, e, out, trace
 
 

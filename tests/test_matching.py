@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     MatcherV1,
+    all_edges,
     blossom_violations_full,
     brute_matching_number,
     complete_graph,
@@ -44,14 +45,14 @@ def random_instance(seed: int, n: int = 9, edge_prob: float = 0.35) -> Graph:
 
 class TestMaximumMatching:
     def test_triangle_size_one(self, triangle):
-        assert len(maximum_matching(triangle)) == 1
+        assert len(maximum_matching(triangle, all_edges(triangle))) == 1
 
     def test_path3_forced(self, path3):
         # the only maximum matching of a 3-edge path: outer edges
-        assert maximum_matching(path3) == frozenset({0, 2})
+        assert maximum_matching(path3, all_edges(path3)) == frozenset({0, 2})
 
     def test_c5_size_two(self):
-        assert len(maximum_matching(cycle_graph(5))) == 2
+        assert len(maximum_matching(cycle_graph(5), all_edges(cycle_graph(5)))) == 2
 
     def test_output_is_matching_within_active(self, triangle):
         got = maximum_matching(triangle, active=edge_mask([0, 1]))
@@ -60,14 +61,14 @@ class TestMaximumMatching:
 
     def test_purity(self):
         g = random_instance(3, n=12)
-        first = maximum_matching(g)
-        assert all(maximum_matching(g) == first for _ in range(1000))
+        first = maximum_matching(g, all_edges(g))
+        assert all(maximum_matching(g, all_edges(g)) == first for _ in range(1000))
 
     @given(st.integers(0, 400))
     @settings(max_examples=120, deadline=None)
     def test_brute_force_equivalence(self, seed):
         g = random_instance(seed)
-        got = maximum_matching(g)
+        got = maximum_matching(g, all_edges(g))
         assert is_matching(g, got)
         assert len(got) == brute_matching_number(g)
 
@@ -77,13 +78,13 @@ class TestMaximumMatching:
         # about 6 s (Python 3.11, 2-core Xeon), this one about 0.03 s
         g = Graph.build(50_000, [(2 * i, 2 * i + 1, 0.5) for i in range(5000)])
         t0 = time.monotonic()
-        assert maximum_matching(g) == frozenset(range(5000))
+        assert maximum_matching(g, all_edges(g)) == frozenset(range(5000))
         assert time.monotonic() - t0 < 2.0
 
     def test_matching_number_matches_set_size(self):
         for seed in range(30):
             g = random_instance(seed)
-            assert matching_number(g) == len(maximum_matching(g))
+            assert matching_number(g, all_edges(g)) == len(maximum_matching(g, all_edges(g)))
 
     def test_active_subset(self):
         g = complete_graph(5)
@@ -119,11 +120,12 @@ def sparse_gnp(n: int, seed: int, c: float = 3.0) -> Graph:
     return Graph.build(n, triples)
 
 
-def active_form(form: str, mask: int):
+def active_form(form: str, mask: int, g: Graph):
     """``active`` in one of the forms ``oracles.MatcherV0`` takes, and the
-    same edge set as the package takes it: an edge mask or None."""
+    same edge set as the package takes it, an edge mask; the form "none"
+    is every edge of ``g``."""
     if form == "none":
-        return None, None
+        return None, all_edges(g)
     if form == "mask":
         return mask, mask
     return mask_edges(mask)[::-1], edge_mask(mask_edges(mask))  # unsorted on purpose
@@ -141,7 +143,7 @@ class TestDifferentialAgainstParent:
         rng = random.Random(f"diff-{form}")
         for g in differential_corpus:
             for _ in range(1 if form == "none" else 8):
-                active, mask = active_form(form, rng.getrandbits(g.m))
+                active, mask = active_form(form, rng.getrandbits(g.m), g)
                 got = maximum_matching(g, mask)
                 assert got == maximum_matching_v1(g, mask)
                 assert got == maximum_matching_v0(g, active)
@@ -156,7 +158,7 @@ class TestDifferentialAgainstParent:
         rng = random.Random(f"sparse-{n}-{form}")
         for _ in range(1 if form == "none" else 2):
             # dense masks keep the big components, and their blossoms
-            active, mask = active_form(form, rng.getrandbits(g.m) | rng.getrandbits(g.m))
+            active, mask = active_form(form, rng.getrandbits(g.m) | rng.getrandbits(g.m), g)
             got = maximum_matching(g, mask)
             assert got == maximum_matching_v1(g, mask)
             assert got == maximum_matching_v0(g, active)
@@ -202,7 +204,7 @@ def test_blossom_relabel_costs_the_blossom():
         if u != v:
             pairs.add((min(u, v), max(u, v)))
     g = Graph.build(8000, [(u, v, 0.5) for u, v in sorted(pairs)])
-    new, old = CountingMatcher(g, None), CountingMatcherV1(g, None)
+    new, old = CountingMatcher(g, all_edges(g)), CountingMatcherV1(g, all_edges(g))
     new.run()
     old.run()
     assert new.edge_set() == old.edge_set()
@@ -243,9 +245,9 @@ class TestCorruptSearchState:
     def test_fault_raises(self, faulty):
         n, pairs = CORRUPTING[faulty]
         g = Graph.build(n, [(u, v, 0.5) for u, v in pairs])
-        assert len(maximum_matching(g)) == n // 2
+        assert len(maximum_matching(g, all_edges(g))) == n // 2
         with pytest.raises(RuntimeError, match="inconsistent"):
-            faulty(g, None).run()
+            faulty(g, all_edges(g)).run()
 
     @pytest.mark.parametrize("faulty", list(CORRUPTING), ids=lambda c: c.__name__)
     def test_every_faulty_search_ends(self, faulty):
@@ -253,7 +255,7 @@ class TestCorruptSearchState:
         for seed in range(300):
             g = random_instance(seed, n=8, edge_prob=0.5)
             try:
-                faulty(g, None).run()
+                faulty(g, all_edges(g)).run()
             except RuntimeError as exc:
                 assert "inconsistent" in str(exc)
 
@@ -403,7 +405,7 @@ class TestBlossomChecker:
     def test_integral_matchings_clean(self):
         for seed in range(25):
             g = random_instance(seed)
-            f = FractionalMatching.build(g, {e: 1.0 for e in maximum_matching(g)})
+            f = FractionalMatching.build(g, {e: 1.0 for e in maximum_matching(g, all_edges(g))})
             assert check_blossom(f, eps=0.2).ok
 
     def test_cap_exceeded(self):

@@ -199,11 +199,11 @@ class TestEngine:
         def lower(x):
             return [x + 1] if x < 3 else []
 
-        assert greedy_member(0, lower) == (False, False, 4)
+        assert greedy_member(0, lower, None) == (False, False, 4)
         assert greedy_member(0, lower, budget=4) == (False, False, 4)
         for budget in (1, 2, 3):
             assert greedy_member(0, lower, budget=budget) == (False, True, budget)
-        assert greedy_member(0, lambda x: None) == (False, False, 1)
+        assert greedy_member(0, lambda x: None, None) == (False, False, 1)
 
     def test_tmis_matches_parent(self):
         truncated = 0
@@ -214,8 +214,8 @@ class TestEngine:
             for threshold in (None,) + tuple(range(1, 11)):
                 for v in range(g.n):
                     root = Site("vertex", v)
-                    new, trace = run_lca(TruncatedGreedyMis(threshold), g, ctx, root)
-                    old, old_trace = run_lca(TruncatedGreedyMisV0(threshold), g, ctx, root)
+                    new, trace = run_lca(TruncatedGreedyMis(threshold), g, ctx, root, TapeTable(ctx, g))
+                    old, old_trace = run_lca(TruncatedGreedyMisV0(threshold), g, ctx, root, TapeTable(ctx, g))
                     assert new == old
                     assert trace.probed == old_trace.probed
                     assert trace.meta == old_trace.meta
@@ -243,8 +243,8 @@ class TestEngine:
                     for e in range(g.m):
                         log.clear()
                         old_lca.mis_log.clear()
-                        out, trace = run_lca(lca, g, ctx, Site("edge", e))
-                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e))
+                        out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
                         assert out == old, name
                         assert trace.probed == old_trace.probed, name
                         assert len(log) == len(old_lca.mis_log), name
@@ -279,7 +279,7 @@ class TestSharedExpansions:
         for v in roots:
             root = Site("vertex", v)
             out, trace = run_lca(TruncatedGreedyMis(budget), g, ctx, root, tapes)
-            old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root)
+            old, old_trace = run_lca(TruncatedGreedyMisV0(budget), g, ctx, root, TapeTable(ctx, g))
             assert out == old
             assert trace.probed == old_trace.probed
             assert trace.meta == old_trace.meta

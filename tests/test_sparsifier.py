@@ -67,7 +67,7 @@ class TestBuildH:
             build_H(g, SparsifierParams(R=R, eps=0.2, seed=9))[0]
             for R in (1, 2, 4, 8)
         ]
-        ests = ratio_sweep(g, Hs, samples=1500, ctx=SeedContext(7).child("mc"))
+        ests = ratio_sweep(g, Hs, samples=1500, ctx=SeedContext(7).child("mc"), exact=None)
         for lo, hi in zip(ests, ests[1:]):
             assert hi.ratio >= lo.ratio
 
@@ -75,19 +75,19 @@ class TestBuildH:
 class TestEstimateQ:
     def test_single_edge_exact(self):
         g = Graph.build(2, [(0, 1, 0.5)])
-        q = estimate_q(g)
+        q = estimate_q(g, exact=None)
         assert q.exact and q.q == (0.5,)
 
     def test_sure_path_lexicographic(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert estimate_q(g).q == (1.0, 0.0)
+        assert estimate_q(g, exact=None).q == (1.0, 0.0)
 
     def test_triangle_values(self, triangle):
-        q = estimate_q(triangle)
+        q = estimate_q(triangle, exact=None)
         assert q.q == pytest.approx((0.5, 0.25, 0.125), abs=1e-12)
 
     def test_total_equals_expected_mu(self, triangle):
-        q = estimate_q(triangle)
+        q = estimate_q(triangle, exact=None)
         assert q.total == pytest.approx(
             matching_size_expectation_exact(triangle), abs=1e-9
         )
@@ -97,26 +97,26 @@ class TestEstimateQ:
             g = gnp_graph(7, 0.5, 0.6, SeedContext(seed).child("gen"))
             if g.m == 0:
                 continue
-            q = estimate_q(g)
+            q = estimate_q(g, exact=None)
             for v in range(g.n):
                 assert q_load(q, g, v) <= 1.0 + 1e-9
 
     def test_sampled_mode_close_to_exact(self, triangle):
-        exact = estimate_q(triangle)
+        exact = estimate_q(triangle, exact=None)
         mc = estimate_q(triangle, samples=4000, ctx=SeedContext(2).child("q"), exact=False)
         assert not mc.exact
         for a, b in zip(mc.q, exact.q):
             assert abs(a - b) <= 4 * math.sqrt(0.25 / 4000)
 
     def test_crucial_noncrucial_partition(self, triangle):
-        q = estimate_q(triangle).with_thresholds(0.2, 0.3)
+        q = estimate_q(triangle, exact=None).with_thresholds(0.2, 0.3)
         assert q.crucial == frozenset({0})
         assert q.noncrucial == frozenset({2})
         assert not q.crucial & q.noncrucial
 
     def test_thresholds_required(self, triangle):
         with pytest.raises(ValueError):
-            estimate_q(triangle).crucial
+            estimate_q(triangle, exact=None).crucial
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
@@ -132,7 +132,7 @@ class TestEstimateQ:
 
 class TestSelectThresholds:
     def test_all_above_tau0(self, triangle):
-        q = estimate_q(triangle)  # all q >= 0.125 > tau_0 = 0.0625
+        q = estimate_q(triangle, exact=None)  # all q >= 0.125 > tau_0 = 0.0625
         tau_minus, tau_plus = select_thresholds(q, eps=0.5, p_min=0.5)
         tau0 = (0.5 * 0.5) ** 2
         assert tau_plus == pytest.approx(tau0)
@@ -165,7 +165,7 @@ class TestSelectThresholds:
         assert tau_minus == pytest.approx(0.0625**3)
 
     def test_validation(self, triangle):
-        q = estimate_q(triangle)
+        q = estimate_q(triangle, exact=None)
         with pytest.raises(ValueError):
             select_thresholds(q, eps=0.0, p_min=0.5)
         with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ class TestSelectThresholds:
         g = gnp_graph(8, 0.5, 0.5, SeedContext(seed).child("gen"))
         if g.m == 0:
             return
-        q = estimate_q(g)
+        q = estimate_q(g, exact=None)
         tau_minus, tau_plus = select_thresholds(q, eps=eps, p_min=0.5)
         dropped = sum(qe for qe in q.q if tau_minus < qe < tau_plus)
         buckets = math.ceil(1.0 / eps)

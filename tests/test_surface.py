@@ -25,7 +25,12 @@ field of a public dataclass or NamedTuple, must be passed, by keyword or
 by position, in some call in the package or ``bench/``.  Calls are
 matched by callee name (a class's name for its ``__init__`` and its
 fields), and a ``replace(x, name=...)`` keyword sets the field ``name``.
-A value that only tests set is a module constant instead.
+A value that only tests set is a module constant instead.  And the
+reverse: every such default must be left out by some call in the
+package or ``bench/``, which passes neither its name nor its position
+(a ``replace`` leaves out nothing).  A value that every caller outside
+the tests passes is required, so a test writes it too, and no default
+picks a path that only tests take.
 
 Both ways round: every field of a public dataclass or NamedTuple must be
 read in the package or ``bench/``, again by name.  A read is a loaded
@@ -82,6 +87,9 @@ ALLOWED_UNREAD = {
 
 # "module.callable.parameter" -> why only tests set it
 ALLOWED_PARAMETERS = {}
+
+# "module.callable.parameter" -> why only tests leave it out
+ALLOWED_DEFAULTS = {}
 
 # oracles class -> why it still derives from a package class
 ALLOWED_SUBCLASSES = dict.fromkeys(
@@ -368,6 +376,29 @@ def test_every_optional_parameter_is_set():
     assert missing == [], f"settings that no call in src/ or bench/ passes: {missing}"
     stale = set(ALLOWED_PARAMETERS) - set(unset)
     assert not stale, f"allowlisted settings that gained a caller: {stale}"
+
+
+def defaults_always_passed() -> list:
+    """Qualified names of the covered settings that every call passes."""
+    calls, _ = _calls()
+
+    def is_left_out(name: str, callee: str, pos) -> bool:
+        return any(
+            name not in kws and None not in kws and (pos is None or count <= pos)
+            for count, kws in calls.get(callee, ())
+        )
+
+    return sorted(
+        q for q, callee, pos, _ in _settings() if not is_left_out(q.rsplit(".", 1)[1], callee, pos)
+    )
+
+
+def test_every_default_is_left_out():
+    passed = defaults_always_passed()
+    missing = [q for q in passed if q not in ALLOWED_DEFAULTS]
+    assert missing == [], f"defaults that every call in src/ or bench/ passes: {missing}"
+    stale = set(ALLOWED_DEFAULTS) - set(passed)
+    assert not stale, f"allowlisted defaults that some call now leaves out: {stale}"
 
 
 def test_no_assert_statements():
