@@ -9,7 +9,11 @@ round (1-eps) x into a fractional matching y that certifies the size of
 the best matching inside H's realization.
 
 Everything downstream of q is deterministic given the seed context, so
-pipeline trials are reproducible and parallelizable.  The claim checks
+pipeline trials are reproducible and parallelizable.  The recursive
+matching's calls and queries under one algorithm seed share one tape
+table of that seed, the one store of what the seed fixes (see
+:mod:`stochmatch.hyperwalk`): one per exact table or serial ``verify``
+run, one per pool worker, and one per sampled trial.  The claim checks
 in :func:`verify_claims` are reports with flags, not hard assertions:
 the inequalities they measure hold asymptotically under parameter
 regimes far beyond desk scale, and at bench parameters a miss is an
@@ -35,7 +39,6 @@ from .graph import (
 )
 from .hyperwalk import (
     BParams,
-    SeedMemo,
     WalkIndex,
     b_generic,
     BMatchingLca,
@@ -156,27 +159,16 @@ def prepare_crucial(
     return CrucialSetup(sub, from_sub, gates, walks, bparams)
 
 
-def compute_MC(
-    crucial: CrucialSetup,
-    g_real: int,
-    alg_ctx: SeedContext,
-    memo: Optional[SeedMemo],
-) -> frozenset:
+def compute_MC(crucial: CrucialSetup, g_real: int, tapes: TapeTable) -> frozenset:
     """The recursive matching of the realized crucial subgraph, as
-    full-graph edge ids.  Depends on the input realization mask
-    ``g_real`` only through the bits of crucial edges.  ``memo`` is
-    shared by calls under one ``alg_ctx`` (see :class:`SeedMemo`)."""
+    full-graph edge ids, under the algorithm seed of ``tapes``, a tape
+    table on ``crucial.sub``.  Depends on the input realization mask
+    ``g_real`` only through the bits of crucial edges."""
     c_p = edge_mask(
         sub_e for sub_e, full_e in enumerate(crucial.from_sub) if (g_real >> full_e) & 1
     )
     matched = b_generic(
-        crucial.sub,
-        c_p,
-        crucial.bparams,
-        alg_ctx,
-        gates=crucial.gates,
-        walks=crucial.walks,
-        memo=memo,
+        crucial.sub, c_p, crucial.bparams, tapes, gates=crucial.gates, walks=crucial.walks
     )
     return frozenset(crucial.from_sub[e] for e in matched)
 
@@ -203,17 +195,18 @@ def build_match_prob_table(
 
     Exact mode enumerates the crucial subgraph's realizations (the
     matching never reads anything else) against one fixed algorithm
-    seed, so all of its calls share one :class:`SeedMemo`; Monte Carlo
-    redraws both per trial.
+    seed, so all of its calls share one tape table; Monte Carlo redraws
+    both per trial.
     """
     sub = crucial.sub
     exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
-    memo = SeedMemo() if exact else None
+    tapes = None
     covered = [0.0] * g.n
     for t, (mask, weight) in enumerate(worlds):
+        if tapes is None or not exact:
+            tapes = TapeTable(alg_seed(ctx, exact, t), sub)
         matched = b_generic(
-            sub, mask, crucial.bparams, alg_seed(ctx, exact, t),
-            gates=crucial.gates, walks=crucial.walks, memo=memo,
+            sub, mask, crucial.bparams, tapes, gates=crucial.gates, walks=crucial.walks
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -248,27 +241,25 @@ def build_delta_table(
     queries over its incident crucial edges (plus the vertex itself).
     Each trial redraws the crucial realization; the algorithm seed
     follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines,
-    whose queries then share one tape table and one :class:`SeedMemo`,
-    which replays each repeated (realization, root) query.
+    whose queries then share one tape table; a sampled trial's queries
+    share the table of its own seed.  A query repeated under one table
+    is replayed (see :class:`BMatchingLca`).
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
         return DeltaTable({})
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValueError("delta trials must be positive; pass --delta-trials 1 or more")
     sub = crucial.sub
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
-    memo = SeedMemo() if exact else None
     tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
         alg_ctx = alg_seed(ctx, exact, t)
         if tapes is None or not exact:
             tapes = TapeTable(alg_ctx, sub)
-        lca = BMatchingLca(
-            sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks, memo=memo
-        )
+        lca = BMatchingLca(sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks)
         footprints = {}
         for w in involved:
             fp = {w}
@@ -503,12 +494,15 @@ def prepare_pipeline(
     )
 
 
-def run_pipeline(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> tuple:
+def run_pipeline(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
     """One trial's per-edge values x (a dict) and their rounding y (a
-    :class:`FractionalMatching`), as ``(x, y)``; ``memo`` is shared by
-    trials under one algorithm seed."""
+    :class:`FractionalMatching`), as ``(x, y)``; ``tapes`` is the tape
+    table of the trial's algorithm seed on the crucial subgraph, shared
+    by the trials under that seed."""
+    if tapes.ctx != setup.alg_ctx(trial):
+        raise ValueError("tape table belongs to another algorithm seed")
     real = setup.realization(trial)
-    m_c = compute_MC(setup.crucial, real, setup.alg_ctx(trial), memo)
+    m_c = compute_MC(setup.crucial, real, tapes)
     x = build_x(
         setup.g,
         setup.q,
@@ -571,11 +565,11 @@ def _freq_stderr(count: int, n: int) -> tuple:
     return freq, math.sqrt(max(freq * (1.0 - freq), 0.0) / n)
 
 
-def _trial_stats(setup: PipelineSetup, trial: int, memo: Optional[SeedMemo]) -> tuple:
+def _trial_stats(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
     """What :func:`verify_claims` reads of one trial: the vertex loads of
     x, |x|, |y|, and the blossom check of y, which is None when the
     odd-set size cap is exceeded."""
-    x, y = run_pipeline(setup, trial, memo)
+    x, y = run_pipeline(setup, trial, tapes)
     try:
         blossom_ok = check_blossom(y, setup.eps).ok
     except ResourceGuard:
@@ -595,9 +589,14 @@ def _claim(name: str, kind: str, bound: float, value: float, se: float, note: st
 
 def _trial_block(setup: PipelineSetup, trials: range) -> list:
     """Stats of consecutive trials.  An exact pipeline's trials share one
-    algorithm seed and so one memo; sampled trials keep their own."""
-    memo = SeedMemo() if setup.exact else None
-    return [_trial_stats(setup, t, memo) for t in trials]
+    algorithm seed and so one tape table; sampled trials keep their own."""
+    tapes = None
+    stats = []
+    for t in trials:
+        if tapes is None or not setup.exact:
+            tapes = TapeTable(setup.alg_ctx(t), setup.crucial.sub)
+        stats.append(_trial_stats(setup, t, tapes))
+    return stats
 
 
 def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimReport:
@@ -614,7 +613,7 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimRepor
         # imported here: the pool machinery is a large share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # one block of consecutive trials per worker, each with its own memo;
+        # one block of consecutive trials per worker, each with its own tables;
         # a forked pool starts every worker at the first submit
         cuts = [trials * k // workers for k in range(workers + 1)]
         blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]

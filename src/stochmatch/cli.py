@@ -49,7 +49,6 @@ DEFAULTS = {
     "walk_len": 2,
     "depth": 1,
     "margin": None,
-    "mis_budget": None,
     "exact": None,
     "threads": 1,
     "thresholds": None,
@@ -140,7 +139,7 @@ class ExperimentConfig:
             walk_len=self.walk_len,
             depth=self.depth,
             margin=margin,
-            mis_budget=self.mis_budget,
+            mis_budget=self.budget,
         )
 
 
@@ -268,7 +267,6 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--walk-len", dest="walk_len", type=int)
     common.add_argument("--depth", type=int)
     common.add_argument("--margin", type=float)
-    common.add_argument("--mis-budget", dest="mis_budget", type=int)
     common.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None)
     common.add_argument("--threads", type=int)
     common.add_argument("--thresholds", help="manual tau_minus,tau_plus")
@@ -276,7 +274,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--delta-trials", dest="delta_trials", type=int)
     common.add_argument("--match-prob-trials", dest="match_prob_trials", type=int)
     common.add_argument("--delta-exponent", dest="delta_exponent", type=int)
-    common.add_argument("--budget", type=int, help="tmis expansion budget")
+    common.add_argument("--budget", type=int, help="expansions per MIS root query")
     return common
 
 

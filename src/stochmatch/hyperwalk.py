@@ -18,14 +18,19 @@ of them, ``gates``, and level r reads ``gates[r - 1]``.
 copies from level r-1 matchings (copy 0 inherits the input realization,
 copies 1..alpha draw fresh ones from the PRF), selects a greedy maximal
 independent set of augmenting hyperwalks by rank, applies them to the
-matching masks, and returns copy 0's matching; its calls under one
-algorithm seed share a :class:`SeedMemo` of what that seed alone fixes.
-``BMatchingLca`` answers single-edge membership queries for the same
-function by local exploration; with identical seeds the two routes
-agree edge for edge, which the test suite checks exhaustively on small
-instances.  Under a ``SeedMemo`` a repeated query (same realization,
-root and depth) is replayed: its recorded probes go through the oracle
-again and its recorded answer and node count are returned.
+matching masks, and returns copy 0's matching.  ``BMatchingLca``
+answers single-edge membership queries for the same function by local
+exploration; with identical seeds the two routes agree edge for edge,
+which the test suite checks exhaustively on small instances.
+
+Both routes read the algorithm seed's tapes through the caller's
+:class:`~stochmatch.lca.TapeTable`, the one store of what the seed
+fixes: besides the tapes and their values, its ``derived`` dict holds
+each fresh copy's subtree for ``b_generic`` and each query's answer,
+probes and node count for the query route, keyed by every input other
+than the seed and the graph.  A repeated query is replayed: its
+recorded probes go through the oracle again and its recorded answer
+and node count are returned.
 
 Both routes name a walk by the int id that :class:`WalkIndex` gave it
 when it first enumerated it, and read one record per id (a
@@ -104,7 +109,7 @@ class BParams:
         if self.margin < 0.0:
             raise ValueError("margin must be nonnegative")
         if self.mis_budget is not None and self.mis_budget < 1:
-            raise ValueError("mis_budget must be positive when set")
+            raise ValueError("budget must be positive when set")
 
 
 # ---------------------------------------------------------------------------
@@ -362,43 +367,6 @@ def _check_depth(depth: int) -> None:
         raise ResourceGuard(f"--depth {depth} exceeds the recursion limit of {DEPTH_LIMIT} levels")
 
 
-class SeedMemo:
-    """What one algorithm seed fixes for ``b_generic`` and ``BMatchingLca``,
-    shared by their calls.
-
-    Under one scope (g, ctx, gates, walks, and the alpha and mis_budget
-    of params; the gates fold in the margin) each edge tape, each walk
-    rank and each fresh copy (index i >= 1) with the matching of its
-    subtree are functions of the seed alone.  A fresh subtree never
-    reads the input realization, and its lineage names its level.
-    Copy-0 matchings and walk validity read the input, so they stay per
-    call.  So is a whole query (realization mask, root edge, depth): its
-    answer, its ordered probes and its guard nodes.  The first call
-    binds the memo to its scope, and a call under another scope raises.
-    A subtree or query entry keeps the guard nodes its computation
-    ticked, and a hit ticks them again, so the node ceiling trips at the
-    same count as without the memo.  The values die with the memo; its
-    owner drops it when its loop ends.
-    """
-
-    def __init__(self) -> None:
-        self.scope = None
-        self.tapes = None  # the TapeTable of the scope's ctx and graph, once bound
-        self.ranks = {}  # (lineage, level, walk id) -> rank
-        self.copies = {}  # lineage -> (realization mask, matching mask, guard nodes)
-        self.queries = {}  # (mask, root edge, depth) -> (answer, probed sites, guard nodes)
-
-    def bind(
-        self, g: Graph, ctx: SeedContext, gates: tuple, walks: WalkIndex, params: BParams
-    ) -> None:
-        scope = (g, ctx, gates, walks, params.alpha, params.mis_budget)
-        if self.scope is None:
-            self.scope = scope
-            self.tapes = TapeTable(ctx, g)
-        elif self.scope != scope:
-            raise ValueError("memo belongs to another algorithm seed or setup")
-
-
 def _augments(w: Walk, gate: int, realized: Callable, before: Callable) -> bool:
     """Whether walk record ``w`` augments the copies: the one validity
     predicate of both routes.
@@ -501,16 +469,16 @@ def b_generic(
     g: Graph,
     realization: int,
     params: BParams,
-    ctx: SeedContext,
+    tapes: TapeTable,
     level: Optional[int] = None,
     *,
     gates: tuple,
     walks: WalkIndex,
-    memo: Optional[SeedMemo] = None,
 ) -> frozenset:
     """Recursive matching of the realization with edge mask
     ``realization`` at the given level (default: ``params.depth``),
-    level r admitting walks past ``gates[r - 1]``.
+    level r admitting walks past ``gates[r - 1]``, under the algorithm
+    seed ``tapes.ctx``.
 
     Each recursion node holds one realization mask and one matching mask
     per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
@@ -520,18 +488,23 @@ def b_generic(
     ~removals``; the chosen walks are vertex-disjoint, so their order
     does not matter.  The returned edge set is a matching within the
     input realization and is reproducible from (ctx, realization).
-    ``memo`` is shared by calls under one scope (see
-    :class:`SeedMemo`); without it the call keeps its own.
+
+    ``tapes`` is the caller's tape table of the seed on ``g``, shared by
+    the calls under that seed.  A fresh copy never reads the input
+    realization and its lineage names its level, so its realization,
+    the matching of its subtree and the guard nodes that subtree ticked
+    are stored on the table, keyed by every other input they read.  A
+    hit ticks those nodes again, so the node ceiling trips at the same
+    count as on a fresh table.
     """
     if level is None:
         level = params.depth
     _check_depth(level)
     _check_gates(gates, level)
     _check_walks(walks, g, params)
-    if memo is None:
-        memo = SeedMemo()
-    memo.bind(g, ctx, gates, walks, params)
-    tapes, ranks, copies = memo.tapes, memo.ranks, memo.copies
+    if tapes.graph is not g:
+        raise ValueError("tape table belongs to another graph")
+    derived = tapes.derived
     records = walks.records
     guard = _Guard()
 
@@ -543,7 +516,8 @@ def b_generic(
         matches = [recurse(lineage, real, lvl - 1)]
         for i in range(1, params.alpha + 1):
             sub_lineage = lineage + (lvl, i)
-            hit = copies.get(sub_lineage)
+            key = ("copy", gates, walks, params.alpha, params.mis_budget, sub_lineage)
+            hit = derived.get(key)
             if hit is None:
                 start = guard.nodes
                 gi = edge_mask(
@@ -551,19 +525,15 @@ def b_generic(
                     if _copy_realized(tapes["edge", e], sub_lineage, g.probability(e))
                 )
                 matching = recurse(sub_lineage, gi, lvl - 1)
-                hit = copies[sub_lineage] = (gi, matching, guard.nodes - start)
+                hit = derived[key] = (gi, matching, guard.nodes - start)
             else:
                 guard.tick(hit[2])
             reals.append(hit[0])
             matches.append(hit[1])
 
         def rank(w: int) -> tuple:
-            key = (lineage, lvl, w)
-            r = ranks.get(key)
-            if r is None:
-                rec = records[w]
-                r = ranks[key] = _walk_rank(tapes["edge", rec.edges[0]], lineage, lvl, rec)
-            return r
+            rec = records[w]
+            return _walk_rank(tapes["edge", rec.edges[0]], lineage, lvl, rec)
 
         match = matches[0]
         for w in _select_walks(reals, matches, walks, gates[lvl - 1], params, rank, guard):
@@ -573,9 +543,8 @@ def b_generic(
         return match
 
     out = recurse((), realization, level)
-    # recurse refers to itself; breaking that cycle frees the walk index,
-    # the memo's views and the tapes now rather than at the next cyclic
-    # collection
+    # recurse refers to itself; breaking that cycle frees the walk index
+    # and the table's views now rather than at the next cyclic collection
     del recurse
     return frozenset(mask_edges(out))
 
@@ -611,7 +580,8 @@ def build_unsaturation_table(
         for s in range(samples):
             sub = ctx.child("unsat", lvl, s)
             real = sample_realization(g, sub.child("input"), 0)
-            matched = b_generic(g, real, params, sub.child("alg"), lvl, gates=partial, walks=walks)
+            tapes = TapeTable(sub.child("alg"), g)
+            matched = b_generic(g, real, params, tapes, lvl, gates=partial, walks=walks)
             for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))
@@ -767,10 +737,12 @@ class BMatchingLca:
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
     query with full probe instrumentation and fresh memos; it is the
-    only query route.  With a ``memo`` shared by queries under one
-    algorithm seed, a repeated query replays its recorded probes through
-    the oracle, so naturality is checked again, and returns its recorded
-    answer and node count (see :class:`SeedMemo`).
+    only query route.  A query's answer, its ordered probes and its guard
+    nodes are functions of the algorithm seed and its other inputs, so
+    they are stored on the oracle's tape table under a key naming those
+    inputs.  A repeated query under that table replays its recorded
+    probes through the oracle, so naturality is checked again, and
+    returns its recorded answer and node count.
     """
 
     site_kind = "edge"
@@ -782,7 +754,6 @@ class BMatchingLca:
         root_realization: int,
         gates: Optional[tuple] = None,
         walks: Optional[WalkIndex] = None,
-        memo: Optional[SeedMemo] = None,
     ) -> None:
         if not 0 <= root_realization < 1 << g.m:
             raise ValueError(f"realization mask outside the {g.m} edges of the graph")
@@ -794,25 +765,20 @@ class BMatchingLca:
         _check_gates(self.gates, params.depth)
         self.walks = walks if walks is not None else WalkIndex(g, params.walk_len, params.alpha)
         _check_walks(self.walks, g, params)
-        self.memo = memo
 
     def run(self, oracle, root: Site) -> bool:
-        memo, params = self.memo, self.params
-        if memo is not None:
-            memo.bind(self.g, oracle.ctx, self.gates, self.walks, params)
-            key = (self.root_realization, root.id, params.depth)
-            hit = memo.queries.get(key)
-            if hit is not None:
-                out, probed, nodes = hit
-                for site in probed:
-                    oracle.probe(site)
-                _Guard().tick(nodes)
-                oracle.annotate("nodes", nodes)
-                return out
+        derived = oracle.tapes.derived
+        key = ("query", self.gates, self.walks, self.params, self.root_realization, root.id)
+        hit = derived.get(key)
+        if hit is not None:
+            out, probed, nodes = hit
+            for site in probed:
+                oracle.probe(site)
+            _Guard().tick(nodes)
+            oracle.annotate("nodes", nodes)
+            return out
         engine = _Engine(self, oracle)
-        out = engine.is_in_matching((), root.id, params.depth)
+        out = engine.is_in_matching((), root.id, self.params.depth)
         oracle.annotate("nodes", engine.guard.nodes)
-        if memo is not None:
-            memo.queries[key] = (out, tuple(oracle.probed), engine.guard.nodes)
+        derived[key] = (out, tuple(oracle.probed), engine.guard.nodes)
         return out
-

@@ -25,11 +25,13 @@ callers may name a site by the plain pair (kind, id) and a sweep builds
 each Site once.  A tape also holds what an LCA derives from the tapes
 alone on the table's graph, such as a vertex's lower-rank neighbors, so
 a table is bound to one ctx and one graph, and an oracle refuses a table
-of another.  The table belongs to the caller, which passes it to every
-query it runs: a sweep shares one across its roots and drops it when the
-sweep ends.  Derivations, Sites, the values read off each tape and what is
-derived from them are shared; each query still checks naturality and
-records its own probes.
+of another.  What an LCA derives from the tapes and other inputs, such
+as a b-matching query's answer and probes, goes in the table's
+``derived`` dict under a key naming those inputs.  The table belongs to
+the caller, which passes it to every query it runs: a sweep shares one
+across its roots and drops it when the sweep ends.  Derivations, Sites,
+the values read off each tape and what is derived from them are shared;
+each query still checks naturality and records its own probes.
 
 Sweeping all sites as roots yields, per site v, the out-query count
 q+(v) = |Q+(v)|.  With in(w) the roots whose out-query sets hold w, the
@@ -95,12 +97,15 @@ class TapeTable(dict):
     """The tapes of one ``ctx`` on one ``graph``, keyed by Site: looking
     up a site, a Site or a plain (kind, id) pair, builds its Site and tape
     on first use.  What a tape holds beyond its values is derived on
-    ``graph``, so an oracle refuses a table of another ctx or graph."""
+    ``graph``, so an oracle refuses a table of another ctx or graph.
+    ``derived`` holds what an LCA computes from these tapes and inputs
+    beyond (ctx, graph), under a key that names every such input."""
 
     def __init__(self, ctx: SeedContext, graph: Graph) -> None:
         super().__init__()
         self.ctx = ctx
         self.graph = graph
+        self.derived = {}
 
     def __missing__(self, site) -> _Tape:
         site = Site(*site)
@@ -136,7 +141,7 @@ class LcaOracle:
             raise ValueError("tape table belongs to another ctx or graph")
         self.graph = g
         self.ctx = ctx
-        self._tapes = tapes
+        self.tapes = tapes
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
         self._touched = {}  # vertex -> None
@@ -169,9 +174,9 @@ class LcaOracle:
         is found with one lookup; any other runs the full check, so
         naturality holds on every call."""
         if site in self._probed:
-            return self._tapes[site]
+            return self.tapes[site]
         self._admit(site)
-        tape = self._tapes[site]
+        tape = self.tapes[site]
         site = tape.site
         self._probed[site] = None
         for v in site.vertices(self.graph):
@@ -188,7 +193,7 @@ class LcaOracle:
         other site runs the full check."""
         if site[0] != "vertex" or site[1] not in self._near:
             self._admit(site)
-        return self._tapes[site]
+        return self.tapes[site]
 
     def annotate(self, key: str, value) -> None:
         self._meta[key] = value

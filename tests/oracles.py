@@ -418,6 +418,12 @@ def walk_setup(g: Graph, params: BParams) -> tuple:
     return gates, WalkIndex(g, params.walk_len, params.alpha)
 
 
+def trial_tapes(setup, trial: int) -> TapeTable:
+    """A fresh tape table of a pipeline trial's algorithm seed on the
+    crucial subgraph, as :func:`stochmatch.analysis.run_pipeline` takes."""
+    return TapeTable(setup.alg_ctx(trial), setup.crucial.sub)
+
+
 def edge_id(g: Graph, u: int, v: int):
     """Edge id for the pair (u, v), or None when absent."""
     for e in g.adjacency[u]:
@@ -1042,9 +1048,9 @@ def enumerate_realizations_v0(g: Graph):
 
 
 #
-# b_generic before the seed memo: every call derived each edge tape once
-# per lineage that read it, ranked walks afresh, and recomputed every
-# fresh-copy subtree.
+# b_generic before the calls under one seed shared a store: every call
+# derived each edge tape once per lineage that read it, ranked walks
+# afresh, and recomputed every fresh-copy subtree.
 
 
 def _prf_realization_v0(g: Graph, ctx: SeedContext, lineage: tuple) -> Realization:
@@ -1281,12 +1287,12 @@ class LcaOracleV1(LcaOracle):
                     self._touched[v] = None
                     self._near.add(v)
                     self._near.update(self.graph.neighbors(v))
-        return self._tapes[site]
+        return self.tapes[site]
 
     def peek(self, site) -> _Tape:
         site = Site(*site)
         self._admit(site)
-        return self._tapes[site]
+        return self.tapes[site]
 
 
 #
@@ -1589,13 +1595,12 @@ class BMatchingLcaV1(BMatchingLca):
         root_realization: int,
         table: Optional[UnsaturationTable] = None,
         walks: Optional[WalkIndex] = None,
-        memo=None,
     ) -> None:
         if table is None:
             table = UnsaturationTable.always_unsaturated(g.n, max(1, params.depth))
         self.table = table
         gates = table_gates(table, params.margin)
-        super().__init__(g, params, root_realization, gates, walks, memo)
+        super().__init__(g, params, root_realization, gates, walks)
 
     def run(self, oracle, root: Site) -> bool:
         engine = _EngineV1(self, oracle)

@@ -35,6 +35,7 @@ from oracles import (
     shallow_bparams,
     tmis_query,
     tmis_set,
+    trial_tapes,
     validating_profiles,
     vertex_load,
     vertex_rank,
@@ -49,7 +50,7 @@ from stochmatch.analysis import (
 )
 from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams, b_generic
-from stochmatch.lca import Site, gather_ledger
+from stochmatch.lca import Site, TapeTable, gather_ledger
 from stochmatch.matching import (
     FractionalMatching,
     check_blossom,
@@ -240,7 +241,8 @@ def b_corpus_runs():
                 final = frozenset()
                 for r in range(params.depth + 1):
                     before = tally.profiles
-                    final = b_generic(g, real, params, ctx, r, gates=gates, walks=walks)
+                    tapes = TapeTable(ctx, g)
+                    final = b_generic(g, real, params, tapes, r, gates=gates, walks=walks)
                     sizes.append(len(final))
                     assert tally.profiles > before or r == 0
                 via_queries = matching_via_queries(BMatchingLca(g, params, real), ctx)
@@ -336,7 +338,7 @@ def pipe_runs(pipe_graph):
         delta_trials=40,
         delta_exponent=15, exact=None,
     )
-    return setup, [run_pipeline(setup, t, None) for t in range(100)]
+    return setup, [run_pipeline(setup, t, trial_tapes(setup, t)) for t in range(100)]
 
 
 @pytest.mark.criterion(12, "rounding obeys the case split, unit loads, and loses little mass")

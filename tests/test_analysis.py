@@ -20,6 +20,7 @@ from oracles import (
     path_graph,
     ratio_sweep_v0,
     shallow_bparams,
+    trial_tapes,
     vertex_load,
 )
 from stochmatch import analysis, hyperwalk
@@ -158,14 +159,15 @@ class TestCrucialSide:
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         assert crucial.sub.m == 0
         real = 0b111
-        assert compute_MC(crucial, real, SeedContext(1), None) == frozenset()
+        assert compute_MC(crucial, real, TapeTable(SeedContext(1), crucial.sub)) == frozenset()
 
     def test_single_crucial_edge(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert compute_MC(crucial, 0b1, SeedContext(1), None) == frozenset({0})
-        assert compute_MC(crucial, 0b0, SeedContext(1), None) == frozenset()
+        tapes = TapeTable(SeedContext(1), crucial.sub)
+        assert compute_MC(crucial, 0b1, tapes) == frozenset({0})
+        assert compute_MC(crucial, 0b0, tapes) == frozenset()
 
     def test_mc_is_matching_inside_realized_crucial(self):
         for seed in range(6):
@@ -176,7 +178,8 @@ class TestCrucialSide:
             crucial = prepare_crucial(g, q, BP1, 0, SeedContext(seed))
             for t in range(4):
                 real = sample_realization(g, SeedContext(seed).child("real"), t)
-                m_c = compute_MC(crucial, real, SeedContext(seed).child("alg"), None)
+                tapes = TapeTable(SeedContext(seed).child("alg"), crucial.sub)
+                m_c = compute_MC(crucial, real, tapes)
                 assert is_matching(g, m_c)
                 assert m_c <= q.crucial
                 assert all((real >> e) & 1 for e in m_c)
@@ -186,8 +189,8 @@ class TestCrucialSide:
         q = qprofile((0.9, 0.1), 0.2, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         ctx = SeedContext(3)
-        with_other = compute_MC(crucial, 0b11, ctx, None)
-        without = compute_MC(crucial, 0b01, ctx, None)
+        with_other = compute_MC(crucial, 0b11, TapeTable(ctx, crucial.sub))
+        without = compute_MC(crucial, 0b01, TapeTable(ctx, crucial.sub))
         assert with_other == without == frozenset({0})
 
     def test_match_prob_table_exact_single_edge(self):
@@ -545,10 +548,10 @@ class TestPipeline:
         assert setup.exact
         assert setup.R == 3
         assert setup.q.crucial and setup.q.noncrucial
-        x, y = run_pipeline(setup, 0, None)
+        x, y = run_pipeline(setup, 0, trial_tapes(setup, 0))
         assert set(x) == set(range(setup.g.m))
         real = setup.realization(0)
-        m_c = compute_MC(setup.crucial, real, setup.alg_ctx(0), None)
+        m_c = compute_MC(setup.crucial, real, trial_tapes(setup, 0))
         assert is_matching(setup.g, m_c)
         assert m_c <= setup.q.crucial
         assert all((real >> e) & 1 for e in m_c)
@@ -558,14 +561,19 @@ class TestPipeline:
         for v in range(setup.g.n):
             assert vertex_load(y, v) <= 1.0 + 1e-12
 
+    def test_refuses_table_of_another_seed(self):
+        setup = smoke_setup()
+        with pytest.raises(ValueError, match="another algorithm seed"):
+            run_pipeline(setup, 0, TapeTable(SeedContext(9), setup.crucial.sub))
+
     def test_runs_are_deterministic(self):
         setup = smoke_setup()
-        a_x, a_y = run_pipeline(setup, 2, None)
-        b_x, b_y = run_pipeline(setup, 2, None)
+        a_x, a_y = run_pipeline(setup, 2, trial_tapes(setup, 2))
+        b_x, b_y = run_pipeline(setup, 2, trial_tapes(setup, 2))
         assert a_x == b_x
         assert a_y.values == b_y.values
         again = smoke_setup()
-        c_x, _ = run_pipeline(again, 2, None)
+        c_x, _ = run_pipeline(again, 2, trial_tapes(again, 2))
         assert c_x == a_x
 
     def test_claim_report_shape(self):
@@ -676,15 +684,15 @@ class TestSharedRealizationLoops:
 
 
 class TestSeedMemoPipelines:
-    """The exact pipelines' shared memos and tape tables against the
+    """The pipelines' tape tables, one per algorithm seed, against the
     per-call routes they replace."""
 
     @staticmethod
     def fresh_calls(monkeypatch):
-        # the parent route: every b_generic call fresh, no memo
-        def parent(g, real, params, ctx, level=None, gates=None, walks=None, memo=None):
+        # the parent route: every b_generic call fresh, sharing nothing
+        def parent(g, real, params, tapes, level=None, gates=None, walks=None):
             table = None if gates is None else gate_table(gates, g.n)
-            return b_generic_v0(g, Realization(g, real), params, ctx, level, table, walks)
+            return b_generic_v0(g, Realization(g, real), params, tapes.ctx, level, table, walks)
 
         monkeypatch.setattr(analysis, "b_generic", parent)
 
@@ -750,17 +758,21 @@ class TestSeedMemoPipelines:
         pairs = [g.endpoints(e) for e in range(g.m)]
         ctx = SeedContext(6).child("delta")
         queries = []
+        started = Counter()  # (algorithm seed, root) -> engines
 
         def recording(*args):
             queries.append(args[3])
-            return run_lca(*args)
+            before = len(engines)
+            out = run_lca(*args)
+            started[args[2], args[3]] += len(engines) - before
+            return out
 
         monkeypatch.setattr(analysis, "run_lca", recording)
         engines = counting_engines(monkeypatch)
         got = build_delta_table(crucial, pairs, 12, ctx, exact)
         if exact:  # at most one engine per (realization, root)
             assert len(engines) <= crucial.sub.m * 2**crucial.sub.m
-            assert len(engines) < len(queries)
-        else:  # a sampled pipeline keeps no memo
-            assert engines == queries
+        else:  # a sampled trial's seed is its own: one engine per (trial, root)
+            assert max(started.values()) == 1
+        assert len(engines) < len(queries)
         assert got == build_delta_table_v0(g, crucial, pairs, 12, ctx, exact)

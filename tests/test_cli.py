@@ -172,6 +172,9 @@ class TestLcaStats:
         assert out.read_text().startswith("kind,site,")
         assert main(["lca-stats", "--input", inp, "--budget", "0"]) == 2
         assert capsys.readouterr().err == "error: budget must be positive when set\n"
+        # the same flag and message for the hyperwalk MIS
+        assert main(["lca-stats", "--input", inp, "--lca", "b-matching", "--budget", "0"]) == 2
+        assert capsys.readouterr().err == "error: budget must be positive when set\n"
 
     def test_b_matching_ledger(self, tmp_path, tri_file):
         out = tmp_path / "ledger.csv"
@@ -286,6 +289,15 @@ class TestConfigOverlay:
         cfgfile.write_text(json.dumps({"input": tri_file, "bogus_knob": 1}))
         assert main(["evaluate", "--config", str(cfgfile)]) == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    def test_mis_budget_option_gone(self, tmp_path, tri_file, capsys):
+        # --budget is the one MIS budget: tmis and the hyperwalk MIS read it
+        assert main(["verify", "--input", tri_file, "--R", "1", "--mis-budget", "1"]) == 2
+        assert "--mis-budget" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"input": tri_file, "R": 1, "mis_budget": 1}))
+        assert main(["verify", "--config", str(cfgfile)]) == 2
+        assert "mis_budget" in capsys.readouterr().err
 
     def test_config_must_be_object(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -446,6 +458,18 @@ class TestExitCodes:
         assert "delta_exponent" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_delta_trials_names_its_flag(self, tmp_path, capsys):
+        # a 4-cycle with a chord: with these thresholds f has support, so
+        # the delta table has pairs to estimate and no trial to do it
+        g = Graph.build(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.5), (0, 2, 0.9)])
+        inp = write_input(tmp_path, g)
+        argv = ["verify", "--input", inp, "--eps", "0.3", "--R", "2", "--samples", "2",
+                "--alpha", "1", "--walk-len", "2", "--depth", "2", "--delta-trials", "0",
+                "--out", str(tmp_path / "out")]
+        assert main(argv + ["--thresholds", "0.5,0.9"]) == 2
+        assert "--delta-trials" in capsys.readouterr().err
+        assert main(argv + ["--thresholds", "0.2,0.4"]) == 0
+
     def test_recursion_limit_aborts(self, tmp_path, capsys):
         inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
         rc = main(["lca-stats", "--input", inp, "--lca", "b-matching",
@@ -549,7 +573,7 @@ GOLDEN_GRAPHS = {
         "0.25,0.5",
     ),
 }
-B_FLAGS = ["--alpha", "1", "--walk-len", "2", "--depth", "2", "--mis-budget", "1"]
+B_FLAGS = ["--alpha", "1", "--walk-len", "2", "--depth", "2", "--budget", "1"]
 # unbudgeted walks of length 3: additions and removals in both copies
 B3_FLAGS = ["--alpha", "1", "--walk-len", "3", "--depth", "2"]
 LCA_B = ["lca-stats", "--lca", "b-matching", "--samples", "2"]

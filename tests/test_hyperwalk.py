@@ -45,7 +45,6 @@ from stochmatch.graph import Graph, ResourceGuard, SeedContext, sample_realizati
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
-    SeedMemo,
     WalkIndex,
     _Guard,
     _valid_walks,
@@ -295,21 +294,24 @@ class TestBGeneric:
     def test_level_zero_empty(self):
         g = path_graph(2)
         gates, walks = walk_setup(g, SMALL_PARAMS)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), 0, gates=gates, walks=walks)
+        tapes = TapeTable(SeedContext(0), g)
+        got = b_generic(g, full_realization(g), SMALL_PARAMS, tapes, 0, gates=gates, walks=walks)
         assert got == frozenset()
 
     def test_single_realized_edge(self):
         g = path_graph(1)
         gates, walks = walk_setup(g, SMALL_PARAMS)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, SeedContext(0), 1, gates=gates, walks=walks)
+        tapes = TapeTable(SeedContext(0), g)
+        got = b_generic(g, full_realization(g), SMALL_PARAMS, tapes, 1, gates=gates, walks=walks)
         assert got == frozenset({0})
 
     def test_path_maximal_matching(self):
         g = path_graph(3)
         for seed in range(10):
             gates, walks = walk_setup(g, SMALL_PARAMS)
+            tapes = TapeTable(SeedContext(seed), g)
             got = b_generic(
-                g, full_realization(g), SMALL_PARAMS, SeedContext(seed), 1, gates=gates, walks=walks
+                g, full_realization(g), SMALL_PARAMS, tapes, 1, gates=gates, walks=walks
             )
             assert is_matching(g, got)
             assert got in (frozenset({0, 2}), frozenset({1}))
@@ -319,7 +321,8 @@ class TestBGeneric:
         for seed in range(8):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             gates, walks = walk_setup(g, SMALL_PARAMS)
-            got = b_generic(g, real, SMALL_PARAMS, SeedContext(seed), 1, gates=gates, walks=walks)
+            tapes = TapeTable(SeedContext(seed), g)
+            got = b_generic(g, real, SMALL_PARAMS, tapes, 1, gates=gates, walks=walks)
             assert is_matching(g, got)
             assert all((real >> e) & 1 for e in got)
 
@@ -329,9 +332,10 @@ class TestBGeneric:
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             gates, walks = walk_setup(g, params)
+            ctx = SeedContext(seed)
             with validating_profiles() as tally:
-                loud = b_generic(g, real, params, SeedContext(seed), gates=gates, walks=walks)
-            quiet = b_generic(g, real, params, SeedContext(seed), gates=gates, walks=walks)
+                loud = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
+            quiet = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
             assert loud == quiet
             assert tally.profiles > 0
 
@@ -344,9 +348,10 @@ class TestBGeneric:
         g = complete_graph(4)
         params = replace(SMALL_PARAMS, walk_len=4, depth=2)
         gates, walks = walk_setup(g, params)
+        tapes = TapeTable(SeedContext(0), g)
         with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
-                b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
+                b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
 
     @pytest.mark.parametrize("walk_len,alpha", [(3, 1), (2, 0)])
     def test_rejects_index_for_other_params(self, walk_len, alpha):
@@ -356,8 +361,9 @@ class TestBGeneric:
         params = BParams(alpha=1, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         walks = WalkIndex(g, walk_len, alpha)
         gates = open_gates(g.n, params.depth, params.margin)
+        tapes = TapeTable(SeedContext(0), g)
         with pytest.raises(ValueError, match="walk index does not match params"):
-            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
+            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
         with pytest.raises(ValueError, match="walk index does not match params"):
             BMatchingLca(g, params, full_realization(g), walks=walks)
 
@@ -371,9 +377,20 @@ class TestBGeneric:
         real = full_realization(g)
         gates = open_gates(g.n, params.depth, params.margin)
         with pytest.raises(ValueError, match="walk index does not match"):
-            b_generic(g, real, params, SeedContext(0), gates=gates, walks=walks)
+            b_generic(g, real, params, TapeTable(SeedContext(0), g), gates=gates, walks=walks)
         with pytest.raises(ValueError, match="walk index does not match"):
             BMatchingLca(g, params, real, walks=walks)
+
+    def test_rejects_table_of_another_graph(self):
+        # stored subtrees and edge tapes are the table's graph's; another
+        # graph of the same size would read them as its own
+        g, other = path_graph(3), cycle_graph(4)
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
+        gates, walks = walk_setup(g, params)
+        ctx = SeedContext(0).child("alg")
+        with pytest.raises(ValueError, match="tape table belongs to another graph"):
+            b_generic(g, full_realization(g), params, TapeTable(ctx, other), gates=gates, walks=walks)
+        b_generic(g, full_realization(g), params, TapeTable(ctx, g), gates=gates, walks=walks)
 
     def test_recursion_freed_on_return(self):
         # recurse refers to itself; unless b_generic breaks that cycle, the
@@ -384,8 +401,9 @@ class TestBGeneric:
         try:
             gates, walks = walk_setup(g, params)
             ref = weakref.ref(walks)
-            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
-            del walks
+            tapes = TapeTable(SeedContext(0), g)
+            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
+            del walks, tapes  # the table's stored subtrees are keyed by the index
             assert ref() is None
         finally:
             gc.enable()
@@ -398,8 +416,9 @@ class TestBGeneric:
         for seed in range(6):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             gates, walks = walk_setup(g, params)
+            ctx = SeedContext(seed)
             sizes = [
-                len(b_generic(g, real, params, SeedContext(seed), r, gates=gates, walks=walks))
+                len(b_generic(g, real, params, TapeTable(ctx, g), r, gates=gates, walks=walks))
                 for r in range(params.depth + 1)
             ]
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -458,18 +477,32 @@ def smallest_ceiling(run) -> int:
     return lo
 
 
+def shared_table_setups(g, params, gates, walks) -> list:
+    """(params, gates, walks) setups that one shared tape table serves in
+    turn: the given one, another budget, the level-0 gate shut, another
+    walk index of the same graph, and margin 1.5, which shuts every gate."""
+    return [
+        (params, gates, walks),
+        (replace(params, mis_budget=1), gates, walks),
+        (params, (0,) + gates[1:], walks),
+        (params, gates, WalkIndex(g, params.walk_len, params.alpha)),
+        (replace(params, margin=1.5), open_gates(g.n, params.depth, 1.5), walks),
+    ]
+
+
 class TestSeedMemo:
-    """Calls sharing one memo against the parent b_generic
-    (``oracles.b_generic_v0``) called fresh each time."""
+    """Calls sharing one tape table, the store of what their algorithm
+    seed fixes, against the parent b_generic (``oracles.b_generic_v0``)
+    and against a fresh table each time."""
 
     @pytest.mark.parametrize("mis_budget", [None, 2])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_shared_memo_matches_fresh_parent(self, mis_budget, data):
         g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
-        memo = SeedMemo()
+        tapes = TapeTable(ctx, g)
         for mask, level in calls:
-            got = b_generic(g, mask, params, ctx, level, gates=gates, walks=walks, memo=memo)
+            got = b_generic(g, mask, params, tapes, level, gates=gates, walks=walks)
             assert got == b_generic_v0(g, Realization(g, mask), params, ctx, level, table, walks)
 
     @given(data=st.data())
@@ -477,16 +510,14 @@ class TestSeedMemo:
     def test_smallest_ceiling_same_warm_and_cold(self, data):
         budget = data.draw(st.sampled_from([None, 1]))
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(budget))
-        warm = SeedMemo()
+        warm = TapeTable(ctx, g)
         for mask, level in calls:
-            b_generic(g, mask, params, ctx, level, gates=gates, walks=walks, memo=warm)
+            b_generic(g, mask, params, warm, level, gates=gates, walks=walks)
         for mask, level in calls:
-            def call(memo):
-                return lambda: b_generic(
-                    g, mask, params, ctx, level, gates=gates, walks=walks, memo=memo
-                )
+            def call(tapes):
+                return lambda: b_generic(g, mask, params, tapes, level, gates=gates, walks=walks)
 
-            cold = smallest_ceiling(lambda: call(SeedMemo())())
+            cold = smallest_ceiling(lambda: call(TapeTable(ctx, g))())
             assert smallest_ceiling(call(warm)) == cold
 
     def test_plain_call_derives_each_tape_once(self, monkeypatch):
@@ -505,30 +536,29 @@ class TestSeedMemo:
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             gates, walks = walk_setup(g, params)
             paths.clear()
-            b_generic(g, real, params, ctx, gates=gates, walks=walks)
+            b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
             tapes = [n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")]
             assert tapes and max(tapes) == 1
 
-    def test_memo_refuses_another_scope(self):
-        g = path_graph(3)
+    def test_warm_table_answers_as_fresh(self):
+        # one table shared across setups: each call gets the answer and
+        # smallest node ceiling of a fresh table, since every stored
+        # subtree is keyed by the inputs it read besides the seed
+        g = complete_graph(4)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        gates = open_gates(g.n, 2, params.margin)
-        walks = WalkIndex(g, params.walk_len, params.alpha)
-        real = full_realization(g)
-        ctx = SeedContext(1).child("alg")
-        memo = SeedMemo()
-        b_generic(g, real, params, ctx, gates=gates, walks=walks, memo=memo)
-        # an equal context is the same seed
-        b_generic(g, real, params, SeedContext(1).child("alg"), gates=gates, walks=walks, memo=memo)
-        others = [
-            (params, SeedContext(2).child("alg"), gates, walks),
-            (replace(params, mis_budget=1), ctx, gates, walks),
-            (params, ctx, open_gates(g.n, 3, params.margin), walks),
-            (params, ctx, gates, WalkIndex(g, params.walk_len, params.alpha)),
-        ]
-        for p, c, t, w in others:
-            with pytest.raises(ValueError, match="another"):
-                b_generic(g, real, p, c, gates=t, walks=w, memo=memo)
+        gates, walks = walk_setup(g, params)
+        for seed in range(3):
+            ctx = SeedContext(seed).child("alg")
+            real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            warm = TapeTable(ctx, g)
+            for p, t, w in shared_table_setups(g, params, gates, walks):
+
+                def call(tapes):
+                    return lambda: b_generic(g, real, p, tapes, gates=t, walks=w)
+
+                assert call(warm)() == call(TapeTable(ctx, g))()
+                cold = smallest_ceiling(lambda: call(TapeTable(ctx, g))())
+                assert smallest_ceiling(call(warm)) == cold
 
 
 def counting_engines(monkeypatch) -> list:
@@ -545,9 +575,9 @@ def counting_engines(monkeypatch) -> list:
 
 
 class TestQueryReplay:
-    """Queries under one ``SeedMemo``: a repeated (realization, root)
-    query replays its probes and returns the answer and node count of a
-    fresh query."""
+    """Queries under one tape table: a repeated query (same setup,
+    realization and root) replays its probes and returns the answer and
+    node count of a fresh query."""
 
     @pytest.mark.parametrize("mis_budget", [None, 1])
     @given(data=st.data())
@@ -555,52 +585,57 @@ class TestQueryReplay:
     def test_replay_equals_fresh_query(self, mis_budget, data):
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
         masks = [mask for mask, _ in calls] * 2
-        memo = SeedMemo()
-        tapes = TapeTable(ctx, g)  # one table for every query under the memo
+        tapes = TapeTable(ctx, g)  # one table for every query that may replay
         with pytest.MonkeyPatch.context() as mp:
             engines = counting_engines(mp)
             for mask in masks:
-                shared = BMatchingLca(g, params, mask, gates, walks, memo)
-                fresh = BMatchingLca(g, params, mask, gates, walks)
+                lca = BMatchingLca(g, params, mask, gates, walks)
                 for e in range(g.m):
-                    out, trace = run_lca(shared, g, ctx, Site("edge", e), tapes)
-                    want, want_trace = run_lca(fresh, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                    out, trace = run_lca(lca, g, ctx, Site("edge", e), tapes)
+                    want, want_trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
                     assert out == want
                     assert trace.probed == want_trace.probed
                     assert trace.meta == want_trace.meta
-        # one engine per fresh query, plus one per distinct memo query
+        # one engine per fresh query, plus one per distinct shared query
         assert len(engines) == len(masks) * g.m + len(set(masks)) * g.m
-        assert len(memo.queries) == len(set(masks)) * g.m
+        assert len(tapes.derived) == len(set(masks)) * g.m
 
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_smallest_ceiling_same_replayed_and_fresh(self, data):
         g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(None))
-        mask = calls[0][0]
-        warm = SeedMemo()
+        lca = BMatchingLca(g, params, calls[0][0], gates, walks)
+        warm = TapeTable(ctx, g)
         root = Site("edge", data.draw(st.integers(0, g.m - 1)))
-        run_lca(BMatchingLca(g, params, mask, gates, walks, warm), g, ctx, root, TapeTable(ctx, g))
+        run_lca(lca, g, ctx, root, warm)
+        cold = smallest_ceiling(lambda: run_lca(lca, g, ctx, root, TapeTable(ctx, g)))
+        assert smallest_ceiling(lambda: run_lca(lca, g, ctx, root, warm)) == cold
 
-        def query(memo):
-            lca = BMatchingLca(g, params, mask, gates, walks, memo)
-            return lambda: run_lca(lca, g, ctx, root, TapeTable(ctx, g))
-
-        assert smallest_ceiling(query(warm)) == smallest_ceiling(query(None))
-
-    def test_replay_refuses_another_scope(self):
-        g = path_graph(3)
+    def test_warm_table_replays_as_fresh(self):
+        # one table shared across setups: each query gets the answer,
+        # trace and smallest node ceiling of a fresh table, since every
+        # stored query is keyed by the inputs it read besides the seed
+        g = complete_graph(4)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        real = full_realization(g)
-        memo = SeedMemo()
-        lca = BMatchingLca(g, params, real, memo=memo)
-        ctx, ctx2 = SeedContext(1).child("alg"), SeedContext(2).child("alg")
-        run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
-        with pytest.raises(ValueError, match="another"):
-            run_lca(lca, g, ctx2, Site("edge", 0), TapeTable(ctx2, g))
-        # the gates fold in the margin: one of 1 or more shuts them all
-        other = BMatchingLca(g, replace(params, margin=1.5), real, memo=memo)
-        with pytest.raises(ValueError, match="another"):
-            run_lca(other, g, ctx, Site("edge", 0), TapeTable(ctx, g))
+        gates, walks = walk_setup(g, params)
+        for seed in range(3):
+            ctx = SeedContext(seed).child("alg")
+            real = sample_realization(g, SeedContext(seed).child("r"), 0)
+            warm = TapeTable(ctx, g)
+            for p, t, w in shared_table_setups(g, params, gates, walks):
+                lca = BMatchingLca(g, p, real, t, w)
+                for e in range(g.m):
+
+                    def query(tapes):
+                        return lambda: run_lca(lca, g, ctx, Site("edge", e), tapes)
+
+                    out, trace = query(warm)()
+                    want, want_trace = query(TapeTable(ctx, g))()
+                    assert (out, trace.probed, trace.meta) == (
+                        want, want_trace.probed, want_trace.meta
+                    )
+                    cold = smallest_ceiling(lambda: query(TapeTable(ctx, g))())
+                    assert smallest_ceiling(query(warm)) == cold
 
 
 @st.composite
@@ -742,7 +777,7 @@ class TestWalkTable:
             def call():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
-                    return b_generic(g, mask, params, ctx, level, gates=gates, walks=walks)
+                    return b_generic(g, mask, params, TapeTable(ctx, g), level, gates=gates, walks=walks)
             return call
 
         for mask, level in calls:
@@ -766,9 +801,9 @@ class TestWalkTable:
         table = UnsaturationTable.always_unsaturated(g.n, 1)
         gates = table_gates(table, params.margin)
         ctx = SeedContext(3).child("alg")
-        real = full_realization(g)
+        real, walks = full_realization(g), walk_setup(g, params)[1]
         with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(g, real, params, ctx, gates=gates, walks=walk_setup(g, params)[1])
+            b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
         with pytest.raises(ValueError, match="no gate for level 2"):
             BMatchingLca(g, params, real, gates)
         if edges:
@@ -782,8 +817,9 @@ class TestWalkTable:
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=1)
         gates, walks = walk_setup(g, params)
+        tapes = TapeTable(SeedContext(0), g)
         with pytest.raises(RuntimeError, match=r"sweep member with edges \(0,\) and copies \(0,\)"):
-            b_generic(g, full_realization(g), params, SeedContext(0), gates=gates, walks=walks)
+            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
 
 
 class TestBParams:
@@ -839,8 +875,9 @@ class TestUnsaturationTable:
         gates = gate_masks((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)), margin=0.1)
         assert gates == (0b11, 0)  # 0.5 >= 0.6 - 0.1 and 0.1 >= 0.2 - 0.1
         g, params = path_graph(1), replace(SMALL_PARAMS, depth=3)
+        tapes, walks = TapeTable(SeedContext(0), g), walk_setup(g, params)[1]
         with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(g, 1, params, SeedContext(0), gates=gates, walks=walk_setup(g, params)[1])
+            b_generic(g, 1, params, tapes, gates=gates, walks=walks)
 
     def test_factories(self):
         assert open_gates(3, 2, 0.5) == (0b111, 0b111)
@@ -879,7 +916,7 @@ class TestLcaRoute:
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             ctx = SeedContext(seed).child("alg")
             gates, walks = walk_setup(g, params)
-            want = b_generic(g, real, params, ctx, gates=gates, walks=walks)
+            want = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
             lca = BMatchingLca(g, params, real)
             got = matching_via_queries(lca, ctx)
             assert got == want
@@ -892,7 +929,7 @@ class TestLcaRoute:
         ctx = SeedContext(4).child("alg")
         out, trace = run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
         gates, walks = walk_setup(g, params)
-        assert out == (0 in b_generic(g, real, params, ctx, gates=gates, walks=walks))
+        assert out == (0 in b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks))
         assert Site("edge", 0) in trace.out_queries
 
     def test_rejects_mask_outside_graph(self):

@@ -230,9 +230,9 @@ class TestLedger:
 def golden_b_matching(name):
     g = GOLDEN_GRAPHS[name][0]
     flags = dict(zip(B_FLAGS[::2], B_FLAGS[1::2]))
-    params = BParams(
-        margin=0.08, **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
-    )
+    fields = {k[2:].replace("-", "_"): int(v) for k, v in flags.items()}
+    fields["mis_budget"] = fields.pop("budget")  # --budget sets the hyperwalk MIS budget
+    params = BParams(margin=0.08, **fields)
     real = sample_realization(g, SeedContext(3).child("real"), 0)
     return g, BMatchingLca(g, params, real)
 

@@ -112,7 +112,6 @@ ALLOWED_PRIVATE_READS = dict.fromkeys(
         "LcaOracleV0._touched",
         "LcaOracleV1._near",
         "LcaOracleV1._probed",
-        "LcaOracleV1._tapes",
         "LcaOracleV1._touched",
         "MatcherV1._lca",
         "MatcherV1._mark_path",
