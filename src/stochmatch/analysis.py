@@ -9,7 +9,10 @@ round (1-eps) x into a fractional matching y that certifies the size of
 the best matching inside H's realization.
 
 Everything downstream of q is deterministic given the seed context, so
-pipeline trials are reproducible and parallelizable.  The recursive
+pipeline trials are reproducible and parallelizable.  The crucial side
+is one :class:`~stochmatch.hyperwalk.Recursion`, which
+:func:`prepare_crucial` builds from the knobs of ``BParams``, and every
+recursive matching call and query of a pipeline takes it.  The recursive
 matching's calls and queries under one algorithm seed share one tape
 table of that seed, the one store of what the seed fixes (see
 :mod:`stochmatch.hyperwalk`): one per exact table or serial ``verify``
@@ -39,9 +42,10 @@ from .graph import (
 )
 from .hyperwalk import (
     BParams,
+    BMatchingLca,
+    Recursion,
     WalkIndex,
     b_generic,
-    BMatchingLca,
     build_unsaturation_table,
     open_gates,
 )
@@ -119,13 +123,12 @@ def build_f(
 
 @dataclass
 class CrucialSetup:
-    """Crucial subgraph with everything the recursive matching needs."""
+    """The recursive matching of the crucial subgraph: ``rec`` runs on
+    the subgraph ``rec.walks.g``, whose edge i is edge ``from_sub[i]`` of
+    the full graph."""
 
-    sub: Graph
     from_sub: tuple
-    gates: tuple
-    walks: WalkIndex
-    bparams: BParams
+    rec: Recursion
 
 
 def prepare_crucial(
@@ -135,10 +138,10 @@ def prepare_crucial(
     table_samples: int,
     ctx: SeedContext,
 ) -> CrucialSetup:
-    """Builds the crucial subgraph, its walk index, and the gates of
-    :func:`build_unsaturation_table`, whose targets are the q loads
+    """Builds the crucial subgraph's recursion: its walk index, the
+    gates of :func:`build_unsaturation_table`, whose targets are the q loads
     restricted to crucial edges (the coverage marginals of MM restricted
-    to C).
+    to C), and the MIS budget of ``bparams``.
 
     There is one gate per level 0..depth-1 that the recursion reads (none
     at depth 0).  The level-0 marginals are all zeros, so at depth 1
@@ -155,21 +158,19 @@ def prepare_crucial(
     if sub.m == 0 or table_samples < 1:
         gates = open_gates(sub.n, bparams.depth, bparams.margin)
     else:
-        gates = build_unsaturation_table(sub, bparams, table_samples, ctx, a_prob, walks)
-    return CrucialSetup(sub, from_sub, gates, walks, bparams)
+        gates = build_unsaturation_table(bparams, table_samples, ctx, a_prob, walks)
+    return CrucialSetup(from_sub, Recursion(walks, gates, bparams.mis_budget))
 
 
 def compute_MC(crucial: CrucialSetup, g_real: int, tapes: TapeTable) -> frozenset:
     """The recursive matching of the realized crucial subgraph, as
     full-graph edge ids, under the algorithm seed of ``tapes``, a tape
-    table on ``crucial.sub``.  Depends on the input realization mask
+    table on the crucial subgraph.  Depends on the input realization mask
     ``g_real`` only through the bits of crucial edges."""
     c_p = edge_mask(
         sub_e for sub_e, full_e in enumerate(crucial.from_sub) if (g_real >> full_e) & 1
     )
-    matched = b_generic(
-        crucial.sub, c_p, crucial.bparams, tapes, gates=crucial.gates, walks=crucial.walks
-    )
+    matched = b_generic(crucial.rec, c_p, tapes)
     return frozenset(crucial.from_sub[e] for e in matched)
 
 
@@ -198,16 +199,14 @@ def build_match_prob_table(
     seed, so all of its calls share one tape table; Monte Carlo redraws
     both per trial.
     """
-    sub = crucial.sub
+    sub = crucial.rec.walks.g
     exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
     tapes = None
     covered = [0.0] * g.n
     for t, (mask, weight) in enumerate(worlds):
         if tapes is None or not exact:
             tapes = TapeTable(alg_seed(ctx, exact, t), sub)
-        matched = b_generic(
-            sub, mask, crucial.bparams, tapes, gates=crucial.gates, walks=crucial.walks
-        )
+        matched = b_generic(crucial.rec, mask, tapes)
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
@@ -250,7 +249,7 @@ def build_delta_table(
         return DeltaTable({})
     if trials < 1:
         raise ValueError("delta trials must be positive; pass --delta-trials 1 or more")
-    sub = crucial.sub
+    sub = crucial.rec.walks.g
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
     tapes = None
@@ -259,7 +258,7 @@ def build_delta_table(
         alg_ctx = alg_seed(ctx, exact, t)
         if tapes is None or not exact:
             tapes = TapeTable(alg_ctx, sub)
-        lca = BMatchingLca(sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks)
+        lca = BMatchingLca(crucial.rec, real)
         footprints = {}
         for w in involved:
             fp = {w}
@@ -594,7 +593,7 @@ def _trial_block(setup: PipelineSetup, trials: range) -> list:
     stats = []
     for t in trials:
         if tapes is None or not setup.exact:
-            tapes = TapeTable(setup.alg_ctx(t), setup.crucial.sub)
+            tapes = TapeTable(setup.alg_ctx(t), setup.crucial.rec.walks.g)
         stats.append(_trial_stats(setup, t, tapes))
     return stats
 

@@ -29,7 +29,7 @@ from .graph import (
     subgraph,
     write_graph_text,
 )
-from .hyperwalk import BParams, BMatchingLca
+from .hyperwalk import BParams, BMatchingLca, Recursion, WalkIndex, open_gates
 from .lca import gather_ledger, ledger_to_csv
 from .mis import TruncatedGreedyMis
 from .sparsifier import Q_SAMPLES_DEFAULT, SparsifierParams, build_H
@@ -216,7 +216,10 @@ def cmd_lca_stats(cfg: ExperimentConfig) -> int:
     elif cfg.lca == "b-matching":
         # instance = graph + one seeded realization; sweeps vary the tapes
         real = sample_realization(g, ctx.child("real"), 0)
-        lca = BMatchingLca(g, cfg.bparams(), real)
+        params = cfg.bparams()
+        gates = open_gates(g.n, params.depth, params.margin)
+        walks = WalkIndex(g, params.walk_len, params.alpha)
+        lca = BMatchingLca(Recursion(walks, gates, params.mis_budget), real)
     else:
         raise UsageError(f"unknown lca kind: {cfg.lca}")
     ledger = gather_ledger(lca, g, ctx.child("ledger"), trials=cfg.samples)

@@ -11,8 +11,10 @@ the copies, every other walk vertex keeps its degree, and both
 endpoints are open at the level below.  A vertex is open at level l
 when it is unsaturated there: its level-l match marginal lies below its
 target minus the margin.  So each level's gate is a vertex set, held as
-one bitmask per level (:func:`gate_masks`); both routes take the tuple
-of them, ``gates``, and level r reads ``gates[r - 1]``.
+one bitmask per level (:func:`gate_masks`), and level r reads
+``gates[r - 1]``.  Both routes take one :class:`Recursion`: the walk
+index, whose graph and copies it is, the gates, whose count is the
+depth, and the MIS budget, so no two of their inputs can disagree.
 
 ``b_generic`` computes the recursive matching: at level r it builds the
 copies from level r-1 matchings (copy 0 inherits the input realization,
@@ -27,10 +29,10 @@ Both routes read the algorithm seed's tapes through the caller's
 :class:`~stochmatch.lca.TapeTable`, the one store of what the seed
 fixes: besides the tapes and their values, its ``derived`` dict holds
 each fresh copy's subtree for ``b_generic`` and each query's answer,
-probes and node count for the query route, keyed by every input other
-than the seed and the graph.  A repeated query is replayed: its
-recorded probes go through the oracle again and its recorded answer
-and node count are returned.
+probes and node count for the query route, keyed by the
+:class:`Recursion` and the other inputs besides the seed and the graph.
+A repeated query is replayed: its recorded probes go through the oracle
+again and its recorded answer and node count are returned.
 
 Both routes name a walk by the int id that :class:`WalkIndex` gave it
 when it first enumerated it, and read one record per id (a
@@ -46,9 +48,9 @@ not probed, so reading them first moves no probe.
 
 Rank-greedy MIS membership over the walk conflict graph runs on
 :func:`stochmatch.mis.greedy_member`, the same engine as vertex MIS,
-with the same budget rule: ``mis_budget`` caps the distinct expansions
-of one root query, the expansion that would exceed it never runs, and a
-query that runs out reports non-membership after exactly ``mis_budget``
+with the same budget rule: the budget caps the distinct expansions of
+one root query, the expansion that would exceed it never runs, and a
+query that runs out reports non-membership after exactly that many
 expansions, which is also what it charges to the node guard.  Positive
 answers always come from completed computations, so the selected walk
 set stays independent.
@@ -300,20 +302,23 @@ def gate_masks(a_prob: Sequence[float], rows: Iterable[Sequence[float]], margin:
 def open_gates(n: int, levels: int, margin: float) -> tuple:
     """The gates of ``levels`` levels without a table: targets 1 and
     marginals 0, so every vertex is open under a margin below 1 and every
-    gate is shut under a margin of 1 or more."""
+    gate is shut under a margin of 1 or more.  A depth past
+    ``DEPTH_LIMIT`` is refused before any gate is built."""
+    _check_depth(levels)
     return gate_masks((1.0,) * n, ((0.0,) * n,) * levels, margin)
 
 
-def _check_gates(gates: tuple, depth: int) -> None:
-    """A depth-d recursion reads the gates of levels 0..d-1."""
-    if len(gates) < depth:
-        raise ValueError(f"no gate for level {len(gates)}")
+class Recursion(NamedTuple):
+    """The inputs of a recursive matching besides the seed and the input
+    realization: the walk index ``walks`` (its graph ``walks.g``, and
+    ``walks.alpha + 1`` copies per node), the open-vertex mask of each
+    level 0..depth-1 in ``gates`` (so the depth is ``len(gates)``), and
+    the distinct expansions ``budget`` allowed per MIS root query (None:
+    off).  What a tape table stores for a recursion is keyed by it."""
 
-
-def _check_walks(walks: WalkIndex, g: Graph, params: BParams) -> None:
-    """Both routes read the walks of ``g`` at ``params``' length and copies."""
-    if walks.g is not g or walks.alpha != params.alpha or walks.walk_len != params.walk_len:
-        raise ValueError("walk index does not match params or graph")
+    walks: WalkIndex
+    gates: tuple
+    budget: Optional[int]
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +432,14 @@ def _valid_walks(walks: WalkIndex, reals: list, matches: list, gate: int, tick: 
 
 
 def _select_walks(
-    reals: list,
-    matches: list,
-    walks: WalkIndex,
-    gate: int,
-    params: BParams,
-    rank: Callable,
-    guard: _Guard,
+    reals: list, matches: list, rec: Recursion, gate: int, rank: Callable, guard: _Guard
 ) -> list:
-    """Greedy MIS by rank of the walks that augment the copies with
-    realization masks ``reals`` and matching masks ``matches`` past the
-    open-vertex mask ``gate``, with each member's query re-run under the
-    per-root expansion budget.  Returns the members' ids in rank order."""
+    """Greedy MIS by rank of the walks of ``rec.walks`` that augment the
+    copies with realization masks ``reals`` and matching masks
+    ``matches`` past the open-vertex mask ``gate``, with each member's
+    query re-run under ``rec.budget``.  Returns the members' ids in rank
+    order."""
+    walks = rec.walks
     valid = _valid_walks(walks, reals, matches, gate, guard.tick)
     members = []
     covered = set()
@@ -447,17 +448,17 @@ def _select_walks(
         if covered.isdisjoint(vs):
             members.append(w)
             covered.update(vs)
-    if params.mis_budget is None:
+    if rec.budget is None:
         return members
     lower = _walk_lower(set(valid).__contains__, rank, walks.neighbors)
     kept = []
     for w in members:
-        ok, truncated, calls = greedy_member(w, lower, params.mis_budget)
+        ok, truncated, calls = greedy_member(w, lower, rec.budget)
         guard.tick(calls)
         if not (ok or truncated):
-            rec = walks.records[w]
+            member = walks.records[w]
             raise RuntimeError(
-                f"sweep member with edges {rec.edges} and copies {rec.indices} "
+                f"sweep member with edges {member.edges} and copies {member.indices} "
                 "resolved negatively without truncation"
             )
         if ok:
@@ -465,20 +466,11 @@ def _select_walks(
     return kept
 
 
-def b_generic(
-    g: Graph,
-    realization: int,
-    params: BParams,
-    tapes: TapeTable,
-    level: Optional[int] = None,
-    *,
-    gates: tuple,
-    walks: WalkIndex,
-) -> frozenset:
-    """Recursive matching of the realization with edge mask
-    ``realization`` at the given level (default: ``params.depth``),
-    level r admitting walks past ``gates[r - 1]``, under the algorithm
-    seed ``tapes.ctx``.
+def b_generic(rec: Recursion, realization: int, tapes: TapeTable) -> frozenset:
+    """Recursive matching of depth ``len(rec.gates)`` of the realization
+    with edge mask ``realization`` on ``rec.walks.g``, level r admitting
+    walks past ``rec.gates[r - 1]``, under the algorithm seed
+    ``tapes.ctx``.
 
     Each recursion node holds one realization mask and one matching mask
     per copy.  Copy 0 inherits the parent's realization; copies 1..alpha
@@ -489,19 +481,17 @@ def b_generic(
     does not matter.  The returned edge set is a matching within the
     input realization and is reproducible from (ctx, realization).
 
-    ``tapes`` is the caller's tape table of the seed on ``g``, shared by
-    the calls under that seed.  A fresh copy never reads the input
-    realization and its lineage names its level, so its realization,
-    the matching of its subtree and the guard nodes that subtree ticked
-    are stored on the table, keyed by every other input they read.  A
-    hit ticks those nodes again, so the node ceiling trips at the same
-    count as on a fresh table.
+    ``tapes`` is the caller's tape table of the seed on the recursion's
+    graph, shared by the calls under that seed.  A fresh copy never
+    reads the input realization and its lineage names its level, so its
+    realization, the matching of its subtree and the guard nodes that
+    subtree ticked are stored on the table under ``("copy", rec,
+    lineage)``.  A hit ticks those nodes again, so the node ceiling trips
+    at the same count as on a fresh table.
     """
-    if level is None:
-        level = params.depth
-    _check_depth(level)
-    _check_gates(gates, level)
-    _check_walks(walks, g, params)
+    walks, gates, _ = rec
+    g = walks.g
+    _check_depth(len(gates))
     if tapes.graph is not g:
         raise ValueError("tape table belongs to another graph")
     derived = tapes.derived
@@ -514,9 +504,9 @@ def b_generic(
             return 0
         reals = [real]
         matches = [recurse(lineage, real, lvl - 1)]
-        for i in range(1, params.alpha + 1):
+        for i in range(1, walks.alpha + 1):
             sub_lineage = lineage + (lvl, i)
-            key = ("copy", gates, walks, params.alpha, params.mis_budget, sub_lineage)
+            key = ("copy", rec, sub_lineage)
             hit = derived.get(key)
             if hit is None:
                 start = guard.nodes
@@ -532,17 +522,17 @@ def b_generic(
             matches.append(hit[1])
 
         def rank(w: int) -> tuple:
-            rec = records[w]
-            return _walk_rank(tapes["edge", rec.edges[0]], lineage, lvl, rec)
+            walk = records[w]
+            return _walk_rank(tapes["edge", walk.edges[0]], lineage, lvl, walk)
 
         match = matches[0]
-        for w in _select_walks(reals, matches, walks, gates[lvl - 1], params, rank, guard):
+        for w in _select_walks(reals, matches, rec, gates[lvl - 1], rank, guard):
             i, add, rem = records[w].copies[0]
             if i == 0:
                 match = (match | add) & ~rem
         return match
 
-    out = recurse((), realization, level)
+    out = recurse((), realization, len(gates))
     # recurse refers to itself; breaking that cycle frees the walk index
     # and the table's views now rather than at the next cyclic collection
     del recurse
@@ -550,7 +540,6 @@ def b_generic(
 
 
 def build_unsaturation_table(
-    g: Graph,
     params: BParams,
     samples: int,
     ctx: SeedContext,
@@ -559,15 +548,18 @@ def build_unsaturation_table(
 ) -> tuple:
     """The gates of levels 0..depth-1 for ``params.depth``, the levels a
     recursion of that depth reads, from Monte Carlo match marginals of
-    the recursive matching (see :func:`gate_masks`).
+    the recursive matching on ``walks.g`` (see :func:`gate_masks`).  A
+    depth past ``DEPTH_LIMIT`` is refused before anything is sampled.
 
     The level-0 marginals are all zeros, and those of level l >= 1 are
-    estimated by running level-l computations on ``samples`` fresh
-    realizations, bottom-up since level l runs past the gates of levels
-    0..l-1.  ``a_prob`` supplies the target marginals (for a
-    matched-realization target these are the per-vertex q loads, which
-    the caller knows from its q profile).
+    estimated by running the level-l recursion ``Recursion(walks,
+    gates of levels 0..l-1, params.mis_budget)`` on ``samples`` fresh
+    realizations, bottom-up.  ``a_prob`` supplies the target marginals
+    (for a matched-realization target these are the per-vertex q loads,
+    which the caller knows from its q profile).
     """
+    _check_depth(params.depth)
+    g = walks.g
     a_prob = tuple(a_prob)
     if len(a_prob) != g.n:
         raise ValueError("a_prob must have one entry per vertex")
@@ -575,13 +567,12 @@ def build_unsaturation_table(
         raise ValueError("samples must be positive")
     rows = [(0.0,) * g.n]
     for lvl in range(1, params.depth):
-        partial = gate_masks(a_prob, rows, params.margin)
+        rec = Recursion(walks, gate_masks(a_prob, rows, params.margin), params.mis_budget)
         hits = [0] * g.n
         for s in range(samples):
             sub = ctx.child("unsat", lvl, s)
             real = sample_realization(g, sub.child("input"), 0)
-            tapes = TapeTable(sub.child("alg"), g)
-            matched = b_generic(g, real, params, tapes, lvl, gates=partial, walks=walks)
+            matched = b_generic(rec, real, TapeTable(sub.child("alg"), g))
             for v in matched_vertices(g, matched):
                 hits[v] += 1
         rows.append(tuple(h / samples for h in hits))
@@ -598,7 +589,7 @@ class _Engine:
     Tapes are read through ``oracle``, which records the probed region:
     every edge whose realization or matching status is consulted gets
     probed, walks are probed in a connected order, and ranks are read
-    off the first walk edge's tape.  Walks are ids of ``lca.walks``.
+    off the first walk edge's tape.  Walks are ids of ``lca.rec.walks``.
     """
 
     def __init__(self, lca: "BMatchingLca", oracle) -> None:
@@ -606,7 +597,8 @@ class _Engine:
         self.oracle = oracle
         self._probed = oracle.probed
         self._touched = oracle.touched
-        self._records = lca.walks.records
+        self._walks = lca.rec.walks
+        self._records = self._walks.records
         self.guard = _Guard()
         self._match = {}
         self._mis = {}
@@ -660,7 +652,7 @@ class _Engine:
             return False
         result = self.is_in_matching(lineage, e, level - 1)
         bit = 1 << e
-        for w in self.lca.walks.walks_through_edge(e):
+        for w in self._walks.walks_through_edge(e):
             # only copy-0 moves at e can change this answer
             i, add, rem = self._records[w].copies[0]
             if i != 0 or not (add | rem) & bit:
@@ -693,13 +685,13 @@ class _Engine:
             return self.is_valid(lineage, x, level)
 
         def neighbors(x: int) -> tuple:
-            out = self.lca.walks.neighbors(x)
+            out = self._walks.neighbors(x)
             for y in out:
                 self.ensure_walk(y)
             return out
 
         lower = _walk_lower(valid, rank, neighbors)
-        ok, _, calls = greedy_member(w, lower, self.lca.params.mis_budget)
+        ok, _, calls = greedy_member(w, lower, self.lca.rec.budget)
         self.guard.tick(calls)
         self._mis[key] = ok
         return ok
@@ -725,50 +717,43 @@ class _Engine:
                     b |= 1 << e
             return b
 
-        result = _augments(self._records[w], self.lca.gates[level - 1], realized, before)
+        result = _augments(self._records[w], self.lca.rec.gates[level - 1], realized, before)
         self._valid[key] = result
         return result
 
 
 class BMatchingLca:
-    """Edge-membership queries against the recursive matching of the
-    realization with edge mask ``root_realization``, past ``gates`` as in
-    :func:`b_generic`.
+    """Edge-membership queries against the recursive matching ``rec``
+    (see :func:`b_generic`) of the realization with edge mask
+    ``root_realization`` on the graph ``g``, which is ``rec.walks.g``.
 
     ``run`` (through :func:`stochmatch.lca.run_lca`) answers one root
     query with full probe instrumentation and fresh memos; it is the
-    only query route.  A query's answer, its ordered probes and its guard
-    nodes are functions of the algorithm seed and its other inputs, so
-    they are stored on the oracle's tape table under a key naming those
-    inputs.  A repeated query under that table replays its recorded
+    only query route, and it refuses an oracle of another graph.  A
+    query's answer, its ordered probes and its guard nodes are functions
+    of the algorithm seed and its other inputs, so they are stored on
+    the oracle's tape table under ``("query", rec, root_realization,
+    root)``.  A repeated query under that table replays its recorded
     probes through the oracle, so naturality is checked again, and
     returns its recorded answer and node count.
     """
 
     site_kind = "edge"
 
-    def __init__(
-        self,
-        g: Graph,
-        params: BParams,
-        root_realization: int,
-        gates: Optional[tuple] = None,
-        walks: Optional[WalkIndex] = None,
-    ) -> None:
+    def __init__(self, rec: Recursion, root_realization: int) -> None:
+        g = rec.walks.g
         if not 0 <= root_realization < 1 << g.m:
             raise ValueError(f"realization mask outside the {g.m} edges of the graph")
-        _check_depth(params.depth)
+        _check_depth(len(rec.gates))
+        self.rec = rec
         self.g = g
-        self.params = params
         self.root_realization = root_realization
-        self.gates = gates if gates is not None else open_gates(g.n, params.depth, params.margin)
-        _check_gates(self.gates, params.depth)
-        self.walks = walks if walks is not None else WalkIndex(g, params.walk_len, params.alpha)
-        _check_walks(self.walks, g, params)
 
     def run(self, oracle, root: Site) -> bool:
+        if oracle.graph is not self.g:
+            raise ValueError("oracle belongs to another graph")
         derived = oracle.tapes.derived
-        key = ("query", self.gates, self.walks, self.params, self.root_realization, root.id)
+        key = ("query", self.rec, self.root_realization, root.id)
         hit = derived.get(key)
         if hit is not None:
             out, probed, nodes = hit
@@ -778,7 +763,7 @@ class BMatchingLca:
             oracle.annotate("nodes", nodes)
             return out
         engine = _Engine(self, oracle)
-        out = engine.is_in_matching((), root.id, self.params.depth)
+        out = engine.is_in_matching((), root.id, len(self.rec.gates))
         oracle.annotate("nodes", engine.guard.nodes)
         derived[key] = (out, tuple(oracle.probed), engine.guard.nodes)
         return out

@@ -41,6 +41,7 @@ from stochmatch.graph import (
 from stochmatch.hyperwalk import (
     BMatchingLca,
     BParams,
+    Recursion,
     WalkIndex,
     _copy_realized,
     _Engine,
@@ -410,18 +411,34 @@ def all_edges(g: Graph) -> int:
     return (1 << g.m) - 1
 
 
-def walk_setup(g: Graph, params: BParams) -> tuple:
-    """``(gates, walks)`` for a recursion of ``params`` on ``g`` without a
-    table: every gate of levels 0..depth-1 open (:func:`open_gates`), and a
-    fresh walk index at the params' length and copies."""
+def walk_setup(g: Graph, params: BParams) -> Recursion:
+    """The recursion of ``params`` on ``g`` without a table: a fresh walk
+    index at the params' length and copies, every gate of levels
+    0..depth-1 open (:func:`open_gates`), and the params' budget."""
     gates = hyperwalk.open_gates(g.n, params.depth, params.margin)
-    return gates, WalkIndex(g, params.walk_len, params.alpha)
+    return Recursion(WalkIndex(g, params.walk_len, params.alpha), gates, params.mis_budget)
+
+
+def at_level(rec: Recursion, level: int) -> Recursion:
+    """``rec`` cut to depth ``level``: the recursion of a level-``level``
+    call on its walk index, gates and budget."""
+    return rec._replace(gates=rec.gates[:level])
+
+
+def recursion_params(rec: Recursion) -> BParams:
+    """The params of ``rec`` for the frozen references that take them: its
+    walk length, copies, depth and budget, and margin 0, under which
+    :func:`gate_table` of ``rec.gates`` gates as they do."""
+    return BParams(
+        alpha=rec.walks.alpha, walk_len=rec.walks.walk_len, depth=len(rec.gates),
+        margin=0.0, mis_budget=rec.budget,
+    )
 
 
 def trial_tapes(setup, trial: int) -> TapeTable:
     """A fresh tape table of a pipeline trial's algorithm seed on the
     crucial subgraph, as :func:`stochmatch.analysis.run_pipeline` takes."""
-    return TapeTable(setup.alg_ctx(trial), setup.crucial.sub)
+    return TapeTable(setup.alg_ctx(trial), setup.crucial.rec.walks.g)
 
 
 def edge_id(g: Graph, u: int, v: int):
@@ -806,10 +823,10 @@ def validating_profiles():
     select = hyperwalk._select_walks
     tally = SimpleNamespace(profiles=0)
 
-    def checked(reals, matches, walks, *args):
-        validate_profile(mask_profile(walks.g, reals, matches))
+    def checked(reals, matches, rec, *args):
+        validate_profile(mask_profile(rec.walks.g, reals, matches))
         tally.profiles += 1
-        return select(reals, matches, walks, *args)
+        return select(reals, matches, rec, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperwalk, "_select_walks", checked)
@@ -916,7 +933,7 @@ def build_delta_table_v0(
         return DeltaTable({})
     if trials < 1:
         raise ValueError("trials must be positive")
-    sub = crucial.sub
+    sub = crucial.rec.walks.g
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
     tapes = None
@@ -925,9 +942,7 @@ def build_delta_table_v0(
         alg_ctx = alg_seed(ctx, exact, t)
         if tapes is None or not exact:
             tapes = TapeTable(alg_ctx, sub)
-        lca = BMatchingLca(
-            sub, crucial.bparams, real, gates=crucial.gates, walks=crucial.walks
-        )
+        lca = BMatchingLca(crucial.rec, real)
         footprints = {}
         for w in involved:
             fp = {w}
@@ -1004,7 +1019,8 @@ def build_match_prob_table_v0(
     ctx: SeedContext,
     exact: Optional[bool] = None,
 ) -> tuple:
-    sub = crucial.sub
+    rec = crucial.rec
+    sub = rec.walks.g
     if exact is None:
         exact = sub.m <= ENUM_CAP
     if exact:
@@ -1022,9 +1038,9 @@ def build_match_prob_table_v0(
         )
     covered = [0.0] * g.n
     for real, weight, alg_ctx in worlds:
-        table = gate_table(crucial.gates, sub.n)
+        table = gate_table(rec.gates, sub.n)
         matched = b_generic_v0(
-            sub, real, crucial.bparams, alg_ctx, table=table, walks=crucial.walks
+            sub, real, recursion_params(rec), alg_ctx, table=table, walks=rec.walks
         )
         for v in matched_vertices(sub, matched):
             covered[v] += weight
@@ -1479,12 +1495,12 @@ class _EngineV0(_Engine):
             return self.is_valid(lineage, x, level)
 
         def neighbors(x) -> tuple:
-            for y in self.lca.walks.neighbors(x):
+            for y in self.lca.rec.walks.neighbors(x):
                 self.ensure_walk(y)
-            return self.lca.walks.neighbors(x)
+            return self.lca.rec.walks.neighbors(x)
 
         ok, truncated, calls = _mis_root_query(
-            w, rank, valid, neighbors, self.lca.params.mis_budget
+            w, rank, valid, neighbors, self.lca.rec.budget
         )
         self.lca.mis_log.append((w, ok, truncated, calls))
         self.guard.tick(calls)
@@ -1501,7 +1517,7 @@ class BMatchingLcaV0(BMatchingLca):
 
     def run(self, oracle, root: Site) -> bool:
         engine = _EngineV0(self, oracle)
-        out = engine.is_in_matching((), root.id, self.params.depth)
+        out = engine.is_in_matching((), root.id, len(self.rec.gates))
         oracle.annotate("nodes", engine.guard.nodes)
         return out
 
@@ -1585,26 +1601,20 @@ class _EngineV1(_Engine):
 
 class BMatchingLcaV1(BMatchingLca):
     """``BMatchingLca`` answering through :class:`_EngineV1`, which reads
-    its own ``table``; the package's constructor gets that table's
-    gates."""
+    its own ``table`` and ``params``; the package's constructor gets the
+    recursion of that table's gates of levels 0..depth-1."""
 
-    def __init__(
-        self,
-        g: Graph,
-        params: BParams,
-        root_realization: int,
-        table: Optional[UnsaturationTable] = None,
-        walks: Optional[WalkIndex] = None,
-    ) -> None:
-        if table is None:
-            table = UnsaturationTable.always_unsaturated(g.n, max(1, params.depth))
+    def __init__(self, g: Graph, params: BParams, root_realization: int) -> None:
+        table = UnsaturationTable.always_unsaturated(g.n, max(1, params.depth))
         self.table = table
-        gates = table_gates(table, params.margin)
-        super().__init__(g, params, root_realization, gates, walks)
+        self.params = params
+        gates = table_gates(table, params.margin)[: params.depth]
+        walks = WalkIndex(g, params.walk_len, params.alpha)
+        super().__init__(Recursion(walks, gates, params.mis_budget), root_realization)
 
     def run(self, oracle, root: Site) -> bool:
         engine = _EngineV1(self, oracle)
-        out = engine.is_in_matching((), root.id, self.params.depth)
+        out = engine.is_in_matching((), root.id, len(self.rec.gates))
         oracle.annotate("nodes", engine.guard.nodes)
         return out
 

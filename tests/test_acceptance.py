@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     all_edges,
+    at_level,
     brute_matching_number,
     check_correlated_bound,
     complete_bipartite,
@@ -233,7 +234,7 @@ def b_corpus_runs():
         for name, g, kw in B_CORPUS:
             assert g.m <= 8
             params = BParams(margin=0.1, **{"mis_budget": None, **kw})
-            gates, walks = walk_setup(g, params)
+            rec = walk_setup(g, params)
             for seed in range(20):
                 real = sample_realization(g, SeedContext(seed).child("real"), 0)
                 ctx = SeedContext(seed).child("alg")
@@ -242,10 +243,11 @@ def b_corpus_runs():
                 for r in range(params.depth + 1):
                     before = tally.profiles
                     tapes = TapeTable(ctx, g)
-                    final = b_generic(g, real, params, tapes, r, gates=gates, walks=walks)
+                    final = b_generic(at_level(rec, r), real, tapes)
                     sizes.append(len(final))
                     assert tally.profiles > before or r == 0
-                via_queries = matching_via_queries(BMatchingLca(g, params, real), ctx)
+                lca = BMatchingLca(walk_setup(g, params), real)
+                via_queries = matching_via_queries(lca, ctx)
                 runs.append((name, g, real, sizes, final, via_queries))
     return runs, time.monotonic() - t0
 

@@ -19,6 +19,7 @@ from oracles import (
     is_matching,
     path_graph,
     ratio_sweep_v0,
+    recursion_params,
     shallow_bparams,
     trial_tapes,
     vertex_load,
@@ -157,15 +158,16 @@ class TestCrucialSide:
         g = path_graph(3)
         q = qprofile((0.1, 0.1, 0.1), 0.2, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert crucial.sub.m == 0
+        sub = crucial.rec.walks.g
+        assert sub.m == 0
         real = 0b111
-        assert compute_MC(crucial, real, TapeTable(SeedContext(1), crucial.sub)) == frozenset()
+        assert compute_MC(crucial, real, TapeTable(SeedContext(1), sub)) == frozenset()
 
     def test_single_crucial_edge(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        tapes = TapeTable(SeedContext(1), crucial.sub)
+        tapes = TapeTable(SeedContext(1), crucial.rec.walks.g)
         assert compute_MC(crucial, 0b1, tapes) == frozenset({0})
         assert compute_MC(crucial, 0b0, tapes) == frozenset()
 
@@ -178,7 +180,7 @@ class TestCrucialSide:
             crucial = prepare_crucial(g, q, BP1, 0, SeedContext(seed))
             for t in range(4):
                 real = sample_realization(g, SeedContext(seed).child("real"), t)
-                tapes = TapeTable(SeedContext(seed).child("alg"), crucial.sub)
+                tapes = TapeTable(SeedContext(seed).child("alg"), crucial.rec.walks.g)
                 m_c = compute_MC(crucial, real, tapes)
                 assert is_matching(g, m_c)
                 assert m_c <= q.crucial
@@ -189,8 +191,8 @@ class TestCrucialSide:
         q = qprofile((0.9, 0.1), 0.2, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         ctx = SeedContext(3)
-        with_other = compute_MC(crucial, 0b11, TapeTable(ctx, crucial.sub))
-        without = compute_MC(crucial, 0b01, TapeTable(ctx, crucial.sub))
+        with_other = compute_MC(crucial, 0b11, TapeTable(ctx, crucial.rec.walks.g))
+        without = compute_MC(crucial, 0b01, TapeTable(ctx, crucial.rec.walks.g))
         assert with_other == without == frozenset({0})
 
     def test_match_prob_table_exact_single_edge(self):
@@ -236,13 +238,13 @@ class TestUnsaturationRows:
         calls = count_b_generic(monkeypatch)
         bparams = BParams(alpha=1, walk_len=2, depth=depth, margin=0.08, mis_budget=None)
         crucial = prepare_crucial(g, q, bparams, 4, SeedContext(6).child("table"))
-        assert crucial.sub.m > 0
-        assert len(crucial.gates) == depth
+        assert crucial.rec.walks.g.m > 0
+        assert len(crucial.rec.gates) == depth
         # the level-0 marginals are zeros
         a_prob = match_targets_from_q(g, q, sorted(q.crucial))
-        zeros = UnsaturationTable(a_prob, ((0.0,) * crucial.sub.n,))
-        n = crucial.sub.n
-        assert crucial.gates[0] == sum(
+        zeros = UnsaturationTable(a_prob, ((0.0,) * crucial.rec.walks.g.n,))
+        n = crucial.rec.walks.g.n
+        assert crucial.rec.gates[0] == sum(
             1 << v for v in range(n) if zeros.unsaturated(v, 0, bparams.margin)
         )
         assert len(calls) == 4 * (depth - 1)
@@ -266,7 +268,7 @@ class TestUnsaturationRows:
             R=4, thresholds=thresholds, exact=None,
         )
         verify_claims(setup, trials=4, workers=1)
-        assert levels == {0, 1} == set(range(len(setup.crucial.gates)))
+        assert levels == {0, 1} == set(range(len(setup.crucial.rec.gates)))
 
     def test_verify_exact_b_generic_calls(self, tmp_path, monkeypatch):
         # the verify-exact bench workload's argv: 20 table samples at level
@@ -564,7 +566,7 @@ class TestPipeline:
     def test_refuses_table_of_another_seed(self):
         setup = smoke_setup()
         with pytest.raises(ValueError, match="another algorithm seed"):
-            run_pipeline(setup, 0, TapeTable(SeedContext(9), setup.crucial.sub))
+            run_pipeline(setup, 0, TapeTable(SeedContext(9), setup.crucial.rec.walks.g))
 
     def test_runs_are_deterministic(self):
         setup = smoke_setup()
@@ -690,9 +692,11 @@ class TestSeedMemoPipelines:
     @staticmethod
     def fresh_calls(monkeypatch):
         # the parent route: every b_generic call fresh, sharing nothing
-        def parent(g, real, params, tapes, level=None, gates=None, walks=None):
-            table = None if gates is None else gate_table(gates, g.n)
-            return b_generic_v0(g, Realization(g, real), params, tapes.ctx, level, table, walks)
+        def parent(rec, real, tapes):
+            g = rec.walks.g
+            table = gate_table(rec.gates, g.n)
+            params = recursion_params(rec)
+            return b_generic_v0(g, Realization(g, real), params, tapes.ctx, None, table, rec.walks)
 
         monkeypatch.setattr(analysis, "b_generic", parent)
 
@@ -711,7 +715,7 @@ class TestSeedMemoPipelines:
         g, thresholds = SOURCE_CORPUS["kite"]
         q = estimate_q(g, exact=True).with_thresholds(*thresholds)
         crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
-        assert crucial.sub.m >= 3
+        assert crucial.rec.walks.g.m >= 3
         paths = Counter()
         original = SeedContext.__post_init__
 
@@ -722,7 +726,7 @@ class TestSeedMemoPipelines:
         monkeypatch.setattr(SeedContext, "__post_init__", recording)
         build_match_prob_table(g, crucial, 40, SeedContext(6).child("mprob"), exact=True)
         tapes = {path[-1]: n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")}
-        assert sorted(tapes) == list(range(crucial.sub.m))
+        assert sorted(tapes) == list(range(crucial.rec.walks.g.m))
         assert set(tapes.values()) == {1}
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -771,7 +775,7 @@ class TestSeedMemoPipelines:
         engines = counting_engines(monkeypatch)
         got = build_delta_table(crucial, pairs, 12, ctx, exact)
         if exact:  # at most one engine per (realization, root)
-            assert len(engines) <= crucial.sub.m * 2**crucial.sub.m
+            assert len(engines) <= crucial.rec.walks.g.m * 2**crucial.rec.walks.g.m
         else:  # a sampled trial's seed is its own: one engine per (trial, root)
             assert max(started.values()) == 1
         assert len(engines) < len(queries)

@@ -482,10 +482,13 @@ class TestExitCodes:
         ["lca-stats", "--lca", "b-matching", "--samples", "1"],
         ["verify", "--R", "1", "--thresholds", "0.1,0.2", "--samples", "1",
          "--table-samples", "0", "--delta-trials", "1"],
-    ], ids=["lca-stats", "verify"])
+        ["verify", "--R", "1", "--thresholds", "0.1,0.2", "--samples", "1",
+         "--table-samples", "2", "--delta-trials", "1"],
+    ], ids=["lca-stats", "verify", "verify-sampled-gates"])
     def test_depth_limit_is_reachable(self, tmp_path, capsys, command):
         # both routes run at the limit inside the interpreter's default
-        # frame limit, and refuse one level past it by naming the limit
+        # frame limit, and refuse one level past it by naming the limit,
+        # before any gate is built or sampled
         inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
         out = str(tmp_path / "out")
         assert main(command + ["--input", inp, "--depth", str(DEPTH_LIMIT), "--out", out]) == 0

@@ -16,6 +16,7 @@ from oracles import (
     UnsaturationTable,
     _select_walks_v1,
     apply_hyperwalk,
+    at_level,
     b_generic_v0,
     bparams_from_eps,
     complete_graph,
@@ -34,6 +35,7 @@ from oracles import (
     never_unsaturated,
     out_query_ceiling,
     path_graph,
+    recursion_params,
     table_gates,
     validate_profile,
     validating_profiles,
@@ -43,8 +45,10 @@ from oracles import (
 from stochmatch import hyperwalk
 from stochmatch.graph import Graph, ResourceGuard, SeedContext, sample_realization
 from stochmatch.hyperwalk import (
+    DEPTH_LIMIT,
     BMatchingLca,
     BParams,
+    Recursion,
     WalkIndex,
     _Guard,
     _valid_walks,
@@ -293,26 +297,21 @@ class TestAugmenting:
 class TestBGeneric:
     def test_level_zero_empty(self):
         g = path_graph(2)
-        gates, walks = walk_setup(g, SMALL_PARAMS)
-        tapes = TapeTable(SeedContext(0), g)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, tapes, 0, gates=gates, walks=walks)
+        rec = walk_setup(g, replace(SMALL_PARAMS, depth=0))
+        got = b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
         assert got == frozenset()
 
     def test_single_realized_edge(self):
         g = path_graph(1)
-        gates, walks = walk_setup(g, SMALL_PARAMS)
-        tapes = TapeTable(SeedContext(0), g)
-        got = b_generic(g, full_realization(g), SMALL_PARAMS, tapes, 1, gates=gates, walks=walks)
+        rec = walk_setup(g, SMALL_PARAMS)
+        got = b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
         assert got == frozenset({0})
 
     def test_path_maximal_matching(self):
         g = path_graph(3)
         for seed in range(10):
-            gates, walks = walk_setup(g, SMALL_PARAMS)
-            tapes = TapeTable(SeedContext(seed), g)
-            got = b_generic(
-                g, full_realization(g), SMALL_PARAMS, tapes, 1, gates=gates, walks=walks
-            )
+            rec = walk_setup(g, SMALL_PARAMS)
+            got = b_generic(rec, full_realization(g), TapeTable(SeedContext(seed), g))
             assert is_matching(g, got)
             assert got in (frozenset({0, 2}), frozenset({1}))
 
@@ -320,9 +319,8 @@ class TestBGeneric:
         g = complete_graph(4)
         for seed in range(8):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            gates, walks = walk_setup(g, SMALL_PARAMS)
-            tapes = TapeTable(SeedContext(seed), g)
-            got = b_generic(g, real, SMALL_PARAMS, tapes, 1, gates=gates, walks=walks)
+            rec = walk_setup(g, SMALL_PARAMS)
+            got = b_generic(rec, real, TapeTable(SeedContext(seed), g))
             assert is_matching(g, got)
             assert all((real >> e) & 1 for e in got)
 
@@ -331,11 +329,11 @@ class TestBGeneric:
         params = BParams(alpha=1, walk_len=3, depth=2, margin=0.1, mis_budget=None)
         for seed in range(4):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            gates, walks = walk_setup(g, params)
+            rec = walk_setup(g, params)
             ctx = SeedContext(seed)
             with validating_profiles() as tally:
-                loud = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
-            quiet = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
+                loud = b_generic(rec, real, TapeTable(ctx, g))
+            quiet = b_generic(rec, real, TapeTable(ctx, g))
             assert loud == quiet
             assert tally.profiles > 0
 
@@ -347,50 +345,21 @@ class TestBGeneric:
         monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
         params = replace(SMALL_PARAMS, walk_len=4, depth=2)
-        gates, walks = walk_setup(g, params)
-        tapes = TapeTable(SeedContext(0), g)
+        rec = walk_setup(g, params)
         with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
-                b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
-
-    @pytest.mark.parametrize("walk_len,alpha", [(3, 1), (2, 0)])
-    def test_rejects_index_for_other_params(self, walk_len, alpha):
-        # the entry checks alone keep every walk's copy indices within the
-        # alpha + 1 copies of a recursion node
-        g = path_graph(3)
-        params = BParams(alpha=1, walk_len=2, depth=1, margin=0.1, mis_budget=None)
-        walks = WalkIndex(g, walk_len, alpha)
-        gates = open_gates(g.n, params.depth, params.margin)
-        tapes = TapeTable(SeedContext(0), g)
-        with pytest.raises(ValueError, match="walk index does not match params"):
-            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
-        with pytest.raises(ValueError, match="walk index does not match params"):
-            BMatchingLca(g, params, full_realization(g), walks=walks)
-
-    def test_rejects_index_of_another_graph(self):
-        # the same vertex count is not enough: walk ids of another graph
-        # name other edges, and some of them past this graph's
-        g = gnp_graph(10, 0.4, 0.5, SeedContext(1).child("gen"))
-        other = gnp_graph(10, 0.4, 0.5, SeedContext(2).child("gen"))
-        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        walks = WalkIndex(other, params.walk_len, params.alpha)
-        real = full_realization(g)
-        gates = open_gates(g.n, params.depth, params.margin)
-        with pytest.raises(ValueError, match="walk index does not match"):
-            b_generic(g, real, params, TapeTable(SeedContext(0), g), gates=gates, walks=walks)
-        with pytest.raises(ValueError, match="walk index does not match"):
-            BMatchingLca(g, params, real, walks=walks)
+                b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
 
     def test_rejects_table_of_another_graph(self):
         # stored subtrees and edge tapes are the table's graph's; another
         # graph of the same size would read them as its own
         g, other = path_graph(3), cycle_graph(4)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        gates, walks = walk_setup(g, params)
+        rec = walk_setup(g, params)
         ctx = SeedContext(0).child("alg")
         with pytest.raises(ValueError, match="tape table belongs to another graph"):
-            b_generic(g, full_realization(g), params, TapeTable(ctx, other), gates=gates, walks=walks)
-        b_generic(g, full_realization(g), params, TapeTable(ctx, g), gates=gates, walks=walks)
+            b_generic(rec, full_realization(g), TapeTable(ctx, other))
+        b_generic(rec, full_realization(g), TapeTable(ctx, g))
 
     def test_recursion_freed_on_return(self):
         # recurse refers to itself; unless b_generic breaks that cycle, the
@@ -399,11 +368,11 @@ class TestBGeneric:
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=2)
         gc.disable()
         try:
-            gates, walks = walk_setup(g, params)
-            ref = weakref.ref(walks)
+            rec = walk_setup(g, params)
+            ref = weakref.ref(rec.walks)
             tapes = TapeTable(SeedContext(0), g)
-            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
-            del walks, tapes  # the table's stored subtrees are keyed by the index
+            b_generic(rec, full_realization(g), tapes)
+            del rec, tapes  # the table's stored subtrees are keyed by the recursion
             assert ref() is None
         finally:
             gc.enable()
@@ -415,10 +384,10 @@ class TestBGeneric:
         params = BParams(alpha=0, walk_len=3, depth=3, margin=0.1, mis_budget=None)
         for seed in range(6):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            gates, walks = walk_setup(g, params)
+            rec = walk_setup(g, params)
             ctx = SeedContext(seed)
             sizes = [
-                len(b_generic(g, real, params, TapeTable(ctx, g), r, gates=gates, walks=walks))
+                len(b_generic(at_level(rec, r), real, TapeTable(ctx, g)))
                 for r in range(params.depth + 1)
             ]
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -427,8 +396,8 @@ class TestBGeneric:
 @st.composite
 def memo_cases(draw, mis_budget):
     """A small graph, params, a reference table whose gates vary by vertex
-    and level with the package's gates for it, a seed, and a run of
-    (realization mask, level) calls."""
+    and level with the package's recursion of depth ``params.depth`` for
+    it, a seed, and a run of (realization mask, level) calls."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
@@ -444,12 +413,13 @@ def memo_cases(draw, mis_budget):
     ]
     table = UnsaturationTable((1.0,) * n, tuple(rows))
     walks = WalkIndex(g, params.walk_len, params.alpha)
+    gates = table_gates(table, params.margin)[: params.depth]
     ctx = SeedContext(draw(st.integers(0, 2**16))).child("alg")
     calls = draw(st.lists(
         st.tuples(st.integers(0, 2**g.m - 1), st.integers(0, params.depth)),
         min_size=2, max_size=4,
     ))
-    return g, params, table, table_gates(table, params.margin), walks, ctx, calls
+    return g, params, table, Recursion(walks, gates, mis_budget), ctx, calls
 
 
 def smallest_ceiling(run) -> int:
@@ -477,16 +447,17 @@ def smallest_ceiling(run) -> int:
     return lo
 
 
-def shared_table_setups(g, params, gates, walks) -> list:
-    """(params, gates, walks) setups that one shared tape table serves in
-    turn: the given one, another budget, the level-0 gate shut, another
-    walk index of the same graph, and margin 1.5, which shuts every gate."""
+def shared_table_setups(rec) -> list:
+    """Recursions that one shared tape table serves in turn: the given
+    one, another budget, the level-0 gate shut, another walk index of the
+    same graph, and the gates of margin 1.5, which shuts every gate."""
+    walks, gates, _ = rec
     return [
-        (params, gates, walks),
-        (replace(params, mis_budget=1), gates, walks),
-        (params, (0,) + gates[1:], walks),
-        (params, gates, WalkIndex(g, params.walk_len, params.alpha)),
-        (replace(params, margin=1.5), open_gates(g.n, params.depth, 1.5), walks),
+        rec,
+        rec._replace(budget=1),
+        rec._replace(gates=(0,) + gates[1:]),
+        rec._replace(walks=WalkIndex(walks.g, walks.walk_len, walks.alpha)),
+        rec._replace(gates=open_gates(walks.g.n, len(gates), 1.5)),
     ]
 
 
@@ -499,23 +470,24 @@ class TestSeedMemo:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_shared_memo_matches_fresh_parent(self, mis_budget, data):
-        g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, params, table, rec, ctx, calls = data.draw(memo_cases(mis_budget))
         tapes = TapeTable(ctx, g)
         for mask, level in calls:
-            got = b_generic(g, mask, params, tapes, level, gates=gates, walks=walks)
-            assert got == b_generic_v0(g, Realization(g, mask), params, ctx, level, table, walks)
+            got = b_generic(at_level(rec, level), mask, tapes)
+            want = b_generic_v0(g, Realization(g, mask), params, ctx, level, table, rec.walks)
+            assert got == want
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_smallest_ceiling_same_warm_and_cold(self, data):
         budget = data.draw(st.sampled_from([None, 1]))
-        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(budget))
+        g, _, _, rec, ctx, calls = data.draw(memo_cases(budget))
         warm = TapeTable(ctx, g)
         for mask, level in calls:
-            b_generic(g, mask, params, warm, level, gates=gates, walks=walks)
+            b_generic(at_level(rec, level), mask, warm)
         for mask, level in calls:
             def call(tapes):
-                return lambda: b_generic(g, mask, params, tapes, level, gates=gates, walks=walks)
+                return lambda: b_generic(at_level(rec, level), mask, tapes)
 
             cold = smallest_ceiling(lambda: call(TapeTable(ctx, g))())
             assert smallest_ceiling(call(warm)) == cold
@@ -534,9 +506,9 @@ class TestSeedMemo:
         ctx = SeedContext(5).child("alg")
         for seed in range(3):
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
-            gates, walks = walk_setup(g, params)
+            rec = walk_setup(g, params)
             paths.clear()
-            b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
+            b_generic(rec, real, TapeTable(ctx, g))
             tapes = [n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")]
             assert tapes and max(tapes) == 1
 
@@ -546,15 +518,15 @@ class TestSeedMemo:
         # subtree is keyed by the inputs it read besides the seed
         g = complete_graph(4)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        gates, walks = walk_setup(g, params)
+        rec = walk_setup(g, params)
         for seed in range(3):
             ctx = SeedContext(seed).child("alg")
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             warm = TapeTable(ctx, g)
-            for p, t, w in shared_table_setups(g, params, gates, walks):
+            for r in shared_table_setups(rec):
 
                 def call(tapes):
-                    return lambda: b_generic(g, real, p, tapes, gates=t, walks=w)
+                    return lambda: b_generic(r, real, tapes)
 
                 assert call(warm)() == call(TapeTable(ctx, g))()
                 cold = smallest_ceiling(lambda: call(TapeTable(ctx, g))())
@@ -583,13 +555,13 @@ class TestQueryReplay:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_replay_equals_fresh_query(self, mis_budget, data):
-        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, _, _, rec, ctx, calls = data.draw(memo_cases(mis_budget))
         masks = [mask for mask, _ in calls] * 2
         tapes = TapeTable(ctx, g)  # one table for every query that may replay
         with pytest.MonkeyPatch.context() as mp:
             engines = counting_engines(mp)
             for mask in masks:
-                lca = BMatchingLca(g, params, mask, gates, walks)
+                lca = BMatchingLca(rec, mask)
                 for e in range(g.m):
                     out, trace = run_lca(lca, g, ctx, Site("edge", e), tapes)
                     want, want_trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
@@ -603,8 +575,8 @@ class TestQueryReplay:
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
     def test_smallest_ceiling_same_replayed_and_fresh(self, data):
-        g, params, _, gates, walks, ctx, calls = data.draw(memo_cases(None))
-        lca = BMatchingLca(g, params, calls[0][0], gates, walks)
+        g, _, _, rec, ctx, calls = data.draw(memo_cases(None))
+        lca = BMatchingLca(rec, calls[0][0])
         warm = TapeTable(ctx, g)
         root = Site("edge", data.draw(st.integers(0, g.m - 1)))
         run_lca(lca, g, ctx, root, warm)
@@ -617,13 +589,13 @@ class TestQueryReplay:
         # stored query is keyed by the inputs it read besides the seed
         g = complete_graph(4)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        gates, walks = walk_setup(g, params)
+        rec = walk_setup(g, params)
         for seed in range(3):
             ctx = SeedContext(seed).child("alg")
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             warm = TapeTable(ctx, g)
-            for p, t, w in shared_table_setups(g, params, gates, walks):
-                lca = BMatchingLca(g, p, real, t, w)
+            for r in shared_table_setups(rec):
+                lca = BMatchingLca(r, real)
                 for e in range(g.m):
 
                     def query(tapes):
@@ -677,13 +649,15 @@ def table_cases(draw):
     return Profile(copies), walks, table
 
 
-def select_v1(reals, matches, walks, gate, params, rank, guard):
+def select_v1(reals, matches, rec, gate, rank, guard):
     """``oracles._select_walks_v1`` behind the signature of
-    ``_select_walks``: the copies' masks go in as a profile, and the gate
-    as the one row of a table that the reference reads at level 1."""
-    table = gate_table((gate,), walks.g.n)
-    profile = mask_profile(walks.g, reals, matches)
-    return _select_walks_v1(profile, walks, table, params, 1, rank, guard)
+    ``_select_walks``: the copies' masks go in as a profile, the gate as
+    the one row of a table that the reference reads at level 1, and the
+    budget as params."""
+    g = rec.walks.g
+    table = gate_table((gate,), g.n)
+    profile = mask_profile(g, reals, matches)
+    return _select_walks_v1(profile, rec.walks, table, recursion_params(rec), 1, rank, guard)
 
 
 class TestWalkTable:
@@ -759,14 +733,14 @@ class TestWalkTable:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_selection_equals_parent(self, mis_budget, data):
-        g, params, table, gates, walks, ctx, calls = data.draw(memo_cases(mis_budget))
+        g, params, table, rec, ctx, calls = data.draw(memo_cases(mis_budget))
         select = hyperwalk._select_walks
         selections = []
 
-        def both(reals, matches, walks, gate, params, rank, guard):
+        def both(reals, matches, rec, gate, rank, guard):
             new, old = _Guard(), _Guard()
-            got = select(reals, matches, walks, gate, params, rank, new)
-            want = select_v1(reals, matches, walks, gate, params, rank, old)
+            got = select(reals, matches, rec, gate, rank, new)
+            want = select_v1(reals, matches, rec, gate, rank, old)
             assert got == want
             assert new.nodes == old.nodes
             selections.append(got)
@@ -777,12 +751,12 @@ class TestWalkTable:
             def call():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(hyperwalk, "_select_walks", selection)
-                    return b_generic(g, mask, params, TapeTable(ctx, g), level, gates=gates, walks=walks)
+                    return b_generic(at_level(rec, level), mask, TapeTable(ctx, g))
             return call
 
         for mask, level in calls:
             real = Realization(g, mask)
-            want = b_generic_v0(g, real, params, ctx, level, table, walks)
+            want = b_generic_v0(g, real, params, ctx, level, table, rec.walks)
             assert run(both, mask, level)() == want
             assert run(select, mask, level)() == want
             assert smallest_ceiling(run(select, mask, level)) == smallest_ceiling(
@@ -790,36 +764,13 @@ class TestWalkTable:
             )
         assert len(selections) >= len([lvl for _, lvl in calls if lvl > 0])
 
-    @pytest.mark.parametrize("edges", [[(0, 1, 0.5), (1, 2, 0.5)], []])
-    def test_missing_level_raises_as_parent(self, edges):
-        # gates and table cover levels 0 and 1, so a level-3 call reads
-        # the missing level 2.  Both routes refuse the gates at entry; the
-        # parent raised at the first read, so on a graph without walks it
-        # read no row and returned the empty matching
-        g = Graph.build(3, edges)
-        params = BParams(alpha=1, walk_len=2, depth=3, margin=0.1, mis_budget=None)
-        table = UnsaturationTable.always_unsaturated(g.n, 1)
-        gates = table_gates(table, params.margin)
-        ctx = SeedContext(3).child("alg")
-        real, walks = full_realization(g), walk_setup(g, params)[1]
-        with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
-        with pytest.raises(ValueError, match="no gate for level 2"):
-            BMatchingLca(g, params, real, gates)
-        if edges:
-            with pytest.raises(ValueError, match="no marginals for level 2"):
-                b_generic_v0(g, Realization(g, real), params, ctx, None, table)
-        else:
-            assert b_generic_v0(g, Realization(g, real), params, ctx, None, table) == frozenset()
-
     def test_unresolved_member_raises(self, monkeypatch):
         monkeypatch.setattr(hyperwalk, "greedy_member", lambda *args: (False, False, 1))
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=1)
-        gates, walks = walk_setup(g, params)
-        tapes = TapeTable(SeedContext(0), g)
+        rec = walk_setup(g, params)
         with pytest.raises(RuntimeError, match=r"sweep member with edges \(0,\) and copies \(0,\)"):
-            b_generic(g, full_realization(g), params, tapes, gates=gates, walks=walks)
+            b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
 
 
 class TestBParams:
@@ -864,8 +815,8 @@ class TestUnsaturationTable:
         # whose target exceeds the margin
         g = path_graph(1)
         gates = build_unsaturation_table(
-            g, replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
-            walks=walk_setup(g, SMALL_PARAMS)[1],
+            replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
+            walks=walk_setup(g, SMALL_PARAMS).walks,
         )
         assert len(gates) == 2
         assert gates[0] == 0b01
@@ -874,10 +825,17 @@ class TestUnsaturationTable:
     def test_gate_logic(self):
         gates = gate_masks((0.6, 0.2), ((0.0, 0.0), (0.5, 0.1)), margin=0.1)
         assert gates == (0b11, 0)  # 0.5 >= 0.6 - 0.1 and 0.1 >= 0.2 - 0.1
-        g, params = path_graph(1), replace(SMALL_PARAMS, depth=3)
-        tapes, walks = TapeTable(SeedContext(0), g), walk_setup(g, params)[1]
-        with pytest.raises(ValueError, match="no gate for level 2"):
-            b_generic(g, 1, params, tapes, gates=gates, walks=walks)
+
+    def test_depth_refused_before_any_gate(self, monkeypatch):
+        # past the limit, neither factory builds a row or samples a level
+        g = path_graph(1)
+        params = replace(SMALL_PARAMS, depth=DEPTH_LIMIT + 1)
+        monkeypatch.setattr(hyperwalk, "gate_masks", None)
+        monkeypatch.setattr(hyperwalk, "b_generic", None)
+        with pytest.raises(ResourceGuard, match=f"--depth {DEPTH_LIMIT + 1} exceeds"):
+            open_gates(g.n, params.depth, params.margin)
+        with pytest.raises(ResourceGuard, match=f"--depth {DEPTH_LIMIT + 1} exceeds"):
+            build_unsaturation_table(params, 2, SeedContext(0), [1.0, 1.0], WalkIndex(g, 2, 0))
 
     def test_factories(self):
         assert open_gates(3, 2, 0.5) == (0b111, 0b111)
@@ -915,9 +873,9 @@ class TestLcaRoute:
             g = complete_graph(4)
             real = sample_realization(g, SeedContext(seed).child("r"), 0)
             ctx = SeedContext(seed).child("alg")
-            gates, walks = walk_setup(g, params)
-            want = b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks)
-            lca = BMatchingLca(g, params, real)
+            rec = walk_setup(g, params)
+            want = b_generic(rec, real, TapeTable(ctx, g))
+            lca = BMatchingLca(rec, real)
             got = matching_via_queries(lca, ctx)
             assert got == want
 
@@ -925,20 +883,35 @@ class TestLcaRoute:
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
         real = full_realization(g)
-        lca = BMatchingLca(g, params, real)
+        rec = walk_setup(g, params)
+        lca = BMatchingLca(rec, real)
         ctx = SeedContext(4).child("alg")
         out, trace = run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
-        gates, walks = walk_setup(g, params)
-        assert out == (0 in b_generic(g, real, params, TapeTable(ctx, g), gates=gates, walks=walks))
+        assert out == (0 in b_generic(rec, real, TapeTable(ctx, g)))
         assert Site("edge", 0) in trace.out_queries
 
     def test_rejects_mask_outside_graph(self):
         g = path_graph(2)
         params = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
+        rec = walk_setup(g, params)
         for mask in (-1, 1 << g.m):
             with pytest.raises(ValueError, match="outside"):
-                BMatchingLca(g, params, mask)
-        BMatchingLca(g, params, full_realization(g))
+                BMatchingLca(rec, mask)
+        BMatchingLca(rec, full_realization(g))
+
+    def test_rejects_oracle_of_another_graph(self):
+        # walk ids and gates of one graph name other edges and vertices of
+        # another of the same size: the query would answer silently or
+        # trip naturality on edges the walks do not have there
+        g = gnp_graph(10, 0.4, 0.5, SeedContext(1).child("gen"))
+        other = gnp_graph(10, 0.4, 0.5, SeedContext(2).child("gen"))
+        params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
+        lca = BMatchingLca(walk_setup(g, params), full_realization(g))
+        ctx = SeedContext(0).child("alg")
+        for e in range(other.m):
+            with pytest.raises(ValueError, match="oracle belongs to another graph"):
+                run_lca(lca, other, ctx, Site("edge", e), TapeTable(ctx, other))
+        run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
 
     def test_validity_matches_parent(self):
         # the query route decides validity through the predicate it shares
@@ -951,7 +924,7 @@ class TestLcaRoute:
                 for seed in range(3):
                     real = sample_realization(g, SeedContext(seed).child("real"), 0)
                     ctx = SeedContext(seed).child("alg")
-                    lca = BMatchingLca(g, params, real)
+                    lca = BMatchingLca(walk_setup(g, params), real)
                     old_lca = BMatchingLcaV1(g, params, real)
                     for e in range(g.m):
                         out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
@@ -963,10 +936,10 @@ class TestLcaRoute:
     def test_out_query_ceiling_dominates(self):
         g = path_graph(2)
         params = BParams(alpha=1, walk_len=2, depth=2, margin=0.1, mis_budget=None)
-        walks = WalkIndex(g, params.walk_len, params.alpha)
-        ceiling = out_query_ceiling(g, walks, params, params.depth)
+        rec = walk_setup(g, params)
+        ceiling = out_query_ceiling(g, rec.walks, params, params.depth)
         real = full_realization(g)
-        lca = BMatchingLca(g, params, real)
+        lca = BMatchingLca(rec, real)
         for seed in range(10):
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):

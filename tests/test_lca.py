@@ -20,6 +20,7 @@ from oracles import (
     path_graph,
     run_lca_v0,
     sweep_ledger,
+    walk_setup,
 )
 from stochmatch.graph import Graph, SeedContext, sample_realization
 from stochmatch.hyperwalk import BMatchingLca, BParams
@@ -234,7 +235,7 @@ def golden_b_matching(name):
     fields["mis_budget"] = fields.pop("budget")  # --budget sets the hyperwalk MIS budget
     params = BParams(margin=0.08, **fields)
     real = sample_realization(g, SeedContext(3).child("real"), 0)
-    return g, BMatchingLca(g, params, real)
+    return g, BMatchingLca(walk_setup(g, params), real)
 
 
 class TestLedgerIndex:
@@ -526,7 +527,7 @@ def _b_corpus_queries():
         params = BParams(margin=0.1, **{"mis_budget": None, **kw})
         for seed in range(20):
             real = sample_realization(g, SeedContext(seed).child("real"), 0)
-            lca = BMatchingLca(g, params, real)
+            lca = BMatchingLca(walk_setup(g, params), real)
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
                 out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))

@@ -20,6 +20,7 @@ from oracles import (
     tmis_query,
     tmis_set,
     vertex_rank,
+    walk_setup,
 )
 from stochmatch import hyperwalk
 from stochmatch.graph import Graph, SeedContext, sample_realization
@@ -238,8 +239,8 @@ class TestEngine:
                 for seed in range(3):
                     real = sample_realization(g, SeedContext(seed).child("real"), 0)
                     ctx = SeedContext(seed).child("alg")
-                    lca = BMatchingLca(g, params, real)
-                    old_lca = BMatchingLcaV0(g, params, real)
+                    lca = BMatchingLca(walk_setup(g, params), real)
+                    old_lca = BMatchingLcaV0(walk_setup(g, params), real)
                     for e in range(g.m):
                         log.clear()
                         old_lca.mis_log.clear()
