@@ -28,8 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph import (
     Graph,
@@ -45,6 +44,7 @@ from .hyperwalk import (
     BMatchingLca,
     Recursion,
     WalkIndex,
+    _check_depth,
     b_generic,
     build_unsaturation_table,
     open_gates,
@@ -121,8 +121,7 @@ def build_f(
 # the crucial-side matching M_C
 
 
-@dataclass
-class CrucialSetup:
+class CrucialSetup(NamedTuple):
     """The recursive matching of the crucial subgraph: ``rec`` runs on
     the subgraph ``rec.walks.g``, whose edge i is edge ``from_sub[i]`` of
     the full graph."""
@@ -213,8 +212,7 @@ def build_match_prob_table(
     return tuple(1.0 - c / runs for c in covered)
 
 
-@dataclass(frozen=True)
-class DeltaTable:
+class DeltaTable(NamedTuple):
     """Estimated query-footprint collision probabilities per vertex pair."""
 
     values: dict
@@ -359,8 +357,7 @@ def round_x(x: dict, eps: float, g: Graph) -> FractionalMatching:
 # ratio estimation
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     ratio: float
     stderr: float
     exact: bool
@@ -412,8 +409,7 @@ def ratio_sweep(
 # the full pipeline
 
 
-@dataclass
-class PipelineSetup:
+class PipelineSetup(NamedTuple):
     """Everything fixed across pipeline trials: the instance, q with its
     thresholds, the sparsifier output, f, the crucial-side machinery,
     and the probability tables."""
@@ -462,8 +458,10 @@ def prepare_pipeline(
     ``R`` is derived from the thresholds when None, ``thresholds``
     overrides the automatic bucket selection (handy for forcing a split
     with genuine mass on both sides at desk scale), and ``exact`` None
-    picks the mode by edge count.
+    picks the mode by edge count.  A depth past ``DEPTH_LIMIT`` is
+    refused before q is estimated.
     """
+    _check_depth(bparams.depth)
     ctx = SeedContext(seed)
     q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
     exact = q.exact
@@ -524,8 +522,7 @@ def run_pipeline(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
 # claim verification
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     name: str
     kind: str  # "upper" or "lower": which side the bound constrains
     bound: float
@@ -535,8 +532,7 @@ class ClaimCheck:
     note: str
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     checks: tuple[ClaimCheck, ...]
     trials: int
     eps: float
@@ -545,7 +541,7 @@ class ClaimReport:
         payload = {
             "trials": self.trials,
             "eps": self.eps,
-            "claims": [asdict(c) for c in self.checks],
+            "claims": [c._asdict() for c in self.checks],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional
@@ -66,7 +65,6 @@ def _encode_labels(labels: tuple) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
 class SeedContext:
     """Keyed PRF addressed by (master seed, namespace path).
 
@@ -75,22 +73,34 @@ class SeedContext:
     given labels and maps the digest to a float in [0, 1).  Labels may
     be strings or integers.  A context keeps its path's encoding; since
     encodings concatenate, ``child`` passes it on extended by the new
-    labels alone.
+    labels alone.  Equality, hash and repr cover ``seed`` and ``path``.
     """
 
-    seed: int
-    path: tuple = ()
-    _encoded_path: InitVar[Optional[bytes]] = None
-    _encoded: bytes = field(init=False, repr=False, compare=False)
-    _key: bytes = field(init=False, repr=False, compare=False)
+    __slots__ = ("seed", "path", "_encoded", "_key")
+
+    def __init__(self, seed: int, path: tuple = (), _encoded_path: Optional[bytes] = None) -> None:
+        self.seed = seed
+        self.path = path
+        self.__post_init__(_encoded_path)
 
     def __post_init__(self, _encoded_path: Optional[bytes]) -> None:
+        # a method of its own: bench/tracer.py counts derivations by wrapping it
         if _encoded_path is None:
             _encoded_path = _encode_labels(self.path)
-        object.__setattr__(self, "_encoded", _encoded_path)
+        self._encoded = _encoded_path
         seed_key = (self.seed & _U64).to_bytes(8, "little")
-        h = hashlib.blake2b(_encoded_path, digest_size=32, key=seed_key)
-        object.__setattr__(self, "_key", h.digest())
+        self._key = hashlib.blake2b(_encoded_path, digest_size=32, key=seed_key).digest()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seed, self.path) == (other.seed, other.path)
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.path))
+
+    def __repr__(self) -> str:
+        return f"SeedContext(seed={self.seed!r}, path={self.path!r})"
 
     def child(self, *labels) -> "SeedContext":
         return SeedContext(self.seed, self.path + labels, self._encoded + _encode_labels(labels))
@@ -102,7 +112,6 @@ class SeedContext:
         return (_RAW64(self.digest(*labels))[0] >> 11) / _FLOAT_DENOM
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with per-edge existence probabilities.
 
@@ -110,11 +119,27 @@ class Graph:
     addressed by their index.  ``adjacency[v]`` lists the incident edge
     ids of ``v`` in increasing order; that order is the tie-breaking
     order used by every deterministic algorithm in the package.
+    Equality and hash cover ``n`` and ``edges``, which fix ``adjacency``.
     """
 
-    n: int
-    edges: tuple
-    adjacency: tuple = field(compare=False)
+    # __dict__ holds the cached_property below
+    __slots__ = ("n", "edges", "adjacency", "__dict__")
+
+    def __init__(self, n: int, edges: tuple, adjacency: tuple) -> None:
+        self.n = n
+        self.edges = edges
+        self.adjacency = adjacency
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, adjacency={self.adjacency!r})"
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple]) -> "Graph":

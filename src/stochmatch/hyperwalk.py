@@ -59,7 +59,6 @@ set stays independent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, ResourceGuard, SeedContext, edge_mask, mask_edges, sample_realization
@@ -77,7 +76,6 @@ NODE_CEILING = 2_000_000
 DEPTH_LIMIT = 500
 
 
-@dataclass(frozen=True)
 class BParams:
     """Knobs of the recursive matching procedure.
 
@@ -95,23 +93,43 @@ class BParams:
     are module constants.
     """
 
-    alpha: int
-    walk_len: int
-    depth: int
-    margin: float
-    mis_budget: Optional[int]
+    __slots__ = ("alpha", "walk_len", "depth", "margin", "mis_budget")
 
-    def __post_init__(self) -> None:
-        if self.alpha < 0:
+    def __init__(
+        self, alpha: int, walk_len: int, depth: int, margin: float, mis_budget: Optional[int]
+    ) -> None:
+        if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.walk_len < 1:
+        if walk_len < 1:
             raise ValueError("walk_len must be positive")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if self.margin < 0.0:
+        if margin < 0.0:
             raise ValueError("margin must be nonnegative")
-        if self.mis_budget is not None and self.mis_budget < 1:
+        if mis_budget is not None and mis_budget < 1:
             raise ValueError("budget must be positive when set")
+        self.alpha = alpha
+        self.walk_len = walk_len
+        self.depth = depth
+        self.margin = margin
+        self.mis_budget = mis_budget
+
+    def _values(self) -> tuple:
+        return (self.alpha, self.walk_len, self.depth, self.margin, self.mis_budget)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"BParams(alpha={self.alpha!r}, walk_len={self.walk_len!r}, depth={self.depth!r}, "
+            f"margin={self.margin!r}, mis_budget={self.mis_budget!r})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ the first time its sweep's table expands a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import Graph, SeedContext
@@ -113,11 +112,27 @@ class TapeTable(dict):
         return tape
 
 
-@dataclass(frozen=True)
 class ProbeTrace:
-    root: Site
-    probed: tuple  # Sites in expansion order; probed[0] == root
-    meta: dict = field(default_factory=dict, compare=False)
+    """One query's probed sites, ``probed[0] == root``, in expansion order,
+    and the LCA's annotations ``meta``, which equality and hash leave out."""
+
+    __slots__ = ("root", "probed", "meta")
+
+    def __init__(self, root: Site, probed: tuple, meta: dict) -> None:
+        self.root = root
+        self.probed = probed
+        self.meta = meta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.probed) == (other.root, other.probed)
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.probed))
+
+    def __repr__(self) -> str:
+        return f"ProbeTrace(root={self.root!r}, probed={self.probed!r}, meta={self.meta!r})"
 
     @property
     def out_queries(self) -> frozenset:
@@ -218,20 +233,40 @@ def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: TapeTable):
     return out, oracle.trace()
 
 
-@dataclass
 class QueryLedger:
     """Aggregated sweep statistics.
 
     One sweep queries every site in ``sites`` as a root under shared
     tapes and records each root's out-query set.  Rows are per-sweep
-    dictionaries mapping site -> count.
+    dictionaries mapping site -> count, so a ledger is mutable and
+    unhashable.
     """
 
-    site_kind: str
-    sites: tuple
-    qplus_rows: list = field(default_factory=list)
-    qminus_rows: list = field(default_factory=list)
-    psi_rows: list = field(default_factory=list)
+    __slots__ = ("site_kind", "sites", "qplus_rows", "qminus_rows", "psi_rows")
+
+    def __init__(self, site_kind: str, sites: tuple) -> None:
+        self.site_kind = site_kind
+        self.sites = sites
+        self.qplus_rows = []
+        self.qminus_rows = []
+        self.psi_rows = []
+
+    def _values(self) -> tuple:
+        return (self.site_kind, self.sites, self.qplus_rows, self.qminus_rows, self.psi_rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"QueryLedger(site_kind={self.site_kind!r}, sites={self.sites!r}, "
+            f"qplus_rows={self.qplus_rows!r}, qminus_rows={self.qminus_rows!r}, "
+            f"psi_rows={self.psi_rows!r})"
+        )
 
     def add_sweep(self, out_sets: dict) -> None:
         """Ledger one sweep from each root's out-query set.  q- and psi

@@ -25,8 +25,7 @@ each component's matching once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import Graph, ResourceGuard, mask_edges
 
@@ -287,8 +286,7 @@ def matched_vertices(g: Graph, edge_ids: Iterable[int]) -> frozenset:
     return frozenset({x for e in edge_ids for x in g.endpoints(e)})
 
 
-@dataclass(frozen=True)
-class FractionalMatching:
+class FractionalMatching(NamedTuple):
     """Nonnegative edge weights; zero entries are dropped from ``values``."""
 
     graph: Graph
@@ -327,8 +325,7 @@ def vertex_loads(g: Graph, pairs: Iterable[tuple]) -> list:
     return loads
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of an odd-set sweep: ``sets_checked`` connected odd
     vertex sets S with 3 <= |S| <= floor(1/eps) were checked against
     sum(f inside S) <= |S|//2, and ``violations`` holds each

@@ -30,14 +30,12 @@ does, so answers, traces and the q+/q-/psi ledger are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .lca import Site
 
 
-@dataclass(frozen=True)
-class TmisOutcome:
+class TmisOutcome(NamedTuple):
     member: bool
     calls: int
     truncated: bool

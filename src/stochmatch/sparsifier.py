@@ -11,8 +11,7 @@ bands via a lightest-bucket threshold search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import Graph, ResourceGuard, SeedContext
 from .graph import sample_realization, weighted_realizations
@@ -24,19 +23,30 @@ THRESHOLD_EXPONENT = 3
 BUILD_DRAW_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
 class SparsifierParams:
     """Construction knobs: R realizations under a master seed."""
 
-    R: int
-    eps: float
-    seed: int
+    __slots__ = ("R", "eps", "seed")
 
-    def __post_init__(self) -> None:
-        if self.R < 1:
+    def __init__(self, R: int, eps: float, seed: int) -> None:
+        if R < 1:
             raise ValueError("R must be at least 1")
-        if not 0.0 < self.eps < 1.0:
+        if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        self.R = R
+        self.eps = eps
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.R, self.eps, self.seed) == (other.R, other.eps, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.R, self.eps, self.seed))
+
+    def __repr__(self) -> str:
+        return f"SparsifierParams(R={self.R!r}, eps={self.eps!r}, seed={self.seed!r})"
 
 
 def build_H(g: Graph, params: SparsifierParams):
@@ -65,8 +75,7 @@ def build_H(g: Graph, params: SparsifierParams):
     return frozenset(H), tuple(matchings)
 
 
-@dataclass(frozen=True)
-class QProfile:
+class QProfile(NamedTuple):
     """Per-edge probabilities q_e of appearing in the matched realization.
 
     ``exact`` profiles come from full realization enumeration, the
@@ -87,7 +96,7 @@ class QProfile:
     def with_thresholds(self, tau_minus: float, tau_plus: float) -> "QProfile":
         if not tau_minus < tau_plus:
             raise ValueError("tau_minus must be below tau_plus")
-        return replace(self, tau_minus=tau_minus, tau_plus=tau_plus)
+        return self._replace(tau_minus=tau_minus, tau_plus=tau_plus)
 
     def _require_thresholds(self) -> None:
         if self.tau_minus is None or self.tau_plus is None:

@@ -10,6 +10,7 @@ import pytest
 
 import stochmatch
 from oracles import path_graph
+from stochmatch import sparsifier
 from stochmatch.cli import main
 from stochmatch.graph import ENUM_CAP, Graph, load_graph, write_graph_text
 from stochmatch.hyperwalk import DEPTH_LIMIT
@@ -497,6 +498,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"--depth {past} exceeds the recursion limit of {DEPTH_LIMIT} levels" in err
         assert "maximum recursion depth" not in err
+
+    def test_verify_refuses_depth_before_q(self, tmp_path, capsys, monkeypatch):
+        # the depth is refused before any pipeline stage runs, as lca-stats
+        # refuses it: q, H and f would cost seconds on a larger graph
+        def estimate_q(*args, **kwargs):
+            raise AssertionError("q estimated before the depth check")
+
+        monkeypatch.setattr(sparsifier, "estimate_q", estimate_q)
+        inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
+        past = str(DEPTH_LIMIT + 1)
+        assert main(["verify", "--input", inp, "--depth", past, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"aborted: --depth {past} exceeds the recursion limit of {DEPTH_LIMIT} levels" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,flag,key", [
         ("verify", "--table-samples", "table_samples"),

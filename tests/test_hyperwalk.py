@@ -2,7 +2,6 @@ import gc
 import pickle
 import weakref
 from collections import Counter
-from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -74,6 +73,12 @@ def profile_noalpha(g, mask, matching=frozenset()):
 
 
 SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
+
+
+def with_params(params: BParams, **changes) -> BParams:
+    """``params`` with ``changes`` applied, built by BParams' validating
+    constructor."""
+    return BParams(**{name: getattr(params, name) for name in BParams.__slots__} | changes)
 
 
 class TestHyperwalkType:
@@ -297,7 +302,7 @@ class TestAugmenting:
 class TestBGeneric:
     def test_level_zero_empty(self):
         g = path_graph(2)
-        rec = walk_setup(g, replace(SMALL_PARAMS, depth=0))
+        rec = walk_setup(g, with_params(SMALL_PARAMS, depth=0))
         got = b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
         assert got == frozenset()
 
@@ -344,7 +349,7 @@ class TestBGeneric:
         # wrapper
         monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
-        params = replace(SMALL_PARAMS, walk_len=4, depth=2)
+        params = with_params(SMALL_PARAMS, walk_len=4, depth=2)
         rec = walk_setup(g, params)
         with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
@@ -815,7 +820,7 @@ class TestUnsaturationTable:
         # whose target exceeds the margin
         g = path_graph(1)
         gates = build_unsaturation_table(
-            replace(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
+            with_params(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
             walks=walk_setup(g, SMALL_PARAMS).walks,
         )
         assert len(gates) == 2
@@ -829,7 +834,7 @@ class TestUnsaturationTable:
     def test_depth_refused_before_any_gate(self, monkeypatch):
         # past the limit, neither factory builds a row or samples a level
         g = path_graph(1)
-        params = replace(SMALL_PARAMS, depth=DEPTH_LIMIT + 1)
+        params = with_params(SMALL_PARAMS, depth=DEPTH_LIMIT + 1)
         monkeypatch.setattr(hyperwalk, "gate_masks", None)
         monkeypatch.setattr(hyperwalk, "b_generic", None)
         with pytest.raises(ResourceGuard, match=f"--depth {DEPTH_LIMIT + 1} exceeds"):

@@ -9,7 +9,9 @@ bench tracer binds its wrappers by dotted strings
 (``"hyperwalk.BMatchingLca.run"``), so the dotted string constants of
 ``bench/tracer.py`` count as references too; an undotted one such as
 ``"vertex"`` names no wrapper target.  Matching is by name, not by type,
-so the lint can miss dead code; it never flags live code.
+so the lint can miss dead code; it flags live code only where a
+NamedTuple's field is read through an unpacking alone, under another
+name (see below).
 
 ``__init__.py`` re-exports only allowlisted names: every module of the
 package is imported by its dotted path, so a package-level binding is a
@@ -20,22 +22,27 @@ read in its body, ``self`` and ``cls`` aside.  A nested function is
 exempt: its caller fixes its signature.
 
 The same holds for settings: every defaulted parameter of a public
-function, public method or ``__init__``, and every plainly defaulted
-field of a public dataclass or NamedTuple, must be passed, by keyword or
-by position, in some call in the package or ``bench/``.  Calls are
-matched by callee name (a class's name for its ``__init__`` and its
-fields), and a ``replace(x, name=...)`` keyword sets the field ``name``.
-A value that only tests set is a module constant instead.  And the
-reverse: every such default must be left out by some call in the
-package or ``bench/``, which passes neither its name nor its position
-(a ``replace`` leaves out nothing).  A value that every caller outside
+function, public method or ``__init__``, and every defaulted field of a
+public NamedTuple, must be passed, by keyword or by position, in some
+call in the package or ``bench/``.  Calls are matched by callee name (a
+class's name for its ``__init__`` and its fields), and an
+``x._replace(name=...)`` keyword sets the field ``name``.  A value that
+only tests set is a module constant instead.  And the reverse: every
+such default must be left out by some call in the package or
+``bench/``, which passes neither its name nor its position (a
+``_replace`` leaves out nothing).  A value that every caller outside
 the tests passes is required, so a test writes it too, and no default
 picks a path that only tests take.
 
-Both ways round: every field of a public dataclass or NamedTuple must be
-read in the package or ``bench/``, again by name.  A read is a loaded
-attribute, a slot of a tuple unpacking of a NamedTuple's arity, or an
-``asdict`` of the elements of a field whose annotation names the record (``ClaimReport.checks: tuple[ClaimCheck, ...]``).  No module
+Both ways round: every field of a public record must be read in the
+package or ``bench/``, again by name.  A record is a NamedTuple, whose
+fields are its annotated names, or a class with ``__slots__``, whose
+fields are its public slot names.  A read is a loaded attribute, a
+slot of a tuple unpacking that has a NamedTuple's arity and binds each
+field it names to the field's own name (``walks, gates, _ = rec`` reads
+``Recursion.walks`` and ``gates``; ``_`` skips a slot), or an
+``_asdict()`` of the elements of a field whose annotation names the
+record (``ClaimReport.checks: tuple[ClaimCheck, ...]``).  No module
 constant used as a parameter default repeats a literal of
 ``cli.DEFAULTS``, so the command line's values have one copy.
 
@@ -304,12 +311,12 @@ def _settings():
                     static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
                     out += _parameters(f"{mod}.{node.name}.{item.name}", callee, item, bound=not static)
             if _is_record(node):
+                # a slotted record's defaults are its __init__'s, covered above
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
                 out += [
                     (f"{mod}.{node.name}.{f.target.id}", node.name, pos, True)
                     for pos, f in enumerate(fields)
                     if f.value is not None
-                    and not (isinstance(f.value, ast.Call) and _callee(f.value) == "field")
                 ]
     return out
 
@@ -327,15 +334,26 @@ def _parameters(qual: str, callee: str, fn: ast.FunctionDef, bound: bool) -> lis
     return out
 
 
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+
+
+def _slots(node: ast.ClassDef):
+    """The names a class body assigns to ``__slots__``, or None."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in item.targets):
+            return [c.value for c in ast.walk(item.value) if isinstance(c, ast.Constant)]
+    return None
+
+
 def _is_record(node: ast.ClassDef) -> bool:
-    """A dataclass or a NamedTuple, by decorator or base name."""
-    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
-    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple") for m in marks)
+    """A NamedTuple, by base name, or a class with ``__slots__``."""
+    return _is_named_tuple(node) or _slots(node) is not None
 
 
 def _calls() -> tuple:
     """callee name -> [(positional count, keywords)] over every call in
-    the package and ``bench/``, and the keywords of ``replace`` calls.
+    the package and ``bench/``, and the keywords of ``_replace`` calls.
     A starred argument counts as every position and a ``**`` argument as
     every keyword (``None``)."""
     calls, replaced = {}, set()
@@ -347,7 +365,7 @@ def _calls() -> tuple:
             count = float("inf") if starred else len(call.args)
             keywords = {k.arg for k in call.keywords}
             calls.setdefault(_callee(call), []).append((count, keywords))
-            if _callee(call) == "replace":
+            if _callee(call) == "_replace":
                 replaced |= keywords
     return calls, replaced
 
@@ -433,31 +451,33 @@ def test_exception_types_are_fixed():
 
 def _records() -> dict:
     """qualified name -> (field names, annotations by field, is a
-    NamedTuple) for every public dataclass and NamedTuple."""
+    NamedTuple) for every public record.  A slotted record's fields are
+    its public slot names, annotated by its ``__init__`` parameters."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_record(node):
-                # an InitVar is an argument of __post_init__, not a field
-                fields = [
-                    f for f in node.body
-                    if isinstance(f, ast.AnnAssign) and "InitVar" not in _refs(f.annotation)
-                ]
-                named = any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
-                out[f"{path.stem}.{node.name}"] = (
-                    [f.target.id for f in fields],
-                    {f.target.id: _refs(f.annotation) for f in fields},
-                    named,
-                )
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not _is_record(node):
+                continue
+            if _is_named_tuple(node):
+                annotated = [(f.target.id, f.annotation) for f in node.body if isinstance(f, ast.AnnAssign)]
+            else:
+                init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                params = {a.arg: a.annotation for f in init for a in f.args.args + f.args.kwonlyargs}
+                annotated = [(n, params.get(n)) for n in _slots(node) if not n.startswith("_")]
+            out[f"{path.stem}.{node.name}"] = (
+                [name for name, _ in annotated],
+                {name: _refs(a) if a is not None else set() for name, a in annotated},
+                _is_named_tuple(node),
+            )
     return out
 
 
 def _serialized_attr(call: ast.Call, parents: dict):
-    """The attribute an ``asdict`` call serializes: its argument's, or
-    the one a comprehension iterates to bind its argument."""
-    arg = call.args[0] if call.args else None
+    """The attribute an ``_asdict()`` call serializes: its receiver's, or
+    the one a comprehension iterates to bind its receiver."""
+    arg = getattr(call.func, "value", None)
     if isinstance(arg, ast.Attribute):
         return arg.attr
     node = call
@@ -471,9 +491,10 @@ def _serialized_attr(call: ast.Call, parents: dict):
 
 def _reads() -> tuple:
     """Attribute names read anywhere in the package and ``bench/``; the
-    (arity, position) slots of every tuple unpacking that binds a name;
-    and the attributes serialized whole by ``asdict``."""
-    attrs, slots, serialized = set(), set(), set()
+    names every tuple unpacking binds, slot by slot, with None for a slot
+    that binds no plain name; and the attributes serialized whole by
+    ``_asdict()``."""
+    attrs, unpackings, serialized = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -482,21 +503,21 @@ def _reads() -> tuple:
                 attrs.add(node.attr)
             elif isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store):
                 if not any(isinstance(e, ast.Starred) for e in node.elts):
-                    k = len(node.elts)
-                    slots |= {(k, i) for i, e in enumerate(node.elts) if getattr(e, "id", "_") != "_"}
-            elif isinstance(node, ast.Call) and _callee(node) == "asdict":
+                    names = (getattr(e, "id", "_") for e in node.elts)
+                    unpackings.add(tuple(None if n == "_" else n for n in names))
+            elif isinstance(node, ast.Call) and _callee(node) == "_asdict":
                 attr = _serialized_attr(node, parents)
-                assert attr is not None, f"{path.name}:{node.lineno}: asdict of a value the lint cannot name"
+                assert attr is not None, f"{path.name}:{node.lineno}: _asdict of a value the lint cannot name"
                 serialized.add(attr)
-    return attrs, slots, serialized
+    return attrs, unpackings, serialized
 
 
 def unread_fields() -> list:
     """Qualified names of the record fields that nothing in the package
     or ``bench/`` reads."""
     records = _records()
-    attrs, slots, serialized = _reads()
-    # records an asdict writes whole: those named in a serialized field's annotation
+    attrs, unpackings, serialized = _reads()
+    # records an _asdict writes whole: those named in a serialized field's annotation
     whole = {
         q
         for fields, annotations, _ in records.values()
@@ -505,12 +526,22 @@ def unread_fields() -> list:
         for q in records
         if q.rsplit(".", 1)[1] in annotations[f]
     }
+
+    def unpacked(fields: list) -> set:
+        # the fields named by the unpackings that match the record by name
+        return {
+            name
+            for names in unpackings
+            if len(names) == len(fields) and all(n in (None, f) for n, f in zip(names, fields))
+            for name in names
+            if name is not None
+        }
+
     return sorted(
         f"{q}.{f}"
         for q, (fields, _, named) in records.items()
         if q not in whole
-        for i, f in enumerate(fields)
-        if f not in attrs and not (named and (len(fields), i) in slots)
+        for f in set(fields) - attrs - (unpacked(fields) if named else set())
     )
 
 
