@@ -44,7 +44,6 @@ from .hyperwalk import (
     BMatchingLca,
     Recursion,
     WalkIndex,
-    _check_depth,
     b_generic,
     build_unsaturation_table,
     open_gates,
@@ -90,8 +89,6 @@ def build_f(
     on non-crucial edges below the cap 1/sqrt(eps R); f_e = (1-eps) f'_e
     with every edge zeroed whose endpoint load (1-eps) f'_v exceeds the
     non-crucial q load q_v^N."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     if R < 1 or len(matchings) != R:
         raise ValueError("matchings must be the R matchings that built H")
     noncrucial = q.noncrucial
@@ -253,15 +250,14 @@ def build_delta_table(
     tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
-        alg_ctx = alg_seed(ctx, exact, t)
         if tapes is None or not exact:
-            tapes = TapeTable(alg_ctx, sub)
+            tapes = TapeTable(alg_seed(ctx, exact, t), sub)
         lca = BMatchingLca(crucial.rec, real)
         footprints = {}
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, alg_ctx, Site("edge", e), tapes)
+                _, trace = run_lca(lca, sub, Site("edge", e), tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -458,10 +454,8 @@ def prepare_pipeline(
     ``R`` is derived from the thresholds when None, ``thresholds``
     overrides the automatic bucket selection (handy for forcing a split
     with genuine mass on both sides at desk scale), and ``exact`` None
-    picks the mode by edge count.  A depth past ``DEPTH_LIMIT`` is
-    refused before q is estimated.
+    picks the mode by edge count.
     """
-    _check_depth(bparams.depth)
     ctx = SeedContext(seed)
     q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
     exact = q.exact
@@ -600,8 +594,6 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimRepor
     bound against opt, the rounding loss of y, and per-run blossom
     feasibility of y on small odd sets.  Flags mark breaks beyond three
     standard errors."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     # at most one worker per trial and per CPU
     workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:

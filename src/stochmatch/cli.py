@@ -29,7 +29,7 @@ from .graph import (
     subgraph,
     write_graph_text,
 )
-from .hyperwalk import BParams, BMatchingLca, Recursion, WalkIndex, open_gates
+from .hyperwalk import BParams, BMatchingLca, Recursion, WalkIndex, check_depth, open_gates
 from .lca import gather_ledger, ledger_to_csv
 from .mis import TruncatedGreedyMis
 from .sparsifier import Q_SAMPLES_DEFAULT, SparsifierParams, build_H
@@ -71,7 +71,9 @@ class UsageError(Exception):
 
 class ExperimentConfig:
     """Resolved settings for one command: defaults, then config file,
-    then explicit flags."""
+    then explicit flags.  Every range check that needs no graph runs
+    here, once per command and before the graph loads, whether or not
+    the command reads the knob; the package does not check them again."""
 
     def __init__(self, command: str, values: dict) -> None:
         self.command = command
@@ -94,6 +96,20 @@ class ExperimentConfig:
                 raise UsageError("thresholds must satisfy 0 <= tau_minus < tau_plus")
             self.thresholds = t
         self.R_list = self._parse_R(self.R)
+        if not 0.0 < self.eps < 1.0:
+            raise UsageError("eps must lie in (0, 1)")
+        for key in ("alpha", "depth"):
+            if getattr(self, key) < 0:
+                raise UsageError(f"{key} must be nonnegative")
+        if self.walk_len < 1:
+            raise UsageError("walk_len must be positive")
+        if self.margin is not None and self.margin < 0.0:
+            raise UsageError("margin must be nonnegative")
+        if self.budget is not None and self.budget < 1:
+            raise UsageError("budget must be positive when set")
+        if command in ("lca-stats", "verify") and self.samples < 1:
+            raise UsageError(f"{command} needs --samples 1 or more, got {self.samples}")
+        check_depth(self.depth)
 
     @staticmethod
     def _parse_pair(raw) -> tuple:
@@ -131,16 +147,8 @@ class ExperimentConfig:
         return self.R_list[0]
 
     def bparams(self) -> BParams:
-        if not 0.0 < self.eps < 1.0:
-            raise UsageError("eps must lie in (0, 1)")
         margin = self.margin if self.margin is not None else 2.0 * self.eps**2
-        return BParams(
-            alpha=self.alpha,
-            walk_len=self.walk_len,
-            depth=self.depth,
-            margin=margin,
-            mis_budget=self.budget,
-        )
+        return BParams(self.alpha, self.walk_len, self.depth, margin, self.budget)
 
 
 def _emit(out: Optional[str], text: str) -> None:

@@ -76,7 +76,7 @@ NODE_CEILING = 2_000_000
 DEPTH_LIMIT = 500
 
 
-class BParams:
+class BParams(NamedTuple):
     """Knobs of the recursive matching procedure.
 
     The paper's asymptotic regime, alpha = 1/eps^7 - 1, walk_len = 2/eps,
@@ -89,47 +89,17 @@ class BParams:
     margin     unsaturation slack subtracted from the target marginals
     mis_budget distinct expansions allowed per MIS root query (None: off)
 
-    The work limits ``WALK_CEILING``, ``NODE_CEILING`` and ``DEPTH_LIMIT``
-    are module constants.
+    The record does not check its values: each knob's range is checked
+    once, where it enters, by ``cli.ExperimentConfig``.  The work limits
+    ``WALK_CEILING``, ``NODE_CEILING`` and ``DEPTH_LIMIT`` are module
+    constants.
     """
 
-    __slots__ = ("alpha", "walk_len", "depth", "margin", "mis_budget")
-
-    def __init__(
-        self, alpha: int, walk_len: int, depth: int, margin: float, mis_budget: Optional[int]
-    ) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if walk_len < 1:
-            raise ValueError("walk_len must be positive")
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        if margin < 0.0:
-            raise ValueError("margin must be nonnegative")
-        if mis_budget is not None and mis_budget < 1:
-            raise ValueError("budget must be positive when set")
-        self.alpha = alpha
-        self.walk_len = walk_len
-        self.depth = depth
-        self.margin = margin
-        self.mis_budget = mis_budget
-
-    def _values(self) -> tuple:
-        return (self.alpha, self.walk_len, self.depth, self.margin, self.mis_budget)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"BParams(alpha={self.alpha!r}, walk_len={self.walk_len!r}, depth={self.depth!r}, "
-            f"margin={self.margin!r}, mis_budget={self.mis_budget!r})"
-        )
+    alpha: int
+    walk_len: int
+    depth: int
+    margin: float
+    mis_budget: Optional[int]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +292,7 @@ def open_gates(n: int, levels: int, margin: float) -> tuple:
     marginals 0, so every vertex is open under a margin below 1 and every
     gate is shut under a margin of 1 or more.  A depth past
     ``DEPTH_LIMIT`` is refused before any gate is built."""
-    _check_depth(levels)
+    check_depth(levels)
     return gate_masks((1.0,) * n, ((0.0,) * n,) * levels, margin)
 
 
@@ -385,7 +355,10 @@ class _Guard:
             raise ResourceGuard(f"computation exceeded {NODE_CEILING} nodes")
 
 
-def _check_depth(depth: int) -> None:
+def check_depth(depth: int) -> None:
+    """The one depth limit: ``cli.ExperimentConfig`` calls it before a
+    graph loads, and both routes and the gate builders keep it as their
+    backstop."""
     if depth > DEPTH_LIMIT:
         raise ResourceGuard(f"--depth {depth} exceeds the recursion limit of {DEPTH_LIMIT} levels")
 
@@ -509,7 +482,7 @@ def b_generic(rec: Recursion, realization: int, tapes: TapeTable) -> frozenset:
     """
     walks, gates, _ = rec
     g = walks.g
-    _check_depth(len(gates))
+    check_depth(len(gates))
     if tapes.graph is not g:
         raise ValueError("tape table belongs to another graph")
     derived = tapes.derived
@@ -576,7 +549,7 @@ def build_unsaturation_table(
     (for a matched-realization target these are the per-vertex q loads,
     which the caller knows from its q profile).
     """
-    _check_depth(params.depth)
+    check_depth(params.depth)
     g = walks.g
     a_prob = tuple(a_prob)
     if len(a_prob) != g.n:
@@ -762,7 +735,7 @@ class BMatchingLca:
         g = rec.walks.g
         if not 0 <= root_realization < 1 << g.m:
             raise ValueError(f"realization mask outside the {g.m} edges of the graph")
-        _check_depth(len(rec.gates))
+        check_depth(len(rec.gates))
         self.rec = rec
         self.g = g
         self.root_realization = root_realization

@@ -24,10 +24,11 @@ table also builds the site's one :class:`Site`, kept on its tape, so
 callers may name a site by the plain pair (kind, id) and a sweep builds
 each Site once.  A tape also holds what an LCA derives from the tapes
 alone on the table's graph, such as a vertex's lower-rank neighbors, so
-a table is bound to one ctx and one graph, and an oracle refuses a table
-of another.  What an LCA derives from the tapes and other inputs, such
-as a b-matching query's answer and probes, goes in the table's
-``derived`` dict under a key naming those inputs.  The table belongs to
+a table is bound to one ctx and one graph.  A query reads its seed off
+the table, and its oracle refuses a table of another graph.  What an
+LCA derives from the tapes and other inputs, such as a b-matching
+query's answer and probes, goes in the table's ``derived`` dict under a
+key naming those inputs.  The table belongs to
 the caller, which passes it to every query it runs: a sweep shares one
 across its roots and drops it when the sweep ends.  Derivations, Sites,
 the values read off each tape and what is derived from them are shared;
@@ -96,7 +97,8 @@ class TapeTable(dict):
     """The tapes of one ``ctx`` on one ``graph``, keyed by Site: looking
     up a site, a Site or a plain (kind, id) pair, builds its Site and tape
     on first use.  What a tape holds beyond its values is derived on
-    ``graph``, so an oracle refuses a table of another ctx or graph.
+    ``graph``, so an oracle refuses a table of another graph; ``ctx`` is
+    the seed of every query that reads the table.
     ``derived`` holds what an LCA computes from these tapes and inputs
     beyond (ctx, graph), under a key that names every such input."""
 
@@ -146,16 +148,16 @@ class ProbeTrace:
 class LcaOracle:
     """Per-query mediator enforcing naturality; the one record of the
     query's probed sites and touched vertices, reading tapes from the
-    caller's table ``tapes`` of ``ctx`` on ``g``.  A vertex LCA's read set
-    is ``_near``, the touched vertices and their neighbors, not its peek
-    calls: a tmis answer depends on every tape in it, and an expansion
-    stored by an earlier query of the sweep is read without peeks."""
+    caller's table ``tapes`` on ``g``, whose ``ctx`` is the query's seed.
+    A vertex LCA's read set is ``_near``, the touched vertices and their
+    neighbors, not its peek calls: a tmis answer depends on every tape in
+    it, and an expansion stored by an earlier query of the sweep is read
+    without peeks."""
 
-    def __init__(self, g: Graph, ctx: SeedContext, root: Site, tapes: TapeTable) -> None:
-        if tapes.graph is not g or (tapes.ctx is not ctx and tapes.ctx != ctx):
-            raise ValueError("tape table belongs to another ctx or graph")
+    def __init__(self, g: Graph, root: Site, tapes: TapeTable) -> None:
+        if tapes.graph is not g:
+            raise ValueError("tape table belongs to another graph")
         self.graph = g
-        self.ctx = ctx
         self.tapes = tapes
         self.root = root
         self._probed = {}  # Site -> None, in expansion order
@@ -217,18 +219,19 @@ class LcaOracle:
         return ProbeTrace(self.root, tuple(self._probed), dict(self._meta))
 
 
-def run_lca(lca, g: Graph, ctx: SeedContext, root: Site, tapes: TapeTable):
+def run_lca(lca, g: Graph, root: Site, tapes: TapeTable):
     """Run one rooted query; returns (output, ProbeTrace).
 
-    The output is a pure function of (g, ctx, root): re-running with the
-    same arguments reproduces both the answer and the trace.  ``tapes``
-    is the caller's tape table of ``ctx`` on ``g``, shared by the queries
-    the caller runs under them; it holds their tapes and what the LCA
-    derived from them, such as tmis expansions.
+    ``tapes`` is the caller's tape table on ``g``, and its ``ctx`` is the
+    query's seed.  The output is a pure function of (g, tapes.ctx, root):
+    re-running with the same arguments reproduces both the answer and the
+    trace.  The table is shared by the queries the caller runs under that
+    seed; it holds their tapes and what the LCA derived from them, such
+    as tmis expansions.
     """
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
-    oracle = LcaOracle(g, ctx, root, tapes)
+    oracle = LcaOracle(g, root, tapes)
     out = lca.run(oracle, root)
     return out, oracle.trace()
 
@@ -300,7 +303,7 @@ def _ledger_sweep(ledger: QueryLedger, lca, g: Graph, ctx: SeedContext) -> Query
     roots share one tape table, serving this ctx and g alone: each tape is
     derived, and each tape-derived expansion computed, once per sweep."""
     tapes = TapeTable(ctx, g)
-    out_sets = {r: run_lca(lca, g, ctx, r, tapes)[1].out_queries for r in ledger.sites}
+    out_sets = {r: run_lca(lca, g, r, tapes)[1].out_queries for r in ledger.sites}
     del tapes  # freed before add_sweep builds its index, so the two never peak together
     ledger.add_sweep(out_sets)
     return ledger
@@ -314,8 +317,6 @@ def _empty_ledger(lca, g: Graph) -> QueryLedger:
 
 def gather_ledger(lca, g: Graph, ctx: SeedContext, trials: int) -> QueryLedger:
     """``trials`` independent sweeps under tapes (ctx, "sweep", t)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     ledger = _empty_ledger(lca, g)
     for t in range(trials):
         _ledger_sweep(ledger, lca, g, ctx.child("sweep", t))

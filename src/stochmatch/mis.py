@@ -16,9 +16,10 @@ recursion to have completed, in which case it equals the untruncated
 greedy answer.  The surviving set is always independent.
 
 A budget has one form, a positive int or None for no cap, and has no
-default: the caller writes it where it is set and checked,
+default: the caller writes it where it is set,
 ``TruncatedGreedyMis(budget)`` for vertex MIS and ``BParams.mis_budget``
-for the hyperwalk MIS.
+for the hyperwalk MIS.  Neither checks it: ``cli.ExperimentConfig``
+refuses a budget below 1 once, where ``--budget`` enters.
 
 A vertex's expansion, its lower-rank neighbors in rank order, depends on
 the tapes and the graph alone, so :class:`TruncatedGreedyMis` stores it
@@ -87,8 +88,6 @@ class TruncatedGreedyMis:
     site_kind = "vertex"
 
     def __init__(self, budget: Optional[int]) -> None:
-        if budget is not None and budget < 1:
-            raise ValueError("budget must be positive when set")
         self.budget = budget
 
     def run(self, oracle, root: Site) -> TmisOutcome:

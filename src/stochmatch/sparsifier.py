@@ -23,30 +23,13 @@ THRESHOLD_EXPONENT = 3
 BUILD_DRAW_LIMIT = 1_000_000
 
 
-class SparsifierParams:
-    """Construction knobs: R realizations under a master seed."""
+class SparsifierParams(NamedTuple):
+    """Construction knobs: R realizations under a master seed.  The
+    record does not check them; ``build_H`` refuses R < 1."""
 
-    __slots__ = ("R", "eps", "seed")
-
-    def __init__(self, R: int, eps: float, seed: int) -> None:
-        if R < 1:
-            raise ValueError("R must be at least 1")
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        self.R = R
-        self.eps = eps
-        self.seed = seed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.R, self.eps, self.seed) == (other.R, other.eps, other.seed)
-
-    def __hash__(self) -> int:
-        return hash((self.R, self.eps, self.seed))
-
-    def __repr__(self) -> str:
-        return f"SparsifierParams(R={self.R!r}, eps={self.eps!r}, seed={self.seed!r})"
+    R: int
+    eps: float
+    seed: int
 
 
 def build_H(g: Graph, params: SparsifierParams):
@@ -56,8 +39,11 @@ def build_H(g: Graph, params: SparsifierParams):
     ``matchings`` the R per-realization matchings in order.  Realization
     i is drawn from stream (seed, "realize", i), so sparsifiers with the
     same seed and growing R are nested prefixes of one another.  Raises
-    :class:`ResourceGuard` when R * m exceeds ``BUILD_DRAW_LIMIT``.
+    ValueError when R < 1 and :class:`ResourceGuard` when R * m exceeds
+    ``BUILD_DRAW_LIMIT``.
     """
+    if params.R < 1:
+        raise ValueError("R must be at least 1")
     if params.R * g.m > BUILD_DRAW_LIMIT:
         raise ResourceGuard(
             f"R={params.R} realizations of m={g.m} edges exceed the "
@@ -151,10 +137,6 @@ def select_thresholds(q: QProfile, eps: float, p_min: float) -> tuple:
     does) there is no band to return, and this raises ValueError naming
     p_min.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0.0 < p_min <= 1.0:
-        raise ValueError("p_min must lie in (0, 1]")
     buckets = max(1, math.ceil(1.0 / eps))
     taus = [(eps * p_min) ** 2]
     for _ in range(buckets):
@@ -177,9 +159,7 @@ def select_thresholds(q: QProfile, eps: float, p_min: float) -> tuple:
 
 
 def derive_R(tau_minus: float) -> int:
-    """Smallest R with R >= 1/(2 tau_minus)."""
-    if tau_minus <= 0.0:
-        raise ValueError("tau_minus must be positive")
+    """Smallest R with R >= 1/(2 tau_minus), for tau_minus > 0."""
     return max(1, math.ceil(1.0 / (2.0 * tau_minus)))
 
 

@@ -586,7 +586,7 @@ def estimate_delta(lca, g: Graph, pairs, trials: int, ctx, vertex_granular: bool
         sub = ctx.child("delta", t)
         sets = {}
         for root in roots:
-            _, trace = run_lca(lca, g, sub, root, TapeTable(sub, g))
+            _, trace = run_lca(lca, g, root, TapeTable(sub, g))
             sets[root] = (
                 trace.vertex_footprint(g) if vertex_granular else trace.out_queries
             )
@@ -654,7 +654,7 @@ def gmis_member(g: Graph, ranks: dict, v: int) -> bool:
 
 def tmis_query(g: Graph, ctx: SeedContext, v: int, budget: Optional[int] = None):
     """One instrumented membership query; returns (TmisOutcome, ProbeTrace)."""
-    return run_lca(TruncatedGreedyMis(budget), g, ctx, Site("vertex", v), TapeTable(ctx, g))
+    return run_lca(TruncatedGreedyMis(budget), g, Site("vertex", v), TapeTable(ctx, g))
 
 
 def tmis_set(g: Graph, ctx: SeedContext, budget: Optional[int] = None) -> frozenset:
@@ -771,7 +771,7 @@ def enumerate_hyperwalks(g: Graph, walk_len: int, alpha: int) -> tuple:
 def matching_via_queries(lca: BMatchingLca, ctx: SeedContext) -> frozenset:
     """Edge set assembled from one instrumented query per edge."""
     g = lca.g
-    return frozenset(e for e in range(g.m) if run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))[0])
+    return frozenset(e for e in range(g.m) if run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))[0])
 
 
 def validate_profile(p: Profile) -> None:
@@ -947,7 +947,7 @@ def build_delta_table_v0(
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, alg_ctx, Site("edge", e), tapes)
+                _, trace = run_lca(lca, sub, Site("edge", e), tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -1339,18 +1339,18 @@ class LcaOracleV0(LcaOracleV1):
         if site not in self._probed:
             self._probed[site] = None
             self._touched.update(dict.fromkeys(site.vertices(self.graph)))
-        return site_tape_v0(self.ctx, site)
+        return site_tape_v0(self.tapes.ctx, site)
 
     def peek(self, site) -> SeedContext:
         site = Site(*site)
         self._admit(site)
-        return site_tape_v0(self.ctx, site)
+        return site_tape_v0(self.tapes.ctx, site)
 
 
 def run_lca_v0(lca, g: Graph, ctx: SeedContext, root: Site):
     if root.kind != lca.site_kind:
         raise ValueError(f"{lca} expects {lca.site_kind} roots, got {root.kind}")
-    oracle = LcaOracleV0(g, ctx, root, TapeTable(ctx, g))
+    oracle = LcaOracleV0(g, root, TapeTable(ctx, g))
     out = lca.run(oracle, root)
     return out, oracle.trace()
 

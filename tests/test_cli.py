@@ -10,7 +10,7 @@ import pytest
 
 import stochmatch
 from oracles import path_graph
-from stochmatch import sparsifier
+from stochmatch import cli, sparsifier
 from stochmatch.cli import main
 from stochmatch.graph import ENUM_CAP, Graph, load_graph, write_graph_text
 from stochmatch.hyperwalk import DEPTH_LIMIT
@@ -512,6 +512,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"aborted: --depth {past} exceeds the recursion limit of {DEPTH_LIMIT} levels" in err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def refuse_before_loading(tmp_path, tri_file, monkeypatch, command, mode, key, value) -> int:
+        """Exit code of ``command`` with ``key`` set to ``value`` by its
+        flag or by a config file, where loading the graph fails the test;
+        no output file may appear."""
+        def load_graph(path):
+            raise AssertionError(f"graph loaded before {key} was checked")
+
+        monkeypatch.setattr(cli, "load_graph", load_graph)
+        argv = [command, "--input", tri_file, "--out", str(tmp_path / "out")]
+        if mode == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfgfile)]
+        code = main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["tri.txt"] + (["cfg.json"] if mode == "config" else [])
+        )
+        return code
+
+    @pytest.mark.parametrize("mode", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["verify", "lca-stats"])
+    def test_zero_samples_refused_before_the_graph_loads(
+        self, tmp_path, tri_file, capsys, monkeypatch, command, mode
+    ):
+        # both commands always read --samples; at zero, verify used to
+        # build q, H, f and both tables before refusing it
+        assert self.refuse_before_loading(
+            tmp_path, tri_file, monkeypatch, command, mode, "samples", 0
+        ) == 2
+        assert capsys.readouterr().err == f"error: {command} needs --samples 1 or more, got 0\n"
+
+    # one value out of range per graph-free knob, with its exit code and
+    # message; ExperimentConfig refuses each for every command, read or not
+    KNOB_CASES = {
+        "eps-zero": ("eps", 0.0, 2, "error: eps must lie in (0, 1)"),
+        "eps-one": ("eps", 1.0, 2, "error: eps must lie in (0, 1)"),
+        "alpha": ("alpha", -1, 2, "error: alpha must be nonnegative"),
+        "depth": ("depth", -1, 2, "error: depth must be nonnegative"),
+        "depth-limit": (
+            "depth", DEPTH_LIMIT + 1, 1,
+            f"aborted: --depth {DEPTH_LIMIT + 1} exceeds the recursion limit of "
+            f"{DEPTH_LIMIT} levels",
+        ),
+        "walk_len": ("walk_len", 0, 2, "error: walk_len must be positive"),
+        "margin": ("margin", -0.1, 2, "error: margin must be nonnegative"),
+        "budget": ("budget", 0, 2, "error: budget must be positive when set"),
+    }
+
+    @pytest.mark.parametrize("mode", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sparsify", "evaluate", "lca-stats", "verify"])
+    @pytest.mark.parametrize("case", sorted(KNOB_CASES))
+    def test_knob_out_of_range_refused_by_every_command(
+        self, tmp_path, tri_file, capsys, monkeypatch, case, command, mode
+    ):
+        key, value, code, message = self.KNOB_CASES[case]
+        assert self.refuse_before_loading(
+            tmp_path, tri_file, monkeypatch, command, mode, key, value
+        ) == code
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("command,flag,key", [
         ("verify", "--table-samples", "table_samples"),

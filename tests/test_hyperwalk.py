@@ -75,12 +75,6 @@ def profile_noalpha(g, mask, matching=frozenset()):
 SMALL_PARAMS = BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=None)
 
 
-def with_params(params: BParams, **changes) -> BParams:
-    """``params`` with ``changes`` applied, built by BParams' validating
-    constructor."""
-    return BParams(**{name: getattr(params, name) for name in BParams.__slots__} | changes)
-
-
 class TestHyperwalkType:
     def test_odd_length_reversal_canonical(self):
         a = Hyperwalk.make((2, 1, 0), (1, 0, 1))
@@ -302,7 +296,7 @@ class TestAugmenting:
 class TestBGeneric:
     def test_level_zero_empty(self):
         g = path_graph(2)
-        rec = walk_setup(g, with_params(SMALL_PARAMS, depth=0))
+        rec = walk_setup(g, SMALL_PARAMS._replace(depth=0))
         got = b_generic(rec, full_realization(g), TapeTable(SeedContext(0), g))
         assert got == frozenset()
 
@@ -349,7 +343,7 @@ class TestBGeneric:
         # wrapper
         monkeypatch.setattr(hyperwalk, "_augments", lambda w, *args: w.ends != 0)
         g = complete_graph(4)
-        params = with_params(SMALL_PARAMS, walk_len=4, depth=2)
+        params = SMALL_PARAMS._replace(walk_len=4, depth=2)
         rec = walk_setup(g, params)
         with validating_profiles():
             with pytest.raises(ValueError, match="collide"):
@@ -568,8 +562,8 @@ class TestQueryReplay:
             for mask in masks:
                 lca = BMatchingLca(rec, mask)
                 for e in range(g.m):
-                    out, trace = run_lca(lca, g, ctx, Site("edge", e), tapes)
-                    want, want_trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                    out, trace = run_lca(lca, g, Site("edge", e), tapes)
+                    want, want_trace = run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))
                     assert out == want
                     assert trace.probed == want_trace.probed
                     assert trace.meta == want_trace.meta
@@ -584,9 +578,9 @@ class TestQueryReplay:
         lca = BMatchingLca(rec, calls[0][0])
         warm = TapeTable(ctx, g)
         root = Site("edge", data.draw(st.integers(0, g.m - 1)))
-        run_lca(lca, g, ctx, root, warm)
-        cold = smallest_ceiling(lambda: run_lca(lca, g, ctx, root, TapeTable(ctx, g)))
-        assert smallest_ceiling(lambda: run_lca(lca, g, ctx, root, warm)) == cold
+        run_lca(lca, g, root, warm)
+        cold = smallest_ceiling(lambda: run_lca(lca, g, root, TapeTable(ctx, g)))
+        assert smallest_ceiling(lambda: run_lca(lca, g, root, warm)) == cold
 
     def test_warm_table_replays_as_fresh(self):
         # one table shared across setups: each query gets the answer,
@@ -604,7 +598,7 @@ class TestQueryReplay:
                 for e in range(g.m):
 
                     def query(tapes):
-                        return lambda: run_lca(lca, g, ctx, Site("edge", e), tapes)
+                        return lambda: run_lca(lca, g, Site("edge", e), tapes)
 
                     out, trace = query(warm)()
                     want, want_trace = query(TapeTable(ctx, g))()
@@ -779,16 +773,6 @@ class TestWalkTable:
 
 
 class TestBParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BParams(alpha=-1, walk_len=2, depth=1, margin=0.1, mis_budget=None)
-        with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=0, depth=1, margin=0.1, mis_budget=None)
-        with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=2, depth=1, margin=-0.1, mis_budget=None)
-        with pytest.raises(ValueError):
-            BParams(alpha=0, walk_len=2, depth=1, margin=0.1, mis_budget=0)
-
     def test_preset_arithmetic(self):
         p = bparams_from_eps(0.5, conflict_degree=4)
         assert p.alpha == 127
@@ -820,7 +804,7 @@ class TestUnsaturationTable:
         # whose target exceeds the margin
         g = path_graph(1)
         gates = build_unsaturation_table(
-            with_params(SMALL_PARAMS, depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
+            SMALL_PARAMS._replace(depth=2), samples=20, ctx=SeedContext(0), a_prob=[1.0, 0.05],
             walks=walk_setup(g, SMALL_PARAMS).walks,
         )
         assert len(gates) == 2
@@ -834,7 +818,7 @@ class TestUnsaturationTable:
     def test_depth_refused_before_any_gate(self, monkeypatch):
         # past the limit, neither factory builds a row or samples a level
         g = path_graph(1)
-        params = with_params(SMALL_PARAMS, depth=DEPTH_LIMIT + 1)
+        params = SMALL_PARAMS._replace(depth=DEPTH_LIMIT + 1)
         monkeypatch.setattr(hyperwalk, "gate_masks", None)
         monkeypatch.setattr(hyperwalk, "b_generic", None)
         with pytest.raises(ResourceGuard, match=f"--depth {DEPTH_LIMIT + 1} exceeds"):
@@ -891,7 +875,7 @@ class TestLcaRoute:
         rec = walk_setup(g, params)
         lca = BMatchingLca(rec, real)
         ctx = SeedContext(4).child("alg")
-        out, trace = run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
+        out, trace = run_lca(lca, g, Site("edge", 0), TapeTable(ctx, g))
         assert out == (0 in b_generic(rec, real, TapeTable(ctx, g)))
         assert Site("edge", 0) in trace.out_queries
 
@@ -915,8 +899,8 @@ class TestLcaRoute:
         ctx = SeedContext(0).child("alg")
         for e in range(other.m):
             with pytest.raises(ValueError, match="oracle belongs to another graph"):
-                run_lca(lca, other, ctx, Site("edge", e), TapeTable(ctx, other))
-        run_lca(lca, g, ctx, Site("edge", 0), TapeTable(ctx, g))
+                run_lca(lca, other, Site("edge", e), TapeTable(ctx, other))
+        run_lca(lca, g, Site("edge", 0), TapeTable(ctx, g))
 
     def test_validity_matches_parent(self):
         # the query route decides validity through the predicate it shares
@@ -932,8 +916,8 @@ class TestLcaRoute:
                     lca = BMatchingLca(walk_setup(g, params), real)
                     old_lca = BMatchingLcaV1(g, params, real)
                     for e in range(g.m):
-                        out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
-                        old, old_trace = run_lca(old_lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                        out, trace = run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))
+                        old, old_trace = run_lca(old_lca, g, Site("edge", e), TapeTable(ctx, g))
                         assert out == old, name
                         assert trace.probed == old_trace.probed, name
                         assert trace.meta["nodes"] == old_trace.meta["nodes"], name
@@ -948,5 +932,5 @@ class TestLcaRoute:
         for seed in range(10):
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                _, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                _, trace = run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))
                 assert len(trace.out_queries) <= ceiling

@@ -86,13 +86,13 @@ def star(n):
 class TestRunLca:
     def test_self_only_trace(self):
         g, ctx = star(5), SeedContext(0)
-        out, trace = run_lca(SelfOnlyLca(), g, ctx, Site("vertex", 2), TapeTable(ctx, g))
+        out, trace = run_lca(SelfOnlyLca(), g, Site("vertex", 2), TapeTable(ctx, g))
         assert trace.out_queries == frozenset({Site("vertex", 2)})
         assert isinstance(out, bool)
 
     def test_isolated_gmis_member(self):
         g, ctx = Graph.build(1, []), SeedContext(3)
-        out, trace = run_lca(TruncatedGreedyMis(None), g, ctx, Site("vertex", 0), TapeTable(ctx, g))
+        out, trace = run_lca(TruncatedGreedyMis(None), g, Site("vertex", 0), TapeTable(ctx, g))
         assert out.member is True
         assert trace.out_queries == frozenset({Site("vertex", 0)})
 
@@ -100,20 +100,20 @@ class TestRunLca:
         g = gnp_graph(10, 0.3, 0.5, SeedContext(4).child("gen"))
         ctx = SeedContext(17)
         lca = TruncatedGreedyMis(None)
-        first = [run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g)) for v in range(g.n)]
+        first = [run_lca(lca, g, Site("vertex", v), TapeTable(ctx, g)) for v in range(g.n)]
         # interleave repeats with fresh queries in a different order
         for v in reversed(range(g.n)):
-            out, trace = run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g))
+            out, trace = run_lca(lca, g, Site("vertex", v), TapeTable(ctx, g))
             assert (out, trace) == first[v]
-            again, trace2 = run_lca(lca, g, ctx, Site("vertex", (v * 3) % g.n), TapeTable(ctx, g))
+            again, trace2 = run_lca(lca, g, Site("vertex", (v * 3) % g.n), TapeTable(ctx, g))
             assert (again, trace2) == first[(v * 3) % g.n]
 
     def test_naturality_enforced(self):
         g, ctx = path_graph(3), SeedContext(0)
         for op in ("probe", "peek"):
             with pytest.raises(NaturalityViolation):
-                run_lca(RogueLca(op), g, ctx, Site("vertex", 0), TapeTable(ctx, g))
-            assert run_lca(RogueLca(op, hops=1), g, ctx, Site("vertex", 0), TapeTable(ctx, g))[0]
+                run_lca(RogueLca(op), g, Site("vertex", 0), TapeTable(ctx, g))
+            assert run_lca(RogueLca(op, hops=1), g, Site("vertex", 0), TapeTable(ctx, g))[0]
 
     def test_unknown_site_kind_refused(self):
         # also for an id among the touched vertices, which a vertex read
@@ -122,19 +122,19 @@ class TestRunLca:
         for op in ("probe", "peek"):
             for hops in (0, 1):
                 with pytest.raises(ValueError, match="unknown site kind 'face'"):
-                    run_lca(RogueLca(op, hops, "face"), g, ctx, Site("vertex", 1), TapeTable(ctx, g))
+                    run_lca(RogueLca(op, hops, "face"), g, Site("vertex", 1), TapeTable(ctx, g))
 
     def test_root_kind_mismatch(self):
         g, ctx = path_graph(2), SeedContext(0)
         with pytest.raises(ValueError, match="expects vertex roots, got edge"):
-            run_lca(TruncatedGreedyMis(None), g, ctx, Site("edge", 0), TapeTable(ctx, g))
+            run_lca(TruncatedGreedyMis(None), g, Site("edge", 0), TapeTable(ctx, g))
 
     def test_trace_prefixes_connected(self):
         # independent re-check of the naturality contract on real traces
         g = gnp_graph(12, 0.3, 0.5, SeedContext(6).child("gen"))
         ctx = SeedContext(23)
         for v in range(g.n):
-            _, trace = run_lca(TruncatedGreedyMis(None), g, ctx, Site("vertex", v), TapeTable(ctx, g))
+            _, trace = run_lca(TruncatedGreedyMis(None), g, Site("vertex", v), TapeTable(ctx, g))
             seen = set()
             for site in trace.probed:
                 ok = not seen or any(
@@ -181,7 +181,7 @@ class TestLedger:
         lca = TruncatedGreedyMis(None)
         outs = {}
         for v in range(3):
-            out, trace = run_lca(lca, g, ctx, Site("vertex", v), TapeTable(ctx, g))
+            out, trace = run_lca(lca, g, Site("vertex", v), TapeTable(ctx, g))
             outs[v] = (out.member, trace.out_queries)
         assert outs[0] == (False, frozenset({Site("vertex", 0), Site("vertex", 1)}))
         assert outs[2] == (False, frozenset({Site("vertex", 2), Site("vertex", 1)}))
@@ -209,10 +209,6 @@ class TestLedger:
         assert lines[0] == "kind,site,mean_qplus,mean_qminus,mean_psi"
         assert len(lines) == 1 + g.n
         assert lines[1].startswith("vertex,0,1.000000")
-
-    def test_gather_needs_a_trial(self):
-        with pytest.raises(ValueError, match="trials must be positive"):
-            gather_ledger(SelfOnlyLca(), star(3), SeedContext(0), trials=0)
 
     def test_bound_needs_two_sweeps(self):
         ledger = gather_ledger(SelfOnlyLca(), star(3), SeedContext(0), trials=1)
@@ -244,7 +240,7 @@ class TestLedgerIndex:
     @staticmethod
     def assert_matches_pairwise(lca, g, ctx):
         ledger = sweep_ledger(lca, g, ctx)
-        out_sets = {r: run_lca(lca, g, ctx, r, TapeTable(ctx, g))[1].out_queries for r in ledger.sites}
+        out_sets = {r: run_lca(lca, g, r, TapeTable(ctx, g))[1].out_queries for r in ledger.sites}
         ref = QueryLedger(ledger.site_kind, ledger.sites)
         add_sweep_pairwise(ref, out_sets)
         assert ledger.qplus_rows == ref.qplus_rows
@@ -282,7 +278,7 @@ class TestTapeTable:
             sub = ctx.child("sweep", t)
             tapes = TapeTable(sub, g)
             for r in ledger.sites:
-                out, trace = run_lca(lca, g, sub, r, tapes)
+                out, trace = run_lca(lca, g, r, tapes)
                 old, old_trace = run_lca_v0(ref_lca, g, sub, r)
                 assert out == old
                 assert trace == old_trace and trace.meta == old_trace.meta
@@ -352,7 +348,7 @@ class TestTapeTable:
                 tapes = TapeTable(ctx, g)  # the sweep's, as in sweep_ledger
                 built["n"] = 0
                 for root in roots:
-                    run_lca(lca, g, ctx, root, tapes)
+                    run_lca(lca, g, root, tapes)
                 assert 0 < built["n"] <= g.n
 
     def test_b_matching_sweep_hashes_each_value_once(self, monkeypatch):
@@ -369,20 +365,20 @@ class TestTapeTable:
         assert reads and len(set(reads)) == len(reads)
 
     def test_table_refuses_another_ctx_or_graph(self):
-        # a table's tapes and expansions are functions of its ctx and graph:
-        # reused under another seed or on another graph, it would answer
-        # from them, so the oracle refuses it; an equal ctx is the same seed
+        # a table's tapes and expansions are functions of its ctx and graph.
+        # A query reads its seed off the table, so no other ctx can reach
+        # it; on another graph the table would answer from the wrong
+        # graph's expansions, so the oracle refuses it
         g = gnp_graph(30, 0.1, 0.5, SeedContext(0).child("gen"))
         other = gnp_graph(30, 0.1, 0.5, SeedContext(1).child("gen"))
         lca = TruncatedGreedyMis(None)
         tapes = TapeTable(SeedContext(1), g)
         for v in range(g.n):
             root = Site("vertex", v)
-            shared = run_lca(lca, g, SeedContext(1), root, tapes)
-            assert shared == run_lca(lca, g, SeedContext(1), root, TapeTable(SeedContext(1), g))
-            for ctx, h in ((SeedContext(2), g), (SeedContext(1), other)):
-                with pytest.raises(ValueError, match="another ctx or graph"):
-                    run_lca(lca, h, ctx, root, tapes)
+            shared = run_lca(lca, g, root, tapes)
+            assert shared == run_lca(lca, g, root, TapeTable(SeedContext(1), g))
+            with pytest.raises(ValueError, match="^tape table belongs to another graph$"):
+                run_lca(lca, other, root, tapes)
 
     def test_table_dies_with_its_sweep(self):
         # no query may leave a reference cycle reaching the table: the
@@ -395,7 +391,7 @@ class TestTapeTable:
             for g, lca, kind in cases:
                 tapes = TapeTable(SeedContext(0), g)
                 for i in range(g.n if kind == "vertex" else g.m):
-                    run_lca(lca, g, tapes.ctx, Site(kind, i), tapes)
+                    run_lca(lca, g, Site(kind, i), tapes)
                 refs = [weakref.ref(tape) for tape in tapes.values()]
                 del tapes
                 assert refs and all(ref() is None for ref in refs)
@@ -408,7 +404,7 @@ class TestTapeTable:
         counter = self.count_calls(monkeypatch, "__post_init__")
         for e in range(g.m):
             counter["n"] = 0
-            run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+            run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))
             assert counter["n"] <= g.m
 
 
@@ -420,7 +416,7 @@ class TestNearSet:
 
     @staticmethod
     def replay(oracle_cls, g, root, steps):
-        oracle = oracle_cls(g, SeedContext(0), root, TapeTable(SeedContext(0), g))
+        oracle = oracle_cls(g, root, TapeTable(SeedContext(0), g))
         outcomes = []
         for op, site in steps:
             try:
@@ -497,7 +493,7 @@ class TestDelta:
             outs = {}
             sets = {}
             for v in range(g.n):
-                out, trace = run_lca(lca, g, sub, Site("vertex", v), TapeTable(sub, g))
+                out, trace = run_lca(lca, g, Site("vertex", v), TapeTable(sub, g))
                 outs[v] = 1.0 if out.member else 0.0
                 sets[v] = trace.out_queries
             outputs.append((outs, sets))
@@ -530,7 +526,7 @@ def _b_corpus_queries():
             lca = BMatchingLca(walk_setup(g, params), real)
             ctx = SeedContext(seed).child("alg")
             for e in range(g.m):
-                out, trace = run_lca(lca, g, ctx, Site("edge", e), TapeTable(ctx, g))
+                out, trace = run_lca(lca, g, Site("edge", e), TapeTable(ctx, g))
                 yield name, seed, e, out, trace
 
 
@@ -554,7 +550,7 @@ class TestProbeOrder:
         ctx = SeedContext(8).child("ledger", "sweep", 0)
         tapes = TapeTable(ctx, g)
         for v in range(g.n):
-            out, trace = run_lca(lca, g, ctx, Site("vertex", v), tapes)
+            out, trace = run_lca(lca, g, Site("vertex", v), tapes)
             h.update(self.line(v, out.member, out.calls, out.truncated, trace=trace))
         assert h.hexdigest() == self.DIGEST
 
@@ -584,7 +580,7 @@ class TestProbeOrder:
                 tapes = TapeTable(ctx, g)
                 for v in range(g.n):
                     reads.clear()
-                    oracle = LcaOracle(g, ctx, Site("vertex", v), tapes)
+                    oracle = LcaOracle(g, Site("vertex", v), tapes)
                     truncated += lca.run(oracle, Site("vertex", v)).truncated
                     probed = {s.id for s in oracle.probed}
                     near = probed.union(*(g.neighbors(u) for u in probed))

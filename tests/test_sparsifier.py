@@ -20,6 +20,7 @@ from stochmatch.sparsifier import (
     derive_R,
     estimate_q,
     max_degree_of,
+    resolve_R,
     select_thresholds,
 )
 from test_matching import component_corpus, small_graphs
@@ -36,6 +37,14 @@ class TestBuildH:
         g = Graph.build(6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
         H, _ = build_H(g, SparsifierParams(R=2, eps=0.5, seed=4))
         assert H == frozenset(range(3))
+
+    def test_needs_a_realization(self):
+        # the record holds any R; build_H refuses one that builds nothing,
+        # before a draw, as bench/ builds the record directly
+        g = Graph.build(2, [(0, 1, 1.0)])
+        for R in (0, -2):
+            with pytest.raises(ValueError, match="^R must be at least 1$"):
+                build_H(g, SparsifierParams(R=R, eps=0.2, seed=0))
 
     def test_star_degree_bound(self):
         g = Graph.build(6, [(0, i, 0.5) for i in range(1, 6)])
@@ -164,13 +173,6 @@ class TestSelectThresholds:
         assert tau_plus == pytest.approx(0.0625)
         assert tau_minus == pytest.approx(0.0625**3)
 
-    def test_validation(self, triangle):
-        q = estimate_q(triangle, exact=None)
-        with pytest.raises(ValueError):
-            select_thresholds(q, eps=0.0, p_min=0.5)
-        with pytest.raises(ValueError):
-            select_thresholds(q, eps=0.5, p_min=0.0)
-
     @given(st.integers(0, 100), st.sampled_from([0.2, 0.4, 0.6]))
     @settings(max_examples=30, deadline=None)
     def test_mass_guarantee(self, seed, eps):
@@ -191,9 +193,11 @@ class TestDeriveR:
         assert derive_R(0.1) == 5
         assert derive_R(1.0 / 3.0) == 2
 
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            derive_R(0.0)
+    def test_positive_required(self, triangle):
+        # resolve_R, derive_R's one caller, refuses a tau_minus of 0.0
+        # before deriving, with a message that names the flags
+        with pytest.raises(ValueError, match="so no R derives from it; pass --R"):
+            resolve_R(triangle, 0.2, 10, SeedContext(0), True, (0.0, 0.5))
 
 
 def test_crucial_coverage():

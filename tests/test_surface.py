@@ -51,6 +51,10 @@ them, so a check the package relies on raises an exception instead.
 And it defines a fixed set of exception types: every work limit raises
 ``graph.ResourceGuard``, so callers catch one type for all of them.
 
+Each range check of ``cli.ExperimentConfig`` is the package's one copy:
+no ``raise`` in another package module carries one of its messages,
+read with each f-string replacement field matching any text.
+
 The frozen references of ``tests/oracles.py`` check the package, so none
 derives from a package class, directly or through another class: a
 reference that inherits the code it checks compares that code with
@@ -64,6 +68,7 @@ exception is allowlisted with its reason.
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -596,6 +601,49 @@ def test_no_default_repeats_a_cli_default():
     # the command line's value is the one copy; a library default that
     # repeats it drifts from it silently
     assert repeated_cli_defaults() == []
+
+
+def _raise_messages(node) -> list:
+    """(message, line) of each raise under ``node`` whose exception takes
+    a string first: a constant as written, an f-string with each
+    replacement field written ``{}``."""
+    out = []
+    for sub in ast.walk(node):
+        if not (isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and sub.exc.args):
+            continue
+        msg = sub.exc.args[0]
+        if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+            out.append((msg.value, sub.lineno))
+        elif isinstance(msg, ast.JoinedStr):
+            parts = [v.value if isinstance(v, ast.Constant) else "{}" for v in msg.values]
+            out.append(("".join(parts), sub.lineno))
+    return out
+
+
+def config_check_copies() -> list:
+    """Raises in package modules other than ``cli.py`` whose message is
+    one of ``cli.ExperimentConfig``'s, a replacement field there matching
+    any text."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig")
+    patterns = [
+        re.compile(".+".join(re.escape(part) for part in msg.split("{}")))
+        for msg, _ in _raise_messages(config)
+    ]
+    assert any(p.fullmatch("eps must lie in (0, 1)") for p in patterns)
+    return [
+        f"{path.name}:{line}: {msg}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for msg, line in _raise_messages(ast.parse(path.read_text()))
+        if any(p.fullmatch(msg) for p in patterns)
+    ]
+
+
+def test_config_checks_have_no_package_copy():
+    # a knob's range is checked once, where it enters: a second copy in
+    # the package refuses the flag only on the commands that reach it
+    assert config_check_copies() == []
 
 
 def oracle_subclasses() -> list:
