@@ -15,8 +15,10 @@ is one :class:`~stochmatch.hyperwalk.Recursion`, which
 recursive matching call and query of a pipeline takes it.  The recursive
 matching's calls and queries under one algorithm seed share one tape
 table of that seed, the one store of what the seed fixes (see
-:mod:`stochmatch.hyperwalk`): one per exact table or serial ``verify``
-run, one per pool worker, and one per sampled trial.  The claim checks
+:mod:`stochmatch.hyperwalk`).  An exact pipeline has one algorithm seed,
+so its two probability tables and its trials read one table, which pool
+workers receive with the setup; each sampled trial, of the tables or of
+``verify``, has a seed and a table of its own.  The claim checks
 in :func:`verify_claims` are reports with flags, not hard assertions:
 the inequalities they measure hold asymptotically under parameter
 regimes far beyond desk scale, and at bench parameters a miss is an
@@ -174,35 +176,28 @@ def compute_MC(crucial: CrucialSetup, g_real: int, tapes: TapeTable) -> frozense
 # probability tables
 
 
-def alg_seed(ctx: SeedContext, exact: bool, trial: int) -> SeedContext:
-    """The algorithm seed of a trial: exact-mode tables are conditioned on
-    one seed, so every trial of an exact pipeline shares it."""
-    return ctx.child("alg") if exact else ctx.child("alg", trial)
-
-
 def build_match_prob_table(
     g: Graph,
     crucial: CrucialSetup,
     trials: int,
     ctx: SeedContext,
-    exact: Optional[bool],
+    tapes: Optional[TapeTable],
 ) -> tuple:
     """Per-vertex Pr[v not in V(M_C)], the free probabilities, estimated
     over crucial realizations.
 
-    Exact mode enumerates the crucial subgraph's realizations (the
-    matching never reads anything else) against one fixed algorithm
-    seed, so all of its calls share one tape table; Monte Carlo redraws
-    both per trial.
+    Given ``tapes``, the exact pipeline's tape table, this enumerates the
+    crucial subgraph's realizations (the matching never reads anything
+    else) under that table's seed, the one the trials read.  Without it,
+    each of ``trials`` Monte Carlo trials draws its realization and its
+    algorithm seed ``ctx.child("alg", t)``.
     """
     sub = crucial.rec.walks.g
-    exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), exact)
-    tapes = None
+    exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), tapes is not None)
     covered = [0.0] * g.n
     for t, (mask, weight) in enumerate(worlds):
-        if tapes is None or not exact:
-            tapes = TapeTable(alg_seed(ctx, exact, t), sub)
-        matched = b_generic(crucial.rec, mask, tapes)
+        world_tapes = tapes if exact else TapeTable(ctx.child("alg", t), sub)
+        matched = b_generic(crucial.rec, mask, world_tapes)
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
@@ -226,18 +221,18 @@ def build_delta_table(
     pairs: Iterable[tuple],
     trials: int,
     ctx: SeedContext,
-    exact: bool,
+    tapes: Optional[TapeTable],
 ) -> DeltaTable:
     """Pr[explored vertex sets of the two endpoints' coverage queries
     intersect], per requested vertex pair.
 
     A vertex's exploration is the union of instrumented membership
     queries over its incident crucial edges (plus the vertex itself).
-    Each trial redraws the crucial realization; the algorithm seed
-    follows :func:`alg_seed`, so it is fixed for ``exact`` pipelines,
-    whose queries then share one tape table; a sampled trial's queries
-    share the table of its own seed.  A query repeated under one table
-    is replayed (see :class:`BMatchingLca`).
+    Each trial redraws the crucial realization.  Given ``tapes``, the
+    exact pipeline's tape table, every query reads it, under the seed the
+    trials read; without it, trial t's queries share a table of its own
+    seed ``ctx.child("alg", t)``.  A query repeated under one table is
+    replayed (see :class:`BMatchingLca`).
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
@@ -247,17 +242,15 @@ def build_delta_table(
     sub = crucial.rec.walks.g
     involved = sorted({w for pair in wanted for w in pair})
     hits = {pair: 0 for pair in wanted}
-    tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
-        if tapes is None or not exact:
-            tapes = TapeTable(alg_seed(ctx, exact, t), sub)
+        trial_tapes = tapes if tapes is not None else TapeTable(ctx.child("alg", t), sub)
         lca = BMatchingLca(crucial.rec, real)
         footprints = {}
         for w in involved:
             fp = {w}
             for e in sub.incident(w):
-                _, trace = run_lca(lca, sub, Site("edge", e), tapes)
+                _, trace = run_lca(lca, sub, Site("edge", e), trial_tapes)
                 fp.update(trace.vertex_footprint(sub))
             footprints[w] = fp
         for u, v in wanted:
@@ -408,7 +401,10 @@ def ratio_sweep(
 class PipelineSetup(NamedTuple):
     """Everything fixed across pipeline trials: the instance, q with its
     thresholds, the sparsifier output, f, the crucial-side machinery,
-    and the probability tables."""
+    and the probability tables.  ``tapes`` is an exact pipeline's one
+    tape table, of the seed ``ctx.child("alg")`` on the crucial
+    subgraph, which both tables and every trial read; a sampled
+    pipeline has None, and trial t reads the seed ``ctx.child("alg", t)``."""
 
     g: Graph
     eps: float
@@ -422,13 +418,10 @@ class PipelineSetup(NamedTuple):
     p_min: float
     delta_exponent: int
     ctx: SeedContext
-    exact: bool
+    tapes: Optional[TapeTable]
 
     def realization(self, trial: int) -> int:
         return sample_realization(self.g, self.ctx.child("run"), trial)
-
-    def alg_ctx(self, trial: int) -> SeedContext:
-        return alg_seed(self.ctx, self.exact, trial)
 
 
 def prepare_pipeline(
@@ -458,16 +451,14 @@ def prepare_pipeline(
     """
     ctx = SeedContext(seed)
     q, R = resolve_R(g, eps, q_samples, ctx.child("q"), exact, thresholds, R)
-    exact = q.exact
     sparams = SparsifierParams(R=R, eps=eps, seed=seed)
     H, matchings = build_H(g, sparams)
     crucial = prepare_crucial(g, q, bparams, table_samples, ctx.child("table"))
     f = build_f(g, H, matchings, q, eps, R)
-    free_prob = build_match_prob_table(
-        g, crucial, match_prob_trials, ctx.child("mprob"), exact=exact
-    )
+    tapes = TapeTable(ctx.child("alg"), crucial.rec.walks.g) if q.exact else None
+    free_prob = build_match_prob_table(g, crucial, match_prob_trials, ctx.child("mprob"), tapes)
     pairs = [g.endpoints(e) for e in sorted(f.support)]
-    delta = build_delta_table(crucial, pairs, delta_trials, ctx.child("delta"), exact=exact)
+    delta = build_delta_table(crucial, pairs, delta_trials, ctx.child("delta"), tapes)
     return PipelineSetup(
         g=g,
         eps=eps,
@@ -481,16 +472,17 @@ def prepare_pipeline(
         p_min=p_min_of(g),
         delta_exponent=delta_exponent,
         ctx=ctx,
-        exact=exact,
+        tapes=tapes,
     )
 
 
 def run_pipeline(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
     """One trial's per-edge values x (a dict) and their rounding y (a
-    :class:`FractionalMatching`), as ``(x, y)``; ``tapes`` is the tape
-    table of the trial's algorithm seed on the crucial subgraph, shared
-    by the trials under that seed."""
-    if tapes.ctx != setup.alg_ctx(trial):
+    :class:`FractionalMatching`), as ``(x, y)``; ``tapes`` is a tape
+    table on the crucial subgraph of the trial's algorithm seed (see
+    :class:`PipelineSetup`)."""
+    seed = setup.tapes.ctx if setup.tapes is not None else setup.ctx.child("alg", trial)
+    if tapes.ctx != seed:
         raise ValueError("tape table belongs to another algorithm seed")
     real = setup.realization(trial)
     m_c = compute_MC(setup.crucial, real, tapes)
@@ -577,13 +569,14 @@ def _claim(name: str, kind: str, bound: float, value: float, se: float, note: st
 
 
 def _trial_block(setup: PipelineSetup, trials: range) -> list:
-    """Stats of consecutive trials.  An exact pipeline's trials share one
-    algorithm seed and so one tape table; sampled trials keep their own."""
-    tapes = None
+    """Stats of consecutive trials.  An exact pipeline's trials read its
+    one tape table; a sampled trial reads a table of its own seed."""
+    sub = setup.crucial.rec.walks.g
     stats = []
     for t in trials:
-        if tapes is None or not setup.exact:
-            tapes = TapeTable(setup.alg_ctx(t), setup.crucial.rec.walks.g)
+        tapes = setup.tapes
+        if tapes is None:
+            tapes = TapeTable(setup.ctx.child("alg", t), sub)
         stats.append(_trial_stats(setup, t, tapes))
     return stats
 
@@ -600,7 +593,8 @@ def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimRepor
         # imported here: the pool machinery is a large share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # one block of consecutive trials per worker, each with its own tables;
+        # one block of consecutive trials per worker, each with its own copy of
+        # the setup and so of an exact pipeline's tape table;
         # a forked pool starts every worker at the first submit
         cuts = [trials * k // workers for k in range(workers + 1)]
         blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]

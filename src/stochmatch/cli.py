@@ -96,6 +96,10 @@ class ExperimentConfig:
                 raise UsageError("thresholds must satisfy 0 <= tau_minus < tau_plus")
             self.thresholds = t
         self.R_list = self._parse_R(self.R)
+        if command in ("sparsify", "verify") and self.R_list is not None and len(self.R_list) != 1:
+            raise UsageError("this command takes a single R")
+        if self.lca not in ("tmis", "b-matching"):
+            raise UsageError(f"unknown lca kind: {self.lca}")
         if not 0.0 < self.eps < 1.0:
             raise UsageError("eps must lie in (0, 1)")
         for key in ("alpha", "depth"):
@@ -140,11 +144,7 @@ class ExperimentConfig:
         return values
 
     def single_R(self) -> Optional[int]:
-        if self.R_list is None:
-            return None
-        if len(self.R_list) != 1:
-            raise UsageError("this command takes a single R")
-        return self.R_list[0]
+        return None if self.R_list is None else self.R_list[0]
 
     def bparams(self) -> BParams:
         margin = self.margin if self.margin is not None else 2.0 * self.eps**2
@@ -221,15 +221,13 @@ def cmd_lca_stats(cfg: ExperimentConfig) -> int:
     ctx = SeedContext(cfg.seed)
     if cfg.lca == "tmis":
         lca = TruncatedGreedyMis(cfg.budget)
-    elif cfg.lca == "b-matching":
+    else:
         # instance = graph + one seeded realization; sweeps vary the tapes
         real = sample_realization(g, ctx.child("real"), 0)
         params = cfg.bparams()
         gates = open_gates(g.n, params.depth, params.margin)
         walks = WalkIndex(g, params.walk_len, params.alpha)
         lca = BMatchingLca(Recursion(walks, gates, params.mis_budget), real)
-    else:
-        raise UsageError(f"unknown lca kind: {cfg.lca}")
     ledger = gather_ledger(lca, g, ctx.child("ledger"), trials=cfg.samples)
     _emit(cfg.out, ledger_to_csv(ledger))
     return EXIT_OK

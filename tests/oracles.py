@@ -25,7 +25,6 @@ from stochmatch.analysis import (
     CrucialSetup,
     DeltaTable,
     RatioEstimate,
-    alg_seed,
     ratio_sweep,
 )
 from stochmatch.graph import (
@@ -437,8 +436,10 @@ def recursion_params(rec: Recursion) -> BParams:
 
 def trial_tapes(setup, trial: int) -> TapeTable:
     """A fresh tape table of a pipeline trial's algorithm seed on the
-    crucial subgraph, as :func:`stochmatch.analysis.run_pipeline` takes."""
-    return TapeTable(setup.alg_ctx(trial), setup.crucial.rec.walks.g)
+    crucial subgraph, as :func:`stochmatch.analysis.run_pipeline` takes:
+    the exact pipeline's one seed, or the sampled trial's own."""
+    ctx = setup.tapes.ctx if setup.tapes is not None else setup.ctx.child("alg", trial)
+    return TapeTable(ctx, setup.crucial.rec.walks.g)
 
 
 def edge_id(g: Graph, u: int, v: int):
@@ -917,7 +918,8 @@ def estimate_q_v0(
 
 #
 # build_delta_table before query replay: every query ran its engine, and
-# an exact pipeline's queries shared only a tape table.
+# an exact pipeline's queries shared only a tape table, of the table's own
+# algorithm seed ctx.child("alg") rather than the trials'.
 
 
 def build_delta_table_v0(
@@ -939,7 +941,7 @@ def build_delta_table_v0(
     tapes = None
     for t in range(trials):
         real = sample_realization(sub, ctx.child("real"), t)
-        alg_ctx = alg_seed(ctx, exact, t)
+        alg_ctx = ctx.child("alg") if exact else ctx.child("alg", t)
         if tapes is None or not exact:
             tapes = TapeTable(alg_ctx, sub)
         lca = BMatchingLca(crucial.rec, real)
@@ -959,7 +961,8 @@ def build_delta_table_v0(
 #
 # ratio_sweep and build_match_prob_table before they shared
 # graph.weighted_realizations: each resolved exact mode and ran its own
-# exact and sampled loops.
+# exact and sampled loops; the exact table read its own algorithm seed
+# ctx.child("alg") rather than the trials'.
 
 
 def ratio_sweep_v0(

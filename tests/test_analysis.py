@@ -43,13 +43,16 @@ from stochmatch.analysis import (
     verify_claims,
 )
 from stochmatch.graph import (
+    ENUM_CAP,
     Graph,
     SeedContext,
+    enumerate_realizations,
     sample_realization,
     write_graph_text,
 )
 from stochmatch.cli import main
-from stochmatch.hyperwalk import BParams
+from stochmatch.hyperwalk import BParams, b_generic
+from stochmatch.matching import matched_vertices
 from stochmatch.lca import TapeTable, run_lca
 from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
 from test_cli import GOLDEN_GRAPHS
@@ -197,16 +200,15 @@ class TestCrucialSide:
         g = path_graph(1)
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        free = build_match_prob_table(g, crucial, 10, SeedContext(2), exact=True)
+        tapes = TapeTable(SeedContext(2).child("alg"), crucial.rec.walks.g)
+        free = build_match_prob_table(g, crucial, 10, SeedContext(2), tapes)
         assert free == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_match_prob_table_sampled_close(self):
         g = path_graph(1)
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        free = build_match_prob_table(
-            g, crucial, 600, SeedContext(2), exact=False
-        )
+        free = build_match_prob_table(g, crucial, 600, SeedContext(2), None)
         # 4 sigma of a p=0.5 frequency at 600 trials
         assert abs(free[0] - 0.5) <= 4 * math.sqrt(0.25 / 600)
 
@@ -299,7 +301,7 @@ class TestDeltaTable:
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5), exact=False)
+        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5), None)
         assert table.get(0, 1) == 1.0
 
     def test_isolated_pair_never_collides(self):
@@ -307,14 +309,14 @@ class TestDeltaTable:
         g = path_graph(3)
         q = qprofile((0.9, 0.05, 0.05), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5), exact=False)
+        table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5), None)
         assert table.get(2, 3) == 0.0
 
     def test_empty_pairs_short_circuits(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert build_delta_table(crucial, [], 0, SeedContext(5), exact=False).values == {}
+        assert build_delta_table(crucial, [], 0, SeedContext(5), None).values == {}
 
 
 class TestBuildX:
@@ -545,7 +547,7 @@ def pool_sizes(monkeypatch) -> list:
 class TestPipeline:
     def test_smoke_run(self):
         setup = smoke_setup()
-        assert setup.exact
+        assert setup.tapes is not None
         assert setup.R == 3
         assert setup.q.crucial and setup.q.noncrucial
         x, y = run_pipeline(setup, 0, trial_tapes(setup, 0))
@@ -671,16 +673,22 @@ class TestSharedRealizationLoops:
         g, thresholds = SOURCE_CORPUS[name]
         q = estimate_q(g, exact=True).with_thresholds(*thresholds)
         crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
+        sub = crucial.rec.walks.g
         ctx = SeedContext(6).child("mprob")
         for exact in (None, True, False):
-            assert build_match_prob_table(g, crucial, 40, ctx, exact) == (
+            # the reference resolves None by edge count and enumerates under
+            # its own seed ctx.child("alg"); the builder reads a table of it
+            enumerated = sub.m <= ENUM_CAP if exact is None else exact
+            tapes = TapeTable(ctx.child("alg"), sub) if enumerated else None
+            assert build_match_prob_table(g, crucial, 40, ctx, tapes) == (
                 build_match_prob_table_v0(g, crucial, 40, ctx, exact)
             )
 
 
 class TestSeedMemoPipelines:
-    """The pipelines' tape tables, one per algorithm seed, against the
-    per-call routes they replace."""
+    """The pipelines' tape tables against the per-call routes they
+    replace: an exact pipeline's one table, which both probability tables
+    and every trial read, and a sampled trial's table of its own seed."""
 
     @staticmethod
     def fresh_calls(monkeypatch):
@@ -705,10 +713,8 @@ class TestSeedMemoPipelines:
         assert report.to_json() == verify_claims(parent, trials=5, workers=1).to_json()
 
     def test_exact_table_derives_each_tape_once(self, monkeypatch):
-        g, thresholds = SOURCE_CORPUS["kite"]
-        q = estimate_q(g, exact=True).with_thresholds(*thresholds)
-        crucial = prepare_crucial(g, q, SOURCE_BPARAMS, 10, SeedContext(6).child("table"))
-        assert crucial.rec.walks.g.m >= 3
+        # both probability tables and the trials read one table, of the
+        # trials' seed; only the gates' samples have seeds of their own
         paths = Counter()
         original = SeedContext.__post_init__
 
@@ -717,10 +723,42 @@ class TestSeedMemoPipelines:
             return original(self, *args)
 
         monkeypatch.setattr(SeedContext, "__post_init__", recording)
-        build_match_prob_table(g, crucial, 40, SeedContext(6).child("mprob"), exact=True)
-        tapes = {path[-1]: n for path, n in paths.items() if path[-3:-1] == ("tape", "edge")}
-        assert sorted(tapes) == list(range(crucial.rec.walks.g.m))
-        assert set(tapes.values()) == {1}
+        g, thresholds = SOURCE_CORPUS["kite"]
+        setup = prepare_pipeline(
+            g, eps=0.2, seed=6, bparams=SOURCE_BPARAMS, q_samples=10_000,
+            table_samples=10, match_prob_trials=40, delta_trials=10, delta_exponent=15,
+            R=4, thresholds=thresholds, exact=True,
+        )
+        verify_claims(setup, trials=10, workers=1)
+        m = setup.crucial.rec.walks.g.m
+        assert m >= 3 and setup.delta.values
+        tapes = Counter({
+            path: n for path, n in paths.items()
+            if path[-3:-1] == ("tape", "edge") and path[:2] != ("table", "unsat")
+        })
+        assert tapes == Counter({("alg", "tape", "edge", e): 1 for e in range(m)})
+
+    def test_free_prob_is_the_trials_frequency(self):
+        # the bench verify graph at program seed 14, where the free
+        # probabilities of a per-table seed differed from the trials' on
+        # six vertices, up to 0.1 against 1.0
+        eps = 0.1
+        setup = prepare_pipeline(
+            VERIFY_EXACT, eps=eps, seed=14,
+            bparams=BParams(alpha=1, walk_len=3, depth=2, margin=2.0 * eps**2, mis_budget=None),
+            q_samples=10_000, table_samples=20, match_prob_trials=500, delta_trials=50,
+            delta_exponent=15, R=32, thresholds=(0.25, 0.32), exact=None,
+        )
+        sub = setup.crucial.rec.walks.g
+        tapes = TapeTable(SeedContext(14).child("alg"), sub)
+        run_pipeline(setup, 0, tapes)  # the trials' seed: accepted
+        covered = [0.0] * VERIFY_EXACT.n
+        worlds = list(enumerate_realizations(sub))
+        assert len(worlds) == 2**7
+        for mask, weight in worlds:
+            for v in matched_vertices(sub, b_generic(setup.crucial.rec, mask, tapes)):
+                covered[v] += weight
+        assert setup.free_prob == tuple(1.0 - c for c in covered)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_delta_table_matches_per_query_tapes(self, monkeypatch, exact):
@@ -739,7 +777,8 @@ class TestSeedMemoPipelines:
                 return out, trace
 
             monkeypatch.setattr(analysis, "run_lca", recording)
-            return build_delta_table(crucial, pairs, 6, ctx, exact), runs
+            tapes = TapeTable(ctx.child("alg"), crucial.rec.walks.g) if exact else None
+            return build_delta_table(crucial, pairs, 6, ctx, tapes), runs
 
         shared, shared_runs = recorded(per_query=False)
         per_query, per_query_runs = recorded(per_query=True)
@@ -766,7 +805,9 @@ class TestSeedMemoPipelines:
 
         monkeypatch.setattr(analysis, "run_lca", recording)
         engines = counting_engines(monkeypatch)
-        got = build_delta_table(crucial, pairs, 12, ctx, exact)
+        # the reference's exact queries read its own seed ctx.child("alg")
+        tapes = TapeTable(ctx.child("alg"), crucial.rec.walks.g) if exact else None
+        got = build_delta_table(crucial, pairs, 12, ctx, tapes)
         if exact:  # at most one engine per (realization, root)
             assert len(engines) <= crucial.rec.walks.g.m * 2**crucial.rec.walks.g.m
         else:  # a sampled trial's seed is its own: one engine per (trial, root)

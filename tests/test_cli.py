@@ -547,6 +547,25 @@ class TestExitCodes:
         ) == 2
         assert capsys.readouterr().err == f"error: {command} needs --samples 1 or more, got 0\n"
 
+    @pytest.mark.parametrize("mode", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sparsify", "verify"])
+    def test_R_list_refused_before_the_graph_loads(
+        self, tmp_path, tri_file, capsys, monkeypatch, command, mode
+    ):
+        assert self.refuse_before_loading(
+            tmp_path, tri_file, monkeypatch, command, mode, "R", "3,4"
+        ) == 2
+        assert capsys.readouterr().err == "error: this command takes a single R\n"
+
+    def test_unknown_lca_kind_refused_before_the_graph_loads(
+        self, tmp_path, tri_file, capsys, monkeypatch
+    ):
+        # argparse's choices refuse the flag; a config value gets past them
+        assert self.refuse_before_loading(
+            tmp_path, tri_file, monkeypatch, "lca-stats", "config", "lca", "nope"
+        ) == 2
+        assert capsys.readouterr().err == "error: unknown lca kind: nope\n"
+
     # one value out of range per graph-free knob, with its exit code and
     # message; ExperimentConfig refuses each for every command, read or not
     KNOB_CASES = {
@@ -670,6 +689,11 @@ GOLDEN_RUNS = {
     "verify": lambda t: VERIFY + ["--thresholds", t] + B_FLAGS,
     "lca-b3": lambda t: LCA_B + B3_FLAGS,
     "verify-b3": lambda t: VERIFY + ["--thresholds", t] + B3_FLAGS,
+    # the first eps below 1/7, where the x-total bound (1 - 7 eps) opt is positive
+    "verify-b3-eps01": lambda t: VERIFY + ["--thresholds", t] + B3_FLAGS + ["--eps", "0.1"],
+    # sampled q and tables: per-trial algorithm seeds
+    "verify-mc": lambda t: (VERIFY + ["--thresholds", t] + B_FLAGS
+                            + ["--no-exact", "--q-samples", "200"]),
     # the default --depth 1: the table is row 0 with the q-load targets
     "verify-d1": lambda t: VERIFY + ["--thresholds", t],
     # gate edge cases: a margin >= 1 closes every gate of the open-gate
@@ -687,7 +711,9 @@ GOLDEN = {
     ("kite", "lca-b"): "5a410dfff88d47de8c4ce8b09095081f2eea3e66cfff0577e80bac51ec986af3",
     ("kite", "verify"): "507a77ffdb96406c3108d6306b521c6e80f74db060d53539419c1c51d009db4b",
     ("kite", "lca-b3"): "cab94955d45348920e36bfd802819ce826a8c94ffa06023f618e5e0fd0810d46",
-    ("kite", "verify-b3"): "bed43590891d807acf3347a14fa1daeed588066f40bf37a04970d1a6aaf339bd",
+    ("kite", "verify-b3"): "1f5b0380b0f8b5e6b9b216b28d4fbeb0debe479a5dc6b2069a44b96398f7db7b",
+    ("kite", "verify-b3-eps01"): "cbb172f15aba807ec77c7001fa5c73085f82ccdf4edf7d9604f6200f21a57e2c",
+    ("kite", "verify-mc"): "3290a6beecb63c9bffdb9427bc7b9ee3e21b169f9f94ad81dc4d3045b91314ba",
     ("kite", "verify-d1"): "de443c3fc4409830c69f412904d6c761082ae1e55bfec87c3e9e07797c7348e4",
     ("kite", "lca-b-closed"): "6ca3e2aa3205bde74ac74c172474ad11c445428acb5181be35be553c7dedecd4",
     ("kite", "verify-d1-open"): "de443c3fc4409830c69f412904d6c761082ae1e55bfec87c3e9e07797c7348e4",

@@ -184,13 +184,21 @@ class TestPoolRoundTrip:
 
     def test_setup_survives_pickling(self, setup):
         clone = pickle.loads(pickle.dumps(setup))
-        # the walk index compares by identity; every other field by value
+        # the walk index and a table's tapes compare by identity; every other
+        # field by value
         for name in setup._fields:
-            if name != "crucial":
+            if name not in ("crucial", "tapes"):
                 assert getattr(clone, name) == getattr(setup, name), name
         assert clone.crucial.from_sub == setup.crucial.from_sub
         rec, twin = setup.crucial.rec, clone.crucial.rec
         assert (twin.gates, twin.budget, twin.walks.g) == (rec.gates, rec.budget, rec.walks.g)
+        # the exact pipeline's one table travels with the setup, on the
+        # clone's subgraph and keyed by the clone's recursion
+        tapes, copy = setup.tapes, clone.tapes
+        assert (copy.ctx, copy.keys()) == (tapes.ctx, tapes.keys())
+        assert copy.graph is twin.walks.g
+        assert len(copy.derived) == len(tapes.derived) > 0
+        assert all(key[1] is twin for key in copy.derived)
         assert clone.ctx._key == setup.ctx._key
         assert clone.g.adjacency == setup.g.adjacency
         assert _trial_block(clone, range(3)) == _trial_block(setup, range(3))
