@@ -18,7 +18,11 @@ table of that seed, the one store of what the seed fixes (see
 :mod:`stochmatch.hyperwalk`).  An exact pipeline has one algorithm seed,
 so its two probability tables and its trials read one table, which pool
 workers receive with the setup; each sampled trial, of the tables or of
-``verify``, has a seed and a table of its own.  The claim checks
+``verify``, has a seed and a table of its own.  The non-crucial side is
+settled before any trial: the free probabilities of f's endpoints and
+the footprint collisions of f's pairs give each f-support edge that
+passes their guards one weight, which a trial's x reads when the edge
+is realized and M_C covers neither endpoint.  The claim checks
 in :func:`verify_claims` are reports with flags, not hard assertions:
 the inequalities they measure hold asymptotically under parameter
 regimes far beyond desk scale, and at bench parameters a miss is an
@@ -60,10 +64,6 @@ from .matching import (
     vertex_loads,
 )
 from .sparsifier import QProfile, SparsifierParams, build_H, p_min_of, resolve_R
-
-
-class MissingTableEntry(KeyError):
-    """A value-table lookup required by the x construction is absent."""
 
 
 def match_targets_from_q(g: Graph, q: QProfile, within: Iterable[int]) -> tuple:
@@ -177,14 +177,14 @@ def compute_MC(crucial: CrucialSetup, g_real: int, tapes: TapeTable) -> frozense
 
 
 def build_match_prob_table(
-    g: Graph,
     crucial: CrucialSetup,
+    vertices: Iterable[int],
     trials: int,
     ctx: SeedContext,
     tapes: Optional[TapeTable],
-) -> tuple:
-    """Per-vertex Pr[v not in V(M_C)], the free probabilities, estimated
-    over crucial realizations.
+) -> dict:
+    """Pr[v not in V(M_C)], the free probability of each of ``vertices``,
+    estimated over crucial realizations; {} at once when there are none.
 
     Given ``tapes``, the exact pipeline's tape table, this enumerates the
     crucial subgraph's realizations (the matching never reads anything
@@ -192,28 +192,21 @@ def build_match_prob_table(
     each of ``trials`` Monte Carlo trials draws its realization and its
     algorithm seed ``ctx.child("alg", t)``.
     """
+    wanted = sorted(set(vertices))
+    if not wanted:
+        return {}
     sub = crucial.rec.walks.g
-    exact, worlds = weighted_realizations(sub, trials, ctx.child("real"), tapes is not None)
-    covered = [0.0] * g.n
+    exact, worlds = weighted_realizations(
+        sub, trials, ctx.child("real"), tapes is not None, "--match-prob-trials"
+    )
+    covered = [0.0] * sub.n
     for t, (mask, weight) in enumerate(worlds):
         world_tapes = tapes if exact else TapeTable(ctx.child("alg", t), sub)
         matched = b_generic(crucial.rec, mask, world_tapes)
         for v in matched_vertices(sub, matched):
             covered[v] += weight
     runs = 1 if exact else trials
-    return tuple(1.0 - c / runs for c in covered)
-
-
-class DeltaTable(NamedTuple):
-    """Estimated query-footprint collision probabilities per vertex pair."""
-
-    values: dict
-
-    def get(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        if key not in self.values:
-            raise MissingTableEntry(f"no delta estimate for vertex pair {key}")
-        return self.values[key]
+    return {v: 1.0 - covered[v] / runs for v in wanted}
 
 
 def build_delta_table(
@@ -222,9 +215,9 @@ def build_delta_table(
     trials: int,
     ctx: SeedContext,
     tapes: Optional[TapeTable],
-) -> DeltaTable:
+) -> dict:
     """Pr[explored vertex sets of the two endpoints' coverage queries
-    intersect], per requested vertex pair.
+    intersect], per requested vertex pair, keyed by the sorted pair.
 
     A vertex's exploration is the union of instrumented membership
     queries over its incident crucial edges (plus the vertex itself).
@@ -236,7 +229,7 @@ def build_delta_table(
     """
     wanted = sorted({(u, v) if u < v else (v, u) for (u, v) in pairs})
     if not wanted:
-        return DeltaTable({})
+        return {}
     if trials < 1:
         raise ValueError("delta trials must be positive; pass --delta-trials 1 or more")
     sub = crucial.rec.walks.g
@@ -256,71 +249,63 @@ def build_delta_table(
         for u, v in wanted:
             if footprints[u] & footprints[v]:
                 hits[(u, v)] += 1
-    return DeltaTable({pair: hits[pair] / trials for pair in wanted})
+    return {pair: hits[pair] / trials for pair in wanted}
 
 
 # ---------------------------------------------------------------------------
 # x and its rounding
 
 
+def build_weights(
+    g: Graph,
+    f: FractionalMatching,
+    free_prob: dict,
+    delta: dict,
+    eps: float,
+    threshold: float,
+) -> dict:
+    """The x value f_e / (p_e Pr[u free] Pr[v free]) of each edge of f's
+    support whose trial-independent guards pass: a footprint collision
+    probability in ``delta`` of at most ``threshold``, and both free
+    probabilities in ``free_prob`` at least eps^2."""
+    eps_sq = eps * eps
+    weights = {}
+    for e in sorted(f.support):
+        u, v = g.endpoints(e)
+        pf_u = free_prob[u]
+        pf_v = free_prob[v]
+        if delta[(u, v) if u < v else (v, u)] > threshold or pf_u < eps_sq or pf_v < eps_sq:
+            continue
+        weights[e] = f.get(e) / (g.probability(e) * pf_u * pf_v)
+    return weights
+
+
 def build_x(
     g: Graph,
-    q: QProfile,
-    f: FractionalMatching,
+    crucial: frozenset,
+    weights: dict,
     m_c: frozenset,
     H: frozenset,
     realization: int,
-    free_prob: tuple,
-    delta: DeltaTable,
-    eps: float,
-    p_min: float,
-    delta_exponent: int,
 ) -> dict:
-    """Per-edge values x for the trial's realization mask ``realization``.
+    """Per-edge values x for the trial's realization mask ``realization``,
+    in edge order.
 
-    Crucial edges get 1 exactly when matched by M_C and present in the
-    realized sparsifier.  A non-crucial edge gets
-    f_e / (p_e Pr[u free] Pr[v free]), with the free probabilities from
-    ``free_prob``, unless a guard zeroes it: footprint
-    collision probability above (eps p_min)^exponent, either free
-    probability below eps^2, the edge unrealized, or an endpoint covered
-    by M_C.  Edges in neither class (the middle q band) get 0.
-
-    Guards consult the delta table only on the support of f; an absent
-    entry there raises MissingTableEntry.
+    A crucial edge gets 1 exactly when matched by M_C and present in the
+    realized sparsifier.  An edge of ``weights`` (see
+    :func:`build_weights`) gets its weight when it is realized and M_C
+    covers neither endpoint.  Every other edge gets 0.
     """
-    threshold = (eps * p_min) ** delta_exponent
-    eps_sq = eps * eps
     mc_cover = matched_vertices(g, m_c)
-    crucial = q.crucial
-    noncrucial = q.noncrucial
     x = {}
     for e in range(g.m):
+        realized = (realization >> e) & 1
         if e in crucial:
-            x[e] = 1.0 if (e in m_c and e in H and (realization >> e) & 1) else 0.0
-            continue
-        if e not in noncrucial:
-            x[e] = 0.0
-            continue
-        fe = f.get(e)
-        if fe == 0.0:
-            x[e] = 0.0
-            continue
-        u, v = g.endpoints(e)
-        d = delta.get(u, v)
-        pf_u = free_prob[u]
-        pf_v = free_prob[v]
-        if (
-            d > threshold
-            or pf_u < eps_sq
-            or pf_v < eps_sq
-            or not (realization >> e) & 1
-            or u in mc_cover
-            or v in mc_cover
-        ):
-            x[e] = 0.0
+            x[e] = 1.0 if (e in m_c and e in H and realized) else 0.0
+        elif e in weights and realized and mc_cover.isdisjoint(g.endpoints(e)):
+            x[e] = weights[e]
         else:
-            x[e] = fe / (g.probability(e) * pf_u * pf_v)
+            x[e] = 0.0
     return x
 
 
@@ -370,7 +355,7 @@ def ratio_sweep(
     0.  An identically empty denominator reports ratio 1 (nothing to
     approximate)."""
     masks = [edge_mask(H) for H in sparsifiers]
-    exact, worlds = weighted_realizations(g, samples, ctx, exact)
+    exact, worlds = weighted_realizations(g, samples, ctx, exact, "--samples")
     den = 0.0
     nums = [0.0] * len(masks)
     per_trial = []  # sampled mode only: (mu, [mu within each H]) for the jackknife
@@ -400,23 +385,21 @@ def ratio_sweep(
 
 class PipelineSetup(NamedTuple):
     """Everything fixed across pipeline trials: the instance, q with its
-    thresholds, the sparsifier output, f, the crucial-side machinery,
-    and the probability tables.  ``tapes`` is an exact pipeline's one
-    tape table, of the seed ``ctx.child("alg")`` on the crucial
-    subgraph, which both tables and every trial read; a sampled
-    pipeline has None, and trial t reads the seed ``ctx.child("alg", t)``."""
+    thresholds, the sparsifier output, the crucial-side machinery, and
+    ``weights``, the x value of each edge of f's support that passes the
+    trial-independent guards (see :func:`build_weights`).  ``tapes`` is
+    an exact pipeline's one tape table, of the seed ``ctx.child("alg")``
+    on the crucial subgraph, which both probability tables and every
+    trial read; a sampled pipeline has None, and trial t reads a table of
+    the seed ``ctx.child("alg", t)``."""
 
     g: Graph
     eps: float
     R: int
     q: QProfile
     H: frozenset
-    f: FractionalMatching
     crucial: CrucialSetup
-    free_prob: tuple
-    delta: DeltaTable
-    p_min: float
-    delta_exponent: int
+    weights: dict
     ctx: SeedContext
     tapes: Optional[TapeTable]
 
@@ -440,7 +423,10 @@ def prepare_pipeline(
     thresholds: Optional[tuple],
 ) -> PipelineSetup:
     """Builds a reusable pipeline: q and thresholds, H and f, the
-    crucial-side recursion setup, and the probability tables.
+    crucial-side recursion setup, and the weights of f's support.  The
+    free probabilities are tabulated only at f's endpoints and the
+    footprint collisions only for f's pairs, so an empty f builds neither
+    table; the collision threshold is (eps p_min)^``delta_exponent``.
 
     Every sample count, ``delta_exponent`` and ``bparams`` come from the
     caller (the command line's defaults live in ``cli.DEFAULTS``).
@@ -456,49 +442,28 @@ def prepare_pipeline(
     crucial = prepare_crucial(g, q, bparams, table_samples, ctx.child("table"))
     f = build_f(g, H, matchings, q, eps, R)
     tapes = TapeTable(ctx.child("alg"), crucial.rec.walks.g) if q.exact else None
-    free_prob = build_match_prob_table(g, crucial, match_prob_trials, ctx.child("mprob"), tapes)
     pairs = [g.endpoints(e) for e in sorted(f.support)]
-    delta = build_delta_table(crucial, pairs, delta_trials, ctx.child("delta"), tapes)
-    return PipelineSetup(
-        g=g,
-        eps=eps,
-        R=R,
-        q=q,
-        H=H,
-        f=f,
-        crucial=crucial,
-        free_prob=free_prob,
-        delta=delta,
-        p_min=p_min_of(g),
-        delta_exponent=delta_exponent,
-        ctx=ctx,
-        tapes=tapes,
+    endpoints = [w for pair in pairs for w in pair]
+    free_prob = build_match_prob_table(
+        crucial, endpoints, match_prob_trials, ctx.child("mprob"), tapes
     )
+    delta = build_delta_table(crucial, pairs, delta_trials, ctx.child("delta"), tapes)
+    threshold = (eps * p_min_of(g)) ** delta_exponent
+    weights = build_weights(g, f, free_prob, delta, eps, threshold)
+    return PipelineSetup(g, eps, R, q, H, crucial, weights, ctx, tapes)
 
 
-def run_pipeline(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
+def run_pipeline(setup: PipelineSetup, trial: int) -> tuple:
     """One trial's per-edge values x (a dict) and their rounding y (a
-    :class:`FractionalMatching`), as ``(x, y)``; ``tapes`` is a tape
-    table on the crucial subgraph of the trial's algorithm seed (see
-    :class:`PipelineSetup`)."""
-    seed = setup.tapes.ctx if setup.tapes is not None else setup.ctx.child("alg", trial)
-    if tapes.ctx != seed:
-        raise ValueError("tape table belongs to another algorithm seed")
+    :class:`FractionalMatching`), as ``(x, y)``.  M_C reads the exact
+    pipeline's one tape table, or a fresh table of the sampled trial's
+    own seed (see :class:`PipelineSetup`)."""
+    tapes = setup.tapes
+    if tapes is None:
+        tapes = TapeTable(setup.ctx.child("alg", trial), setup.crucial.rec.walks.g)
     real = setup.realization(trial)
     m_c = compute_MC(setup.crucial, real, tapes)
-    x = build_x(
-        setup.g,
-        setup.q,
-        setup.f,
-        m_c,
-        setup.H,
-        real,
-        setup.free_prob,
-        setup.delta,
-        setup.eps,
-        setup.p_min,
-        setup.delta_exponent,
-    )
+    x = build_x(setup.g, setup.q.crucial, setup.weights, m_c, setup.H, real)
     scaled = scale_values(x, 1.0 - setup.eps)
     y = round_x(scaled, setup.eps, setup.g)
     return x, y
@@ -546,11 +511,11 @@ def _freq_stderr(count: int, n: int) -> tuple:
     return freq, math.sqrt(max(freq * (1.0 - freq), 0.0) / n)
 
 
-def _trial_stats(setup: PipelineSetup, trial: int, tapes: TapeTable) -> tuple:
+def _trial_stats(setup: PipelineSetup, trial: int) -> tuple:
     """What :func:`verify_claims` reads of one trial: the vertex loads of
     x, |x|, |y|, and the blossom check of y, which is None when the
     odd-set size cap is exceeded."""
-    x, y = run_pipeline(setup, trial, tapes)
+    x, y = run_pipeline(setup, trial)
     try:
         blossom_ok = check_blossom(y, setup.eps).ok
     except ResourceGuard:
@@ -569,16 +534,8 @@ def _claim(name: str, kind: str, bound: float, value: float, se: float, note: st
 
 
 def _trial_block(setup: PipelineSetup, trials: range) -> list:
-    """Stats of consecutive trials.  An exact pipeline's trials read its
-    one tape table; a sampled trial reads a table of its own seed."""
-    sub = setup.crucial.rec.walks.g
-    stats = []
-    for t in trials:
-        tapes = setup.tapes
-        if tapes is None:
-            tapes = TapeTable(setup.ctx.child("alg", t), sub)
-        stats.append(_trial_stats(setup, t, tapes))
-    return stats
+    """Stats of consecutive trials."""
+    return [_trial_stats(setup, t) for t in trials]
 
 
 def verify_claims(setup: PipelineSetup, trials: int, workers: int) -> ClaimReport:

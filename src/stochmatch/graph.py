@@ -239,14 +239,15 @@ def enumerate_realizations(g: Graph):
 
 
 def weighted_realizations(
-    g: Graph, samples: int, ctx: Optional[SeedContext], exact: Optional[bool]
+    g: Graph, samples: int, ctx: Optional[SeedContext], exact: Optional[bool], flag: str
 ) -> tuple:
     """Resolves the mode of an expectation over G_p and returns
     ``(exact, worlds)``, where ``worlds`` yields (edge mask, weight).
 
     ``exact=None`` picks exact mode when m <= ``ENUM_CAP``.  Exact mode
     streams every edge subset with its probability; sampled mode yields
-    trials 0..samples-1 drawn from ``ctx`` with weight 1.
+    trials 0..samples-1 drawn from ``ctx`` with weight 1, and refuses a
+    count below 1 by naming ``flag``, the option that sets it.
     """
     if exact is None:
         exact = g.m <= ENUM_CAP
@@ -255,7 +256,7 @@ def weighted_realizations(
     if ctx is None:
         raise ValueError("sampled mode needs a seed context")
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ValueError(f"samples must be positive; pass {flag} 1 or more")
     return False, ((sample_realization(g, ctx, t), 1) for t in range(samples))
 
 

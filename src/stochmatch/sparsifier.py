@@ -113,7 +113,7 @@ def estimate_q(
     are drawn from ``ctx``.  An exact enumeration matches each connected
     component once, through one :class:`ComponentMemo`.
     """
-    exact, worlds = weighted_realizations(g, samples, ctx, exact)
+    exact, worlds = weighted_realizations(g, samples, ctx, exact, "--q-samples")
     memo = ComponentMemo(g) if exact else None
     q = [0.0] * g.m
     for mask, weight in worlds:

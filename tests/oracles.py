@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from types import SimpleNamespace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import pytest
 
 from stochmatch import hyperwalk
 from stochmatch.analysis import (
     CrucialSetup,
-    DeltaTable,
     RatioEstimate,
     ratio_sweep,
 )
@@ -432,14 +431,6 @@ def recursion_params(rec: Recursion) -> BParams:
         alpha=rec.walks.alpha, walk_len=rec.walks.walk_len, depth=len(rec.gates),
         margin=0.0, mis_budget=rec.budget,
     )
-
-
-def trial_tapes(setup, trial: int) -> TapeTable:
-    """A fresh tape table of a pipeline trial's algorithm seed on the
-    crucial subgraph, as :func:`stochmatch.analysis.run_pipeline` takes:
-    the exact pipeline's one seed, or the sampled trial's own."""
-    ctx = setup.tapes.ctx if setup.tapes is not None else setup.ctx.child("alg", trial)
-    return TapeTable(ctx, setup.crucial.rec.walks.g)
 
 
 def edge_id(g: Graph, u: int, v: int):
@@ -905,7 +896,7 @@ def estimate_q_v0(
     ctx: Optional[SeedContext] = None,
     exact: Optional[bool] = None,
 ) -> QProfile:
-    exact, worlds = weighted_realizations(g, samples, ctx, exact)
+    exact, worlds = weighted_realizations(g, samples, ctx, exact, "--q-samples")
     q = [0.0] * g.m
     for mask, weight in worlds:
         if weight <= 0.0:
@@ -914,6 +905,73 @@ def estimate_q_v0(
             q[e] += weight
     runs = 1 if exact else samples
     return QProfile(tuple(x / runs for x in q), exact)
+
+
+#
+# The delta table and build_x before the weights were fixed ahead of the
+# trials: the table was a record with a symmetric lookup, and build_x
+# re-derived each non-crucial weight and both of its trial-independent
+# guards in every trial, from a per-vertex free-probability tuple.
+
+
+class DeltaTable(NamedTuple):
+    """Estimated query-footprint collision probabilities per vertex pair."""
+
+    values: dict
+
+    def get(self, u: int, v: int) -> float:
+        key = (u, v) if u < v else (v, u)
+        if key not in self.values:
+            raise KeyError(f"no delta estimate for vertex pair {key}")
+        return self.values[key]
+
+
+def build_x_v0(
+    g: Graph,
+    q: QProfile,
+    f,
+    m_c: frozenset,
+    H: frozenset,
+    realization: int,
+    free_prob: tuple,
+    delta: DeltaTable,
+    eps: float,
+    p_min: float,
+    delta_exponent: int,
+) -> dict:
+    threshold = (eps * p_min) ** delta_exponent
+    eps_sq = eps * eps
+    mc_cover = matched_vertices(g, m_c)
+    crucial = q.crucial
+    noncrucial = q.noncrucial
+    x = {}
+    for e in range(g.m):
+        if e in crucial:
+            x[e] = 1.0 if (e in m_c and e in H and (realization >> e) & 1) else 0.0
+            continue
+        if e not in noncrucial:
+            x[e] = 0.0
+            continue
+        fe = f.get(e)
+        if fe == 0.0:
+            x[e] = 0.0
+            continue
+        u, v = g.endpoints(e)
+        d = delta.get(u, v)
+        pf_u = free_prob[u]
+        pf_v = free_prob[v]
+        if (
+            d > threshold
+            or pf_u < eps_sq
+            or pf_v < eps_sq
+            or not (realization >> e) & 1
+            or u in mc_cover
+            or v in mc_cover
+        ):
+            x[e] = 0.0
+        else:
+            x[e] = fe / (g.probability(e) * pf_u * pf_v)
+    return x
 
 
 #

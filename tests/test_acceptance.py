@@ -36,7 +36,6 @@ from oracles import (
     shallow_bparams,
     tmis_query,
     tmis_set,
-    trial_tapes,
     validating_profiles,
     vertex_load,
     vertex_rank,
@@ -340,7 +339,7 @@ def pipe_runs(pipe_graph):
         delta_trials=40,
         delta_exponent=15, exact=None,
     )
-    return setup, [run_pipeline(setup, t, trial_tapes(setup, t)) for t in range(100)]
+    return setup, [run_pipeline(setup, t) for t in range(100)]
 
 
 @pytest.mark.criterion(12, "rounding obeys the case split, unit loads, and loses little mass")

@@ -6,11 +6,13 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    DeltaTable,
     Realization,
     UnsaturationTable,
     b_generic_v0,
     build_delta_table_v0,
     build_match_prob_table_v0,
+    build_x_v0,
     estimate_q_v0,
     estimate_ratio,
     flagged,
@@ -21,16 +23,14 @@ from oracles import (
     ratio_sweep_v0,
     recursion_params,
     shallow_bparams,
-    trial_tapes,
     vertex_load,
 )
 from stochmatch import analysis, hyperwalk
 from stochmatch.analysis import (
-    DeltaTable,
-    MissingTableEntry,
     build_delta_table,
     build_f,
     build_match_prob_table,
+    build_weights,
     build_x,
     compute_MC,
     match_targets_from_q,
@@ -52,9 +52,9 @@ from stochmatch.graph import (
 )
 from stochmatch.cli import main
 from stochmatch.hyperwalk import BParams, b_generic
-from stochmatch.matching import matched_vertices
+from stochmatch.matching import FractionalMatching, matched_vertices
 from stochmatch.lca import TapeTable, run_lca
-from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q
+from stochmatch.sparsifier import QProfile, SparsifierParams, build_H, estimate_q, p_min_of
 from test_cli import GOLDEN_GRAPHS
 from test_hyperwalk import counting_engines
 from test_matching import VERIFY_EXACT
@@ -201,14 +201,14 @@ class TestCrucialSide:
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         tapes = TapeTable(SeedContext(2).child("alg"), crucial.rec.walks.g)
-        free = build_match_prob_table(g, crucial, 10, SeedContext(2), tapes)
-        assert free == pytest.approx((0.5, 0.5), abs=1e-12)
+        free = build_match_prob_table(crucial, [1, 0], 10, SeedContext(2), tapes)
+        assert free == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
 
     def test_match_prob_table_sampled_close(self):
         g = path_graph(1)
         q = qprofile((0.5,), 0.1, 0.3)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        free = build_match_prob_table(g, crucial, 600, SeedContext(2), None)
+        free = build_match_prob_table(crucial, [0], 600, SeedContext(2), None)
         # 4 sigma of a p=0.5 frequency at 600 trials
         assert abs(free[0] - 0.5) <= 4 * math.sqrt(0.25 / 600)
 
@@ -288,21 +288,12 @@ class TestUnsaturationRows:
 
 
 class TestDeltaTable:
-    def test_symmetric_lookup(self):
-        table = DeltaTable({(1, 4): 0.25})
-        assert table.get(1, 4) == 0.25
-        assert table.get(4, 1) == 0.25
-        assert (1, 4) in table.values
-        assert (0, 1) not in table.values
-        with pytest.raises(MissingTableEntry):
-            table.get(0, 1)
-
     def test_adjacent_crucial_endpoints_always_collide(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        table = build_delta_table(crucial, [(0, 1)], 20, SeedContext(5), None)
-        assert table.get(0, 1) == 1.0
+        table = build_delta_table(crucial, [(1, 0)], 20, SeedContext(5), None)
+        assert table == {(0, 1): 1.0}
 
     def test_isolated_pair_never_collides(self):
         # vertices 2 and 3 have no crucial incident edges
@@ -310,100 +301,78 @@ class TestDeltaTable:
         q = qprofile((0.9, 0.05, 0.05), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
         table = build_delta_table(crucial, [(2, 3)], 20, SeedContext(5), None)
-        assert table.get(2, 3) == 0.0
+        assert table == {(2, 3): 0.0}
 
     def test_empty_pairs_short_circuits(self):
         g = path_graph(1)
         q = qprofile((0.9,), 0.1, 0.5)
         crucial = prepare_crucial(g, q, BP1, 0, SeedContext(0))
-        assert build_delta_table(crucial, [], 0, SeedContext(5), None).values == {}
+        assert build_delta_table(crucial, [], 0, SeedContext(5), None) == {}
 
 
-class TestBuildX:
-    """Hand-built tables on the 3-edge path; edge 0 crucial, 1-2 noncrucial."""
+class TestBuildWeights:
+    """Hand-built tables on the 3-edge path; f on edge 2 only."""
 
     def setup_method(self):
         self.g = path_graph(3)
-        self.q = qprofile((0.5, 0.1, 0.1), 0.2, 0.4)
-        self.free = (0.5, 0.5, 0.5, 0.5)
-        self.eps = 0.3
-        self.p_min = 0.5
+        self.free = {2: 0.5, 3: 0.5}
 
-    def x(self, f_values, m_c, H, mask, free=None, delta=None):
-        from stochmatch.matching import FractionalMatching
-
-        f = FractionalMatching.build(self.g, f_values)
-        if delta is None:
-            delta = DeltaTable({(1, 2): 0.0, (2, 3): 0.0})
-        return build_x(
-            self.g,
-            self.q,
-            f,
-            frozenset(m_c),
-            frozenset(H),
-            mask,
-            free if free is not None else self.free,
-            delta,
-            self.eps,
-            self.p_min,
-            15,
-        )
-
-    def test_crucial_matched_in_realized_H(self):
-        x = self.x({}, {0}, {0, 1, 2}, 0b111)
-        assert x[0] == 1.0
-
-    def test_crucial_outside_H_or_unmatched(self):
-        assert self.x({}, {0}, {1, 2}, 0b111)[0] == 0.0
-        assert self.x({}, {}, {0, 1, 2}, 0b111)[0] == 0.0
-        assert self.x({}, {0}, {0, 1, 2}, 0b110)[0] == 0.0
+    def weights(self, free=None, delta=0.0):
+        f = FractionalMatching.build(self.g, {2: 0.1})
+        free = free if free is not None else self.free
+        return build_weights(self.g, f, free, {(2, 3): delta}, 0.3, (0.3 * 0.5) ** 15)
 
     def test_noncrucial_formula(self):
-        x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111)
-        assert x[2] == pytest.approx(0.1 / (0.5 * 0.5 * 0.5), abs=1e-12)
-        assert x[2] == pytest.approx(0.8, abs=1e-12)
+        w = self.weights()
+        assert w == {2: pytest.approx(0.1 / (0.5 * 0.5 * 0.5), abs=1e-12)}
+        assert w[2] == pytest.approx(0.8, abs=1e-12)
+
+    def test_delta_guard(self):
+        assert self.weights(delta=0.5) == {}
+
+    def test_low_free_probability_guard(self):
+        assert self.weights(free={2: 0.5, 3: 0.01}) == {}
+
+    def test_empty_f_reads_no_table(self):
+        f = FractionalMatching.build(self.g, {})
+        assert build_weights(self.g, f, {}, {}, 0.3, 0.0) == {}
+
+
+class TestBuildX:
+    """The per-trial rules on the 3-edge path; edge 0 crucial, edge 1
+    and 2 weighted."""
+
+    def setup_method(self):
+        self.g = path_graph(3)
+        self.crucial = frozenset({0})
+        self.weights = {1: 0.4, 2: 0.8}
+
+    def x(self, m_c, H, mask, weights=None):
+        weights = weights if weights is not None else self.weights
+        return build_x(self.g, self.crucial, weights, frozenset(m_c), frozenset(H), mask)
+
+    def test_crucial_matched_in_realized_H(self):
+        x = self.x({0}, {0, 1, 2}, 0b111)
+        assert list(x.items()) == [(0, 1.0), (1, 0.0), (2, 0.8)]
+
+    def test_crucial_outside_H_or_unmatched(self):
+        assert self.x({0}, {1, 2}, 0b111)[0] == 0.0
+        assert self.x({}, {0, 1, 2}, 0b111)[0] == 0.0
+        assert self.x({0}, {0, 1, 2}, 0b110)[0] == 0.0
 
     def test_mc_cover_zeroes_neighbors(self):
         # edge 1 touches vertex 1, covered by M_C = {0}
-        x = self.x({1: 0.1}, {0}, {0, 1, 2}, 0b111)
-        assert x[1] == 0.0
-
-    def test_delta_guard(self):
-        delta = DeltaTable({(2, 3): 0.5})
-        x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, delta=delta)
-        assert x[2] == 0.0
-
-    def test_low_free_probability_guard(self):
-        free = (0.5, 0.5, 0.5, 0.01)
-        x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, free=free)
-        assert x[2] == 0.0
+        assert self.x({0}, {0, 1, 2}, 0b111)[1] == 0.0
+        assert self.x({}, {0, 1, 2}, 0b111)[1] == 0.4
 
     def test_unrealized_noncrucial_zeroed(self):
-        x = self.x({2: 0.1}, {0}, {0, 1, 2}, 0b011)
+        x = self.x({0}, {0, 1, 2}, 0b011)
         assert x[2] == 0.0
 
     def test_middle_band_zero(self):
-        q = qprofile((0.5, 0.3, 0.1), 0.2, 0.4)
-        from stochmatch.matching import FractionalMatching
-
-        x = build_x(
-            self.g,
-            q,
-            FractionalMatching.build(self.g, {}),
-            frozenset(),
-            frozenset({0, 1, 2}),
-            0b111,
-            self.free,
-            DeltaTable({}),
-            self.eps,
-            self.p_min,
-            15,
-        )
+        # edge 1 is neither crucial nor weighted
+        x = self.x(set(), {0, 1, 2}, 0b111, weights={2: 0.8})
         assert x[1] == 0.0
-
-    def test_missing_delta_entry_raises(self):
-        with pytest.raises(MissingTableEntry):
-            self.x({2: 0.1}, {0}, {0, 1, 2}, 0b111, delta=DeltaTable({}))
 
     def test_scale_values(self):
         assert scale_values({0: 1.0, 2: 0.5}, 0.7) == {0: 0.7, 2: 0.35}
@@ -550,10 +519,10 @@ class TestPipeline:
         assert setup.tapes is not None
         assert setup.R == 3
         assert setup.q.crucial and setup.q.noncrucial
-        x, y = run_pipeline(setup, 0, trial_tapes(setup, 0))
+        x, y = run_pipeline(setup, 0)
         assert set(x) == set(range(setup.g.m))
         real = setup.realization(0)
-        m_c = compute_MC(setup.crucial, real, trial_tapes(setup, 0))
+        m_c = compute_MC(setup.crucial, real, setup.tapes)
         assert is_matching(setup.g, m_c)
         assert m_c <= setup.q.crucial
         assert all((real >> e) & 1 for e in m_c)
@@ -563,19 +532,14 @@ class TestPipeline:
         for v in range(setup.g.n):
             assert vertex_load(y, v) <= 1.0 + 1e-12
 
-    def test_refuses_table_of_another_seed(self):
-        setup = smoke_setup()
-        with pytest.raises(ValueError, match="another algorithm seed"):
-            run_pipeline(setup, 0, TapeTable(SeedContext(9), setup.crucial.rec.walks.g))
-
     def test_runs_are_deterministic(self):
         setup = smoke_setup()
-        a_x, a_y = run_pipeline(setup, 2, trial_tapes(setup, 2))
-        b_x, b_y = run_pipeline(setup, 2, trial_tapes(setup, 2))
+        a_x, a_y = run_pipeline(setup, 2)
+        b_x, b_y = run_pipeline(setup, 2)
         assert a_x == b_x
         assert a_y.values == b_y.values
         again = smoke_setup()
-        c_x, _ = run_pipeline(again, 2, trial_tapes(again, 2))
+        c_x, _ = run_pipeline(again, 2)
         assert c_x == a_x
 
     def test_claim_report_shape(self):
@@ -680,9 +644,8 @@ class TestSharedRealizationLoops:
             # its own seed ctx.child("alg"); the builder reads a table of it
             enumerated = sub.m <= ENUM_CAP if exact is None else exact
             tapes = TapeTable(ctx.child("alg"), sub) if enumerated else None
-            assert build_match_prob_table(g, crucial, 40, ctx, tapes) == (
-                build_match_prob_table_v0(g, crucial, 40, ctx, exact)
-            )
+            got = build_match_prob_table(crucial, range(g.n), 40, ctx, tapes)
+            assert got == dict(enumerate(build_match_prob_table_v0(g, crucial, 40, ctx, exact)))
 
 
 class TestSeedMemoPipelines:
@@ -709,7 +672,7 @@ class TestSeedMemoPipelines:
         report = verify_claims(setup, trials=5, workers=1)
         self.fresh_calls(monkeypatch)
         parent = smoke_setup(**kwargs)
-        assert setup.free_prob == parent.free_prob
+        assert setup.weights == parent.weights
         assert report.to_json() == verify_claims(parent, trials=5, workers=1).to_json()
 
     def test_exact_table_derives_each_tape_once(self, monkeypatch):
@@ -731,7 +694,7 @@ class TestSeedMemoPipelines:
         )
         verify_claims(setup, trials=10, workers=1)
         m = setup.crucial.rec.walks.g.m
-        assert m >= 3 and setup.delta.values
+        assert m >= 3 and setup.weights
         tapes = Counter({
             path: n for path, n in paths.items()
             if path[-3:-1] == ("tape", "edge") and path[:2] != ("table", "unsat")
@@ -751,14 +714,16 @@ class TestSeedMemoPipelines:
         )
         sub = setup.crucial.rec.walks.g
         tapes = TapeTable(SeedContext(14).child("alg"), sub)
-        run_pipeline(setup, 0, tapes)  # the trials' seed: accepted
+        assert setup.tapes.ctx == tapes.ctx
         covered = [0.0] * VERIFY_EXACT.n
         worlds = list(enumerate_realizations(sub))
         assert len(worlds) == 2**7
         for mask, weight in worlds:
             for v in matched_vertices(sub, b_generic(setup.crucial.rec, mask, tapes)):
                 covered[v] += weight
-        assert setup.free_prob == tuple(1.0 - c for c in covered)
+        ctx = SeedContext(14).child("mprob")
+        free = build_match_prob_table(setup.crucial, range(sub.n), 500, ctx, setup.tapes)
+        assert free == {v: 1.0 - c for v, c in enumerate(covered)}
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_delta_table_matches_per_query_tapes(self, monkeypatch, exact):
@@ -813,4 +778,81 @@ class TestSeedMemoPipelines:
         else:  # a sampled trial's seed is its own: one engine per (trial, root)
             assert max(started.values()) == 1
         assert len(engines) < len(queries)
-        assert got == build_delta_table_v0(g, crucial, pairs, 12, ctx, exact)
+        assert got == build_delta_table_v0(g, crucial, pairs, 12, ctx, exact).values
+
+
+class TestWeightsBeforeTrials:
+    """The pipeline fixes each f-support edge's x weight before any trial,
+    against the per-trial build_x it replaced."""
+
+    CASES = {
+        "kite-exact": (SOURCE_CORPUS["kite"][0], 6, 0.2, SOURCE_BPARAMS, SOURCE_CORPUS["kite"][1],
+                       4, True),
+        "kite-sampled": (SOURCE_CORPUS["kite"][0], 6, 0.2, SOURCE_BPARAMS,
+                         SOURCE_CORPUS["kite"][1], 4, False),
+        "verify-exact-seed-14": (
+            VERIFY_EXACT, 14, 0.1,
+            BParams(alpha=1, walk_len=3, depth=2, margin=2.0 * 0.1**2, mis_budget=None),
+            (0.25, 0.32), 32, None,
+        ),
+    }
+
+    @staticmethod
+    def f_of(setup, seed):
+        H, matchings = build_H(setup.g, SparsifierParams(R=setup.R, eps=setup.eps, seed=seed))
+        assert H == setup.H
+        return build_f(setup.g, H, matchings, setup.q, setup.eps, setup.R)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_x_matches_parent(self, case):
+        g, seed, eps, bparams, thresholds, R, exact = self.CASES[case]
+        counts = dict(match_prob_trials=40, delta_trials=10, delta_exponent=15)
+        setup = prepare_pipeline(
+            g, eps=eps, seed=seed, bparams=bparams, q_samples=2_000, table_samples=10,
+            R=R, exact=exact, thresholds=thresholds, **counts,
+        )
+        f = self.f_of(setup, seed)
+        assert f.support and setup.q.exact is (exact is not False)
+        # the parent's tables: the free probability of every vertex, and the
+        # collisions of f's pairs behind a symmetric lookup
+        ctx = SeedContext(seed)
+        free = build_match_prob_table(
+            setup.crucial, range(g.n), counts["match_prob_trials"], ctx.child("mprob"),
+            setup.tapes,
+        )
+        pairs = [g.endpoints(e) for e in sorted(f.support)]
+        delta = build_delta_table(
+            setup.crucial, pairs, counts["delta_trials"], ctx.child("delta"), setup.tapes
+        )
+        free_prob = tuple(free[v] for v in range(g.n))
+        sub = setup.crucial.rec.walks.g
+        for t in range(20):
+            x, _ = run_pipeline(setup, t)
+            real = setup.realization(t)
+            tapes = setup.tapes
+            if tapes is None:
+                tapes = TapeTable(setup.ctx.child("alg", t), sub)
+            m_c = compute_MC(setup.crucial, real, tapes)
+            parent = build_x_v0(
+                g, setup.q, f, m_c, setup.H, real, free_prob, DeltaTable(delta), eps,
+                p_min_of(g), counts["delta_exponent"],
+            )
+            assert list(x.items()) == list(parent.items())
+
+    def test_empty_f_builds_no_table(self, monkeypatch):
+        # sampled q on kite without thresholds puts all 9 edges in the
+        # crucial set, so f is empty: the recursion runs only for the gates'
+        # samples and the trials' M_C
+        g, _ = SOURCE_CORPUS["kite"]
+        calls = count_b_generic(monkeypatch)
+        setup = prepare_pipeline(
+            g, eps=0.2, seed=3, bparams=SOURCE_BPARAMS, q_samples=200, table_samples=5,
+            match_prob_trials=30, delta_trials=5, delta_exponent=15, R=4, thresholds=None,
+            exact=False,
+        )
+        assert len(setup.q.crucial) == g.m == 9
+        assert not self.f_of(setup, 3).support and setup.weights == {}
+        gates = len(calls)
+        assert gates == 5 * (SOURCE_BPARAMS.depth - 1)
+        verify_claims(setup, trials=7, workers=1)
+        assert len(calls) == gates + 7

@@ -471,6 +471,26 @@ class TestExitCodes:
         assert "--delta-trials" in capsys.readouterr().err
         assert main(argv + ["--thresholds", "0.2,0.4"]) == 0
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--samples", ["evaluate", "--R", "2"]),
+        ("--q-samples", ["sparsify", "--R", "2"]),
+        ("--match-prob-trials", ["verify", "--eps", "0.3", "--R", "2", "--samples", "2",
+                                 "--alpha", "1", "--walk-len", "2", "--depth", "2",
+                                 "--q-samples", "50"]),
+    ], ids=["samples", "q-samples", "match-prob-trials"])
+    def test_zero_sampled_count_names_its_flag(self, tmp_path, capsys, flag, command):
+        # the 4-cycle with a chord: a sampled run reads each count, which
+        # ExperimentConfig accepts at 0 since an exact run reads none
+        g = Graph.build(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.5), (0, 2, 0.9)])
+        argv = command + ["--input", write_input(tmp_path, g), "--no-exact", flag, "0",
+                          "--out", str(tmp_path / "out")]
+        if flag == "--match-prob-trials":  # f has support at these thresholds only
+            assert main(argv + ["--thresholds", "0.2,0.4"]) == 0
+            argv += ["--thresholds", "0.5,0.9"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: samples must be positive; pass {flag} 1 or more\n"
+
     def test_recursion_limit_aborts(self, tmp_path, capsys):
         inp = write_input(tmp_path, Graph.build(3, [(0, 1, 0.5), (1, 2, 0.5)]))
         rc = main(["lca-stats", "--input", inp, "--lca", "b-matching",

@@ -142,20 +142,22 @@ class TestEnumeration:
 class TestWeightedRealizations:
     def test_auto_mode_boundary(self):
         # the resolved flag comes back before any realization is made
-        exact, _ = weighted_realizations(path_graph(ENUM_CAP), 1, None, None)
+        exact, _ = weighted_realizations(path_graph(ENUM_CAP), 1, None, None, "--samples")
         assert exact is True
-        exact, _ = weighted_realizations(path_graph(ENUM_CAP + 1), 1, SeedContext(0), None)
+        exact, _ = weighted_realizations(
+            path_graph(ENUM_CAP + 1), 1, SeedContext(0), None, "--samples"
+        )
         assert exact is False
 
     def test_sampled_preconditions(self, path3):
         with pytest.raises(ValueError):
-            weighted_realizations(path3, 5, None, exact=False)
-        with pytest.raises(ValueError):
-            weighted_realizations(path3, 0, SeedContext(0), exact=False)
+            weighted_realizations(path3, 5, None, False, "--samples")
+        with pytest.raises(ValueError, match="pass --samples 1 or more"):
+            weighted_realizations(path3, 0, SeedContext(0), False, "--samples")
 
     def test_sampled_trials_have_unit_weight(self, path3):
         ctx = SeedContext(4)
-        _, worlds = weighted_realizations(path3, 6, ctx, exact=False)
+        _, worlds = weighted_realizations(path3, 6, ctx, False, "--samples")
         expected = [(sample_realization(path3, ctx, t), 1) for t in range(6)]
         assert list(worlds) == expected
 

@@ -75,7 +75,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stochmatch"
 
 EXCEPTIONS = {
-    "analysis.MissingTableEntry",
     "cli.UsageError",
     "graph.GraphFormatError",
     "graph.ResourceGuard",
